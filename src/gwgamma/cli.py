@@ -12,9 +12,10 @@ Exit codes: 0 all checks pass, 1 a mathematical identity failed,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .abelian import GroupPresentation
 from .filtration import FiltrationResult, gamma_filtration, witt_filtration
@@ -126,7 +127,7 @@ def model_from_dict(doc: object) -> RingModel:
         )
         i, j, coeffs = entry
         _require(
-            isinstance(i, int) and isinstance(j, int) and not isinstance(i, bool),
+            all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)),
             "%s: indices must be integers" % where,
         )
         _require(0 <= i <= j < rank, "%s: need 0 <= i <= j < %d" % (where, rank))
@@ -200,18 +201,6 @@ def dump_model(m: RingModel, path: str) -> None:
         raise ModelFormatError("cannot write %s: %s" % (path, exc)) from exc
 
 
-# flags each builtin constructor understands
-BUILTIN_FLAGS: Mapping[str, tuple[str, ...]] = {
-    "gw_point": ("base",),
-    "gw_point_C": (),
-    "gw_point_R": (),
-    "gw_projective": ("base", "r"),
-    "gw_punctured_line": ("base",),
-    "gw_punctured_a5": ("f",),
-    "gw_surface_cxp1": ("s",),
-}
-
-
 def make_builtin(name: str, args: argparse.Namespace) -> RingModel:
     if name.startswith("builtin:"):
         name = name[len("builtin:") :]
@@ -219,7 +208,8 @@ def make_builtin(name: str, args: argparse.Namespace) -> RingModel:
         raise UsageError(
             "unknown builtin %r; choices: %s" % (name, ", ".join(sorted(BUILTINS)))
         )
-    allowed = BUILTIN_FLAGS[name]
+    # every keyword of the constructor but the truncation is a CLI flag
+    allowed = set(inspect.signature(BUILTINS[name]).parameters) - {"trunc"}
     kwargs = {}
     for flag in ("base", "r", "f", "s"):
         value = getattr(args, flag, None)
@@ -269,7 +259,7 @@ def format_group(invariants: Sequence[int]) -> str:
 def _filtration_text(f: FiltrationResult) -> list[str]:
     names = f.group.names
     lines = ["model: %s" % f.model.name]
-    lines.append("exact: %s" % ("yes" if f.exactness_flag else "no"))
+    lines.append("exact: %s" % ("yes" if f.exact else "no"))
     for w in f.warnings:
         lines.append("warning: %s" % w)
     for k in range(1, f.kmax + 1):
@@ -290,7 +280,7 @@ def _filtration_json(f: FiltrationResult, witt: bool, window: int) -> dict:
         "witt": witt,
         "max_degree": f.kmax,
         "window": window,
-        "exact": f.exactness_flag,
+        "exact": f.exact,
         "stabilized_window": f.stabilized_window,
         "warnings": list(f.warnings),
         "basis": list(f.group.names),

@@ -5,24 +5,37 @@ for k >= 2 is the subgroup generated by all products
 
     gamma^{i_1}(e_1) * ... * gamma^{i_m}(e_m),   i_1 + ... + i_m >= k,
 
-over a generating set E of F^1.  Products are enumerated up to a total
-weight cap; the result is flagged exact when the cap provably dominates
-every deeper product:
+over a generating set E of F^1.  Multiplication is bilinear, so the span
+S_w of the products of weight exactly w obeys
+
+    S_w = span{gamma-values of weight w} + sum over gamma-values g of
+          weight i < w of g * S_{w-i},
+
+the multiplicativity F^i * F^j in F^(i+j) of the gamma filtration.  Each
+S_w is built once, as a Hermite normal form, from the gamma-values of
+weight w and the products of the lighter gamma-values with the columns of
+the earlier spans.  The pieces up to a weight cap are cumulative:
+F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.
+
+The result is flagged exact when
 
 * each generator's gamma-series vanishes beyond some weight i_max visible
-  inside the model truncation, with cap >= kmax + i_max - 1, and
-* the deepest computed piece absorbs the product of every stored monomial
-  value of weight in [kmax, cap] with every gamma-value whenever the
-  combined weight exceeds the cap.
+  inside the model truncation, with cap = kmax + i_max - 1, and
+* F^kmax is closed under multiplication by every nonzero gamma-value,
+  checked on its HNF columns.
 
-Peeling one factor off a monomial of weight > cap lands on a stored
-monomial of weight in [kmax, cap], so by induction all deeper monomials
-stay inside the computed pieces.  This covers both nilpotent augmentation
-ideals (all long products die) and the two-adic chains of the real point
-and the real punctured line, where gamma-values never vanish but each
-extra factor doubles the generator (2^k (L-1) stays in the span).  If no
-cap passes the check, the pieces are grown until unchanged for ``window``
-consecutive caps and the result is flagged as heuristic.
+Take a product of weight above the cap and multiply its factors together
+one at a time.  Each factor adds at most i_max = cap - kmax + 1 to the
+weight, so the first partial product of weight >= kmax has weight in
+[kmax, cap] and lies in F^kmax; closure keeps every further partial
+product there.  So each piece up to the cap already holds all deeper
+products.  This covers both nilpotent augmentation ideals (all long
+products die) and the two-adic chains of the real point and the real
+punctured line, where products never vanish but each extra factor doubles
+the generator (2^k (L-1) stays in the span).  If the cap lies beyond the
+truncation or closure fails, the same spans are extended one weight at a
+time from cap kmax until the pieces stay unchanged for ``window``
+consecutive caps, and the result is flagged as heuristic.
 
 The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes.
@@ -57,15 +70,8 @@ class FiltrationResult:
     generators: tuple[GroupElement, ...]
     weight_cap: int
     stabilized_window: int
-    exactness_flag: bool
+    exact: bool
     warnings: tuple[str, ...]
-
-    @property
-    def exact(self) -> bool:
-        return self.exactness_flag
-
-    def piece(self, k: int) -> Subgroup:
-        return self.pieces[k]
 
 
 def augmentation_kernel(m: RingModel) -> tuple[Subgroup, tuple[RingElement, ...]]:
@@ -75,85 +81,61 @@ def augmentation_kernel(m: RingModel) -> tuple[Subgroup, tuple[RingElement, ...]
     return sub, gens
 
 
-def _gamma_value_table(
-    gens: tuple[RingElement, ...], cap: int
-) -> list[list[tuple[int, RingElement]]]:
-    table = []
+def _gamma_values(
+    gens: tuple[RingElement, ...], order: int
+) -> list[tuple[int, RingElement]]:
+    """(i, gamma^i(e)) for every generator e and nonzero value, 1 <= i <= order."""
+    values = []
     for e in gens:
-        series = gamma_total(e, cap)
-        table.append(
-            [(i, series.coeffs[i]) for i in range(1, cap + 1)
-             if not series.coeffs[i].is_zero]
+        series = gamma_total(e, order)
+        values.extend(
+            (i, series.coeffs[i]) for i in range(1, order + 1)
+            if not series.coeffs[i].is_zero
         )
-    return table
+    return values
 
 
-def _monomial_values(
-    table: list[list[tuple[int, RingElement]]],
-    cap: int,
-) -> dict[int, set[GroupElement]]:
-    """Nonzero values of weight-bounded monomials, keyed by total weight."""
-    symbols = sorted(
-        ((i, g, v) for g, row in enumerate(table) for i, v in row),
-        key=lambda s: (s[0], s[1]),
+def _sum(pres: GroupPresentation, subs: list[Subgroup]) -> Subgroup:
+    return subgroup_from_generators(
+        pres, [pres.element(c) for s in subs for c in s.columns]
     )
-    by_weight: dict[int, set[GroupElement]] = {
-        w: set() for w in range(1, cap + 1)
-    }
-
-    def extend(start: int, weight: int, value: RingElement | None) -> None:
-        for idx in range(start, len(symbols)):
-            i, _, v = symbols[idx]
-            w2 = weight + i
-            if w2 > cap:
-                break
-            val2 = value * v if value is not None else v
-            if val2.is_zero:
-                continue
-            by_weight[w2].add(val2.value)
-            extend(idx, w2, val2)
-
-    extend(0, 0, None)
-    return by_weight
 
 
-def _assemble_pieces(
+def _pieces(
     m: RingModel,
-    by_weight: dict[int, set[GroupElement]],
+    values: list[tuple[int, RingElement]],
+    spans: list[Subgroup],
     kmax: int,
     cap: int,
 ) -> tuple[Subgroup, ...]:
-    pieces = [full_subgroup(m.group)]
-    for k in range(1, kmax + 1):
-        vecs = [
-            v
-            for w in range(k, cap + 1)
-            for v in sorted(by_weight[w], key=lambda g: g.coeffs)
+    """F^0..F^kmax spanned by the products of weight at most `cap`.
+
+    ``spans`` holds S_1, S_2, ... and is extended here to S_cap; a span
+    already in it is never rebuilt.
+    """
+    for w in range(len(spans) + 1, cap + 1):
+        vecs = [g.value for i, g in values if i == w]
+        vecs += [
+            (g * m.element(c)).value
+            for i, g in values if i < w
+            for c in spans[w - i - 1].columns
         ]
-        pieces.append(subgroup_from_generators(m.group, vecs))
-    return tuple(pieces)
+        spans.append(subgroup_from_generators(m.group, vecs))
+    pieces = [_sum(m.group, spans[kmax - 1:cap])]
+    for k in range(kmax - 1, 0, -1):
+        pieces.append(_sum(m.group, [pieces[-1], spans[k - 1]]))
+    return (full_subgroup(m.group), *reversed(pieces))
 
 
-def _closure_certified(
-    m: RingModel,
-    pieces: tuple[Subgroup, ...],
-    by_weight: dict[int, set[GroupElement]],
-    table: list[list[tuple[int, RingElement]]],
-    kmax: int,
-    cap: int,
+def _closed(
+    m: RingModel, piece: Subgroup, values: list[tuple[int, RingElement]]
 ) -> bool:
-    deepest = pieces[kmax]
-    gamma_values = [(i, v) for row in table for i, v in row]
-    for w in range(kmax, cap + 1):
-        for stored in by_weight[w]:
-            x = m.wrap(stored)
-            for i, g in gamma_values:
-                if w + i <= cap:
-                    continue
-                prod = x * g
-                if not prod.is_zero and not deepest.contains(prod.value):
-                    return False
-    return True
+    """Whether `piece` is closed under multiplication by every gamma-value."""
+    return all(
+        piece.contains((g * m.element(c)).value)
+        for _, g in values
+        for c in piece.columns
+    )
 
 
 def _graded_invariants(
@@ -169,68 +151,57 @@ def gamma_filtration(
     m: RingModel,
     kmax: int = 8,
     window: int = 2,
-    weight_budget: int | None = None,
 ) -> FiltrationResult:
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     if window < 1:
         raise ValueError("window must be at least 1")
-    budget = m.trunc if weight_budget is None else min(weight_budget, m.trunc)
+    budget = m.trunc
     if kmax > budget:
         raise ValueError("kmax %d exceeds weight budget %d" % (kmax, budget))
     _, gens = augmentation_kernel(m)
-    table = _gamma_value_table(gens, budget)
-    imax = max((i for row in table for i, _ in row), default=0)
+    values = _gamma_values(gens, budget)
+    imax = max((i for i, _ in values), default=0)
+    spans: list[Subgroup] = []
     warnings: list[str] = []
+    stable = 0
 
     cap = kmax + max(imax - 1, 0)
     if cap <= budget:
-        by_weight = _monomial_values(table, cap)
-        pieces = _assemble_pieces(m, by_weight, kmax, cap)
-        if _closure_certified(m, pieces, by_weight, table, kmax, cap):
-            return FiltrationResult(
-                model=m,
-                group=m.group,
-                kmax=kmax,
-                pieces=pieces,
-                graded=_graded_invariants(pieces),
-                generators=tuple(e.value for e in gens),
-                weight_cap=cap,
-                stabilized_window=0,
-                exactness_flag=True,
-                warnings=tuple(warnings),
+        pieces = _pieces(m, values, spans, kmax, cap)
+        exact = _closed(m, pieces[kmax], values)
+        if not exact:
+            warnings.append(
+                "closure check failed at weight %d; falling back to "
+                "stabilization" % cap
             )
-        warnings.append(
-            "closure check failed at weight %d; falling back to "
-            "stabilization" % cap
-        )
     else:
+        exact = False
         warnings.append(
             "gamma-values reach weight %d, certified cap %d exceeds "
             "budget %d; using stabilization heuristic" % (imax, cap, budget)
         )
 
-    prev: tuple[Subgroup, ...] | None = None
-    stable = 0
-    for cap in range(kmax, budget + 1):
-        by_weight = _monomial_values(table, cap)
-        pieces = _assemble_pieces(m, by_weight, kmax, cap)
-        if pieces == prev:
-            stable += 1
-            if stable >= window:
-                break
+    if not exact:
+        prev: tuple[Subgroup, ...] | None = None
+        for cap in range(kmax, budget + 1):
+            pieces = _pieces(m, values, spans, kmax, cap)
+            if pieces == prev:
+                stable += 1
+                if stable >= window:
+                    break
+            else:
+                stable = 0
+                prev = pieces
+        if stable >= window:
+            warnings.append(
+                "pieces unchanged for %d consecutive weight caps up to %d"
+                % (window, cap)
+            )
         else:
-            stable = 0
-            prev = pieces
-    if stable >= window:
-        warnings.append(
-            "pieces unchanged for %d consecutive weight caps up to %d"
-            % (window, cap)
-        )
-    else:
-        warnings.append(
-            "weight budget %d exhausted before stabilization" % budget
-        )
+            warnings.append(
+                "weight budget %d exhausted before stabilization" % budget
+            )
     return FiltrationResult(
         model=m,
         group=m.group,
@@ -240,7 +211,7 @@ def gamma_filtration(
         generators=tuple(e.value for e in gens),
         weight_cap=cap,
         stabilized_window=stable,
-        exactness_flag=False,
+        exact=exact,
         warnings=tuple(warnings),
     )
 
@@ -261,13 +232,11 @@ def witt_filtration(
     f: FiltrationResult | None = None,
     kmax: int = 8,
     window: int = 2,
-    weight_budget: int | None = None,
 ) -> FiltrationResult:
     """Image of the gamma filtration in the quotient by hyperbolic classes."""
     qpres, projection, _ = witt_quotient(m)
     if f is None:
-        f = gamma_filtration(m, kmax=kmax, window=window,
-                             weight_budget=weight_budget)
+        f = gamma_filtration(m, kmax=kmax, window=window)
 
     def push(col: tuple[int, ...]) -> GroupElement:
         return project_element(qpres, projection, m.group.element(col))
@@ -286,6 +255,6 @@ def witt_filtration(
         generators=tuple(push(e.coeffs) for e in f.generators),
         weight_cap=f.weight_cap,
         stabilized_window=f.stabilized_window,
-        exactness_flag=f.exactness_flag,
+        exact=f.exact,
         warnings=f.warnings,
     )

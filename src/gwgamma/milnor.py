@@ -15,7 +15,7 @@ Everything here works with exact GF(2) arithmetic truncated by total degree.
 from __future__ import annotations
 
 from itertools import product as cartesian
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .lambdaring import CheckResult, Report
 
@@ -159,9 +159,6 @@ class F2Poly:
     def min_positive_degree(self) -> int | None:
         degrees = [sum(t) for t in self.terms if sum(t) > 0]
         return min(degrees) if degrees else None
-
-    def monomials(self) -> Iterator[tuple[int, ...]]:
-        return iter(sorted(self.terms))
 
     def __repr__(self) -> str:
         if not self.terms:

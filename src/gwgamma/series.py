@@ -12,8 +12,8 @@ total gamma-series are linear with binomial coefficients:
     t -> t/(1-t):   out_k = sum_i C(k-1, k-i) * c_i          (k >= 1)
     t -> t/(1+t):   out_k = sum_i (-1)^(k-i) C(k-1, k-i) * c_i
 
-Inversion requires the constant term to be the ring unit and proceeds by
-forward substitution.
+Inversion requires the constant term to be the ring unit (the int 1, or a
+coefficient whose ``is_unit`` is true) and proceeds by forward substitution.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from typing import Sequence
 def _is_unit_coeff(c) -> bool:
     if isinstance(c, int):
         return c == 1
-    flag = getattr(c, "is_unit", None)
-    if flag is not None:
-        return bool(flag)
-    return c * c == c and not c == c * 0
+    return c.is_unit
 
 
 class TruncSeries:

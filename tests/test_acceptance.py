@@ -80,7 +80,7 @@ def test_01_complex_projective_spaces():
             assert (a**k).is_zero
         kmax = 2 * top + 1
         f = gamma_filtration(m, kmax=kmax)
-        assert f.exactness_flag
+        assert f.exact
         powers = [m.basis_element(i) for i in range(1, m.group.rank)]
         for i in range(1, kmax + 1):
             lo = (i + 1) // 2

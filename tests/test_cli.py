@@ -128,6 +128,18 @@ def test_model_from_dict_reports_key_context():
         model_from_dict(broken)
 
 
+def test_boolean_mul_index_rejected(tmp_path, capsys):
+    path = tmp_path / "bool_index.json"
+    assert run(["builtin", "gw_point", "--base", "R", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    pos = next(n for n, (i, j, _) in enumerate(doc["mul"]) if (i, j) == (0, 1))
+    doc["mul"][pos][1] = True
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "mul entry %d: indices must be integers" % pos in err
+
+
 def test_filtration_table_output(capsys):
     code = run(
         [

@@ -2,13 +2,18 @@
 
 import pytest
 
-from gwgamma.abelian import subgroup_from_generators, zero_subgroup
+from gwgamma.abelian import (
+    GroupPresentation,
+    subgroup_from_generators,
+    zero_subgroup,
+)
 from gwgamma.filtration import (
     augmentation_kernel,
     gamma_filtration,
     witt_filtration,
     witt_quotient,
 )
+from gwgamma.lambdaring import RingModel, gamma_k, validate_model
 from gwgamma.models import (
     gw_point,
     gw_projective,
@@ -17,6 +22,7 @@ from gwgamma.models import (
     gw_surface_cxp1,
     line_elements,
 )
+from gwgamma.series import TruncSeries, lambda_from_gamma
 
 
 def span(model, *vecs):
@@ -38,7 +44,7 @@ def test_point_r_two_adic_chain():
     # generator, so the closure certificate still applies
     m = gw_point("R")
     f = gamma_filtration(m, kmax=6)
-    assert f.exactness_flag
+    assert f.exact
     for k in range(1, 7):
         assert f.pieces[k] == span(m, (2 ** (k - 1), -(2 ** (k - 1))))
     assert f.graded == ((0,),) + ((2,),) * 5
@@ -79,7 +85,7 @@ def test_projective_even_chain():
 def test_punctured_line_chain():
     m = gw_punctured_line()
     f = gamma_filtration(m, kmax=5)
-    assert f.exactness_flag
+    assert f.exact
     for k in range(1, 6):
         c = 2 ** (k - 1)
         assert f.pieces[k] == span(m, (c, -c, 0), (0, 0, c))
@@ -199,7 +205,7 @@ def test_witt_quotient_of_punctured_space_is_unchanged():
     assert invariants == (2, 0)
     w = witt_filtration(m, f=g)
     assert w.graded == g.graded
-    assert w.exactness_flag == g.exactness_flag
+    assert w.exact == g.exact
 
 
 def test_witt_quotient_of_surface():
@@ -229,14 +235,15 @@ def test_ideal_property_on_piece_generators():
 
 
 def test_heuristic_fallback_under_tight_budget():
-    # projective 7-space carries gamma-values up to weight 6, so a budget
-    # of 8 is below the certified cap and triggers the stabilization path
-    m = gw_projective("C", 7)
-    f = gamma_filtration(m, kmax=7, weight_budget=8)
-    assert not f.exactness_flag
+    # projective 7-space carries gamma-values up to weight 6, so a
+    # truncation of 8 is below the certified cap and triggers the
+    # stabilization path
+    m = gw_projective("C", 7, trunc=8)
+    f = gamma_filtration(m, kmax=7)
+    assert not f.exact
     assert any("budget" in w for w in f.warnings)
-    full = gamma_filtration(m, kmax=7)
-    assert full.exactness_flag
+    full = gamma_filtration(gw_projective("C", 7), kmax=7)
+    assert full.exact
     assert full.pieces == f.pieces
 
 
@@ -247,4 +254,21 @@ def test_budget_and_kmax_guards():
     with pytest.raises(ValueError):
         gamma_filtration(m, kmax=2, window=0)
     with pytest.raises(ValueError):
-        gamma_filtration(m, kmax=6, weight_budget=4)
+        gamma_filtration(gw_point("R", trunc=4), kmax=6)
+
+
+def test_gap_in_gamma_series_is_not_termination():
+    # basis (1, x), x^2 = 0, gamma_t(x) = 1 + x t + x t^3: the weight-2
+    # gamma-value vanishes but the weight-3 one does not, so F^2 = Zx
+    gamma = TruncSeries((1, 1, 0, 1) + (0,) * 13)
+    m = RingModel(
+        "gap", GroupPresentation((0, 0), ("one", "x")), (1, 0),
+        {(0, 0): (1, 0), (0, 1): (0, 1)}, (1, 0),
+        [[(1, 0)], [(0, c) for c in lambda_from_gamma(gamma).coeffs[1:]]],
+    )
+    assert validate_model(m).ok
+    x = m.basis_element(1)
+    assert [gamma_k(x, i) for i in (1, 2, 3)] == [x, m.zero_element, x]
+    f = gamma_filtration(m, kmax=2)
+    assert f.exact
+    assert f.pieces[2] == span(m, (0, 1))
