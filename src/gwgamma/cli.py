@@ -1,7 +1,8 @@
 """Command-line front end: model file I/O and verification reports.
 
 Model files are JSON documents with keys name, basis, orders, unit,
-augmentation, mul, lambda and optionally hyperbolic.  All emitted JSON is
+augmentation, mul, lambda and optionally hyperbolic and trunc (the
+truncation order of the lambda-series, 16 when absent).  All emitted JSON is
 sorted and indented the same way every run, so identical inputs give
 byte-identical outputs.
 
@@ -19,7 +20,13 @@ from typing import Sequence
 
 from .abelian import GroupPresentation
 from .filtration import FiltrationResult, gamma_filtration, witt_filtration
-from .lambdaring import Report, RingModel, validate_model, verify_special_pair
+from .lambdaring import (
+    DEFAULT_TRUNCATION,
+    Report,
+    RingModel,
+    validate_model,
+    verify_special_pair,
+)
 from .milnor import check_identities
 from .models import BUILTINS
 
@@ -42,6 +49,14 @@ class UsageError(Exception):
 
 def model_to_dict(m: RingModel) -> dict:
     names = list(m.group.names)
+    rank = len(names)
+
+    def dense(row):
+        v = [0] * rank
+        for k, c in row:
+            v[k] = c
+        return v
+
     doc: dict = {
         "name": m.name,
         "basis": names,
@@ -49,14 +64,16 @@ def model_to_dict(m: RingModel) -> dict:
         "unit": list(m.unit.coeffs),
         "augmentation": list(m.aug),
         "mul": [
-            [i, j, list(v.coeffs)]
-            for (i, j), v in sorted(m.mul_table.items())
-            if not v.is_zero
+            [i, j, dense(m.products[i][j])]
+            for i in range(rank)
+            for j in range(i, rank)
+            if m.products[i][j]
         ],
         "lambda": {
             names[i]: [list(c.coeffs) for c in m.lambda_on_basis[i]]
             for i in range(len(names))
         },
+        "trunc": m.trunc,
     }
     if m.hyperbolic is not None:
         doc["hyperbolic"] = [list(h.coeffs) for h in m.hyperbolic]
@@ -93,10 +110,11 @@ def model_from_dict(doc: object) -> RingModel:
         "mul",
         "lambda",
         "hyperbolic",
+        "trunc",
     }
     for key in doc:
         _require(key in known, "unknown key %r" % key)
-    for key in known - {"hyperbolic"}:
+    for key in known - {"hyperbolic", "trunc"}:
         _require(key in doc, "missing key %r" % key)
 
     name = doc["name"]
@@ -157,6 +175,12 @@ def model_from_dict(doc: object) -> RingModel:
             for pos, v in enumerate(hyp_doc)
         ]
 
+    trunc = doc.get("trunc", DEFAULT_TRUNCATION)
+    _require(
+        isinstance(trunc, int) and not isinstance(trunc, bool) and 1 <= trunc <= 64,
+        "key trunc: expected an integer in 1..64, got %r" % (trunc,),
+    )
+
     group = GroupPresentation(tuple(orders), tuple(basis))
     try:
         return RingModel(
@@ -167,6 +191,7 @@ def model_from_dict(doc: object) -> RingModel:
             aug,
             lambda_on_basis,
             hyperbolic=hyperbolic,
+            trunc=trunc,
         )
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc

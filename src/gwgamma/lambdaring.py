@@ -16,6 +16,13 @@ not an axiom of the data structure; ``verify_special_pair`` checks those
 identities on concrete elements through the universal polynomials of
 :mod:`gwgamma.symfunc`.
 
+The structure constants are stored once, as sparse integer rows:
+``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  All ring
+arithmetic goes through one primitive, ``RingModel.dot``, which sums the
+products x*y of a list of pairs on a single integer vector and reduces the
+sum once; ``multiply`` is ``dot`` with one pair, and every coefficient of a
+series product or inverse is one call to it (see :mod:`gwgamma.series`).
+
 Basis lambda-series are stored as plain group elements in degrees
 1..D_b.  Series that genuinely terminate (line elements and their shifts)
 are stored in full; non-terminating ones are stored out to the model's
@@ -95,16 +102,19 @@ class RingModel:
         if len(aug) != group.rank:
             raise ValueError("augmentation vector of wrong length")
         self.aug = tuple(aug)
-        table: dict[tuple[int, int], GroupElement] = {}
+        rank = group.rank
+        rows = [[()] * rank for _ in range(rank)]
+        seen = {}
         for (i, j), coeffs in mul.items():
-            if not (0 <= i < group.rank and 0 <= j < group.rank):
+            if not (0 <= i < rank and 0 <= j < rank):
                 raise ValueError("product index out of range")
             key = (i, j) if i <= j else (j, i)
-            val = group.element(coeffs)
-            if key in table and table[key] != val:
+            val = group.reduce(coeffs)
+            if seen.setdefault(key, val) != val:
                 raise ValueError("conflicting products for basis pair %r" % (key,))
-            table[key] = val
-        self.mul_table = table
+            rows[i][j] = rows[j][i] = tuple((k, c) for k, c in enumerate(val) if c)
+        # products[i][j]: the nonzero entries (k, c) of b_i * b_j
+        self.products = tuple(tuple(r) for r in rows)
         if len(lambda_on_basis) != group.rank:
             raise ValueError("lambda-series list of wrong length")
         lam = []
@@ -142,21 +152,36 @@ class RingModel:
     def basis_elements(self) -> tuple["RingElement", ...]:
         return tuple(self.basis_element(i) for i in range(self.group.rank))
 
-    def _basis_product(self, i: int, j: int) -> GroupElement:
-        key = (i, j) if i <= j else (j, i)
-        got = self.mul_table.get(key)
-        return got if got is not None else self.group.zero()
+    def dot(self, pairs: Iterable[tuple[GroupElement, GroupElement]]) -> GroupElement:
+        """The sum of x*y over the pairs, accumulated on one integer vector
+        and reduced once."""
+        acc = [0] * self.group.rank
+        products = self.products
+        for x, y in pairs:
+            ys = [(j, yj) for j, yj in enumerate(y.coeffs) if yj]
+            if not ys:
+                continue
+            for i, xi in enumerate(x.coeffs):
+                if not xi:
+                    continue
+                row = products[i]
+                for j, yj in ys:
+                    c = xi * yj
+                    for k, s in row[j]:
+                        acc[k] += c * s
+        return self.group.element(acc)
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        acc = self.group.zero()
-        for i, xi in enumerate(x.coeffs):
-            if not xi:
-                continue
-            for j, yj in enumerate(y.coeffs):
-                if not yj:
-                    continue
-                acc = acc + (xi * yj) * self._basis_product(i, j)
-        return acc
+        return self.dot(((x, y),))
+
+    def combine(self, terms: Iterable[tuple[int, GroupElement]]) -> GroupElement:
+        """The integer combination sum n*x over the terms, reduced once."""
+        acc = [0] * self.group.rank
+        for n, x in terms:
+            if n:
+                for k, v in enumerate(x.coeffs):
+                    acc[k] += n * v
+        return self.group.element(acc)
 
     def augmentation(self, x: GroupElement) -> int:
         return sum(a * c for a, c in zip(self.aug, x.coeffs))
@@ -243,11 +268,12 @@ def lambda_total(x: RingElement, order: int | None = None) -> TruncSeries:
     """Total lambda-series of x, exact through the requested order."""
     m = x.model
     n = m.trunc if order is None else order
-    out = TruncSeries.one(m.unit_element, n)
+    out = None
     for i, c in enumerate(x.value.coeffs):
         if c:
-            out = out * m.basis_lambda_series(i, n).pow(c)
-    return out
+            factor = m.basis_lambda_series(i, n).pow(c)
+            out = factor if out is None else out * factor
+    return TruncSeries.one(m.unit_element, n) if out is None else out
 
 
 def gamma_total(x: RingElement, order: int | None = None) -> TruncSeries:

@@ -1,0 +1,281 @@
+"""Differential test of the integer-vector arithmetic core.
+
+The reference below is the earlier arithmetic: ``RingModel.multiply`` built
+a ``GroupElement`` for every nonzero basis pair from a table of
+``GroupElement`` products and reduced after every addition, and
+``TruncSeries`` chained ring-element products and sums one term at a time.
+It lives here only as an oracle.  ``oracle_arithmetic()`` swaps it in for
+the duration of a ``with`` block; models constructed inside the block also
+carry the old product table, so the oracle never reads the sparse rows.
+
+With structure constants that treat the unit as neutral, the earlier
+``pow`` (which multiplied the unit series by the first power and squared
+once past the last bit) and the earlier ``lambda_total`` (which started from
+the unit series) give the same series as the current ones; without such a
+unit they need not, so those comparisons draw a neutral unit.
+"""
+
+import contextlib
+import inspect
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gwgamma.abelian import GroupPresentation
+from gwgamma.lambdaring import RingModel, lambda_total
+from gwgamma.models import BUILTINS
+from gwgamma.series import TruncSeries, _is_unit_coeff
+from test_filtration_oracle import CLI_BUILTINS
+
+
+_current_init = RingModel.__init__
+
+
+def _oracle_init(self, *args, **kwargs):
+    _current_init(self, *args, **kwargs)
+    bound = inspect.signature(_current_init).bind(self, *args, **kwargs)
+    group = bound.arguments["group"]
+    table = {}
+    for (i, j), coeffs in bound.arguments["mul"].items():
+        key = (i, j) if i <= j else (j, i)
+        table[key] = group.element(coeffs)
+    self.mul_table = table
+
+
+def _basis_product(self, i, j):
+    key = (i, j) if i <= j else (j, i)
+    got = self.mul_table.get(key)
+    return got if got is not None else self.group.zero()
+
+
+def oracle_multiply(self, x, y):
+    acc = self.group.zero()
+    for i, xi in enumerate(x.coeffs):
+        if not xi:
+            continue
+        for j, yj in enumerate(y.coeffs):
+            if not yj:
+                continue
+            acc = acc + (xi * yj) * _basis_product(self, i, j)
+    return acc
+
+
+def oracle_series_mul(self, other):
+    self._check(other)
+    n = self.order
+    a, b = self.coeffs, other.coeffs
+    out = []
+    for k in range(n + 1):
+        acc = a[0] * b[k]
+        for i in range(1, k + 1):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return TruncSeries(out)
+
+
+def oracle_inverse(self):
+    if not _is_unit_coeff(self.coeffs[0]):
+        raise ValueError("series with non-unit constant term")
+    n = self.order
+    a = self.coeffs
+    out = [a[0]]
+    for k in range(1, n + 1):
+        acc = a[1] * out[k - 1]
+        for i in range(2, k + 1):
+            acc = acc + a[i] * out[k - i]
+        out.append(-acc)
+    return TruncSeries(out)
+
+
+def oracle_pow(self, e):
+    if not _is_unit_coeff(self.coeffs[0]):
+        raise ValueError("series with non-unit constant term")
+    base = self if e >= 0 else self.inverse()
+    e = abs(e)
+    out = TruncSeries.one(self.coeffs[0], self.order)
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
+
+
+def oracle_substitute_geometric(self):
+    c = self.coeffs
+    out = [c[0]]
+    for k in range(1, self.order + 1):
+        acc = c[1] * comb(k - 1, k - 1)
+        for i in range(2, k + 1):
+            acc = acc + comb(k - 1, k - i) * c[i]
+        out.append(acc)
+    return TruncSeries(out)
+
+
+def oracle_substitute_alternating(self):
+    c = self.coeffs
+    out = [c[0]]
+    for k in range(1, self.order + 1):
+        acc = c[1] * ((-1) ** (k - 1) * comb(k - 1, k - 1))
+        for i in range(2, k + 1):
+            acc = acc + ((-1) ** (k - i) * comb(k - 1, k - i)) * c[i]
+        out.append(acc)
+    return TruncSeries(out)
+
+
+def oracle_lambda_total(x, order):
+    m = x.model
+    out = TruncSeries.one(m.unit_element, order)
+    for i, c in enumerate(x.value.coeffs):
+        if c:
+            out = out * m.basis_lambda_series(i, order).pow(c)
+    return out
+
+
+ORACLE = {
+    (RingModel, "__init__"): _oracle_init,
+    (RingModel, "multiply"): oracle_multiply,
+    (TruncSeries, "__mul__"): oracle_series_mul,
+    (TruncSeries, "inverse"): oracle_inverse,
+    (TruncSeries, "pow"): oracle_pow,
+    (TruncSeries, "substitute_geometric"): oracle_substitute_geometric,
+    (TruncSeries, "substitute_alternating"): oracle_substitute_alternating,
+}
+
+
+@contextlib.contextmanager
+def oracle_arithmetic():
+    saved = {key: key[0].__dict__[key[1]] for key in ORACLE}
+    try:
+        for (cls, name), fn in ORACLE.items():
+            setattr(cls, name, fn)
+        yield
+    finally:
+        for (cls, name), fn in saved.items():
+            setattr(cls, name, fn)
+
+
+# ---------------------------------------------------------------- drawn models
+
+ENTRY = st.integers(-7, 7)
+
+
+@st.composite
+def ring_models(draw, neutral_unit):
+    """Z (the unit's factor) plus up to three free or torsion factors, with
+    symmetric structure constants drawn at random (absent pairs are zero)
+    and random basis lambda-series."""
+    orders = (0,) + tuple(draw(st.lists(st.sampled_from([0, 2, 3, 4]), max_size=3)))
+    rank = len(orders)
+    vec = st.lists(ENTRY, min_size=rank, max_size=rank).map(tuple)
+    mul = {}
+    for i in range(rank):
+        for j in range(i, rank):
+            if i == 0 and neutral_unit:
+                mul[(0, j)] = tuple(int(t == j) for t in range(rank))
+            elif draw(st.booleans()):
+                # either orientation of the pair names the same product
+                mul[(i, j) if draw(st.booleans()) else (j, i)] = draw(vec)
+    lam = [[tuple(int(t == i) for t in range(rank))] + draw(st.lists(vec, max_size=4))
+           for i in range(rank)]
+    group = GroupPresentation(orders, tuple("b%d" % i for i in range(rank)))
+    unit = tuple(int(t == 0) for t in range(rank))
+    with oracle_arithmetic():
+        return RingModel("drawn", group, unit, mul, (1,) * rank, lam, trunc=6)
+
+
+@st.composite
+def model_and_elements(draw, neutral_unit=False, count=2):
+    m = draw(ring_models(neutral_unit))
+    vec = st.lists(st.integers(-20, 20), min_size=m.group.rank, max_size=m.group.rank)
+    return m, [m.element(draw(vec)) for _ in range(count)]
+
+
+@st.composite
+def model_and_series(draw, neutral_unit=False, count=2):
+    m = draw(ring_models(neutral_unit))
+    order = draw(st.integers(0, 6))
+    vec = st.lists(st.integers(-9, 9), min_size=m.group.rank, max_size=m.group.rank)
+    out = [
+        TruncSeries.from_coeffs(
+            m.unit_element,
+            [m.element(draw(vec)) for _ in range(order)],
+            order,
+        )
+        for _ in range(count)
+    ]
+    return m, out
+
+
+ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@ORACLE_SETTINGS
+@given(model_and_elements())
+def test_multiply_matches_oracle(drawn):
+    m, (x, y) = drawn
+    got = m.multiply(x.value, y.value)
+    with oracle_arithmetic():
+        assert got == m.multiply(x.value, y.value)
+
+
+@ORACLE_SETTINGS
+@given(model_and_series())
+def test_series_product_and_inverse_match_oracle(drawn):
+    _, (s, t) = drawn
+    prod, inv = s * t, s.inverse()
+    with oracle_arithmetic():
+        assert prod == s * t
+        assert inv == s.inverse()
+
+
+@ORACLE_SETTINGS
+@given(model_and_series(count=1))
+def test_substitutions_match_oracle(drawn):
+    _, (s,) = drawn
+    geo, alt = s.substitute_geometric(), s.substitute_alternating()
+    with oracle_arithmetic():
+        assert geo == s.substitute_geometric()
+        assert alt == s.substitute_alternating()
+
+
+@ORACLE_SETTINGS
+@given(model_and_series(neutral_unit=True, count=1))
+def test_series_pow_matches_oracle(drawn):
+    _, (s,) = drawn
+    got = [s.pow(e) for e in range(-3, 6)]
+    with oracle_arithmetic():
+        assert got == [s.pow(e) for e in range(-3, 6)]
+
+
+@ORACLE_SETTINGS
+@given(model_and_elements(neutral_unit=True, count=1))
+def test_lambda_total_matches_oracle(drawn):
+    m, (x,) = drawn
+    got = lambda_total(x, m.trunc)
+    with oracle_arithmetic():
+        assert got == oracle_lambda_total(x, m.trunc)
+
+
+def test_integer_series_match_oracle():
+    s = TruncSeries((1, 3, -2, 0, 5, -1))
+    t = TruncSeries((2, -1, 4, 1, 0, 7))
+    got = (s * t, s.inverse(), [s.pow(e) for e in range(-3, 6)],
+           t.substitute_geometric(), t.substitute_alternating())
+    with oracle_arithmetic():
+        assert got == (s * t, s.inverse(), [s.pow(e) for e in range(-3, 6)],
+                       t.substitute_geometric(), t.substitute_alternating())
+
+
+# ---------------------------------------------------------------- builtins
+
+@pytest.mark.parametrize(
+    "name,kwargs", CLI_BUILTINS,
+    ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
+)
+def test_builtin_lambda_series_match_oracle_build(name, kwargs):
+    with oracle_arithmetic():
+        expected = BUILTINS[name](**kwargs)
+    assert hasattr(expected, "mul_table")  # built by the oracle
+    assert BUILTINS[name](**kwargs).lambda_on_basis == expected.lambda_on_basis

@@ -6,6 +6,7 @@ import pytest
 
 from gwgamma.cli import (
     ModelFormatError,
+    dump_model,
     format_element,
     format_group,
     model_from_dict,
@@ -13,6 +14,7 @@ from gwgamma.cli import (
     parse_model,
     run,
 )
+from gwgamma.filtration import gamma_filtration
 from gwgamma.models import (
     gw_point,
     gw_projective,
@@ -138,6 +140,33 @@ def test_boolean_mul_index_rejected(tmp_path, capsys):
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "mul entry %d: indices must be integers" % pos in err
+
+
+def test_model_file_keeps_truncation(tmp_path, capsys):
+    path = tmp_path / "p12.json"
+    dump_model(gw_projective("C", 12, trunc=20), str(path))
+    doc = json.loads(path.read_text())
+    assert doc["trunc"] == 20
+    m = parse_model(str(path))
+    assert m.trunc == 20
+    assert gamma_filtration(m).exact
+    assert run(["filtration", str(path)]) == 0
+    assert "exact: yes" in capsys.readouterr().out.splitlines()
+    # files written before the key existed read at the default truncation
+    del doc["trunc"]
+    assert model_from_dict(doc).trunc == 16
+
+
+@pytest.mark.parametrize("bad", [0, 65, -3, True, 2.5, "16", None, [16]])
+def test_bad_truncation_rejected(tmp_path, capsys, bad):
+    doc = model_to_dict(gw_point("R"))
+    doc["trunc"] = bad
+    with pytest.raises(ModelFormatError, match="key trunc: "):
+        model_from_dict(doc)
+    path = tmp_path / "bad_trunc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    assert "key trunc: " in capsys.readouterr().err
 
 
 def test_filtration_table_output(capsys):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import (
     gamma_k,
     gamma_total,
@@ -305,3 +306,18 @@ def test_point_binomial_series():
         x = n * m.unit_element
         for k in range(7):
             assert lambda_k(x, k) == binomial(n, k) * m.unit_element
+
+
+def test_projective_build_work_bound(monkeypatch):
+    # a deterministic guard on the arithmetic core: every ring product and
+    # series coefficient reduces once, through GroupPresentation.reduce
+    reduce = GroupPresentation.reduce
+    calls = [0]
+
+    def counted(self, coeffs):
+        calls[0] += 1
+        return reduce(self, coeffs)
+
+    monkeypatch.setattr(GroupPresentation, "reduce", counted)
+    gw_projective("R", 12, trunc=20)
+    assert 0 < calls[0] <= 50_000
