@@ -124,6 +124,26 @@ class GroupElement:
         return all(c == 0 for c in self.coeffs)
 
 
+def _eliminate(cols: list[list[int]], r: int) -> None:
+    """Gcd-eliminate in row r, in place, until at most one column is nonzero there.
+
+    Each round picks the column with the smallest nonzero entry in row r and
+    subtracts its floor multiples from the other live columns.
+    """
+    while True:
+        live = [c for c in cols if c[r] != 0]
+        if len(live) <= 1:
+            return
+        c0 = min(live, key=lambda c: abs(c[r]))
+        for c in live:
+            if c is c0:
+                continue
+            q = c[r] // c0[r]
+            if q:
+                for i in range(len(c)):
+                    c[i] -= q * c0[i]
+
+
 def hnf_columns(
     vectors: Iterable[Sequence[int]], rank: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -143,19 +163,7 @@ def hnf_columns(
     for r in range(rank):
         if h == len(cols):
             break
-        # gcd-eliminate until at most one column c >= h is nonzero in row r
-        while True:
-            live = [c for c in range(h, len(cols)) if cols[c][r] != 0]
-            if len(live) <= 1:
-                break
-            c0 = min(live, key=lambda c: abs(cols[c][r]))
-            for c in live:
-                if c == c0:
-                    continue
-                q = cols[c][r] // cols[c0][r]
-                if q:
-                    for i in range(rank):
-                        cols[c][i] -= q * cols[c0][i]
+        _eliminate(cols[h:], r)
         live = [c for c in range(h, len(cols)) if cols[c][r] != 0]
         if not live:
             continue
@@ -377,18 +385,7 @@ def kernel_basis(row: Sequence[int]) -> list[tuple[int, ...]]:
     n = len(row)
     # column-reduce [row; I]: columns whose row-part hits zero give the kernel
     cols = [[row[j]] + [int(i == j) for i in range(n)] for j in range(n)]
-    while True:
-        live = [c for c in cols if c[0] != 0]
-        if len(live) <= 1:
-            break
-        c0 = min(live, key=lambda c: abs(c[0]))
-        for c in live:
-            if c is c0:
-                continue
-            q = c[0] // c0[0]
-            if q:
-                for i in range(n + 1):
-                    c[i] -= q * c0[i]
+    _eliminate(cols, 0)
     return [tuple(c[1:]) for c in cols if c[0] == 0]
 
 

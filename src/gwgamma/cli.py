@@ -437,19 +437,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(code) if code else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ModelFormatError as exc:
+    except (UsageError, ModelFormatError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValidationFailure as exc:
         for line in exc.report.lines():
             print(line)
         return 1
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -1,10 +1,16 @@
 """Builtin Grothendieck-Witt ring models.
 
-Each constructor assembles a :class:`~gwgamma.lambdaring.RingModel` from a
-known additive presentation, multiplication table and basis lambda-series:
+Every constructor follows one recipe and one assembly path: it gives the
+additive presentation, unit, products and augmentation once, plus a function
+that computes the total lambda-series of each basis class in that ring.  The
+private helper ``_model`` builds the ring for the arithmetic, applies the
+function, and makes the :class:`~gwgamma.lambdaring.RingModel`.  A series is
+either 1 + b t for a line class b, or a quotient lambda_t(V) / lambda_t(W) of
+terminating series (``_series_quotient``), or read off a gamma-series.
 
 * ``gw_point``      -- the base field, C (integers, binomial lambda) or R
-                       (Z[L]/(L^2-1) with L the class of <-1>);
+                       (Z[L]/(L^2-1) with L the class of <-1>); built as
+                       P^0, since GW(P^0) = GW(base);
 * ``gw_projective`` -- projective r-space over either base.  Writing
                        a = H(O(1)) - H(1) and rho = ceil(r/2), the additive
                        group is GW(base) plus one copy of Z per power a^k,
@@ -51,59 +57,41 @@ from .lambdaring import (
 from .series import TruncSeries, lambda_from_gamma
 
 
-def _series_coeff_vectors(series: TruncSeries) -> list[tuple[int, ...]]:
-    """Degree >= 1 coefficient vectors of a unit series, trailing zeros cut."""
-    body = [c.value.coeffs for c in series.coeffs[1:]]
-    while body and not any(body[-1]):
-        body.pop()
-    return body
+def _model(name, group, unit, mul, aug, series, hyperbolic, trunc, params) -> RingModel:
+    """Assemble a builtin from its ring data and its basis lambda-series.
+
+    The ring data is given once.  ``series`` receives the ring built from it,
+    for arithmetic only (its own lambda-series are empty), and returns the
+    total lambda-series of every basis element, truncated at ``trunc``.
+    """
+    def build(lambda_on_basis):
+        return RingModel(
+            name, group, unit, mul, aug, lambda_on_basis, hyperbolic, trunc, params
+        )
+
+    ring = build([[]] * group.rank)
+    return build([[c.value.coeffs for c in s.coeffs[1:]] for s in series(ring)])
+
+
+def _series_quotient(
+    num: list[RingElement], den: list[RingElement], order: int
+) -> TruncSeries:
+    """(1 + num_1 t + num_2 t^2 + ...) / (1 + den_1 t + den_2 t^2 + ...)."""
+    one = num[0].model.unit_element
+    return (
+        TruncSeries.from_coeffs(one, num, order)
+        * TruncSeries.from_coeffs(one, den, order).inverse()
+    )
 
 
 def gw_point(base: str = "C", trunc: int = DEFAULT_TRUNCATION) -> RingModel:
-    if base == "C":
-        group = GroupPresentation((0,), ("one",))
-        return RingModel(
-            name="gw_point(base=C)",
-            group=group,
-            unit=(1,),
-            mul={(0, 0): (1,)},
-            aug=(1,),
-            lambda_on_basis=[[(1,)]],
-            hyperbolic=[(2,)],
-            trunc=trunc,
-            params={"which": "gw_point", "base": "C"},
-        )
-    if base == "R":
-        group = GroupPresentation((0, 0), ("one", "L"))
-        return RingModel(
-            name="gw_point(base=R)",
-            group=group,
-            unit=(1, 0),
-            mul={(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 0)},
-            aug=(1, 1),
-            lambda_on_basis=[[(1, 0)], [(0, 1)]],
-            hyperbolic=[(1, 1)],
-            trunc=trunc,
-            params={"which": "gw_point", "base": "R"},
-        )
-    raise ValueError("base must be 'C' or 'R'")
+    return _projective(base, 0, trunc)
 
 
 def projective_top_power(r: int) -> int:
     """Largest k with a^k != 0 in the projective-space model."""
     rho = (r + 1) // 2
     return rho - 1 if r % 4 == 3 else rho
-
-
-def _hyperbolic_shift_series(
-    x: RingElement, det: RingElement, order: int
-) -> TruncSeries:
-    """lambda_t(H(M) - H(1)) for x = H(M) - H(1), det the class of <-1>."""
-    one = x.model.unit_element
-    h1 = one + det
-    num = TruncSeries.from_coeffs(one, [x + h1, det], order)
-    den = TruncSeries.from_coeffs(one, [h1, det], order)
-    return num * den.inverse()
 
 
 def twisted_hyperbolic_classes(model: RingModel, count: int) -> list[RingElement]:
@@ -178,99 +166,80 @@ def gw_projective(
 ) -> RingModel:
     if not 1 <= r <= 12:
         raise ValueError("r must lie in 1..12")
-    top = projective_top_power(r)
-    torsion_top = r % 4 == 1
+    return _projective(base, r, trunc)
+
+
+def _projective(base: str, r: int, trunc: int) -> RingModel:
+    """GW of projective r-space over the base; r = 0 gives the base itself."""
     if base == "C":
-        base_names = ["one"]
-        base_orders = [0]
-        base_aug = [1]
+        base_names, base_aug = ["one"], [1]
     elif base == "R":
-        base_names = ["one", "L"]
-        base_orders = [0, 0]
-        base_aug = [1, 1]
+        base_names, base_aug = ["one", "L"], [1, 1]
     else:
         raise ValueError("base must be 'C' or 'R'")
+    top = projective_top_power(r)
     nb = len(base_names)
     names = base_names + ["a" if k == 1 else "a%d" % k for k in range(1, top + 1)]
-    orders = base_orders + [0] * top
-    if torsion_top:
+    rank = len(names)
+    orders = [0] * rank
+    if r % 4 == 1:
         orders[-1] = 2
     group = GroupPresentation(tuple(orders), tuple(names))
-    rank = group.rank
 
-    def vec(**coeffs):
-        v = [0] * rank
-        for label, c in coeffs.items():
-            v[names.index(label)] = c
-        return tuple(v)
+    def basis_vec(i):
+        return tuple(int(j == i) for j in range(rank))
 
-    unit = vec(one=1)
-    mul = {}
-    for i in range(rank):
-        mul[(0, i)] = tuple(int(j == i) for j in range(rank))
+    unit = basis_vec(0)
+    mul = {(0, i): basis_vec(i) for i in range(rank)}
     if base == "R":
         mul[(1, 1)] = unit
-        for k in range(1, top + 1):
-            mul[(1, nb + k - 1)] = tuple(
-                int(j == nb + k - 1) for j in range(rank)
-            )
+        for k in range(nb, rank):
+            mul[(1, k)] = basis_vec(k)
+    # a^i * a^j = a^(i+j); products past the top power vanish
     for i in range(1, top + 1):
-        for j in range(i, top + 1):
-            key = (nb + i - 1, nb + j - 1)
-            if i + j <= top:
-                mul[key] = tuple(int(t == nb + i + j - 1) for t in range(rank))
-            else:
-                mul[key] = (0,) * rank
-    aug = tuple(base_aug + [0] * top)
+        for j in range(i, top + 1 - i):
+            mul[(nb + i - 1, nb + j - 1)] = basis_vec(nb + i + j - 1)
+    # the class of <-1> is the last base basis element: 1 over C, L over R
+    h1 = tuple(u + d for u, d in zip(unit, basis_vec(nb - 1)))
 
-    # phase one: arithmetic-only model to compute the basis lambda-series
-    proto_lambda = [[tuple(int(j == i) for j in range(rank))] for i in range(rank)]
-    proto = RingModel(
-        "proto", group, unit, mul, aug, proto_lambda, None, trunc
-    )
-    det = proto.basis_element(1) if base == "R" else proto.unit_element
-    a_cls = twisted_hyperbolic_classes(proto, top)
-    a_series = [
-        _hyperbolic_shift_series(a_cls[k], det, trunc) for k in range(top + 1)
-    ]
-    # rewrite a^k as an integer combination of a_1..a_k by back-substitution
-    # (a_k = a^k + lower powers of a with unit leading coefficient)
-    power_series = {}
-    for k in range(1, top + 1):
-        residue = list(proto.basis_element(nb + k - 1).value.coeffs)
-        combo = [0] * (top + 1)
-        for j in range(k, 0, -1):
-            c = residue[nb + j - 1]
-            combo[j] = c
-            if c:
-                for t, v in enumerate(a_cls[j].value.coeffs):
-                    residue[t] -= c * v
-            residue = list(group.reduce(residue))
-        if any(residue):
-            raise AssertionError("power of a not spanned by twisted classes")
-        series = TruncSeries.one(proto.unit_element, trunc)
-        for j in range(1, top + 1):
-            if combo[j]:
-                series = series * a_series[j].pow(combo[j])
-        power_series[k] = series
+    def series(ring):
+        one = ring.unit_element
+        det = ring.basis_element(nb - 1)
+        base_classes = ring.basis_elements()[:nb]
+        out = [TruncSeries.from_coeffs(one, [b], trunc) for b in base_classes]
+        a_cls = twisted_hyperbolic_classes(ring, top) if top else []
+        a_series = [
+            _series_quotient([a + one + det, det], [one + det, det], trunc)
+            for a in a_cls[1:]
+        ]
+        # rewrite a^k as an integer combination of a_1..a_k by back-substitution
+        # (a_k = a^k + lower powers of a with unit leading coefficient); a^k
+        # inherits the product of the matching powers of the a_j series
+        for k in range(1, top + 1):
+            residue = list(ring.basis_element(nb + k - 1).value.coeffs)
+            power = None
+            for j in range(k, 0, -1):
+                c = residue[nb + j - 1]
+                if c:
+                    factor = a_series[j - 1].pow(c)
+                    power = factor if power is None else power * factor
+                    for t, v in enumerate(a_cls[j].value.coeffs):
+                        residue[t] -= c * v
+                residue = list(group.reduce(residue))
+            if any(residue):
+                raise AssertionError("power of a not spanned by twisted classes")
+            out.append(power)
+        return out
 
-    lambda_on_basis = [[unit]]
-    if base == "R":
-        lambda_on_basis.append([vec(L=1)])
-    for k in range(1, top + 1):
-        lambda_on_basis.append(_series_coeff_vectors(power_series[k]))
-    hyper = [vec(one=2) if base == "C" else vec(one=1, L=1)]
-    hyper += [vec(**{names[nb + k - 1]: 1}) for k in range(1, top + 1)]
-    return RingModel(
-        name="gw_projective(r=%d,base=%s)" % (r, base),
-        group=group,
-        unit=unit,
-        mul=mul,
-        aug=aug,
-        lambda_on_basis=lambda_on_basis,
-        hyperbolic=hyper,
-        trunc=trunc,
-        params={"which": "gw_projective", "base": base, "r": r},
+    if r:
+        name = "gw_projective(r=%d,base=%s)" % (r, base)
+        params = {"which": "gw_projective", "base": base, "r": r}
+    else:
+        name = "gw_point(base=%s)" % base
+        params = {"which": "gw_point", "base": base}
+    return _model(
+        name, group, unit, mul, tuple(base_aug + [0] * top), series,
+        [h1] + [basis_vec(k) for k in range(nb, rank)], trunc, params,
     )
 
 
@@ -287,26 +256,18 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
         (1, 2): (0, 0, -1),
         (2, 2): (0, 0, -2),
     }
-    aug = (1, 1, 0)
-    proto = RingModel(
-        "proto", group, unit, mul, aug,
-        [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]], None, trunc,
-    )
-    one = proto.unit_element
-    eps = proto.basis_element(2)
-    num = TruncSeries.from_coeffs(one, [eps + one], trunc)
-    den = TruncSeries.from_coeffs(one, [one], trunc)
-    lam_eps = _series_coeff_vectors(num * den.inverse())
-    return RingModel(
-        name="gw_punctured_line(base=R)",
-        group=group,
-        unit=unit,
-        mul=mul,
-        aug=aug,
-        lambda_on_basis=[[(1, 0, 0)], [(0, 1, 0)], lam_eps],
-        hyperbolic=[(1, 1, 0)],
-        trunc=trunc,
-        params={"which": "gw_punctured_line", "base": "R"},
+
+    def series(ring):
+        one, det, eps = ring.basis_elements()
+        return [
+            TruncSeries.from_coeffs(one, [one], trunc),
+            TruncSeries.from_coeffs(one, [det], trunc),
+            _series_quotient([eps + one], [one], trunc),
+        ]
+
+    return _model(
+        "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), series,
+        [(1, 1, 0)], trunc, {"which": "gw_punctured_line", "base": "R"},
     )
 
 
@@ -339,30 +300,17 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
         raise AssertionError("unexpected low gamma coefficients")
     if any(c % 2 for c in coeffs[2:]):
         raise AssertionError("higher gamma coefficients must be even")
-    group = GroupPresentation((0, 2), ("one", "eps"))
     unit = (1, 0)
-    proto = RingModel(
-        "proto", group, unit,
-        {(0, 0): unit, (0, 1): (0, 1), (1, 1): (0, 0)},
-        (1, 0), [[(1, 0)], [(0, 1)]], None, trunc,
-    )
-    eps = proto.basis_element(1)
-    gamma = TruncSeries.from_coeffs(
-        proto.unit_element,
-        [(c % 2) * eps for c in coeffs],
-        trunc,
-    )
-    lam_eps = _series_coeff_vectors(lambda_from_gamma(gamma))
-    return RingModel(
-        name="gw_punctured_a5(f=%d)" % f,
-        group=group,
-        unit=unit,
-        mul={(0, 0): unit, (0, 1): (0, 1), (1, 1): (0, 0)},
-        aug=(1, 0),
-        lambda_on_basis=[[(1, 0)], lam_eps],
-        hyperbolic=[],
-        trunc=trunc,
-        params={"which": "gw_punctured_a5", "f": f},
+
+    def series(ring):
+        one, eps = ring.basis_elements()
+        gamma = TruncSeries.from_coeffs(one, [(c % 2) * eps for c in coeffs], trunc)
+        return [TruncSeries.from_coeffs(one, [one], trunc), lambda_from_gamma(gamma)]
+
+    return _model(
+        "gw_punctured_a5(f=%d)" % f, GroupPresentation((0, 2), ("one", "eps")),
+        unit, {(0, 0): unit, (0, 1): (0, 1), (1, 1): (0, 0)}, (1, 0), series,
+        [], trunc, {"which": "gw_punctured_a5", "f": f},
     )
 
 
@@ -404,34 +352,22 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
         for di in d_indices:
             mul[(j, di) if j <= di else (di, j)] = tuple(target)
     # all remaining non-unit products vanish; the sparse table handles that
-    aug = tuple([1] + [0] * (rank - 1))
+    hyperbolic = [i_b, i_c] + d_indices
 
-    proto_lambda = [[unit_vec(i)] for i in range(rank)]
-    proto = RingModel(
-        "proto", group, unit_vec(0), mul, aug, proto_lambda, None, trunc
-    )
-    one = proto.unit_element
-    lambda_on_basis = [[unit_vec(0)]]
-    for j in range(1, s + 1):
-        aj = proto.basis_element(j)
-        num = TruncSeries.from_coeffs(one, [aj + one], trunc)
-        den = TruncSeries.from_coeffs(one, [one], trunc)
-        lambda_on_basis.append(_series_coeff_vectors(num * den.inverse()))
-    for i in [i_b, i_c] + d_indices:
-        x = proto.basis_element(i)
-        gamma = TruncSeries.from_coeffs(one, [x, -x], trunc)
-        lambda_on_basis.append(_series_coeff_vectors(lambda_from_gamma(gamma)))
-    hyper = [unit_vec(i) for i in [i_b, i_c] + d_indices]
-    return RingModel(
-        name="gw_surface_cxp1(s=%d)" % s,
-        group=group,
-        unit=unit_vec(0),
-        mul=mul,
-        aug=aug,
-        lambda_on_basis=lambda_on_basis,
-        hyperbolic=hyper,
-        trunc=trunc,
-        params={"which": "gw_surface_cxp1", "s": s},
+    def series(ring):
+        one = ring.unit_element
+        out = [TruncSeries.from_coeffs(one, [one], trunc)]
+        for j in range(1, s + 1):
+            out.append(_series_quotient([ring.basis_element(j) + one], [one], trunc))
+        for i in hyperbolic:
+            x = ring.basis_element(i)
+            out.append(lambda_from_gamma(TruncSeries.from_coeffs(one, [x, -x], trunc)))
+        return out
+
+    return _model(
+        "gw_surface_cxp1(s=%d)" % s, group, unit_vec(0), mul,
+        tuple([1] + [0] * (rank - 1)), series,
+        [unit_vec(i) for i in hyperbolic], trunc, {"which": "gw_surface_cxp1", "s": s},
     )
 
 

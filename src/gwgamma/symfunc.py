@@ -11,7 +11,6 @@ On top of that sit the universal polynomials that make the lambda-operation
 identities checkable on concrete ring elements:
 
 * ``newton_psi(k)``   -- the power sum p_k in e_1..e_k (Newton's recursion),
-* ``complete_sigma(k)`` -- the complete homogeneous sigma_k in e_1..e_k,
 * ``product_universal(n)`` -- P_n with lambda^n(x*y) = P_n(lambda(x); lambda(y)),
   read off the coefficient of t^n in prod_{i,j} (1 + x_i y_j t),
 * ``compose_universal(m, n)`` -- P_{m,n} with lambda^m(lambda^n(x)) =
@@ -209,21 +208,6 @@ def newton_psi(k: int) -> MultiPoly:
         acc = acc + sign * m * MultiPoly.variable(k, m - 1)
         polys.append(acc)
     return polys[k - 1]
-
-
-@lru_cache(maxsize=None)
-def complete_sigma(k: int) -> MultiPoly:
-    """Complete homogeneous sigma_k in e_1..e_k: sum (-1)^i e_i sigma_{k-i} = 0."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    polys = [MultiPoly.constant(max(k, 1), 1)]
-    for m in range(1, k + 1):
-        acc = MultiPoly(max(k, 1))
-        for i in range(1, m + 1):
-            sign = 1 if (i - 1) % 2 == 0 else -1
-            acc = acc + sign * (MultiPoly.variable(max(k, 1), i - 1) * polys[m - i])
-        polys.append(acc)
-    return polys[k]
 
 
 def _convert_block(p: MultiPoly, lo: int, hi: int) -> MultiPoly:

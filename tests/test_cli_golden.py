@@ -1,9 +1,10 @@
-"""Golden output of ``gwgamma filtration`` for every builtin.
+"""Golden output of ``gwgamma filtration`` and ``gwgamma builtin`` for every builtin.
 
 ``tests/data/cli_golden.json`` holds, for each builtin over the parameter
-range the command line accepts and for the plain, ``--json`` and
-``--json --witt`` forms, the SHA-256 of stdout and the exit code of
-``gwgamma.cli.run``.  Any change to the arithmetic, the filtration engine
+range the command line accepts, the exit code of ``gwgamma.cli.run`` and a
+SHA-256: of stdout for the plain, ``--json`` and ``--json --witt`` forms of
+``filtration``, and of the written model file for ``builtin <name> -o FILE``.
+Any change to the arithmetic, the model constructors, the filtration engine
 or the output format that alters a single byte fails here.
 
 The file is recorded once, from a known-good tree, and never regenerated
@@ -18,6 +19,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -27,22 +29,37 @@ from test_filtration_oracle import CLI_BUILTINS
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
 
 FORMS = ([], ["--json"], ["--json", "--witt"])
+# the output path of ``builtin -o``; each run writes to a fresh temporary file
+OUTPUT = "FILE"
+
+
+def _flags(kwargs):
+    return [t for flag, value in kwargs.items() for t in ("--" + flag, str(value))]
+
+
 CASES = [
-    ["filtration", "builtin:" + name,
-     *[t for flag, value in kwargs.items() for t in ("--" + flag, str(value))], *form]
+    ["filtration", "builtin:" + name, *_flags(kwargs), *form]
     for name, kwargs in CLI_BUILTINS
     for form in FORMS
 ]
+MODEL_CASES = [["builtin", name, *_flags(kwargs), "-o", OUTPUT] for name, kwargs in CLI_BUILTINS]
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def run_case(argv):
+    if argv[0] == "builtin":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            code = run([path if a == OUTPUT else a for a in argv])
+            with open(path, "rb") as fh:
+                return {"file_sha256": _sha256(fh.read()), "exit": code}
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run(argv)
-    return {
-        "stdout_sha256": hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest(),
-        "exit": code,
-    }
+    return {"stdout_sha256": _sha256(buf.getvalue().encode("utf-8")), "exit": code}
 
 
 def _load():
@@ -51,7 +68,7 @@ def _load():
 
 
 def test_golden_covers_every_case():
-    assert sorted(_load()) == sorted(" ".join(a) for a in CASES)
+    assert sorted(_load()) == sorted(" ".join(a) for a in CASES + MODEL_CASES)
 
 
 @pytest.mark.parametrize("argv", CASES, ids=[" ".join(a[1:]) for a in CASES])
@@ -59,8 +76,13 @@ def test_filtration_output_matches_golden(argv):
     assert run_case(argv) == _load()[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", MODEL_CASES, ids=[" ".join(a[1:-2]) for a in MODEL_CASES])
+def test_model_file_matches_golden(argv):
+    assert run_case(argv) == _load()[" ".join(argv)]
+
+
 if __name__ == "__main__":
-    record = {" ".join(argv): run_case(argv) for argv in CASES}
+    record = {" ".join(argv): run_case(argv) for argv in CASES + MODEL_CASES}
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(record, fh, sort_keys=True, indent=1)

@@ -310,14 +310,23 @@ def test_point_binomial_series():
 
 def test_projective_build_work_bound(monkeypatch):
     # a deterministic guard on the arithmetic core: every ring product and
-    # series coefficient reduces once, through GroupPresentation.reduce
+    # series coefficient reduces once, through GroupPresentation.reduce;
+    # and no series of a power a^k is multiplied by the unit series
     reduce = GroupPresentation.reduce
+    series_mul = TruncSeries.__mul__
     calls = [0]
+    products = [0]
 
     def counted(self, coeffs):
         calls[0] += 1
         return reduce(self, coeffs)
 
+    def counted_mul(self, other):
+        products[0] += 1
+        return series_mul(self, other)
+
     monkeypatch.setattr(GroupPresentation, "reduce", counted)
+    monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
     gw_projective("R", 12, trunc=20)
     assert 0 < calls[0] <= 50_000
+    assert 0 < products[0] <= 129

@@ -13,7 +13,6 @@ import pytest
 from gwgamma.symfunc import (
     MultiPoly,
     binomial,
-    complete_sigma,
     compose_universal,
     elementary,
     expand_elementary,
@@ -40,18 +39,6 @@ def power_sum(n, k):
         exps[i] = k
         terms[tuple(exps)] = 1
     return MultiPoly(n, terms)
-
-
-def complete_homogeneous(n, k):
-    def rec(i, remaining):
-        if i == n - 1:
-            yield (remaining,)
-            return
-        for e in range(remaining + 1):
-            for rest in rec(i + 1, remaining - e):
-                yield (e,) + rest
-
-    return MultiPoly(n, {exps: 1 for exps in rec(0, k)})
 
 
 def test_to_elementary_roundtrip_random():
@@ -93,22 +80,6 @@ def test_newton_psi_frozen():
     assert newton_psi(2) == MultiPoly(2, {(2, 0): 1, (0, 1): -2})
     assert newton_psi(3) == MultiPoly(
         3, {(3, 0, 0): 1, (1, 1, 0): -3, (0, 0, 1): 3}
-    )
-
-
-def test_complete_sigma_against_homogeneous():
-    for k in range(1, 7):
-        sig = complete_sigma(k)
-        for n in range(1, k + 1):
-            values = [elementary(n, i) for i in range(1, k + 1)]
-            got = sig.evaluate(values, MultiPoly.constant(n, 1))
-            assert got == complete_homogeneous(n, k)
-
-
-def test_complete_sigma_frozen():
-    assert complete_sigma(2) == MultiPoly(2, {(2, 0): 1, (0, 1): -1})
-    assert complete_sigma(3) == MultiPoly(
-        3, {(3, 0, 0): 1, (1, 1, 0): -2, (0, 0, 1): 1}
     )
 
 
