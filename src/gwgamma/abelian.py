@@ -346,15 +346,7 @@ def quotient_invariants(
     pres: GroupPresentation, sub: Subgroup
 ) -> tuple[int, ...]:
     """Invariant factors of the quotient of the presented group by `sub`."""
-    if sub.pres != pres:
-        raise ValueError("subgroup of a different presentation")
-    if not sub.columns:
-        return _invariants_from_diag([], pres.rank)
-    rows = [
-        [col[i] for col in sub.columns] for i in range(pres.rank)
-    ]
-    diag, _, _ = smith_normal_form(rows)
-    return _invariants_from_diag(diag, pres.rank - sub.ncols)
+    return relative_quotient_invariants(full_subgroup(pres), sub)
 
 
 def relative_quotient_invariants(

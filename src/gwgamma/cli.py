@@ -29,6 +29,7 @@ from .lambdaring import (
 )
 from .milnor import check_identities
 from .models import BUILTINS
+from .symfunc import PRODUCT_DEGREE_BOUND
 
 
 class ModelFormatError(Exception):
@@ -299,14 +300,12 @@ def _filtration_text(f: FiltrationResult) -> list[str]:
     return lines
 
 
-def _filtration_json(f: FiltrationResult, witt: bool, window: int) -> dict:
+def _filtration_json(f: FiltrationResult, witt: bool) -> dict:
     return {
         "model": f.model.name,
         "witt": witt,
         "max_degree": f.kmax,
-        "window": window,
         "exact": f.exact,
-        "stabilized_window": f.stabilized_window,
         "warnings": list(f.warnings),
         "basis": list(f.group.names),
         "orders": list(f.group.orders),
@@ -334,11 +333,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_filtration(args: argparse.Namespace) -> int:
     m = load_model(args.target, args)
     if args.witt:
-        f = witt_filtration(m, kmax=args.max_degree, window=args.window)
+        f = witt_filtration(m, kmax=args.max_degree)
     else:
-        f = gamma_filtration(m, kmax=args.max_degree, window=args.window)
+        f = gamma_filtration(m, kmax=args.max_degree)
     if args.as_json:
-        print(json.dumps(_filtration_json(f, args.witt, args.window), sort_keys=True, indent=2))
+        print(json.dumps(_filtration_json(f, args.witt), sort_keys=True, indent=2))
     else:
         for line in _filtration_text(f):
             print(line)
@@ -408,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_filt.add_argument("target", help="model file or builtin:<name>")
     add_builtin_flags(p_filt)
     p_filt.add_argument("--max-degree", type=int, default=8, dest="max_degree")
-    p_filt.add_argument("--window", type=int, default=2)
     p_filt.add_argument("--witt", action="store_true")
     p_filt.add_argument("--json", action="store_true", dest="as_json")
     p_filt.set_defaults(handler=_cmd_filtration)
@@ -418,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_special.add_argument("target", help="model file or builtin:<name>")
     add_builtin_flags(p_special)
-    p_special.add_argument("--bound", type=int, default=3)
+    p_special.add_argument(
+        "--bound", type=int, default=3, choices=range(1, PRODUCT_DEGREE_BOUND + 1)
+    )
     p_special.set_defaults(handler=_cmd_special)
 
     p_milnor = sub.add_parser("milnor", help="verify the characteristic-class identities")

@@ -19,8 +19,8 @@ F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.
 
 The result is flagged exact when
 
-* each generator's gamma-series vanishes beyond some weight i_max visible
-  inside the model truncation, with cap = kmax + i_max - 1, and
+* each generator's gamma-series vanishes beyond some weight i_max and the
+  certified cap kmax + i_max - 1 lies inside the model truncation, and
 * F^kmax is closed under multiplication by every nonzero gamma-value,
   checked on its HNF columns.
 
@@ -32,10 +32,11 @@ product there.  So each piece up to the cap already holds all deeper
 products.  This covers both nilpotent augmentation ideals (all long
 products die) and the two-adic chains of the real point and the real
 punctured line, where products never vanish but each extra factor doubles
-the generator (2^k (L-1) stays in the span).  If the cap lies beyond the
-truncation or closure fails, the same spans are extended one weight at a
-time from cap kmax until the pieces stay unchanged for ``window``
-consecutive caps, and the result is flagged as heuristic.
+the generator (2^k (L-1) stays in the span).  If the certified cap lies
+beyond the truncation, the pieces are built once from the products of
+weight at most the truncation; such a result, like one whose closure check
+fails, is flagged not exact and carries one warning naming the clause that
+failed.
 
 The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes.
@@ -69,7 +70,6 @@ class FiltrationResult:
     graded: tuple[tuple[int, ...], ...]
     generators: tuple[GroupElement, ...]
     weight_cap: int
-    stabilized_window: int
     exact: bool
     warnings: tuple[str, ...]
 
@@ -102,18 +102,11 @@ def _sum(pres: GroupPresentation, subs: list[Subgroup]) -> Subgroup:
 
 
 def _pieces(
-    m: RingModel,
-    values: list[tuple[int, RingElement]],
-    spans: list[Subgroup],
-    kmax: int,
-    cap: int,
+    m: RingModel, values: list[tuple[int, RingElement]], kmax: int, cap: int
 ) -> tuple[Subgroup, ...]:
-    """F^0..F^kmax spanned by the products of weight at most `cap`.
-
-    ``spans`` holds S_1, S_2, ... and is extended here to S_cap; a span
-    already in it is never rebuilt.
-    """
-    for w in range(len(spans) + 1, cap + 1):
+    """F^0..F^kmax spanned by the products of weight at most `cap`."""
+    spans: list[Subgroup] = []
+    for w in range(1, cap + 1):
         vecs = [g.value for i, g in values if i == w]
         vecs += [
             (g * m.element(c)).value
@@ -121,7 +114,7 @@ def _pieces(
             for c in spans[w - i - 1].columns
         ]
         spans.append(subgroup_from_generators(m.group, vecs))
-    pieces = [_sum(m.group, spans[kmax - 1:cap])]
+    pieces = [_sum(m.group, spans[kmax - 1:])]
     for k in range(kmax - 1, 0, -1):
         pieces.append(_sum(m.group, [pieces[-1], spans[k - 1]]))
     return (full_subgroup(m.group), *reversed(pieces))
@@ -147,61 +140,26 @@ def _graded_invariants(
     )
 
 
-def gamma_filtration(
-    m: RingModel,
-    kmax: int = 8,
-    window: int = 2,
-) -> FiltrationResult:
+def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    if window < 1:
-        raise ValueError("window must be at least 1")
     budget = m.trunc
     if kmax > budget:
         raise ValueError("kmax %d exceeds weight budget %d" % (kmax, budget))
     _, gens = augmentation_kernel(m)
     values = _gamma_values(gens, budget)
     imax = max((i for i, _ in values), default=0)
-    spans: list[Subgroup] = []
-    warnings: list[str] = []
-    stable = 0
-
-    cap = kmax + max(imax - 1, 0)
-    if cap <= budget:
-        pieces = _pieces(m, values, spans, kmax, cap)
-        exact = _closed(m, pieces[kmax], values)
-        if not exact:
-            warnings.append(
-                "closure check failed at weight %d; falling back to "
-                "stabilization" % cap
-            )
-    else:
-        exact = False
+    certified = kmax + max(imax - 1, 0)
+    cap = min(certified, budget)
+    pieces = _pieces(m, values, kmax, cap)
+    warnings = []
+    if certified > budget:
         warnings.append(
-            "gamma-values reach weight %d, certified cap %d exceeds "
-            "budget %d; using stabilization heuristic" % (imax, cap, budget)
+            "certified cap %d exceeds truncation %d, pieces use products "
+            "up to weight %d" % (certified, budget, budget)
         )
-
-    if not exact:
-        prev: tuple[Subgroup, ...] | None = None
-        for cap in range(kmax, budget + 1):
-            pieces = _pieces(m, values, spans, kmax, cap)
-            if pieces == prev:
-                stable += 1
-                if stable >= window:
-                    break
-            else:
-                stable = 0
-                prev = pieces
-        if stable >= window:
-            warnings.append(
-                "pieces unchanged for %d consecutive weight caps up to %d"
-                % (window, cap)
-            )
-        else:
-            warnings.append(
-                "weight budget %d exhausted before stabilization" % budget
-            )
+    elif not _closed(m, pieces[kmax], values):
+        warnings.append("F^%d not closed under the gamma-values" % kmax)
     return FiltrationResult(
         model=m,
         group=m.group,
@@ -210,8 +168,7 @@ def gamma_filtration(
         graded=_graded_invariants(pieces),
         generators=tuple(e.value for e in gens),
         weight_cap=cap,
-        stabilized_window=stable,
-        exact=exact,
+        exact=not warnings,
         warnings=tuple(warnings),
     )
 
@@ -231,12 +188,11 @@ def witt_filtration(
     m: RingModel,
     f: FiltrationResult | None = None,
     kmax: int = 8,
-    window: int = 2,
 ) -> FiltrationResult:
     """Image of the gamma filtration in the quotient by hyperbolic classes."""
     qpres, projection, _ = witt_quotient(m)
     if f is None:
-        f = gamma_filtration(m, kmax=kmax, window=window)
+        f = gamma_filtration(m, kmax=kmax)
 
     def push(col: tuple[int, ...]) -> GroupElement:
         return project_element(qpres, projection, m.group.element(col))
@@ -254,7 +210,6 @@ def witt_filtration(
         graded=_graded_invariants(tuple(pieces)),
         generators=tuple(push(e.coeffs) for e in f.generators),
         weight_cap=f.weight_cap,
-        stabilized_window=f.stabilized_window,
         exact=f.exact,
         warnings=f.warnings,
     )

@@ -292,6 +292,8 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     eps^ has coefficients c_i * eps^ with c_i = C(2^(f-1), i) 2^(i-f), which
     are 1, odd, and then all even, so mod 2 the series is 1 + e t + e t^2.
     """
+    if not 2 <= f <= 8:
+        raise ValueError("f must lie in 2..8")
     # the mod-2 pattern (1, odd, even, even, ...) is independent of f; the
     # constructor re-derives it rather than hard-coding the series
     count = 2 ** (f - 1) if f <= 6 else min(2 ** (f - 1), trunc)
@@ -322,8 +324,8 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     hyperbolic shifts).  The only non-trivial products are
     a_j * c = a_j * d_N = d_j + c.
     """
-    if s < 0:
-        raise ValueError("s must be non-negative")
+    if not 0 <= s <= 12:
+        raise ValueError("s must lie in 0..12")
     names = (
         ["one"]
         + ["a%d" % j for j in range(1, s + 1)]

@@ -66,6 +66,10 @@ def test_unknown_subcommand_and_builtin():
     # flags that the chosen builtin does not understand
     assert run(["builtin", "gw_point", "--r", "4", "-o", "/tmp/ignored.json"]) == 2
     assert run(["builtin", "gw_projective", "--r", "40", "-o", "/tmp/ignored.json"]) == 2
+    # parameters outside the accepted range, and the removed --window flag
+    assert run(["filtration", "builtin:gw_punctured_a5", "--f", "9"]) == 2
+    assert run(["filtration", "builtin:gw_surface_cxp1", "--s", "13"]) == 2
+    assert run(["filtration", "builtin:gw_point", "--window", "2"]) == 2
 
 
 def test_validate_pass_and_parse_errors(tmp_path, capsys):
@@ -206,6 +210,10 @@ def test_filtration_json_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     doc = json.loads(first)
+    assert set(doc) == {
+        "model", "witt", "max_degree", "exact", "warnings", "basis", "orders",
+        "pieces", "graded",
+    }
     assert doc["exact"] is True
     assert doc["graded"] == [[0], [], [2], []]
     assert len(doc["pieces"]) == 5
@@ -233,6 +241,9 @@ def test_special_command(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "all identities PASS"
     assert all(line.startswith("PASS") for line in out[:-1])
+    # a bound outside 1..4 would check no product identity at all
+    assert run(["special", "builtin:gw_point", "--bound", "0"]) == 2
+    assert run(["special", "builtin:gw_point", "--bound", "5"]) == 2
 
 
 def test_milnor_command(capsys):

@@ -1,19 +1,19 @@
 """Differential test of the span-layered filtration engine.
 
 The reference below is the earlier engine: it enumerates every nonzero
-gamma-monomial value up to a weight cap, certifies closure on the stored
-monomials, and reruns the enumeration from scratch at every cap of the
-stabilization fallback.  Its cost grows exponentially with the cap, so it
-lives here only as an oracle; every field of ``FiltrationResult`` must
-match.
+gamma-monomial value of weight at most the cap, min(certified cap,
+truncation), and certifies closure on the stored monomials when the
+certified cap fits inside the truncation.  Its cost grows exponentially
+with the cap, so it lives here only as an oracle; every field of
+``FiltrationResult`` must match, warnings included.
 
-None of these models reaches the closure-failure fallback.  For a model
+None of these models reaches the closure-failure clause.  For a model
 that passes ``validate_model`` it cannot: every gamma-value lies in F^1,
 which the generators span, so a product of weight above the cap can be
 rewritten by replacing factors with weight-one generators, lowering its
-weight in steps of less than i_max until it lands in [kmax, cap].  Only the
-truncation-bound heuristic is exercised: projective spaces of dimension
-10..12 at the default truncation, and dimension 7 at truncation 8.
+weight in steps of less than i_max until it lands in [kmax, cap].  Only
+the truncation clause is exercised: projective spaces of dimension 10..12
+at the default truncation, and dimension 7 at truncation 8.
 """
 
 import functools
@@ -95,68 +95,37 @@ def _closure_certified(m, pieces, by_weight, table, kmax, cap):
     return True
 
 
-def oracle_filtration(m, kmax=8, window=2):
+def oracle_filtration(m, kmax=8):
     budget = m.trunc
     _, gens = augmentation_kernel(m)
     table = _gamma_value_table(gens, budget)
     imax = max((i for row in table for i, _ in row), default=0)
+    certified = kmax + max(imax - 1, 0)
+    cap = min(certified, budget)
+    by_weight = _monomial_values(table, cap)
+    pieces = _assemble_pieces(m, by_weight, kmax, cap)
     warnings = []
-
-    def result(pieces, cap, stable, exact):
-        return FiltrationResult(
-            model=m,
-            group=m.group,
-            kmax=kmax,
-            pieces=pieces,
-            graded=tuple(
-                relative_quotient_invariants(pieces[k], pieces[k + 1])
-                for k in range(kmax)
-            ),
-            generators=tuple(e.value for e in gens),
-            weight_cap=cap,
-            stabilized_window=stable,
-            exact=exact,
-            warnings=tuple(warnings),
-        )
-
-    cap = kmax + max(imax - 1, 0)
-    if cap <= budget:
-        by_weight = _monomial_values(table, cap)
-        pieces = _assemble_pieces(m, by_weight, kmax, cap)
-        if _closure_certified(m, pieces, by_weight, table, kmax, cap):
-            return result(pieces, cap, 0, True)
+    if certified > budget:
         warnings.append(
-            "closure check failed at weight %d; falling back to "
-            "stabilization" % cap
+            "certified cap %d exceeds truncation %d, pieces use products "
+            "up to weight %d" % (certified, budget, budget)
         )
-    else:
-        warnings.append(
-            "gamma-values reach weight %d, certified cap %d exceeds "
-            "budget %d; using stabilization heuristic" % (imax, cap, budget)
-        )
-
-    prev = None
-    stable = 0
-    for cap in range(kmax, budget + 1):
-        by_weight = _monomial_values(table, cap)
-        pieces = _assemble_pieces(m, by_weight, kmax, cap)
-        if pieces == prev:
-            stable += 1
-            if stable >= window:
-                break
-        else:
-            stable = 0
-            prev = pieces
-    if stable >= window:
-        warnings.append(
-            "pieces unchanged for %d consecutive weight caps up to %d"
-            % (window, cap)
-        )
-    else:
-        warnings.append(
-            "weight budget %d exhausted before stabilization" % budget
-        )
-    return result(pieces, cap, stable, False)
+    elif not _closure_certified(m, pieces, by_weight, table, kmax, cap):
+        warnings.append("F^%d not closed under the gamma-values" % kmax)
+    return FiltrationResult(
+        model=m,
+        group=m.group,
+        kmax=kmax,
+        pieces=pieces,
+        graded=tuple(
+            relative_quotient_invariants(pieces[k], pieces[k + 1])
+            for k in range(kmax)
+        ),
+        generators=tuple(e.value for e in gens),
+        weight_cap=cap,
+        exact=not warnings,
+        warnings=tuple(warnings),
+    )
 
 
 # every builtin over the parameter range the command line accepts
