@@ -2,9 +2,11 @@
 
 Model files are JSON documents with keys name, basis, orders, unit,
 augmentation, mul, lambda and optionally hyperbolic and trunc (the
-truncation order of the lambda-series, 16 when absent).  All emitted JSON is
-sorted and indented the same way every run, so identical inputs give
-byte-identical outputs.
+truncation order of the lambda-series, 16 when absent; no series may be
+longer).  All emitted JSON is sorted and indented the same way every run, so
+identical inputs give byte-identical outputs.  Every command validates its
+model once, builtins included: ``validate`` prints the report, the others
+stop with it when a check fails.
 
 Exit codes: 0 all checks pass, 1 a mathematical identity failed,
 2 usage, I/O, or syntax problem.
@@ -153,6 +155,12 @@ def model_from_dict(doc: object) -> RingModel:
         _require((i, j) not in mul, "%s: duplicate pair (%d, %d)" % (where, i, j))
         mul[(i, j)] = _int_vector(coeffs, rank, where)
 
+    trunc = doc.get("trunc", DEFAULT_TRUNCATION)
+    _require(
+        isinstance(trunc, int) and not isinstance(trunc, bool) and 1 <= trunc <= 64,
+        "key trunc: expected an integer in 1..64, got %r" % (trunc,),
+    )
+
     lam_doc = doc["lambda"]
     _require(isinstance(lam_doc, dict), "key lambda: expected an object")
     for label in lam_doc:
@@ -163,6 +171,10 @@ def model_from_dict(doc: object) -> RingModel:
         series = lam_doc[label]
         where = "lambda[%s]" % label
         _require(isinstance(series, list), "%s: expected a list" % where)
+        _require(
+            len(series) <= trunc,
+            "%s: %d terms, more than trunc %d" % (where, len(series), trunc),
+        )
         lambda_on_basis.append(
             [_int_vector(v, rank, "%s degree %d" % (where, d + 1)) for d, v in enumerate(series)]
         )
@@ -175,12 +187,6 @@ def model_from_dict(doc: object) -> RingModel:
             _int_vector(v, rank, "hyperbolic entry %d" % pos)
             for pos, v in enumerate(hyp_doc)
         ]
-
-    trunc = doc.get("trunc", DEFAULT_TRUNCATION)
-    _require(
-        isinstance(trunc, int) and not isinstance(trunc, bool) and 1 <= trunc <= 64,
-        "key trunc: expected an integer in 1..64, got %r" % (trunc,),
-    )
 
     group = GroupPresentation(tuple(orders), tuple(basis))
     try:
@@ -198,24 +204,49 @@ def model_from_dict(doc: object) -> RingModel:
         raise ModelFormatError(str(exc)) from exc
 
 
-def parse_model(path: str, validate: bool = True) -> RingModel:
+class _LongInteger:
+    """Stands for a JSON integer too long to convert; every key that wants
+    an integer rejects it by name."""
+
+    def __init__(self, digits: str):
+        self.length = len(digits.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return "<integer of %d digits>" % self.length
+
+
+def _parse_int(digits: str) -> object:
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInteger(digits)
+
+
+def _loads(text: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # an integer too long for int(): parse again with a placeholder for it
+        return json.loads(text, parse_int=_parse_int)
+
+
+def parse_model(path: str) -> RingModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError("cannot read %s: %s" % (path, exc)) from exc
     try:
-        doc = json.loads(text)
+        doc = _loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             "%s: line %d column %d: %s" % (path, exc.lineno, exc.colno, exc.msg)
         ) from exc
-    m = model_from_dict(doc)
-    if validate:
-        report = validate_model(m)
-        if not report.ok:
-            raise ValidationFailure(report)
-    return m
+    except RecursionError as exc:
+        raise ModelFormatError("%s: JSON nested too deeply" % path) from exc
+    return model_from_dict(doc)
 
 
 def dump_model(m: RingModel, path: str) -> None:
@@ -251,9 +282,15 @@ def make_builtin(name: str, args: argparse.Namespace) -> RingModel:
 
 
 def load_model(target: str, args: argparse.Namespace) -> RingModel:
+    """The model of a file or ``builtin:<name>`` target, validated."""
     if target.startswith("builtin:"):
-        return make_builtin(target, args)
-    return parse_model(target)
+        m = make_builtin(target, args)
+    else:
+        m = parse_model(target)
+    report = validate_model(m)
+    if not report.ok:
+        raise ValidationFailure(report)
+    return m
 
 
 def format_element(names: Sequence[str], coeffs: Sequence[int]) -> str:
@@ -323,8 +360,7 @@ def _cmd_builtin(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    m = parse_model(args.file, validate=False)
-    report = validate_model(m)
+    report = validate_model(parse_model(args.file))
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -346,11 +382,6 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
 
 def _cmd_special(args: argparse.Namespace) -> int:
     m = load_model(args.target, args)
-    report = validate_model(m)
-    if not report.ok:
-        for line in report.lines():
-            print(line)
-        return 1
     names = m.group.names
     elements = m.basis_elements()
     failed = False

@@ -68,7 +68,6 @@ class FiltrationResult:
     kmax: int
     pieces: tuple[Subgroup, ...]
     graded: tuple[tuple[int, ...], ...]
-    generators: tuple[GroupElement, ...]
     weight_cap: int
     exact: bool
     warnings: tuple[str, ...]
@@ -166,7 +165,6 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         kmax=kmax,
         pieces=pieces,
         graded=_graded_invariants(pieces),
-        generators=tuple(e.value for e in gens),
         weight_cap=cap,
         exact=not warnings,
         warnings=tuple(warnings),
@@ -208,7 +206,6 @@ def witt_filtration(
         kmax=f.kmax,
         pieces=tuple(pieces),
         graded=_graded_invariants(tuple(pieces)),
-        generators=tuple(push(e.coeffs) for e in f.generators),
         weight_cap=f.weight_cap,
         exact=f.exact,
         warnings=f.warnings,

@@ -259,10 +259,6 @@ class RingElement:
     def is_unit(self) -> bool:
         return self.value == self.model.unit
 
-    @property
-    def rank(self) -> int:
-        return self.model.augmentation(self.value)
-
 
 def lambda_total(x: RingElement, order: int | None = None) -> TruncSeries:
     """Total lambda-series of x, exact through the requested order."""
@@ -301,98 +297,67 @@ def psi_k(x: RingElement, k: int) -> RingElement:
     return newton_psi(k).evaluate(values, x.model.unit_element)
 
 
+def _first_case(name: str, cases: Iterable[str]) -> CheckResult:
+    """The check passes when it yields no offending case; else the first
+    case is the detail."""
+    case = next(iter(cases), None)
+    return CheckResult(name, case is None, case or "")
+
+
 def validate_model(m: RingModel) -> Report:
-    """Structural sanity of a model: everything finitely checkable."""
-    checks = []
-    basis = m.basis_elements()
-    one = m.unit_element
+    """Structural sanity of a model: everything finitely checkable.
 
-    checks.append(
-        CheckResult(
-            "augmentation(unit) == 1",
-            m.augmentation(m.unit) == 1,
-            "d(1) = %d" % m.augmentation(m.unit),
-        )
+    Each check generates its offending cases, on the basis elements and
+    their products in the sparse structure-constant rows; the report names
+    the first one.
+    """
+    rank = m.group.rank
+    b = [m.group.basis_element(i) for i in range(rank)]
+    prod = [[m.multiply(x, y) for y in b] for x in b]
+    pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
+    zero = m.group.zero()
+    d = m.augmentation
+    lam = m.lambda_on_basis
+    torsion = [(i, o) for i, o in enumerate(m.group.orders) if o]
+
+    def associative():
+        for i, j in pairs:
+            for k in range(j, rank):
+                if m.multiply(prod[i][j], b[k]) != m.multiply(b[i], prod[j][k]):
+                    yield "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, i, j, k)
+
+    def torsion_products():
+        for i, o in torsion:
+            if m.aug[i]:
+                yield "torsion basis element %d has nonzero rank" % i
+            for j in range(rank):
+                if not (o * prod[i][j]).is_zero:
+                    yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
+
+    unit_series = TruncSeries.one(m.unit_element, m.trunc)
+    checks = (
+        ("augmentation(unit) == 1",
+         ["d(1) = %d" % d(m.unit)] if d(m.unit) != 1 else []),
+        ("unit is multiplicatively neutral",
+         ("" for x in b if m.multiply(m.unit, x) != x)),
+        ("multiplication associative on basis", associative()),
+        ("products respect torsion orders", torsion_products()),
+        ("augmentation is a ring homomorphism",
+         ("d(b%d*b%d) = %d != %d" % (i, j, d(prod[i][j]), m.aug[i] * m.aug[j])
+          for i, j in pairs if d(prod[i][j]) != m.aug[i] * m.aug[j])),
+        ("lambda^1 is the identity on basis",
+         ("lambda^1(b%d) != b%d" % (i, i)
+          for i in range(rank) if (lam[i] or (zero,))[0] != b[i])),
+        ("augmentation compatible with lambda-series",
+         ("d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, d(c), m.aug[i], k)
+          for i in range(rank) for k, c in enumerate(lam[i], start=1)
+          if d(c) != binomial(m.aug[i], k))),
+        ("lambda-series respect torsion orders",
+         ("lambda_t(b%d)^%d != 1" % (i, o)
+          for i, o in torsion
+          if m.basis_lambda_series(i, m.trunc).pow(o) != unit_series)),
     )
-    ok = all((one * b) == b for b in basis)
-    checks.append(CheckResult("unit is multiplicatively neutral", ok))
-
-    ok = True
-    detail = ""
-    for i in range(m.group.rank):
-        for j in range(i, m.group.rank):
-            for k in range(j, m.group.rank):
-                lhs = (basis[i] * basis[j]) * basis[k]
-                rhs = basis[i] * (basis[j] * basis[k])
-                if lhs != rhs:
-                    ok = False
-                    detail = "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, i, j, k)
-    checks.append(CheckResult("multiplication associative on basis", ok, detail))
-
-    ok = True
-    detail = ""
-    for i, o in enumerate(m.group.orders):
-        if not o:
-            continue
-        if m.aug[i] != 0:
-            ok = False
-            detail = "torsion basis element %d has nonzero rank" % i
-        for j in range(m.group.rank):
-            if not (o * (basis[i] * basis[j])).is_zero:
-                ok = False
-                detail = "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
-    checks.append(CheckResult("products respect torsion orders", ok, detail))
-
-    ok = True
-    detail = ""
-    for i in range(m.group.rank):
-        for j in range(i, m.group.rank):
-            lhs = m.augmentation((basis[i] * basis[j]).value)
-            rhs = m.aug[i] * m.aug[j]
-            if lhs != rhs:
-                ok = False
-                detail = "d(b%d*b%d) = %d != %d" % (i, j, lhs, rhs)
-    checks.append(CheckResult("augmentation is a ring homomorphism", ok, detail))
-
-    ok = True
-    detail = ""
-    for i in range(m.group.rank):
-        stored = m.lambda_on_basis[i]
-        first = stored[0] if stored else m.group.zero()
-        if first != m.group.basis_element(i):
-            ok = False
-            detail = "lambda^1(b%d) != b%d" % (i, i)
-    checks.append(CheckResult("lambda^1 is the identity on basis", ok, detail))
-
-    ok = True
-    detail = ""
-    for i in range(m.group.rank):
-        for kk, coeff in enumerate(m.lambda_on_basis[i], start=1):
-            want = binomial(m.aug[i], kk)
-            got = m.augmentation(coeff)
-            if got != want:
-                ok = False
-                detail = "d(lambda^%d(b%d)) = %d != C(%d,%d)" % (
-                    kk, i, got, m.aug[i], kk,
-                )
-    checks.append(
-        CheckResult("augmentation compatible with lambda-series", ok, detail)
-    )
-
-    ok = True
-    detail = ""
-    for i, o in enumerate(m.group.orders):
-        if not o:
-            continue
-        series = m.basis_lambda_series(i, m.trunc).pow(o)
-        if series != TruncSeries.one(one, m.trunc):
-            ok = False
-            detail = "lambda_t(b%d)^%d != 1" % (i, o)
-    checks.append(
-        CheckResult("lambda-series respect torsion orders", ok, detail)
-    )
-
-    return Report(tuple(checks))
+    return Report(tuple(_first_case(name, cases) for name, cases in checks))
 
 
 def verify_special_pair(
@@ -405,20 +370,19 @@ def verify_special_pair(
 
     lambda^n(x*y) against the universal product polynomial for n <= bound,
     and lambda^m(lambda^n(x)) against the universal composition polynomial
-    for the requested (m, n) pairs.
+    for the requested (m, n) pairs.  The series lambda_t(x), lambda_t(y) and
+    lambda_t(x*y) are built once each and every lambda^n is read off them.
     """
     if x.model is not y.model:
         raise ValueError("elements from different models")
     one = x.model.unit_element
-    need = max(
-        [bound] + [m * n for m, n in compose_pairs] if compose_pairs else [bound]
-    )
-    lam_x = lambda_total(x, max(need, bound))
+    need = max([bound] + [m * n for m, n in compose_pairs])
+    lam_x = lambda_total(x, need)
     lam_y = lambda_total(y, bound)
+    lam_xy = lambda_total(x * y, bound)
     checks = []
-    xy = x * y
     for n in range(1, bound + 1):
-        lhs = lambda_k(xy, n)
+        lhs = lam_xy.coeffs[n]
         values = [lam_x.coeffs[i] for i in range(1, n + 1)]
         values += [lam_y.coeffs[j] for j in range(1, n + 1)]
         rhs = product_universal(n).evaluate(values, one)
@@ -430,7 +394,7 @@ def verify_special_pair(
             )
         )
     for mm, nn in compose_pairs:
-        lhs = lambda_k(lambda_k(x, nn), mm)
+        lhs = lambda_k(lam_x.coeffs[nn], mm)
         values = [lam_x.coeffs[i] for i in range(1, mm * nn + 1)]
         rhs = compose_universal(mm, nn).evaluate(values, one)
         checks.append(

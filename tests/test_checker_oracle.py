@@ -1,0 +1,217 @@
+"""Differential test of the identity checkers.
+
+The references below are the earlier checkers.  ``oracle_validate`` is the
+earlier ``validate_model``: four ``RingElement`` products per basis triple
+and a loop per check that ran to the end, here keeping every offending case
+in the order it met them (the earlier one reported the last).  On models
+drawn under ``oracle_arithmetic`` it multiplies with the earlier per-pair
+table, not the sparse rows.  ``oracle_special_pair`` is the earlier
+``verify_special_pair``, which built a fresh lambda-series for every
+lambda^n it read.
+
+The current ``validate_model`` must agree on every check's verdict and
+name the first offending case; ``verify_special_pair`` must give an equal
+``Report``.
+"""
+
+import contextlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gwgamma import lambdaring
+from gwgamma.lambdaring import (
+    CheckResult,
+    Report,
+    RingModel,
+    lambda_k,
+    lambda_total,
+    validate_model,
+    verify_special_pair,
+)
+from gwgamma.models import BUILTINS
+from gwgamma.series import TruncSeries
+from gwgamma.symfunc import binomial, compose_universal, product_universal
+from test_arith_oracle import oracle_multiply, ring_models
+from test_filtration_oracle import CLI_BUILTINS
+
+
+def oracle_validate(m):
+    """(check name, every offending case) in the earlier order."""
+    basis = m.basis_elements()
+    one = m.unit_element
+    rank = m.group.rank
+    out = []
+
+    cases = [] if m.augmentation(m.unit) == 1 else ["d(1) = %d" % m.augmentation(m.unit)]
+    out.append(("augmentation(unit) == 1", cases))
+    out.append(("unit is multiplicatively neutral", ["" for b in basis if (one * b) != b]))
+
+    cases = []
+    for i in range(rank):
+        for j in range(i, rank):
+            for k in range(j, rank):
+                if (basis[i] * basis[j]) * basis[k] != basis[i] * (basis[j] * basis[k]):
+                    cases.append("(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, i, j, k))
+    out.append(("multiplication associative on basis", cases))
+
+    cases = []
+    for i, o in enumerate(m.group.orders):
+        if not o:
+            continue
+        if m.aug[i] != 0:
+            cases.append("torsion basis element %d has nonzero rank" % i)
+        for j in range(rank):
+            if not (o * (basis[i] * basis[j])).is_zero:
+                cases.append("order %d of b%d does not kill b%d*b%d" % (o, i, i, j))
+    out.append(("products respect torsion orders", cases))
+
+    cases = []
+    for i in range(rank):
+        for j in range(i, rank):
+            lhs = m.augmentation((basis[i] * basis[j]).value)
+            rhs = m.aug[i] * m.aug[j]
+            if lhs != rhs:
+                cases.append("d(b%d*b%d) = %d != %d" % (i, j, lhs, rhs))
+    out.append(("augmentation is a ring homomorphism", cases))
+
+    cases = []
+    for i in range(rank):
+        stored = m.lambda_on_basis[i]
+        first = stored[0] if stored else m.group.zero()
+        if first != m.group.basis_element(i):
+            cases.append("lambda^1(b%d) != b%d" % (i, i))
+    out.append(("lambda^1 is the identity on basis", cases))
+
+    cases = []
+    for i in range(rank):
+        for kk, coeff in enumerate(m.lambda_on_basis[i], start=1):
+            want = binomial(m.aug[i], kk)
+            got = m.augmentation(coeff)
+            if got != want:
+                cases.append("d(lambda^%d(b%d)) = %d != C(%d,%d)" % (kk, i, got, m.aug[i], kk))
+    out.append(("augmentation compatible with lambda-series", cases))
+
+    cases = []
+    for i, o in enumerate(m.group.orders):
+        if o and m.basis_lambda_series(i, m.trunc).pow(o) != TruncSeries.one(one, m.trunc):
+            cases.append("lambda_t(b%d)^%d != 1" % (i, o))
+    out.append(("lambda-series respect torsion orders", cases))
+    return out
+
+
+@contextlib.contextmanager
+def oracle_products(m):
+    """The earlier RingModel.multiply, for a model that carries its table."""
+    saved = RingModel.multiply
+    if hasattr(m, "mul_table"):
+        RingModel.multiply = oracle_multiply
+    try:
+        yield
+    finally:
+        RingModel.multiply = saved
+
+
+def assert_names_first_case(m):
+    report = validate_model(m)
+    with oracle_products(m):
+        expected = oracle_validate(m)
+    assert [c.name for c in report.checks] == [name for name, _ in expected]
+    for check, (_, cases) in zip(report.checks, expected):
+        assert check.ok == (not cases), check.name
+        if cases:
+            assert check.detail == cases[0], check.name
+    return report
+
+
+def oracle_special_pair(x, y, bound=3, compose_pairs=((2, 2), (2, 3), (3, 2))):
+    one = x.model.unit_element
+    need = max([bound] + [m * n for m, n in compose_pairs])
+    lam_x = lambda_total(x, need)
+    lam_y = lambda_total(y, bound)
+    checks = []
+    xy = x * y
+    for n in range(1, bound + 1):
+        lhs = lambda_k(xy, n)
+        values = [lam_x.coeffs[i] for i in range(1, n + 1)]
+        values += [lam_y.coeffs[j] for j in range(1, n + 1)]
+        rhs = product_universal(n).evaluate(values, one)
+        checks.append(CheckResult(
+            "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
+            lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
+    for mm, nn in compose_pairs:
+        lhs = lambda_k(lambda_k(x, nn), mm)
+        values = [lam_x.coeffs[i] for i in range(1, mm * nn + 1)]
+        rhs = compose_universal(mm, nn).evaluate(values, one)
+        checks.append(CheckResult(
+            "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
+            lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
+    return Report(tuple(checks))
+
+
+ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize(
+    "name,kwargs", CLI_BUILTINS,
+    ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
+)
+def test_builtin_validation_matches_oracle(name, kwargs):
+    assert assert_names_first_case(BUILTINS[name](**kwargs)).ok
+
+
+@ORACLE_SETTINGS
+@given(ring_models(neutral_unit=False))
+def test_drawn_model_validation_matches_oracle(m):
+    assert_names_first_case(m)
+
+
+@ORACLE_SETTINGS
+@given(ring_models(neutral_unit=True))
+def test_drawn_neutral_model_validation_matches_oracle(m):
+    assert_names_first_case(m)
+
+
+@st.composite
+def small_pairs(draw):
+    """Two small elements of a drawn model with a neutral unit; without one,
+    the composition checks on drawn models ran for minutes."""
+    m = draw(ring_models(neutral_unit=True))
+    vec = st.lists(st.integers(-2, 2), min_size=m.group.rank, max_size=m.group.rank)
+    return m.element(draw(vec)), m.element(draw(vec))
+
+
+@ORACLE_SETTINGS
+@given(small_pairs(), st.integers(1, 3))
+def test_special_pair_matches_oracle(pair, bound):
+    x, y = pair
+    assert verify_special_pair(x, y, bound) == oracle_special_pair(x, y, bound)
+
+
+def test_special_pair_on_builtin_basis_pairs_matches_oracle():
+    for m in (BUILTINS["gw_point"]("R"), BUILTINS["gw_projective"]("C", 4),
+              BUILTINS["gw_punctured_a5"](3), BUILTINS["gw_surface_cxp1"](1)):
+        basis = m.basis_elements()
+        for i, x in enumerate(basis):
+            for y in basis[i:]:
+                assert verify_special_pair(x, y) == oracle_special_pair(x, y), m.name
+
+
+def test_special_pair_builds_each_lambda_series_once(monkeypatch):
+    # lambda_t(x), lambda_t(y) and lambda_t(xy), plus lambda_t(lambda^n(x))
+    # for each of the three default compositions; the earlier checker built 11
+    calls = []
+    real = lambdaring.lambda_total
+
+    def counted(x, order=None):
+        calls.append(order)
+        return real(x, order)
+
+    monkeypatch.setattr(lambdaring, "lambda_total", counted)
+    m = BUILTINS["gw_projective"]("R", 3)
+    basis = m.basis_elements()
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            calls.clear()
+            assert verify_special_pair(x, y).ok
+            assert len(calls) <= 6

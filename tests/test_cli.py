@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line interface and model file format."""
 
+import inspect
 import json
 
 import pytest
 
+from gwgamma import cli
 from gwgamma.cli import (
     ModelFormatError,
     dump_model,
@@ -146,6 +148,58 @@ def test_boolean_mul_index_rejected(tmp_path, capsys):
     assert "mul entry %d: indices must be integers" % pos in err
 
 
+def test_deeply_nested_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    assert run(["validate", str(path)]) == 2
+    assert "%s: JSON nested too deeply" % path in capsys.readouterr().err
+
+
+def test_undecodable_file_names_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xe9"}')
+    assert run(["validate", str(path)]) == 2
+    assert "cannot read %s: 'utf-8' codec" % path in capsys.readouterr().err
+
+
+def test_overlong_integer_named_by_key(tmp_path, capsys):
+    text = json.dumps(model_to_dict(gw_point("R")), sort_keys=True)
+    path = tmp_path / "long_trunc.json"
+    path.write_text(text.replace('"trunc": 16', '"trunc": 1' + "0" * 4999))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "key trunc: expected an integer in 1..64, got <integer of 5000 digits>" in err
+
+
+def test_series_longer_than_truncation_rejected(tmp_path, capsys):
+    doc = model_to_dict(gw_point("R"))
+    doc["lambda"]["L"] += [[0, 0]] * 41
+    path = tmp_path / "long_series.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    assert "lambda[L]: 42 terms, more than trunc 16" in capsys.readouterr().err
+
+
+def test_every_command_validates_once(tmp_path, monkeypatch, capsys):
+    assert "validate" not in inspect.signature(parse_model).parameters
+    path = tmp_path / "point.json"
+    assert run(["builtin", "gw_point", "--base", "R", "-o", str(path)]) == 0
+    calls = []
+    real = cli.validate_model
+    monkeypatch.setattr(cli, "validate_model", lambda m: calls.append(m.name) or real(m))
+    for argv in (
+        ["validate", str(path)],
+        ["special", str(path)],
+        ["filtration", str(path)],
+        ["special", "builtin:gw_point", "--base", "R"],
+        ["filtration", "builtin:gw_point", "--base", "R"],
+    ):
+        calls.clear()
+        assert run(argv) == 0, argv
+        assert calls == ["gw_point(base=R)"], argv
+    capsys.readouterr()
+
+
 def test_model_file_keeps_truncation(tmp_path, capsys):
     path = tmp_path / "p12.json"
     dump_model(gw_projective("C", 12, trunc=20), str(path))
@@ -156,7 +210,12 @@ def test_model_file_keeps_truncation(tmp_path, capsys):
     assert gamma_filtration(m).exact
     assert run(["filtration", str(path)]) == 0
     assert "exact: yes" in capsys.readouterr().out.splitlines()
+    # without the key, the series of this file are longer than the default
+    del doc["trunc"]
+    with pytest.raises(ModelFormatError, match=r"lambda\[a\]: 20 terms, more than trunc 16"):
+        model_from_dict(doc)
     # files written before the key existed read at the default truncation
+    doc = model_to_dict(gw_projective("C", 12))
     del doc["trunc"]
     assert model_from_dict(doc).trunc == 16
 

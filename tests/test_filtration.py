@@ -284,3 +284,31 @@ def test_gap_in_gamma_series_is_not_termination():
     f = gamma_filtration(m, kmax=2)
     assert f.exact
     assert f.pieces[2] == span(m, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "gamma,exact,cap",
+    [
+        # gamma_t(x) = 1 + x t + x t^6: certified cap 2 + 6 - 1 = 7
+        ((1, 1, 0, 0, 0, 0, 1), True, 7),
+        # gamma_t(x) = 1 + x t + x t^6 + x t^8: certified cap 9 > trunc 8
+        ((1, 1, 0, 0, 0, 0, 1, 0, 1), False, 8),
+    ],
+)
+def test_piece_needs_products_above_kmax(gamma, exact, cap):
+    # basis (1, x), x^2 = 0, at trunc 8: F^2 = Zx only through the weight-6
+    # gamma-value, so pieces built from the products of weight at most kmax
+    # would read F^2 = 0
+    series = TruncSeries(gamma + (0,) * (9 - len(gamma)))
+    m = RingModel(
+        "late", GroupPresentation((0, 0), ("one", "x")), (1, 0),
+        {(0, 0): (1, 0), (0, 1): (0, 1)}, (1, 0),
+        [[(1, 0)], [(0, c) for c in lambda_from_gamma(series).coeffs[1:]]],
+        trunc=8,
+    )
+    assert validate_model(m).ok
+    f = gamma_filtration(m, kmax=2)
+    assert f.exact == exact
+    assert f.weight_cap == cap
+    assert len(f.warnings) == (0 if exact else 1)
+    assert f.pieces[2] == span(m, (0, 1))

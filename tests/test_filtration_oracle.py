@@ -121,7 +121,6 @@ def oracle_filtration(m, kmax=8):
             relative_quotient_invariants(pieces[k], pieces[k + 1])
             for k in range(kmax)
         ),
-        generators=tuple(e.value for e in gens),
         weight_cap=cap,
         exact=not warnings,
         warnings=tuple(warnings),

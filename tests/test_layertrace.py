@@ -1,0 +1,33 @@
+"""The per-layer tracing harness of the benchmark still finds every name it
+wraps: ``bench/layertrace.py`` looks up functions and methods of the package
+by name, so removing one of them breaks ``bench/run.py --trace 1``."""
+
+import importlib.util
+import os
+import sys
+
+import gwgamma
+import gwgamma.cli  # noqa: F401  (the tracer wraps every layer, cli included)
+
+LAYERTRACE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "layertrace.py"
+)
+
+
+def test_layer_tracer_installs_and_uninstalls():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no cache file under bench/
+    try:
+        spec.loader.exec_module(layertrace)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    original = gwgamma.cli.validate_model
+    tracer = layertrace.Tracer(gwgamma)
+    tracer.install()
+    try:
+        assert gwgamma.cli.validate_model is not original
+    finally:
+        tracer.uninstall()
+    assert gwgamma.cli.validate_model is original
