@@ -3,10 +3,10 @@
 Model files are JSON documents with keys name, basis, orders, unit,
 augmentation, mul, lambda and optionally hyperbolic and trunc (the
 truncation order of the lambda-series, 16 when absent; no series may be
-longer).  All emitted JSON is sorted and indented the same way every run, so
-identical inputs give byte-identical outputs.  Every command validates its
-model once, builtins included: ``validate`` prints the report, the others
-stop with it when a check fails.
+longer).  A file names at most 64 basis labels.  All emitted JSON is sorted
+and indented the same way every run, so identical inputs give byte-identical
+outputs.  Every command validates its model once, builtins included:
+``validate`` prints the report, the others stop with it when a check fails.
 
 Exit codes: 0 all checks pass, 1 a mathematical identity failed,
 2 usage, I/O, or syntax problem.
@@ -131,6 +131,7 @@ def model_from_dict(doc: object) -> RingModel:
     )
     _require(len(set(basis)) == len(basis), "key basis: duplicate labels")
     rank = len(basis)
+    _require(rank <= 64, "key basis: %d labels, more than 64" % rank)
 
     orders = _int_vector(doc["orders"], rank, "orders")
     _require(all(d >= 0 for d in orders), "key orders: negative entry")

@@ -17,6 +17,16 @@ weight w and the products of the lighter gamma-values with the columns of
 the earlier spans.  The pieces up to a weight cap are cumulative:
 F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.
 
+All products of one run come from one product table, freed when the run
+returns.  The gamma-values are deduplicated by value across generators and
+weights, each distinct value g keeps its multiplication matrix (column j the
+entries of g * b_j), and g * S is computed once per distinct value and
+distinct span S, on integer tuples.  Spans are interned by their HNF
+columns: the HNF is canonical, so equal spans have identical columns and
+share every product list.  S_w takes the union over the distinct
+(value, span) pairs below it, every HNF is fed each distinct vector once,
+and the closure check reads g * F^kmax from the same table.
+
 The result is flagged exact when
 
 * each generator's gamma-series vanishes beyond some weight i_max and the
@@ -51,6 +61,7 @@ from .abelian import (
     GroupPresentation,
     Subgroup,
     full_subgroup,
+    hnf_columns,
     kernel_basis,
     project_element,
     quotient_invariants,
@@ -94,39 +105,107 @@ def _gamma_values(
     return values
 
 
+class _ProductTable:
+    """Products of the distinct gamma-values with whole spans, for one run.
+
+    `values` are the distinct values, `weighted` the distinct (weight, value
+    index) pairs, `matrices[k][j]` the nonzero entries of values[k] * b_j.
+    """
+
+    def __init__(self, m: RingModel, values: list[tuple[int, RingElement]]):
+        self.pres = m.group
+        index: dict[tuple[int, ...], int] = {}
+        self.weighted = list(dict.fromkeys(
+            (i, index.setdefault(g.value.coeffs, len(index))) for i, g in values
+        ))
+        self.values = list(index)
+        self.matrices = []
+        for g in self.values:
+            rows = [m.products[i] for i, gi in enumerate(g) if gi]
+            coeffs = [gi for gi in g if gi]
+            cols = []
+            for j in range(m.group.rank):
+                acc: dict[int, int] = {}
+                for row, gi in zip(rows, coeffs):
+                    for k, c in row[j]:
+                        acc[k] = acc.get(k, 0) + gi * c
+                cols.append([(k, c) for k, c in acc.items() if c])
+            self.matrices.append(cols)
+        self.span_ids: dict[tuple[tuple[int, ...], ...], int] = {}
+        self.spans: list[Subgroup] = []
+        self.columns: list[list[list[tuple[int, int]]]] = []
+        self.memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def intern(self, sub: Subgroup) -> int:
+        """The id of the first interned span equal to `sub`."""
+        sid = self.span_ids.setdefault(sub.columns, len(self.spans))
+        if sid == len(self.spans):
+            reduced = (self.pres.reduce(c) for c in sub.columns)
+            self.spans.append(sub)
+            self.columns.append([
+                [(j, cj) for j, cj in enumerate(c) if cj] for c in reduced if any(c)
+            ])
+        return sid
+
+    def times(self, k: int, sid: int) -> list[tuple[int, ...]]:
+        """The distinct nonzero products of value k with the columns of span sid."""
+        key = (k, sid)
+        out = self.memo.get(key)
+        if out is None:
+            rank, matrix = self.pres.rank, self.matrices[k]
+            found = {}
+            for col in self.columns[sid]:
+                acc = [0] * rank
+                for j, cj in col:
+                    for i, c in matrix[j]:
+                        acc[i] += cj * c
+                if any(acc):
+                    p = self.pres.reduce(acc)
+                    if any(p):
+                        found[p] = None
+            out = self.memo[key] = list(found)
+        return out
+
+
+def _span(pres: GroupPresentation, vectors: list[tuple[int, ...]]) -> Subgroup:
+    """The subgroup generated by the vectors, each distinct one fed once."""
+    relations = [
+        tuple(o if t == i else 0 for t in range(pres.rank))
+        for i, o in enumerate(pres.orders) if o
+    ]
+    cols, pivots = hnf_columns(dict.fromkeys(vectors + relations), pres.rank)
+    return Subgroup(pres, cols, pivots)
+
+
 def _sum(pres: GroupPresentation, subs: list[Subgroup]) -> Subgroup:
-    return subgroup_from_generators(
-        pres, [pres.element(c) for s in subs for c in s.columns]
-    )
+    return _span(pres, [c for s in subs for c in s.columns])
 
 
-def _pieces(
-    m: RingModel, values: list[tuple[int, RingElement]], kmax: int, cap: int
-) -> tuple[Subgroup, ...]:
+def _pieces(table: _ProductTable, kmax: int, cap: int) -> tuple[Subgroup, ...]:
     """F^0..F^kmax spanned by the products of weight at most `cap`."""
-    spans: list[Subgroup] = []
+    pres = table.pres
+    ids: list[int] = []
     for w in range(1, cap + 1):
-        vecs = [g.value for i, g in values if i == w]
-        vecs += [
-            (g * m.element(c)).value
-            for i, g in values if i < w
-            for c in spans[w - i - 1].columns
-        ]
-        spans.append(subgroup_from_generators(m.group, vecs))
-    pieces = [_sum(m.group, spans[kmax - 1:])]
+        vecs = [table.values[k] for i, k in table.weighted if i == w]
+        for k, sid in dict.fromkeys(
+            (k, ids[w - i - 1]) for i, k in table.weighted if i < w
+        ):
+            vecs += table.times(k, sid)
+        ids.append(table.intern(_span(pres, vecs)))
+    spans = [table.spans[sid] for sid in ids]
+    pieces = [_sum(pres, spans[kmax - 1:])]
     for k in range(kmax - 1, 0, -1):
-        pieces.append(_sum(m.group, [pieces[-1], spans[k - 1]]))
-    return (full_subgroup(m.group), *reversed(pieces))
+        pieces.append(_sum(pres, [pieces[-1], spans[k - 1]]))
+    return (full_subgroup(pres), *reversed(pieces))
 
 
-def _closed(
-    m: RingModel, piece: Subgroup, values: list[tuple[int, RingElement]]
-) -> bool:
+def _closed(table: _ProductTable, piece: Subgroup) -> bool:
     """Whether `piece` is closed under multiplication by every gamma-value."""
+    sid = table.intern(piece)
     return all(
-        piece.contains((g * m.element(c)).value)
-        for _, g in values
-        for c in piece.columns
+        piece.contains(GroupElement(table.pres, p))  # p is already reduced
+        for k in range(len(table.values))
+        for p in table.times(k, sid)
     )
 
 
@@ -150,14 +229,15 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
     imax = max((i for i, _ in values), default=0)
     certified = kmax + max(imax - 1, 0)
     cap = min(certified, budget)
-    pieces = _pieces(m, values, kmax, cap)
+    table = _ProductTable(m, values)
+    pieces = _pieces(table, kmax, cap)
     warnings = []
     if certified > budget:
         warnings.append(
             "certified cap %d exceeds truncation %d, pieces use products "
             "up to weight %d" % (certified, budget, budget)
         )
-    elif not _closed(m, pieces[kmax], values):
+    elif not _closed(table, pieces[kmax]):
         warnings.append("F^%d not closed under the gamma-values" % kmax)
     return FiltrationResult(
         model=m,

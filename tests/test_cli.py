@@ -24,6 +24,7 @@ from gwgamma.models import (
     gw_punctured_line,
     gw_surface_cxp1,
 )
+from test_filtration import trivial_model
 
 
 ROUND_TRIP_CASES = [
@@ -169,6 +170,15 @@ def test_overlong_integer_named_by_key(tmp_path, capsys):
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "key trunc: expected an integer in 1..64, got <integer of 5000 digits>" in err
+
+
+@pytest.mark.parametrize("rank,code", [(64, 0), (65, 2)])
+def test_rank_cap(tmp_path, capsys, rank, code):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(model_to_dict(trivial_model(rank))))
+    assert run(["validate", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("key basis: 65 labels, more than 64" in err) == (code == 2)
 
 
 def test_series_longer_than_truncation_rejected(tmp_path, capsys):

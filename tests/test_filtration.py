@@ -27,6 +27,19 @@ from gwgamma.models import (
 from gwgamma.series import TruncSeries, lambda_from_gamma
 
 
+def trivial_model(n):
+    """Basis one, x1..x(n-1) with only the unit products, x_i of rank zero
+    and lambda_t(x_i) = 1 + x_i t, so gamma^i(x_i) = x_i at every weight."""
+    def e(i):
+        return tuple(int(t == i) for t in range(n))
+
+    names = ("one",) + tuple("x%d" % i for i in range(1, n))
+    return RingModel(
+        "trivial%d" % n, GroupPresentation((0,) * n, names), e(0),
+        {(0, j): e(j) for j in range(n)}, e(0), [[e(i)] for i in range(n)],
+    )
+
+
 def span(model, *vecs):
     return subgroup_from_generators(
         model.group, [model.group.element(v) for v in vecs]
@@ -312,3 +325,26 @@ def test_piece_needs_products_above_kmax(gamma, exact, cap):
     assert f.weight_cap == cap
     assert len(f.warnings) == (0 if exact else 1)
     assert f.pieces[2] == span(m, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: trivial_model(40), lambda: gw_surface_cxp1(12)],
+    ids=["trivial40", "surface12"],
+)
+def test_filtration_work_bound(monkeypatch, build):
+    # a deterministic guard on the product table: each distinct gamma-value
+    # meets each distinct span once, and each product reduces once, through
+    # GroupPresentation.reduce; one product per (gamma-value, span column)
+    # pair of every weight would exceed the bound on both models
+    m = build()
+    assert validate_model(m).ok
+    reduce = GroupPresentation.reduce
+    calls = [0]
+
+    def counted(self, coeffs):
+        calls[0] += 1
+        return reduce(self, coeffs)
+
+    monkeypatch.setattr(GroupPresentation, "reduce", counted)
+    gamma_filtration(m, kmax=8)
+    assert 0 < calls[0] <= 10_000

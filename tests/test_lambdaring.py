@@ -168,3 +168,27 @@ def test_unit_series():
     assert lam.coeffs[1] == one
     assert all(c.is_zero for c in lam.coeffs[2:])
     assert lambda_total(m.zero_element, 6) == TruncSeries.one(one, 6)
+
+
+def test_non_neutral_unit_refused_before_any_series():
+    # one*one = 3*one + x: the constant term of every basis series stops
+    # being the unit, and the digits of the series powers double at every
+    # squaring; verify_special_pair on this pair ran for minutes before
+    # lambda_total refused such a model
+    m = RingModel(
+        "non-neutral", GroupPresentation((0, 0), ("one", "x")), (1, 0),
+        {(0, 0): (3, 1), (0, 1): (0, 1), (1, 1): (1, 0)}, (1, 0),
+        [[(1, 0)], [(0, 1)]],
+    )
+    report = validate_model(m)
+    assert not {c.name: c.ok for c in report.checks}["unit is multiplicatively neutral"]
+    x, y = m.element((5, -7)), m.element((-3, 4))
+    for call in (
+        lambda: verify_special_pair(x, y),
+        lambda: lambda_total(x),
+        lambda: gamma_total(x, 4),
+        lambda: lambda_k(x, 2),
+        lambda: psi_k(x, 3),
+    ):
+        with pytest.raises(ValueError, match="unit is not multiplicatively neutral"):
+            call()
