@@ -222,6 +222,20 @@ class Subgroup:
         return len(self.columns)
 
 
+def _span(pres: GroupPresentation, vectors: list[tuple[int, ...]]) -> Subgroup:
+    """The subgroup generated by integer vectors and the relation vectors.
+
+    Each distinct vector reaches ``hnf_columns`` once; the HNF is canonical,
+    so dropping repeats leaves the result unchanged.
+    """
+    relations = [
+        tuple(o if t == i else 0 for t in range(pres.rank))
+        for i, o in enumerate(pres.orders) if o
+    ]
+    cols, pivots = hnf_columns(dict.fromkeys(vectors + relations), pres.rank)
+    return Subgroup(pres, cols, pivots)
+
+
 def subgroup_from_generators(
     pres: GroupPresentation, gens: Iterable[GroupElement]
 ) -> Subgroup:
@@ -230,13 +244,7 @@ def subgroup_from_generators(
         if g.pres != pres:
             raise ValueError("generator from a different presentation")
         vectors.append(g.coeffs)
-    for i, o in enumerate(pres.orders):
-        if o:
-            rel = [0] * pres.rank
-            rel[i] = o
-            vectors.append(rel)
-    cols, pivots = hnf_columns(vectors, pres.rank)
-    return Subgroup(pres, cols, pivots)
+    return _span(pres, vectors)
 
 
 def zero_subgroup(pres: GroupPresentation) -> Subgroup:

@@ -21,9 +21,9 @@ All products of one run come from one product table, freed when the run
 returns.  The gamma-values are deduplicated by value across generators and
 weights, each distinct value g keeps its multiplication matrix (column j the
 entries of g * b_j), and g * S is computed once per distinct value and
-distinct span S, on integer tuples.  Spans are interned by their HNF
-columns: the HNF is canonical, so equal spans have identical columns and
-share every product list.  S_w takes the union over the distinct
+distinct span S, on integer tuples.  Product lists are keyed by the HNF
+columns of the span: the HNF is canonical, so equal spans have identical
+columns and share every product list.  S_w takes the union over the
 (value, span) pairs below it, every HNF is fed each distinct vector once,
 and the closure check reads g * F^kmax from the same table.
 
@@ -55,13 +55,14 @@ quotient by the declared hyperbolic classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _span,
     full_subgroup,
-    hnf_columns,
     kernel_basis,
     project_element,
     quotient_invariants,
@@ -108,16 +109,20 @@ def _gamma_values(
 class _ProductTable:
     """Products of the distinct gamma-values with whole spans, for one run.
 
-    `values` are the distinct values, `weighted` the distinct (weight, value
-    index) pairs, `matrices[k][j]` the nonzero entries of values[k] * b_j.
+    `values` are the distinct values, `by_weight[i]` the indices of the
+    distinct values of weight i, `matrices[k][j]` the nonzero entries of
+    values[k] * b_j.  `spans` maps the HNF columns of a span to its reduced
+    nonzero columns (sparse) and its product lists by value index.
     """
 
     def __init__(self, m: RingModel, values: list[tuple[int, RingElement]]):
         self.pres = m.group
         index: dict[tuple[int, ...], int] = {}
-        self.weighted = list(dict.fromkeys(
-            (i, index.setdefault(g.value.coeffs, len(index))) for i, g in values
-        ))
+        self.by_weight: dict[int, list[int]] = {}
+        for i, g in values:
+            k = index.setdefault(g.value.coeffs, len(index))
+            if k not in self.by_weight.setdefault(i, []):
+                self.by_weight[i].append(k)
         self.values = list(index)
         self.matrices = []
         for g in self.values:
@@ -131,50 +136,37 @@ class _ProductTable:
                         acc[k] = acc.get(k, 0) + gi * c
                 cols.append([(k, c) for k, c in acc.items() if c])
             self.matrices.append(cols)
-        self.span_ids: dict[tuple[tuple[int, ...], ...], int] = {}
-        self.spans: list[Subgroup] = []
-        self.columns: list[list[list[tuple[int, int]]]] = []
-        self.memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self.spans: dict[tuple, tuple[list, dict[int, list[tuple[int, ...]]]]] = {}
 
-    def intern(self, sub: Subgroup) -> int:
-        """The id of the first interned span equal to `sub`."""
-        sid = self.span_ids.setdefault(sub.columns, len(self.spans))
-        if sid == len(self.spans):
+    def times(self, ks: Iterable[int], sub: Subgroup) -> list[tuple[int, ...]]:
+        """The nonzero products of the values ks with the columns of sub,
+        distinct for each value, each list computed once per equal span."""
+        entry = self.spans.get(sub.columns)
+        if entry is None:
             reduced = (self.pres.reduce(c) for c in sub.columns)
-            self.spans.append(sub)
-            self.columns.append([
-                [(j, cj) for j, cj in enumerate(c) if cj] for c in reduced if any(c)
-            ])
-        return sid
-
-    def times(self, k: int, sid: int) -> list[tuple[int, ...]]:
-        """The distinct nonzero products of value k with the columns of span sid."""
-        key = (k, sid)
-        out = self.memo.get(key)
-        if out is None:
-            rank, matrix = self.pres.rank, self.matrices[k]
-            found = {}
-            for col in self.columns[sid]:
-                acc = [0] * rank
-                for j, cj in col:
-                    for i, c in matrix[j]:
-                        acc[i] += cj * c
-                if any(acc):
-                    p = self.pres.reduce(acc)
-                    if any(p):
-                        found[p] = None
-            out = self.memo[key] = list(found)
+            entry = self.spans[sub.columns] = (
+                [[(j, cj) for j, cj in enumerate(c) if cj] for c in reduced if any(c)],
+                {},
+            )
+        cols, memo = entry
+        rank = self.pres.rank
+        out = []
+        for k in ks:
+            if k not in memo:
+                matrix = self.matrices[k]
+                found = {}
+                for col in cols:
+                    acc = [0] * rank
+                    for j, cj in col:
+                        for i, c in matrix[j]:
+                            acc[i] += cj * c
+                    if any(acc):
+                        p = self.pres.reduce(acc)
+                        if any(p):
+                            found[p] = None
+                memo[k] = list(found)
+            out += memo[k]
         return out
-
-
-def _span(pres: GroupPresentation, vectors: list[tuple[int, ...]]) -> Subgroup:
-    """The subgroup generated by the vectors, each distinct one fed once."""
-    relations = [
-        tuple(o if t == i else 0 for t in range(pres.rank))
-        for i, o in enumerate(pres.orders) if o
-    ]
-    cols, pivots = hnf_columns(dict.fromkeys(vectors + relations), pres.rank)
-    return Subgroup(pres, cols, pivots)
 
 
 def _sum(pres: GroupPresentation, subs: list[Subgroup]) -> Subgroup:
@@ -184,15 +176,13 @@ def _sum(pres: GroupPresentation, subs: list[Subgroup]) -> Subgroup:
 def _pieces(table: _ProductTable, kmax: int, cap: int) -> tuple[Subgroup, ...]:
     """F^0..F^kmax spanned by the products of weight at most `cap`."""
     pres = table.pres
-    ids: list[int] = []
+    spans: list[Subgroup] = []
     for w in range(1, cap + 1):
-        vecs = [table.values[k] for i, k in table.weighted if i == w]
-        for k, sid in dict.fromkeys(
-            (k, ids[w - i - 1]) for i, k in table.weighted if i < w
-        ):
-            vecs += table.times(k, sid)
-        ids.append(table.intern(_span(pres, vecs)))
-    spans = [table.spans[sid] for sid in ids]
+        vecs = [table.values[k] for k in table.by_weight.get(w, [])]
+        for i, ks in table.by_weight.items():
+            if i < w:
+                vecs += table.times(ks, spans[w - i - 1])
+        spans.append(_span(pres, vecs))
     pieces = [_sum(pres, spans[kmax - 1:])]
     for k in range(kmax - 1, 0, -1):
         pieces.append(_sum(pres, [pieces[-1], spans[k - 1]]))
@@ -201,11 +191,9 @@ def _pieces(table: _ProductTable, kmax: int, cap: int) -> tuple[Subgroup, ...]:
 
 def _closed(table: _ProductTable, piece: Subgroup) -> bool:
     """Whether `piece` is closed under multiplication by every gamma-value."""
-    sid = table.intern(piece)
     return all(
         piece.contains(GroupElement(table.pres, p))  # p is already reduced
-        for k in range(len(table.values))
-        for p in table.times(k, sid)
+        for p in table.times(range(len(table.values)), piece)
     )
 
 

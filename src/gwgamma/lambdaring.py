@@ -346,7 +346,17 @@ def validate_model(m: RingModel) -> Report:
                 if not (o * prod[i][j]).is_zero:
                     yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
 
-    unit_series = TruncSeries.one(m.unit_element, m.trunc)
+    def torsion_series():
+        # without a neutral unit each squaring in pow may double the digits
+        # of the series, so the power of order o may have o times the digits
+        # it started with; beyond order 64 it is not taken
+        unit_series = TruncSeries.one(m.unit_element, m.trunc)
+        for i, o in torsion:
+            if o > 64 and not m._unit_neutral:
+                yield "lambda_t(b%d)^%d not checked: unit is not neutral" % (i, o)
+            elif m.basis_lambda_series(i, m.trunc).pow(o) != unit_series:
+                yield "lambda_t(b%d)^%d != 1" % (i, o)
+
     checks = (
         ("augmentation(unit) == 1",
          ["d(1) = %d" % d(m.unit)] if d(m.unit) != 1 else []),
@@ -363,10 +373,7 @@ def validate_model(m: RingModel) -> Report:
          ("d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, d(c), m.aug[i], k)
           for i in range(rank) for k, c in enumerate(lam[i], start=1)
           if d(c) != binomial(m.aug[i], k))),
-        ("lambda-series respect torsion orders",
-         ("lambda_t(b%d)^%d != 1" % (i, o)
-          for i, o in torsion
-          if m.basis_lambda_series(i, m.trunc).pow(o) != unit_series)),
+        ("lambda-series respect torsion orders", torsion_series()),
     )
     return Report(tuple(_first_case(name, cases) for name, cases in checks))
 

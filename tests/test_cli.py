@@ -6,6 +6,7 @@ import json
 import pytest
 
 from gwgamma import cli
+from gwgamma.abelian import GroupPresentation
 from gwgamma.cli import (
     ModelFormatError,
     dump_model,
@@ -17,6 +18,7 @@ from gwgamma.cli import (
     run,
 )
 from gwgamma.filtration import gamma_filtration
+from gwgamma.lambdaring import RingModel
 from gwgamma.models import (
     gw_point,
     gw_projective,
@@ -331,3 +333,24 @@ def test_format_helpers():
     assert format_element(names, (0, 0, 0)) == "0"
     assert format_element(names, (1, -1, 0)) == "one - a"
     assert format_element(names, (-1, 2, 1)) == "-one + 2*a + b"
+
+
+def test_non_neutral_unit_with_large_torsion_order_exits_1(tmp_path, capsys):
+    # one*one = 3*one + x: powering lambda_t(t) to the order 2^40 would double
+    # the digits of the series at each of 40 squarings, so validation must
+    # not compute that power
+    def e(i):
+        return tuple(int(k == i) for k in range(3))
+
+    m = RingModel(
+        "non-neutral", GroupPresentation((0, 0, 2 ** 40), ("one", "x", "t")), e(0),
+        {(0, 0): (3, 1, 0), (0, 1): e(1), (1, 1): e(0), (0, 2): e(2)},
+        (1, 1, 0), [[e(i)] for i in range(3)],
+    )
+    path = tmp_path / "non_neutral.json"
+    path.write_text(json.dumps(model_to_dict(m)))
+    assert run(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL unit is multiplicatively neutral" in out
+    assert "lambda_t(b2)^%d not checked: unit is not neutral" % 2 ** 40 in out
+    assert run(["filtration", str(path), "--max-degree", "2"]) == 1

@@ -48,22 +48,29 @@ def test_table_products_match_multiply(case):
     m, values, spans = case
     table = _ProductTable(m, values)
     assert table.values == list(dict.fromkeys(g.value.coeffs for _, g in values))
-    assert table.weighted == list(dict.fromkeys(
-        (i, table.values.index(g.value.coeffs)) for i, g in values
-    ))
+    weighted = dict.fromkeys((i, table.values.index(g.value.coeffs)) for i, g in values)
+    assert table.by_weight == {
+        w: [k for i, k in weighted if i == w] for w in dict.fromkeys(i for i, _ in weighted)
+    }
     zero = m.group.zero().coeffs
     for sub in spans:
-        sid = table.intern(sub)
-        assert table.spans[sid] == sub
+        every = []
         for k, g in enumerate(table.values):
             expected = {
                 m.multiply(m.group.element(g), m.group.element(c)).coeffs
                 for c in sub.columns
             } - {zero}
-            got = table.times(k, sid)
+            got = table.times([k], sub)
             assert len(got) == len(set(got))
             assert set(got) == expected
-            assert table.times(k, sid) is got
+            every += got
+        assert table.times(range(len(table.values)), sub) == every
+        # an equal span built anew reads the product lists of the first
+        twin = subgroup_from_generators(
+            m.group, [m.group.element(list(c)) for c in sub.columns]
+        )
+        assert table.times(range(len(table.values)), twin) == every
+    assert len(table.spans) == len({sub.columns for sub in spans})
 
 
 def oracle_pieces(m, values, kmax, cap):
