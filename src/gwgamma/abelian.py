@@ -12,7 +12,10 @@ identical, and membership reduces to back-substitution along pivot rows.
 Quotients are described by invariant factors ``d_1 | d_2 | ...`` obtained
 from the Smith normal form; factors equal to 1 are suppressed and ``0``
 denotes a free summand and sorts last, so e.g. ``(2, 4, 0)`` means
-``Z/2 + Z/4 + Z``.
+``Z/2 + Z/4 + Z``.  One Smith routine serves every quotient.  It returns the
+diagonal and the row transform ``U``, which travels with the rows of the
+matrix; the rows of ``U`` kept for the factors other than 1 project onto the
+quotient's coordinates.
 
 Everything runs on plain Python integers, so there is no overflow anywhere.
 
@@ -257,53 +260,45 @@ def full_subgroup(pres: GroupPresentation) -> Subgroup:
 
 def smith_normal_form(
     rows: Sequence[Sequence[int]],
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
+) -> tuple[list[int], list[list[int]]]:
     """Smith normal form ``U * A * V = D`` over the integers.
 
-    Returns ``(diag, U, V)`` with ``U``, ``V`` unimodular and the diagonal
-    satisfying ``d_1 | d_2 | ...`` with all ``d_i >= 0``.
+    Returns ``(diag, U)`` with ``U`` unimodular and the diagonal satisfying
+    ``d_1 | d_2 | ...`` with all ``d_i >= 0``.  ``U`` travels with the rows:
+    each row of ``A`` carries its row of ``U`` after its own entries, so one
+    row operation moves both.  Column operations touch only ``A``, and the
+    column transform ``V`` is never built.
     """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
         # row_dst -= q * row_src
-        for k in range(n):
-            a[dst][k] -= q * a[src][k]
-        for k in range(m):
-            u[dst][k] -= q * u[src][k]
+        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
 
     def add_col(src, dst, q):
         for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
             row[dst] -= q * row[src]
 
     t = 0
     while t < min(m, n):
         best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
+        for i, j in _iproduct(range(t, m), range(t, n)):
+            x = abs(a[i][j])
+            if x and (best is None or x < best[0]):
+                best = (x, i, j)
+                if x == 1:  # no smaller nonzero entry exists
+                    break
         if best is None:
             break
         _, bi, bj = best
         if bi != t:
-            swap_rows(t, bi)
+            a[t], a[bi] = a[bi], a[t]
         if bj != t:
             swap_cols(t, bj)
         dirty = True
@@ -314,7 +309,7 @@ def smith_normal_form(
                     q = a[i][t] // a[t][t]
                     add_row(t, i, q)
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, n):
                 if a[t][j]:
@@ -323,38 +318,39 @@ def smith_normal_form(
                     if a[t][j]:
                         swap_cols(t, j)
                         dirty = True
-        # enforce divisibility of the remaining block by the pivot
-        fixed = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    add_row(i, t, -1)  # row_t += row_i
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                u[t][k] = -u[t][k]
+        # enforce divisibility of the remaining block by the pivot; a unit
+        # pivot divides everything
+        p = a[t][t]
+        if abs(p) != 1:
+            bad = next((i for i in range(t + 1, m)
+                        if any(a[i][j] % p for j in range(t + 1, n))), None)
+            if bad is not None:
+                add_row(bad, t, -1)  # row_t += row_bad
+                continue
+        if p < 0:
+            a[t] = [-x for x in a[t]]
         t += 1
-    diag = [a[i][i] for i in range(min(m, n))]
-    return diag, u, v
+    return [a[i][i] for i in range(min(m, n))], [row[n:] for row in a]
 
 
-def _invariants_from_diag(diag: Sequence[int], free: int) -> tuple[int, ...]:
-    invs = [d for d in diag if d > 1]
-    return tuple(invs) + (0,) * free
+def _quotient(
+    rank: int, columns: Sequence[Sequence[int]]
+) -> list[tuple[int, list[int]]]:
+    """Invariant factors of ``Z^rank / <columns>``, each with its row of ``U``.
+
+    Factors equal to 1 are dropped, and the free summands (factor 0) come
+    last.
+    """
+    diag, u = smith_normal_form([[c[i] for c in columns] for i in range(rank)])
+    orders = diag + [0] * (rank - len(diag))
+    return [(d, row) for d, row in zip(orders, u) if d != 1]
 
 
 def quotient_invariants(
     pres: GroupPresentation, sub: Subgroup
 ) -> tuple[int, ...]:
     """Invariant factors of the quotient of the presented group by `sub`."""
-    return relative_quotient_invariants(full_subgroup(pres), sub)
+    return quotient_presentation(pres, sub)[0].orders
 
 
 def relative_quotient_invariants(
@@ -373,11 +369,7 @@ def relative_quotient_invariants(
         if y is None:
             raise ValueError("subgroups are not nested")
         lifts.append(y)
-    if not lifts:
-        return _invariants_from_diag([], big.ncols)
-    rows = [[lift[i] for lift in lifts] for i in range(big.ncols)]
-    diag, _, _ = smith_normal_form(rows)
-    return _invariants_from_diag(diag, big.ncols - len(lifts))
+    return tuple(d for d, _ in _quotient(big.ncols, lifts))
 
 
 def kernel_basis(row: Sequence[int]) -> list[tuple[int, ...]]:
@@ -399,19 +391,10 @@ def quotient_presentation(
     """
     if sub.pres != pres:
         raise ValueError("subgroup of a different presentation")
-    n = pres.rank
-    k = sub.ncols
-    if k:
-        rows = [[col[i] for col in sub.columns] for i in range(n)]
-        diag, u, _ = smith_normal_form(rows)
-    else:
-        diag, u = [], [[int(i == j) for j in range(n)] for i in range(n)]
-    orders = list(diag) + [0] * (n - k)
-    kept = [i for i, d in enumerate(orders) if d != 1]
-    new_orders = tuple(orders[i] for i in kept)
-    names = tuple("%s%d" % (prefix, i) for i in range(len(kept)))
-    projection = [u[i] for i in kept]
-    return GroupPresentation(new_orders, names), projection
+    factors = _quotient(pres.rank, sub.columns)
+    orders = tuple(d for d, _ in factors)
+    names = tuple("%s%d" % (prefix, i) for i in range(len(factors)))
+    return GroupPresentation(orders, names), [row for _, row in factors]
 
 
 def project_element(

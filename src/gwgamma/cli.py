@@ -3,10 +3,12 @@
 Model files are JSON documents with keys name, basis, orders, unit,
 augmentation, mul, lambda and optionally hyperbolic and trunc (the
 truncation order of the lambda-series, 16 when absent; no series may be
-longer).  A file names at most 64 basis labels.  All emitted JSON is sorted
-and indented the same way every run, so identical inputs give byte-identical
-outputs.  Every command validates its model once, builtins included:
-``validate`` prints the report, the others stop with it when a check fails.
+longer).  A file names at most 64 basis labels, and every integer in
+orders, unit, augmentation, mul, lambda and hyperbolic is below 2^128 in
+absolute value.  All emitted JSON is sorted and indented the same way every
+run, so identical inputs give byte-identical outputs.  Every command
+validates its model once, builtins included: ``validate`` prints the report,
+the others stop with it when a check fails.
 
 Exit codes: 0 all checks pass, 1 a mathematical identity failed,
 2 usage, I/O, or syntax problem.
@@ -98,6 +100,11 @@ def _int_vector(value: object, length: int, where: str) -> list[int]:
         _require(
             isinstance(x, int) and not isinstance(x, bool),
             "key %s: non-integer entry %r" % (where, x),
+        )
+        _require(
+            abs(x) < 2 ** 128,
+            "key %s: entry of %d digits, not below 2^128 in absolute value"
+            % (where, len(str(abs(x)))),
         )
     return list(value)
 

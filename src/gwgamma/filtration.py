@@ -65,7 +65,6 @@ from .abelian import (
     full_subgroup,
     kernel_basis,
     project_element,
-    quotient_invariants,
     quotient_presentation,
     relative_quotient_invariants,
     subgroup_from_generators,
@@ -247,7 +246,7 @@ def witt_quotient(
         raise ValueError("model %s declares no hyperbolic classes" % m.name)
     hyper = subgroup_from_generators(m.group, list(m.hyperbolic))
     qpres, projection = quotient_presentation(m.group, hyper, prefix="w")
-    return qpres, projection, quotient_invariants(m.group, hyper)
+    return qpres, projection, qpres.orders
 
 
 def witt_filtration(

@@ -160,26 +160,35 @@ def test_hnf_frozen_values():
     assert cols == ((2, 4), (0, 6))
 
 
+def _det(mat):
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * mat[0][j] * _det([r[:j] + r[j + 1:] for r in mat[1:]])
+        for j in range(len(mat))
+    )
+
+
 def test_smith_normal_form_transforms():
     rng = random.Random(5)
     for _ in range(30):
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         a = [[rng.randrange(-20, 21) for _ in range(n)] for _ in range(m)]
-        diag, u, v = smith_normal_form(a)
-        # check U*A*V is the diagonal claimed
-        ua = [
-            [sum(u[i][k] * a[k][j] for k in range(m)) for j in range(n)]
-            for i in range(m)
+        diag, u = smith_normal_form(a)
+        assert _det(u) in (1, -1)
+        # U*A and D have the same column lattice, i.e. U*A*V = D for a
+        # unimodular V
+        ua_cols = [
+            [sum(u[i][k] * a[k][j] for k in range(m)) for i in range(m)]
+            for j in range(n)
         ]
-        uav = [
-            [sum(ua[i][k] * v[k][j] for k in range(n)) for j in range(n)]
-            for i in range(m)
+        d_cols = [
+            [diag[j] if i == j and j < len(diag) else 0 for i in range(m)]
+            for j in range(n)
         ]
-        for i in range(m):
-            for j in range(n):
-                expect = diag[i] if i == j and i < len(diag) else 0
-                assert uav[i][j] == expect
+        assert hnf_columns(ua_cols, m) == hnf_columns(d_cols, m)
+        assert all(d >= 0 for d in diag)
         for i in range(len(diag) - 1):
             if diag[i]:
                 assert diag[i + 1] % diag[i] == 0

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import time
 
 import pytest
 
@@ -172,6 +173,44 @@ def test_overlong_integer_named_by_key(tmp_path, capsys):
     assert run(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "key trunc: expected an integer in 1..64, got <integer of 5000 digits>" in err
+
+
+def _rank2_file(tmp_path, big):
+    """Basis one, x at trunc 64, with `big` as the torsion order of x
+    (orders) or as the coefficient of x in x*x (mul)."""
+    doc = model_to_dict(trivial_model(2))
+    doc["trunc"] = 64
+    if "orders" in big:
+        doc["orders"] = [0, big["orders"]]
+    else:
+        doc["mul"].append([1, 1, [0, big["mul"]]])
+    path = tmp_path / "rank2.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "big,command,key",
+    [
+        ({"orders": 10 ** 4000}, "validate", "key orders"),
+        ({"orders": 10 ** 4000}, "filtration", "key orders"),
+        ({"mul": 10 ** 4000}, "special", "key mul entry 2"),
+    ],
+)
+def test_integer_cap_exits_2_promptly(tmp_path, capsys, big, command, key):
+    path = _rank2_file(tmp_path, big)
+    start = time.perf_counter()
+    assert run([command, str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "%s: entry of 4001 digits, not below 2^128 in absolute value" % key in err
+    assert "0" * 100 not in err
+
+
+@pytest.mark.parametrize("big", [{"orders": 2 ** 128 - 1}, {"mul": 2 ** 128 - 1}])
+def test_integer_cap_accepts_largest(tmp_path, big):
+    path = _rank2_file(tmp_path, big)
+    assert run(["validate", str(path)]) == 0
 
 
 @pytest.mark.parametrize("rank,code", [(64, 0), (65, 2)])

@@ -348,3 +348,18 @@ def test_filtration_work_bound(monkeypatch, build):
     monkeypatch.setattr(GroupPresentation, "reduce", counted)
     gamma_filtration(m, kmax=8)
     assert 0 < calls[0] <= 10_000
+
+
+def test_witt_quotient_makes_one_smith_form(monkeypatch):
+    from gwgamma import abelian
+
+    calls = []
+    snf = abelian.smith_normal_form
+    monkeypatch.setattr(
+        abelian, "smith_normal_form", lambda rows: calls.append(rows) or snf(rows)
+    )
+    for m in (gw_point("R"), gw_punctured_a5(3), gw_surface_cxp1(2)):
+        calls.clear()
+        qpres, _, invariants = witt_quotient(m)
+        assert len(calls) == 1
+        assert invariants == qpres.orders
