@@ -5,9 +5,9 @@ multiplication given by structure constants on basis pairs, an augmentation
 (rank) homomorphism to Z, and, for every basis element, the coefficients of
 its total lambda-series.  That is enough to evaluate on arbitrary elements:
 
-* ``lambda_total(x, N)`` multiplies basis series according to the additive
-  decomposition of x, using series inverses for negative coordinates, so the
-  addition law lambda_t(x+y) = lambda_t(x) lambda_t(y) holds by construction;
+* ``lambda_total(x, N)`` is the product of the powers lambda_t(b_i)^(c_i)
+  over the coordinates c_i of x, so the addition law
+  lambda_t(x+y) = lambda_t(x) lambda_t(y) holds by construction;
 * ``gamma_total`` / ``gamma_k`` apply the substitution t -> t/(1-t);
 * ``psi_k`` evaluates the Newton polynomial p_k at lambda^1(x)..lambda^k(x).
 
@@ -22,6 +22,9 @@ arithmetic goes through one primitive, ``RingModel.dot``, which sums the
 products x*y of a list of pairs on a single integer vector and reduces the
 sum once; ``multiply`` is ``dot`` with one pair, and every coefficient of a
 series product or inverse is one call to it (see :mod:`gwgamma.series`).
+Whether the constants make a commutative ring, which series powers need
+for their binomial table, is one cached verdict read off the same rows;
+``validate_model`` shares it.
 
 Basis lambda-series are stored as plain group elements in degrees
 1..D_b.  Series that genuinely terminate (line elements and their shifts)
@@ -191,6 +194,47 @@ class RingModel:
     def _unit_neutral(self) -> bool:
         return all(self.multiply(self.unit, b) == b for b in self.group.basis())
 
+    @cached_property
+    def _is_ring(self) -> bool:
+        """Whether the structure constants make the group a commutative ring,
+        so that every ring identity, the binomial theorem included, holds in
+        this model's arithmetic.
+
+        The unit must be neutral; o_i b_i b_j must vanish for every basis
+        element b_i of finite order o_i, so that a product does not depend on
+        the representatives of its factors; and each basis triple must have
+        one product under all three bracketings.  Read off the sparse rows.
+        """
+        if not self._unit_neutral:
+            return False
+        orders, rows = self.group.orders, self.products
+        for i, o in enumerate(orders):
+            if o and not all(
+                orders[k] and o * c % orders[k] == 0
+                for entries in rows[i] for k, c in entries
+            ):
+                return False
+
+        def times(i, entries):
+            # b_i times the element with these sparse entries, as sparse entries
+            acc = {}
+            for j, c in entries:
+                for k, s in rows[i][j]:
+                    acc[k] = acc.get(k, 0) + c * s
+            reduced = {k: v % orders[k] if orders[k] else v for k, v in acc.items()}
+            return {k: v for k, v in reduced.items() if v}
+
+        rank = self.group.rank
+        for i in range(rank):
+            for j in range(i, rank):
+                for k in range(j, rank):
+                    right = times(i, rows[j][k])
+                    if times(k, rows[i][j]) != right or (
+                        i < j < k and times(j, rows[i][k]) != right
+                    ):
+                        return False
+        return True
+
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
         if order > self.trunc:
             raise ValueError(
@@ -325,7 +369,17 @@ def validate_model(m: RingModel) -> Report:
     """
     rank = m.group.rank
     b = [m.group.basis_element(i) for i in range(rank)]
-    prod = [[m.multiply(x, y) for y in b] for x in b]
+
+    def element(entries):
+        v = [0] * rank
+        for k, c in entries:
+            v[k] = c
+        return m.group.element(v)
+
+    prod = [[element(entries) for entries in row] for row in m.products]
+    # the ring verdict covers associativity and the torsion kills; their
+    # offending cases are only looked for when it fails
+    ring = m._is_ring
     pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
     zero = m.group.zero()
     d = m.augmentation
@@ -333,6 +387,8 @@ def validate_model(m: RingModel) -> Report:
     torsion = [(i, o) for i, o in enumerate(m.group.orders) if o]
 
     def associative():
+        if ring:
+            return
         for i, j in pairs:
             for k in range(j, rank):
                 if m.multiply(prod[i][j], b[k]) != m.multiply(b[i], prod[j][k]):
@@ -342,6 +398,8 @@ def validate_model(m: RingModel) -> Report:
         for i, o in torsion:
             if m.aug[i]:
                 yield "torsion basis element %d has nonzero rank" % i
+            if ring:
+                continue
             for j in range(rank):
                 if not (o * prod[i][j]).is_zero:
                     yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)

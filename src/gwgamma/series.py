@@ -11,12 +11,32 @@ model it is one call to ``RingModel.dot``, which accumulates the whole sum
 on an integer vector through the sparse structure constants and reduces it
 once, so no intermediate ring element is ever built.
 
+Powers use one binomial table per series.  Writing S = 1 + T,
+
+    S^e = sum_{k=0}^{min(e,N)} C(e, k) T^k          (e >= 0),
+
+and S^e = (S^-1)^(-e) for e < 0.  T^k vanishes below degree k, so each
+power is the partial product T^(k-1) * T over degrees k..N only, one
+``dot`` per coefficient.  The powers are built lazily and memoized on the
+series, as is its inverse, so every exponent a series is raised to reads the
+same table; each output degree is one ``RingModel.combine``.  The sum equals the product S * ... * S only in a
+commutative ring: the unit must be neutral, each basis triple must have one
+product under all three bracketings, and o_i b_i b_j = 0 for every basis
+element b_i of finite order o_i, so that the product does not depend on the
+representatives.
+``RingModel._is_ring`` holds that verdict; on a model that fails it,
+``pow`` falls back to binary exponentiation, whose bracketing the
+identity checks and their oracles depend on.
+
 The two substitutions that translate between a total lambda-series and a
-total gamma-series are linear with binomial coefficients, and each output
-coefficient is computed as one integer combination:
+total gamma-series are linear with binomial coefficients:
 
     t -> t/(1-t):   out_k = sum_i C(k-1, k-i) * c_i          (k >= 1)
     t -> t/(1+t):   out_k = sum_i (-1)^(k-i) C(k-1, k-i) * c_i
+
+Over a ring model they run per coordinate: each nonzero coordinate column
+of c_1..c_N is summed against the cached row of signed binomials of each
+degree, and each output degree is reduced once.
 
 Inversion requires the constant term to be the ring unit (the int 1, or a
 coefficient whose ``is_unit`` is true) and proceeds by forward substitution.
@@ -24,7 +44,9 @@ coefficient whose ``is_unit`` is true) and proceeds by forward substitution.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Sequence
 
 
@@ -49,6 +71,8 @@ class _Integers:
     def wrap(value: int) -> int:
         return value
 
+    _is_ring = True
+
 
 def _split(coeffs: Sequence):
     """(ring, values): the shared ring model and the group-element values of
@@ -64,12 +88,16 @@ def _split(coeffs: Sequence):
 class TruncSeries:
     """Power series truncated after degree ``order``."""
 
-    __slots__ = ("coeffs",)
+    # memoized on first use: _inverse, and _powers, the values of T^k for
+    # T = S - 1 from degree k on
+    __slots__ = ("coeffs", "_inverse", "_powers")
 
     def __init__(self, coeffs: Sequence):
         if not coeffs:
             raise ValueError("series needs at least a constant term")
         self.coeffs = tuple(coeffs)
+        self._inverse = None
+        self._powers = None
 
     @classmethod
     def one(cls, unit, order: int) -> "TruncSeries":
@@ -108,37 +136,83 @@ class TruncSeries:
         )
 
     def inverse(self) -> "TruncSeries":
-        if not _is_unit_coeff(self.coeffs[0]):
-            raise ValueError("series with non-unit constant term")
-        m, a = _split(self.coeffs)
-        out = [a[0]]
-        for k in range(1, len(a)):
-            out.append(-m.dot(zip(a[1 : k + 1], out[::-1])))
-        return TruncSeries([m.wrap(v) for v in out])
+        if self._inverse is None:
+            if not _is_unit_coeff(self.coeffs[0]):
+                raise ValueError("series with non-unit constant term")
+            m, a = _split(self.coeffs)
+            out = [a[0]]
+            for k in range(1, len(a)):
+                out.append(-m.dot(zip(a[1 : k + 1], out[::-1])))
+            self._inverse = TruncSeries([m.wrap(v) for v in out])
+        return self._inverse
 
     def pow(self, e: int) -> "TruncSeries":
+        """S^e from the binomial table of S, or of its inverse for e < 0.
+
+        >>> TruncSeries((1, 1, 0, 0)).pow(-3).coeffs
+        (1, -3, 6, -10)
+        """
         if not _is_unit_coeff(self.coeffs[0]):
             raise ValueError("series with non-unit constant term")
-        base = self if e >= 0 else self.inverse()
+        if e == 0:
+            return TruncSeries.one(self.coeffs[0], self.order)
+        base = self if e > 0 else self.inverse()
         e = abs(e)
-        out = None
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return TruncSeries.one(self.coeffs[0], self.order) if out is None else out
-
-    def _substitute(self, sign: int) -> "TruncSeries":
-        """Apply t -> t/(1 - sign*t), one integer combination per degree."""
-        m, c = _split(self.coeffs)
-        out = [c[0]]
-        for k in range(1, len(c)):
+        if e == 1:
+            return base
+        m, a = _split(base.coeffs)
+        if not m._is_ring:
+            # binary exponentiation: without the ring laws the binomial sum
+            # need not equal any bracketing of the product
+            out = None
+            while e:
+                if e & 1:
+                    out = base if out is None else out * base
+                e >>= 1
+                if e:
+                    base = base * base
+            return out
+        top = min(e, base.order)
+        powers = base._table(m, a, top)
+        binoms = [comb(e, k) for k in range(top + 1)]
+        out = [a[0]]
+        for d in range(1, len(a)):
             out.append(m.combine(
-                (sign ** (k - i) * comb(k - 1, k - i), c[i]) for i in range(1, k + 1)
+                (binoms[k], powers[k - 1][d - k]) for k in range(1, min(top, d) + 1)
             ))
         return TruncSeries([m.wrap(v) for v in out])
+
+    def _table(self, m, a: Sequence, top: int) -> list:
+        """The values of T^1..T^top, T = S - 1; entry j of T^k is degree k + j."""
+        powers = self._powers
+        if powers is None:
+            powers = self._powers = [a[1:]]
+        t = a[1:]
+        while len(powers) < top:
+            prev = powers[-1]
+            powers.append([
+                m.dot(zip(t[: j + 1], prev[j::-1])) for j in range(len(prev) - 1)
+            ])
+        return powers
+
+    def _substitute(self, sign: int) -> "TruncSeries":
+        """Apply t -> t/(1 - sign*t), one integer combination per degree,
+        summed coordinate by coordinate."""
+        m, c = _split(self.coeffs)
+        rows = _signed_binomials(sign, len(c) - 1)
+        if m is _Integers:
+            body = c[1:]
+            return TruncSeries([c[0], *(sum(map(mul, row, body)) for row in rows)])
+        columns = [
+            (t, col) for t, col in enumerate(zip(*(v.coeffs for v in c[1:]))) if any(col)
+        ]
+        out = [self.coeffs[0]]
+        for row in rows:
+            acc = [0] * m.group.rank
+            for t, col in columns:
+                acc[t] = sum(map(mul, row, col))
+            out.append(m.wrap(m.group.element(acc)))
+        return TruncSeries(out)
 
     def substitute_geometric(self) -> "TruncSeries":
         """Apply t -> t/(1-t); sends a lambda-series to a gamma-series."""
@@ -147,6 +221,15 @@ class TruncSeries:
     def substitute_alternating(self) -> "TruncSeries":
         """Apply t -> t/(1+t); sends a gamma-series to a lambda-series."""
         return self._substitute(-1)
+
+
+@lru_cache(maxsize=None)
+def _signed_binomials(sign: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Row k - 1 holds sign^(k-i) C(k-1, k-i) for i = 1..k, k = 1..order."""
+    return tuple(
+        tuple(sign ** (k - i) * comb(k - 1, k - i) for i in range(1, k + 1))
+        for k in range(1, order + 1)
+    )
 
 
 def gamma_from_lambda(series: TruncSeries) -> TruncSeries:

@@ -123,15 +123,24 @@ class MultiPoly:
         return True
 
     def evaluate(self, values: Sequence, one):
-        """Evaluate with ring-element values; `one` is the ring unit."""
+        """Evaluate with ring-element values; `one` is the ring unit.
+
+        Each monomial is the left fold one * v * v * w * ...; the terms share
+        their prefixes, each multiplied once per call and memoized by its
+        sequence of operands, so the bracketing never changes.
+        """
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
+        prefixes = {}
         acc = None
         for exps, c in self.terms.items():
-            term = one
+            term, key = one, ()
             for v, e in zip(values, exps):
                 for _ in range(e):
-                    term = term * v
+                    key += (v,)
+                    if key not in prefixes:
+                        prefixes[key] = term * v
+                    term = prefixes[key]
             term = term * c
             acc = term if acc is None else acc + term
         return acc if acc is not None else one * 0

@@ -11,6 +11,7 @@ import pytest
 
 from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import (
+    RingModel,
     gamma_k,
     gamma_total,
     lambda_k,
@@ -311,11 +312,17 @@ def test_point_binomial_series():
 def test_projective_build_work_bound(monkeypatch):
     # a deterministic guard on the arithmetic core: every ring product and
     # series coefficient reduces once, through GroupPresentation.reduce;
-    # and no series of a power a^k is multiplied by the unit series
+    # no series of a power a^k is multiplied by the unit series; series
+    # powers read one binomial table per series (32,723 dot pairs with
+    # binary exponentiation); and validation reads the basis products and
+    # the ring verdict off the sparse rows (312 and 245 dot calls before)
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
+    dot = RingModel.dot
     calls = [0]
     products = [0]
+    dots = [0]
+    pairs = [0]
 
     def counted(self, coeffs):
         calls[0] += 1
@@ -325,8 +332,20 @@ def test_projective_build_work_bound(monkeypatch):
         products[0] += 1
         return series_mul(self, other)
 
+    def counted_dot(self, xy):
+        xy = list(xy)
+        dots[0] += 1
+        pairs[0] += len(xy)
+        return dot(self, xy)
+
     monkeypatch.setattr(GroupPresentation, "reduce", counted)
     monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
-    gw_projective("R", 12, trunc=20)
+    monkeypatch.setattr(RingModel, "dot", counted_dot)
+    m = gw_projective("R", 12, trunc=20)
     assert 0 < calls[0] <= 50_000
     assert 0 < products[0] <= 129
+    assert 0 < pairs[0] <= 25_000
+    for model, before in ((m, 312), (gw_projective("R", 9, trunc=20), 245)):
+        dots[0] = 0
+        assert validate_model(model).ok
+        assert dots[0] <= before, model.name

@@ -1,0 +1,123 @@
+"""Differential test of ``TruncSeries.pow``.
+
+The reference below is the earlier ``pow``: binary exponentiation of the
+series, or of its inverse for a negative exponent.  It lives here only as an
+oracle.  On a ring model that passes the ring verdict (neutral unit,
+associative basis products, products killed by the torsion orders) the
+binomial table must give the same series for every exponent; on a model
+that fails it, ``pow`` must still be binary exponentiation.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from gwgamma.abelian import GroupPresentation
+from gwgamma.lambdaring import RingModel, validate_model
+from gwgamma.series import TruncSeries
+
+
+def oracle_pow(s, e):
+    base = s if e >= 0 else s.inverse()
+    e = abs(e)
+    out = None
+    while e:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return TruncSeries.one(s.coeffs[0], s.order) if out is None else out
+
+
+def ring(name, orders, mul):
+    rank = len(orders)
+    group = GroupPresentation(orders, tuple("b%d" % i for i in range(rank)))
+    unit = tuple(int(t == 0) for t in range(rank))
+    lam = [[tuple(int(t == i) for t in range(rank))] for i in range(rank)]
+    return RingModel(name, group, unit, mul, (1,) + (0,) * (rank - 1), lam, trunc=8)
+
+
+def cyclic_group_ring(n):
+    """Z[C_n], basis g^0..g^(n-1)."""
+    def vec(i):
+        return tuple(int(t == i % n) for t in range(n))
+    return ring("Z[C_%d]" % n, (0,) * n,
+                {(i, j): vec(i + j) for i in range(n) for j in range(i, n)})
+
+
+def z_plus_z2(square):
+    """Z + Z/2 x with x*x = ``square``."""
+    return ring("Z+Z/2", (0, 2), {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): square})
+
+
+RINGS = [cyclic_group_ring(n) for n in range(1, 7)] + [
+    z_plus_z2((0, 0)),
+    z_plus_z2((0, 1)),
+]
+
+# exponents the projective tower raises its twisted-class series to
+TOWER_EXPONENTS = [-792, 495, 210]
+
+EXPONENTS = st.one_of(st.integers(-1000, 1000), st.sampled_from(TOWER_EXPONENTS))
+
+
+@st.composite
+def ring_series(draw):
+    m = draw(st.sampled_from(RINGS))
+    order = draw(st.integers(0, 8))
+    vec = st.lists(st.integers(-3, 3), min_size=m.group.rank, max_size=m.group.rank)
+    body = [m.element(draw(vec)) for _ in range(order)]
+    return TruncSeries.from_coeffs(m.unit_element, body, order)
+
+
+@st.composite
+def int_series(draw):
+    order = draw(st.integers(0, 8))
+    return TruncSeries([1] + draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order)))
+
+
+def test_drawn_rings_pass_the_verdict():
+    assert all(m._is_ring for m in RINGS)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(ring_series(), int_series()), EXPONENTS)
+def test_pow_matches_binary_exponentiation(s, e):
+    got = s.pow(e)
+    assert got == oracle_pow(s, e)
+    if abs(e) >= 2:
+        # the binomial table, not the fallback, produced it
+        assert (s if e > 0 else s.inverse())._powers is not None
+
+
+def test_one_table_serves_every_exponent():
+    m = cyclic_group_ring(5)
+    s = TruncSeries.from_coeffs(m.unit_element, [m.element((1, -2, 0, 3, 1))] * 8, 8)
+    for e in TOWER_EXPONENTS + [2, 3, 7]:
+        assert s.pow(e) == oracle_pow(s, e)
+    assert len(s._powers) == 8
+    assert len(s.inverse()._powers) == 8
+
+
+def test_non_ring_model_keeps_binary_exponentiation():
+    # Z + Z/2 x with x*x = one: 2 * x * x = 2 is not zero, so the product
+    # depends on representatives and the binomial sum would give (1, x, 0)
+    m = z_plus_z2((1, 0))
+    assert m._unit_neutral and not m._is_ring
+    x = m.basis_element(1)
+    s = TruncSeries.from_coeffs(m.unit_element, [x], 2)
+    assert s.pow(-3).coeffs == (m.unit_element, x, -2 * m.unit_element)
+    assert s.pow(-3) == oracle_pow(s, -3)
+
+
+def test_verdict_checks_every_bracketing():
+    # b1*b3 = b2 and b2*b2 = b2: (b1*b2)*b3 = b1*(b2*b3) = 0, so the model
+    # passes validate_model, which compares those two bracketings only; but
+    # b2*(b1*b3) = b2.  (1 + (b1 + b3) t)^4 then has 4 b2 in degree 4 by
+    # binary exponentiation and 0 by the binomial sum
+    vec = [tuple(int(t == i) for t in range(4)) for i in range(4)]
+    mul = {(0, i): vec[i] for i in range(4)}
+    m = ring("three bracketings", (0,) * 4, {**mul, (1, 3): vec[2], (2, 2): vec[2]})
+    assert validate_model(m).ok and not m._is_ring
+    s = TruncSeries.from_coeffs(m.unit_element, [m.element((0, 1, 0, 1))], 4)
+    assert s.pow(4).coeffs[4] == 4 * m.basis_element(2)
+    assert s.pow(4) == oracle_pow(s, 4)
