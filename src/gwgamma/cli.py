@@ -17,6 +17,7 @@ Exit codes: 0 all checks pass, 1 a mathematical identity failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -28,8 +29,8 @@ from .lambdaring import (
     DEFAULT_TRUNCATION,
     Report,
     RingModel,
+    _special_reports,
     validate_model,
-    verify_special_pair,
 )
 from .milnor import check_identities
 from .models import BUILTINS
@@ -391,20 +392,18 @@ def _cmd_filtration(args: argparse.Namespace) -> int:
 def _cmd_special(args: argparse.Namespace) -> int:
     m = load_model(args.target, args)
     names = m.group.names
-    elements = m.basis_elements()
+    rank = len(names)
+    pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
+    reports = _special_reports(m.basis_elements(), pairs, args.bound)
     failed = False
-    for i in range(len(elements)):
-        for j in range(i, len(elements)):
-            pair_report = verify_special_pair(
-                elements[i], elements[j], bound=args.bound
-            )
-            label = "(%s, %s)" % (names[i], names[j])
-            if pair_report.ok:
-                print("PASS %s" % label)
-            else:
-                failed = True
-                worst = pair_report.first_failure
-                print("FAIL %s: %s" % (label, worst.name if worst else "?"))
+    for (i, j), pair_report in zip(pairs, reports):
+        label = "(%s, %s)" % (names[i], names[j])
+        if pair_report.ok:
+            print("PASS %s" % label)
+        else:
+            failed = True
+            worst = pair_report.first_failure
+            print("FAIL %s: %s" % (label, worst.name if worst else "?"))
     if failed:
         return 1
     print("all identities PASS")
@@ -417,7 +416,9 @@ def _cmd_milnor(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: it holds no state of a call."""
     parser = argparse.ArgumentParser(
         prog="gwgamma",
         description="Lambda-ring models, gamma filtrations, and identity checks.",

@@ -14,7 +14,11 @@ its total lambda-series.  That is enough to evaluate on arbitrary elements:
 Whether the model is *special* (lambda of a product, lambda of a lambda) is
 not an axiom of the data structure; ``verify_special_pair`` checks those
 identities on concrete elements through the universal polynomials of
-:mod:`gwgamma.symfunc`.
+:mod:`gwgamma.symfunc`.  It is the two-element case of the one checker that
+``gwgamma special`` runs over all basis pairs of a model: per element it
+builds lambda_t once and, for an element checked as x, the composition
+checks lambda^m(lambda^n x) once; per pair only lambda_t(x*y) and the
+product checks lambda^n(x*y).
 
 The structure constants are stored once, as sparse integer rows:
 ``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  All ring
@@ -391,8 +395,12 @@ def validate_model(m: RingModel) -> Report:
             return
         for i, j in pairs:
             for k in range(j, rank):
-                if m.multiply(prod[i][j], b[k]) != m.multiply(b[i], prod[j][k]):
+                left = m.multiply(prod[i][j], b[k])
+                if left != m.multiply(b[i], prod[j][k]):
                     yield "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, i, j, k)
+                # b_j*(b_i*b_k) is a third bracketing only when i < j < k
+                if i < j < k and left != m.multiply(b[j], prod[i][k]):
+                    yield "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, j, i, k)
 
     def torsion_products():
         for i, o in torsion:
@@ -436,48 +444,91 @@ def validate_model(m: RingModel) -> Report:
     return Report(tuple(_first_case(name, cases) for name, cases in checks))
 
 
+_COMPOSE_PAIRS = ((2, 2), (2, 3), (3, 2))
+
+
 def verify_special_pair(
     x: RingElement,
     y: RingElement,
     bound: int = 3,
-    compose_pairs: Sequence[tuple[int, int]] = ((2, 2), (2, 3), (3, 2)),
+    compose_pairs: Sequence[tuple[int, int]] = _COMPOSE_PAIRS,
 ) -> Report:
     """Check the special lambda-ring identities on a concrete pair.
 
     lambda^n(x*y) against the universal product polynomial for n <= bound,
     and lambda^m(lambda^n(x)) against the universal composition polynomial
-    for the requested (m, n) pairs.  The series lambda_t(x), lambda_t(y) and
-    lambda_t(x*y) are built once each and every lambda^n is read off them.
+    for the requested (m, n) pairs.  This is the two-element case of the
+    checker that ``gwgamma special`` runs on every basis pair: per element
+    it builds lambda_t(x) and lambda_t(y) once, per element checked as x
+    its composition checks once, and per pair lambda_t(x*y) and the product
+    checks; every lambda^n is read off those series.
     """
     if x.model is not y.model:
         raise ValueError("elements from different models")
-    one = x.model.unit_element
+    return next(_special_reports((x, y), ((0, 1),), bound, compose_pairs))
+
+
+def _special_reports(
+    elements: Sequence[RingElement],
+    pairs: Sequence[tuple[int, int]],
+    bound: int,
+    compose_pairs: Sequence[tuple[int, int]] = _COMPOSE_PAIRS,
+) -> Iterable[Report]:
+    """The ``verify_special_pair`` report of x = elements[i], y = elements[j]
+    for each index pair (i, j), yielded in order.
+
+    lambda_t of each element is built once and cached, and the composition
+    checks of each element once, the first time it is an x; a pair adds only
+    lambda_t(x*y) and its ``bound`` product checks.  The report is the
+    product checks followed by x's composition checks.
+    """
     need = max([bound] + [m * n for m, n in compose_pairs])
-    lam_x = lambda_total(x, need)
-    lam_y = lambda_total(y, bound)
-    lam_xy = lambda_total(x * y, bound)
-    checks = []
-    for n in range(1, bound + 1):
-        lhs = lam_xy.coeffs[n]
-        values = [lam_x.coeffs[i] for i in range(1, n + 1)]
-        values += [lam_y.coeffs[j] for j in range(1, n + 1)]
-        rhs = product_universal(n).evaluate(values, one)
-        checks.append(
-            CheckResult(
+    firsts = {i for i, _ in pairs}
+    series: dict[int, TruncSeries] = {}
+    compositions: dict[int, tuple[CheckResult, ...]] = {}
+
+    def lam(i: int, order: int) -> TruncSeries:
+        # an element that is some pair's x is built to the order its
+        # compositions need, even when it comes first as a y; but not when
+        # that order is beyond the truncation, where lambda_total raises on
+        # a nonzero element: then each role asks for its own order, so the
+        # checker raises at the pair where the per-pair checker raised
+        s = series.get(i)
+        if s is None or s.order < order:
+            e = elements[i]
+            if i in firsts and need <= e.model.trunc:
+                order = need
+            s = series[i] = lambda_total(e, order)
+        return s
+
+    def check(name: str, lhs: RingElement, rhs: RingElement) -> CheckResult:
+        return CheckResult(
+            name, lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)
+        )
+
+    for i, j in pairs:
+        x = elements[i]
+        one = x.model.unit_element
+        lam_x, lam_y = lam(i, need), lam(j, bound)
+        lam_xy = lambda_total(x * elements[j], bound)
+        checks = []
+        for n in range(1, bound + 1):
+            values = [lam_x.coeffs[k] for k in range(1, n + 1)]
+            values += [lam_y.coeffs[k] for k in range(1, n + 1)]
+            checks.append(check(
                 "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
-                lhs == rhs,
-                "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs),
+                lam_xy.coeffs[n],
+                product_universal(n).evaluate(values, one),
+            ))
+        if i not in compositions:
+            compositions[i] = tuple(
+                check(
+                    "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
+                    lambda_k(lam_x.coeffs[nn], mm),
+                    compose_universal(mm, nn).evaluate(
+                        [lam_x.coeffs[k] for k in range(1, mm * nn + 1)], one
+                    ),
+                )
+                for mm, nn in compose_pairs
             )
-        )
-    for mm, nn in compose_pairs:
-        lhs = lambda_k(lam_x.coeffs[nn], mm)
-        values = [lam_x.coeffs[i] for i in range(1, mm * nn + 1)]
-        rhs = compose_universal(mm, nn).evaluate(values, one)
-        checks.append(
-            CheckResult(
-                "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
-                lhs == rhs,
-                "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs),
-            )
-        )
-    return Report(tuple(checks))
+        yield Report(tuple(checks) + compositions[i])

@@ -73,15 +73,11 @@ def _model(name, group, unit, mul, aug, series, hyperbolic, trunc, params) -> Ri
     return build([[c.value.coeffs for c in s.coeffs[1:]] for s in series(ring)])
 
 
-def _series_quotient(
-    num: list[RingElement], den: list[RingElement], order: int
-) -> TruncSeries:
-    """(1 + num_1 t + num_2 t^2 + ...) / (1 + den_1 t + den_2 t^2 + ...)."""
+def _series_quotient(num: list[RingElement], den: TruncSeries) -> TruncSeries:
+    """(1 + num_1 t + num_2 t^2 + ...) / den, at the order of den; the inverse
+    is memoized on den, so quotients by one denominator invert it once."""
     one = num[0].model.unit_element
-    return (
-        TruncSeries.from_coeffs(one, num, order)
-        * TruncSeries.from_coeffs(one, den, order).inverse()
-    )
+    return TruncSeries.from_coeffs(one, num, den.order) * den.inverse()
 
 
 def gw_point(base: str = "C", trunc: int = DEFAULT_TRUNCATION) -> RingModel:
@@ -208,10 +204,8 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
         base_classes = ring.basis_elements()[:nb]
         out = [TruncSeries.from_coeffs(one, [b], trunc) for b in base_classes]
         a_cls = twisted_hyperbolic_classes(ring, top) if top else []
-        a_series = [
-            _series_quotient([a + one + det, det], [one + det, det], trunc)
-            for a in a_cls[1:]
-        ]
+        den = TruncSeries.from_coeffs(one, [one + det, det], trunc)
+        a_series = [_series_quotient([a + one + det, det], den) for a in a_cls[1:]]
         # rewrite a^k as an integer combination of a_1..a_k by back-substitution
         # (a_k = a^k + lower powers of a with unit leading coefficient); a^k
         # inherits the product of the matching powers of the a_j series
@@ -259,10 +253,11 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
 
     def series(ring):
         one, det, eps = ring.basis_elements()
+        den = TruncSeries.from_coeffs(one, [one], trunc)
         return [
-            TruncSeries.from_coeffs(one, [one], trunc),
+            den,
             TruncSeries.from_coeffs(one, [det], trunc),
-            _series_quotient([eps + one], [one], trunc),
+            _series_quotient([eps + one], den),
         ]
 
     return _model(
@@ -358,9 +353,10 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
 
     def series(ring):
         one = ring.unit_element
-        out = [TruncSeries.from_coeffs(one, [one], trunc)]
+        den = TruncSeries.from_coeffs(one, [one], trunc)
+        out = [den]
         for j in range(1, s + 1):
-            out.append(_series_quotient([ring.basis_element(j) + one], [one], trunc))
+            out.append(_series_quotient([ring.basis_element(j) + one], den))
         for i in hyperbolic:
             x = ring.basis_element(i)
             out.append(lambda_from_gamma(TruncSeries.from_coeffs(one, [x, -x], trunc)))

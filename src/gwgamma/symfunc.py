@@ -127,7 +127,8 @@ class MultiPoly:
 
         Each monomial is the left fold one * v * v * w * ...; the terms share
         their prefixes, each multiplied once per call and memoized by its
-        sequence of operands, so the bracketing never changes.
+        sequence of variable indices, so the bracketing never changes and no
+        value is hashed.
         """
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
@@ -135,11 +136,11 @@ class MultiPoly:
         acc = None
         for exps, c in self.terms.items():
             term, key = one, ()
-            for v, e in zip(values, exps):
+            for i, e in enumerate(exps):
                 for _ in range(e):
-                    key += (v,)
+                    key += (i,)
                     if key not in prefixes:
-                        prefixes[key] = term * v
+                        prefixes[key] = term * values[i]
                     term = prefixes[key]
             term = term * c
             acc = term if acc is None else acc + term

@@ -1,9 +1,11 @@
 """Differential test of the identity checkers.
 
 The references below are the earlier checkers.  ``oracle_validate`` is the
-earlier ``validate_model``: four ``RingElement`` products per basis triple
-and a loop per check that ran to the end, here keeping every offending case
-in the order it met them (the earlier one reported the last).  On models
+earlier ``validate_model``: ``RingElement`` products for every bracketing
+of every basis triple and a loop per check that ran to the end, here keeping
+every offending case in the order it met them (the earlier one reported the
+last).  It compares all three bracketings of a triple i < j < k, the third
+after the other two, as ``validate_model`` does.  On models
 drawn under ``oracle_arithmetic`` it multiplies with the earlier per-pair
 table, not the sparse rows.  ``oracle_special_pair`` is the earlier
 ``verify_special_pair``, which built a fresh lambda-series for every
@@ -51,8 +53,11 @@ def oracle_validate(m):
     for i in range(rank):
         for j in range(i, rank):
             for k in range(j, rank):
-                if (basis[i] * basis[j]) * basis[k] != basis[i] * (basis[j] * basis[k]):
+                left = (basis[i] * basis[j]) * basis[k]
+                if left != basis[i] * (basis[j] * basis[k]):
                     cases.append("(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, i, j, k))
+                if i < j < k and left != basis[j] * (basis[i] * basis[k]):
+                    cases.append("(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, j, i, k))
     out.append(("multiplication associative on basis", cases))
 
     cases = []

@@ -356,6 +356,22 @@ def test_special_command(capsys):
     assert run(["special", "builtin:gw_point", "--bound", "5"]) == 2
 
 
+def test_parser_built_once_keeps_no_state(capsys):
+    # the parser is built once per import: a usage error, a valid command
+    # and the same usage error again print what a fresh parser prints
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    for argv in (["special"], ["milnor", "--n", "2"], ["special"]):
+        code = run(argv)
+        seen.append((code, *capsys.readouterr()))
+    assert seen[0] == seen[2]
+    assert seen[0][0] == 2 and "usage: gwgamma special" in seen[0][2]
+    assert seen[1][0] == 0 and seen[1][2] == ""
+    with pytest.raises(SystemExit):
+        cli.build_parser.__wrapped__().parse_args(["special"])
+    assert tuple(capsys.readouterr()) == seen[0][1:]
+
+
 def test_milnor_command(capsys):
     assert run(["milnor", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "PASS vanishing<4; PASS product=sum"

@@ -314,12 +314,16 @@ def test_projective_build_work_bound(monkeypatch):
     # series coefficient reduces once, through GroupPresentation.reduce;
     # no series of a power a^k is multiplied by the unit series; series
     # powers read one binomial table per series (32,723 dot pairs with
-    # binary exponentiation); and validation reads the basis products and
-    # the ring verdict off the sparse rows (312 and 245 dot calls before)
+    # binary exponentiation); the twisted classes share one denominator
+    # series, inverted once (11 inverses when each class had its own); and
+    # validation reads the basis products and the ring verdict off the
+    # sparse rows (312 and 245 dot calls before)
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
     dot = RingModel.dot
+    series_inverse = TruncSeries.inverse
     calls = [0]
+    inverses = [0]
     products = [0]
     dots = [0]
     pairs = [0]
@@ -332,6 +336,11 @@ def test_projective_build_work_bound(monkeypatch):
         products[0] += 1
         return series_mul(self, other)
 
+    def counted_inverse(self):
+        # inverses computed, not memoized ones read again
+        inverses[0] += self._inverse is None
+        return series_inverse(self)
+
     def counted_dot(self, xy):
         xy = list(xy)
         dots[0] += 1
@@ -340,10 +349,12 @@ def test_projective_build_work_bound(monkeypatch):
 
     monkeypatch.setattr(GroupPresentation, "reduce", counted)
     monkeypatch.setattr(TruncSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(TruncSeries, "inverse", counted_inverse)
     monkeypatch.setattr(RingModel, "dot", counted_dot)
     m = gw_projective("R", 12, trunc=20)
     assert 0 < calls[0] <= 50_000
     assert 0 < products[0] <= 129
+    assert 0 < inverses[0] <= 6
     assert 0 < pairs[0] <= 25_000
     for model, before in ((m, 312), (gw_projective("R", 9, trunc=20), 245)):
         dots[0] = 0

@@ -110,14 +110,20 @@ def test_non_ring_model_keeps_binary_exponentiation():
 
 
 def test_verdict_checks_every_bracketing():
-    # b1*b3 = b2 and b2*b2 = b2: (b1*b2)*b3 = b1*(b2*b3) = 0, so the model
-    # passes validate_model, which compares those two bracketings only; but
-    # b2*(b1*b3) = b2.  (1 + (b1 + b3) t)^4 then has 4 b2 in degree 4 by
-    # binary exponentiation and 0 by the binomial sum
+    # b1*b3 = b2 and b2*b2 = b2: (b1*b2)*b3 = b1*(b2*b3) = 0, but
+    # b2*(b1*b3) = b2, so the model is not associative and validate_model,
+    # which compares the third bracketing too, rejects it.
+    # (1 + (b1 + b3) t)^4 then has 4 b2 in degree 4 by binary exponentiation
+    # and 0 by the binomial sum
     vec = [tuple(int(t == i) for t in range(4)) for i in range(4)]
     mul = {(0, i): vec[i] for i in range(4)}
     m = ring("three bracketings", (0,) * 4, {**mul, (1, 3): vec[2], (2, 2): vec[2]})
-    assert validate_model(m).ok and not m._is_ring
+    report = validate_model(m)
+    assert not m._is_ring and not report.ok
+    assert [c.name for c in report.checks if not c.ok] == [
+        "multiplication associative on basis"
+    ]
+    assert report.first_failure.detail == "(b1*b2)*b3 != b2*(b1*b3)"
     s = TruncSeries.from_coeffs(m.unit_element, [m.element((0, 1, 0, 1))], 4)
     assert s.pow(4).coeffs[4] == 4 * m.basis_element(2)
     assert s.pow(4) == oracle_pow(s, 4)
