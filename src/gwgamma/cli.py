@@ -92,6 +92,15 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _int_vector(value: object, length: int, where: str) -> list[int]:
+    # one pass over a well-formed vector; anything else takes the loop below,
+    # which names the first offending entry
+    if (
+        isinstance(value, list)
+        and len(value) == length
+        and all(type(x) is int for x in value)
+        and max(map(abs, value), default=0) < 2 ** 128
+    ):
+        return list(value)
     _require(isinstance(value, list), "key %s: expected a list" % where)
     _require(
         len(value) == length,

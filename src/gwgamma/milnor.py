@@ -9,7 +9,10 @@ at x_i = first characteristic class of u_i, where e runs over {0,1}^n and
 e.x = sum of the x_i with e_i = 1.  The low coefficients of omega vanish:
 the first interesting degree is 2^(n-1), and there the coefficient equals
 both a product of linear forms and a sum over power-of-two compositions.
-Everything here works with exact GF(2) arithmetic truncated by total degree.
+``check_identities`` builds omega once, truncated at 2^(n-1), and reads
+both its first positive degree and its top slice off that one series.
+Everything here works with exact GF(2) arithmetic truncated by total
+degree; the one division, in ``omega``, is solved degree by degree.
 """
 
 from __future__ import annotations
@@ -77,17 +80,7 @@ class F2Poly:
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
         self._compatible(other)
-        acc: set[tuple[int, ...]] = set()
-        for s in self.terms:
-            for t in other.terms:
-                u = tuple(a + b for a, b in zip(s, t))
-                if sum(u) > self.maxdeg:
-                    continue
-                if u in acc:
-                    acc.discard(u)
-                else:
-                    acc.add(u)
-        return F2Poly(self.nvars, self.maxdeg, acc)
+        return F2Poly(self.nvars, self.maxdeg, _times(self.terms, other.terms, self.maxdeg))
 
     def __pow__(self, k: int) -> "F2Poly":
         if k < 0:
@@ -122,23 +115,31 @@ class F2Poly:
         return 1 if (0,) * self.nvars in self.terms else 0
 
     def inverse(self) -> "F2Poly":
-        """Multiplicative inverse of a series with constant term 1."""
+        """Multiplicative inverse of a series with constant term 1.
+
+        Solved degree by degree: with f_k the degree-k part of the series,
+        f q = 1 gives q_0 = 1 and q_d = f_1 q_(d-1) + ... + f_d q_0 (signs
+        vanish mod 2), each term a product of two homogeneous parts.
+        """
         if self.constant_term != 1:
             raise ValueError("inverse requires constant term 1")
-        one = F2Poly.one(self.nvars, self.maxdeg)
-        tail = self + one
-        # tail has no constant term, so tail^k starts in degree >= k and
-        # the fixed-point iteration q = 1 + tail*q settles after maxdeg steps
-        q = one
-        for _ in range(self.maxdeg):
-            q = one + tail * q
-        return q
+        parts: list[set[tuple[int, ...]]] = [set() for _ in range(self.maxdeg + 1)]
+        for t in self.terms:
+            parts[sum(t)].add(t)
+        q = [parts[0]]
+        for d in range(1, self.maxdeg + 1):
+            q_d: set[tuple[int, ...]] = set()
+            for k in range(1, d + 1):
+                q_d ^= _times(parts[k], q[d - k], d)
+            q.append(q_d)
+        return F2Poly(self.nvars, self.maxdeg, [t for q_d in q for t in q_d])
 
     def substitute(self, index: int, value: "F2Poly") -> "F2Poly":
         """Replace one variable by a polynomial, expanding exactly.
 
         Truncation is faithful as long as every term of `value` has total
-        degree >= 1; the two call sites here substitute sums of variables.
+        degree >= 1; the one caller here, ``even_substitution_is_trivial``,
+        substitutes a sum of two variables.
         """
         self._compatible(value)
         one = F2Poly.one(self.nvars, self.maxdeg)
@@ -177,6 +178,22 @@ class F2Poly:
 
         ordered = sorted(self.terms, key=lambda t: (sum(t), t))
         return " + ".join(fmt(t) for t in ordered)
+
+
+def _times(left, right, maxdeg: int) -> set[tuple[int, ...]]:
+    """Exponent vectors of the product mod 2 of two sets of terms, cut
+    above total degree maxdeg."""
+    acc: set[tuple[int, ...]] = set()
+    for s in left:
+        for t in right:
+            u = tuple(a + b for a, b in zip(s, t))
+            if sum(u) > maxdeg:
+                continue
+            if u in acc:
+                acc.discard(u)
+            else:
+                acc.add(u)
+    return acc
 
 
 def _support_sum(eps: tuple[int, ...], nvars: int, maxdeg: int) -> F2Poly:
@@ -223,18 +240,25 @@ def vanishing_range(n: int) -> int:
 
     Uses truncation exactly at 2^(n-1); kept at desk scale (n <= 4).
     """
+    _check_range(n)
+    return _first_positive_degree(omega(n, 2 ** (n - 1)))
+
+
+def _check_range(n: int) -> None:
     if not 1 <= n <= 4:
         raise ValueError("supported range is 1 <= n <= 4")
-    first = omega(n, 2 ** (n - 1)).min_positive_degree()
+
+
+def _first_positive_degree(w: F2Poly) -> int:
+    first = w.min_positive_degree()
     if first is None:
-        raise ArithmeticError("series is constant up to degree %d" % 2 ** (n - 1))
+        raise ArithmeticError("series is constant up to degree %d" % w.maxdeg)
     return first
 
 
 def top_class_product(n: int) -> F2Poly:
     """Product of the linear forms with odd support, degree 2^(n-1)."""
-    if not 1 <= n <= 4:
-        raise ValueError("supported range is 1 <= n <= 4")
+    _check_range(n)
     top = 2 ** (n - 1)
     result = F2Poly.one(n, top)
     for eps in cartesian((0, 1), repeat=n):
@@ -245,8 +269,7 @@ def top_class_product(n: int) -> F2Poly:
 
 def top_class_sum(n: int) -> F2Poly:
     """Sum of monomials x_1^(2^r_1)...x_n^(2^r_n) with exponents adding to 2^(n-1)."""
-    if not 1 <= n <= 4:
-        raise ValueError("supported range is 1 <= n <= 4")
+    _check_range(n)
     top = 2 ** (n - 1)
     terms = []
     for rs in cartesian(range(n), repeat=n):
@@ -274,10 +297,13 @@ def check_identities(n: int) -> Report:
     """Two named checks: low-degree vanishing and the top-class equalities.
 
     The second check is three-way: closed product form, composition sum
-    form, and the degree-2^(n-1) slice of the series itself.
+    form, and the degree-2^(n-1) slice of the series itself.  Both checks
+    read the one series omega(n, 2^(n-1)).
     """
+    _check_range(n)
     top = 2 ** (n - 1)
-    first = vanishing_range(n)
+    series = omega(n, top)
+    first = _first_positive_degree(series)
     vanish = CheckResult(
         "vanishing<%d" % top,
         first == top,
@@ -285,7 +311,7 @@ def check_identities(n: int) -> Report:
     )
     product_form = top_class_product(n)
     sum_form = top_class_sum(n)
-    series_part = omega(n, top).homogeneous_part(top)
+    series_part = series.homogeneous_part(top)
     agree = product_form == sum_form == series_part
     product_sum = CheckResult(
         "product=sum",

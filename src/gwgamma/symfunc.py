@@ -125,26 +125,51 @@ class MultiPoly:
     def evaluate(self, values: Sequence, one):
         """Evaluate with ring-element values; `one` is the ring unit.
 
-        Each monomial is the left fold one * v * v * w * ...; the terms share
-        their prefixes, each multiplied once per call and memoized by its
-        sequence of variable indices, so the bracketing never changes and no
-        value is hashed.
+        Each monomial is the left fold v * v * w * ... of its values; the
+        terms share their prefixes, each multiplied once per call and
+        memoized by its sequence of variable indices, so the bracketing
+        never changes and no value is hashed.  A fold starts from its first
+        value, passes over a factor equal to `one`, and a prefix equal to
+        zero (or extended by a zero value) is marked dead, which drops every
+        term it begins.
+
+        Precondition: the product is bilinear and `one` is neutral on both
+        sides, so that these skips give the value of the full fold.  Every
+        ring model that reaches this through ``lambda_total`` qualifies,
+        since it refuses a model whose unit is not neutral; so do ints with
+        `one` = 1 and ``MultiPoly`` values with the constant 1.
         """
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
-        prefixes = {}
+        zero = one * 0
+        is_one = [v == one for v in values]
+        is_zero = [v == zero for v in values]
+        # prefixes[key]: the fold of the values indexed by key, None if zero
+        prefixes: dict = {}
         acc = None
         for exps, c in self.terms.items():
             term, key = one, ()
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    key += (i,)
-                    if key not in prefixes:
-                        prefixes[key] = term * values[i]
-                    term = prefixes[key]
-            term = term * c
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else one * 0
+            for i in [i for i, e in enumerate(exps) for _ in range(e)]:
+                key += (i,)
+                if key not in prefixes:
+                    if is_zero[i]:
+                        value = None
+                    elif len(key) == 1:
+                        value = values[i]
+                    elif is_one[i]:
+                        value = term
+                    else:
+                        value = term * values[i]
+                        if value == zero:
+                            value = None
+                    prefixes[key] = value
+                term = prefixes[key]
+                if term is None:
+                    break
+            else:
+                term = term * c
+                acc = term if acc is None else acc + term
+        return acc if acc is not None else zero
 
 
 def elementary(n: int, k: int) -> MultiPoly:

@@ -213,6 +213,42 @@ def test_integer_cap_accepts_largest(tmp_path, big):
     assert run(["validate", str(path)]) == 0
 
 
+def oracle_int_vector(value, length, where):
+    """The per-entry check that ``cli._int_vector`` ran on every vector
+    before its one-pass path: the checked list, or the message it raised."""
+    if not isinstance(value, list):
+        return "key %s: expected a list" % where
+    if len(value) != length:
+        return "key %s: expected %d integers, got %d" % (where, length, len(value))
+    for x in value:
+        if not isinstance(x, int) or isinstance(x, bool):
+            return "key %s: non-integer entry %r" % (where, x)
+        if not abs(x) < 2 ** 128:
+            return "key %s: entry of %d digits, not below 2^128 in absolute value" % (
+                where, len(str(abs(x))))
+    return list(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [1, -2, 0], [0, 0, 0], [2 ** 128 - 1, 1 - 2 ** 128, 7],
+        [1, 2], [1, 2, 3, 4], [], "123", {"a": 1}, None,
+        [1, True, 2], [False, 0, 0], [1, 2.0, 3], [1.5, 0, 0], [1, "2", 3],
+        [1, None, 3], [1, [2], 3], [2 ** 128, 0, 0], [0, -(2 ** 128), 0],
+        [0, 10 ** 4000, 0], [1, 2.0, 2 ** 128], [2 ** 128, 2.0, 1],
+    ],
+)
+def test_int_vector_matches_per_entry_check(value):
+    want = oracle_int_vector(value, 3, "mul entry 2")
+    try:
+        got = cli._int_vector(value, 3, "mul entry 2")
+    except ModelFormatError as exc:
+        got = str(exc)
+    assert got == want
+    assert type(got) is type(want)
+
+
 @pytest.mark.parametrize("rank,code", [(64, 0), (65, 2)])
 def test_rank_cap(tmp_path, capsys, rank, code):
     path = tmp_path / "trivial.json"

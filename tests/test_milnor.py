@@ -1,9 +1,12 @@
 """Tests for the GF(2) polynomial engine and the top-class identities."""
 
 import random
+from itertools import product as cartesian
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gwgamma import milnor
 from gwgamma.milnor import (
     F2Poly,
     check_identities,
@@ -62,6 +65,74 @@ def test_inverse_on_random_series():
         assert p.constant_term == 1
         assert p * p.inverse() == one
         assert p.inverse().inverse() == p
+
+
+def oracle_inverse(p):
+    """The earlier ``F2Poly.inverse``: the fixed-point iteration
+    q = 1 + tail * q, which settles after maxdeg full products."""
+    if p.constant_term != 1:
+        raise ValueError("inverse requires constant term 1")
+    one = F2Poly.one(p.nvars, p.maxdeg)
+    tail = p + one
+    q = one
+    for _ in range(p.maxdeg):
+        q = one + tail * q
+    return q
+
+
+@st.composite
+def series_with_unit_constant(draw):
+    nvars, maxdeg = draw(st.integers(1, 4)), draw(st.integers(0, 9))
+    exps = st.lists(st.integers(0, maxdeg), min_size=nvars, max_size=nvars).map(
+        tuple).filter(any)
+    return F2Poly(nvars, maxdeg, [(0,) * nvars] + draw(st.lists(exps, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series_with_unit_constant())
+def test_inverse_matches_fixed_point_oracle(p):
+    q = p.inverse()
+    assert q == oracle_inverse(p)
+    assert p * q == F2Poly.one(p.nvars, p.maxdeg)
+
+
+def oracle_omega(n, maxdeg):
+    """The earlier ``omega``, with the fixed-point inverse."""
+    even = F2Poly.one(n, maxdeg)
+    odd = F2Poly.one(n, maxdeg)
+    for eps in cartesian((0, 1), repeat=n):
+        if sum(eps):
+            factor = F2Poly(n, maxdeg, [(0,) * n] + [
+                tuple(int(j == i) for j in range(n)) for i, bit in enumerate(eps) if bit])
+            if sum(eps) % 2 == 0:
+                even = even * factor
+            else:
+                odd = odd * factor
+    if n % 2 == 0:
+        return even * oracle_inverse(odd)
+    return odd * oracle_inverse(even)
+
+
+@pytest.mark.parametrize(
+    "n,maxdeg", [(n, d) for n in (1, 2, 3, 4) for d in range(2 ** (n - 1), 10)])
+def test_omega_matches_earlier_output(n, maxdeg):
+    assert omega(n, maxdeg) == oracle_omega(n, maxdeg)
+
+
+def test_check_identities_work_bound(monkeypatch):
+    # omega(4, 8) once, with no products in its inverse: 16 products, and 8
+    # more for the closed product form; 56 when omega was built twice with
+    # the fixed-point inverse
+    calls = []
+    real_mul = F2Poly.__mul__
+
+    def mul(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(F2Poly, "__mul__", mul)
+    assert milnor.check_identities(4).ok
+    assert 0 < len(calls) <= 30
 
 
 def test_substitution_is_multiplicative():
