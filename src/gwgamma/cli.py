@@ -92,30 +92,20 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _int_vector(value: object, length: int, where: str) -> list[int]:
-    # one pass over a well-formed vector; anything else takes the loop below,
-    # which names the first offending entry
-    if (
-        isinstance(value, list)
-        and len(value) == length
-        and all(type(x) is int for x in value)
-        and max(map(abs, value), default=0) < 2 ** 128
-    ):
-        return list(value)
     _require(isinstance(value, list), "key %s: expected a list" % where)
     _require(
         len(value) == length,
         "key %s: expected %d integers, got %d" % (where, length, len(value)),
     )
+    # the per-entry messages are built only for the entry that fails
     for x in value:
-        _require(
-            isinstance(x, int) and not isinstance(x, bool),
-            "key %s: non-integer entry %r" % (where, x),
-        )
-        _require(
-            abs(x) < 2 ** 128,
-            "key %s: entry of %d digits, not below 2^128 in absolute value"
-            % (where, len(str(abs(x)))),
-        )
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ModelFormatError("key %s: non-integer entry %r" % (where, x))
+        if not abs(x) < 2 ** 128:
+            raise ModelFormatError(
+                "key %s: entry of %d digits, not below 2^128 in absolute value"
+                % (where, len(str(abs(x))))
+            )
     return list(value)
 
 

@@ -214,8 +214,8 @@ def test_integer_cap_accepts_largest(tmp_path, big):
 
 
 def oracle_int_vector(value, length, where):
-    """The per-entry check that ``cli._int_vector`` ran on every vector
-    before its one-pass path: the checked list, or the message it raised."""
+    """The per-entry check written out apart from ``cli._int_vector``: the
+    checked list, or the message it raises."""
     if not isinstance(value, list):
         return "key %s: expected a list" % where
     if len(value) != length:

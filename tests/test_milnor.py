@@ -120,19 +120,31 @@ def test_omega_matches_earlier_output(n, maxdeg):
 
 
 def test_check_identities_work_bound(monkeypatch):
-    # omega(4, 8) once, with no products in its inverse: 16 products, and 8
-    # more for the closed product form; 56 when omega was built twice with
-    # the fixed-point inverse
-    calls = []
+    # omega(4, 8) once: 16 products, and 8 more for the closed product form;
+    # 56 when omega was built twice with the fixed-point inverse.  Every GF(2)
+    # product, those inside ``inverse`` included, runs through ``_times``:
+    # 60 calls visiting 10,604 pairs of exponent vectors, against 150,314
+    # pairs in the 56 products of the fixed-point version
+    products = []
     real_mul = F2Poly.__mul__
 
     def mul(self, other):
-        calls.append(1)
+        products.append(1)
         return real_mul(self, other)
 
+    pairs = []
+    real_times = milnor._times
+
+    def times(left, right, maxdeg):
+        pairs.append(len(left) * len(right))
+        return real_times(left, right, maxdeg)
+
     monkeypatch.setattr(F2Poly, "__mul__", mul)
+    monkeypatch.setattr(milnor, "_times", times)
     assert milnor.check_identities(4).ok
-    assert 0 < len(calls) <= 30
+    assert 0 < len(products) <= 30
+    assert len(products) < len(pairs) <= 64
+    assert sum(pairs) <= 12_000
 
 
 def test_substitution_is_multiplicative():
