@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,6 @@ class GroupPresentation:
 
     def basis(self) -> tuple["GroupElement", ...]:
         return tuple(self.basis_element(i) for i in range(self.rank))
-
-    def torsion_elements(self) -> Iterator["GroupElement"]:
-        """All elements of the finite torsion subgroup (free coords zero)."""
-        ranges = [range(o) if o else range(1) for o in self.orders]
-        for coeffs in _iproduct(*ranges):
-            yield GroupElement(self, tuple(coeffs))
-
-    def torsion_order(self) -> int:
-        n = 1
-        for o in self.orders:
-            if o:
-                n *= o
-        return n
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,10 @@ def witt_filtration(
     f: FiltrationResult | None = None,
     kmax: int = 8,
 ) -> FiltrationResult:
-    """Image of the gamma filtration in the quotient by hyperbolic classes."""
+    """Image of the gamma filtration ``f`` of m (computed when None) in the
+    quotient by hyperbolic classes."""
+    if f is not None and (f.model is not m or f.group != m.group):
+        raise ValueError("f is not a gamma filtration of model %s" % m.name)
     qpres, projection, _ = witt_quotient(m)
     if f is None:
         f = gamma_filtration(m, kmax=kmax)

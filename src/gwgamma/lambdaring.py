@@ -27,8 +27,8 @@ products x*y of a list of pairs on a single integer vector and reduces the
 sum once; ``multiply`` is ``dot`` with one pair, and every coefficient of a
 series product or inverse is one call to it (see :mod:`gwgamma.series`).
 Whether the constants make a commutative ring, which series powers need
-for their binomial table, is one cached verdict read off the same rows;
-``validate_model`` shares it.
+for their binomial table, is one cached verdict from two generators of
+offending cases on the same rows; ``validate_model`` names its cases.
 
 Basis lambda-series are stored as plain group elements in degrees
 1..D_b.  Series that genuinely terminate (line elements and their shifts)
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .abelian import GroupElement, GroupPresentation
 from .series import TruncSeries, gamma_from_lambda
@@ -202,22 +202,29 @@ class RingModel:
     def _is_ring(self) -> bool:
         """Whether the structure constants make the group a commutative ring,
         so that every ring identity, the binomial theorem included, holds in
-        this model's arithmetic.
+        this model's arithmetic: the unit is neutral, o_i b_i b_j vanishes for
+        every basis element b_i of finite order o_i (so that a product does
+        not depend on the representatives of its factors), and each basis
+        triple has one product under all three bracketings."""
+        torsion = (i for i, o in enumerate(self.group.orders) if o)
+        return (self._unit_neutral
+                and not any(True for i in torsion for _ in self._unkilled(i))
+                and not any(self._bracketing_failures()))
 
-        The unit must be neutral; o_i b_i b_j must vanish for every basis
-        element b_i of finite order o_i, so that a product does not depend on
-        the representatives of its factors; and each basis triple must have
-        one product under all three bracketings.  Read off the sparse rows.
-        """
-        if not self._unit_neutral:
-            return False
+    def _unkilled(self, i: int) -> Iterator[int]:
+        """The j for which the order of the torsion element b_i does not
+        kill b_i * b_j, read off the sparse rows."""
+        orders = self.group.orders
+        o = orders[i]
+        for j, entries in enumerate(self.products[i]):
+            if not all(orders[k] and o * c % orders[k] == 0 for k, c in entries):
+                yield j
+
+    def _bracketing_failures(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """(i, j, k, p, q) for each basis triple i <= j <= k and bracketing
+        b_p*(b_q*b_k) that differs from (b_i*b_j)*b_k: first (p, q) = (i, j),
+        then (j, i) when i < j < k.  Computed on the sparse rows."""
         orders, rows = self.group.orders, self.products
-        for i, o in enumerate(orders):
-            if o and not all(
-                orders[k] and o * c % orders[k] == 0
-                for entries in rows[i] for k, c in entries
-            ):
-                return False
 
         def times(i, entries):
             # b_i times the element with these sparse entries, as sparse entries
@@ -232,12 +239,11 @@ class RingModel:
         for i in range(rank):
             for j in range(i, rank):
                 for k in range(j, rank):
-                    right = times(i, rows[j][k])
-                    if times(k, rows[i][j]) != right or (
-                        i < j < k and times(j, rows[i][k]) != right
-                    ):
-                        return False
-        return True
+                    left = times(k, rows[i][j])
+                    if times(i, rows[j][k]) != left:
+                        yield i, j, k, i, j
+                    if i < j < k and times(j, rows[i][k]) != left:
+                        yield i, j, k, j, i
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
         if order > self.trunc:
@@ -316,14 +322,16 @@ class RingElement:
 def lambda_total(x: RingElement, order: int | None = None) -> TruncSeries:
     """Total lambda-series of x, exact through the requested order.
 
-    Raises ValueError when the model's unit is not multiplicatively neutral:
-    the series powers would then not start at the unit, and their
-    coefficients grow without bound.
+    Raises ValueError on a negative order, and when the model's unit is not
+    multiplicatively neutral: the series powers would then not start at the
+    unit, and their coefficients grow without bound.
     """
     m = x.model
+    n = m.trunc if order is None else order
+    if n < 0:
+        raise ValueError("order must be non-negative")
     if not m._unit_neutral:
         raise ValueError("model %s: unit is not multiplicatively neutral" % m.name)
-    n = m.trunc if order is None else order
     out = None
     for i, c in enumerate(x.value.coeffs):
         if c:
@@ -369,48 +377,30 @@ def validate_model(m: RingModel) -> Report:
 
     Each check generates its offending cases, on the basis elements and
     their products in the sparse structure-constant rows; the report names
-    the first one.
+    the first one.  The associativity and torsion-kill cases come from the
+    ring verdict's generators, only when the verdict fails.
     """
     rank = m.group.rank
-    b = [m.group.basis_element(i) for i in range(rank)]
-
-    def element(entries):
-        v = [0] * rank
-        for k, c in entries:
-            v[k] = c
-        return m.group.element(v)
-
-    prod = [[element(entries) for entries in row] for row in m.products]
-    # the ring verdict covers associativity and the torsion kills; their
-    # offending cases are only looked for when it fails
+    basis = m.group.basis()
     ring = m._is_ring
-    pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
-    zero = m.group.zero()
-    d = m.augmentation
+    d, aug = m.augmentation, m.aug
     lam = m.lambda_on_basis
     torsion = [(i, o) for i, o in enumerate(m.group.orders) if o]
 
-    def associative():
-        if ring:
-            return
-        for i, j in pairs:
-            for k in range(j, rank):
-                left = m.multiply(prod[i][j], b[k])
-                if left != m.multiply(b[i], prod[j][k]):
-                    yield "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, i, j, k)
-                # b_j*(b_i*b_k) is a third bracketing only when i < j < k
-                if i < j < k and left != m.multiply(b[j], prod[i][k]):
-                    yield "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, j, i, k)
-
     def torsion_products():
         for i, o in torsion:
-            if m.aug[i]:
+            if aug[i]:
                 yield "torsion basis element %d has nonzero rank" % i
-            if ring:
-                continue
-            for j in range(rank):
-                if not (o * prod[i][j]).is_zero:
+            if not ring:
+                for j in m._unkilled(i):
                     yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
+
+    def homomorphism():
+        for i, row in enumerate(m.products):
+            for j in range(i, rank):
+                got = sum(aug[k] * c for k, c in row[j])
+                if got != aug[i] * aug[j]:
+                    yield "d(b%d*b%d) = %d != %d" % (i, j, got, aug[i] * aug[j])
 
     def torsion_series():
         # without a neutral unit each squaring in pow may double the digits
@@ -427,18 +417,18 @@ def validate_model(m: RingModel) -> Report:
         ("augmentation(unit) == 1",
          ["d(1) = %d" % d(m.unit)] if d(m.unit) != 1 else []),
         ("unit is multiplicatively neutral", [] if m._unit_neutral else [""]),
-        ("multiplication associative on basis", associative()),
+        ("multiplication associative on basis",
+         () if ring else ("(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, p, q, k)
+                          for i, j, k, p, q in m._bracketing_failures())),
         ("products respect torsion orders", torsion_products()),
-        ("augmentation is a ring homomorphism",
-         ("d(b%d*b%d) = %d != %d" % (i, j, d(prod[i][j]), m.aug[i] * m.aug[j])
-          for i, j in pairs if d(prod[i][j]) != m.aug[i] * m.aug[j])),
+        ("augmentation is a ring homomorphism", homomorphism()),
         ("lambda^1 is the identity on basis",
          ("lambda^1(b%d) != b%d" % (i, i)
-          for i in range(rank) if (lam[i] or (zero,))[0] != b[i])),
+          for i in range(rank) if lam[i][:1] != (basis[i],))),
         ("augmentation compatible with lambda-series",
-         ("d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, d(c), m.aug[i], k)
+         ("d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, d(c), aug[i], k)
           for i in range(rank) for k, c in enumerate(lam[i], start=1)
-          if d(c) != binomial(m.aug[i], k))),
+          if d(c) != binomial(aug[i], k))),
         ("lambda-series respect torsion orders", torsion_series()),
     )
     return Report(tuple(_first_case(name, cases) for name, cases in checks))

@@ -1,15 +1,14 @@
-"""Truncated power series with coefficients in Z or in a ring model.
+"""Truncated power series over a ring model.
 
-Coefficients are either all Python ints or all ring elements of one
-:class:`~gwgamma.lambdaring.RingModel`.  All series share a fixed truncation
-order N and store exactly N + 1 coefficients; operations never consult
-anything beyond the truncation, so results are exact modulo t^(N+1).
+Coefficients are ring elements of one :class:`~gwgamma.lambdaring.RingModel`.
+All series share a fixed truncation order N and store exactly N + 1
+coefficients; operations never consult anything beyond the truncation, so
+results are exact modulo t^(N+1).
 
 Every coefficient of a product or an inverse is one sum of products
-sum_i a_i b_(k-i).  Over the integers it is a plain integer sum; over a ring
-model it is one call to ``RingModel.dot``, which accumulates the whole sum
-on an integer vector through the sparse structure constants and reduces it
-once, so no intermediate ring element is ever built.
+sum_i a_i b_(k-i), computed by one call to ``RingModel.dot``, which
+accumulates the whole sum on an integer vector through the sparse structure
+constants and reduces it once, so no intermediate ring element is ever built.
 
 Powers use one binomial table per series.  Writing S = 1 + T,
 
@@ -34,12 +33,12 @@ total gamma-series are linear with binomial coefficients:
     t -> t/(1-t):   out_k = sum_i C(k-1, k-i) * c_i          (k >= 1)
     t -> t/(1+t):   out_k = sum_i (-1)^(k-i) C(k-1, k-i) * c_i
 
-Over a ring model they run per coordinate: each nonzero coordinate column
-of c_1..c_N is summed against the cached row of signed binomials of each
-degree, and each output degree is reduced once.
+They run per coordinate: each nonzero coordinate column of c_1..c_N is
+summed against the cached row of signed binomials of each degree, and each
+output degree is reduced once.
 
-Inversion requires the constant term to be the ring unit (the int 1, or a
-coefficient whose ``is_unit`` is true) and proceeds by forward substitution.
+Inversion requires the constant term to be the ring unit and proceeds by
+forward substitution.
 """
 
 from __future__ import annotations
@@ -50,35 +49,8 @@ from operator import mul
 from typing import Sequence
 
 
-def _is_unit_coeff(c) -> bool:
-    if isinstance(c, int):
-        return c == 1
-    return c.is_unit
-
-
-class _Integers:
-    """Stands in for the ring model when the coefficients are plain ints."""
-
-    @staticmethod
-    def dot(pairs) -> int:
-        return sum(x * y for x, y in pairs)
-
-    @staticmethod
-    def combine(terms) -> int:
-        return sum(n * x for n, x in terms)
-
-    @staticmethod
-    def wrap(value: int) -> int:
-        return value
-
-    _is_ring = True
-
-
 def _split(coeffs: Sequence):
-    """(ring, values): the shared ring model and the group-element values of
-    ring-element coefficients, or ``_Integers`` and the ints themselves."""
-    if isinstance(coeffs[0], int):
-        return _Integers, coeffs
+    """The ring model shared by the coefficients, and their values."""
     m = coeffs[0].model
     if any(c.model is not m for c in coeffs):
         raise ValueError("elements from different models")
@@ -101,8 +73,7 @@ class TruncSeries:
 
     @classmethod
     def one(cls, unit, order: int) -> "TruncSeries":
-        zero = unit * 0
-        return cls((unit,) + (zero,) * order)
+        return cls.from_coeffs(unit, (), order)
 
     @classmethod
     def from_coeffs(cls, unit, coeffs: Sequence, order: int) -> "TruncSeries":
@@ -137,7 +108,7 @@ class TruncSeries:
 
     def inverse(self) -> "TruncSeries":
         if self._inverse is None:
-            if not _is_unit_coeff(self.coeffs[0]):
+            if not self.coeffs[0].is_unit:
                 raise ValueError("series with non-unit constant term")
             m, a = _split(self.coeffs)
             out = [a[0]]
@@ -149,10 +120,13 @@ class TruncSeries:
     def pow(self, e: int) -> "TruncSeries":
         """S^e from the binomial table of S, or of its inverse for e < 0.
 
-        >>> TruncSeries((1, 1, 0, 0)).pow(-3).coeffs
-        (1, -3, 6, -10)
+        >>> from gwgamma.models import gw_point
+        >>> one = gw_point("C").unit_element
+        >>> s = TruncSeries.from_coeffs(one, [one], 3)
+        >>> [c.value.coeffs for c in s.pow(-3).coeffs]
+        [(1,), (-3,), (6,), (-10,)]
         """
-        if not _is_unit_coeff(self.coeffs[0]):
+        if not self.coeffs[0].is_unit:
             raise ValueError("series with non-unit constant term")
         if e == 0:
             return TruncSeries.one(self.coeffs[0], self.order)
@@ -200,9 +174,6 @@ class TruncSeries:
         summed coordinate by coordinate."""
         m, c = _split(self.coeffs)
         rows = _signed_binomials(sign, len(c) - 1)
-        if m is _Integers:
-            body = c[1:]
-            return TruncSeries([c[0], *(sum(map(mul, row, body)) for row in rows)])
         columns = [
             (t, col) for t, col in enumerate(zip(*(v.coeffs for v in c[1:]))) if any(col)
         ]

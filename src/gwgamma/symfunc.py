@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Mapping, Sequence
 
 PRODUCT_DEGREE_BOUND = 4
@@ -113,14 +113,6 @@ class MultiPoly:
     def leading(self) -> tuple[tuple[int, ...], int]:
         exps = max(self.terms)
         return exps, self.terms[exps]
-
-    def is_symmetric(self) -> bool:
-        for perm in permutations(range(self.nvars)):
-            for exps, c in self.terms.items():
-                image = tuple(exps[p] for p in perm)
-                if self.terms.get(image, 0) != c:
-                    return False
-        return True
 
     def evaluate(self, values: Sequence, one):
         """Evaluate with ring-element values; `one` is the ring unit.
@@ -212,20 +204,6 @@ def to_elementary(p: MultiPoly) -> MultiPoly:
                 prod = prod * elementary(n, i + 1) ** e
         work = work - prod
     return MultiPoly(n, out)
-
-
-def expand_elementary(q: MultiPoly, n: int) -> MultiPoly:
-    """Inverse of to_elementary: substitute e_i -> elementary(n, i)."""
-    if q.nvars != n:
-        raise ValueError("expected a polynomial in e_1..e_n")
-    acc = MultiPoly(n)
-    for exps, c in q.terms.items():
-        prod = MultiPoly.constant(n, c)
-        for i, e in enumerate(exps):
-            if e:
-                prod = prod * elementary(n, i + 1) ** e
-        acc = acc + prod
-    return acc
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,8 @@ from gwgamma.models import (
     gw_surface_cxp1,
     line_elements,
 )
-from gwgamma.series import TruncSeries, lambda_from_gamma
+from gwgamma.series import lambda_from_gamma
+from test_series import z_series
 
 
 def trivial_model(n):
@@ -223,6 +224,23 @@ def test_witt_quotient_of_punctured_space_is_unchanged():
     assert w.exact == g.exact
 
 
+def test_witt_filtration_refuses_another_models_filtration():
+    # the filtration of P^4 over C, pushed into the Witt quotient of the
+    # punctured line, read exact with graded ((), (), (0,)); the true
+    # graded pieces are ((2,), (2, 2), (2, 2))
+    m = gw_punctured_line()
+    with pytest.raises(ValueError, match="not a gamma filtration"):
+        witt_filtration(m, gamma_filtration(gw_projective("C", 4), kmax=3))
+    with pytest.raises(ValueError, match="not a gamma filtration"):
+        witt_filtration(m, gamma_filtration(gw_punctured_line(), kmax=3))
+    w = witt_filtration(m, kmax=3)
+    assert w.exact
+    assert w.graded == ((2,), (2, 2), (2, 2))
+    with pytest.raises(ValueError, match="not a gamma filtration"):
+        witt_filtration(m, w)
+    assert witt_filtration(m, gamma_filtration(m, kmax=3)).graded == w.graded
+
+
 def test_witt_quotient_of_surface():
     m = gw_surface_cxp1(2)
     _, _, invariants = witt_quotient(m)
@@ -285,11 +303,11 @@ def test_budget_and_kmax_guards():
 def test_gap_in_gamma_series_is_not_termination():
     # basis (1, x), x^2 = 0, gamma_t(x) = 1 + x t + x t^3: the weight-2
     # gamma-value vanishes but the weight-3 one does not, so F^2 = Zx
-    gamma = TruncSeries((1, 1, 0, 1) + (0,) * 13)
+    gamma = z_series((1, 1, 0, 1) + (0,) * 13)
     m = RingModel(
         "gap", GroupPresentation((0, 0), ("one", "x")), (1, 0),
         {(0, 0): (1, 0), (0, 1): (0, 1)}, (1, 0),
-        [[(1, 0)], [(0, c) for c in lambda_from_gamma(gamma).coeffs[1:]]],
+        [[(1, 0)], [(0,) + c.value.coeffs for c in lambda_from_gamma(gamma).coeffs[1:]]],
     )
     assert validate_model(m).ok
     x = m.basis_element(1)
@@ -312,11 +330,11 @@ def test_piece_needs_products_above_kmax(gamma, exact, cap):
     # basis (1, x), x^2 = 0, at trunc 8: F^2 = Zx only through the weight-6
     # gamma-value, so pieces built from the products of weight at most kmax
     # would read F^2 = 0
-    series = TruncSeries(gamma + (0,) * (9 - len(gamma)))
+    series = z_series(gamma + (0,) * (9 - len(gamma)))
     m = RingModel(
         "late", GroupPresentation((0, 0), ("one", "x")), (1, 0),
         {(0, 0): (1, 0), (0, 1): (0, 1)}, (1, 0),
-        [[(1, 0)], [(0, c) for c in lambda_from_gamma(series).coeffs[1:]]],
+        [[(1, 0)], [(0,) + c.value.coeffs for c in lambda_from_gamma(series).coeffs[1:]]],
         trunc=8,
     )
     assert validate_model(m).ok

@@ -5,7 +5,9 @@ e.g. lambda_t(a) = (1 + (a+2)t + t^2) / (1 + 2t + t^2) over the complex
 base, whose expansion is linear in a with coefficients (-1)^(k-1) k.
 """
 
+import math
 import random
+from itertools import product
 
 import pytest
 
@@ -35,6 +37,16 @@ from gwgamma.models import (
 )
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import binomial
+
+
+def torsion_elements(group):
+    """All elements of the finite torsion subgroup (free coordinates zero)."""
+    for coeffs in product(*(range(o) if o else range(1) for o in group.orders)):
+        yield group.element(coeffs)
+
+
+def torsion_order(group):
+    return math.prod(o for o in group.orders if o)
 
 
 SAMPLE_MODELS = [
@@ -268,9 +280,9 @@ def test_addition_law_on_random_elements():
 def test_two_torsion_cubes_vanish():
     # any two-torsion class has vanishing cube in these models
     for m in SAMPLE_MODELS:
-        if m.group.torsion_order() > 4096:
+        if torsion_order(m.group) > 4096:
             continue
-        for t in m.group.torsion_elements():
+        for t in torsion_elements(m.group):
             x = m.wrap(t)
             if (2 * x).is_zero:
                 assert (x ** 3).is_zero, m.name
@@ -360,3 +372,20 @@ def test_projective_build_work_bound(monkeypatch):
         dots[0] = 0
         assert validate_model(model).ok
         assert dots[0] <= before, model.name
+
+
+def test_negative_orders_refused():
+    # lambda_k(a, -1) read 15a, the stored series cut from the wrong end,
+    # and gamma_k(a, -1) read 0
+    m = gw_projective("C", 4)
+    a = m.basis_element(1)
+    for call in (
+        lambda: lambda_total(a, -1),
+        lambda: gamma_total(a, -1),
+        lambda: lambda_k(a, -1),
+        lambda: gamma_k(a, -1),
+        lambda: lambda_total(m.zero_element, -1),
+    ):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            call()
+    assert lambda_k(a, 0) == gamma_k(a, 0) == m.unit_element

@@ -15,11 +15,32 @@ from gwgamma.symfunc import (
     binomial,
     compose_universal,
     elementary,
-    expand_elementary,
     newton_psi,
     product_universal,
     to_elementary,
 )
+
+
+def expand_elementary(q, n):
+    """Inverse of to_elementary: substitute e_i -> elementary(n, i)."""
+    if q.nvars != n:
+        raise ValueError("expected a polynomial in e_1..e_n")
+    acc = MultiPoly(n)
+    for exps, c in q.terms.items():
+        prod = MultiPoly.constant(n, c)
+        for i, e in enumerate(exps):
+            if e:
+                prod = prod * elementary(n, i + 1) ** e
+        acc = acc + prod
+    return acc
+
+
+def is_symmetric(p):
+    for perm in permutations(range(p.nvars)):
+        for exps, c in p.terms.items():
+            if p.terms.get(tuple(exps[i] for i in perm), 0) != c:
+                return False
+    return True
 
 
 def symmetrize(p):
