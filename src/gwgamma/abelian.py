@@ -30,6 +30,7 @@ Everything runs on plain Python integers, so there is no overflow anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iproduct
 from typing import Iterable, Sequence
 
@@ -51,15 +52,26 @@ class GroupPresentation:
     def rank(self) -> int:
         return len(self.orders)
 
+    @cached_property
+    def _torsion(self) -> tuple[tuple[int, int], ...]:
+        """(index, order) of each finite cyclic factor."""
+        return tuple((i, o) for i, o in enumerate(self.orders) if o)
+
     def reduce(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """The canonical form of a coefficient vector: only the torsion
+        coordinates are reduced, and without torsion it is a copy."""
         if len(coeffs) != self.rank:
             raise ValueError(
                 "coefficient vector of length %d for presentation of rank %d"
                 % (len(coeffs), self.rank)
             )
-        return tuple(
-            c % o if o else c for c, o in zip(coeffs, self.orders)
-        )
+        torsion = self._torsion
+        if not torsion:
+            return tuple(coeffs)
+        out = list(coeffs)
+        for i, o in torsion:
+            out[i] %= o
+        return tuple(out)
 
     def element(self, coeffs: Sequence[int]) -> "GroupElement":
         return GroupElement(self, self.reduce(coeffs))
@@ -112,6 +124,12 @@ class GroupElement:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+
+def _entries(elem: GroupElement) -> list[tuple[int, int]]:
+    """The sparse form of an element: (index, coefficient) of each nonzero
+    coordinate."""
+    return [(i, c) for i, c in enumerate(elem.coeffs) if c]
 
 
 def _eliminate(cols: list[list[int]], r: int) -> None:
@@ -235,10 +253,6 @@ def subgroup_from_generators(
             raise ValueError("generator from a different presentation")
         vectors.append(g.coeffs)
     return _span(pres, vectors)
-
-
-def zero_subgroup(pres: GroupPresentation) -> Subgroup:
-    return subgroup_from_generators(pres, [])
 
 
 def full_subgroup(pres: GroupPresentation) -> Subgroup:
@@ -387,8 +401,9 @@ def quotient_presentation(
 def project_element(
     target: GroupPresentation, projection: Sequence[Sequence[int]], elem: GroupElement
 ) -> GroupElement:
-    coeffs = [
-        sum(row[j] * elem.coeffs[j] for j in range(len(elem.coeffs)))
-        for row in projection
-    ]
-    return target.element(coeffs)
+    """The image of elem under the projection, summed over its nonzero
+    coordinates only."""
+    entries = _entries(elem)
+    return target.element(
+        [sum(row[j] * c for j, c in entries) for row in projection]
+    )

@@ -24,8 +24,12 @@ The structure constants are stored once, as sparse integer rows:
 ``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  All ring
 arithmetic goes through one primitive, ``RingModel.dot``, which sums the
 products x*y of a list of pairs on a single integer vector and reduces the
-sum once; ``multiply`` is ``dot`` with one pair, and every coefficient of a
-series product or inverse is one call to it (see :mod:`gwgamma.series`).
+sum once.  Its operands are sparse entry lists, the (index, coefficient)
+pairs of the nonzero coordinates, so a pair costs nnz(x) * nnz(y) row
+lengths, whatever the rank; ``multiply`` is ``dot`` with one pair of
+converted elements, and every coefficient of a series product or inverse
+is one call to it on coefficients converted once per operation (see
+:mod:`gwgamma.series`).
 Whether the constants make a commutative ring, which series powers need
 for their binomial table, is one cached verdict from two generators of
 offending cases on the same rows; ``validate_model`` names its cases.
@@ -34,6 +38,9 @@ Basis lambda-series are stored as plain group elements in degrees
 1..D_b.  Series that genuinely terminate (line elements and their shifts)
 are stored in full; non-terminating ones are stored out to the model's
 truncation order and all derived operations stay below it.
+``basis_lambda_series(i, order)`` builds each series once per (i, order)
+and keeps it on the model, so the inverse and power table memoized on it
+are shared by every element, and every job, that uses the model.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .abelian import GroupElement, GroupPresentation
+from .abelian import GroupElement, GroupPresentation, _entries
 from .series import TruncSeries, gamma_from_lambda
 from .symfunc import (
     binomial,
@@ -132,6 +139,8 @@ class RingModel:
                 entries.pop()
             lam.append(tuple(entries))
         self.lambda_on_basis = tuple(lam)
+        # basis_lambda_series, by (i, order)
+        self._basis_series: dict[tuple[int, int], TruncSeries] = {}
         self.hyperbolic = (
             None
             if hyperbolic is None
@@ -160,18 +169,16 @@ class RingModel:
     def basis_elements(self) -> tuple["RingElement", ...]:
         return tuple(self.basis_element(i) for i in range(self.group.rank))
 
-    def dot(self, pairs: Iterable[tuple[GroupElement, GroupElement]]) -> GroupElement:
-        """The sum of x*y over the pairs, accumulated on one integer vector
-        and reduced once."""
+    def dot(
+        self, pairs: Iterable[tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]]
+    ) -> GroupElement:
+        """The sum of x*y over pairs of sparse entry lists, each the (index,
+        coefficient) pairs of the nonzero coordinates of x or y, accumulated
+        on one integer vector and reduced once."""
         acc = [0] * self.group.rank
         products = self.products
-        for x, y in pairs:
-            ys = [(j, yj) for j, yj in enumerate(y.coeffs) if yj]
-            if not ys:
-                continue
-            for i, xi in enumerate(x.coeffs):
-                if not xi:
-                    continue
+        for xs, ys in pairs:
+            for i, xi in xs:
                 row = products[i]
                 for j, yj in ys:
                     c = xi * yj
@@ -180,15 +187,15 @@ class RingModel:
         return self.group.element(acc)
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return self.dot(((x, y),))
+        return self.dot(((_entries(x), _entries(y)),))
 
-    def combine(self, terms: Iterable[tuple[int, GroupElement]]) -> GroupElement:
-        """The integer combination sum n*x over the terms, reduced once."""
+    def combine(self, terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> GroupElement:
+        """The integer combination sum n*x over the terms, each x a sparse
+        entry list, reduced once."""
         acc = [0] * self.group.rank
-        for n, x in terms:
-            if n:
-                for k, v in enumerate(x.coeffs):
-                    acc[k] += n * v
+        for n, xs in terms:
+            for k, v in xs:
+                acc[k] += n * v
         return self.group.element(acc)
 
     def augmentation(self, x: GroupElement) -> int:
@@ -246,13 +253,23 @@ class RingModel:
                         yield i, j, k, j, i
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
+        """lambda_t(b_i) through the order, built once per (i, order) and kept
+        on the model, so that its memoized inverse and power table serve
+        every later caller."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
         if order > self.trunc:
             raise ValueError(
                 "order %d beyond model truncation %d" % (order, self.trunc)
             )
-        stored = self.lambda_on_basis[i]
-        wrapped = [RingElement(self, g) for g in stored]
-        return TruncSeries.from_coeffs(self.unit_element, wrapped, order)
+        key = (i, order)
+        series = self._basis_series.get(key)
+        if series is None:
+            wrapped = [RingElement(self, g) for g in self.lambda_on_basis[i]]
+            series = self._basis_series[key] = TruncSeries.from_coeffs(
+                self.unit_element, wrapped, order
+            )
+        return series
 
 
 @dataclass(frozen=True)

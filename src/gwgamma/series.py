@@ -9,6 +9,10 @@ Every coefficient of a product or an inverse is one sum of products
 sum_i a_i b_(k-i), computed by one call to ``RingModel.dot``, which
 accumulates the whole sum on an integer vector through the sparse structure
 constants and reduces it once, so no intermediate ring element is ever built.
+``dot`` reads its operands as sparse entry lists, the (index, coefficient)
+pairs of the nonzero coordinates: a product converts each coefficient of
+both factors once, and an inverse converts each new coefficient as it is
+produced.
 
 Powers use one binomial table per series.  Writing S = 1 + T,
 
@@ -18,7 +22,9 @@ and S^e = (S^-1)^(-e) for e < 0.  T^k vanishes below degree k, so each
 power is the partial product T^(k-1) * T over degrees k..N only, one
 ``dot`` per coefficient.  The powers are built lazily and memoized on the
 series, as is its inverse, so every exponent a series is raised to reads the
-same table; each output degree is one ``RingModel.combine``.  The sum equals the product S * ... * S only in a
+same table; the table holds the powers as sparse entry lists, the form that
+``dot`` and ``RingModel.combine`` read, and each output degree is one
+``combine``.  The sum equals the product S * ... * S only in a
 commutative ring: the unit must be neutral, each basis triple must have one
 product under all three bracketings, and o_i b_i b_j = 0 for every basis
 element b_i of finite order o_i, so that the product does not depend on the
@@ -48,6 +54,8 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
+from .abelian import _entries
+
 
 def _split(coeffs: Sequence):
     """The ring model shared by the coefficients, and their values."""
@@ -60,8 +68,8 @@ def _split(coeffs: Sequence):
 class TruncSeries:
     """Power series truncated after degree ``order``."""
 
-    # memoized on first use: _inverse, and _powers, the values of T^k for
-    # T = S - 1 from degree k on
+    # memoized on first use: _inverse, and _powers, the sparse entries of
+    # T^k for T = S - 1 from degree k on
     __slots__ = ("coeffs", "_inverse", "_powers")
 
     def __init__(self, coeffs: Sequence):
@@ -101,7 +109,8 @@ class TruncSeries:
         self._check(other)
         m, values = _split(self.coeffs + other.coeffs)
         n = len(self.coeffs)
-        a, b = values[:n], values[n:]
+        entries = [_entries(v) for v in values]
+        a, b = entries[:n], entries[n:]
         return TruncSeries(
             [m.wrap(m.dot(zip(a[: k + 1], b[k::-1]))) for k in range(n)]
         )
@@ -110,10 +119,14 @@ class TruncSeries:
         if self._inverse is None:
             if not self.coeffs[0].is_unit:
                 raise ValueError("series with non-unit constant term")
-            m, a = _split(self.coeffs)
-            out = [a[0]]
+            m, values = _split(self.coeffs)
+            a = [_entries(v) for v in values]
+            out = [values[0]]
+            done = [a[0]]
             for k in range(1, len(a)):
-                out.append(-m.dot(zip(a[1 : k + 1], out[::-1])))
+                v = -m.dot(zip(a[1 : k + 1], done[::-1]))
+                out.append(v)
+                done.append(_entries(v))
             self._inverse = TruncSeries([m.wrap(v) for v in out])
         return self._inverse
 
@@ -157,15 +170,17 @@ class TruncSeries:
         return TruncSeries([m.wrap(v) for v in out])
 
     def _table(self, m, a: Sequence, top: int) -> list:
-        """The values of T^1..T^top, T = S - 1; entry j of T^k is degree k + j."""
+        """The sparse entries of T^1..T^top, T = S - 1; entry j of T^k is
+        degree k + j."""
         powers = self._powers
         if powers is None:
-            powers = self._powers = [a[1:]]
-        t = a[1:]
+            powers = self._powers = [[_entries(v) for v in a[1:]]]
+        t = powers[0]
         while len(powers) < top:
             prev = powers[-1]
             powers.append([
-                m.dot(zip(t[: j + 1], prev[j::-1])) for j in range(len(prev) - 1)
+                _entries(m.dot(zip(t[: j + 1], prev[j::-1])))
+                for j in range(len(prev) - 1)
             ])
         return powers
 

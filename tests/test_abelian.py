@@ -20,8 +20,12 @@ from gwgamma.abelian import (
     relative_quotient_invariants,
     smith_normal_form,
     subgroup_from_generators,
-    zero_subgroup,
 )
+
+
+def zero_subgroup(pres):
+    """The subgroup of relations only: the zero subgroup of the group."""
+    return subgroup_from_generators(pres, [])
 
 
 def closure(pres, gens):

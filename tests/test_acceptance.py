@@ -15,7 +15,6 @@ from gwgamma.abelian import (
     quotient_invariants,
     relative_quotient_invariants,
     subgroup_from_generators,
-    zero_subgroup,
 )
 from gwgamma.cli import model_from_dict, model_to_dict
 from gwgamma.filtration import gamma_filtration, witt_filtration
@@ -48,6 +47,7 @@ from gwgamma.models import (
 )
 from gwgamma.series import TruncSeries, gamma_from_lambda, lambda_from_gamma
 from gwgamma.symfunc import MultiPoly, to_elementary
+from test_abelian import zero_subgroup
 from test_models import torsion_elements
 from test_symfunc import expand_elementary, is_symmetric
 

@@ -7,7 +7,6 @@ import pytest
 from gwgamma.abelian import (
     GroupPresentation,
     subgroup_from_generators,
-    zero_subgroup,
 )
 from gwgamma.filtration import (
     augmentation_kernel,
@@ -25,6 +24,7 @@ from gwgamma.models import (
     line_elements,
 )
 from gwgamma.series import lambda_from_gamma
+from test_abelian import zero_subgroup
 from test_series import z_series
 
 

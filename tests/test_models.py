@@ -389,3 +389,12 @@ def test_negative_orders_refused():
         with pytest.raises(ValueError, match="order must be non-negative"):
             call()
     assert lambda_k(a, 0) == gamma_k(a, 0) == m.unit_element
+
+
+def test_basis_series_refuses_negative_order():
+    # the parent read basis_lambda_series(1, -1) as a series of order 15,
+    # the stored series cut from the wrong end
+    m = gw_projective("C", 4)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        m.basis_lambda_series(1, -1)
+    assert m.basis_lambda_series(1, 0).order == 0

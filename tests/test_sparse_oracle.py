@@ -1,0 +1,129 @@
+"""Differential tests of the sparse group arithmetic, and the basis series memo.
+
+The references below are the earlier dense routines: ``reduce`` walked every
+coordinate of the vector, and ``project_element`` multiplied the whole
+projection matrix by the whole coefficient vector.  They live here only as
+oracles.  The presentations mix free and torsion coordinates, and the
+entries reach below zero and beyond 2^64, where a fixed-width shortcut
+would wrap.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gwgamma.abelian import (
+    GroupPresentation,
+    project_element,
+    quotient_presentation,
+    subgroup_from_generators,
+)
+from gwgamma.filtration import gamma_filtration
+from gwgamma.models import gw_projective
+from gwgamma.series import TruncSeries
+from test_filtration_oracle import group_ring
+
+
+def oracle_reduce(pres, coeffs):
+    if len(coeffs) != pres.rank:
+        raise ValueError(
+            "coefficient vector of length %d for presentation of rank %d"
+            % (len(coeffs), pres.rank)
+        )
+    return tuple(c % o if o else c for c, o in zip(coeffs, pres.orders))
+
+
+def oracle_project(target, projection, elem):
+    coeffs = [
+        sum(row[j] * elem.coeffs[j] for j in range(len(elem.coeffs)))
+        for row in projection
+    ]
+    return target.element(coeffs)
+
+
+ORDERS = st.sampled_from([0, 0, 1, 2, 3, 4, 12, 2**64 + 13])
+BIG = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2**64, 2**70),
+    st.integers(-(2**70), -(2**64)),
+)
+
+
+@st.composite
+def presentations(draw, max_rank=5):
+    orders = tuple(draw(st.lists(ORDERS, min_size=1, max_size=max_rank)))
+    return GroupPresentation(orders, tuple("e%d" % i for i in range(len(orders))))
+
+
+def vectors(pres):
+    return st.lists(BIG, min_size=pres.rank, max_size=pres.rank).map(tuple)
+
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@SETTINGS
+@given(st.data())
+def test_reduce_matches_oracle(data):
+    pres = data.draw(presentations())
+    v = data.draw(vectors(pres))
+    assert pres.reduce(v) == oracle_reduce(pres, v)
+    assert pres.reduce(list(v)) == oracle_reduce(pres, list(v))
+
+
+@SETTINGS
+@given(st.data())
+def test_reduce_refuses_wrong_length_as_oracle(data):
+    pres = data.draw(presentations())
+    v = data.draw(st.lists(BIG, max_size=7).filter(lambda v: len(v) != pres.rank))
+    with pytest.raises(ValueError) as got:
+        pres.reduce(v)
+    with pytest.raises(ValueError) as want:
+        oracle_reduce(pres, v)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_project_element_matches_oracle(data):
+    pres = data.draw(presentations(max_rank=4))
+    small = st.lists(st.integers(-6, 6), min_size=pres.rank, max_size=pres.rank)
+    gens = data.draw(st.lists(small, max_size=3))
+    sub = subgroup_from_generators(pres, [pres.element(g) for g in gens])
+    qpres, projection = quotient_presentation(pres, sub)
+    for _ in range(3):
+        elem = pres.element(data.draw(vectors(pres)))
+        assert project_element(qpres, projection, elem) == oracle_project(
+            qpres, projection, elem
+        )
+
+
+# ---------------------------------------------------------------- the memo
+
+def test_basis_series_built_once_per_order():
+    m = gw_projective("R", 5)
+    for i in range(m.group.rank):
+        for order in (0, 3, m.trunc):
+            s = m.basis_lambda_series(i, order)
+            assert m.basis_lambda_series(i, order) is s
+            fresh = TruncSeries.from_coeffs(
+                m.unit_element, [m.wrap(g) for g in m.lambda_on_basis[i]], order
+            )
+            assert s == fresh and s is not fresh
+
+
+def test_group_ring_inverts_its_unit_series_once(monkeypatch):
+    # every generator b_i - b_0 of F^1 of Z[C2^4] raises lambda_t(b_0) to
+    # the power -1; with one series per (basis element, order) on the model
+    # its inverse is solved once, where each generator solved it again
+    inverse = TruncSeries.inverse
+    solved = []
+
+    def counted(self):
+        if self._inverse is None:  # a forward substitution runs
+            solved.append(self.coeffs)
+        return inverse(self)
+
+    monkeypatch.setattr(TruncSeries, "inverse", counted)
+    m = group_ring.__wrapped__((2, 2, 2, 2))  # a fresh model, memo empty
+    gamma_filtration(m, kmax=4)
+    assert solved == [m.basis_lambda_series(0, m.trunc).coeffs]
