@@ -162,10 +162,12 @@ def hnf_columns(
     strictly increase with ``j``, and every other entry in a pivot row is
     reduced into ``[0, pivot)``.  Equal lattices yield bit-identical output.
     """
-    cols = [list(v) for v in vectors if any(v)]
-    for c in cols:
-        if len(c) != rank:
+    cols = []
+    for v in vectors:
+        if len(v) != rank:
             raise ValueError("generator of wrong length")
+        if any(v):
+            cols.append(list(v))
     h = 0
     pivot_rows = []
     for r in range(rank):

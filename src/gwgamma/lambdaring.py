@@ -21,15 +21,16 @@ checks lambda^m(lambda^n x) once; per pair only lambda_t(x*y) and the
 product checks lambda^n(x*y).
 
 The structure constants are stored once, as sparse integer rows:
-``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  All ring
-arithmetic goes through one primitive, ``RingModel.dot``, which sums the
+``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  Ring
+elements multiply through one primitive, ``RingModel.dot``, which sums the
 products x*y of a list of pairs on a single integer vector and reduces the
 sum once.  Its operands are sparse entry lists, the (index, coefficient)
 pairs of the nonzero coordinates, so a pair costs nnz(x) * nnz(y) row
 lengths, whatever the rank; ``multiply`` is ``dot`` with one pair of
-converted elements, and every coefficient of a series product or inverse
-is one call to it on coefficients converted once per operation (see
-:mod:`gwgamma.series`).
+converted elements, and every coefficient of a series inverse is one call
+to it.  Series products read the same rows a column pair at a time, one
+integer product of two packed coordinate columns per nonzero row, and give
+the sums ``dot`` gives (see :mod:`gwgamma.series`).
 Whether the constants make a commutative ring, which series powers need
 for their binomial table, is one cached verdict from two generators of
 offending cases on the same rows; ``validate_model`` names its cases.
@@ -189,14 +190,13 @@ class RingModel:
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         return self.dot(((_entries(x), _entries(y)),))
 
-    def combine(self, terms: Iterable[tuple[int, Sequence[tuple[int, int]]]]) -> GroupElement:
-        """The integer combination sum n*x over the terms, each x a sparse
-        entry list, reduced once."""
-        acc = [0] * self.group.rank
-        for n, xs in terms:
-            for k, v in xs:
-                acc[k] += n * v
-        return self.group.element(acc)
+    @cached_property
+    def _constant_bits(self) -> int:
+        """The bit length of the sum of |c| over the entries (k, c) of every
+        ordered basis pair's product: the factor by which a sum of products
+        can exceed the largest product of two coordinates, per term."""
+        return sum(abs(c) for row in self.products for entries in row
+                   for _, c in entries).bit_length()
 
     def augmentation(self, x: GroupElement) -> int:
         return sum(a * c for a, c in zip(self.aug, x.coeffs))

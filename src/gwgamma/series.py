@@ -1,30 +1,35 @@
 """Truncated power series over a ring model.
 
-Coefficients are ring elements of one :class:`~gwgamma.lambdaring.RingModel`.
-All series share a fixed truncation order N and store exactly N + 1
-coefficients; operations never consult anything beyond the truncation, so
+A series over a :class:`~gwgamma.lambdaring.RingModel` is truncated after a
+fixed order N; operations never consult anything beyond the truncation, so
 results are exact modulo t^(N+1).
 
-Every coefficient of a product or an inverse is one sum of products
-sum_i a_i b_(k-i), computed by one call to ``RingModel.dot``, which
-accumulates the whole sum on an integer vector through the sparse structure
-constants and reduces it once, so no intermediate ring element is ever built.
-``dot`` reads its operands as sparse entry lists, the (index, coefficient)
-pairs of the nonzero coordinates: a product converts each coefficient of
-both factors once, and an inverse converts each new coefficient as it is
-produced.
+A series is stored by coordinate: for each basis coordinate k that is
+nonzero in some degree, the column c_k[0..N] of the k-th coordinates of its
+N + 1 coefficients, reduced modulo the order of b_k.  The coefficients as
+ring elements, ``coeffs``, are built from the columns the first time they
+are read.
+
+A product is one Kronecker substitution per pair of columns: each column is
+packed into one integer, sum_d c_k[d] 2^(d w), and column i of the first
+factor meets column j of the second in one integer product, added with the
+weight c to every output coordinate k of the structure-constant row
+``products[i][j]`` (the order ``RingModel.dot`` sums in).  Each output
+coordinate is unpacked once into N + 1 signed slots of w bits and reduced
+once, so the result is the one that ``dot`` gives on the same coefficients,
+on every model.  The slot width w is the bit length of a bound on every
+output coefficient before reduction, max|a| * max|b| * (N + 1) * (the sum of
+the absolute structure constants), plus a sign bit.
 
 Powers use one binomial table per series.  Writing S = 1 + T,
 
     S^e = sum_{k=0}^{min(e,N)} C(e, k) T^k          (e >= 0),
 
-and S^e = (S^-1)^(-e) for e < 0.  T^k vanishes below degree k, so each
-power is the partial product T^(k-1) * T over degrees k..N only, one
-``dot`` per coefficient.  The powers are built lazily and memoized on the
-series, as is its inverse, so every exponent a series is raised to reads the
-same table; the table holds the powers as sparse entry lists, the form that
-``dot`` and ``RingModel.combine`` read, and each output degree is one
-``combine``.  The sum equals the product S * ... * S only in a
+and S^e = (S^-1)^(-e) for e < 0.  Each power T^k is the column product
+T * T^(k-1).  The powers are built lazily and memoized on the series, as is
+its inverse, so every exponent a series is raised to reads the same table,
+and each output column is summed against the binomials once per degree.
+The sum equals the product S * ... * S only in a
 commutative ring: the unit must be neutral, each basis triple must have one
 product under all three bracketings, and o_i b_i b_j = 0 for every basis
 element b_i of finite order o_i, so that the product does not depend on the
@@ -39,12 +44,12 @@ total gamma-series are linear with binomial coefficients:
     t -> t/(1-t):   out_k = sum_i C(k-1, k-i) * c_i          (k >= 1)
     t -> t/(1+t):   out_k = sum_i (-1)^(k-i) C(k-1, k-i) * c_i
 
-They run per coordinate: each nonzero coordinate column of c_1..c_N is
-summed against the cached row of signed binomials of each degree, and each
-output degree is reduced once.
+They run per column: each column of c_1..c_N is summed against the cached
+row of signed binomials of each degree, and reduced once.
 
 Inversion requires the constant term to be the ring unit and proceeds by
-forward substitution.
+forward substitution, one ``RingModel.dot`` per degree on the sparse
+entries of the coefficients.
 """
 
 from __future__ import annotations
@@ -54,30 +59,43 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .abelian import _entries
-
-
-def _split(coeffs: Sequence):
-    """The ring model shared by the coefficients, and their values."""
-    m = coeffs[0].model
-    if any(c.model is not m for c in coeffs):
-        raise ValueError("elements from different models")
-    return m, [c.value for c in coeffs]
+from .abelian import GroupElement, _entries
 
 
 class TruncSeries:
     """Power series truncated after degree ``order``."""
 
-    # memoized on first use: _inverse, and _powers, the sparse entries of
-    # T^k for T = S - 1 from degree k on
-    __slots__ = ("coeffs", "_inverse", "_powers")
+    # _columns: {k: [c_k[0], ..., c_k[order]]} for each coordinate k that is
+    # nonzero in some degree; _coeffs: the ring elements, built when read.
+    # Memoized on first use: _inverse, and _powers, the columns of T^k for
+    # T = S - 1
+    __slots__ = ("model", "order", "_columns", "_coeffs", "_inverse", "_powers")
 
     def __init__(self, coeffs: Sequence):
         if not coeffs:
             raise ValueError("series needs at least a constant term")
-        self.coeffs = tuple(coeffs)
+        m = coeffs[0].model
+        if any(c.model is not m for c in coeffs):
+            raise ValueError("elements from different models")
+        self._set(m, len(coeffs) - 1, {
+            k: list(col) for k, col in enumerate(zip(*(c.value.coeffs for c in coeffs)))
+            if any(col)
+        })
+
+    def _set(self, m, order: int, columns: dict) -> None:
+        self.model = m
+        self.order = order
+        self._columns = columns
+        self._coeffs = None
         self._inverse = None
         self._powers = None
+
+    @classmethod
+    def _of(cls, m, order: int, columns: dict) -> "TruncSeries":
+        """The series with these reduced, nonzero columns."""
+        s = cls.__new__(cls)
+        s._set(m, order, columns)
+        return s
 
     @classmethod
     def one(cls, unit, order: int) -> "TruncSeries":
@@ -86,48 +104,73 @@ class TruncSeries:
     @classmethod
     def from_coeffs(cls, unit, coeffs: Sequence, order: int) -> "TruncSeries":
         """Series 1 + c_1 t + c_2 t^2 + ... padded or cut to the order."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
         zero = unit * 0
         body = list(coeffs[:order])
         body += [zero] * (order - len(body))
         return cls((unit, *body))
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        """The coefficients c_0..c_N as ring elements."""
+        if self._coeffs is None:
+            m = self.model
+            rows = [[0] * m.group.rank for _ in range(self.order + 1)]
+            for k, col in self._columns.items():
+                for row, v in zip(rows, col):
+                    row[k] = v
+            self._coeffs = tuple(m.wrap(GroupElement(m.group, tuple(r))) for r in rows)
+        return self._coeffs
 
     def _check(self, other: "TruncSeries") -> None:
         if self.order != other.order:
             raise ValueError("series truncated at different orders")
 
+    def _unit_constant(self) -> bool:
+        cols = self._columns
+        return all(
+            (cols[k][0] if k in cols else 0) == u
+            for k, u in enumerate(self.model.unit.coeffs)
+        )
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, TruncSeries)
+            and self.model is other.model
+            and self.order == other.order
+            and self._columns == other._columns
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.order, tuple(sorted(
+            (k, tuple(col)) for k, col in self._columns.items()
+        ))))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        m, values = _split(self.coeffs + other.coeffs)
-        n = len(self.coeffs)
-        entries = [_entries(v) for v in values]
-        a, b = entries[:n], entries[n:]
-        return TruncSeries(
-            [m.wrap(m.dot(zip(a[: k + 1], b[k::-1]))) for k in range(n)]
+        m = self.model
+        if other.model is not m:
+            raise ValueError("elements from different models")
+        return TruncSeries._of(
+            m, self.order, _product(m, self.order, self._columns, other._columns)
         )
 
     def inverse(self) -> "TruncSeries":
         if self._inverse is None:
-            if not self.coeffs[0].is_unit:
+            if not self._unit_constant():
                 raise ValueError("series with non-unit constant term")
-            m, values = _split(self.coeffs)
-            a = [_entries(v) for v in values]
-            out = [values[0]]
+            m, n = self.model, self.order
+            cols = self._columns.items()
+            a = [[(k, col[d]) for k, col in cols if col[d]] for d in range(n + 1)]
             done = [a[0]]
-            for k in range(1, len(a)):
-                v = -m.dot(zip(a[1 : k + 1], done[::-1]))
-                out.append(v)
-                done.append(_entries(v))
-            self._inverse = TruncSeries([m.wrap(v) for v in out])
+            for k in range(1, n + 1):
+                done.append(_entries(-m.dot(zip(a[1 : k + 1], done[::-1]))))
+            out: dict = {}
+            for d, entries in enumerate(done):
+                for k, v in entries:
+                    out.setdefault(k, [0] * (n + 1))[d] = v
+            self._inverse = TruncSeries._of(m, n, out)
         return self._inverse
 
     def pow(self, e: int) -> "TruncSeries":
@@ -139,15 +182,15 @@ class TruncSeries:
         >>> [c.value.coeffs for c in s.pow(-3).coeffs]
         [(1,), (-3,), (6,), (-10,)]
         """
-        if not self.coeffs[0].is_unit:
+        if not self._unit_constant():
             raise ValueError("series with non-unit constant term")
+        m, n = self.model, self.order
         if e == 0:
-            return TruncSeries.one(self.coeffs[0], self.order)
+            return TruncSeries.one(m.unit_element, n)
         base = self if e > 0 else self.inverse()
         e = abs(e)
         if e == 1:
             return base
-        m, a = _split(base.coeffs)
         if not m._is_ring:
             # binary exponentiation: without the ring laws the binomial sum
             # need not equal any bracketing of the product
@@ -159,46 +202,44 @@ class TruncSeries:
                 if e:
                     base = base * base
             return out
-        top = min(e, base.order)
-        powers = base._table(m, a, top)
-        binoms = [comb(e, k) for k in range(top + 1)]
-        out = [a[0]]
-        for d in range(1, len(a)):
-            out.append(m.combine(
-                (binoms[k], powers[k - 1][d - k]) for k in range(1, min(top, d) + 1)
-            ))
-        return TruncSeries([m.wrap(v) for v in out])
+        top = min(e, n)
+        powers = base._table(top)
+        binoms = [comb(e, k) for k in range(1, top + 1)]
+        # per coordinate, its columns in T^1..T^top aligned with the binomials
+        held: dict = {}
+        zero = [0] * (n + 1)
+        for k, power in enumerate(powers[:top]):
+            for q, col in power.items():
+                held.setdefault(q, [zero] * top)[k] = col
+        out = {q: [sum(map(mul, binoms, degree)) for degree in zip(*cols)]
+               for q, cols in held.items()}
+        for q, u in enumerate(m.unit.coeffs):
+            if u:
+                out.setdefault(q, [0] * (n + 1))[0] = u
+        return TruncSeries._of(m, n, _reduced(m, out))
 
-    def _table(self, m, a: Sequence, top: int) -> list:
-        """The sparse entries of T^1..T^top, T = S - 1; entry j of T^k is
-        degree k + j."""
+    def _table(self, top: int) -> list:
+        """The columns of T^1..T^top, T = S - 1, each the column product
+        T * T^(k-1)."""
         powers = self._powers
+        m, n = self.model, self.order
         if powers is None:
-            powers = self._powers = [[_entries(v) for v in a[1:]]]
-        t = powers[0]
+            powers = self._powers = [{
+                k: [0] + col[1:] for k, col in self._columns.items() if any(col[1:])
+            }]
         while len(powers) < top:
-            prev = powers[-1]
-            powers.append([
-                _entries(m.dot(zip(t[: j + 1], prev[j::-1])))
-                for j in range(len(prev) - 1)
-            ])
+            powers.append(_product(m, n, powers[0], powers[-1]))
         return powers
 
     def _substitute(self, sign: int) -> "TruncSeries":
-        """Apply t -> t/(1 - sign*t), one integer combination per degree,
-        summed coordinate by coordinate."""
-        m, c = _split(self.coeffs)
-        rows = _signed_binomials(sign, len(c) - 1)
-        columns = [
-            (t, col) for t, col in enumerate(zip(*(v.coeffs for v in c[1:]))) if any(col)
-        ]
-        out = [self.coeffs[0]]
-        for row in rows:
-            acc = [0] * m.group.rank
-            for t, col in columns:
-                acc[t] = sum(map(mul, row, col))
-            out.append(m.wrap(m.group.element(acc)))
-        return TruncSeries(out)
+        """Apply t -> t/(1 - sign*t), one integer combination per column and
+        degree."""
+        rows = _signed_binomials(sign, self.order)
+        out = {
+            k: [col[0]] + [sum(map(mul, row, col[1:])) for row in rows]
+            for k, col in self._columns.items()
+        }
+        return TruncSeries._of(self.model, self.order, _reduced(self.model, out))
 
     def substitute_geometric(self) -> "TruncSeries":
         """Apply t -> t/(1-t); sends a lambda-series to a gamma-series."""
@@ -207,6 +248,72 @@ class TruncSeries:
     def substitute_alternating(self) -> "TruncSeries":
         """Apply t -> t/(1+t); sends a gamma-series to a lambda-series."""
         return self._substitute(-1)
+
+
+def _reduced(m, columns: dict) -> dict:
+    """The columns with the torsion coordinates reduced, zero columns dropped."""
+    orders = m.group.orders
+    out = {}
+    for k, col in columns.items():
+        o = orders[k]
+        if o:
+            col = [v % o for v in col]
+        if any(col):
+            out[k] = col
+    return out
+
+
+def _pack(col: Sequence[int], w: int) -> int:
+    """sum_d col[d] 2^(d w)."""
+    v = 0
+    for c in reversed(col):
+        v = (v << w) + c
+    return v
+
+
+def _magnitude_bits(columns: dict) -> int:
+    """The bit length of the largest |c| in the columns."""
+    return max(max(map(abs, col)) for col in columns.values()).bit_length()
+
+
+def _product(m, n: int, a: dict, b: dict) -> dict:
+    """The columns of the product of the series with columns a and b,
+    truncated after degree n, by Kronecker substitution."""
+    if not a or not b:
+        return {}
+    bound = (_magnitude_bits(a) + _magnitude_bits(b)
+             + (n + 1).bit_length() + m._constant_bits)
+    w = bound + 1
+    packed_b = [(j, _pack(col, w)) for j, col in b.items()]
+    products = m.products
+    acc: dict = {}
+    for i, col in a.items():
+        x = _pack(col, w)
+        row = products[i]
+        for j, y in packed_b:
+            entries = row[j]
+            if entries:
+                xy = x * y
+                for k, c in entries:
+                    acc[k] = acc.get(k, 0) + c * xy
+    # unpack the low n + 1 slots: the slot of degree d is read off the bits
+    # below (d + 1) w, signed, and subtracted before the next
+    mask = (1 << w) - 1
+    half = 1 << bound
+    full = mask + 1
+    low = (1 << (n + 1) * w) - 1
+    out = {}
+    for k, v in acc.items():
+        v &= low
+        col = []
+        for _ in range(n + 1):
+            s = v & mask
+            if s >= half:
+                s -= full
+            col.append(s)
+            v = (v - s) >> w
+        out[k] = col
+    return _reduced(m, out)
 
 
 @lru_cache(maxsize=None)

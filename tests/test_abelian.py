@@ -9,6 +9,8 @@ import math
 import random
 from itertools import product
 
+import pytest
+
 from gwgamma.abelian import (
     GroupPresentation,
     full_subgroup,
@@ -149,6 +151,15 @@ def test_subgroup_canonical_under_generator_permutation():
         doubled = [2 * g for g in gens]
         smaller = subgroup_from_generators(pres, doubled)
         assert smaller <= sub
+
+
+def test_hnf_refuses_zero_generator_of_wrong_length():
+    # a zero vector was dropped before the length check, so it passed
+    # silently; every generator is checked, zero or not
+    for vectors in ([(0, 0, 0, 0, 0), (1, 0)], [(0,)], [(1, 0), (0, 0, 0)]):
+        with pytest.raises(ValueError, match="generator of wrong length"):
+            hnf_columns(vectors, 2)
+    assert hnf_columns([(0, 0), (1, 0)], 2) == (((1, 0),), (0,))
 
 
 def test_hnf_frozen_values():

@@ -323,13 +323,15 @@ def test_point_binomial_series():
 
 def test_projective_build_work_bound(monkeypatch):
     # a deterministic guard on the arithmetic core: every ring product and
-    # series coefficient reduces once, through GroupPresentation.reduce;
+    # inverse coefficient reduces once, through GroupPresentation.reduce;
     # no series of a power a^k is multiplied by the unit series; series
     # powers read one binomial table per series (32,723 dot pairs with
-    # binary exponentiation); the twisted classes share one denominator
-    # series, inverted once (11 inverses when each class had its own); and
-    # validation reads the basis products and the ring verdict off the
-    # sparse rows (312 and 245 dot calls before)
+    # binary exponentiation); series products and the powers of T run on
+    # coordinate columns, so only the inverses call dot (17,754 dot pairs
+    # with one dot per product coefficient); the twisted classes share one
+    # denominator series, inverted once (11 inverses when each class had its
+    # own); and validation reads the basis products and the ring verdict off
+    # the sparse rows (312 and 245 dot calls before)
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
     dot = RingModel.dot
@@ -367,7 +369,7 @@ def test_projective_build_work_bound(monkeypatch):
     assert 0 < calls[0] <= 50_000
     assert 0 < products[0] <= 129
     assert 0 < inverses[0] <= 6
-    assert 0 < pairs[0] <= 25_000
+    assert 0 < pairs[0] <= 1_500
     for model, before in ((m, 312), (gw_projective("R", 9, trunc=20), 245)):
         dots[0] = 0
         assert validate_model(model).ok
@@ -398,3 +400,18 @@ def test_basis_series_refuses_negative_order():
     with pytest.raises(ValueError, match="order must be non-negative"):
         m.basis_lambda_series(1, -1)
     assert m.basis_lambda_series(1, 0).order == 0
+
+
+def test_series_constructors_refuse_negative_order():
+    # the parent read from_coeffs(one, [a, a, a], -1) as a series of order 2
+    # and one(unit, -2) as one of order 0
+    m = gw_projective("C", 4)
+    one, a = m.unit_element, m.basis_element(1)
+    for call in (
+        lambda: TruncSeries.from_coeffs(one, [a, a, a], -1),
+        lambda: TruncSeries.one(one, -2),
+    ):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            call()
+    assert TruncSeries.one(one, 0).order == 0
+    assert TruncSeries.from_coeffs(one, [a, a, a], 0).coeffs == (one,)
