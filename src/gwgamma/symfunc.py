@@ -1,32 +1,32 @@
 """Symmetric polynomials over Z and the universal lambda-ring identities.
 
 The workhorse is a sparse multivariate polynomial with integer coefficients.
-Symmetric polynomials are rewritten in the elementary basis by repeatedly
-cancelling the lexicographically leading term: a symmetric polynomial with
-leading exponent ``l_1 >= l_2 >= ... >= l_n`` loses that term after
-subtracting ``c * e_1^(l_1-l_2) * e_2^(l_2-l_3) * ... * e_n^(l_n)``, and the
-leading exponent strictly decreases, so the loop terminates.
+On top of it sit the universal polynomials that make the lambda-operation
+identities checkable on concrete ring elements, all written in the
+elementary symmetric functions e_i = lambda^i(x):
 
-On top of that sit the universal polynomials that make the lambda-operation
-identities checkable on concrete ring elements:
-
-* ``newton_psi(k)``   -- the power sum p_k in e_1..e_k (Newton's recursion),
+* ``newton_psi(k)``   -- the power sum p_k = psi^k(x) in e_1..e_k (Newton's
+  recursion),
 * ``product_universal(n)`` -- P_n with lambda^n(x*y) = P_n(lambda(x); lambda(y)),
-  read off the coefficient of t^n in prod_{i,j} (1 + x_i y_j t),
 * ``compose_universal(m, n)`` -- P_{m,n} with lambda^m(lambda^n(x)) =
-  P_{m,n}(lambda(x)), read off prod_{|S|=n} (1 + x_S t) over n-subsets
-  S of {1..mn}, where x_S is the product of the variables indexed by S.
+  P_{m,n}(lambda(x)).
 
-Everything is computed by literal expansion and exact integer arithmetic;
-results are memoized since the expansions are only desk-scale for the
-default bounds (n <= 4 for products, m*n <= 6 for composition).
+In the universal lambda-ring the Adams operations psi^k are ring maps that
+commute with every lambda^n, and psi^i psi^k = psi^(ik).  So the Adams
+operations of x*y are p_k(e) p_k(f), those of lambda^n(x) are
+lambda^n(psi^k x), whose own Adams operations are p_k, p_2k, ..., p_nk, and
+Newton's identity j lambda^j = sum_{i=1..j} (-1)^(i-1) psi^i lambda^(j-i)
+turns Adams operations back into lambda-operations (Macdonald, *Symmetric
+Functions and Hall Polynomials*, section I.2).  Its divisions by j are
+exact over Z, and each is checked.  The results are memoized; the default
+bounds (n <= 4 for products, m*n <= 6 for composition) cap the sizes the
+``special`` check asks for.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
 from typing import Mapping, Sequence
 
 PRODUCT_DEGREE_BOUND = 4
@@ -72,7 +72,14 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def _same_ring(self, other: "MultiPoly") -> None:
+        if other.nvars != self.nvars:
+            raise ValueError(
+                "polynomials in %d and %d variables" % (self.nvars, other.nvars)
+            )
+
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        self._same_ring(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0) + c
@@ -89,6 +96,7 @@ class MultiPoly:
             return MultiPoly(
                 self.nvars, {e: c * other for e, c in self.terms.items()}
             )
+        self._same_ring(other)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -97,22 +105,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        exps = max(self.terms)
-        return exps, self.terms[exps]
 
     def evaluate(self, values: Sequence, one):
         """Evaluate with ring-element values; `one` is the ring unit.
@@ -164,48 +156,6 @@ class MultiPoly:
         return acc if acc is not None else zero
 
 
-def elementary(n: int, k: int) -> MultiPoly:
-    """Elementary symmetric polynomial e_k in n variables."""
-    if k < 0:
-        raise ValueError("negative degree")
-    if k > n:
-        return MultiPoly(n)
-    if k == 0:
-        return MultiPoly.constant(n, 1)
-    terms = {}
-    for subset in combinations(range(n), k):
-        exps = [0] * n
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return MultiPoly(n, terms)
-
-
-def to_elementary(p: MultiPoly) -> MultiPoly:
-    """Rewrite a symmetric polynomial in the elementary basis.
-
-    The result lives in n fresh variables, variable i standing for e_{i+1}.
-    Raises ValueError when the input is not symmetric.
-    """
-    n = p.nvars
-    out: dict[tuple[int, ...], int] = {}
-    work = p
-    while work:
-        exps, c = work.leading()
-        if any(exps[i] < exps[i + 1] for i in range(n - 1)):
-            raise ValueError("polynomial is not symmetric")
-        e_exps = tuple(
-            exps[i] - exps[i + 1] for i in range(n - 1)
-        ) + (exps[n - 1],)
-        out[e_exps] = out.get(e_exps, 0) + c
-        prod = MultiPoly.constant(n, c)
-        for i, e in enumerate(e_exps):
-            if e:
-                prod = prod * elementary(n, i + 1) ** e
-        work = work - prod
-    return MultiPoly(n, out)
-
-
 @lru_cache(maxsize=None)
 def newton_psi(k: int) -> MultiPoly:
     """Power sum p_k written in e_1..e_k via Newton's recursion."""
@@ -223,54 +173,61 @@ def newton_psi(k: int) -> MultiPoly:
     return polys[k - 1]
 
 
-def _convert_block(p: MultiPoly, lo: int, hi: int) -> MultiPoly:
-    """Rewrite the symmetric block of variables [lo, hi) in elementary form."""
-    width = hi - lo
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for exps, c in p.terms.items():
-        rest = exps[:lo] + exps[hi:]
-        block = exps[lo:hi]
-        groups.setdefault(rest, {})[block] = c
-    out: dict[tuple[int, ...], int] = {}
-    for rest, sub in groups.items():
-        conv = to_elementary(MultiPoly(width, sub))
-        for bexps, c in conv.terms.items():
-            full = rest[:lo] + bexps + rest[lo:]
-            out[full] = out.get(full, 0) + c
-    return MultiPoly(p.nvars, out)
+def _lift(p: MultiPoly, nvars: int, offset: int) -> MultiPoly:
+    """p with its variables moved to positions offset.. of nvars variables."""
+    pad = (0,) * (nvars - offset - p.nvars)
+    return MultiPoly(nvars, {(0,) * offset + e + pad: c for e, c in p.terms.items()})
+
+
+def _lambda_from_psi(psis: Sequence[MultiPoly]) -> MultiPoly:
+    """lambda^n of an element of the universal lambda-ring, n = len(psis).
+
+    `psis` holds the element's Adams operations psi^1..psi^n, all in the
+    same variables.  Newton's identity gives lambda^j as the quotient of
+    sum_{i=1..j} (-1)^(i-1) psi^i lambda^(j-i) by j; ArithmeticError when a
+    division leaves a remainder, that is when `psis` are not the Adams
+    operations of an integral element.
+    """
+    nvars = psis[0].nvars
+    lams = [MultiPoly.constant(nvars, 1)]
+    for j in range(1, len(psis) + 1):
+        acc = MultiPoly(nvars)
+        for i in range(1, j + 1):
+            term = psis[i - 1] * lams[j - i]
+            acc = acc + term if i % 2 else acc - term
+        terms = {}
+        for exps, c in acc.terms.items():
+            q, r = divmod(c, j)
+            if r:
+                raise ArithmeticError("lambda^%d is not integral" % j)
+            terms[exps] = q
+        lams.append(MultiPoly(nvars, terms))
+    return lams[-1]
 
 
 @lru_cache(maxsize=None)
-def product_universal(n: int, bound: int = PRODUCT_DEGREE_BOUND) -> MultiPoly:
+def product_universal(n: int) -> MultiPoly:
     """P_n in 2n variables e_1..e_n, f_1..f_n.
 
     Specializing e_i = lambda^i(x) and f_j = lambda^j(y) yields
     lambda^n(x*y) in any special lambda-ring.
+
+    >>> sorted(product_universal(2).terms.items())  # e1^2 f2 + e2 f1^2 - 2 e2 f2
+    [((0, 1, 0, 1), -2), ((0, 1, 2, 0), 1), ((2, 0, 0, 1), 1)]
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > bound:
+    if n > PRODUCT_DEGREE_BOUND:
         raise ValueError("degree bound exceeded for product_universal")
     nv = 2 * n
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    coeff: dict[tuple[int, ...], int] = {}
-    for chosen in combinations(pairs, n):
-        exps = [0] * nv
-        for i, j in chosen:
-            exps[i] += 1
-            exps[n + j] += 1
-        exps = tuple(exps)
-        coeff[exps] = coeff.get(exps, 0) + 1
-    poly = MultiPoly(nv, coeff)
-    poly = _convert_block(poly, 0, n)
-    poly = _convert_block(poly, n, nv)
-    return poly
+    return _lambda_from_psi([
+        _lift(newton_psi(k), nv, 0) * _lift(newton_psi(k), nv, n)
+        for k in range(1, n + 1)
+    ])
 
 
 @lru_cache(maxsize=None)
-def compose_universal(
-    m: int, n: int, bound: int = COMPOSE_WEIGHT_BOUND
-) -> MultiPoly:
+def compose_universal(m: int, n: int) -> MultiPoly:
     """P_{m,n} in mn variables e_1..e_{mn}.
 
     Specializing e_i = lambda^i(x) yields lambda^m(lambda^n(x)) in any
@@ -278,19 +235,14 @@ def compose_universal(
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    if m * n > bound:
+    if m * n > COMPOSE_WEIGHT_BOUND:
         raise ValueError("weight bound exceeded for compose_universal")
     nv = m * n
-    subsets = list(combinations(range(nv), n))
-    coeff: dict[tuple[int, ...], int] = {}
-    for chosen in combinations(subsets, m):
-        exps = [0] * nv
-        for s in chosen:
-            for i in s:
-                exps[i] += 1
-        exps = tuple(exps)
-        coeff[exps] = coeff.get(exps, 0) + 1
-    return to_elementary(MultiPoly(nv, coeff))
+    # psi^k(lambda^n x) = lambda^n(psi^k x), and psi^i(psi^k x) = p_ik
+    return _lambda_from_psi([
+        _lambda_from_psi([_lift(newton_psi(i * k), nv, 0) for i in range(1, n + 1)])
+        for k in range(1, m + 1)
+    ])
 
 
 def binomial(n: int, k: int) -> int:

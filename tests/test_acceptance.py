@@ -46,10 +46,10 @@ from gwgamma.models import (
     punctured_gamma_coefficients,
 )
 from gwgamma.series import TruncSeries, gamma_from_lambda, lambda_from_gamma
-from gwgamma.symfunc import MultiPoly, to_elementary
+from gwgamma.symfunc import MultiPoly
 from test_abelian import zero_subgroup
 from test_models import torsion_elements
-from test_symfunc import expand_elementary, is_symmetric
+from test_symfunc import expand_elementary, is_symmetric, to_elementary
 
 
 def span(model, elems):
