@@ -57,6 +57,12 @@ class GroupPresentation:
         """(index, order) of each finite cyclic factor."""
         return tuple((i, o) for i, o in enumerate(self.orders) if o)
 
+    @cached_property
+    def _relations(self) -> tuple[tuple[int, ...], ...]:
+        """The relation vector o_i e_i of each finite cyclic factor."""
+        rank = self.rank
+        return tuple(tuple(o * (t == i) for t in range(rank)) for i, o in self._torsion)
+
     def reduce(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """The canonical form of a coefficient vector: only the torsion
         coordinates are reduced, and without torsion it is a copy."""
@@ -235,14 +241,10 @@ class Subgroup:
 def _span(pres: GroupPresentation, vectors: list[tuple[int, ...]]) -> Subgroup:
     """The subgroup generated by integer vectors and the relation vectors.
 
-    Each distinct vector reaches ``hnf_columns`` once; the HNF is canonical,
-    so dropping repeats leaves the result unchanged.
+    Each distinct vector, reduced or not, reaches ``hnf_columns`` once; the
+    HNF is canonical, so dropping repeats leaves the result unchanged.
     """
-    relations = [
-        tuple(o if t == i else 0 for t in range(pres.rank))
-        for i, o in enumerate(pres.orders) if o
-    ]
-    cols, pivots = hnf_columns(dict.fromkeys(vectors + relations), pres.rank)
+    cols, pivots = hnf_columns(dict.fromkeys([*vectors, *pres._relations]), pres.rank)
     return Subgroup(pres, cols, pivots)
 
 
@@ -401,11 +403,9 @@ def quotient_presentation(
 
 
 def project_element(
-    target: GroupPresentation, projection: Sequence[Sequence[int]], elem: GroupElement
-) -> GroupElement:
-    """The image of elem under the projection, summed over its nonzero
-    coordinates only."""
-    entries = _entries(elem)
-    return target.element(
-        [sum(row[j] * c for j, c in entries) for row in projection]
-    )
+    target: GroupPresentation, projection: Sequence[Sequence[int]], coeffs: Sequence[int]
+) -> tuple[int, ...]:
+    """The reduced image in ``target`` of a coefficient vector, reduced or
+    not, under the projection, summed over its nonzero coordinates only."""
+    entries = [(j, c) for j, c in enumerate(coeffs) if c]
+    return target.reduce([sum(row[j] * c for j, c in entries) for row in projection])

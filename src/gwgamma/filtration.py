@@ -18,14 +18,15 @@ the earlier spans.  The pieces up to a weight cap are cumulative:
 F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.
 
 All products of one run come from one product table, freed when the run
-returns.  The gamma-values are deduplicated by value across generators and
-weights, each distinct value g keeps its multiplication matrix (column j the
-entries of g * b_j), and g * S is computed once per distinct value and
-distinct span S, on integer tuples.  Product lists are keyed by the HNF
-columns of the span: the HNF is canonical, so equal spans have identical
-columns and share every product list.  S_w takes the union over the
-(value, span) pairs below it, every HNF is fed each distinct vector once,
-and the closure check reads g * F^kmax from the same table.
+returns.  The gamma-values are coefficient tuples read off the columns of
+the gamma-series, deduplicated by value across generators and weights; each
+distinct value g keeps its multiplication matrix (column j the entries of
+g * b_j), and g * S is computed once per distinct value and distinct span
+S, on integer tuples.  Product lists are keyed by the HNF columns of the
+span: the HNF is canonical, so equal spans have identical columns and share
+every product list.  S_w takes the union over the (value, span) pairs below
+it, every HNF is fed each distinct vector once, and the closure check reads
+g * F^kmax from the same table.
 
 The result is flagged exact when
 
@@ -49,7 +50,7 @@ fails, is flagged not exact and carries one warning naming the clause that
 failed.
 
 The Witt-level filtration is the image of the gamma filtration in the
-quotient by the declared hyperbolic classes.
+quotient by the declared hyperbolic classes, one HNF column at a time.
 """
 
 from __future__ import annotations
@@ -93,33 +94,32 @@ def augmentation_kernel(m: RingModel) -> tuple[Subgroup, tuple[RingElement, ...]
 
 def _gamma_values(
     gens: tuple[RingElement, ...], order: int
-) -> list[tuple[int, RingElement]]:
-    """(i, gamma^i(e)) for every generator e and nonzero value, 1 <= i <= order."""
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(i, coefficients of gamma^i(e)) for every generator e and nonzero
+    value, 1 <= i <= order, read off the columns of its gamma-series."""
     values = []
     for e in gens:
-        series = gamma_total(e, order)
-        values.extend(
-            (i, series.coeffs[i]) for i in range(1, order + 1)
-            if not series.coeffs[i].is_zero
-        )
+        rows = gamma_total(e, order).rows()
+        values.extend((i, g) for i, g in enumerate(rows) if i and any(g))
     return values
 
 
 class _ProductTable:
     """Products of the distinct gamma-values with whole spans, for one run.
 
-    `values` are the distinct values, `by_weight[i]` the indices of the
-    distinct values of weight i, `matrices[k][j]` the nonzero entries of
-    values[k] * b_j.  `spans` maps the HNF columns of a span to its reduced
-    nonzero columns (sparse) and its product lists by value index.
+    `values` are the distinct values as reduced coefficient tuples,
+    `by_weight[i]` the indices of the distinct values of weight i,
+    `matrices[k][j]` the nonzero entries of values[k] * b_j.  `spans` maps
+    the HNF columns of a span to its reduced nonzero columns (sparse) and
+    its product lists by value index.
     """
 
-    def __init__(self, m: RingModel, values: list[tuple[int, RingElement]]):
+    def __init__(self, m: RingModel, values: list[tuple[int, tuple[int, ...]]]):
         self.pres = m.group
         index: dict[tuple[int, ...], int] = {}
         self.by_weight: dict[int, list[int]] = {}
         for i, g in values:
-            k = index.setdefault(g.value.coeffs, len(index))
+            k = index.setdefault(g, len(index))
             if k not in self.by_weight.setdefault(i, []):
                 self.by_weight[i].append(k)
         self.values = list(index)
@@ -262,13 +262,10 @@ def witt_filtration(
     if f is None:
         f = gamma_filtration(m, kmax=kmax)
 
-    def push(col: tuple[int, ...]) -> GroupElement:
-        return project_element(qpres, projection, m.group.element(col))
-
     pieces = [full_subgroup(qpres)]
     for piece in f.pieces[1:]:
-        pieces.append(subgroup_from_generators(
-            qpres, [push(col) for col in piece.columns]
+        pieces.append(_span(
+            qpres, [project_element(qpres, projection, col) for col in piece.columns]
         ))
     return FiltrationResult(
         model=m,

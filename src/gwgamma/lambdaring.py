@@ -35,10 +35,11 @@ Whether the constants make a commutative ring, which series powers need
 for their binomial table, is one cached verdict from two generators of
 offending cases on the same rows; ``validate_model`` names its cases.
 
-Basis lambda-series are stored as plain group elements in degrees
-1..D_b.  Series that genuinely terminate (line elements and their shifts)
-are stored in full; non-terminating ones are stored out to the model's
-truncation order and all derived operations stay below it.
+Basis lambda-series are stored as plain group elements in degrees 1..D_b,
+D_b at most the truncation order N >= 1 (as in a model file).  Series that
+genuinely terminate (line elements and their shifts) are stored in full;
+non-terminating ones are stored out to N and all derived operations stay
+below it.
 ``basis_lambda_series(i, order)`` builds each series once per (i, order)
 and keeps it on the model, so the inverse and power table memoized on it
 are shared by every element, and every job, that uses the model.
@@ -110,6 +111,8 @@ class RingModel:
         trunc: int = DEFAULT_TRUNCATION,
         params: Mapping[str, object] | None = None,
     ):
+        if trunc < 1:
+            raise ValueError("truncation order %r is below 1" % (trunc,))
         self.name = name
         self.group = group
         self.trunc = trunc
@@ -134,10 +137,13 @@ class RingModel:
         if len(lambda_on_basis) != group.rank:
             raise ValueError("lambda-series list of wrong length")
         lam = []
-        for coeff_list in lambda_on_basis:
+        for i, coeff_list in enumerate(lambda_on_basis):
             entries = [group.element(c) for c in coeff_list]
             while entries and entries[-1].is_zero:
                 entries.pop()
+            if len(entries) > trunc:
+                raise ValueError("lambda-series of basis element %d: %d terms, more "
+                                 "than trunc %d" % (i, len(entries), trunc))
             lam.append(tuple(entries))
         self.lambda_on_basis = tuple(lam)
         # basis_lambda_series, by (i, order)

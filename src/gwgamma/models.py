@@ -3,8 +3,8 @@
 Every constructor follows one recipe and one assembly path: it gives the
 additive presentation, unit, products and augmentation once, plus a function
 that computes the total lambda-series of each basis class in that ring.  The
-private helper ``_model`` builds the ring for the arithmetic, applies the
-function, and makes the :class:`~gwgamma.lambdaring.RingModel`.  A series is
+private helper ``_model`` builds the one ring of the builtin, applies the
+function to it and installs the series it returns on it.  A series is
 either 1 + b t for a line class b, or a quotient lambda_t(V) / lambda_t(W) of
 terminating series (``_series_quotient``), or read off a gamma-series.
 
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 
-from .abelian import GroupPresentation
+from .abelian import GroupElement, GroupPresentation
 from .lambdaring import (
     DEFAULT_TRUNCATION,
     CheckResult,
@@ -60,17 +60,27 @@ from .series import TruncSeries, lambda_from_gamma
 def _model(name, group, unit, mul, aug, series, hyperbolic, trunc, params) -> RingModel:
     """Assemble a builtin from its ring data and its basis lambda-series.
 
-    The ring data is given once.  ``series`` receives the ring built from it,
-    for arithmetic only (its own lambda-series are empty), and returns the
-    total lambda-series of every basis element, truncated at ``trunc``.
+    ``series`` gets the builtin's one ring, with empty lambda-series, for
+    arithmetic only, and returns the lambda-series of every basis element to
+    ``trunc``.  Their columns become the ring's ``basis_lambda_series(i,
+    trunc)``, without the build's memos, and their rows its lambda-series.
     """
-    def build(lambda_on_basis):
-        return RingModel(
-            name, group, unit, mul, aug, lambda_on_basis, hyperbolic, trunc, params
-        )
-
-    ring = build([[]] * group.rank)
-    return build([[c.value.coeffs for c in s.coeffs[1:]] for s in series(ring)])
+    ring = RingModel(name, group, unit, mul, aug, [[]] * group.rank, hyperbolic, trunc,
+                     params)
+    built = series(ring)
+    if len(built) != group.rank or not all(
+            s.model is ring and s.order == trunc and s._unit_constant() for s in built):
+        raise AssertionError("builder series are not unit series of order %d" % trunc)
+    lam = []
+    for s in built:
+        rows = s.rows()[1:]
+        while rows and not any(rows[-1]):
+            rows.pop()
+        lam.append(tuple(GroupElement(group, r) for r in rows))
+    ring.lambda_on_basis = tuple(lam)
+    ring._basis_series = {(i, trunc): TruncSeries._of(ring, trunc, s._columns)
+                          for i, s in enumerate(built)}
+    return ring
 
 
 def _series_quotient(num: list[RingElement], den: TruncSeries) -> TruncSeries:

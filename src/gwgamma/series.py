@@ -6,9 +6,9 @@ results are exact modulo t^(N+1).
 
 A series is stored by coordinate: for each basis coordinate k that is
 nonzero in some degree, the column c_k[0..N] of the k-th coordinates of its
-N + 1 coefficients, reduced modulo the order of b_k.  The coefficients as
-ring elements, ``coeffs``, are built from the columns the first time they
-are read.
+N + 1 coefficients, reduced modulo the order of b_k.  ``rows`` reads the
+coefficients off the columns as coordinate tuples; ``coeffs``, the ring
+elements, are built from them the first time they are read.
 
 A product is one Kronecker substitution per pair of columns: each column is
 packed into one integer, sum_d c_k[d] 2^(d w), and column i of the first
@@ -116,12 +116,17 @@ class TruncSeries:
         """The coefficients c_0..c_N as ring elements."""
         if self._coeffs is None:
             m = self.model
-            rows = [[0] * m.group.rank for _ in range(self.order + 1)]
-            for k, col in self._columns.items():
-                for row, v in zip(rows, col):
-                    row[k] = v
-            self._coeffs = tuple(m.wrap(GroupElement(m.group, tuple(r))) for r in rows)
+            self._coeffs = tuple(m.wrap(GroupElement(m.group, r)) for r in self.rows())
         return self._coeffs
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """The coefficients c_0..c_N as reduced coordinate tuples, read off
+        the columns without building a ring element."""
+        rows = [[0] * self.model.group.rank for _ in range(self.order + 1)]
+        for k, col in self._columns.items():
+            for row, v in zip(rows, col):
+                row[k] = v
+        return [tuple(r) for r in rows]
 
     def _check(self, other: "TruncSeries") -> None:
         if self.order != other.order:

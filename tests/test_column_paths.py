@@ -1,0 +1,219 @@
+"""Differential tests of the integer-column paths from builtin to filtration.
+
+The references are the earlier paths, which went through ``RingElement`` and
+``GroupElement`` at every coefficient.  They live here only as oracles:
+
+* ``oracle_model`` is the earlier ``models._model``: it built a ring for the
+  arithmetic, read the builder's series back through ``TruncSeries.coeffs``
+  and built a second ``RingModel`` from those coefficients;
+* ``oracle_gamma_values`` wrapped every gamma-coefficient in a ring element;
+* ``oracle_witt_pieces`` reduced every HNF column to a group element,
+  projected it, and spanned the images with ``subgroup_from_generators``.
+
+The file also pins the work these paths do (one ``RingModel`` per builtin,
+no ring-element coefficients read by a filtration run) and the constructor's
+refusal of data that the model file format refuses.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gwgamma import models
+from gwgamma.abelian import (
+    GroupPresentation,
+    full_subgroup,
+    project_element,
+    quotient_presentation,
+    subgroup_from_generators,
+)
+from gwgamma.cli import dump_model, model_to_dict, parse_model, run
+from gwgamma.filtration import (
+    _gamma_values,
+    augmentation_kernel,
+    gamma_filtration,
+    witt_filtration,
+    witt_quotient,
+)
+from gwgamma.lambdaring import RingModel, gamma_total, validate_model
+from gwgamma.models import BUILTINS, gw_punctured_a5, gw_surface_cxp1
+from gwgamma.series import TruncSeries
+from test_arith_oracle import ring_models
+from test_filtration_oracle import CLI_BUILTINS
+from test_sparse_oracle import oracle_project, presentations, vectors
+
+IDS = ["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS]
+
+
+def oracle_model(name, group, unit, mul, aug, series, hyperbolic, trunc, params):
+    def build(lambda_on_basis):
+        return RingModel(
+            name, group, unit, mul, aug, lambda_on_basis, hyperbolic, trunc, params
+        )
+
+    ring = build([[]] * group.rank)
+    return build([[c.value.coeffs for c in s.coeffs[1:]] for s in series(ring)])
+
+
+def rebuilt(m):
+    """m rebuilt through the public constructor from its own data."""
+    rank = m.group.rank
+    mul = {}
+    for i in range(rank):
+        for j in range(i, rank):
+            row = [0] * rank
+            for k, c in m.products[i][j]:
+                row[k] = c
+            mul[(i, j)] = row
+    return RingModel(
+        m.name, m.group, m.unit.coeffs, mul, m.aug,
+        [[g.coeffs for g in s] for s in m.lambda_on_basis],
+        None if m.hyperbolic is None else [h.coeffs for h in m.hyperbolic],
+        m.trunc, m.params,
+    )
+
+
+def oracle_gamma_values(gens, order):
+    values = []
+    for e in gens:
+        series = gamma_total(e, order)
+        values.extend(
+            (i, series.coeffs[i]) for i in range(1, order + 1)
+            if not series.coeffs[i].is_zero
+        )
+    return values
+
+
+def oracle_witt_pieces(m, f):
+    qpres, projection, _ = witt_quotient(m)
+
+    def push(col):
+        elem = m.group.element(col)
+        return qpres.element([
+            sum(row[j] * c for j, c in enumerate(elem.coeffs)) for row in projection
+        ])
+
+    return (full_subgroup(qpres),) + tuple(
+        subgroup_from_generators(qpres, [push(c) for c in piece.columns])
+        for piece in f.pieces[1:]
+    )
+
+
+# ---------------------------------------------------------------- builtins
+
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=IDS)
+def test_builtin_equals_rebuilt_and_oracle_build(monkeypatch, name, kwargs):
+    m = BUILTINS[name](**kwargs)
+    monkeypatch.setattr(models, "_model", oracle_model)
+    old = BUILTINS[name](**kwargs)
+    orders = sorted({0, 1, m.trunc // 2, m.trunc})
+    for ref in (rebuilt(m), old):
+        assert m.lambda_on_basis == ref.lambda_on_basis
+        assert model_to_dict(m) == model_to_dict(ref)
+        for i in range(m.group.rank):
+            for o in orders:
+                got, want = m.basis_lambda_series(i, o), ref.basis_lambda_series(i, o)
+                assert got.order == want.order == o
+                assert got._columns == want._columns
+
+
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=IDS)
+def test_builtin_gamma_values_and_witt_pieces_match_oracle(name, kwargs):
+    m = BUILTINS[name](**kwargs)
+    gens = augmentation_kernel(m)[1]
+    want = oracle_gamma_values(gens, m.trunc)
+    assert _gamma_values(gens, m.trunc) == [(i, g.value.coeffs) for i, g in want]
+    f = gamma_filtration(m)
+    assert witt_filtration(m, f).pieces == oracle_witt_pieces(m, f)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ring_models(neutral_unit=True))
+def test_drawn_gamma_values_match_oracle(m):
+    gens = augmentation_kernel(m)[1]
+    want = oracle_gamma_values(gens, m.trunc)
+    assert _gamma_values(gens, m.trunc) == [(i, g.value.coeffs) for i, g in want]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_unreduced_vector_projects_as_its_reduction(data):
+    # the Witt push projects HNF columns, which may hold a relation vector
+    # o * e_i unreduced; the image must be that of the reduced vector
+    pres = data.draw(presentations(max_rank=4))
+    small = st.lists(st.integers(-6, 6), min_size=pres.rank, max_size=pres.rank)
+    gens = data.draw(st.lists(small, max_size=3))
+    qpres, projection = quotient_presentation(
+        pres, subgroup_from_generators(pres, [pres.element(g) for g in gens])
+    )
+    for _ in range(3):
+        v = data.draw(vectors(pres))
+        want = oracle_project(qpres, projection, pres.element(v)).coeffs
+        assert project_element(qpres, projection, v) == want
+
+
+# ---------------------------------------------------------------- work bounds
+
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=IDS)
+def test_builtin_builds_one_model(monkeypatch, name, kwargs):
+    calls = []
+    init = RingModel.__init__
+
+    def counted(self, *args, **kw):
+        calls.append(args[0] if args else kw["name"])
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(RingModel, "__init__", counted)
+    m = BUILTINS[name](**kwargs)
+    assert calls == [m.name]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gw_surface_cxp1(s=12), lambda: gw_punctured_a5(f=6),
+], ids=["gw_surface_cxp1-12", "gw_punctured_a5-6"])
+def test_filtration_reads_no_ring_coefficients(monkeypatch, build):
+    reads = []
+    coeffs = TruncSeries.coeffs
+
+    def counted(self):
+        reads.append(self.order)
+        return coeffs.fget(self)
+
+    monkeypatch.setattr(TruncSeries, "coeffs", property(counted))
+    m = build()
+    f = gamma_filtration(m, kmax=8)
+    witt_filtration(m, f)
+    assert reads == []
+
+
+# ---------------------------------------------------------------- constructor
+
+def square_zero(trunc, series):
+    """Z*one + Z*x with x^2 = 0 and lambda(x) given by its coefficients."""
+    group = GroupPresentation((0, 0), ("one", "x"))
+    mul = {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 0)}
+    return RingModel("square_zero", group, (1, 0), mul, (1, 0), [[(1, 0)], series],
+                     trunc=trunc)
+
+
+def test_constructor_refuses_series_longer_than_truncation():
+    for terms in (5, 6):
+        with pytest.raises(ValueError, match="element 1: %d terms, more than trunc 4" % terms):
+            square_zero(4, [(0, 1)] * terms)
+    # trailing zero degrees are stripped before the count
+    m = square_zero(4, [(0, 1)] * 4 + [(0, 0)] * 3)
+    assert len(m.lambda_on_basis[1]) == 4
+
+
+@pytest.mark.parametrize("trunc", [0, -3])
+def test_constructor_refuses_truncation_below_one(trunc):
+    with pytest.raises(ValueError, match="truncation order %d is below 1" % trunc):
+        square_zero(trunc, [(0, 1)])
+
+
+def test_constructed_model_round_trips_through_file(tmp_path):
+    m = square_zero(4, [(0, 1)] * 4 + [(0, 0)] * 2)
+    assert validate_model(m).ok
+    path = tmp_path / "square_zero.json"
+    dump_model(m, str(path))
+    assert model_to_dict(parse_model(str(path))) == model_to_dict(m)
+    assert run(["validate", str(path)]) == 0

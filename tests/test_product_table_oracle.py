@@ -4,6 +4,8 @@ The reference is the earlier inner loop: it multiplied every gamma-value by
 every column of every earlier span as ``RingElement`` products, one
 ``g * m.element(c)`` per pair, and fed each span's products to
 ``subgroup_from_generators`` unchanged.  It lives here only as an oracle.
+The table and ``_gamma_values`` work on coefficient tuples; the tests wrap
+and unwrap them at the call, and every comparison is on the oracle's terms.
 
 Models are drawn as in ``test_arith_oracle``: Z plus up to three free or
 torsion factors with random structure constants.  Spans are HNFs built with
@@ -46,7 +48,8 @@ def table_cases(draw):
 @given(table_cases())
 def test_table_products_match_multiply(case):
     m, values, spans = case
-    table = _ProductTable(m, values)
+    # the table takes each value as its coefficient tuple
+    table = _ProductTable(m, [(i, g.value.coeffs) for i, g in values])
     assert table.values == list(dict.fromkeys(g.value.coeffs for _, g in values))
     weighted = dict.fromkeys((i, table.values.index(g.value.coeffs)) for i, g in values)
     assert table.by_weight == {
@@ -107,7 +110,8 @@ def oracle_closed(m, piece, values):
 @given(ring_models(neutral_unit=True), st.integers(1, 3))
 def test_filtration_matches_per_product_oracle(m, kmax):
     f = gamma_filtration(m, kmax=kmax)
-    values = _gamma_values(augmentation_kernel(m)[1], m.trunc)
+    # the oracle multiplies ring elements; the gamma-values are tuples
+    values = [(i, m.element(g)) for i, g in _gamma_values(augmentation_kernel(m)[1], m.trunc)]
     assert f.pieces == oracle_pieces(m, values, kmax, f.weight_cap)
     if not any("exceeds truncation" in w for w in f.warnings):
         assert f.exact == oracle_closed(m, f.pieces[kmax], values)

@@ -92,9 +92,9 @@ def test_project_element_matches_oracle(data):
     qpres, projection = quotient_presentation(pres, sub)
     for _ in range(3):
         elem = pres.element(data.draw(vectors(pres)))
-        assert project_element(qpres, projection, elem) == oracle_project(
+        assert project_element(qpres, projection, elem.coeffs) == oracle_project(
             qpres, projection, elem
-        )
+        ).coeffs
 
 
 # ---------------------------------------------------------------- the memo

@@ -101,7 +101,7 @@ def at_truncation(m, trunc):
             for k, c in m.products[i][j]:
                 row[k] = c
             mul[(i, j)] = row
-    lam = [[g.coeffs for g in s] for s in m.lambda_on_basis]
+    lam = [[g.coeffs for g in s[:trunc]] for s in m.lambda_on_basis]
     return RingModel(m.name, m.group, m.unit.coeffs, mul, m.aug, lam, trunc=trunc)
 
 
