@@ -132,10 +132,10 @@ class GroupElement:
         return all(c == 0 for c in self.coeffs)
 
 
-def _entries(elem: GroupElement) -> list[tuple[int, int]]:
-    """The sparse form of an element: (index, coefficient) of each nonzero
-    coordinate."""
-    return [(i, c) for i, c in enumerate(elem.coeffs) if c]
+def _entries(coeffs: Sequence[int]) -> list[tuple[int, int]]:
+    """The sparse form of a coefficient vector: (index, coefficient) of each
+    nonzero coordinate."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
 def _eliminate(cols: list[list[int]], r: int) -> None:

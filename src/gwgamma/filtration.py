@@ -20,13 +20,13 @@ F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.
 All products of one run come from one product table, freed when the run
 returns.  The gamma-values are coefficient tuples read off the columns of
 the gamma-series, deduplicated by value across generators and weights; each
-distinct value g keeps its multiplication matrix (column j the entries of
-g * b_j), and g * S is computed once per distinct value and distinct span
-S, on integer tuples.  Product lists are keyed by the HNF columns of the
-span: the HNF is canonical, so equal spans have identical columns and share
-every product list.  S_w takes the union over the (value, span) pairs below
-it, every HNF is fed each distinct vector once, and the closure check reads
-g * F^kmax from the same table.
+distinct value g keeps its sparse entries, and g * S is computed once per
+distinct value and distinct span S, each product of g with a column of S
+one ``RingModel.dot``, the model's one product routine.  Product lists are
+keyed by the HNF columns of the span: the HNF is canonical, so equal spans
+have identical columns and share every product list.  S_w takes the union
+over the (value, span) pairs below it, every HNF is fed each distinct
+vector once, and the closure check reads g * F^kmax from the same table.
 
 The result is flagged exact when
 
@@ -62,6 +62,7 @@ from .abelian import (
     GroupElement,
     GroupPresentation,
     Subgroup,
+    _entries,
     _span,
     full_subgroup,
     kernel_basis,
@@ -109,12 +110,13 @@ class _ProductTable:
 
     `values` are the distinct values as reduced coefficient tuples,
     `by_weight[i]` the indices of the distinct values of weight i,
-    `matrices[k][j]` the nonzero entries of values[k] * b_j.  `spans` maps
-    the HNF columns of a span to its reduced nonzero columns (sparse) and
-    its product lists by value index.
+    `entries[k]` the sparse entries of values[k].  `spans` maps the HNF
+    columns of a span to its reduced nonzero columns (sparse) and its
+    product lists by value index.  Each product is one `RingModel.dot`.
     """
 
     def __init__(self, m: RingModel, values: list[tuple[int, tuple[int, ...]]]):
+        self.model = m
         self.pres = m.group
         index: dict[tuple[int, ...], int] = {}
         self.by_weight: dict[int, list[int]] = {}
@@ -123,18 +125,7 @@ class _ProductTable:
             if k not in self.by_weight.setdefault(i, []):
                 self.by_weight[i].append(k)
         self.values = list(index)
-        self.matrices = []
-        for g in self.values:
-            rows = [m.products[i] for i, gi in enumerate(g) if gi]
-            coeffs = [gi for gi in g if gi]
-            cols = []
-            for j in range(m.group.rank):
-                acc: dict[int, int] = {}
-                for row, gi in zip(rows, coeffs):
-                    for k, c in row[j]:
-                        acc[k] = acc.get(k, 0) + gi * c
-                cols.append([(k, c) for k, c in acc.items() if c])
-            self.matrices.append(cols)
+        self.entries = [_entries(g) for g in self.values]
         self.spans: dict[tuple, tuple[list, dict[int, list[tuple[int, ...]]]]] = {}
 
     def times(self, ks: Iterable[int], sub: Subgroup) -> list[tuple[int, ...]]:
@@ -144,25 +135,19 @@ class _ProductTable:
         if entry is None:
             reduced = (self.pres.reduce(c) for c in sub.columns)
             entry = self.spans[sub.columns] = (
-                [[(j, cj) for j, cj in enumerate(c) if cj] for c in reduced if any(c)],
-                {},
+                [_entries(c) for c in reduced if any(c)], {}
             )
         cols, memo = entry
-        rank = self.pres.rank
+        dot = self.model.dot
         out = []
         for k in ks:
             if k not in memo:
-                matrix = self.matrices[k]
+                g = self.entries[k]
                 found = {}
                 for col in cols:
-                    acc = [0] * rank
-                    for j, cj in col:
-                        for i, c in matrix[j]:
-                            acc[i] += cj * c
-                    if any(acc):
-                        p = self.pres.reduce(acc)
-                        if any(p):
-                            found[p] = None
+                    p = dot(((g, col),))
+                    if any(p):
+                        found[p] = None
                 memo[k] = list(found)
             out += memo[k]
         return out
@@ -211,7 +196,7 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
     budget = m.trunc
     if kmax > budget:
         raise ValueError("kmax %d exceeds weight budget %d" % (kmax, budget))
-    _, gens = augmentation_kernel(m)
+    gens = tuple(m.element(v) for v in kernel_basis(m.aug))
     values = _gamma_values(gens, budget)
     imax = max((i for i, _ in values), default=0)
     certified = kmax + max(imax - 1, 0)

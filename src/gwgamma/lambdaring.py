@@ -23,14 +23,16 @@ product checks lambda^n(x*y).
 The structure constants are stored once, as sparse integer rows:
 ``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  Ring
 elements multiply through one primitive, ``RingModel.dot``, which sums the
-products x*y of a list of pairs on a single integer vector and reduces the
-sum once.  Its operands are sparse entry lists, the (index, coefficient)
-pairs of the nonzero coordinates, so a pair costs nnz(x) * nnz(y) row
-lengths, whatever the rank; ``multiply`` is ``dot`` with one pair of
-converted elements, and every coefficient of a series inverse is one call
-to it.  Series products read the same rows a column pair at a time, one
-integer product of two packed coordinate columns per nonzero row, and give
-the sums ``dot`` gives (see :mod:`gwgamma.series`).
+products x*y of a list of pairs on a single integer vector and returns the
+sum's reduced coefficient tuple.  Its operands are sparse entry lists, the
+(index, coefficient) pairs of the nonzero coordinates, so a pair costs
+nnz(x) * nnz(y) row lengths, whatever the rank.  ``multiply`` is ``dot``
+with one pair of converted elements, the only caller that wraps the tuple
+in a group element; every coefficient of a series inverse is one call to
+it, and so is every product of the filtration's table (a gamma-value times
+a span column).  Series products read the same rows a column pair at a
+time, one integer product of two packed coordinate columns per nonzero row,
+and give the sums ``dot`` gives (see :mod:`gwgamma.series`).
 Whether the constants make a commutative ring, which series powers need
 for their binomial table, is one cached verdict from two generators of
 offending cases on the same rows; ``validate_model`` names its cases.
@@ -178,10 +180,10 @@ class RingModel:
 
     def dot(
         self, pairs: Iterable[tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]]
-    ) -> GroupElement:
+    ) -> tuple[int, ...]:
         """The sum of x*y over pairs of sparse entry lists, each the (index,
         coefficient) pairs of the nonzero coordinates of x or y, accumulated
-        on one integer vector and reduced once."""
+        on one integer vector and returned as its reduced coefficient tuple."""
         acc = [0] * self.group.rank
         products = self.products
         for xs, ys in pairs:
@@ -191,10 +193,11 @@ class RingModel:
                     c = xi * yj
                     for k, s in row[j]:
                         acc[k] += c * s
-        return self.group.element(acc)
+        return self.group.reduce(acc)
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return self.dot(((_entries(x), _entries(y)),))
+        xy = self.dot(((_entries(x.coeffs), _entries(y.coeffs)),))
+        return GroupElement(self.group, xy)
 
     @cached_property
     def _constant_bits(self) -> int:

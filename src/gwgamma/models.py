@@ -300,8 +300,9 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     if not 2 <= f <= 8:
         raise ValueError("f must lie in 2..8")
     # the mod-2 pattern (1, odd, even, even, ...) is independent of f; the
-    # constructor re-derives it rather than hard-coding the series
-    count = 2 ** (f - 1) if f <= 6 else min(2 ** (f - 1), trunc)
+    # constructor re-derives it rather than hard-coding the series, from at
+    # least the two coefficients the check below reads
+    count = 2 ** (f - 1) if f <= 6 else min(2 ** (f - 1), max(trunc, 2))
     coeffs = punctured_gamma_coefficients(f, count)
     if coeffs[0] != 1 or coeffs[1] % 2 != 1:
         raise AssertionError("unexpected low gamma coefficients")
@@ -389,10 +390,8 @@ def line_elements(model: RingModel) -> frozenset:
     def is_line(x):
         if model.augmentation(x.value) != 1:
             return False
-        lam = lambda_total(x)
-        if lam.coeffs[1] != x:
-            return False
-        return all(c.is_zero for c in lam.coeffs[2:])
+        rows = lambda_total(x).rows()
+        return rows[1] == x.value.coeffs and not any(map(any, rows[2:]))
 
     one = model.unit_element
     candidates = [one]

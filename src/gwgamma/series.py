@@ -48,8 +48,9 @@ They run per column: each column of c_1..c_N is summed against the cached
 row of signed binomials of each degree, and reduced once.
 
 Inversion requires the constant term to be the ring unit and proceeds by
-forward substitution, one ``RingModel.dot`` per degree on the sparse
-entries of the coefficients.
+forward substitution: the coefficients c_1..c_N are negated once, as sparse
+entries, and each degree of the inverse is one ``RingModel.dot`` of them
+against the lower degrees, read back as sparse entries.
 """
 
 from __future__ import annotations
@@ -167,10 +168,10 @@ class TruncSeries:
                 raise ValueError("series with non-unit constant term")
             m, n = self.model, self.order
             cols = self._columns.items()
-            a = [[(k, col[d]) for k, col in cols if col[d]] for d in range(n + 1)]
-            done = [a[0]]
+            neg = [[(q, -col[d]) for q, col in cols if col[d]] for d in range(1, n + 1)]
+            done = [_entries(m.unit.coeffs)]
             for k in range(1, n + 1):
-                done.append(_entries(-m.dot(zip(a[1 : k + 1], done[::-1]))))
+                done.append(_entries(m.dot(zip(neg[:k], done[::-1]))))
             out: dict = {}
             for d, entries in enumerate(done):
                 for k, v in entries:

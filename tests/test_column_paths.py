@@ -167,10 +167,8 @@ def test_builtin_builds_one_model(monkeypatch, name, kwargs):
     assert calls == [m.name]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: gw_surface_cxp1(s=12), lambda: gw_punctured_a5(f=6),
-], ids=["gw_surface_cxp1-12", "gw_punctured_a5-6"])
-def test_filtration_reads_no_ring_coefficients(monkeypatch, build):
+def coeff_reads(monkeypatch):
+    """The orders of the series whose `coeffs` are read from now on."""
     reads = []
     coeffs = TruncSeries.coeffs
 
@@ -179,9 +177,26 @@ def test_filtration_reads_no_ring_coefficients(monkeypatch, build):
         return coeffs.fget(self)
 
     monkeypatch.setattr(TruncSeries, "coeffs", property(counted))
+    return reads
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gw_surface_cxp1(s=12), lambda: gw_punctured_a5(f=6),
+], ids=["gw_surface_cxp1-12", "gw_punctured_a5-6"])
+def test_filtration_reads_no_ring_coefficients(monkeypatch, build):
+    reads = coeff_reads(monkeypatch)
     m = build()
     f = gamma_filtration(m, kmax=8)
     witt_filtration(m, f)
+    assert reads == []
+
+
+def test_line_elements_read_no_ring_coefficients(monkeypatch):
+    # each candidate's lambda-series is read by rows; through coeffs this
+    # filled 23 series with ring elements
+    reads = coeff_reads(monkeypatch)
+    lines = models.line_elements(gw_surface_cxp1(4))
+    assert len(lines) == 16
     assert reads == []
 
 

@@ -368,6 +368,21 @@ def test_filtration_work_bound(monkeypatch, build):
     assert 0 < calls[0] <= 10_000
 
 
+def test_filtration_builds_no_f1_subgroup(monkeypatch):
+    # the generators of F^1 come from the kernel basis of the augmentation;
+    # spanning them as a subgroup, which the run never reads, cost one more
+    # HNF (4 calls at kmax 1 on the point)
+    from gwgamma import abelian
+
+    calls = []
+    hnf = abelian.hnf_columns
+    monkeypatch.setattr(
+        abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
+    )
+    gamma_filtration(gw_point("C"), kmax=1)
+    assert len(calls) == 3
+
+
 def test_witt_quotient_makes_one_smith_form(monkeypatch):
     from gwgamma import abelian
 

@@ -207,6 +207,15 @@ def test_punctured_space_series():
         assert lambda_k(eps, k) == (eps if k % 2 else m.zero_element)
 
 
+@pytest.mark.parametrize("f", range(2, 9))
+def test_punctured_space_at_truncation_one(f):
+    # f = 7 and 8 cut the coefficient count at trunc 1, so the sanity check
+    # of the constructor read coeffs[1] of a one-element list (IndexError)
+    m = gw_punctured_a5(f, trunc=1)
+    assert validate_model(m).ok
+    assert m.lambda_on_basis == gw_punctured_a5(3, trunc=1).lambda_on_basis
+
+
 def test_surface_products():
     m = gw_surface_cxp1(2)
     a1, a2 = named(m, "a1"), named(m, "a2")
