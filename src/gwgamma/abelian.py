@@ -407,5 +407,5 @@ def project_element(
 ) -> tuple[int, ...]:
     """The reduced image in ``target`` of a coefficient vector, reduced or
     not, under the projection, summed over its nonzero coordinates only."""
-    entries = [(j, c) for j, c in enumerate(coeffs) if c]
+    entries = _entries(coeffs)
     return target.reduce([sum(row[j] * c for j, c in entries) for row in projection])

@@ -35,7 +35,8 @@ time, one integer product of two packed coordinate columns per nonzero row,
 and give the sums ``dot`` gives (see :mod:`gwgamma.series`).
 Whether the constants make a commutative ring, which series powers need
 for their binomial table, is one cached verdict from two generators of
-offending cases on the same rows; ``validate_model`` names its cases.
+offending cases, each of whose products is one ``dot`` of a basis element
+with a stored row; ``validate_model`` names its cases.
 
 Basis lambda-series are stored as plain group elements in degrees 1..D_b,
 D_b at most the truncation order N >= 1 (as in a model file).  Series that
@@ -229,36 +230,26 @@ class RingModel:
 
     def _unkilled(self, i: int) -> Iterator[int]:
         """The j for which the order of the torsion element b_i does not
-        kill b_i * b_j, read off the sparse rows."""
-        orders = self.group.orders
-        o = orders[i]
-        for j, entries in enumerate(self.products[i]):
-            if not all(orders[k] and o * c % orders[k] == 0 for k, c in entries):
+        kill b_i * b_j: (o_i b_i) * b_j is one ``dot``."""
+        o = ((i, self.group.orders[i]),)
+        for j in range(self.group.rank):
+            if any(self.dot(((o, ((j, 1),)),))):
                 yield j
 
     def _bracketing_failures(self) -> Iterator[tuple[int, int, int, int, int]]:
         """(i, j, k, p, q) for each basis triple i <= j <= k and bracketing
         b_p*(b_q*b_k) that differs from (b_i*b_j)*b_k: first (p, q) = (i, j),
-        then (j, i) when i < j < k.  Computed on the sparse rows."""
-        orders, rows = self.group.orders, self.products
-
-        def times(i, entries):
-            # b_i times the element with these sparse entries, as sparse entries
-            acc = {}
-            for j, c in entries:
-                for k, s in rows[i][j]:
-                    acc[k] = acc.get(k, 0) + c * s
-            reduced = {k: v % orders[k] if orders[k] else v for k, v in acc.items()}
-            return {k: v for k, v in reduced.items() if v}
-
-        rank = self.group.rank
+        then (j, i) when i < j < k.  Each bracketing is one ``dot`` of a
+        basis element with a stored product row."""
+        rows, rank = self.products, self.group.rank
+        b = [((i, 1),) for i in range(rank)]
         for i in range(rank):
             for j in range(i, rank):
                 for k in range(j, rank):
-                    left = times(k, rows[i][j])
-                    if times(i, rows[j][k]) != left:
+                    left = self.dot(((rows[i][j], b[k]),))
+                    if self.dot(((b[i], rows[j][k]),)) != left:
                         yield i, j, k, i, j
-                    if i < j < k and times(j, rows[i][k]) != left:
+                    if i < j < k and self.dot(((b[j], rows[i][k]),)) != left:
                         yield i, j, k, j, i
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
@@ -450,7 +441,7 @@ def validate_model(m: RingModel) -> Report:
         ("augmentation is a ring homomorphism", homomorphism()),
         ("lambda^1 is the identity on basis",
          ("lambda^1(b%d) != b%d" % (i, i)
-          for i in range(rank) if lam[i][:1] != (basis[i],))),
+          for i in range(rank) if (lam[i] or (m.group.zero(),))[0] != basis[i])),
         ("augmentation compatible with lambda-series",
          ("d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, d(c), aug[i], k)
           for i in range(rank) for k, c in enumerate(lam[i], start=1)

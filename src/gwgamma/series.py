@@ -48,9 +48,11 @@ They run per column: each column of c_1..c_N is summed against the cached
 row of signed binomials of each degree, and reduced once.
 
 Inversion requires the constant term to be the ring unit and proceeds by
-forward substitution: the coefficients c_1..c_N are negated once, as sparse
-entries, and each degree of the inverse is one ``RingModel.dot`` of them
-against the lower degrees, read back as sparse entries.
+forward substitution: the nonzero coefficients among c_1..c_N are negated
+once, as sparse entries, and each degree of the inverse is one
+``RingModel.dot`` of them against the lower degrees, read back as sparse
+entries.  A zero degree of the series is no pair of that sum, so inverting
+1 + a t + b t^2 costs at most two pairs a degree, whatever the order.
 """
 
 from __future__ import annotations
@@ -168,10 +170,12 @@ class TruncSeries:
                 raise ValueError("series with non-unit constant term")
             m, n = self.model, self.order
             cols = self._columns.items()
-            neg = [[(q, -col[d]) for q, col in cols if col[d]] for d in range(1, n + 1)]
+            # the negated nonzero degrees, as (degree, sparse entries)
+            neg = [(d, e) for d in range(1, n + 1)
+                   if (e := [(q, -col[d]) for q, col in cols if col[d]])]
             done = [_entries(m.unit.coeffs)]
             for k in range(1, n + 1):
-                done.append(_entries(m.dot(zip(neg[:k], done[::-1]))))
+                done.append(_entries(m.dot((e, done[k - d]) for d, e in neg if d <= k)))
             out: dict = {}
             for d, entries in enumerate(done):
                 for k, v in entries:

@@ -111,6 +111,26 @@ def test_validate_names_violated_identity(tmp_path, capsys):
     assert run(["filtration", str(path), "--max-degree", "3"]) == 1
 
 
+def test_trivial_cyclic_factor_validates(tmp_path, capsys):
+    # x generates Z/1, so x = 0 = lambda^1(x); the constructor drops the zero
+    # degree of its series, which validate read as a failed lambda^1 check
+    path = tmp_path / "trivial_factor.json"
+    path.write_text(json.dumps({
+        "name": "trivial factor", "basis": ["one", "x"], "orders": [0, 1],
+        "unit": [1, 0], "augmentation": [1, 0],
+        "mul": [[0, 0, [1, 0]], [0, 1, [0, 1]]],
+        "lambda": {"one": [[1, 0]], "x": [[0, 1]]},
+    }))
+    assert run(["validate", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert run(["filtration", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "exact: yes" in out
+    graded = [line for line in out if line.startswith("gr^")]
+    assert graded[0] == "gr^0: Z"
+    assert len(graded) > 1 and all(line.endswith(": 0") for line in graded[1:])
+
+
 def test_model_from_dict_reports_key_context():
     base = model_to_dict(gw_point("C"))
 

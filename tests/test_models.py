@@ -336,11 +336,12 @@ def test_projective_build_work_bound(monkeypatch):
     # no series of a power a^k is multiplied by the unit series; series
     # powers read one binomial table per series (32,723 dot pairs with
     # binary exponentiation); series products and the powers of T run on
-    # coordinate columns, so only the inverses call dot (17,754 dot pairs
-    # with one dot per product coefficient); the twisted classes share one
+    # coordinate columns, so only the inverses and the ring verdict call dot
+    # (17,754 dot pairs with one dot per product coefficient), an inverse
+    # on the nonzero degrees of its series only; the twisted classes share one
     # denominator series, inverted once (11 inverses when each class had its
-    # own); and validation reads the basis products and the ring verdict off
-    # the sparse rows (312 and 245 dot calls before)
+    # own); and validation reads the basis products off the sparse rows and
+    # the ring verdict cached by the build (312 and 245 dot calls before)
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
     dot = RingModel.dot
@@ -383,6 +384,28 @@ def test_projective_build_work_bound(monkeypatch):
         dots[0] = 0
         assert validate_model(model).ok
         assert dots[0] <= before, model.name
+
+
+def test_inverse_work_bound(monkeypatch):
+    # the P^r-over-R denominator 1 + (1 + L) t + L t^2 has two nonzero
+    # degrees, so each degree of its inverse is a dot of at most two pairs
+    # (210 pairs when every lower degree was passed, zero ones included)
+    dot = RingModel.dot
+    pairs = [0]
+
+    def counted_dot(self, xy):
+        xy = list(xy)
+        pairs[0] += len(xy)
+        return dot(self, xy)
+
+    m = gw_point("R", trunc=20)
+    one, L = m.unit_element, m.basis_element(1)
+    den = TruncSeries.from_coeffs(one, [one + L, L], 20)
+    monkeypatch.setattr(RingModel, "dot", counted_dot)
+    inv = den.inverse()
+    assert pairs[0] == 39
+    monkeypatch.undo()
+    assert den * inv == TruncSeries.one(one, 20)
 
 
 def test_negative_orders_refused():
