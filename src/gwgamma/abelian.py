@@ -364,10 +364,14 @@ def relative_quotient_invariants(
     """Invariant factors of ``big / small`` for nested subgroups.
 
     Each generator of `small` is lifted into the lattice basis of `big`;
-    the quotient is then read off the Smith normal form of the lifts.
+    the quotient is then read off the Smith normal form of the lifts.  The
+    HNF is canonical, so equal columns are equal subgroups, with the trivial
+    quotient.
     """
     if big.pres != small.pres:
         raise ValueError("subgroups of different presentations")
+    if big.columns == small.columns:
+        return ()
     lifts = []
     for col in small.columns:
         y = big._solve(col)

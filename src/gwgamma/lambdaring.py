@@ -137,6 +137,7 @@ class RingModel:
             rows[i][j] = rows[j][i] = tuple((k, c) for k, c in enumerate(val) if c)
         # products[i][j]: the nonzero entries (k, c) of b_i * b_j
         self.products = tuple(tuple(r) for r in rows)
+        self._zero = (0,) * rank  # the sum of a dot that meets no row
         if len(lambda_on_basis) != group.rank:
             raise ValueError("lambda-series list of wrong length")
         lam = []
@@ -184,17 +185,23 @@ class RingModel:
     ) -> tuple[int, ...]:
         """The sum of x*y over pairs of sparse entry lists, each the (index,
         coefficient) pairs of the nonzero coordinates of x or y, accumulated
-        on one integer vector and returned as its reduced coefficient tuple."""
-        acc = [0] * self.group.rank
+        on one integer vector and returned as its reduced coefficient tuple.
+        The vector is allocated at the first nonempty structure-constant row;
+        a sum that meets none is the model's cached zero tuple."""
+        acc = None
         products = self.products
         for xs, ys in pairs:
             for i, xi in xs:
                 row = products[i]
                 for j, yj in ys:
-                    c = xi * yj
-                    for k, s in row[j]:
-                        acc[k] += c * s
-        return self.group.reduce(acc)
+                    entries = row[j]
+                    if entries:
+                        if acc is None:
+                            acc = [0] * self.group.rank
+                        c = xi * yj
+                        for k, s in entries:
+                            acc[k] += c * s
+        return self._zero if acc is None else self.group.reduce(acc)
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         xy = self.dot(((_entries(x.coeffs), _entries(y.coeffs)),))

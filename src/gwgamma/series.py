@@ -23,13 +23,15 @@ the absolute structure constants), plus a sign bit.
 
 Powers use one binomial table per series.  Writing S = 1 + T,
 
-    S^e = sum_{k=0}^{min(e,N)} C(e, k) T^k          (e >= 0),
+    S^e = sum_{k=0}^{top} C(e, k) T^k,   top = min(e, N) for e > 0, N for e < 0,
 
-and S^e = (S^-1)^(-e) for e < 0.  Each power T^k is the column product
-T * T^(k-1).  The powers are built lazily and memoized on the series, as is
-its inverse, so every exponent a series is raised to reads the same table,
-and each output column is summed against the binomials once per degree.
-The sum equals the product S * ... * S only in a
+exactly, since T^(N+1) vanishes mod t^(N+1); a negative e takes C(e, k)
+from ``symfunc.binomial``, and only S^-1 is read off the inverse.  Each
+power T^k is the column product T * T^(k-1).  The powers are built lazily
+and memoized on the series, so every exponent it is raised to, of either
+sign, reads the same table, and each output column is summed against the
+binomials once per degree.
+The sum equals the product S * ... * S, or S^-1 * ... * S^-1, only in a
 commutative ring: the unit must be neutral, each basis triple must have one
 product under all three bracketings, and o_i b_i b_j = 0 for every basis
 element b_i of finite order o_i, so that the product does not depend on the
@@ -47,12 +49,13 @@ total gamma-series are linear with binomial coefficients:
 They run per column: each column of c_1..c_N is summed against the cached
 row of signed binomials of each degree, and reduced once.
 
-Inversion requires the constant term to be the ring unit and proceeds by
-forward substitution: the nonzero coefficients among c_1..c_N are negated
-once, as sparse entries, and each degree of the inverse is one
-``RingModel.dot`` of them against the lower degrees, read back as sparse
-entries.  A zero degree of the series is no pair of that sum, so inverting
-1 + a t + b t^2 costs at most two pairs a degree, whatever the order.
+Inversion, memoized on the series, requires the constant term to be the
+ring unit and proceeds by forward substitution: the nonzero coefficients
+among c_1..c_N are negated once, as sparse entries, and each degree of the
+inverse is one ``RingModel.dot`` of them against the lower degrees, read
+back as sparse entries.  A zero degree of the series is no pair of that
+sum, so inverting 1 + a t + b t^2 costs at most two pairs a degree,
+whatever the order.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from operator import mul
 from typing import Sequence
 
 from .abelian import GroupElement, _entries
+from .symfunc import binomial
 
 
 class TruncSeries:
@@ -184,26 +188,26 @@ class TruncSeries:
         return self._inverse
 
     def pow(self, e: int) -> "TruncSeries":
-        """S^e from the binomial table of S, or of its inverse for e < 0.
+        """S^e from the binomial table of S.
 
         >>> from gwgamma.models import gw_point
         >>> one = gw_point("C").unit_element
         >>> s = TruncSeries.from_coeffs(one, [one], 3)
         >>> [c.value.coeffs for c in s.pow(-3).coeffs]
         [(1,), (-3,), (6,), (-10,)]
+        >>> [c.value.coeffs for c in s.pow(-2).coeffs], s._inverse
+        ([(1,), (-2,), (3,), (-4,)], None)
         """
         if not self._unit_constant():
             raise ValueError("series with non-unit constant term")
         m, n = self.model, self.order
         if e == 0:
             return TruncSeries.one(m.unit_element, n)
-        base = self if e > 0 else self.inverse()
-        e = abs(e)
-        if e == 1:
-            return base
-        if not m._is_ring:
-            # binary exponentiation: without the ring laws the binomial sum
-            # need not equal any bracketing of the product
+        if abs(e) == 1 or not m._is_ring:
+            # S^(+-1), or binary exponentiation: without the ring laws the
+            # binomial sum need not equal any bracketing of the product
+            base = self if e > 0 else self.inverse()
+            e = abs(e)
             out = None
             while e:
                 if e & 1:
@@ -212,9 +216,9 @@ class TruncSeries:
                 if e:
                     base = base * base
             return out
-        top = min(e, n)
-        powers = base._table(top)
-        binoms = [comb(e, k) for k in range(1, top + 1)]
+        top = min(e, n) if e > 0 else n
+        powers = self._table(top)
+        binoms = [binomial(e, k) for k in range(1, top + 1)]
         # per coordinate, its columns in T^1..T^top aligned with the binomials
         held: dict = {}
         zero = [0] * (n + 1)

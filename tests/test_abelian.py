@@ -224,6 +224,35 @@ def test_relative_quotient_on_nested_chain():
     assert quotient_invariants(pres, zero_subgroup(pres)) == (0, 0)
 
 
+def test_relative_quotient_of_equal_subgroups_skips_smith(monkeypatch):
+    # equal subgroups from different generators have the same canonical
+    # HNF, so their quotient is trivial without a Smith normal form
+    import gwgamma.abelian as abelian
+
+    pres = GroupPresentation((0, 4, 0), ("a", "b", "c"))
+    gens = [pres.element(v) for v in ((2, 1, 0), (0, 2, 3))]
+    big = subgroup_from_generators(pres, gens)
+    small = subgroup_from_generators(pres, [gens[0] + gens[1], gens[1], gens[1] * 3])
+    assert big is not small and big.columns == small.columns
+    calls = []
+    snf = abelian.smith_normal_form
+
+    def counted(rows):
+        calls.append(rows)
+        return snf(rows)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counted)
+    full = full_subgroup(pres)
+    assert relative_quotient_invariants(big, small) == ()
+    assert relative_quotient_invariants(full, full) == ()
+    assert calls == []
+    # subgroups that are not nested still raise, whichever way round
+    other = subgroup_from_generators(pres, [pres.element((3, 0, 0))])
+    for a, b in ((big, other), (other, big)):
+        with pytest.raises(ValueError, match="not nested"):
+            relative_quotient_invariants(a, b)
+
+
 def test_kernel_basis_spans_kernel():
     rng = random.Random(3)
     for _ in range(60):

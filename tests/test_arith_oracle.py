@@ -221,6 +221,60 @@ def test_multiply_matches_oracle(drawn):
         assert got == m.multiply(x.value, y.value)
 
 
+def oracle_dot(m, pairs):
+    """The dense sum of the products x*y of the representatives as given,
+    from the per-pair table, reduced once."""
+    rank = m.group.rank
+    acc = [0] * rank
+    for xs, ys in pairs:
+        x, y = [0] * rank, [0] * rank
+        for v, entries in ((x, xs), (y, ys)):
+            for i, c in entries:
+                v[i] += c
+        for i in range(rank):
+            for j in range(rank):
+                for k, c in enumerate(_basis_product(m, i, j).coeffs):
+                    acc[k] += x[i] * y[j] * c
+    return m.group.element(acc).coeffs
+
+
+@st.composite
+def model_and_pairs(draw):
+    """A drawn model with one to four pairs of sparse entry lists; a list may
+    be empty, and its coefficients are not reduced mod the torsion orders."""
+    m = draw(ring_models(draw(st.booleans())))
+    rank = m.group.rank
+    vec = st.lists(st.integers(-20, 20) | st.just(0), min_size=rank, max_size=rank)
+    entries = vec.map(lambda v: [(i, c) for i, c in enumerate(v) if c])
+    return m, draw(st.lists(st.tuples(entries, entries), min_size=1, max_size=4))
+
+
+@ORACLE_SETTINGS
+@given(model_and_pairs())
+def test_dot_matches_dense_sum_of_products(drawn):
+    m, pairs = drawn
+    got = m.dot(pairs)
+    hits = any(m.products[i][j] for xs, ys in pairs for i, _ in xs for j, _ in ys)
+    if not hits:
+        # no pair meets a nonempty structure-constant row: the zero path
+        assert got == (0,) * m.group.rank
+    assert got == oracle_dot(m, pairs)
+
+
+def test_dot_zero_path():
+    # Z + Z/2 x with x*x = 0 (the row of x*x is empty): an empty sum, empty
+    # entry lists and pairs that meet only the empty row all give zero
+    with oracle_arithmetic():
+        m = RingModel("Z+Z/2", GroupPresentation((0, 2), ("one", "x")), (1, 0),
+                      {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 2)}, (1, 0),
+                      [[(1, 0)], [(0, 1)]])
+    x = [(1, 3)]
+    for pairs in ([], [([], x)], [(x, [])], [(x, x), (x, [(1, 1)])]):
+        assert m.dot(pairs) == (0, 0) == oracle_dot(m, pairs)
+    assert m.dot([(x, x), ([(0, 2)], x)]) == (0, 0)  # 6x mod 2, not the zero path
+    assert m.dot([(x, x), ([(0, 1)], x)]) == (0, 1)
+
+
 @ORACLE_SETTINGS
 @given(model_and_series())
 def test_series_product_and_inverse_match_oracle(drawn):

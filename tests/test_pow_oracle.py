@@ -9,6 +9,7 @@ that fails it, ``pow`` must still be binary exponentiation.  The verdict
 itself must agree with the checker oracle's cases on drawn models.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import GroupPresentation
@@ -95,10 +96,13 @@ def test_verdict_matches_oracle_validation(m):
 @given(ring_series(), EXPONENTS)
 def test_pow_matches_binary_exponentiation(s, e):
     got = s.pow(e)
-    assert got == oracle_pow(s, e)
     if abs(e) >= 2:
-        # the binomial table, not the fallback, produced it
-        assert (s if e > 0 else s.inverse())._powers is not None
+        # the binomial table of s itself, not the fallback, produced it,
+        # and a negative power did not solve the inverse
+        assert s._powers is not None
+        if e < 0:
+            assert s._inverse is None
+    assert got == oracle_pow(s, e)
 
 
 def test_one_table_serves_every_exponent():
@@ -107,7 +111,26 @@ def test_one_table_serves_every_exponent():
     for e in TOWER_EXPONENTS + [2, 3, 7]:
         assert s.pow(e) == oracle_pow(s, e)
     assert len(s._powers) == 8
-    assert len(s.inverse()._powers) == 8
+    assert s.inverse()._powers is None
+
+
+# -(2^127) is one chain of squarings for the oracle, -(2^127 - 1) sets every
+# bit of the binary expansion
+HUGE_NEGATIVE = [-2, -(2 ** 127), -(2 ** 127 - 1)]
+
+
+@pytest.mark.parametrize("square", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("order", [0, 1, 8])
+@pytest.mark.parametrize("e", HUGE_NEGATIVE)
+def test_huge_negative_exponents(square, order, e):
+    # over Z + Z/2 x: for e = -(2^127) the binomials C(e, k) run to about
+    # 2^1000 in the Z coordinate, and the x coordinate reduces them mod 2
+    m = z_plus_z2(square)
+    body = [m.element((d + 1, d % 2 + 1)) for d in range(order)]
+    s = TruncSeries.from_coeffs(m.unit_element, body, order)
+    got = s.pow(e)
+    assert s._inverse is None
+    assert got == oracle_pow(s, e)
 
 
 def test_non_ring_model_keeps_binary_exponentiation():
