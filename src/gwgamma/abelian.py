@@ -260,7 +260,10 @@ def subgroup_from_generators(
 
 
 def full_subgroup(pres: GroupPresentation) -> Subgroup:
-    return subgroup_from_generators(pres, pres.basis())
+    """The whole group: its HNF is the identity, column e_i pivoting in row i."""
+    rank = pres.rank
+    cols = tuple(tuple(int(t == i) for t in range(rank)) for i in range(rank))
+    return Subgroup(pres, cols, tuple(range(rank)))
 
 
 def smith_normal_form(
@@ -364,21 +367,23 @@ def relative_quotient_invariants(
     """Invariant factors of ``big / small`` for nested subgroups.
 
     Each generator of `small` is lifted into the lattice basis of `big`;
-    the quotient is then read off the Smith normal form of the lifts.  The
-    HNF is canonical, so equal columns are equal subgroups, with the trivial
-    quotient.
+    the quotient is then read off the Smith normal form of the lifts, less
+    each lift +-e_r and its row r.  The HNF is canonical, so equal columns
+    are equal subgroups, with the trivial quotient.
     """
     if big.pres != small.pres:
         raise ValueError("subgroups of different presentations")
     if big.columns == small.columns:
         return ()
-    lifts = []
-    for col in small.columns:
-        y = big._solve(col)
-        if y is None:
-            raise ValueError("subgroups are not nested")
-        lifts.append(y)
-    return tuple(d for d, _ in _quotient(big.ncols, lifts))
+    lifts = [big._solve(col) for col in small.columns]
+    if None in lifts:
+        raise ValueError("subgroups are not nested")
+    # column operations with a lift +-e_r split off a factor 1 and clear
+    # row r of the other lifts, leaving the rest of the matrix unchanged
+    split = {r for y in lifts if sum(map(abs, y)) == 1 for r, c in enumerate(y) if c}
+    rows = [r for r in range(big.ncols) if r not in split]
+    rest = [[y[r] for r in rows] for y in lifts if sum(map(abs, y)) != 1]
+    return tuple(d for d, _ in _quotient(len(rows), rest))
 
 
 def kernel_basis(row: Sequence[int]) -> list[tuple[int, ...]]:

@@ -15,10 +15,10 @@ Whether the model is *special* (lambda of a product, lambda of a lambda) is
 not an axiom of the data structure; ``verify_special_pair`` checks those
 identities on concrete elements through the universal polynomials of
 :mod:`gwgamma.symfunc`.  It is the two-element case of the one checker that
-``gwgamma special`` runs over all basis pairs of a model: per element it
-builds lambda_t once and, for an element checked as x, the composition
-checks lambda^m(lambda^n x) once; per pair only lambda_t(x*y) and the
-product checks lambda^n(x*y).
+``gwgamma special`` runs over all basis pairs of a model on coefficient
+tuples: per element lambda_t once and, for an element checked as x, the
+checks of lambda^m(lambda^n x) once; per pair lambda_t(x*y) and the checks
+of lambda^n(x*y), whose polynomials are folded one ``dot`` per product.
 
 The structure constants are stored once, as sparse integer rows:
 ``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  Ring
@@ -57,6 +57,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .abelian import GroupElement, GroupPresentation, _entries
 from .series import TruncSeries, gamma_from_lambda
 from .symfunc import (
+    MultiPoly,
     binomial,
     compose_universal,
     newton_psi,
@@ -272,10 +273,11 @@ class RingModel:
         key = (i, order)
         series = self._basis_series.get(key)
         if series is None:
-            wrapped = [RingElement(self, g) for g in self.lambda_on_basis[i]]
-            series = self._basis_series[key] = TruncSeries.from_coeffs(
-                self.unit_element, wrapped, order
-            )
+            rows = (self.unit.coeffs, *(g.coeffs for g in self.lambda_on_basis[i][:order]))
+            pad = (0,) * (order + 1 - len(rows))
+            series = self._basis_series[key] = TruncSeries._of(self, order, {
+                k: [*col, *pad] for k, col in enumerate(zip(*rows)) if any(col)
+            })
         return series
 
 
@@ -471,15 +473,45 @@ def verify_special_pair(
 
     lambda^n(x*y) against the universal product polynomial for n <= bound,
     and lambda^m(lambda^n(x)) against the universal composition polynomial
-    for the requested (m, n) pairs.  This is the two-element case of the
-    checker that ``gwgamma special`` runs on every basis pair: per element
-    it builds lambda_t(x) and lambda_t(y) once, per element checked as x
-    its composition checks once, and per pair lambda_t(x*y) and the product
-    checks; every lambda^n is read off those series.
+    for the requested (m, n) pairs: the one-pair case of the checker that
+    ``gwgamma special`` runs on every basis pair.
     """
     if x.model is not y.model:
         raise ValueError("elements from different models")
     return next(_special_reports((x, y), ((0, 1),), bound, compose_pairs))
+
+
+def _fold(m: RingModel, poly: MultiPoly, values: list, memo: dict, shared: int) -> tuple:
+    """``poly.evaluate`` at values given as sparse entry lists, as a reduced
+    coefficient tuple: the same terms, prefixes, bracketing and skips, each
+    product one ``RingModel.dot`` and the sum one integer vector, reduced
+    once.  The prefixes made of the first `shared` variables alone are kept
+    in `memo` for later calls whose first `shared` values are the same."""
+    unit = _entries(m.unit.coeffs)
+    prefixes: dict = {}  # None marks a zero prefix
+    acc = [0] * m.group.rank
+    for exps, c in poly.terms.items():
+        term, key = unit, ()
+        for i in [i for i, e in enumerate(exps) for _ in range(e)]:
+            key += (i,)
+            known = memo if i < shared else prefixes
+            if key not in known:
+                v = values[i]
+                if not v:
+                    known[key] = None
+                elif len(key) == 1:
+                    known[key] = v
+                elif v == unit:
+                    known[key] = term
+                else:
+                    known[key] = _entries(m.dot(((term, v),))) or None
+            term = known[key]
+            if term is None:
+                break
+        else:
+            for k, v in term:
+                acc[k] += c * v
+    return m.group.reduce(acc)
 
 
 def _special_reports(
@@ -489,60 +521,57 @@ def _special_reports(
     compose_pairs: Sequence[tuple[int, int]] = _COMPOSE_PAIRS,
 ) -> Iterable[Report]:
     """The ``verify_special_pair`` report of x = elements[i], y = elements[j]
-    for each index pair (i, j), yielded in order.
+    for each index pair (i, j), yielded in order: the product checks, then
+    x's composition checks.
 
-    lambda_t of each element is built once and cached, and the composition
-    checks of each element once, the first time it is an x; a pair adds only
-    lambda_t(x*y) and its ``bound`` product checks.  The report is the
-    product checks followed by x's composition checks.
+    lambda_t of each element is built once and read once, as sparse entries
+    of its ``TruncSeries.rows``; the composition checks of each element run
+    once, the first time it is an x, and a pair adds only lambda_t(x*y) and
+    its ``bound`` product checks.  ``_fold`` evaluates the polynomials with
+    no ring element per coefficient or product, keeping the prefixes made of
+    lambda^k(x) alone for every pair of the same x until x changes.
     """
     need = max([bound] + [m * n for m, n in compose_pairs])
     firsts = {i for i, _ in pairs}
-    series: dict[int, TruncSeries] = {}
+    series: dict[int, tuple[list, list]] = {}  # i: rows and their entries
     compositions: dict[int, tuple[CheckResult, ...]] = {}
+    memo_of, memo = None, {}
 
-    def lam(i: int, order: int) -> TruncSeries:
-        # an element that is some pair's x is built to the order its
-        # compositions need, even when it comes first as a y; but not when
-        # that order is beyond the truncation, where lambda_total raises on
-        # a nonzero element: then each role asks for its own order, so the
-        # checker raises at the pair where the per-pair checker raised
+    def lam(i: int, order: int) -> tuple[list, list]:
+        # a pair's x is built to the order its compositions need, even when
+        # it comes first as a y, unless that is beyond the truncation: then
+        # each role asks for its own order, and raises where it would alone
         s = series.get(i)
-        if s is None or s.order < order:
+        if s is None or len(s[0]) <= order:
             e = elements[i]
             if i in firsts and need <= e.model.trunc:
                 order = need
-            s = series[i] = lambda_total(e, order)
+            rows = lambda_total(e, order).rows()
+            s = series[i] = rows, [_entries(r) for r in rows]
         return s
 
-    def check(name: str, lhs: RingElement, rhs: RingElement) -> CheckResult:
-        return CheckResult(
-            name, lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)
-        )
+    def check(name: str, lhs: tuple, rhs: tuple) -> CheckResult:
+        return CheckResult(name, lhs == rhs, "lhs %r rhs %r" % (lhs, rhs))
 
     for i, j in pairs:
         x = elements[i]
-        one = x.model.unit_element
-        lam_x, lam_y = lam(i, need), lam(j, bound)
-        lam_xy = lambda_total(x * elements[j], bound)
-        checks = []
-        for n in range(1, bound + 1):
-            values = [lam_x.coeffs[k] for k in range(1, n + 1)]
-            values += [lam_y.coeffs[k] for k in range(1, n + 1)]
-            checks.append(check(
-                "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
-                lam_xy.coeffs[n],
-                product_universal(n).evaluate(values, one),
-            ))
+        m = x.model
+        (rows_x, lam_x), (_, lam_y) = lam(i, need), lam(j, bound)
+        lam_xy = lambda_total(x * elements[j], bound).rows()
+        if memo_of != i:
+            memo_of, memo = i, {}
+        checks = tuple(
+            check("lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n), lam_xy[n],
+                  _fold(m, product_universal(n), lam_x[1:n + 1] + lam_y[1:n + 1], memo, n))
+            for n in range(1, bound + 1)
+        )
         if i not in compositions:
             compositions[i] = tuple(
                 check(
                     "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
-                    lambda_k(lam_x.coeffs[nn], mm),
-                    compose_universal(mm, nn).evaluate(
-                        [lam_x.coeffs[k] for k in range(1, mm * nn + 1)], one
-                    ),
+                    lambda_total(m.element(rows_x[nn]), mm).rows()[mm],
+                    _fold(m, compose_universal(mm, nn), lam_x[1:mm * nn + 1], memo, mm * nn),
                 )
                 for mm, nn in compose_pairs
             )
-        yield Report(tuple(checks) + compositions[i])
+        yield Report(checks + compositions[i])

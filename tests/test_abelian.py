@@ -10,9 +10,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import (
     GroupPresentation,
+    _quotient,
     full_subgroup,
     hnf_columns,
     kernel_basis,
@@ -222,6 +224,47 @@ def test_relative_quotient_on_nested_chain():
         assert relative_quotient_invariants(big, small) == (2,)
     assert quotient_invariants(pres, full_subgroup(pres)) == ()
     assert quotient_invariants(pres, zero_subgroup(pres)) == (0, 0)
+
+
+# the free and mixed presentations of the tests below, and rank 0
+OTHER_PRESENTATIONS = [(), (0,), (0, 0), (0,) * 5, (2, 0), (0, 4, 0), (4, 0, 6)]
+
+
+def test_full_subgroup_is_the_span_of_the_basis():
+    for orders in FINITE_PRESENTATIONS + OTHER_PRESENTATIONS:
+        pres = GroupPresentation(orders, tuple("g%d" % i for i in range(len(orders))))
+        assert full_subgroup(pres) == subgroup_from_generators(pres, pres.basis())
+
+
+@st.composite
+def nested_pairs(draw):
+    """A subgroup `big` of a drawn presentation with torsion or free factors,
+    from up to four drawn generators, and a subgroup `small` of it, from
+    small integer combinations of those generators."""
+    orders = tuple(draw(st.lists(st.sampled_from([0, 0, 2, 3, 4, 6]), min_size=1, max_size=4)))
+    rank = len(orders)
+    pres = GroupPresentation(orders, tuple("g%d" % i for i in range(rank)))
+    gens = draw(st.lists(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank),
+                         max_size=4))
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(gens),
+                                    max_size=len(gens)), max_size=4))
+    big = subgroup_from_generators(pres, [pres.element(g) for g in gens])
+    small = subgroup_from_generators(pres, [
+        pres.element([sum(c * g[t] for c, g in zip(cs, gens)) for t in range(rank)])
+        for cs in combos
+    ])
+    return big, small
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nested_pairs())
+def test_relative_quotient_matches_unstripped_smith(pair):
+    # dropping each lift +-e_r and its row r leaves the invariant factors
+    # of the full matrix of lifts
+    big, small = pair
+    lifts = [big._solve(col) for col in small.columns]
+    want = tuple(d for d, _ in _quotient(big.ncols, lifts))
+    assert relative_quotient_invariants(big, small) == want
 
 
 def test_relative_quotient_of_equal_subgroups_skips_smith(monkeypatch):

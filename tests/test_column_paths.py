@@ -200,6 +200,16 @@ def test_line_elements_read_no_ring_coefficients(monkeypatch):
     assert reads == []
 
 
+def test_special_reads_no_ring_coefficients(monkeypatch, capsys):
+    # the checker reads each lambda-series by rows and folds the universal
+    # polynomials on their entries; through coeffs this run read 335 times
+    reads = coeff_reads(monkeypatch)
+    args = ["special", "builtin:gw_projective", "--base", "R", "--r", "7", "--bound", "3"]
+    assert run(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
+    assert reads == []
+
+
 # ---------------------------------------------------------------- constructor
 
 def square_zero(trunc, series):

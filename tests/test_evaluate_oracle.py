@@ -13,7 +13,7 @@ in general not associative.  Int and ``MultiPoly`` values are checked too.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwgamma import cli
+from gwgamma import cli, lambdaring
 from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import RingElement, RingModel
 from gwgamma.symfunc import MultiPoly, compose_universal, newton_psi, product_universal
@@ -147,7 +147,9 @@ SMALL_BUILTINS = (
 
 def test_special_work_bound(monkeypatch, capsys):
     # 9,884 ring products with the full folds; the unit and zero skips
-    # leave fewer than 3,500
+    # leave fewer than 3,500.  The checker multiplies x*y as ring elements
+    # and folds the universal polynomials with one ``RingModel.dot`` per
+    # product in ``lambdaring._fold``; both are counted
     assert len(SMALL_BUILTINS) == 25
     products = []
     real_mul = RingElement.__mul__
@@ -157,7 +159,26 @@ def test_special_work_bound(monkeypatch, capsys):
             products.append(1)
         return real_mul(self, other)
 
+    folding = []
+    real_fold = lambdaring._fold
+
+    def fold(*args):
+        folding.append(1)
+        try:
+            return real_fold(*args)
+        finally:
+            folding.pop()
+
+    real_dot = RingModel.dot
+
+    def dot(self, pairs):
+        if folding:
+            products.append(1)
+        return real_dot(self, pairs)
+
     monkeypatch.setattr(RingElement, "__mul__", mul)
+    monkeypatch.setattr(lambdaring, "_fold", fold)
+    monkeypatch.setattr(RingModel, "dot", dot)
     for name, flags in SMALL_BUILTINS:
         assert cli.run(["special", "builtin:" + name, *flags, "--bound", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"

@@ -23,7 +23,7 @@ from gwgamma.lambdaring import (
     verify_special_pair,
 )
 from gwgamma.models import BUILTINS
-from gwgamma.symfunc import MultiPoly, compose_universal, product_universal
+from gwgamma.symfunc import compose_universal, product_universal
 from test_arith_oracle import ring_models
 from test_filtration_oracle import CLI_BUILTINS
 
@@ -165,16 +165,28 @@ def test_special_work_bound(monkeypatch, capsys):
     monkeypatch.setattr(lambdaring, "lambda_total", total)
     compositions = {compose_universal(m, n) for m, n in COMPOSE_PAIRS}
     evaluated = []
-    real_evaluate = MultiPoly.evaluate
+    real_fold = lambdaring._fold
 
-    def evaluate(self, values, one):
-        if self in compositions:
-            evaluated.append(self)
-        return real_evaluate(self, values, one)
+    def fold(m, poly, *args):
+        if poly in compositions:
+            evaluated.append(poly)
+        return real_fold(m, poly, *args)
 
-    monkeypatch.setattr(MultiPoly, "evaluate", evaluate)
+    monkeypatch.setattr(lambdaring, "_fold", fold)
+    # every ring product of the run, the ring verdict's included: 1,749 with
+    # a ring element per coefficient and product and no prefix kept across
+    # pairs, 1,563 on tuples with the prefixes of lambda^k(x) kept per x
+    products = []
+    real_dot = RingModel.dot
+
+    def dot(self, pairs):
+        products.append(1)
+        return real_dot(self, pairs)
+
+    monkeypatch.setattr(RingModel, "dot", dot)
     assert cli.run(["special", "builtin:gw_surface_cxp1", "--s", "4"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
+    assert 0 < len(products) <= 1563
     rank = BUILTINS["gw_surface_cxp1"](4).group.rank
     assert rank == 12
     assert 0 < len(calls) <= 150
