@@ -18,7 +18,9 @@ identities on concrete elements through the universal polynomials of
 ``gwgamma special`` runs over all basis pairs of a model on coefficient
 tuples: per element lambda_t once and, for an element checked as x, the
 checks of lambda^m(lambda^n x) once; per pair lambda_t(x*y) and the checks
-of lambda^n(x*y), whose polynomials are folded one ``dot`` per product.
+of lambda^n(x*y).  The checker and ``psi_k`` fold their polynomials with
+``MultiPoly.evaluate`` on sparse entry lists, one ``dot`` per product and
+the sum reduced once.
 
 The structure constants are stored once, as sparse integer rows:
 ``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  Ring
@@ -382,13 +384,21 @@ def gamma_k(x: RingElement, k: int) -> RingElement:
     return gamma_total(x, k).coeffs[k]
 
 
+def _evaluate(m: RingModel, poly: MultiPoly, values: list, memo=None, shared=0) -> tuple:
+    """``poly.evaluate`` at sparse entry lists with each product one ``dot``,
+    its sum reduced once to a coefficient tuple."""
+    total = poly.evaluate(values, _entries(m.unit.coeffs),
+                          lambda a, b: _entries(m.dot(((a, b),))), memo, shared)
+    return m.group.reduce([total.get(k, 0) for k in range(m.group.rank)])
+
+
 def psi_k(x: RingElement, k: int) -> RingElement:
-    """Adams operation via Newton's recursion on lambda-coefficients."""
+    """Adams operation: the Newton polynomial p_k at the coefficient tuples
+    of lambda^1(x)..lambda^k(x)."""
     if k < 1:
         raise ValueError("k must be positive")
-    lam = lambda_total(x, k)
-    values = [lam.coeffs[i] for i in range(1, k + 1)]
-    return newton_psi(k).evaluate(values, x.model.unit_element)
+    rows = lambda_total(x, k).rows()
+    return x.model.element(_evaluate(x.model, newton_psi(k), [_entries(r) for r in rows[1:]]))
 
 
 def _first_case(name: str, cases: Iterable[str]) -> CheckResult:
@@ -481,39 +491,6 @@ def verify_special_pair(
     return next(_special_reports((x, y), ((0, 1),), bound, compose_pairs))
 
 
-def _fold(m: RingModel, poly: MultiPoly, values: list, memo: dict, shared: int) -> tuple:
-    """``poly.evaluate`` at values given as sparse entry lists, as a reduced
-    coefficient tuple: the same terms, prefixes, bracketing and skips, each
-    product one ``RingModel.dot`` and the sum one integer vector, reduced
-    once.  The prefixes made of the first `shared` variables alone are kept
-    in `memo` for later calls whose first `shared` values are the same."""
-    unit = _entries(m.unit.coeffs)
-    prefixes: dict = {}  # None marks a zero prefix
-    acc = [0] * m.group.rank
-    for exps, c in poly.terms.items():
-        term, key = unit, ()
-        for i in [i for i, e in enumerate(exps) for _ in range(e)]:
-            key += (i,)
-            known = memo if i < shared else prefixes
-            if key not in known:
-                v = values[i]
-                if not v:
-                    known[key] = None
-                elif len(key) == 1:
-                    known[key] = v
-                elif v == unit:
-                    known[key] = term
-                else:
-                    known[key] = _entries(m.dot(((term, v),))) or None
-            term = known[key]
-            if term is None:
-                break
-        else:
-            for k, v in term:
-                acc[k] += c * v
-    return m.group.reduce(acc)
-
-
 def _special_reports(
     elements: Sequence[RingElement],
     pairs: Sequence[tuple[int, int]],
@@ -527,9 +504,10 @@ def _special_reports(
     lambda_t of each element is built once and read once, as sparse entries
     of its ``TruncSeries.rows``; the composition checks of each element run
     once, the first time it is an x, and a pair adds only lambda_t(x*y) and
-    its ``bound`` product checks.  ``_fold`` evaluates the polynomials with
-    no ring element per coefficient or product, keeping the prefixes made of
-    lambda^k(x) alone for every pair of the same x until x changes.
+    its ``bound`` product checks.  ``MultiPoly.evaluate`` folds the
+    polynomials with no ring element per coefficient or product, keeping the
+    prefixes made of lambda^k(x) alone for every pair of the same x until x
+    changes.
     """
     need = max([bound] + [m * n for m, n in compose_pairs])
     firsts = {i for i, _ in pairs}
@@ -562,7 +540,7 @@ def _special_reports(
             memo_of, memo = i, {}
         checks = tuple(
             check("lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n), lam_xy[n],
-                  _fold(m, product_universal(n), lam_x[1:n + 1] + lam_y[1:n + 1], memo, n))
+                  _evaluate(m, product_universal(n), lam_x[1:n + 1] + lam_y[1:n + 1], memo, n))
             for n in range(1, bound + 1)
         )
         if i not in compositions:
@@ -570,7 +548,7 @@ def _special_reports(
                 check(
                     "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
                     lambda_total(m.element(rows_x[nn]), mm).rows()[mm],
-                    _fold(m, compose_universal(mm, nn), lam_x[1:mm * nn + 1], memo, mm * nn),
+                    _evaluate(m, compose_universal(mm, nn), lam_x[1:mm * nn + 1], memo, mm * nn),
                 )
                 for mm, nn in compose_pairs
             )

@@ -1,9 +1,13 @@
 """Symmetric polynomials over Z and the universal lambda-ring identities.
 
 The workhorse is a sparse multivariate polynomial with integer coefficients.
-On top of it sit the universal polynomials that make the lambda-operation
-identities checkable on concrete ring elements, all written in the
-elementary symmetric functions e_i = lambda^i(x):
+Its ``evaluate`` is the one fold of a polynomial at values in a ring: the
+values are sparse entry lists and the caller supplies the product, which
+``gwgamma.lambdaring`` takes to be one ``RingModel.dot`` both for ``psi_k``
+and for the ``special`` checker.  On top of it sit the universal
+polynomials that make the lambda-operation identities checkable on concrete
+ring elements, all written in the elementary symmetric functions
+e_i = lambda^i(x):
 
 * ``newton_psi(k)``   -- the power sum p_k = psi^k(x) in e_1..e_k (Newton's
   recursion),
@@ -36,7 +40,7 @@ COMPOSE_WEIGHT_BOUND = 6
 class MultiPoly:
     """Sparse polynomial in a fixed number of variables, integer coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_chains")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         self.nvars = nvars
@@ -48,6 +52,8 @@ class MultiPoly:
                         raise ValueError("exponent vector of wrong length")
                     clean[tuple(exps)] = c
         self.terms = clean
+        # evaluate's prefix keys per term, (c, keys), built at its first call
+        self._chains = None
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "MultiPoly":
@@ -106,54 +112,50 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, values: Sequence, one):
-        """Evaluate with ring-element values; `one` is the ring unit.
+    def evaluate(self, values: Sequence, unit: list, times, memo=None, shared=0) -> dict:
+        """The value at `values`, sparse entry lists of (index, coefficient)
+        pairs, as the unreduced sum {index: coefficient}; `unit` is the unit's
+        entry list and `times(a, b)` the entry list of a*b.
 
-        Each monomial is the left fold v * v * w * ... of its values; the
-        terms share their prefixes, each multiplied once per call and
-        memoized by its sequence of variable indices, so the bracketing
-        never changes and no value is hashed.  A fold starts from its first
-        value, passes over a factor equal to `one`, and a prefix equal to
-        zero (or extended by a zero value) is marked dead, which drops every
-        term it begins.
-
-        Precondition: the product is bilinear and `one` is neutral on both
-        sides, so that these skips give the value of the full fold.  Every
-        ring model that reaches this through ``lambda_total`` qualifies,
-        since it refuses a model whose unit is not neutral; so do ints with
-        `one` = 1 and ``MultiPoly`` values with the constant 1.
+        Each monomial is the left fold v * v * w * ... of its values.  The
+        terms share their prefixes, keyed by their variable indices (built
+        once per polynomial) and multiplied once per call, or once per `memo`
+        for those made of the first `shared` variables alone.  A fold starts
+        from its first value and passes over a factor equal to `unit`; an
+        empty (zero) prefix or value drops every term it begins.  That gives
+        the full fold's value when `times` is bilinear and `unit` is neutral
+        on both sides, as in every model that passes ``lambda_total``.
         """
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
-        zero = one * 0
-        is_one = [v == one for v in values]
-        is_zero = [v == zero for v in values]
-        # prefixes[key]: the fold of the values indexed by key, None if zero
-        prefixes: dict = {}
-        acc = None
-        for exps, c in self.terms.items():
-            term, key = one, ()
-            for i in [i for i, e in enumerate(exps) for _ in range(e)]:
-                key += (i,)
-                if key not in prefixes:
-                    if is_zero[i]:
-                        value = None
+        if self._chains is None:
+            indices = ((c, tuple(i for i, e in enumerate(exps) for _ in range(e)))
+                       for exps, c in self.terms.items())
+            self._chains = [(c, [idx[:s] for s in range(1, len(idx) + 1)]) for c, idx in indices]
+        prefixes: dict = {}  # None marks a zero prefix
+        total: dict = {}
+        for c, keys in self._chains:
+            term = unit
+            for key in keys:
+                i = key[-1]
+                known = memo if i < shared else prefixes
+                if key not in known:
+                    v = values[i]
+                    if not v:
+                        known[key] = None
                     elif len(key) == 1:
-                        value = values[i]
-                    elif is_one[i]:
-                        value = term
+                        known[key] = v
+                    elif v == unit:
+                        known[key] = term
                     else:
-                        value = term * values[i]
-                        if value == zero:
-                            value = None
-                    prefixes[key] = value
-                term = prefixes[key]
+                        known[key] = times(term, v) or None
+                term = known[key]
                 if term is None:
                     break
             else:
-                term = term * c
-                acc = term if acc is None else acc + term
-        return acc if acc is not None else zero
+                for k, a in term:
+                    total[k] = total.get(k, 0) + c * a
+        return total
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,7 @@ from gwgamma.models import BUILTINS
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import binomial, compose_universal, product_universal
 from test_arith_oracle import oracle_multiply, ring_models
+from test_evaluate_oracle import ring_evaluate
 from test_filtration_oracle import CLI_BUILTINS
 
 
@@ -140,14 +141,14 @@ def oracle_special_pair(x, y, bound=3, compose_pairs=((2, 2), (2, 3), (3, 2))):
         lhs = lambda_k(xy, n)
         values = [lam_x.coeffs[i] for i in range(1, n + 1)]
         values += [lam_y.coeffs[j] for j in range(1, n + 1)]
-        rhs = product_universal(n).evaluate(values, one)
+        rhs = ring_evaluate(product_universal(n), values, one)
         checks.append(CheckResult(
             "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
             lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
     for mm, nn in compose_pairs:
         lhs = lambda_k(lambda_k(x, nn), mm)
         values = [lam_x.coeffs[i] for i in range(1, mm * nn + 1)]
-        rhs = compose_universal(mm, nn).evaluate(values, one)
+        rhs = ring_evaluate(compose_universal(mm, nn), values, one)
         checks.append(CheckResult(
             "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
             lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))

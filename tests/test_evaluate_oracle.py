@@ -1,21 +1,24 @@
-"""Differential test of ``MultiPoly.evaluate``.
+"""Differential test of the polynomial fold.
 
-The reference below is the earlier ``evaluate``: every monomial was the
-full left fold one * v * v * w * ..., with its prefixes memoized.  The
-current one starts a fold from its first value, passes over factors equal
-to the unit and drops a term once its prefix is zero.  For a bilinear
-product whose unit is neutral on both sides, associative or not, both must
-give equal values; the drawn models below have such a unit, a nilpotent
-basis element and torsion factors, and drawn structure constants that are
-in general not associative.  Int and ``MultiPoly`` values are checked too.
+``oracle_evaluate`` below is the earliest fold: every monomial was the full
+left fold one * v * v * w * ..., with its prefixes memoized.
+``ring_evaluate`` is the fold with skips, on values with their own
+arithmetic: it starts a fold from its first value, passes over factors
+equal to the unit and drops a term once its prefix is zero.  It is the
+ring-element form of ``MultiPoly.evaluate``, which folds the same way on
+sparse entry lists with a supplied product.  For a bilinear product whose
+unit is neutral on both sides, associative or not, all must give equal
+values; the drawn models below have such a unit, a nilpotent basis element
+and torsion factors, and drawn structure constants that are in general not
+associative.  Int and ``MultiPoly`` values are checked too.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwgamma import cli, lambdaring
-from gwgamma.abelian import GroupPresentation
-from gwgamma.lambdaring import RingElement, RingModel
+from gwgamma import cli
+from gwgamma.abelian import GroupPresentation, _entries
+from gwgamma.lambdaring import RingElement, RingModel, _evaluate
 from gwgamma.symfunc import MultiPoly, compose_universal, newton_psi, product_universal
 
 
@@ -35,6 +38,49 @@ def oracle_evaluate(poly, values, one):
         term = term * c
         acc = term if acc is None else acc + term
     return acc if acc is not None else one * 0
+
+
+def ring_evaluate(poly, values, one):
+    """The fold of ``MultiPoly.evaluate`` on values with their own
+    arithmetic (ring elements, ints, ``MultiPoly``); `one` is the unit."""
+    if len(values) != poly.nvars:
+        raise ValueError("wrong number of values")
+    zero = one * 0
+    is_one = [v == one for v in values]
+    is_zero = [v == zero for v in values]
+    # prefixes[key]: the fold of the values indexed by key, None if zero
+    prefixes = {}
+    acc = None
+    for exps, c in poly.terms.items():
+        term, key = one, ()
+        for i in [i for i, e in enumerate(exps) for _ in range(e)]:
+            key += (i,)
+            if key not in prefixes:
+                if is_zero[i]:
+                    value = None
+                elif len(key) == 1:
+                    value = values[i]
+                elif is_one[i]:
+                    value = term
+                else:
+                    value = term * values[i]
+                    if value == zero:
+                        value = None
+                prefixes[key] = value
+            term = prefixes[key]
+            if term is None:
+                break
+        else:
+            term = term * c
+            acc = term if acc is None else acc + term
+    return acc if acc is not None else zero
+
+
+def int_evaluate(poly, values):
+    """``MultiPoly.evaluate`` over Z, an int c as the entry list [(0, c)]."""
+    total = poly.evaluate([[(0, v)] if v else [] for v in values], [(0, 1)],
+                          lambda a, b: [(0, a[0][1] * b[0][1])])
+    return total.get(0, 0)
 
 
 POLYS = (
@@ -93,9 +139,11 @@ def ring_values(draw, m, count):
 @given(st.data(), POLY, neutral_unit_models())
 def test_ring_values_match_oracle(data, poly, m):
     values = data.draw(ring_values(m, poly.nvars))
-    got = poly.evaluate(values, m.unit_element)
+    got = ring_evaluate(poly, values, m.unit_element)
     assert isinstance(got, RingElement)
     assert got == oracle_evaluate(poly, values, m.unit_element)
+    entries = [_entries(v.value.coeffs) for v in values]
+    assert _evaluate(m, poly, entries) == got.value.coeffs
 
 
 @SETTINGS
@@ -104,7 +152,8 @@ def test_int_values_match_oracle(data, poly):
     values = data.draw(st.lists(
         st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9)),
         min_size=poly.nvars, max_size=poly.nvars))
-    assert poly.evaluate(values, 1) == oracle_evaluate(poly, values, 1)
+    assert ring_evaluate(poly, values, 1) == oracle_evaluate(poly, values, 1)
+    assert int_evaluate(poly, values) == oracle_evaluate(poly, values, 1)
 
 
 def small_polys(nvars):
@@ -123,17 +172,41 @@ def small_polys(nvars):
 def test_multipoly_values_match_oracle(data, poly, nvars):
     values = data.draw(st.lists(small_polys(nvars), min_size=poly.nvars, max_size=poly.nvars))
     one = MultiPoly.constant(nvars, 1)
-    got = poly.evaluate(values, one)
+    got = ring_evaluate(poly, values, one)
     assert isinstance(got, MultiPoly)
     assert got == oracle_evaluate(poly, values, one)
 
 
 def test_empty_and_constant_polynomials():
     for one, zero in ((1, 0), (MultiPoly.constant(2, 1), MultiPoly(2))):
-        assert MultiPoly(1).evaluate([one], one) == zero
-        assert MultiPoly.constant(1, 5).evaluate([zero], one) == one * 5
+        assert ring_evaluate(MultiPoly(1), [one], one) == zero
+        assert ring_evaluate(MultiPoly.constant(1, 5), [zero], one) == one * 5
     with pytest.raises(ValueError):
-        MultiPoly(2).evaluate([1], 1)
+        ring_evaluate(MultiPoly(2), [1], 1)
+    assert int_evaluate(MultiPoly(1), [1]) == 0
+    assert int_evaluate(MultiPoly.constant(1, 5), [0]) == 5
+    with pytest.raises(ValueError):
+        int_evaluate(MultiPoly(2), [1])
+
+
+def test_prefix_keys_built_once():
+    # the prefix keys of each term are built at the first evaluation and
+    # read, not rebuilt, by every later one
+    poly = MultiPoly(3, {(2, 1, 0): 3, (2, 0, 1): -1, (0, 0, 0): 2})
+    assert poly._chains is None
+    assert int_evaluate(poly, [2, 5, 7]) == 3 * 4 * 5 - 4 * 7 + 2
+    chains = poly._chains
+    assert sorted(keys for _, keys in chains) == [
+        [], [(0,), (0, 0), (0, 0, 1)], [(0,), (0, 0), (0, 0, 2)]]
+    assert int_evaluate(poly, [1, 0, -1]) == 0 + 1 + 2
+    assert poly._chains is chains
+    # the universal polynomials are memoized, so their keys serve every run
+    p2 = product_universal(2)
+    assert cli.run(["special", "builtin:gw_point", "--base", "R"]) == 0
+    chains = p2._chains
+    assert chains is not None
+    assert cli.run(["special", "builtin:gw_point", "--base", "C"]) == 0
+    assert p2._chains is chains
 
 
 # the model-files builtins without the two points: (constructor, CLI flags)
@@ -149,7 +222,7 @@ def test_special_work_bound(monkeypatch, capsys):
     # 9,884 ring products with the full folds; the unit and zero skips
     # leave fewer than 3,500.  The checker multiplies x*y as ring elements
     # and folds the universal polynomials with one ``RingModel.dot`` per
-    # product in ``lambdaring._fold``; both are counted
+    # product in ``MultiPoly.evaluate``; both are counted
     assert len(SMALL_BUILTINS) == 25
     products = []
     real_mul = RingElement.__mul__
@@ -160,7 +233,7 @@ def test_special_work_bound(monkeypatch, capsys):
         return real_mul(self, other)
 
     folding = []
-    real_fold = lambdaring._fold
+    real_fold = MultiPoly.evaluate
 
     def fold(*args):
         folding.append(1)
@@ -177,7 +250,7 @@ def test_special_work_bound(monkeypatch, capsys):
         return real_dot(self, pairs)
 
     monkeypatch.setattr(RingElement, "__mul__", mul)
-    monkeypatch.setattr(lambdaring, "_fold", fold)
+    monkeypatch.setattr(MultiPoly, "evaluate", fold)
     monkeypatch.setattr(RingModel, "dot", dot)
     for name, flags in SMALL_BUILTINS:
         assert cli.run(["special", "builtin:" + name, *flags, "--bound", "3"]) == 0

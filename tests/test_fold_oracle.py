@@ -1,21 +1,25 @@
-"""Differential test of the ``special`` checker's fold on coefficient tuples.
+"""Differential test of the one polynomial fold on coefficient tuples.
 
-``lambdaring._fold`` evaluates a universal polynomial at sparse entry lists:
-each product is one ``RingModel.dot``, each sum one integer vector reduced
-once, and the prefixes made of its first variables can be kept across
-calls.  The reference is ``MultiPoly.evaluate`` on ring elements.  Both
-must give equal values on every model with a neutral unit, also on the
-drawn models that fail the ring verdict, where the bracketing of each
-monomial decides its value, and also when the prefixes of an earlier
-polynomial with the same leading values are reused.
+``MultiPoly.evaluate`` folds a universal polynomial at sparse entry lists
+with a supplied product; ``lambdaring._evaluate`` makes that product one
+``RingModel.dot`` and reduces the sum once, as the ``special`` checker and
+``psi_k`` do.  The reference is ``ring_evaluate``, the same fold on ring
+elements.  Both must give equal values on every model with a neutral unit,
+also on the drawn models that fail the ring verdict, where the bracketing
+of each monomial decides its value, and also when the prefixes of an
+earlier polynomial with the same leading values are reused.  ``psi_k`` must
+equal the reference fold of the Newton polynomial at lambda^1..lambda^k.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import _entries
-from gwgamma.lambdaring import _fold
-from gwgamma.symfunc import compose_universal, product_universal
+from gwgamma.lambdaring import _evaluate, lambda_total, psi_k
+from gwgamma.models import BUILTINS
+from gwgamma.symfunc import compose_universal, newton_psi, product_universal
 from test_arith_oracle import ring_models
+from test_evaluate_oracle import SMALL_BUILTINS, ring_evaluate
 
 PRODUCTS = [(n, product_universal(n)) for n in range(1, 5)]
 COMPOSITIONS = [(m * n, compose_universal(m, n))
@@ -38,13 +42,12 @@ def ring_values(m, count):
 
 def reference(poly, values):
     one = values[0].model.unit_element
-    return poly.evaluate(values, one).value.coeffs
+    return ring_evaluate(poly, values, one).value.coeffs
 
 
 def fold(poly, values, memo=None, shared=0):
-    memo = {} if memo is None else memo
     m = values[0].model
-    return _fold(m, poly, [_entries(v.value.coeffs) for v in values], memo, shared)
+    return _evaluate(m, poly, [_entries(v.value.coeffs) for v in values], memo, shared)
 
 
 @SETTINGS
@@ -69,3 +72,33 @@ def test_shared_prefixes_match_evaluate(data, m):
             assert fold(poly, values, memo, n) == reference(poly, values)
     for weight, poly in COMPOSITIONS:
         assert fold(poly, xs[:weight], memo, weight) == reference(poly, xs[:weight])
+
+
+def psi_reference(x, k):
+    lam = lambda_total(x, k)
+    return ring_evaluate(newton_psi(k), [lam.coeffs[i] for i in range(1, k + 1)],
+                         x.model.unit_element)
+
+
+def small_builtin(name, flags):
+    kwargs = {flag[2:]: value if flag == "--base" else int(value)
+              for flag, value in zip(flags[::2], flags[1::2])}
+    return BUILTINS[name](**kwargs)
+
+
+@pytest.mark.parametrize("name,flags", SMALL_BUILTINS,
+                         ids=["-".join((n,) + f[1::2]) for n, f in SMALL_BUILTINS])
+def test_psi_matches_reference_on_builtins(name, flags):
+    m = small_builtin(name, flags)
+    for x in m.basis_elements():
+        for k in range(1, min(6, m.trunc) + 1):
+            assert psi_k(x, k) == psi_reference(x, k)
+
+
+@SETTINGS
+@given(st.data(), ring_models(neutral_unit=True))
+def test_psi_matches_reference_on_drawn_models(data, m):
+    # also on models that fail the ring verdict, where psi_k is not additive
+    for x in data.draw(ring_values(m, 3)) + list(m.basis_elements()):
+        for k in range(1, min(6, m.trunc) + 1):
+            assert psi_k(x, k) == psi_reference(x, k)

@@ -14,7 +14,7 @@ LAYERTRACE = os.path.join(
 )
 
 
-def test_layer_tracer_installs_and_uninstalls():
+def load_layertrace():
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     write_bytecode = sys.dont_write_bytecode
@@ -23,11 +23,28 @@ def test_layer_tracer_installs_and_uninstalls():
         spec.loader.exec_module(layertrace)
     finally:
         sys.dont_write_bytecode = write_bytecode
+    return layertrace
+
+
+def test_layer_tracer_installs_and_uninstalls():
     original = gwgamma.cli.validate_model
-    tracer = layertrace.Tracer(gwgamma)
+    tracer = load_layertrace().Tracer(gwgamma)
     tracer.install()
     try:
         assert gwgamma.cli.validate_model is not original
     finally:
         tracer.uninstall()
     assert gwgamma.cli.validate_model is original
+
+
+def test_tracer_counts_the_special_checker_folds(capsys):
+    # the checker folds its universal polynomials with MultiPoly.evaluate,
+    # the method the tracer counts as symfunc.evaluations
+    tracer = load_layertrace().Tracer(gwgamma)
+    tracer.install()
+    try:
+        assert gwgamma.cli.run(["special", "builtin:gw_point", "--base", "R"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
+    assert tracer.metrics()["symfunc.evaluations"] > 0

@@ -23,8 +23,9 @@ from gwgamma.lambdaring import (
     verify_special_pair,
 )
 from gwgamma.models import BUILTINS
-from gwgamma.symfunc import compose_universal, product_universal
+from gwgamma.symfunc import MultiPoly, compose_universal, product_universal
 from test_arith_oracle import ring_models
+from test_evaluate_oracle import ring_evaluate
 from test_filtration_oracle import CLI_BUILTINS
 
 COMPOSE_PAIRS = ((2, 2), (2, 3), (3, 2))
@@ -43,14 +44,14 @@ def oracle_special_pair(x, y, bound=3, compose_pairs=COMPOSE_PAIRS):
         lhs = lam_xy.coeffs[n]
         values = [lam_x.coeffs[i] for i in range(1, n + 1)]
         values += [lam_y.coeffs[j] for j in range(1, n + 1)]
-        rhs = product_universal(n).evaluate(values, one)
+        rhs = ring_evaluate(product_universal(n), values, one)
         checks.append(CheckResult(
             "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
             lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
     for mm, nn in compose_pairs:
         lhs = lambda_k(lam_x.coeffs[nn], mm)
         values = [lam_x.coeffs[i] for i in range(1, mm * nn + 1)]
-        rhs = compose_universal(mm, nn).evaluate(values, one)
+        rhs = ring_evaluate(compose_universal(mm, nn), values, one)
         checks.append(CheckResult(
             "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
             lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
@@ -165,14 +166,14 @@ def test_special_work_bound(monkeypatch, capsys):
     monkeypatch.setattr(lambdaring, "lambda_total", total)
     compositions = {compose_universal(m, n) for m, n in COMPOSE_PAIRS}
     evaluated = []
-    real_fold = lambdaring._fold
+    real_fold = MultiPoly.evaluate
 
-    def fold(m, poly, *args):
+    def fold(poly, *args):
         if poly in compositions:
             evaluated.append(poly)
-        return real_fold(m, poly, *args)
+        return real_fold(poly, *args)
 
-    monkeypatch.setattr(lambdaring, "_fold", fold)
+    monkeypatch.setattr(MultiPoly, "evaluate", fold)
     # every ring product of the run, the ring verdict's included: 1,749 with
     # a ring element per coefficient and product and no prefix kept across
     # pairs, 1,563 on tuples with the prefixes of lambda^k(x) kept per x
