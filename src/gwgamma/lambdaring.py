@@ -328,16 +328,6 @@ class RingElement:
             out = out * self
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingElement)
-            and self.model is other.model
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
     @property
     def is_zero(self) -> bool:
         return self.value.is_zero

@@ -4,9 +4,10 @@ Every constructor follows one recipe and one assembly path: it gives the
 additive presentation, unit, products and augmentation once, plus a function
 that computes the total lambda-series of each basis class in that ring.  The
 private helper ``_model`` builds the one ring of the builtin, applies the
-function to it and installs the series it returns on it.  A series is
-either 1 + b t for a line class b, or a quotient lambda_t(V) / lambda_t(W) of
-terminating series (``_series_quotient``), or read off a gamma-series.
+function to it and installs the series it returns on it.  A basis series has
+one of two forms: 1 + b t for a line class b (the base classes 1 and L), or
+the lambda-series of a rank-zero class read off its terminating
+gamma-series (``_from_gamma``), so that no build inverts a series.
 
 * ``gw_point``      -- the base field, C (integers, binomial lambda) or R
                        (Z[L]/(L^2-1) with L the class of <-1>); built as
@@ -27,14 +28,22 @@ terminating series (``_series_quotient``), or read off a gamma-series.
 * ``gw_surface_cxp1``    -- the product of a smooth curve with s two-torsion
                        line bundle classes and the projective line.
 
-The lambda-series of the twisted hyperbolic classes are computed at build
-time as exact series quotients
+The lambda-structure is special, so by the splitting principle (Fulton and
+Lang, Riemann-Roch Algebra, Ch. I and III) the gamma-series of a line class
+l minus one and of a hyperbolic shift H(M) - H(1) terminate:
 
-    lambda_t(H(M) - H(1)) = (1 + (x + H(1)) t + e t^2) / (1 + H(1) t + e t^2)
+    gamma_t(l - 1)         = 1 + (l - 1) t,
+    gamma_t(H(M) - H(1))   = 1 + x t - x t^2,   x = H(M) - H(1).
 
-with e the class of <-1>, following the splitting of H(M) into the two line
-classes M and -M.  Powers a^k are rewritten as integer combinations of the
-classes a_k = H(O(k)) - H(1) through the recursion
+The first gives the punctured line's eps^ and the surfaces' a_j, the second
+the projective twisted classes and the surfaces' b, c and d_i.  Both equal
+the quotients lambda_t(l) / lambda_t(1) and lambda_t(H(M)) / lambda_t(H(1))
+of terminating lambda-series, the second since H(M) splits into the line
+classes M and -M and e x = x for e the class of <-1>; the tests keep those
+quotients as the oracle.
+
+Powers a^k are rewritten as integer combinations of the classes
+a_k = H(O(k)) - H(1) through the recursion
 
     a_0 = 0,  a_1 = a,  a_k = (a + 2) a_{k-1} - a_{k-2} + 2a,
 
@@ -83,11 +92,15 @@ def _model(name, group, unit, mul, aug, series, hyperbolic, trunc, params) -> Ri
     return ring
 
 
-def _series_quotient(num: list[RingElement], den: TruncSeries) -> TruncSeries:
-    """(1 + num_1 t + num_2 t^2 + ...) / den, at the order of den; the inverse
-    is memoized on den, so quotients by one denominator invert it once."""
-    one = num[0].model.unit_element
-    return TruncSeries.from_coeffs(one, num, den.order) * den.inverse()
+def _basis_vec(rank: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(rank))
+
+
+def _from_gamma(coeffs: list[RingElement], trunc: int) -> TruncSeries:
+    """lambda_t of the rank-zero class with gamma-series 1 + c_1 t + c_2 t^2
+    + ..., to order trunc."""
+    one = coeffs[0].model.unit_element
+    return lambda_from_gamma(TruncSeries.from_coeffs(one, coeffs, trunc))
 
 
 def gw_point(base: str = "C", trunc: int = DEFAULT_TRUNCATION) -> RingModel:
@@ -192,30 +205,24 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
         orders[-1] = 2
     group = GroupPresentation(tuple(orders), tuple(names))
 
-    def basis_vec(i):
-        return tuple(int(j == i) for j in range(rank))
-
-    unit = basis_vec(0)
-    mul = {(0, i): basis_vec(i) for i in range(rank)}
+    unit = _basis_vec(rank, 0)
+    mul = {(0, i): _basis_vec(rank, i) for i in range(rank)}
     if base == "R":
         mul[(1, 1)] = unit
         for k in range(nb, rank):
-            mul[(1, k)] = basis_vec(k)
+            mul[(1, k)] = _basis_vec(rank, k)
     # a^i * a^j = a^(i+j); products past the top power vanish
     for i in range(1, top + 1):
         for j in range(i, top + 1 - i):
-            mul[(nb + i - 1, nb + j - 1)] = basis_vec(nb + i + j - 1)
+            mul[(nb + i - 1, nb + j - 1)] = _basis_vec(rank, nb + i + j - 1)
     # the class of <-1> is the last base basis element: 1 over C, L over R
-    h1 = tuple(u + d for u, d in zip(unit, basis_vec(nb - 1)))
+    h1 = tuple(u + d for u, d in zip(unit, _basis_vec(rank, nb - 1)))
 
     def series(ring):
         one = ring.unit_element
-        det = ring.basis_element(nb - 1)
-        base_classes = ring.basis_elements()[:nb]
-        out = [TruncSeries.from_coeffs(one, [b], trunc) for b in base_classes]
+        out = [TruncSeries.from_coeffs(one, [b], trunc) for b in ring.basis_elements()[:nb]]
         a_cls = twisted_hyperbolic_classes(ring, top) if top else []
-        den = TruncSeries.from_coeffs(one, [one + det, det], trunc)
-        a_series = [_series_quotient([a + one + det, det], den) for a in a_cls[1:]]
+        a_series = [_from_gamma([a, -a], trunc) for a in a_cls[1:]]
         # rewrite a^k as an integer combination of a_1..a_k by back-substitution
         # (a_k = a^k + lower powers of a with unit leading coefficient); a^k
         # inherits the product of the matching powers of the a_j series
@@ -243,7 +250,7 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
         params = {"which": "gw_point", "base": base}
     return _model(
         name, group, unit, mul, tuple(base_aug + [0] * top), series,
-        [h1] + [basis_vec(k) for k in range(nb, rank)], trunc, params,
+        [h1] + [_basis_vec(rank, k) for k in range(nb, rank)], trunc, params,
     )
 
 
@@ -263,12 +270,8 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
 
     def series(ring):
         one, det, eps = ring.basis_elements()
-        den = TruncSeries.from_coeffs(one, [one], trunc)
-        return [
-            den,
-            TruncSeries.from_coeffs(one, [det], trunc),
-            _series_quotient([eps + one], den),
-        ]
+        return [TruncSeries.from_coeffs(one, [b], trunc) for b in (one, det)] + [
+            _from_gamma([eps], trunc)]
 
     return _model(
         "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), series,
@@ -312,8 +315,8 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
 
     def series(ring):
         one, eps = ring.basis_elements()
-        gamma = TruncSeries.from_coeffs(one, [(c % 2) * eps for c in coeffs], trunc)
-        return [TruncSeries.from_coeffs(one, [one], trunc), lambda_from_gamma(gamma)]
+        return [TruncSeries.from_coeffs(one, [one], trunc),
+                _from_gamma([(c % 2) * eps for c in coeffs], trunc)]
 
     return _model(
         "gw_punctured_a5(f=%d)" % f, GroupPresentation((0, 2), ("one", "eps")),
@@ -345,38 +348,27 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     i_c = 2 + s
     i_d0 = 3 + s
 
-    def unit_vec(i):
-        return tuple(int(j == i) for j in range(rank))
-
-    mul = {}
-    for i in range(rank):
-        mul[(0, i)] = unit_vec(i)
+    mul = {(0, i): _basis_vec(rank, i) for i in range(rank)}
     d_indices = [i_d0] + [i_d0 + j for j in range(1, s + 1)]
     for j in range(1, s + 1):
         target = [0] * rank
         target[i_d0 + j] = 1
         target[i_c] = 1
-        mul[(j, i_c)] = tuple(target)
-        for di in d_indices:
-            mul[(j, di) if j <= di else (di, j)] = tuple(target)
+        for i in [i_c] + d_indices:
+            mul[(j, i)] = tuple(target)
     # all remaining non-unit products vanish; the sparse table handles that
     hyperbolic = [i_b, i_c] + d_indices
 
     def series(ring):
-        one = ring.unit_element
-        den = TruncSeries.from_coeffs(one, [one], trunc)
-        out = [den]
-        for j in range(1, s + 1):
-            out.append(_series_quotient([ring.basis_element(j) + one], den))
-        for i in hyperbolic:
-            x = ring.basis_element(i)
-            out.append(lambda_from_gamma(TruncSeries.from_coeffs(one, [x, -x], trunc)))
-        return out
+        one, *rest = ring.basis_elements()
+        return [TruncSeries.from_coeffs(one, [one], trunc)] + [
+            _from_gamma([x] if i <= s else [x, -x], trunc)
+            for i, x in enumerate(rest, 1)]
 
     return _model(
-        "gw_surface_cxp1(s=%d)" % s, group, unit_vec(0), mul,
+        "gw_surface_cxp1(s=%d)" % s, group, _basis_vec(rank, 0), mul,
         tuple([1] + [0] * (rank - 1)), series,
-        [unit_vec(i) for i in hyperbolic], trunc, {"which": "gw_surface_cxp1", "s": s},
+        [_basis_vec(rank, i) for i in hyperbolic], trunc, {"which": "gw_surface_cxp1", "s": s},
     )
 
 

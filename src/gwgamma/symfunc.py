@@ -119,12 +119,13 @@ class MultiPoly:
 
         Each monomial is the left fold v * v * w * ... of its values.  The
         terms share their prefixes, keyed by their variable indices (built
-        once per polynomial) and multiplied once per call, or once per `memo`
-        for those made of the first `shared` variables alone.  A fold starts
-        from its first value and passes over a factor equal to `unit`; an
-        empty (zero) prefix or value drops every term it begins.  That gives
-        the full fold's value when `times` is bilinear and `unit` is neutral
-        on both sides, as in every model that passes ``lambda_total``.
+        once per polynomial) and multiplied once per call, or once per `memo`,
+        when one is given, for those made of the first `shared` variables
+        alone.  A fold starts from its first value and passes over a factor
+        equal to `unit`; an empty (zero) prefix or value drops every term it
+        begins.  That gives the full fold's value when `times` is bilinear
+        and `unit` is neutral on both sides, as in every model that passes
+        ``lambda_total``.
         """
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
@@ -133,6 +134,7 @@ class MultiPoly:
                        for exps, c in self.terms.items())
             self._chains = [(c, [idx[:s] for s in range(1, len(idx) + 1)]) for c, idx in indices]
         prefixes: dict = {}  # None marks a zero prefix
+        memo = prefixes if memo is None else memo
         total: dict = {}
         for c, keys in self._chains:
             term = unit

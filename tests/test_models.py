@@ -14,6 +14,7 @@ import pytest
 from gwgamma import series
 from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import (
+    DEFAULT_TRUNCATION,
     RingModel,
     gamma_k,
     gamma_total,
@@ -38,6 +39,7 @@ from gwgamma.models import (
 )
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import binomial
+from test_filtration_oracle import CLI_BUILTINS
 
 
 def torsion_elements(group):
@@ -141,20 +143,52 @@ def test_projective_power_relations():
     assert (2 * cube).is_zero and not cube.is_zero
 
 
+# the builders read the rank-zero series off gamma-polynomials; the tests
+# below recompute them as the splitting-principle quotients, over each
+# family's CLI range at its default truncation and at short and long ones
+QUOTIENT_TRUNCATIONS = (DEFAULT_TRUNCATION, 1, 2, 20)
+
+
+def _quotient(num, den, order):
+    one = num[0].model.unit_element
+    return (TruncSeries.from_coeffs(one, num, order)
+            * TruncSeries.from_coeffs(one, den, order).inverse())
+
+
 def test_projective_series_match_recursion():
     # the stored series for powers of a must reproduce the defining quotient
-    # for the twisted classes a_k = H(O(k)) - H(1)
-    for r, base in [(4, "C"), (5, "C"), (3, "R")]:
-        m = gw_projective(base, r)
-        one = m.unit_element
-        det = named(m, "L") if base == "R" else one
-        h1 = one + det
-        top = len([n for n in m.group.names if n.startswith("a")])
-        for k in range(1, top + 1):
-            ak = twisted_hyperbolic_classes(m, k)[k]
-            num = TruncSeries.from_coeffs(one, [ak + h1, det], 10)
-            den = TruncSeries.from_coeffs(one, [h1, det], 10)
-            assert lambda_total(ak, 10) == num * den.inverse()
+    # (1 + (a_k + H(1)) t + e t^2) / (1 + H(1) t + e t^2) for the twisted
+    # classes a_k = H(O(k)) - H(1), e the class of <-1>
+    cases = [kw for name, kw in CLI_BUILTINS if name == "gw_projective"]
+    assert len(cases) == 24
+    for kw in cases:
+        for trunc in QUOTIENT_TRUNCATIONS:
+            m = gw_projective(trunc=trunc, **kw)
+            one = m.unit_element
+            e = named(m, "L") if kw["base"] == "R" else one
+            h1 = one + e
+            top = len([n for n in m.group.names if n.startswith("a")])
+            a_cls = twisted_hyperbolic_classes(m, top)
+            for k in range(1, top + 1):
+                assert lambda_total(a_cls[k], trunc) == _quotient(
+                    [a_cls[k] + h1, e], [h1, e], trunc), (m.name, trunc, k)
+
+
+def test_line_minus_one_series_match_quotient():
+    # lambda_t(l - 1) = (1 + (x + 1) t) / (1 + t) for x = l - 1, l a line
+    # class: the punctured line's eps and every surface's a_j
+    cases = [(name, kw) for name, kw in CLI_BUILTINS
+             if name in ("gw_punctured_line", "gw_surface_cxp1")]
+    assert len(cases) == 14
+    for name, kw in cases:
+        for trunc in QUOTIENT_TRUNCATIONS:
+            m = BUILTINS[name](trunc=trunc, **kw)
+            one = m.unit_element
+            for label in m.group.names:
+                if label == "eps" or label.startswith("a"):
+                    x = named(m, label)
+                    assert lambda_total(x, trunc) == _quotient([x + one], [one], trunc), (
+                        m.name, trunc, label)
 
 
 def test_projective_real_rank_two_class():
@@ -346,7 +380,12 @@ def test_projective_build_work_bound(monkeypatch):
     # 6 inverses and 174 column products when each negative power tabled
     # its inverse); and validation reads the basis products off the sparse
     # rows and the ring verdict cached by the build (312 and 245 dot calls
-    # before)
+    # before); the twisted classes' series are read off their gamma-series
+    # 1 + a_k t - a_k t^2, so the build inverts no series (with the shared
+    # denominator: 1 inverse, 21 series products, 116 column products, 348
+    # dot pairs and 270 reduce calls; now 15, 110, 309 and 241), and no
+    # builtin of the CLI range does (37 inverses in all when the series were
+    # quotients)
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
     dot = RingModel.dot
@@ -391,8 +430,11 @@ def test_projective_build_work_bound(monkeypatch):
     assert 0 < calls[0] <= 50_000
     assert 0 < products[0] <= 129
     assert 0 < columns[0] <= 120
-    assert 0 < inverses[0] <= 1
+    assert inverses[0] == 0
     assert 0 < pairs[0] <= 400
+    for name, kwargs in CLI_BUILTINS:
+        BUILTINS[name](**kwargs)
+    assert inverses[0] == 0
     for model, before in ((m, 312), (gw_projective("R", 9, trunc=20), 245)):
         dots[0] = 0
         assert validate_model(model).ok
@@ -400,9 +442,10 @@ def test_projective_build_work_bound(monkeypatch):
 
 
 def test_inverse_work_bound(monkeypatch):
-    # the P^r-over-R denominator 1 + (1 + L) t + L t^2 has two nonzero
-    # degrees, so each degree of its inverse is a dot of at most two pairs
-    # (210 pairs when every lower degree was passed, zero ones included)
+    # the P^r-over-R quotient denominator 1 + (1 + L) t + L t^2, the oracle's
+    # for the twisted classes, has two nonzero degrees, so each degree of its
+    # inverse is a dot of at most two pairs (210 pairs when every lower
+    # degree was passed, zero ones included)
     dot = RingModel.dot
     pairs = [0]
 
