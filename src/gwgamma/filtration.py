@@ -5,28 +5,27 @@ for k >= 2 is the subgroup generated by all products
 
     gamma^{i_1}(e_1) * ... * gamma^{i_m}(e_m),   i_1 + ... + i_m >= k,
 
-over a generating set E of F^1.  Multiplication is bilinear, so the span
-S_w of the products of weight exactly w obeys
+over a generating set E of F^1.  Each piece is built from the lower ones:
+F^1 is the span of all gamma-values and, for k >= 2,
 
-    S_w = span{gamma-values of weight w} + sum over gamma-values g of
-          weight i < w of g * S_{w-i},
+    F^k = span{gamma-values of weight >= k} + sum over gamma-values g of
+          weight i of g * F^max(k-i, 1).
 
-the multiplicativity F^i * F^j in F^(i+j) of the gamma filtration.  Each
-S_w is built once, as a Hermite normal form, from the gamma-values of
-weight w and the products of the lighter gamma-values with the columns of
-the earlier spans.  The pieces up to a weight cap are cumulative:
-F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.
+A product of weight >= k is one gamma-value of weight >= k, or g * p with g
+of weight i and p a product of weight >= max(k-i, 1), which lies in
+F^max(k-i, 1) by induction; so no product of any weight is missed, and
+each piece is one Hermite normal form.  The recursion needs F^1 to be the
+augmentation kernel and closed under multiplication: a model whose
+augmentation is not multiplicative on the basis, or that has a gamma-value
+of nonzero rank, is refused with a ValueError naming the case.
 
 All products of one run come from one product table, freed when the run
 returns.  The gamma-values are coefficient tuples read off the columns of
-the gamma-series, deduplicated by value across generators and weights; each
-distinct value g keeps its sparse entries, and g * S is computed once per
-distinct value and distinct span S, each product of g with a column of S
-one ``RingModel.dot``, the model's one product routine.  Product lists are
-keyed by the HNF columns of the span: the HNF is canonical, so equal spans
-have identical columns and share every product list.  S_w takes the union
-over the (value, span) pairs below it, every HNF is fed each distinct
-vector once, and the closure check reads g * F^kmax from the same table.
+the gamma-series, deduplicated by value across generators and weights.
+g * F is computed once per distinct value g and piece F, one
+``RingModel.dot`` per column of F, and keyed by the HNF columns of F: the
+HNF is canonical, so equal pieces share every product list, and the
+closure check reads g * F^kmax from the same table.
 
 The result is flagged exact when
 
@@ -35,19 +34,13 @@ The result is flagged exact when
 * F^kmax is closed under multiplication by every nonzero gamma-value,
   checked on its HNF columns.
 
-Take a product of weight above the cap and multiply its factors together
-one at a time.  Each factor adds at most i_max = cap - kmax + 1 to the
-weight, so the first partial product of weight >= kmax has weight in
-[kmax, cap] and lies in F^kmax; closure keeps every further partial
-product there.  So each piece up to the cap already holds all deeper
-products.  This covers both nilpotent augmentation ideals (all long
-products die) and the two-adic chains of the real point and the real
-punctured line, where products never vanish but each extra factor doubles
-the generator (2^k (L-1) stays in the span).  If the certified cap lies
-beyond the truncation, the pieces are built once from the products of
-weight at most the truncation; such a result, like one whose closure check
-fails, is flagged not exact and carries one warning naming the clause that
-failed.
+The pieces do not depend on a cap; it survives only in this verdict rule,
+in ``weight_cap`` and in the warning of a result whose certified cap lies
+beyond the truncation.  A model holds its series only up to weight
+``trunc``, so such pieces use the gamma-values known up to that weight, the
+"products up to weight" of the warning; that result, like one whose
+closure check fails, is flagged not exact with one warning naming the
+clause that failed.
 
 The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes, one HNF column at a time.
@@ -153,24 +146,19 @@ class _ProductTable:
         return out
 
 
-def _sum(pres: GroupPresentation, subs: list[Subgroup]) -> Subgroup:
-    return _span(pres, [c for s in subs for c in s.columns])
-
-
-def _pieces(table: _ProductTable, kmax: int, cap: int) -> tuple[Subgroup, ...]:
-    """F^0..F^kmax spanned by the products of weight at most `cap`."""
-    pres = table.pres
-    spans: list[Subgroup] = []
-    for w in range(1, cap + 1):
-        vecs = [table.values[k] for k in table.by_weight.get(w, [])]
+def _pieces(table: _ProductTable, kmax: int) -> tuple[Subgroup, ...]:
+    """F^0..F^kmax, F^k spanned by the gamma-values of weight >= k and, for
+    k >= 2, the products of each value of weight i with F^max(k-i, 1)."""
+    pieces = [full_subgroup(table.pres)]
+    for k in range(1, kmax + 1):
+        vecs = []
         for i, ks in table.by_weight.items():
-            if i < w:
-                vecs += table.times(ks, spans[w - i - 1])
-        spans.append(_span(pres, vecs))
-    pieces = [_sum(pres, spans[kmax - 1:])]
-    for k in range(kmax - 1, 0, -1):
-        pieces.append(_sum(pres, [pieces[-1], spans[k - 1]]))
-    return (full_subgroup(pres), *reversed(pieces))
+            if i >= k:
+                vecs += (table.values[j] for j in ks)
+            if k > 1:
+                vecs += table.times(ks, pieces[max(k - i, 1)])
+        pieces.append(_span(table.pres, vecs))
+    return tuple(pieces)
 
 
 def _closed(table: _ProductTable, piece: Subgroup) -> bool:
@@ -196,13 +184,18 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
     budget = m.trunc
     if kmax > budget:
         raise ValueError("kmax %d exceeds weight budget %d" % (kmax, budget))
+    failure = next(m._augmentation_failures(), None)
+    if failure:
+        raise ValueError("augmentation not multiplicative: " + failure)
     gens = tuple(m.element(v) for v in kernel_basis(m.aug))
     values = _gamma_values(gens, budget)
+    if any(sum(a * c for a, c in zip(m.aug, g)) for _, g in values):
+        raise ValueError("F^1 is not the rank kernel: a gamma-value has nonzero rank")
     imax = max((i for i, _ in values), default=0)
     certified = kmax + max(imax - 1, 0)
     cap = min(certified, budget)
     table = _ProductTable(m, values)
-    pieces = _pieces(table, kmax, cap)
+    pieces = _pieces(table, kmax)
     warnings = []
     if certified > budget:
         warnings.append(

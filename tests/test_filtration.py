@@ -372,7 +372,7 @@ def test_filtration_builds_no_f1_subgroup(monkeypatch):
     # the generators of F^1 come from the kernel basis of the augmentation;
     # spanning them as a subgroup, which the run never reads, cost one more
     # HNF (4 calls at kmax 1 on the point).  F^0, the whole group, is the
-    # identity HNF, built without a call
+    # identity HNF, built without a call, and each of F^1..F^kmax is one HNF
     from gwgamma import abelian
 
     calls = []
@@ -381,7 +381,27 @@ def test_filtration_builds_no_f1_subgroup(monkeypatch):
         abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
     )
     gamma_filtration(gw_point("C"), kmax=1)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build,kmax", [
+    (lambda: gw_surface_cxp1(2), 5), (lambda: gw_projective("R", 4), 8),
+    (lambda: gw_projective("C", 12), 8),
+], ids=["surface2", "P4R", "P12C"])
+def test_filtration_makes_one_hnf_per_piece(monkeypatch, build, kmax):
+    # F^k is one span of the gamma-values of weight >= k and the products
+    # with the lower pieces: kmax HNFs, with no per-weight span and no sum,
+    # on a result that is not exact (P^12, truncated) too
+    from gwgamma import abelian
+
+    m = build()
+    calls = []
+    hnf = abelian.hnf_columns
+    monkeypatch.setattr(
+        abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
+    )
+    gamma_filtration(m, kmax=kmax)
+    assert len(calls) == kmax
 
 
 def test_witt_quotient_makes_one_smith_form(monkeypatch):

@@ -1,0 +1,92 @@
+"""Models the gamma filtration refuses.
+
+Each piece F^k is built from the lower ones, as the span of the gamma-values
+of weight >= k and the products g * F^max(k-i, 1) of the values g of weight
+i.  That needs F^1 to be the augmentation kernel and closed under
+multiplication.  A model whose augmentation is not multiplicative on the
+basis, or one with a gamma-value of nonzero rank, was once filtered all the
+same, and could come out flagged exact with pieces that are not the
+gamma filtration.  Both now raise ``ValueError``, from ``gamma_filtration``
+and from ``witt_filtration`` when it computes the filtration itself.
+"""
+
+import re
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from gwgamma.abelian import GroupPresentation
+from gwgamma.filtration import gamma_filtration, witt_filtration
+from gwgamma.lambdaring import RingModel, validate_model
+from test_arith_oracle import ring_models
+
+
+def with_hyperbolic(m):
+    """m rebuilt with an empty list of hyperbolic classes, so that
+    ``witt_filtration`` reaches the filtration."""
+    rank = m.group.rank
+    mul = {
+        (i, j): tuple(dict(row[j]).get(k, 0) for k in range(rank))
+        for i, row in enumerate(m.products) for j in range(i, rank)
+    }
+    lam = [[g.coeffs for g in series] for series in m.lambda_on_basis]
+    return RingModel(m.name, m.group, m.unit.coeffs, mul, m.aug, lam,
+                     hyperbolic=(), trunc=m.trunc)
+
+
+def first_failure(m):
+    """The first basis pair i <= j with d(b_i b_j) != d(b_i) d(b_j), as the
+    message names it, from ``RingModel.multiply``."""
+    basis, d = m.group.basis(), m.augmentation
+    for i, a in enumerate(basis):
+        for j in range(i, len(basis)):
+            got, want = d(m.multiply(a, basis[j])), d(a) * d(basis[j])
+            if got != want:
+                return "d(b%d*b%d) = %d != %d" % (i, j, got, want)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ring_models(neutral_unit=True), st.integers(1, 3))
+def test_non_multiplicative_augmentation_is_refused(m, kmax):
+    case = first_failure(m)
+    assume(case is not None)
+    with pytest.raises(ValueError, match=re.escape(case)):
+        gamma_filtration(m, kmax=kmax)
+    with pytest.raises(ValueError, match=re.escape(case)):
+        witt_filtration(with_hyperbolic(m), kmax=kmax)
+
+
+def test_group_ring_with_zero_augmentation_is_refused():
+    # Z[C2] on the basis (1, g) with d(g) = 0: d(g*g) = d(1) = 1, and the
+    # homomorphism check is the only one validate_model fails.  g = gamma^1(g)
+    # and g*g = 1 put the unit into F^1, which was flagged exact at kmax 1
+    # with F^1 = Z^2, although the kernel is Zg
+    group = GroupPresentation((0, 0), ("one", "g"))
+    m = RingModel("Z[C2], d(g) = 0", group, (1, 0),
+                  {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 0)},
+                  (1, 0), [[(1, 0)], [(0, 1)]], hyperbolic=())
+    assert [c.name for c in validate_model(m).checks if not c.ok] == [
+        "augmentation is a ring homomorphism"]
+    for kmax in (1, 2):
+        with pytest.raises(ValueError, match=re.escape("d(b1*b1) = 1 != 0")):
+            gamma_filtration(m, kmax=kmax)
+        with pytest.raises(ValueError, match=re.escape("d(b1*b1) = 1 != 0")):
+            witt_filtration(m, kmax=kmax)
+
+
+def test_gamma_value_of_nonzero_rank_is_refused():
+    # basis (1, x), x^2 = x, d(x) = 0 and lambda_t(x) = 1 + x t + t^2:
+    # lambda^2(x) = 1 has rank 1, so gamma^2(x) = 1 + x does too, and the
+    # span of the gamma-values, Z^2, is not the kernel Zx.  It was flagged
+    # exact at kmax 1 with F^1 = Z^2
+    group = GroupPresentation((0, 0), ("one", "x"))
+    m = RingModel("x^2 = x", group, (1, 0),
+                  {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)},
+                  (1, 0), [[(1, 0)], [(0, 1), (1, 0)]], hyperbolic=(), trunc=6)
+    assert [c.name for c in validate_model(m).checks if not c.ok] == [
+        "augmentation compatible with lambda-series"]
+    with pytest.raises(ValueError, match="a gamma-value has nonzero rank"):
+        gamma_filtration(m, kmax=1)
+    with pytest.raises(ValueError, match="a gamma-value has nonzero rank"):
+        witt_filtration(m, kmax=1)

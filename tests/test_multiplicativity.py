@@ -3,16 +3,23 @@
 Every result flagged exact over the builtins' CLI range and four group rings
 is checked on its pieces as built: each pair of HNF columns a of F^i and b of
 F^j with 1 <= i <= j and i + j <= kmax, kmax = min(6, trunc), gives one
-``RingModel.dot`` and one ``Subgroup.contains``.  A piece built short, from
-too few products, fails the check even where the filtration's own closure
-certificate passes; the mutation test below builds such pieces.
+``RingModel.dot`` and one ``Subgroup.contains``.  So is each of the 30
+members K(P^n1 x ... x P^nr) of rank at most 16, at kmax
+min(n1 + ... + nr + 1, trunc), where the last piece is zero.  A piece built
+short, from too few products, fails the check even where the filtration's
+own closure certificate passes; the mutation tests below build such pieces.
 """
+
+import math
+
+import pytest
 
 from gwgamma.abelian import GroupElement, _entries
 from gwgamma.filtration import _ProductTable, gamma_filtration
 from gwgamma.models import BUILTINS
 
 from test_filtration_oracle import CLI_BUILTINS, group_ring
+from test_projective_products import MEMBERS, projective_product
 
 GROUPS = ((4,), (2, 2), (2, 2, 2), (2, 4))
 
@@ -22,7 +29,7 @@ def _models():
         group_ring(orders) for orders in GROUPS]
 
 
-def _exact_results():
+def exact_results():
     results = (gamma_filtration(m, min(6, m.trunc)) for m in _models())
     return [f for f in results if f.exact]
 
@@ -41,7 +48,7 @@ def _first_failure(f):
 
 
 def test_exact_pieces_are_multiplicative():
-    results = _exact_results()
+    results = exact_results()
     # all but P^12 over either base, whose certified cap 17 exceeds its
     # default truncation 16
     assert len(results) == len(CLI_BUILTINS) + len(GROUPS) - 2
@@ -49,14 +56,42 @@ def test_exact_pieces_are_multiplicative():
         assert _first_failure(f) is None, (f.model.name, _first_failure(f))
 
 
-def test_pieces_built_short_fail(monkeypatch):
-    # keep only the first product of each list: the pieces lose generators,
-    # some result is still flagged exact, and the check catches it
+def first_products_only(monkeypatch):
+    """Make the product table keep only the first product of each list, so
+    that pieces lose generators while some result is still flagged exact."""
     times = _ProductTable.times
 
     def first_only(self, ks, sub):
         return [p for k in ks for p in times(self, [k], sub)[:1]]
 
     monkeypatch.setattr(_ProductTable, "times", first_only)
-    caught = [f.model.name for f in _exact_results() if _first_failure(f)]
+
+
+def test_pieces_built_short_fail(monkeypatch):
+    first_products_only(monkeypatch)
+    caught = [f.model.name for f in exact_results() if _first_failure(f)]
     assert {"Z[C4]", "Z[C2xC2]", "Z[C2xC2xC2]", "Z[C2xC4]"} <= set(caught)
+
+
+def _projective_result(ns):
+    m = projective_product(ns)
+    return gamma_filtration(m, min(sum(ns) + 1, m.trunc))
+
+
+@pytest.mark.parametrize("ns", MEMBERS, ids=lambda ns: "x".join(map(str, ns)))
+def test_projective_product_pieces_are_multiplicative(ns):
+    f = _projective_result(ns)
+    assert f.exact, f.model.name
+    assert _first_failure(f) is None, (f.model.name, _first_failure(f))
+
+
+def test_projective_products_built_short_fail(monkeypatch):
+    # the members of rank at most 8; (P^1)^3 is one the Adams check misses
+    first_products_only(monkeypatch)
+    caught = []
+    for ns in MEMBERS:
+        if math.prod(n + 1 for n in ns) <= 8:
+            f = _projective_result(ns)
+            if f.exact and _first_failure(f):
+                caught.append(ns)
+    assert {(1, 1, 1), (2,), (2, 1), (3, 1), (7,)} <= set(caught)
