@@ -15,32 +15,36 @@ A product of weight >= k is one gamma-value of weight >= k, or g * p with g
 of weight i and p a product of weight >= max(k-i, 1), which lies in
 F^max(k-i, 1) by induction; so no product of any weight is missed, and
 each piece is one Hermite normal form.  The recursion needs F^1 to be the
-augmentation kernel and closed under multiplication: a model whose
-augmentation is not multiplicative on the basis, or that has a gamma-value
-of nonzero rank, is refused with a ValueError naming the case.
+augmentation kernel, an ideal, so a model is refused with a ValueError
+naming the case when its augmentation is not multiplicative on the basis,
+when the order o_i of a torsion basis element b_i does not kill some
+b_i * b_j (see below), or when it has a gamma-value of nonzero rank.
+
+The filtration is multiplicative, F^i * F^j in F^(i+j) (Fulton and Lang,
+Riemann-Roch Algebra, Ch. III), and F^kmax is closed under the gamma-values
+by construction.  Once F^1 is the augmentation kernel the pieces nest,
+F^k in F^(k-1); F^kmax is spanned by, among others, g * F^max(kmax-i, 1)
+for each gamma-value g of weight i; and F^kmax lies in F^max(kmax-i, 1), so
+g * F^kmax lies in F^kmax.  Products are taken on reduced representatives,
+so "g times a combination of columns is that combination of g times the
+columns" needs o_k b_k b_j = 0 for each torsion basis element b_k of order
+o_k, hence the torsion refusal.
 
 All products of one run come from one product table, freed when the run
 returns.  The gamma-values are coefficient tuples read off the columns of
 the gamma-series, deduplicated by value across generators and weights.
 g * F is computed once per distinct value g and piece F, one
 ``RingModel.dot`` per column of F, and keyed by the HNF columns of F: the
-HNF is canonical, so equal pieces share every product list, and the
-closure check reads g * F^kmax from the same table.
+HNF is canonical, so equal pieces share every product list.
 
-The result is flagged exact when
-
-* each generator's gamma-series vanishes beyond some weight i_max and the
-  certified cap kmax + i_max - 1 lies inside the model truncation, and
-* F^kmax is closed under multiplication by every nonzero gamma-value,
-  checked on its HNF columns.
-
-The pieces do not depend on a cap; it survives only in this verdict rule,
-in ``weight_cap`` and in the warning of a result whose certified cap lies
-beyond the truncation.  A model holds its series only up to weight
-``trunc``, so such pieces use the gamma-values known up to that weight, the
-"products up to weight" of the warning; that result, like one whose
-closure check fails, is flagged not exact with one warning naming the
-clause that failed.
+The result is flagged exact when each generator's gamma-series vanishes
+beyond some weight i_max and the certified cap kmax + i_max - 1 lies inside
+the model truncation.  The pieces do not depend on a cap; it survives only
+in this verdict rule, in ``weight_cap`` and in the warning of a result whose
+certified cap lies beyond the truncation.  A model holds its series only up
+to weight ``trunc``, so such pieces use the gamma-values known up to that
+weight, the "products up to weight" of the warning, and are flagged not
+exact.
 
 The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes, one HNF column at a time.
@@ -52,7 +56,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .abelian import (
-    GroupElement,
     GroupPresentation,
     Subgroup,
     _entries,
@@ -161,14 +164,6 @@ def _pieces(table: _ProductTable, kmax: int) -> tuple[Subgroup, ...]:
     return tuple(pieces)
 
 
-def _closed(table: _ProductTable, piece: Subgroup) -> bool:
-    """Whether `piece` is closed under multiplication by every gamma-value."""
-    return all(
-        piece.contains(GroupElement(table.pres, p))  # p is already reduced
-        for p in table.times(range(len(table.values)), piece)
-    )
-
-
 def _graded_invariants(
     pieces: tuple[Subgroup, ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -187,6 +182,9 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
     failure = next(m._augmentation_failures(), None)
     if failure:
         raise ValueError("augmentation not multiplicative: " + failure)
+    for i, o in enumerate(m.group.orders):
+        for j in m._unkilled(i) if o else ():
+            raise ValueError("order %d of b%d does not kill b%d*b%d" % (o, i, i, j))
     gens = tuple(m.element(v) for v in kernel_basis(m.aug))
     values = _gamma_values(gens, budget)
     if any(sum(a * c for a, c in zip(m.aug, g)) for _, g in values):
@@ -202,8 +200,6 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
             "certified cap %d exceeds truncation %d, pieces use products "
             "up to weight %d" % (certified, budget, budget)
         )
-    elif not _closed(table, pieces[kmax]):
-        warnings.append("F^%d not closed under the gamma-values" % kmax)
     return FiltrationResult(
         model=m,
         group=m.group,

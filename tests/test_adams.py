@@ -10,8 +10,8 @@ product and one ``Subgroup.contains``.
 
 Every result flagged exact over the builtins' CLI range and the four group
 rings of ``test_multiplicativity`` is checked at kmax min(6, trunc), for
-j = 2 and 3.  A piece built short fails it even where the closure
-certificate passes; the mutation test below builds such pieces.
+j = 2 and 3.  A piece built short fails it even where the result is
+flagged exact; the mutation test below builds such pieces.
 """
 
 from gwgamma.lambdaring import psi_k

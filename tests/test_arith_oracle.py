@@ -17,7 +17,7 @@ unit they need not, so those comparisons draw a neutral unit.
 
 import contextlib
 import inspect
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +26,7 @@ from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import RingModel, lambda_total
 from gwgamma.models import BUILTINS
 from gwgamma.series import TruncSeries
+from gwgamma.symfunc import binomial
 from test_filtration_oracle import CLI_BUILTINS
 from test_series import z_series
 
@@ -184,6 +185,71 @@ def ring_models(draw, neutral_unit):
     unit = tuple(int(t == 0) for t in range(rank))
     with oracle_arithmetic():
         return RingModel("drawn", group, unit, mul, (1,) * rank, lam, trunc=6)
+
+
+@st.composite
+def augmented_ring_models(draw):
+    """Models the gamma filtration accepts: Z (the unit's factor) plus up to
+    three free or torsion factors, as in ``ring_models`` with a neutral
+    unit, and
+
+    * an augmentation d, zero on torsion, whose kernel the c_i = b_i - d(b_i)
+      span;
+    * products c_i c_j drawn in that kernel and killed by the order of each
+      torsion factor among b_i, b_j, so that d is multiplicative and torsion
+      kills its products;
+    * lambda_t(b_i) = (1 + t)^d(b_i) lambda_t(c_i), with gamma_t(c_i) = 1 +
+      c_i t + up to four drawn degrees in the kernel, so that
+      d(lambda^k b_i) = C(d(b_i), k).
+
+    When ``nilpotent`` is drawn, c_i c_j has no b_t with 1 <= t <= max(i, j)
+    and gamma^k(c_i) no b_t with 1 <= t <= i, so F^1 is a nilpotent ideal
+    and the filtration does not stop at F^1."""
+    orders = (0,) + tuple(draw(st.lists(st.sampled_from([0, 2, 3, 4]), max_size=3)))
+    rank, trunc = len(orders), 6
+    aug = (1,) + tuple(0 if o else draw(st.integers(-1, 2)) for o in orders[1:])
+    nilpotent = draw(st.booleans())
+    e = [tuple(int(t == i) for t in range(rank)) for i in range(rank)]
+    zero = (0,) * rank
+
+    def combine(*terms):
+        return tuple(sum(a * v[t] for a, v in terms) for t in range(rank))
+
+    def kernel_vector(above, kill=0):
+        # free coordinates vanish when kill is set, torsion ones are
+        # multiples of o_t / gcd(o_t, kill); the unit coordinate sets rank 0
+        v = [0] + draw(st.lists(ENTRY, min_size=rank - 1, max_size=rank - 1))
+        for t, o in enumerate(orders):
+            if nilpotent and t <= above or kill and not o:
+                v[t] = 0
+            elif kill:
+                v[t] *= o // gcd(o, kill)
+        v[0] = -sum(a * c for a, c in zip(aug, v))
+        return tuple(v)
+
+    mul = {(0, j): e[j] for j in range(rank)}
+    for i in range(1, rank):
+        for j in range(i, rank):
+            cc = kernel_vector(j, gcd(orders[i], orders[j])) if draw(st.booleans()) else zero
+            mul[(i, j)] = combine((1, cc), (aug[i], e[j]), (aug[j], e[i]),
+                                  (-aug[i] * aug[j], e[0]))
+    lam = [[e[0]]]
+    for i in range(1, rank):
+        gamma = [combine((1, e[i]), (-aug[i], e[0]))]
+        gamma += [kernel_vector(i) for _ in range(draw(st.integers(0, 4)))]
+        # lambda^k(c) = sum of (-1)^(k-s) C(k-1, k-s) gamma^s(c), lambda^0(c) = 1
+        lam_c = [e[0]] + [
+            combine(*(((-1) ** (k - s) * comb(k - 1, k - s), g)
+                      for s, g in enumerate(gamma[:k], 1)))
+            for k in range(1, trunc + 1)
+        ]
+        lam.append([
+            combine(*((binomial(aug[i], k - j), lam_c[j]) for j in range(k + 1)))
+            for k in range(1, trunc + 1)
+        ])
+    group = GroupPresentation(orders, tuple("b%d" % i for i in range(rank)))
+    with oracle_arithmetic():
+        return RingModel("drawn", group, e[0], mul, aug, lam, trunc=trunc)
 
 
 @st.composite

@@ -25,6 +25,7 @@ from gwgamma.models import (
 )
 from gwgamma.series import lambda_from_gamma
 from test_abelian import zero_subgroup
+from test_filtration_oracle import group_ring
 from test_series import z_series
 
 
@@ -56,8 +57,8 @@ def test_point_c_trivial_filtration():
 
 
 def test_point_r_two_adic_chain():
-    # gamma-values of L-1 never vanish, yet each extra factor doubles the
-    # generator, so the closure certificate still applies
+    # gamma_t(L-1) = 1 + (L-1) t, and the powers of L-1 never vanish, yet
+    # each extra factor doubles the generator: (L-1)^2 = -2(L-1)
     m = gw_point("R")
     f = gamma_filtration(m, kmax=6)
     assert f.exact
@@ -382,6 +383,22 @@ def test_filtration_builds_no_f1_subgroup(monkeypatch):
     )
     gamma_filtration(gw_point("C"), kmax=1)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("orders", [(4,), (2, 2), (2, 2, 2), (2, 4)])
+def test_filtration_makes_no_membership_test(monkeypatch, orders):
+    # F^kmax is closed under the gamma-values by construction, so no run
+    # multiplies them into it and tests each product with Subgroup.contains
+    from gwgamma.abelian import Subgroup
+
+    m = group_ring(orders)
+    calls = []
+    contains = Subgroup.contains
+    monkeypatch.setattr(
+        Subgroup, "contains", lambda *args: calls.append(args) or contains(*args)
+    )
+    assert gamma_filtration(m, kmax=4).exact
+    assert calls == []
 
 
 @pytest.mark.parametrize("build,kmax", [

@@ -3,11 +3,13 @@
 Each piece F^k is built from the lower ones, as the span of the gamma-values
 of weight >= k and the products g * F^max(k-i, 1) of the values g of weight
 i.  That needs F^1 to be the augmentation kernel and closed under
-multiplication.  A model whose augmentation is not multiplicative on the
-basis, or one with a gamma-value of nonzero rank, was once filtered all the
-same, and could come out flagged exact with pieces that are not the
-gamma filtration.  Both now raise ``ValueError``, from ``gamma_filtration``
-and from ``witt_filtration`` when it computes the filtration itself.
+multiplication, and products that do not depend on representatives.  A
+model whose augmentation is not multiplicative on the basis, one whose
+torsion does not kill its products, or one with a gamma-value of nonzero
+rank was once filtered all the same, and could come out flagged exact with
+pieces that are not the gamma filtration.  All three now raise
+``ValueError``, from ``gamma_filtration`` and from ``witt_filtration`` when
+it computes the filtration itself.
 """
 
 import re
@@ -90,3 +92,26 @@ def test_gamma_value_of_nonzero_rank_is_refused():
         gamma_filtration(m, kmax=1)
     with pytest.raises(ValueError, match="a gamma-value has nonzero rank"):
         witt_filtration(m, kmax=1)
+
+
+def test_torsion_that_does_not_kill_its_products_is_refused():
+    # basis (1, y, x), 1 and y free, x of order 2, x*x = y, ranks (1, 0, 0),
+    # gamma_t(y) = 1 + y t and gamma_t(x) = 1 + x t, so lambda_t(b) = 1 + b t
+    # - b t^2 + b t^3 - ...  2x = 0 but (2x)*x = 2y is not, so x*x depends on
+    # the representative of x, and g times a combination of columns need not
+    # be that combination of products.  It was flagged exact at kmax 1..4
+    group = GroupPresentation((0, 0, 2), ("one", "y", "x"))
+    lam = [[(1, 0, 0)]] + [
+        [tuple((-1) ** k * c for c in b) for k in range(6)]
+        for b in ((0, 1, 0), (0, 0, 1))
+    ]
+    m = RingModel("x*x = y, 2x = 0", group, (1, 0, 0),
+                  {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1),
+                   (2, 2): (0, 1, 0)},
+                  (1, 0, 0), lam, hyperbolic=(), trunc=6)
+    message = re.escape("order 2 of b2 does not kill b2*b2")
+    for kmax in range(1, 5):
+        with pytest.raises(ValueError, match=message):
+            gamma_filtration(m, kmax=kmax)
+        with pytest.raises(ValueError, match=message):
+            witt_filtration(m, kmax=kmax)

@@ -6,8 +6,8 @@ F^j with 1 <= i <= j and i + j <= kmax, kmax = min(6, trunc), gives one
 ``RingModel.dot`` and one ``Subgroup.contains``.  So is each of the 30
 members K(P^n1 x ... x P^nr) of rank at most 16, at kmax
 min(n1 + ... + nr + 1, trunc), where the last piece is zero.  A piece built
-short, from too few products, fails the check even where the filtration's
-own closure certificate passes; the mutation tests below build such pieces.
+short, from too few products, fails the check even where the result is
+flagged exact; the mutation tests below build such pieces.
 """
 
 import math

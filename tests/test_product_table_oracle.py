@@ -8,12 +8,13 @@ The table and ``_gamma_values`` work on coefficient tuples; the tests wrap
 and unwrap them at the call, and every comparison is on the oracle's terms.
 
 Models are drawn as in ``test_arith_oracle``: Z plus up to three free or
-torsion factors with random structure constants.  Spans are HNFs built with
+torsion factors with random structure constants; the filtration is compared
+on ``augmented_ring_models``, which it accepts, and checked there to be
+closed under the gamma-values.  Spans are HNFs built with
 ``subgroup_from_generators``, so over a torsion factor of order o their
 columns carry the unreduced relation vector o * e_i.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import full_subgroup, subgroup_from_generators
@@ -23,8 +24,7 @@ from gwgamma.filtration import (
     augmentation_kernel,
     gamma_filtration,
 )
-from test_arith_oracle import ring_models
-from test_filtration_refusals import first_failure
+from test_arith_oracle import augmented_ring_models, ring_models
 
 TABLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -109,16 +109,14 @@ def oracle_closed(m, piece, values):
 
 
 @TABLE_SETTINGS
-@given(ring_models(neutral_unit=True), st.integers(1, 3))
+@given(augmented_ring_models(), st.integers(1, 5))
 def test_filtration_matches_per_product_oracle(m, kmax):
     # the oracle multiplies ring elements; the gamma-values are tuples
     values = [(i, m.element(g)) for i, g in _gamma_values(augmentation_kernel(m)[1], m.trunc)]
-    if first_failure(m) or any(m.augmentation(g.value) for _, g in values):
-        # F^1 is not the closed augmentation kernel: the model is refused
-        with pytest.raises(ValueError):
-            gamma_filtration(m, kmax=kmax)
-        return
     f = gamma_filtration(m, kmax=kmax)
     assert f.pieces == oracle_pieces(m, values, kmax, f.weight_cap)
-    if not any("exceeds truncation" in w for w in f.warnings):
-        assert f.exact == oracle_closed(m, f.pieces[kmax], values)
+    # exact is the one truncation clause; closure holds by construction,
+    # on truncated results too
+    imax = max((i for i, _ in values), default=0)
+    assert f.exact == (kmax + max(imax - 1, 0) <= m.trunc)
+    assert oracle_closed(m, f.pieces[kmax], values)
