@@ -35,10 +35,9 @@ it, and so is every product of the filtration's table (a gamma-value times
 a span column).  Series products read the same rows a column pair at a
 time, one integer product of two packed coordinate columns per nonzero row,
 and give the sums ``dot`` gives (see :mod:`gwgamma.series`).
-Whether the constants make a commutative ring, which series powers need
-for their binomial table, is one cached verdict from two generators of
-offending cases, each of whose products is one ``dot`` of a basis element
-with a stored row; ``validate_model`` names its cases.
+Whether the constants make a commutative ring is checked by two
+generators of offending cases, each of whose products is one ``dot`` of a
+basis element with a stored row; ``validate_model`` names their cases.
 
 Basis lambda-series are stored as plain group elements in degrees 1..D_b,
 D_b at most the truncation order N >= 1 (as in a model file).  Series that
@@ -225,19 +224,6 @@ class RingModel:
     def _unit_neutral(self) -> bool:
         return all(self.multiply(self.unit, b) == b for b in self.group.basis())
 
-    @cached_property
-    def _is_ring(self) -> bool:
-        """Whether the structure constants make the group a commutative ring,
-        so that every ring identity, the binomial theorem included, holds in
-        this model's arithmetic: the unit is neutral, o_i b_i b_j vanishes for
-        every basis element b_i of finite order o_i (so that a product does
-        not depend on the representatives of its factors), and each basis
-        triple has one product under all three bracketings."""
-        torsion = (i for i, o in enumerate(self.group.orders) if o)
-        return (self._unit_neutral
-                and not any(True for i in torsion for _ in self._unkilled(i))
-                and not any(self._bracketing_failures()))
-
     def _unkilled(self, i: int) -> Iterator[int]:
         """The j for which the order of the torsion element b_i does not
         kill b_i * b_j: (o_i b_i) * b_j is one ``dot``."""
@@ -342,17 +328,13 @@ class RingElement:
     def is_zero(self) -> bool:
         return self.value.is_zero
 
-    @property
-    def is_unit(self) -> bool:
-        return self.value == self.model.unit
-
 
 def lambda_total(x: RingElement, order: int | None = None) -> TruncSeries:
     """Total lambda-series of x, exact through the requested order.
 
     Raises ValueError on a negative order, and when the model's unit is not
-    multiplicatively neutral: the series powers would then not start at the
-    unit, and their coefficients grow without bound.
+    multiplicatively neutral: the product of the series powers would then
+    not start at the unit.
     """
     m = x.model
     n = m.trunc if order is None else order
@@ -413,13 +395,11 @@ def validate_model(m: RingModel) -> Report:
 
     Each check generates its offending cases, on the basis elements and
     their products in the sparse structure-constant rows; the report names
-    the first one.  The associativity and torsion-kill cases come from the
-    ring verdict's generators, only when the verdict fails; the homomorphism
-    cases from the generator that ``gamma_filtration`` refuses on.
+    the first one.  The homomorphism and torsion-kill cases come from the
+    generators that ``gamma_filtration`` refuses on.
     """
     rank = m.group.rank
     basis = m.group.basis()
-    ring = m._is_ring
     d, aug = m.augmentation, m.aug
     lam = m.lambda_on_basis
     torsion = [(i, o) for i, o in enumerate(m.group.orders) if o]
@@ -428,19 +408,13 @@ def validate_model(m: RingModel) -> Report:
         for i, o in torsion:
             if aug[i]:
                 yield "torsion basis element %d has nonzero rank" % i
-            if not ring:
-                for j in m._unkilled(i):
-                    yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
+            for j in m._unkilled(i):
+                yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
 
     def torsion_series():
-        # without a neutral unit each squaring in pow may double the digits
-        # of the series, so the power of order o may have o times the digits
-        # it started with; beyond order 64 it is not taken
         unit_series = TruncSeries.one(m.unit_element, m.trunc)
         for i, o in torsion:
-            if o > 64 and not m._unit_neutral:
-                yield "lambda_t(b%d)^%d not checked: unit is not neutral" % (i, o)
-            elif m.basis_lambda_series(i, m.trunc).pow(o) != unit_series:
+            if m.basis_lambda_series(i, m.trunc).pow(o) != unit_series:
                 yield "lambda_t(b%d)^%d != 1" % (i, o)
 
     checks = (
@@ -448,8 +422,8 @@ def validate_model(m: RingModel) -> Report:
          ["d(1) = %d" % d(m.unit)] if d(m.unit) != 1 else []),
         ("unit is multiplicatively neutral", [] if m._unit_neutral else [""]),
         ("multiplication associative on basis",
-         () if ring else ("(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, p, q, k)
-                          for i, j, k, p, q in m._bracketing_failures())),
+         ("(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, p, q, k)
+          for i, j, k, p, q in m._bracketing_failures())),
         ("products respect torsion orders", torsion_products()),
         ("augmentation is a ring homomorphism", m._augmentation_failures()),
         ("lambda^1 is the identity on basis",

@@ -31,14 +31,12 @@ power T^k is the column product T * T^(k-1).  The powers are built lazily
 and memoized on the series, so every exponent it is raised to, of either
 sign, reads the same table, and each output column is summed against the
 binomials once per degree.
-The sum equals the product S * ... * S, or S^-1 * ... * S^-1, only in a
-commutative ring: the unit must be neutral, each basis triple must have one
-product under all three bracketings, and o_i b_i b_j = 0 for every basis
-element b_i of finite order o_i, so that the product does not depend on the
-representatives.
-``RingModel._is_ring`` holds that verdict; on a model that fails it,
-``pow`` falls back to binary exponentiation, whose bracketing the
-identity checks and their oracles depend on.
+In a commutative ring the sum is the product S * ... * S, or
+S^-1 * ... * S^-1, under every bracketing.  On a model whose constants are
+no ring (a unit that is not neutral, a basis triple with two products
+under the three bracketings, or o_i b_i b_j != 0 for a basis element b_i of
+finite order o_i) no bracketing is canonical, and the sum is the power
+this engine defines; ``validate_model`` reports such a model.
 
 The two substitutions that translate between a total lambda-series and a
 total gamma-series are linear with binomial coefficients:
@@ -203,19 +201,10 @@ class TruncSeries:
         m, n = self.model, self.order
         if e == 0:
             return TruncSeries.one(m.unit_element, n)
-        if abs(e) == 1 or not m._is_ring:
-            # S^(+-1), or binary exponentiation: without the ring laws the
-            # binomial sum need not equal any bracketing of the product
-            base = self if e > 0 else self.inverse()
-            e = abs(e)
-            out = None
-            while e:
-                if e & 1:
-                    out = base if out is None else out * base
-                e >>= 1
-                if e:
-                    base = base * base
-            return out
+        if e == 1:
+            return self
+        if e == -1:
+            return self.inverse()
         top = min(e, n) if e > 0 else n
         powers = self._table(top)
         binoms = [binomial(e, k) for k in range(1, top + 1)]

@@ -5,7 +5,7 @@ with a supplied product; ``lambdaring._evaluate`` makes that product one
 ``RingModel.dot`` and reduces the sum once, as the ``special`` checker and
 ``psi_k`` do.  The reference is ``ring_evaluate``, the same fold on ring
 elements.  Both must give equal values on every model with a neutral unit,
-also on the drawn models that fail the ring verdict, where the bracketing
+also on the drawn models that fail ``is_ring``, where the bracketing
 of each monomial decides its value, and also when the prefixes of an
 earlier polynomial with the same leading values are reused.  ``psi_k`` must
 equal the reference fold of the Newton polynomial at lambda^1..lambda^k.
@@ -18,7 +18,7 @@ from gwgamma.abelian import _entries
 from gwgamma.lambdaring import _evaluate, lambda_total, psi_k
 from gwgamma.models import BUILTINS
 from gwgamma.symfunc import compose_universal, newton_psi, product_universal
-from test_arith_oracle import ring_models
+from test_arith_oracle import is_ring, ring_models
 from test_evaluate_oracle import SMALL_BUILTINS, ring_evaluate
 
 PRODUCTS = [(n, product_universal(n)) for n in range(1, 5)]
@@ -51,7 +51,7 @@ def fold(poly, values, memo=None, shared=0):
 
 
 @SETTINGS
-@given(st.data(), ring_models(neutral_unit=True).filter(lambda m: not m._is_ring))
+@given(st.data(), ring_models(neutral_unit=True).filter(lambda m: not is_ring(m)))
 def test_fold_matches_evaluate_off_the_ring_verdict(data, m):
     for _, poly in PRODUCTS + COMPOSITIONS:
         values = data.draw(ring_values(m, poly.nvars))
@@ -98,7 +98,7 @@ def test_psi_matches_reference_on_builtins(name, flags):
 @SETTINGS
 @given(st.data(), ring_models(neutral_unit=True))
 def test_psi_matches_reference_on_drawn_models(data, m):
-    # also on models that fail the ring verdict, where psi_k is not additive
+    # also on models that fail is_ring, where psi_k is not additive
     for x in data.draw(ring_values(m, 3)) + list(m.basis_elements()):
         for k in range(1, min(6, m.trunc) + 1):
             assert psi_k(x, k) == psi_reference(x, k)

@@ -371,21 +371,23 @@ def test_projective_build_work_bound(monkeypatch):
     # no series of a power a^k is multiplied by the unit series; series
     # powers read one binomial table per series (32,723 dot pairs with
     # binary exponentiation); series products and the powers of T run on
-    # coordinate columns, so only the inverses and the ring verdict call dot
+    # coordinate columns, so only inverses and ring-element products call dot
     # (17,754 dot pairs with one dot per product coefficient), an inverse
     # on the nonzero degrees of its series only; the twisted classes share one
     # denominator series, inverted once (11 inverses when each class had its
     # own); a negative power reads the binomial table of its own series,
     # with C(e, k) for e < 0, instead of inverting it first (1,398 dot pairs,
     # 6 inverses and 174 column products when each negative power tabled
-    # its inverse); and validation reads the basis products off the sparse
-    # rows and the ring verdict cached by the build (312 and 245 dot calls
-    # before); the twisted classes' series are read off their gamma-series
+    # its inverse); validation reads the basis products off the sparse
+    # rows (304 and 217 dot calls, its own ring checks included; they ran
+    # in the build when pow chose binary exponentiation off a ring); the
+    # twisted classes' series are read off their gamma-series
     # 1 + a_k t - a_k t^2, so the build inverts no series (with the shared
     # denominator: 1 inverse, 21 series products, 116 column products, 348
-    # dot pairs and 270 reduce calls; now 15, 110, 309 and 241), and no
-    # builtin of the CLI range does (37 inverses in all when the series were
-    # quotients)
+    # dot pairs and 270 reduce calls; now 15, 110, 5 and 241: the dot pairs
+    # are the twisted classes' ring products, 309 when the build ran the
+    # ring checks for pow), and no builtin of the CLI range does (37
+    # inverses in all when the series were quotients)
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
     dot = RingModel.dot
@@ -431,7 +433,7 @@ def test_projective_build_work_bound(monkeypatch):
     assert 0 < products[0] <= 129
     assert 0 < columns[0] <= 120
     assert inverses[0] == 0
-    assert 0 < pairs[0] <= 400
+    assert 0 < pairs[0] <= 10
     for name, kwargs in CLI_BUILTINS:
         BUILTINS[name](**kwargs)
     assert inverses[0] == 0

@@ -2,11 +2,12 @@
 
 The reference below is the earlier ``pow``: binary exponentiation of the
 series, or of its inverse for a negative exponent.  It lives here only as an
-oracle.  On a ring model that passes the ring verdict (neutral unit,
-associative basis products, products killed by the torsion orders) the
-binomial table must give the same series for every exponent; on a model
-that fails it, ``pow`` must still be binary exponentiation.  The verdict
-itself must agree with the checker oracle's cases on drawn models.
+oracle.  On a ring model (neutral unit, associative basis products, products
+killed by the torsion orders; ``is_ring``) the binomial table must give the
+same series for every exponent.  On a model that is no ring, ``pow`` is the
+same binomial sum, and must equal ``binomial_pow``, the sum built from
+products of the series.  ``is_ring`` itself must agree with the checker
+oracle's cases on drawn models.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import RingModel, validate_model
 from gwgamma.series import TruncSeries
-from test_arith_oracle import ring_models
+from test_arith_oracle import binomial_pow, is_ring, ring_models
 from test_checker_oracle import oracle_products, oracle_validate
 
 
@@ -73,19 +74,19 @@ def ring_series(draw):
     return TruncSeries.from_coeffs(m.unit_element, body, order)
 
 
-def test_drawn_rings_pass_the_verdict():
-    assert all(m._is_ring for m in RINGS)
+def test_drawn_rings_are_rings():
+    assert all(is_ring(m) for m in RINGS)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.booleans().flatmap(ring_models))
-def test_verdict_matches_oracle_validation(m):
+def test_is_ring_matches_oracle_validation(m):
     # the oracle multiplies with the drawn model's earlier per-pair table,
-    # not with the sparse rows the verdict reads
+    # not with the sparse rows is_ring reads
     with oracle_products(m):
         cases = dict(oracle_validate(m))
     kills = [c for c in cases["products respect torsion orders"] if c.startswith("order ")]
-    assert m._is_ring == (
+    assert is_ring(m) == (
         not cases["unit is multiplicatively neutral"]
         and not cases["multiplication associative on basis"]
         and not kills
@@ -97,8 +98,8 @@ def test_verdict_matches_oracle_validation(m):
 def test_pow_matches_binary_exponentiation(s, e):
     got = s.pow(e)
     if abs(e) >= 2:
-        # the binomial table of s itself, not the fallback, produced it,
-        # and a negative power did not solve the inverse
+        # the binomial table of s itself produced it, and a negative power
+        # did not solve the inverse
         assert s._powers is not None
         if e < 0:
             assert s._inverse is None
@@ -133,32 +134,36 @@ def test_huge_negative_exponents(square, order, e):
     assert got == oracle_pow(s, e)
 
 
-def test_non_ring_model_keeps_binary_exponentiation():
+def test_non_ring_model_takes_the_binomial_sum():
     # Z + Z/2 x with x*x = one: 2 * x * x = 2 is not zero, so the product
-    # depends on representatives and the binomial sum would give (1, x, 0)
+    # depends on representatives; the binomial sum gives 1 + x t + 6 t^2
+    # where binary exponentiation of the inverse gave 1 + x t - 2 t^2
     m = z_plus_z2((1, 0))
-    assert m._unit_neutral and not m._is_ring
+    assert m._unit_neutral and not is_ring(m)
     x = m.basis_element(1)
     s = TruncSeries.from_coeffs(m.unit_element, [x], 2)
-    assert s.pow(-3).coeffs == (m.unit_element, x, -2 * m.unit_element)
-    assert s.pow(-3) == oracle_pow(s, -3)
+    assert s.pow(-3).coeffs == (m.unit_element, x, 6 * m.unit_element)
+    assert oracle_pow(s, -3).coeffs[2] == -2 * m.unit_element
+    for e in (-3, -2, 2, 3, 5):
+        assert s.pow(e) == binomial_pow(s, e)
 
 
-def test_verdict_checks_every_bracketing():
+def test_three_bracketings_model_takes_the_binomial_sum():
     # b1*b3 = b2 and b2*b2 = b2: (b1*b2)*b3 = b1*(b2*b3) = 0, but
     # b2*(b1*b3) = b2, so the model is not associative and validate_model,
     # which compares the third bracketing too, rejects it.
-    # (1 + (b1 + b3) t)^4 then has 4 b2 in degree 4 by binary exponentiation
-    # and 0 by the binomial sum
+    # (1 + (b1 + b3) t)^4 has 0 in degree 4 by the binomial sum, since
+    # T^4 = T * (T * T^2) vanishes, and 4 b2 by binary exponentiation
     vec = [tuple(int(t == i) for t in range(4)) for i in range(4)]
     mul = {(0, i): vec[i] for i in range(4)}
     m = ring("three bracketings", (0,) * 4, {**mul, (1, 3): vec[2], (2, 2): vec[2]})
     report = validate_model(m)
-    assert not m._is_ring and not report.ok
+    assert not is_ring(m) and not report.ok
     assert [c.name for c in report.checks if not c.ok] == [
         "multiplication associative on basis"
     ]
     assert report.first_failure.detail == "(b1*b2)*b3 != b2*(b1*b3)"
     s = TruncSeries.from_coeffs(m.unit_element, [m.element((0, 1, 0, 1))], 4)
-    assert s.pow(4).coeffs[4] == 4 * m.basis_element(2)
-    assert s.pow(4) == oracle_pow(s, 4)
+    assert s.pow(4).coeffs[4] == m.zero_element
+    assert oracle_pow(s, 4).coeffs[4] == 4 * m.basis_element(2)
+    assert s.pow(4) == binomial_pow(s, 4)

@@ -174,7 +174,7 @@ def test_special_work_bound(monkeypatch, capsys):
         return real_fold(poly, *args)
 
     monkeypatch.setattr(MultiPoly, "evaluate", fold)
-    # every ring product of the run, the ring verdict's included: 1,749 with
+    # every ring product of the run, validation's included: 1,749 with
     # a ring element per coefficient and product and no prefix kept across
     # pairs, 1,563 on tuples with the prefixes of lambda^k(x) kept per x
     products = []
