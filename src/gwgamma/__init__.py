@@ -11,7 +11,6 @@ spaces, and a product surface; everything is exact integer arithmetic.
 from .abelian import GroupPresentation, Subgroup
 from .filtration import (
     FiltrationResult,
-    augmentation_kernel,
     gamma_filtration,
     witt_filtration,
     witt_quotient,
@@ -27,10 +26,9 @@ from .lambdaring import (
     validate_model,
     verify_special_pair,
 )
-from .milnor import F2Poly, omega, top_class_product, top_class_sum, vanishing_range
+from .milnor import F2Poly, omega, top_class_product, top_class_sum
 from .models import (
     BUILTINS,
-    check_ak_recursion,
     gw_point,
     gw_projective,
     gw_punctured_a5,
@@ -49,8 +47,6 @@ __all__ = [
     "RingModel",
     "Subgroup",
     "TruncSeries",
-    "augmentation_kernel",
-    "check_ak_recursion",
     "gamma_filtration",
     "gamma_from_lambda",
     "gamma_k",
@@ -69,7 +65,6 @@ __all__ = [
     "top_class_product",
     "top_class_sum",
     "validate_model",
-    "vanishing_range",
     "verify_special_pair",
     "witt_filtration",
     "witt_quotient",

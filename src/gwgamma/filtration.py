@@ -82,13 +82,6 @@ class FiltrationResult:
     warnings: tuple[str, ...]
 
 
-def augmentation_kernel(m: RingModel) -> tuple[Subgroup, tuple[RingElement, ...]]:
-    """The rank-zero subgroup F^1 together with a finite generating set."""
-    gens = tuple(m.element(v) for v in kernel_basis(m.aug))
-    sub = subgroup_from_generators(m.group, [e.value for e in gens])
-    return sub, gens
-
-
 def _gamma_values(
     gens: tuple[RingElement, ...], order: int
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -214,13 +207,14 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
 
 def witt_quotient(
     m: RingModel,
-) -> tuple[GroupPresentation, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Quotient presentation of the group by the hyperbolic classes."""
+) -> tuple[GroupPresentation, list[list[int]]]:
+    """Quotient presentation of the group by the hyperbolic classes, and the
+    projection rows onto its coordinates."""
     if m.hyperbolic is None:
         raise ValueError("model %s declares no hyperbolic classes" % m.name)
     hyper = subgroup_from_generators(m.group, list(m.hyperbolic))
     qpres, projection = quotient_presentation(m.group, hyper, prefix="w")
-    return qpres, projection, qpres.orders
+    return qpres, projection
 
 
 def witt_filtration(
@@ -232,7 +226,7 @@ def witt_filtration(
     quotient by hyperbolic classes."""
     if f is not None and (f.model is not m or f.group != m.group):
         raise ValueError("f is not a gamma filtration of model %s" % m.name)
-    qpres, projection, _ = witt_quotient(m)
+    qpres, projection = witt_quotient(m)
     if f is None:
         f = gamma_filtration(m, kmax=kmax)
 

@@ -138,8 +138,9 @@ class F2Poly:
         """Replace one variable by a polynomial, expanding exactly.
 
         Truncation is faithful as long as every term of `value` has total
-        degree >= 1; the one caller here, ``even_substitution_is_trivial``,
-        substitutes a sum of two variables.
+        degree >= 1; its one caller, the even-substitution helper of
+        tests/test_milnor.py, substitutes a sum of two variables, and
+        bench/layertrace wraps it by name.
         """
         self._compatible(value)
         one = F2Poly.one(self.nvars, self.maxdeg)
@@ -235,25 +236,9 @@ def omega(n: int, maxdeg: int) -> F2Poly:
     return odd * even.inverse()
 
 
-def vanishing_range(n: int) -> int:
-    """Smallest positive degree with a nonzero coefficient in omega.
-
-    Uses truncation exactly at 2^(n-1); kept at desk scale (n <= 4).
-    """
-    _check_range(n)
-    return _first_positive_degree(omega(n, 2 ** (n - 1)))
-
-
 def _check_range(n: int) -> None:
     if not 1 <= n <= 4:
         raise ValueError("supported range is 1 <= n <= 4")
-
-
-def _first_positive_degree(w: F2Poly) -> int:
-    first = w.min_positive_degree()
-    if first is None:
-        raise ArithmeticError("series is constant up to degree %d" % w.maxdeg)
-    return first
 
 
 def top_class_product(n: int) -> F2Poly:
@@ -279,20 +264,6 @@ def top_class_sum(n: int) -> F2Poly:
     return F2Poly(n, top, terms)
 
 
-def even_substitution_is_trivial(n: int, maxdeg: int) -> bool:
-    """Check that sending x_n to x_1 + x_2 collapses omega to 1.
-
-    Replacing a variable by a sum of an even number of other variables makes
-    the even and odd factors of the defining quotient cancel pairwise, so
-    the truncated series must come out exactly constant.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3 so that x_1 + x_2 avoids x_n")
-    w = omega(n, maxdeg)
-    pair = F2Poly.variable(0, n, maxdeg) + F2Poly.variable(1, n, maxdeg)
-    return w.substitute(n - 1, pair) == F2Poly.one(n, maxdeg)
-
-
 def check_identities(n: int) -> Report:
     """Two named checks: low-degree vanishing and the top-class equalities.
 
@@ -303,11 +274,11 @@ def check_identities(n: int) -> Report:
     _check_range(n)
     top = 2 ** (n - 1)
     series = omega(n, top)
-    first = _first_positive_degree(series)
+    first = series.min_positive_degree()
     vanish = CheckResult(
         "vanishing<%d" % top,
         first == top,
-        "first nonzero positive degree is %d, expected %d" % (first, top),
+        "first nonzero positive degree is %s, expected %d" % (first, top),
     )
     product_form = top_class_product(n)
     sum_form = top_class_sum(n)

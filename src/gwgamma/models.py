@@ -57,8 +57,6 @@ import math
 from .abelian import GroupElement, GroupPresentation
 from .lambdaring import (
     DEFAULT_TRUNCATION,
-    CheckResult,
-    Report,
     RingElement,
     RingModel,
     lambda_total,
@@ -122,62 +120,6 @@ def twisted_hyperbolic_classes(model: RingModel, count: int) -> list[RingElement
         prev, prev2 = out[-1], out[-2]
         out.append((a + 2 * one) * prev - prev2 + 2 * a)
     return out[: count + 1]
-
-
-def alternating_h_sum(model: RingModel, r: int) -> RingElement:
-    """sum_j (-1)^j C(r+1, rho-j) a_j, the Euler-type combination for odd r."""
-    rho = (r + 1) // 2
-    a_cls = twisted_hyperbolic_classes(model, rho)
-    acc = model.zero_element
-    for j in range(1, rho + 1):
-        sign = -1 if j % 2 else 1
-        acc = acc + sign * math.comb(r + 1, rho - j) * a_cls[j]
-    return acc
-
-
-def check_ak_recursion(model: RingModel, kmax: int | None = None) -> Report:
-    """Consistency checks for the twisted classes of a projective model.
-
-    Runs the recursion a_0 = 0, a_1 = a, a_k = (a+2) a_{k-1} - a_{k-2} + 2a
-    and checks that every a_k is supported on the powers of a alone, and,
-    for odd dimension, that the signed binomial combination of the a_j
-    collapses to (-a)^rho.
-    """
-    if model.params.get("which") != "gw_projective":
-        raise ValueError("model was not built by gw_projective")
-    r = model.params["r"]
-    rho = (r + 1) // 2
-    count = kmax if kmax is not None else rho + 2
-    names = list(model.group.names)
-    a_block = [i for i, n in enumerate(names) if n.startswith("a")]
-    a_cls = twisted_hyperbolic_classes(model, count)
-    checks = []
-    for k in range(1, count + 1):
-        outside = [
-            c for i, c in enumerate(a_cls[k].value.coeffs) if i not in a_block
-        ]
-        ok = not any(outside)
-        checks.append(CheckResult(
-            "a_%d is supported on powers of a" % k,
-            ok,
-            "" if ok else "stray coefficients %r" % (outside,),
-        ))
-        ok_rank = model.augmentation(a_cls[k].value) == 0
-        checks.append(CheckResult(
-            "a_%d has rank zero" % k, ok_rank,
-            "" if ok_rank else "rank %d" % model.augmentation(a_cls[k].value),
-        ))
-    if r % 2 == 1:
-        a = model.basis_element(names.index("a"))
-        lhs = alternating_h_sum(model, r)
-        rhs = (-a) ** rho
-        ok = lhs == rhs
-        checks.append(CheckResult(
-            "signed binomial sum of a_j equals (-a)^%d" % rho,
-            ok,
-            "" if ok else "%r != %r" % (lhs.value.coeffs, rhs.value.coeffs),
-        ))
-    return Report(tuple(checks))
 
 
 def gw_projective(

@@ -25,10 +25,11 @@ from hypothesis import given, settings, strategies as st
 from gwgamma.abelian import (
     GroupPresentation,
     full_subgroup,
+    kernel_basis,
     relative_quotient_invariants,
     subgroup_from_generators,
 )
-from gwgamma.filtration import FiltrationResult, augmentation_kernel, gamma_filtration
+from gwgamma.filtration import FiltrationResult, gamma_filtration
 from gwgamma.lambdaring import RingModel, gamma_total
 from gwgamma.models import BUILTINS, gw_projective
 
@@ -97,7 +98,7 @@ def _closure_certified(m, pieces, by_weight, table, kmax, cap):
 
 def oracle_filtration(m, kmax=8):
     budget = m.trunc
-    _, gens = augmentation_kernel(m)
+    gens = [m.element(v) for v in kernel_basis(m.aug)]
     table = _gamma_value_table(gens, budget)
     imax = max((i for row in table for i, _ in row), default=0)
     certified = kmax + max(imax - 1, 0)

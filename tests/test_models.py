@@ -26,8 +26,6 @@ from gwgamma.lambdaring import (
 )
 from gwgamma.models import (
     BUILTINS,
-    alternating_h_sum,
-    check_ak_recursion,
     gw_point,
     gw_projective,
     gw_punctured_a5,
@@ -71,6 +69,30 @@ SAMPLE_MODELS = [
 
 def named(model, label):
     return model.basis_element(list(model.group.names).index(label))
+
+
+def alternating_h_sum(model, r):
+    """sum_j (-1)^j C(r+1, rho-j) a_j, the Euler-type combination for odd r."""
+    rho = (r + 1) // 2
+    a_cls = twisted_hyperbolic_classes(model, rho)
+    return sum(
+        ((-1) ** j * math.comb(r + 1, rho - j) * a_cls[j] for j in range(1, rho + 1)),
+        model.zero_element,
+    )
+
+
+def assert_twisted_classes(model):
+    """a_1..a_(rho+2) of a projective model, from the recursion, are
+    supported on the powers of a and have rank zero; for odd r the signed
+    binomial sum of the a_j is (-a)^rho."""
+    r = model.params["r"]
+    rho = (r + 1) // 2
+    off_a = [i for i, n in enumerate(model.group.names) if not n.startswith("a")]
+    for k, x in enumerate(twisted_hyperbolic_classes(model, rho + 2)[1:], 1):
+        assert not any(x.value.coeffs[i] for i in off_a), (model.name, k)
+        assert model.augmentation(x.value) == 0, (model.name, k)
+    if r % 2:
+        assert alternating_h_sum(model, r) == (-named(model, "a")) ** rho, model.name
 
 
 def test_all_builtins_validate():
@@ -349,10 +371,7 @@ def test_builtin_registry():
 
 def test_ak_recursion_reports():
     for base, r in [("C", 3), ("C", 5), ("R", 5), ("C", 7), ("C", 9)]:
-        report = check_ak_recursion(gw_projective(base, r))
-        assert report.ok, (base, r, report.first_failure)
-    with pytest.raises(ValueError):
-        check_ak_recursion(gw_point("C"))
+        assert_twisted_classes(gw_projective(base, r))
     with pytest.raises(ValueError):
         gw_projective("C", 13)
 

@@ -17,11 +17,10 @@ columns carry the unreduced relation vector o * e_i.
 
 from hypothesis import given, settings, strategies as st
 
-from gwgamma.abelian import full_subgroup, subgroup_from_generators
+from gwgamma.abelian import full_subgroup, kernel_basis, subgroup_from_generators
 from gwgamma.filtration import (
     _ProductTable,
     _gamma_values,
-    augmentation_kernel,
     gamma_filtration,
 )
 from test_arith_oracle import augmented_ring_models, ring_models
@@ -112,7 +111,8 @@ def oracle_closed(m, piece, values):
 @given(augmented_ring_models(), st.integers(1, 5))
 def test_filtration_matches_per_product_oracle(m, kmax):
     # the oracle multiplies ring elements; the gamma-values are tuples
-    values = [(i, m.element(g)) for i, g in _gamma_values(augmentation_kernel(m)[1], m.trunc)]
+    gens = [m.element(v) for v in kernel_basis(m.aug)]
+    values = [(i, m.element(g)) for i, g in _gamma_values(gens, m.trunc)]
     f = gamma_filtration(m, kmax=kmax)
     assert f.pieces == oracle_pieces(m, values, kmax, f.weight_cap)
     # exact is the one truncation clause; closure holds by construction,

@@ -1,6 +1,15 @@
-"""The public surface of the package is exactly ``gwgamma.__all__``."""
+"""The public surface of the package is exactly ``gwgamma.__all__``, and
+every public function or class of ``gwgamma`` has a caller in the package or
+a role in README.md."""
+
+import ast
+import pathlib
+import re
 
 import gwgamma
+
+SRC = pathlib.Path(gwgamma.__file__).parent
+README = (SRC.parents[1] / "README.md").read_text()
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -16,3 +25,31 @@ def test_star_import_binds_exactly_all():
     exec("from gwgamma import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(gwgamma.__all__)
+
+
+def _used_names(node):
+    """Names read in code under node: each ast.Name or ast.Attribute, so
+    docstrings and imports do not count."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_definition_has_a_caller_or_a_readme_role():
+    # a public function or class of a module other than __init__ is used by
+    # some other top-level statement of src/, or README names it
+    modules = {p.stem: ast.parse(p.read_text()).body for p in SRC.glob("*.py")}
+    statements = [(stmt, _used_names(stmt)) for body in modules.values() for stmt in body]
+    dead = []
+    for module, body in sorted(modules.items()):
+        if module == "__init__":
+            continue
+        for d in body:
+            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_"):
+                continue
+            used = any(d.name in names for stmt, names in statements if stmt is not d)
+            if not used and not re.search(r"\b%s\b" % d.name, README):
+                dead.append("%s.%s" % (module, d.name))
+    assert dead == []
