@@ -30,12 +30,24 @@ so "g times a combination of columns is that combination of g times the
 columns" needs o_k b_k b_j = 0 for each torsion basis element b_k of order
 o_k, hence the torsion refusal.
 
-All products of one run come from one product table, freed when the run
-returns.  The gamma-values are coefficient tuples read off the columns of
-the gamma-series, deduplicated by value across generators and weights.
-g * F is computed once per distinct value g and piece F, one
-``RingModel.dot`` per column of F, and keyed by the HNF columns of F: the
-HNF is canonical, so equal pieces share every product list.
+The pieces are computed once per model and extended on demand.  What the
+filtration derives from the model alone is kept on it, in one memo
+(``RingModel._filtration``, see ``_Memo``): the verdict that the model
+passed the refusals, its gamma-values and i_max, the pieces F^0..F^k built
+so far, the invariants of each pair of adjacent pieces, the Witt quotient
+and the Witt image of each piece.  A call at kmax extends the stored pieces
+up to F^kmax, the first call from F^0, or slices them; only ``exact``,
+``warnings`` and ``weight_cap`` are computed per call.  A model is
+immutable once built, and the memo assumes it.  A refused model keeps no
+verdict and raises on every call.
+
+All products of one extension come from one product table, built from the
+stored gamma-values and freed when the call returns.  The gamma-values are
+coefficient tuples read off the columns of the gamma-series, deduplicated
+by value across generators and weights.  g * F is computed once per
+distinct value g and piece F, one ``RingModel.dot`` per column of F, and
+keyed by the HNF columns of F: the HNF is canonical, so equal pieces share
+every product list.
 
 The result is flagged exact when each generator's gamma-series vanishes
 beyond some weight i_max and the certified cap kmax + i_max - 1 lies inside
@@ -47,7 +59,9 @@ weight, the "products up to weight" of the warning, and are flagged not
 exact.
 
 The Witt-level filtration is the image of the gamma filtration in the
-quotient by the declared hyperbolic classes, one HNF column at a time.
+quotient by the declared hyperbolic classes, one HNF column at a time; the
+quotient takes one Smith form per model, and each image is spanned once per
+model and piece.
 """
 
 from __future__ import annotations
@@ -142,11 +156,42 @@ class _ProductTable:
         return out
 
 
-def _pieces(table: _ProductTable, kmax: int) -> tuple[Subgroup, ...]:
-    """F^0..F^kmax, F^k spanned by the gamma-values of weight >= k and, for
-    k >= 2, the products of each value of weight i with F^max(k-i, 1)."""
-    pieces = [full_subgroup(table.pres)]
-    for k in range(1, kmax + 1):
+class _Memo:
+    """What the filtration derives from one model alone, filled on demand.
+
+    `values` are the gamma-values, None until the model passed the
+    refusals, and `imax` the largest weight among them; `pieces` are
+    F^0..F^k as built so far.  `graded` and `witt_graded` map the HNF columns
+    of two adjacent pieces, of the group and of the Witt quotient, to the
+    invariants of their quotient.  `witt` is the Witt quotient and its
+    projection rows, as tuples; `images` maps the HNF columns of a piece to
+    its Witt image.
+    """
+
+    def __init__(self, m: RingModel):
+        self.values: list[tuple[int, tuple[int, ...]]] | None = None
+        self.imax = 0
+        self.pieces = [full_subgroup(m.group)]
+        self.graded: dict[tuple, tuple[int, ...]] = {}
+        self.witt: tuple[GroupPresentation, tuple[tuple[int, ...], ...]] | None = None
+        self.images: dict[tuple, Subgroup] = {}
+        self.witt_graded: dict[tuple, tuple[int, ...]] = {}
+
+
+def _memo(m: RingModel) -> _Memo:
+    if m._filtration is None:
+        m._filtration = _Memo(m)
+    return m._filtration
+
+
+def _extended(m: RingModel, memo: _Memo, kmax: int) -> list[Subgroup]:
+    """The stored pieces extended to F^kmax, F^k spanned by the gamma-values
+    of weight >= k and, for k >= 2, the products of each value of weight i
+    with F^max(k-i, 1), from one product table.  A new list: a call that
+    extends the memo at the same time still reads a whole one."""
+    pieces = list(memo.pieces)
+    table = _ProductTable(m, memo.values)
+    for k in range(len(pieces), kmax + 1):
         vecs = []
         for i, ks in table.by_weight.items():
             if i >= k:
@@ -154,16 +199,21 @@ def _pieces(table: _ProductTable, kmax: int) -> tuple[Subgroup, ...]:
             if k > 1:
                 vecs += table.times(ks, pieces[max(k - i, 1)])
         pieces.append(_span(table.pres, vecs))
-    return tuple(pieces)
+    return pieces
 
 
 def _graded_invariants(
-    pieces: tuple[Subgroup, ...]
+    memo: dict[tuple, tuple[int, ...]], pieces: tuple[Subgroup, ...]
 ) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        relative_quotient_invariants(pieces[k], pieces[k + 1])
-        for k in range(len(pieces) - 1)
-    )
+    """The invariants of each quotient of adjacent pieces, each pair computed
+    once per memo."""
+    out = []
+    for a, b in zip(pieces, pieces[1:]):
+        key = a.columns, b.columns
+        if key not in memo:
+            memo[key] = relative_quotient_invariants(a, b)
+        out.append(memo[key])
+    return tuple(out)
 
 
 def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
@@ -172,21 +222,26 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
     budget = m.trunc
     if kmax > budget:
         raise ValueError("kmax %d exceeds weight budget %d" % (kmax, budget))
-    failure = next(m._augmentation_failures(), None)
-    if failure:
-        raise ValueError("augmentation not multiplicative: " + failure)
-    for i, o in enumerate(m.group.orders):
-        for j in m._unkilled(i) if o else ():
-            raise ValueError("order %d of b%d does not kill b%d*b%d" % (o, i, i, j))
-    gens = tuple(m.element(v) for v in kernel_basis(m.aug))
-    values = _gamma_values(gens, budget)
-    if any(sum(a * c for a, c in zip(m.aug, g)) for _, g in values):
-        raise ValueError("F^1 is not the rank kernel: a gamma-value has nonzero rank")
-    imax = max((i for i, _ in values), default=0)
-    certified = kmax + max(imax - 1, 0)
+    memo = _memo(m)
+    if memo.values is None:
+        failure = next(m._augmentation_failures(), None)
+        if failure:
+            raise ValueError("augmentation not multiplicative: " + failure)
+        for i, o in enumerate(m.group.orders):
+            for j in m._unkilled(i) if o else ():
+                raise ValueError("order %d of b%d does not kill b%d*b%d" % (o, i, i, j))
+        gens = tuple(m.element(v) for v in kernel_basis(m.aug))
+        values = _gamma_values(gens, budget)
+        if any(sum(a * c for a, c in zip(m.aug, g)) for _, g in values):
+            raise ValueError("F^1 is not the rank kernel: a gamma-value has nonzero rank")
+        memo.imax = max((i for i, _ in values), default=0)
+        memo.values = values
+    pieces = memo.pieces
+    if len(pieces) <= kmax:
+        pieces = memo.pieces = _extended(m, memo, kmax)
+    pieces = tuple(pieces[:kmax + 1])
+    certified = kmax + max(memo.imax - 1, 0)
     cap = min(certified, budget)
-    table = _ProductTable(m, values)
-    pieces = _pieces(table, kmax)
     warnings = []
     if certified > budget:
         warnings.append(
@@ -198,7 +253,7 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         group=m.group,
         kmax=kmax,
         pieces=pieces,
-        graded=_graded_invariants(pieces),
+        graded=_graded_invariants(memo.graded, pieces),
         weight_cap=cap,
         exact=not warnings,
         warnings=tuple(warnings),
@@ -207,14 +262,18 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
 
 def witt_quotient(
     m: RingModel,
-) -> tuple[GroupPresentation, list[list[int]]]:
+) -> tuple[GroupPresentation, tuple[tuple[int, ...], ...]]:
     """Quotient presentation of the group by the hyperbolic classes, and the
-    projection rows onto its coordinates."""
+    projection rows onto its coordinates, as tuples: one Smith form per
+    model, kept in its memo."""
     if m.hyperbolic is None:
         raise ValueError("model %s declares no hyperbolic classes" % m.name)
-    hyper = subgroup_from_generators(m.group, list(m.hyperbolic))
-    qpres, projection = quotient_presentation(m.group, hyper, prefix="w")
-    return qpres, projection
+    memo = _memo(m)
+    if memo.witt is None:
+        hyper = subgroup_from_generators(m.group, list(m.hyperbolic))
+        qpres, projection = quotient_presentation(m.group, hyper, prefix="w")
+        memo.witt = qpres, tuple(map(tuple, projection))
+    return memo.witt
 
 
 def witt_filtration(
@@ -230,17 +289,22 @@ def witt_filtration(
     if f is None:
         f = gamma_filtration(m, kmax=kmax)
 
+    memo = _memo(m)
     pieces = [full_subgroup(qpres)]
     for piece in f.pieces[1:]:
-        pieces.append(_span(
-            qpres, [project_element(qpres, projection, col) for col in piece.columns]
-        ))
+        image = memo.images.get(piece.columns)
+        if image is None:
+            image = memo.images[piece.columns] = _span(
+                qpres, [project_element(qpres, projection, col) for col in piece.columns]
+            )
+        pieces.append(image)
+    pieces = tuple(pieces)
     return FiltrationResult(
         model=m,
         group=qpres,
         kmax=f.kmax,
-        pieces=tuple(pieces),
-        graded=_graded_invariants(tuple(pieces)),
+        pieces=pieces,
+        graded=_graded_invariants(memo.witt_graded, pieces),
         weight_cap=f.weight_cap,
         exact=f.exact,
         warnings=f.warnings,

@@ -154,6 +154,8 @@ class RingModel:
         self.lambda_on_basis = tuple(lam)
         # basis_lambda_series, by (i, order)
         self._basis_series: dict[tuple[int, int], TruncSeries] = {}
+        # what the filtration derives from the model alone (filtration._Memo)
+        self._filtration = None
         self.hyperbolic = (
             None
             if hyperbolic is None

@@ -60,13 +60,6 @@ class F2Poly:
     def one(cls, nvars: int, maxdeg: int) -> "F2Poly":
         return cls(nvars, maxdeg, [(0,) * nvars])
 
-    @classmethod
-    def variable(cls, index: int, nvars: int, maxdeg: int) -> "F2Poly":
-        if not 0 <= index < nvars:
-            raise ValueError("variable index out of range")
-        exps = tuple(1 if j == index else 0 for j in range(nvars))
-        return cls(nvars, maxdeg, [exps])
-
     def _compatible(self, other: "F2Poly") -> None:
         if self.nvars != other.nvars or self.maxdeg != other.maxdeg:
             raise ValueError("mixed variable counts or truncation degrees")

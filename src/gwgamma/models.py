@@ -42,6 +42,9 @@ of terminating lambda-series, the second since H(M) splits into the line
 classes M and -M and e x = x for e the class of <-1>; the tests keep those
 quotients as the oracle.
 
+Each public constructor is interned (``_interned``): calls with equal
+arguments share one model, and its memos, while anyone holds it.
+
 Powers a^k are rewritten as integer combinations of the classes
 a_k = H(O(k)) - H(1) through the recursion
 
@@ -52,7 +55,10 @@ and inherit their series multiplicatively.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import weakref
 
 from .abelian import GroupElement, GroupPresentation
 from .lambdaring import (
@@ -90,6 +96,36 @@ def _model(name, group, unit, mul, aug, series, hyperbolic, trunc, params) -> Ri
     return ring
 
 
+def _interned(build):
+    """Intern a builtin constructor: a call whose arguments, defaults applied,
+    equal those of a call whose model is still held returns that model.
+
+    The models are kept in a ``weakref.WeakValueDictionary``, so one lives
+    while anyone holds it and no size bound is needed.  A model is immutable
+    once built, so every caller may share it and the memos it keeps (basis
+    series, filtration pieces).  A call that raises caches nothing;
+    ``__wrapped__`` is the uncached build.
+    """
+    signature = inspect.signature(build)
+    models = weakref.WeakValueDictionary()
+
+    @functools.wraps(build)
+    def interned(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        # the type too, so that r=2.0 or r=True is not the model of r=2 or r=1
+        key = tuple((v, type(v)) for v in bound.arguments.values())
+        try:
+            model = models.get(key)
+        except TypeError:  # an unhashable argument: the build alone decides
+            return build(*args, **kwargs)
+        if model is None:
+            model = models[key] = build(*args, **kwargs)
+        return model
+
+    return interned
+
+
 def _basis_vec(rank: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(rank))
 
@@ -101,6 +137,7 @@ def _from_gamma(coeffs: list[RingElement], trunc: int) -> TruncSeries:
     return lambda_from_gamma(TruncSeries.from_coeffs(one, coeffs, trunc))
 
 
+@_interned
 def gw_point(base: str = "C", trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     return _projective(base, 0, trunc)
 
@@ -122,6 +159,7 @@ def twisted_hyperbolic_classes(model: RingModel, count: int) -> list[RingElement
     return out[: count + 1]
 
 
+@_interned
 def gw_projective(
     base: str = "C", r: int = 1, trunc: int = DEFAULT_TRUNCATION
 ) -> RingModel:
@@ -196,6 +234,7 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
     )
 
 
+@_interned
 def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     if base != "R":
         raise ValueError("only the real punctured line is shipped")
@@ -235,6 +274,7 @@ def punctured_gamma_coefficients(f: int, count: int) -> list[int]:
     return out
 
 
+@_interned
 def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     """Reduced part of GW of odd punctured affine space over C.
 
@@ -267,6 +307,7 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     )
 
 
+@_interned
 def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     """Curve times projective line, with s two-torsion line bundle classes.
 
@@ -351,12 +392,14 @@ def line_elements(model: RingModel) -> frozenset:
     return frozenset(lines.values())
 
 
+@_interned
 def _point_c(trunc: int = DEFAULT_TRUNCATION) -> RingModel:
-    return gw_point("C", trunc)
+    return _projective("C", 0, trunc)
 
 
+@_interned
 def _point_r(trunc: int = DEFAULT_TRUNCATION) -> RingModel:
-    return gw_point("R", trunc)
+    return _projective("R", 0, trunc)
 
 
 BUILTINS = {

@@ -48,5 +48,5 @@ def test_exact_pieces_respect_adams_operations():
 
 def test_pieces_built_short_fail_adams(monkeypatch):
     first_products_only(monkeypatch)
-    caught = [f.model.name for f in exact_results() if first_adams_failure(f)]
+    caught = [f.model.name for f in exact_results(fresh=True) if first_adams_failure(f)]
     assert {"Z[C4]", "Z[C2xC2]", "Z[C2xC2xC2]", "Z[C2xC4]"} <= set(caught)

@@ -214,7 +214,7 @@ def test_special_pair_builds_each_lambda_series_once(monkeypatch):
         return real(x, order)
 
     monkeypatch.setattr(lambdaring, "lambda_total", counted)
-    m = BUILTINS["gw_projective"]("R", 3)
+    m = BUILTINS["gw_projective"].__wrapped__("R", 3)
     basis = m.basis_elements()
     for i, x in enumerate(basis):
         for y in basis[i:]:

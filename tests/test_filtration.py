@@ -230,7 +230,7 @@ def test_witt_filtration_refuses_another_models_filtration():
     with pytest.raises(ValueError, match="not a gamma filtration"):
         witt_filtration(m, gamma_filtration(gw_projective("C", 4), kmax=3))
     with pytest.raises(ValueError, match="not a gamma filtration"):
-        witt_filtration(m, gamma_filtration(gw_punctured_line(), kmax=3))
+        witt_filtration(m, gamma_filtration(gw_punctured_line.__wrapped__(), kmax=3))
     w = witt_filtration(m, kmax=3)
     assert w.exact
     assert w.graded == ((2,), (2, 2), (2, 2))
@@ -344,7 +344,7 @@ def test_piece_needs_products_above_kmax(gamma, exact, cap):
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: trivial_model(40), lambda: gw_surface_cxp1(12)],
+    "build", [lambda: trivial_model(40), lambda: gw_surface_cxp1.__wrapped__(12)],
     ids=["trivial40", "surface12"],
 )
 def test_filtration_work_bound(monkeypatch, build):
@@ -378,7 +378,7 @@ def test_filtration_builds_no_f1_subgroup(monkeypatch):
     monkeypatch.setattr(
         abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
     )
-    gamma_filtration(gw_point("C"), kmax=1)
+    gamma_filtration(gw_point.__wrapped__("C"), kmax=1)
     assert len(calls) == 1
 
 
@@ -388,7 +388,7 @@ def test_filtration_makes_no_membership_test(monkeypatch, orders):
     # multiplies them into it and tests each product with Subgroup.contains
     from gwgamma.abelian import Subgroup
 
-    m = group_ring(orders)
+    m = group_ring.__wrapped__(orders)
     calls = []
     contains = Subgroup.contains
     monkeypatch.setattr(
@@ -399,8 +399,9 @@ def test_filtration_makes_no_membership_test(monkeypatch, orders):
 
 
 @pytest.mark.parametrize("build,kmax", [
-    (lambda: gw_surface_cxp1(2), 5), (lambda: gw_projective("R", 4), 8),
-    (lambda: gw_projective("C", 12), 8),
+    (lambda: gw_surface_cxp1.__wrapped__(2), 5),
+    (lambda: gw_projective.__wrapped__("R", 4), 8),
+    (lambda: gw_projective.__wrapped__("C", 12), 8),
 ], ids=["surface2", "P4R", "P12C"])
 def test_filtration_makes_one_hnf_per_piece(monkeypatch, build, kmax):
     # F^k is one span of the gamma-values of weight >= k and the products
@@ -426,7 +427,8 @@ def test_witt_quotient_makes_one_smith_form(monkeypatch):
     monkeypatch.setattr(
         abelian, "smith_normal_form", lambda rows: calls.append(rows) or snf(rows)
     )
-    for m in (gw_point("R"), gw_punctured_a5(3), gw_surface_cxp1(2)):
+    for build, arg in ((gw_point, "R"), (gw_punctured_a5, 3), (gw_surface_cxp1, 2)):
+        m = build.__wrapped__(arg)
         calls.clear()
         witt_quotient(m)
         assert len(calls) == 1

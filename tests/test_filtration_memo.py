@@ -1,0 +1,230 @@
+"""The filtration memo and the interned builtins against the uncached path.
+
+A builtin constructor returns one model per set of arguments while anyone
+holds it, and ``gamma_filtration`` keeps on the model what it derives from
+the model alone: the pieces built so far, the graded groups, the Witt
+quotient and the Witt images.  A call at kmax extends the stored pieces or
+slices them.  Here each model of the filtration-sweep and of the CLI range,
+the benchmark's group rings and the K(P^n1 x ... x P^nr) members of rank at
+most 16 are filtered in a drawn order of kmax values, which mixes
+extensions with slices, on one shared model; every result must equal the
+result of a fresh, uncached build filtered at that kmax alone.
+"""
+
+import gc
+import importlib.util
+import os
+import re
+import sys
+import threading
+import weakref
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gwgamma
+from gwgamma import abelian
+from gwgamma.filtration import gamma_filtration, witt_filtration, witt_quotient
+from gwgamma.models import BUILTINS, gw_projective, gw_surface_cxp1
+
+from test_filtration_oracle import CLI_BUILTINS
+from test_filtration_refusals import (
+    nonzero_rank_ring,
+    unkilled_torsion_ring,
+    zero_augmentation_ring,
+)
+from test_projective_products import MEMBERS, projective_product
+
+JOBS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "jobs.py"
+)
+
+
+def load_jobs():
+    spec = importlib.util.spec_from_file_location("bench_jobs", JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no cache file under bench/
+    try:
+        spec.loader.exec_module(jobs)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return jobs
+
+
+JOBS_MODULE = load_jobs()
+
+
+def _builtin_cases():
+    """(name, kwargs) of every CLI builtin and every sweep builtin."""
+    cases = list(CLI_BUILTINS)
+    for name, kwargs, _ in JOBS_MODULE.SWEEP_BUILTINS:
+        if (name, kwargs) not in cases:
+            cases.append((name, kwargs))
+    return cases
+
+
+# key: (shared build, uncached build, kmax values)
+MODELS = {}
+for _name, _kwargs in _builtin_cases():
+    _key = "%s%s" % (_name, "".join("-%s" % v for v in _kwargs.values()))
+    MODELS[_key] = (
+        lambda n=_name, kw=_kwargs: BUILTINS[n](**kw),
+        lambda n=_name, kw=_kwargs: BUILTINS[n].__wrapped__(**kw),
+        range(1, 9),
+    )
+for _label, (_, _cap) in JOBS_MODULE.GROUP_RINGS.items():
+    _build = (lambda label=_label: JOBS_MODULE.group_ring(gwgamma, label))
+    MODELS["Z[%s]" % _label] = (_build, _build, range(1, _cap + 1))
+for _ns in MEMBERS:
+    _build = (lambda ns=_ns: projective_product(ns))
+    MODELS["K" + "x".join(map(str, _ns))] = (
+        _build, _build, range(1, min(sum(_ns) + 1, 16) + 1))
+
+
+def fields(f):
+    return (f.group, f.kmax, f.pieces, f.graded, f.weight_cap, f.exact, f.warnings)
+
+
+def results(m, kmax):
+    f = gamma_filtration(m, kmax)
+    assert f.model is m
+    w = witt_filtration(m, f) if m.hyperbolic is not None else None
+    return fields(f), w and fields(w)
+
+
+@pytest.fixture(scope="module")
+def held():
+    """One shared model per key, held while this module runs, so that each
+    drawn order continues the memo the earlier ones left; and the results of
+    an uncached build filtered at one kmax, by (key, kmax)."""
+    return {}, {}
+
+
+@pytest.mark.parametrize("key", list(MODELS))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_memo_matches_uncached_build(held, key, data):
+    shared, uncached, kmaxes = MODELS[key]
+    models, references = held
+    m = models.setdefault(key, shared())
+    if shared is not uncached:
+        assert shared() is m
+    order = data.draw(st.lists(st.sampled_from(kmaxes), min_size=2, max_size=4))
+    for kmax in order:
+        if (key, kmax) not in references:
+            references[key, kmax] = results(uncached(), kmax)
+        assert results(m, kmax) == references[key, kmax], (key, order, kmax)
+
+
+def test_orders_extend_and_slice():
+    # extensions 2 -> 5 -> 8, then slices 8 -> 2 and 2 -> 5, on one memo
+    m = gw_surface_cxp1.__wrapped__(3)
+    got = {k: gamma_filtration(m, k) for k in (2, 5, 8, 2, 5)}
+    fresh = gamma_filtration(gw_surface_cxp1.__wrapped__(3), 8)
+    assert got[8].pieces == fresh.pieces
+    assert got[2].pieces == fresh.pieces[:3]
+    assert got[5].graded == fresh.graded[:5]
+
+
+def counted_hnfs(monkeypatch):
+    calls = []
+    hnf = abelian.hnf_columns
+    monkeypatch.setattr(
+        abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
+    )
+    return calls
+
+
+def test_pieces_are_built_once(monkeypatch):
+    # an extension builds only the new pieces, one HNF each; a slice builds
+    # none, and neither does a second Witt filtration or Witt quotient
+    calls = counted_hnfs(monkeypatch)
+    m = gw_projective.__wrapped__("R", 6)
+    f = gamma_filtration(m, kmax=2)
+    assert len(calls) == 2
+    gamma_filtration(m, kmax=5)
+    assert len(calls) == 5
+    gamma_filtration(m, kmax=3)
+    gamma_filtration(m, kmax=5)
+    assert len(calls) == 5
+    witt_filtration(m, f)
+    before = len(calls)
+    witt_filtration(m, f)
+    witt_quotient(m)
+    assert len(calls) == before
+
+
+def test_witt_quotient_projection_is_immutable():
+    m = gw_surface_cxp1.__wrapped__(2)
+    qpres, projection = witt_quotient(m)
+    assert isinstance(projection, tuple)
+    assert all(isinstance(row, tuple) for row in projection)
+    assert witt_quotient(m) == (qpres, projection)
+
+
+@pytest.mark.parametrize("build,message", [
+    (zero_augmentation_ring, re.escape("d(b1*b1) = 1 != 0")),
+    (nonzero_rank_ring, "a gamma-value has nonzero rank"),
+    (unkilled_torsion_ring, re.escape("order 2 of b2 does not kill b2*b2")),
+], ids=["augmentation", "rank", "torsion"])
+def test_refused_model_raises_on_every_call(build, message):
+    m = build()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            gamma_filtration(m, kmax=1)
+        with pytest.raises(ValueError, match=message):
+            witt_filtration(m, kmax=1)
+
+
+def test_equal_calls_share_one_model():
+    m = gw_projective("C", 3)
+    assert gw_projective(base="C", r=3, trunc=16) is m
+    assert gw_projective("C", 3, 16) is m
+    assert gw_projective("C", 3, trunc=15) is not m
+    assert gw_projective.__wrapped__("C", 3) is not m
+    assert BUILTINS["gw_point_R"]() is BUILTINS["gw_point_R"](trunc=16)
+
+
+def test_errors_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="r must lie in 1..12"):
+            gw_projective("C", 13)
+
+
+def test_dropped_builtin_is_released():
+    # a call no other test makes, so that nothing else holds its model
+    m = gw_surface_cxp1(5, trunc=11)
+    gamma_filtration(m, kmax=3)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_extending_one_memo_read_whole_pieces():
+    # interned models are shared across the process, so threads may extend
+    # one memo at the same time; each must read F^0..F^kmax whole
+    want = {k: gamma_filtration(gw_surface_cxp1.__wrapped__(6), k).pieces for k in (3, 8)}
+    errors = []
+
+    def run(m, kmax):
+        try:
+            assert gamma_filtration(m, kmax).pieces == want[kmax]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            m = gw_surface_cxp1.__wrapped__(6)
+            threads = [threading.Thread(target=run, args=(m, k)) for k in (8, 3, 8, 3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []

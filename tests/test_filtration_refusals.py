@@ -59,15 +59,41 @@ def test_non_multiplicative_augmentation_is_refused(m, kmax):
         witt_filtration(with_hyperbolic(m), kmax=kmax)
 
 
-def test_group_ring_with_zero_augmentation_is_refused():
-    # Z[C2] on the basis (1, g) with d(g) = 0: d(g*g) = d(1) = 1, and the
-    # homomorphism check is the only one validate_model fails.  g = gamma^1(g)
-    # and g*g = 1 put the unit into F^1, which was flagged exact at kmax 1
-    # with F^1 = Z^2, although the kernel is Zg
+def zero_augmentation_ring():
+    """Z[C2] on the basis (1, g) with d(g) = 0: d(g*g) = d(1) = 1."""
     group = GroupPresentation((0, 0), ("one", "g"))
-    m = RingModel("Z[C2], d(g) = 0", group, (1, 0),
-                  {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 0)},
-                  (1, 0), [[(1, 0)], [(0, 1)]], hyperbolic=())
+    return RingModel("Z[C2], d(g) = 0", group, (1, 0),
+                     {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 0)},
+                     (1, 0), [[(1, 0)], [(0, 1)]], hyperbolic=())
+
+
+def nonzero_rank_ring():
+    """Basis (1, x), x^2 = x, d(x) = 0 and lambda_t(x) = 1 + x t + t^2."""
+    group = GroupPresentation((0, 0), ("one", "x"))
+    return RingModel("x^2 = x", group, (1, 0),
+                     {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)},
+                     (1, 0), [[(1, 0)], [(0, 1), (1, 0)]], hyperbolic=(), trunc=6)
+
+
+def unkilled_torsion_ring():
+    """Basis (1, y, x), 1 and y free, x of order 2, x*x = y, ranks (1, 0, 0),
+    gamma_t(y) = 1 + y t and gamma_t(x) = 1 + x t."""
+    group = GroupPresentation((0, 0, 2), ("one", "y", "x"))
+    lam = [[(1, 0, 0)]] + [
+        [tuple((-1) ** k * c for c in b) for k in range(6)]
+        for b in ((0, 1, 0), (0, 0, 1))
+    ]
+    return RingModel("x*x = y, 2x = 0", group, (1, 0, 0),
+                     {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1),
+                      (2, 2): (0, 1, 0)},
+                     (1, 0, 0), lam, hyperbolic=(), trunc=6)
+
+
+def test_group_ring_with_zero_augmentation_is_refused():
+    # the homomorphism check is the only one validate_model fails.
+    # g = gamma^1(g) and g*g = 1 put the unit into F^1, which was flagged
+    # exact at kmax 1 with F^1 = Z^2, although the kernel is Zg
+    m = zero_augmentation_ring()
     assert [c.name for c in validate_model(m).checks if not c.ok] == [
         "augmentation is a ring homomorphism"]
     for kmax in (1, 2):
@@ -78,14 +104,10 @@ def test_group_ring_with_zero_augmentation_is_refused():
 
 
 def test_gamma_value_of_nonzero_rank_is_refused():
-    # basis (1, x), x^2 = x, d(x) = 0 and lambda_t(x) = 1 + x t + t^2:
     # lambda^2(x) = 1 has rank 1, so gamma^2(x) = 1 + x does too, and the
     # span of the gamma-values, Z^2, is not the kernel Zx.  It was flagged
     # exact at kmax 1 with F^1 = Z^2
-    group = GroupPresentation((0, 0), ("one", "x"))
-    m = RingModel("x^2 = x", group, (1, 0),
-                  {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)},
-                  (1, 0), [[(1, 0)], [(0, 1), (1, 0)]], hyperbolic=(), trunc=6)
+    m = nonzero_rank_ring()
     assert [c.name for c in validate_model(m).checks if not c.ok] == [
         "augmentation compatible with lambda-series"]
     with pytest.raises(ValueError, match="a gamma-value has nonzero rank"):
@@ -95,20 +117,11 @@ def test_gamma_value_of_nonzero_rank_is_refused():
 
 
 def test_torsion_that_does_not_kill_its_products_is_refused():
-    # basis (1, y, x), 1 and y free, x of order 2, x*x = y, ranks (1, 0, 0),
-    # gamma_t(y) = 1 + y t and gamma_t(x) = 1 + x t, so lambda_t(b) = 1 + b t
-    # - b t^2 + b t^3 - ...  2x = 0 but (2x)*x = 2y is not, so x*x depends on
-    # the representative of x, and g times a combination of columns need not
-    # be that combination of products.  It was flagged exact at kmax 1..4
-    group = GroupPresentation((0, 0, 2), ("one", "y", "x"))
-    lam = [[(1, 0, 0)]] + [
-        [tuple((-1) ** k * c for c in b) for k in range(6)]
-        for b in ((0, 1, 0), (0, 0, 1))
-    ]
-    m = RingModel("x*x = y, 2x = 0", group, (1, 0, 0),
-                  {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1),
-                   (2, 2): (0, 1, 0)},
-                  (1, 0, 0), lam, hyperbolic=(), trunc=6)
+    # lambda_t(b) = 1 + b t - b t^2 + b t^3 - ... for b = y, x.  2x = 0 but
+    # (2x)*x = 2y is not, so x*x depends on the representative of x, and g
+    # times a combination of columns need not be that combination of
+    # products.  It was flagged exact at kmax 1..4
+    m = unkilled_torsion_ring()
     message = re.escape("order 2 of b2 does not kill b2*b2")
     for kmax in range(1, 5):
         with pytest.raises(ValueError, match=message):

@@ -447,16 +447,16 @@ def test_projective_build_work_bound(monkeypatch):
     monkeypatch.setattr(TruncSeries, "inverse", counted_inverse)
     monkeypatch.setattr(RingModel, "dot", counted_dot)
     monkeypatch.setattr(series, "_product", counted_product)
-    m = gw_projective("R", 12, trunc=20)
+    m = gw_projective.__wrapped__("R", 12, trunc=20)
     assert 0 < calls[0] <= 50_000
     assert 0 < products[0] <= 129
     assert 0 < columns[0] <= 120
     assert inverses[0] == 0
     assert 0 < pairs[0] <= 10
     for name, kwargs in CLI_BUILTINS:
-        BUILTINS[name](**kwargs)
+        BUILTINS[name].__wrapped__(**kwargs)
     assert inverses[0] == 0
-    for model, before in ((m, 312), (gw_projective("R", 9, trunc=20), 245)):
+    for model, before in ((m, 312), (gw_projective.__wrapped__("R", 9, trunc=20), 245)):
         dots[0] = 0
         assert validate_model(model).ok
         assert dots[0] <= before, model.name
