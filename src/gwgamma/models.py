@@ -50,7 +50,11 @@ a_k = H(O(k)) - H(1) through the recursion
 
     a_0 = 0,  a_1 = a,  a_k = (a + 2) a_{k-1} - a_{k-2} + 2a,
 
-and inherit their series multiplicatively.
+and inherit their gamma-series multiplicatively: gamma_t(a^k) is the product
+of the matching powers of 1 + a_j t - a_j t^2.  Every a_j lies in the ideal
+(a), and (a)^(top+1) = 0 for the top power a^top, so that product is a
+polynomial of degree at most 2 top.  It is computed at order 2 top, exactly,
+and ``_from_gamma`` pads or cuts it to the truncation.
 """
 
 from __future__ import annotations
@@ -130,11 +134,17 @@ def _basis_vec(rank: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(rank))
 
 
-def _from_gamma(coeffs: list[RingElement], trunc: int) -> TruncSeries:
-    """lambda_t of the rank-zero class with gamma-series 1 + c_1 t + c_2 t^2
-    + ..., to order trunc."""
-    one = coeffs[0].model.unit_element
-    return lambda_from_gamma(TruncSeries.from_coeffs(one, coeffs, trunc))
+def _from_gamma(gamma: TruncSeries | list[RingElement], trunc: int) -> TruncSeries:
+    """lambda_t, to order trunc, of the rank-zero class with gamma-series
+    1 + c_1 t + c_2 t^2 + ..., given by c_1, c_2, ... as a list or as a
+    series of any order: coefficients past its end are taken as zero, and
+    those past trunc are dropped."""
+    if not isinstance(gamma, TruncSeries):
+        gamma = TruncSeries.from_coeffs(gamma[0].model.unit_element, gamma, len(gamma))
+    pad = [0] * (trunc - gamma.order)
+    columns = ((k, col[:trunc + 1] + pad) for k, col in gamma._columns.items())
+    return lambda_from_gamma(
+        TruncSeries._of(gamma.model, trunc, {k: col for k, col in columns if any(col)}))
 
 
 @_interned
@@ -202,24 +212,25 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
         one = ring.unit_element
         out = [TruncSeries.from_coeffs(one, [b], trunc) for b in ring.basis_elements()[:nb]]
         a_cls = twisted_hyperbolic_classes(ring, top) if top else []
-        a_series = [_from_gamma([a, -a], trunc) for a in a_cls[1:]]
+        # gamma_t(a^k) has degree at most 2 top, so order 2 top holds it exactly
+        a_gamma = [TruncSeries.from_coeffs(one, [a, -a], 2 * top) for a in a_cls[1:]]
         # rewrite a^k as an integer combination of a_1..a_k by back-substitution
         # (a_k = a^k + lower powers of a with unit leading coefficient); a^k
-        # inherits the product of the matching powers of the a_j series
+        # inherits the product of the matching powers of the a_j gamma-series
         for k in range(1, top + 1):
             residue = list(ring.basis_element(nb + k - 1).value.coeffs)
             power = None
             for j in range(k, 0, -1):
                 c = residue[nb + j - 1]
                 if c:
-                    factor = a_series[j - 1].pow(c)
+                    factor = a_gamma[j - 1].pow(c)
                     power = factor if power is None else power * factor
                     for t, v in enumerate(a_cls[j].value.coeffs):
                         residue[t] -= c * v
                 residue = list(group.reduce(residue))
             if any(residue):
                 raise AssertionError("power of a not spanned by twisted classes")
-            out.append(power)
+            out.append(_from_gamma(power, trunc))
         return out
 
     if r:

@@ -44,8 +44,9 @@ total gamma-series are linear with binomial coefficients:
     t -> t/(1-t):   out_k = sum_i C(k-1, k-i) * c_i          (k >= 1)
     t -> t/(1+t):   out_k = sum_i (-1)^(k-i) C(k-1, k-i) * c_i
 
-They run per column: each column of c_1..c_N is summed against the cached
-row of signed binomials of each degree, and reduced once.
+They run per column: each column of c_1..c_N, up to its last nonzero
+degree D, is summed against the cached row of signed binomials of each
+degree, and reduced once, so a column costs O(N D) products, not O(N^2).
 
 Inversion, memoized on the series, requires the constant term to be the
 ring unit and proceeds by forward substitution: the nonzero coefficients
@@ -236,12 +237,15 @@ class TruncSeries:
 
     def _substitute(self, sign: int) -> "TruncSeries":
         """Apply t -> t/(1 - sign*t), one integer combination per column and
-        degree."""
+        degree, over the column's degrees up to its last nonzero one."""
         rows = _signed_binomials(sign, self.order)
-        out = {
-            k: [col[0]] + [sum(map(mul, row, col[1:])) for row in rows]
-            for k, col in self._columns.items()
-        }
+        out = {}
+        for k, col in self._columns.items():
+            last = len(col)
+            while not col[last - 1]:
+                last -= 1
+            body = col[1:last]
+            out[k] = [col[0]] + [sum(map(mul, row, body)) for row in rows]
         return TruncSeries._of(self.model, self.order, _reduced(self.model, out))
 
     def substitute_geometric(self) -> "TruncSeries":

@@ -391,6 +391,22 @@ def test_substitutions_match_oracle(drawn):
         assert alt == s.substitute_alternating()
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(model_and_elements(count=1))
+def test_substitutions_with_zero_tails_match_oracle(drawn):
+    # the drawn series above are mostly dense; here 1 + x t and 1 + x t - x t^2,
+    # the builtin gamma-polynomials, end in zeros, and the unit series and a
+    # coordinate of the unit that x lacks are nonzero only in degree 0
+    m, (x,) = drawn
+    for order in (1, 2, 16, 64):
+        for coeffs in ([x], [x, -x], []):
+            s = TruncSeries.from_coeffs(m.unit_element, coeffs, order)
+            geo, alt = s.substitute_geometric(), s.substitute_alternating()
+            with oracle_arithmetic():
+                assert geo == s.substitute_geometric()
+                assert alt == s.substitute_alternating()
+
+
 @ORACLE_SETTINGS
 @given(model_and_series(neutral_unit=True, count=1))
 def test_series_pow_matches_oracle(drawn):

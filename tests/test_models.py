@@ -406,7 +406,9 @@ def test_projective_build_work_bound(monkeypatch):
     # dot pairs and 270 reduce calls; now 15, 110, 5 and 241: the dot pairs
     # are the twisted classes' ring products, 309 when the build ran the
     # ring checks for pow), and no builtin of the CLI range does (37
-    # inverses in all when the series were quotients)
+    # inverses in all when the series were quotients); the powers a^k are
+    # multiplied as gamma-polynomials at order 2 top = 12, not as
+    # lambda-series at order 20 (column products 110 then, 70 now)
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
     dot = RingModel.dot
@@ -418,6 +420,7 @@ def test_projective_build_work_bound(monkeypatch):
     products = [0]
     dots = [0]
     pairs = [0]
+    orders = set()
 
     def counted(self, coeffs):
         calls[0] += 1
@@ -432,9 +435,10 @@ def test_projective_build_work_bound(monkeypatch):
         inverses[0] += self._inverse is None
         return series_inverse(self)
 
-    def counted_product(*args):
+    def counted_product(m, n, a, b):
         columns[0] += 1
-        return column_product(*args)
+        orders.add(n)
+        return column_product(m, n, a, b)
 
     def counted_dot(self, xy):
         xy = list(xy)
@@ -450,7 +454,8 @@ def test_projective_build_work_bound(monkeypatch):
     m = gw_projective.__wrapped__("R", 12, trunc=20)
     assert 0 < calls[0] <= 50_000
     assert 0 < products[0] <= 129
-    assert 0 < columns[0] <= 120
+    assert 0 < columns[0] <= 75
+    assert max(orders) <= 12
     assert inverses[0] == 0
     assert 0 < pairs[0] <= 10
     for name, kwargs in CLI_BUILTINS:

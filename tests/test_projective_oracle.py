@@ -1,0 +1,93 @@
+"""Differential test of the projective-space builder.
+
+``gw_projective`` reads the lambda-series of each power a^k off one
+gamma-polynomial: gamma_t(a^k) is the product of the powers of the twisted
+classes' gamma-series 1 + a_j t - a_j t^2, of degree at most 2 top since every
+a_j lies in the ideal (a) and (a)^(top+1) = 0, so it is computed at order
+2 top and then padded or cut to the truncation.
+
+The reference below is the earlier builder, which worked in lambda-space:
+lambda_t(a_j) = ``_from_gamma([a_j, -a_j], trunc)`` for each twisted class,
+and lambda_t(a^k) the product of their powers at the full truncation.  It
+lives here only as an oracle.  The truncations on either side of 2 top are
+compared: at trunc < 2 top the gamma-polynomial is cut, above it padded.
+"""
+
+import json
+
+import pytest
+
+from gwgamma.cli import model_to_dict
+from gwgamma.lambdaring import gamma_total
+from gwgamma.models import (
+    _from_gamma,
+    _model,
+    gw_projective,
+    projective_top_power,
+    twisted_hyperbolic_classes,
+)
+from gwgamma.series import TruncSeries
+
+TRUNCS = (1, 2, 3, 4, 6, 7, 11, 12, 13, 16, 20, 64)
+CASES = [(base, r) for base in "CR" for r in range(1, 13)]
+
+
+def lambda_space_series(ring, nb, top, trunc):
+    """The basis lambda-series of P^r as the earlier builder made them."""
+    one = ring.unit_element
+    out = [TruncSeries.from_coeffs(one, [b], trunc) for b in ring.basis_elements()[:nb]]
+    a_cls = twisted_hyperbolic_classes(ring, top)
+    a_series = [_from_gamma([a, -a], trunc) for a in a_cls[1:]]
+    # a^k as an integer combination of a_1..a_k by back-substitution; a^k
+    # inherits the product of the matching powers of the a_j lambda-series
+    for k in range(1, top + 1):
+        residue = list(ring.basis_element(nb + k - 1).value.coeffs)
+        power = None
+        for j in range(k, 0, -1):
+            c = residue[nb + j - 1]
+            if c:
+                factor = a_series[j - 1].pow(c)
+                power = factor if power is None else power * factor
+                for t, v in enumerate(a_cls[j].value.coeffs):
+                    residue[t] -= c * v
+            residue = list(ring.group.reduce(residue))
+        assert not any(residue)
+        out.append(power)
+    return out
+
+
+def oracle_projective(m):
+    """The model m with its basis lambda-series rebuilt by the oracle."""
+    rank = m.group.rank
+    nb = rank - projective_top_power(m.params["r"])
+    mul = {(i, j): tuple(dict(row).get(k, 0) for k in range(rank))
+           for i, rows in enumerate(m.products) for j, row in enumerate(rows) if row}
+    return _model(
+        m.name, m.group, m.unit.coeffs, mul, m.aug,
+        lambda ring: lambda_space_series(ring, nb, rank - nb, m.trunc),
+        [h.coeffs for h in m.hyperbolic], m.trunc, m.params,
+    )
+
+
+@pytest.mark.parametrize("base,r", CASES, ids=["%s%d" % c for c in CASES])
+def test_projective_matches_lambda_space_oracle(base, r):
+    for trunc in TRUNCS:
+        m = gw_projective.__wrapped__(base, r, trunc)
+        got = json.dumps(model_to_dict(m), sort_keys=True)
+        assert got == json.dumps(model_to_dict(oracle_projective(m)), sort_keys=True), trunc
+
+
+@pytest.mark.parametrize("base,r", CASES, ids=["%s%d" % c for c in CASES])
+def test_power_gamma_series_degree_bound(base, r):
+    # gamma_t(a^k) read off the stored lambda-series, through the generic
+    # path, vanishes above degree 2 top: the order the builder works at;
+    # some power reaches it unless a^top has order two (r = 1 mod 4, r > 1)
+    m = gw_projective(base, r, trunc=20)
+    top = projective_top_power(r)
+    nb = m.group.rank - top
+    degrees = []
+    for k in range(1, top + 1):
+        rows = gamma_total(m.basis_element(nb + k - 1)).rows()
+        degrees.append(max(d for d, row in enumerate(rows) if any(row)))
+    assert max(degrees) <= 2 * top, degrees
+    assert max(degrees) == 2 * top or r % 4 == 1, degrees
