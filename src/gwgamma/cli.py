@@ -376,10 +376,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_filtration(args: argparse.Namespace) -> int:
     m = load_model(args.target, args)
+    f = gamma_filtration(m, kmax=args.max_degree)
     if args.witt:
-        f = witt_filtration(m, kmax=args.max_degree)
-    else:
-        f = gamma_filtration(m, kmax=args.max_degree)
+        f = witt_filtration(m, f)
     if args.as_json:
         print(json.dumps(_filtration_json(f, args.witt), sort_keys=True, indent=2))
     else:

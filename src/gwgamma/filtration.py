@@ -33,21 +33,21 @@ o_k, hence the torsion refusal.
 The pieces are computed once per model and extended on demand.  What the
 filtration derives from the model alone is kept on it, in one memo
 (``RingModel._filtration``, see ``_Memo``): the verdict that the model
-passed the refusals, its gamma-values and i_max, the pieces F^0..F^k built
-so far, the invariants of each pair of adjacent pieces, the Witt quotient
-and the Witt image of each piece.  A call at kmax extends the stored pieces
-up to F^kmax, the first call from F^0, or slices them; only ``exact``,
-``warnings`` and ``weight_cap`` are computed per call.  A model is
-immutable once built, and the memo assumes it.  A refused model keeps no
-verdict and raises on every call.
+passed the refusals, its gamma-values by weight (i_max is the largest), the
+pieces F^0..F^k built so far, the invariants of each pair of adjacent
+pieces, the Witt quotient and the Witt image of each piece.  A call at kmax
+extends the stored pieces up to F^kmax, the first call from F^0, or slices
+them; only ``exact``, ``warnings`` and ``weight_cap`` are computed per
+call.  A model is immutable once built, and the memo assumes it.  A refused
+model keeps no verdict and raises on every call.
 
-All products of one extension come from one product table, built from the
-stored gamma-values and freed when the call returns.  The gamma-values are
-coefficient tuples read off the columns of the gamma-series, deduplicated
-by value across generators and weights.  g * F is computed once per
-distinct value g and piece F, one ``RingModel.dot`` per column of F, and
-keyed by the HNF columns of F: the HNF is canonical, so equal pieces share
-every product list.
+The gamma-values are coefficient tuples read off the columns of the
+gamma-series, stored once per model as the distinct values of each weight.
+All products come from one function, ``_times``: g * F is computed once
+per distinct value g and piece F within one extension, one
+``RingModel.dot`` per column of F, and keyed by the HNF columns of F: the
+HNF is canonical, so equal pieces share every product list.  The lists are
+freed when the extension returns.
 
 The result is flagged exact when each generator's gamma-series vanishes
 beyond some weight i_max and the certified cap kmax + i_max - 1 lies inside
@@ -67,7 +67,6 @@ model and piece.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .abelian import (
     GroupPresentation,
@@ -98,70 +97,46 @@ class FiltrationResult:
 
 def _gamma_values(
     gens: tuple[RingElement, ...], order: int
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(i, coefficients of gamma^i(e)) for every generator e and nonzero
-    value, 1 <= i <= order, read off the columns of its gamma-series."""
-    values = []
+) -> dict[int, list[tuple[int, ...]]]:
+    """The distinct nonzero coefficient tuples of gamma^i(e) by weight i,
+    1 <= i <= order, over the generators e: weights and values in first-seen
+    order, read off the columns of each gamma-series."""
+    values: dict[int, dict[tuple[int, ...], None]] = {}
     for e in gens:
-        rows = gamma_total(e, order).rows()
-        values.extend((i, g) for i, g in enumerate(rows) if i and any(g))
-    return values
+        for i, g in enumerate(gamma_total(e, order).rows()):
+            if i and any(g):
+                values.setdefault(i, {})[g] = None
+    return {i: list(gs) for i, gs in values.items()}
 
 
-class _ProductTable:
-    """Products of the distinct gamma-values with whole spans, for one run.
-
-    `values` are the distinct values as reduced coefficient tuples,
-    `by_weight[i]` the indices of the distinct values of weight i,
-    `entries[k]` the sparse entries of values[k].  `spans` maps the HNF
-    columns of a span to its reduced nonzero columns (sparse) and its
-    product lists by value index.  Each product is one `RingModel.dot`.
-    """
-
-    def __init__(self, m: RingModel, values: list[tuple[int, tuple[int, ...]]]):
-        self.model = m
-        self.pres = m.group
-        index: dict[tuple[int, ...], int] = {}
-        self.by_weight: dict[int, list[int]] = {}
-        for i, g in values:
-            k = index.setdefault(g, len(index))
-            if k not in self.by_weight.setdefault(i, []):
-                self.by_weight[i].append(k)
-        self.values = list(index)
-        self.entries = [_entries(g) for g in self.values]
-        self.spans: dict[tuple, tuple[list, dict[int, list[tuple[int, ...]]]]] = {}
-
-    def times(self, ks: Iterable[int], sub: Subgroup) -> list[tuple[int, ...]]:
-        """The nonzero products of the values ks with the columns of sub,
-        distinct for each value, each list computed once per equal span."""
-        entry = self.spans.get(sub.columns)
-        if entry is None:
-            reduced = (self.pres.reduce(c) for c in sub.columns)
-            entry = self.spans[sub.columns] = (
-                [_entries(c) for c in reduced if any(c)], {}
-            )
-        cols, memo = entry
-        dot = self.model.dot
-        out = []
-        for k in ks:
-            if k not in memo:
-                g = self.entries[k]
-                found = {}
-                for col in cols:
-                    p = dot(((g, col),))
-                    if any(p):
-                        found[p] = None
-                memo[k] = list(found)
-            out += memo[k]
-        return out
+def _times(
+    m: RingModel, spans: dict, values: list[tuple[int, ...]], sub: Subgroup
+) -> list[tuple[int, ...]]:
+    """The distinct nonzero products of each of `values` with the columns of
+    sub, one ``RingModel.dot`` each, in order.  `spans` maps the HNF columns
+    of a span to its reduced nonzero columns (sparse) and its product lists
+    by value, so each list is computed once per value and equal span."""
+    entry = spans.get(sub.columns)
+    if entry is None:
+        reduced = (m.group.reduce(c) for c in sub.columns)
+        entry = spans[sub.columns] = ([_entries(c) for c in reduced if any(c)], {})
+    cols, products = entry
+    out = []
+    for g in values:
+        if g not in products:
+            e = _entries(g)
+            found = (m.dot(((e, col),)) for col in cols)
+            products[g] = list(dict.fromkeys(p for p in found if any(p)))
+        out += products[g]
+    return out
 
 
 class _Memo:
     """What the filtration derives from one model alone, filled on demand.
 
-    `values` are the gamma-values, None until the model passed the
-    refusals, and `imax` the largest weight among them; `pieces` are
-    F^0..F^k as built so far.  `graded` and `witt_graded` map the HNF columns
+    `values` are the gamma-values by weight, as ``_gamma_values`` returns
+    them, None until the model passed the refusals; `pieces` are F^0..F^k
+    as built so far.  `graded` and `witt_graded` map the HNF columns
     of two adjacent pieces, of the group and of the Witt quotient, to the
     invariants of their quotient.  `witt` is the Witt quotient and its
     projection rows, as tuples; `images` maps the HNF columns of a piece to
@@ -169,8 +144,7 @@ class _Memo:
     """
 
     def __init__(self, m: RingModel):
-        self.values: list[tuple[int, tuple[int, ...]]] | None = None
-        self.imax = 0
+        self.values: dict[int, list[tuple[int, ...]]] | None = None
         self.pieces = [full_subgroup(m.group)]
         self.graded: dict[tuple, tuple[int, ...]] = {}
         self.witt: tuple[GroupPresentation, tuple[tuple[int, ...], ...]] | None = None
@@ -187,18 +161,19 @@ def _memo(m: RingModel) -> _Memo:
 def _extended(m: RingModel, memo: _Memo, kmax: int) -> list[Subgroup]:
     """The stored pieces extended to F^kmax, F^k spanned by the gamma-values
     of weight >= k and, for k >= 2, the products of each value of weight i
-    with F^max(k-i, 1), from one product table.  A new list: a call that
-    extends the memo at the same time still reads a whole one."""
+    with F^max(k-i, 1), each product list from ``_times`` once per value and
+    span.  A new list: a call that extends the memo at the same time still
+    reads a whole one."""
     pieces = list(memo.pieces)
-    table = _ProductTable(m, memo.values)
+    spans: dict = {}
     for k in range(len(pieces), kmax + 1):
         vecs = []
-        for i, ks in table.by_weight.items():
+        for i, gs in memo.values.items():
             if i >= k:
-                vecs += (table.values[j] for j in ks)
+                vecs += gs
             if k > 1:
-                vecs += table.times(ks, pieces[max(k - i, 1)])
-        pieces.append(_span(table.pres, vecs))
+                vecs += _times(m, spans, gs, pieces[max(k - i, 1)])
+        pieces.append(_span(m.group, vecs))
     return pieces
 
 
@@ -232,15 +207,14 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
                 raise ValueError("order %d of b%d does not kill b%d*b%d" % (o, i, i, j))
         gens = tuple(m.element(v) for v in kernel_basis(m.aug))
         values = _gamma_values(gens, budget)
-        if any(sum(a * c for a, c in zip(m.aug, g)) for _, g in values):
+        if any(sum(a * c for a, c in zip(m.aug, g)) for gs in values.values() for g in gs):
             raise ValueError("F^1 is not the rank kernel: a gamma-value has nonzero rank")
-        memo.imax = max((i for i, _ in values), default=0)
         memo.values = values
     pieces = memo.pieces
     if len(pieces) <= kmax:
         pieces = memo.pieces = _extended(m, memo, kmax)
     pieces = tuple(pieces[:kmax + 1])
-    certified = kmax + max(memo.imax - 1, 0)
+    certified = kmax + max(max(memo.values, default=0) - 1, 0)
     cap = min(certified, budget)
     warnings = []
     if certified > budget:
@@ -276,19 +250,12 @@ def witt_quotient(
     return memo.witt
 
 
-def witt_filtration(
-    m: RingModel,
-    f: FiltrationResult | None = None,
-    kmax: int = 8,
-) -> FiltrationResult:
-    """Image of the gamma filtration ``f`` of m (computed when None) in the
-    quotient by hyperbolic classes."""
-    if f is not None and (f.model is not m or f.group != m.group):
+def witt_filtration(m: RingModel, f: FiltrationResult) -> FiltrationResult:
+    """Image of the gamma filtration ``f`` of m in the quotient by hyperbolic
+    classes."""
+    if f.model is not m or f.group != m.group:
         raise ValueError("f is not a gamma filtration of model %s" % m.name)
     qpres, projection = witt_quotient(m)
-    if f is None:
-        f = gamma_filtration(m, kmax=kmax)
-
     memo = _memo(m)
     pieces = [full_subgroup(qpres)]
     for piece in f.pieces[1:]:

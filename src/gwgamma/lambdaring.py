@@ -114,14 +114,12 @@ class RingModel:
         lambda_on_basis: Sequence[Sequence[Sequence[int]]],
         hyperbolic: Iterable[Sequence[int]] | None = None,
         trunc: int = DEFAULT_TRUNCATION,
-        params: Mapping[str, object] | None = None,
     ):
         if trunc < 1:
             raise ValueError("truncation order %r is below 1" % (trunc,))
         self.name = name
         self.group = group
         self.trunc = trunc
-        self.params = dict(params) if params else {}
         self.unit = group.element(unit)
         if len(aug) != group.rank:
             raise ValueError("augmentation vector of wrong length")

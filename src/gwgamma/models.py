@@ -74,7 +74,7 @@ from .lambdaring import (
 from .series import TruncSeries, lambda_from_gamma
 
 
-def _model(name, group, unit, mul, aug, series, hyperbolic, trunc, params) -> RingModel:
+def _model(name, group, unit, mul, aug, series, hyperbolic, trunc) -> RingModel:
     """Assemble a builtin from its ring data and its basis lambda-series.
 
     ``series`` gets the builtin's one ring, with empty lambda-series, for
@@ -82,8 +82,7 @@ def _model(name, group, unit, mul, aug, series, hyperbolic, trunc, params) -> Ri
     ``trunc``.  Their columns become the ring's ``basis_lambda_series(i,
     trunc)``, without the build's memos, and their rows its lambda-series.
     """
-    ring = RingModel(name, group, unit, mul, aug, [[]] * group.rank, hyperbolic, trunc,
-                     params)
+    ring = RingModel(name, group, unit, mul, aug, [[]] * group.rank, hyperbolic, trunc)
     built = series(ring)
     if len(built) != group.rank or not all(
             s.model is ring and s.order == trunc and s._unit_constant() for s in built):
@@ -233,15 +232,10 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
             out.append(_from_gamma(power, trunc))
         return out
 
-    if r:
-        name = "gw_projective(r=%d,base=%s)" % (r, base)
-        params = {"which": "gw_projective", "base": base, "r": r}
-    else:
-        name = "gw_point(base=%s)" % base
-        params = {"which": "gw_point", "base": base}
+    name = "gw_projective(r=%d,base=%s)" % (r, base) if r else "gw_point(base=%s)" % base
     return _model(
         name, group, unit, mul, tuple(base_aug + [0] * top), series,
-        [h1] + [_basis_vec(rank, k) for k in range(nb, rank)], trunc, params,
+        [h1] + [_basis_vec(rank, k) for k in range(nb, rank)], trunc,
     )
 
 
@@ -267,7 +261,7 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
 
     return _model(
         "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), series,
-        [(1, 1, 0)], trunc, {"which": "gw_punctured_line", "base": "R"},
+        [(1, 1, 0)], trunc,
     )
 
 
@@ -314,7 +308,7 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     return _model(
         "gw_punctured_a5(f=%d)" % f, GroupPresentation((0, 2), ("one", "eps")),
         unit, {(0, 0): unit, (0, 1): (0, 1), (1, 1): (0, 0)}, (1, 0), series,
-        [], trunc, {"which": "gw_punctured_a5", "f": f},
+        [], trunc,
     )
 
 
@@ -362,7 +356,7 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     return _model(
         "gw_surface_cxp1(s=%d)" % s, group, _basis_vec(rank, 0), mul,
         tuple([1] + [0] * (rank - 1)), series,
-        [_basis_vec(rank, i) for i in hyperbolic], trunc, {"which": "gw_surface_cxp1", "s": s},
+        [_basis_vec(rank, i) for i in hyperbolic], trunc,
     )
 
 

@@ -195,7 +195,7 @@ def test_witt_quotient_of_real_point():
     m = gw_point("R")
     qpres, _ = witt_quotient(m)
     assert qpres.orders == (0,)
-    w = witt_filtration(m, kmax=6)
+    w = witt_filtration(m, gamma_filtration(m, kmax=6))
     # the Witt ring of R is Z and every graded piece becomes Z/2
     assert w.group.orders == (0,)
     assert w.graded == ((2,),) * 6
@@ -208,8 +208,9 @@ def test_witt_quotient_without_hyperbolic_data():
         {(0, 0): (1,)}, m.aug,
         [[(1,)]], None, m.trunc,
     )
-    with pytest.raises(ValueError):
-        witt_filtration(bare)
+    f = gamma_filtration(bare)
+    with pytest.raises(ValueError, match="declares no hyperbolic classes"):
+        witt_filtration(bare, f)
 
 
 def test_witt_quotient_of_punctured_space_is_unchanged():
@@ -231,19 +232,18 @@ def test_witt_filtration_refuses_another_models_filtration():
         witt_filtration(m, gamma_filtration(gw_projective("C", 4), kmax=3))
     with pytest.raises(ValueError, match="not a gamma filtration"):
         witt_filtration(m, gamma_filtration(gw_punctured_line.__wrapped__(), kmax=3))
-    w = witt_filtration(m, kmax=3)
+    w = witt_filtration(m, gamma_filtration(m, kmax=3))
     assert w.exact
     assert w.graded == ((2,), (2, 2), (2, 2))
     with pytest.raises(ValueError, match="not a gamma filtration"):
         witt_filtration(m, w)
-    assert witt_filtration(m, gamma_filtration(m, kmax=3)).graded == w.graded
 
 
 def test_witt_quotient_of_surface():
     m = gw_surface_cxp1(2)
     qpres, _ = witt_quotient(m)
     assert qpres.orders == (2, 2, 0)
-    w = witt_filtration(m, kmax=4)
+    w = witt_filtration(m, gamma_filtration(m, kmax=4))
     assert w.graded[0] == (0,)
     assert w.graded[1] == (2, 2)
     assert w.graded[2] == ()

@@ -174,7 +174,7 @@ def test_refused_model_raises_on_every_call(build, message):
         with pytest.raises(ValueError, match=message):
             gamma_filtration(m, kmax=1)
         with pytest.raises(ValueError, match=message):
-            witt_filtration(m, kmax=1)
+            witt_filtration(m, gamma_filtration(m, kmax=1))
 
 
 def test_equal_calls_share_one_model():

@@ -8,8 +8,8 @@ model whose augmentation is not multiplicative on the basis, one whose
 torsion does not kill its products, or one with a gamma-value of nonzero
 rank was once filtered all the same, and could come out flagged exact with
 pieces that are not the gamma filtration.  All three now raise
-``ValueError``, from ``gamma_filtration`` and from ``witt_filtration`` when
-it computes the filtration itself.
+``ValueError`` from ``gamma_filtration``, so also on the way to
+``witt_filtration``, which takes a gamma filtration of the model.
 """
 
 import re
@@ -24,8 +24,8 @@ from test_arith_oracle import ring_models
 
 
 def with_hyperbolic(m):
-    """m rebuilt with an empty list of hyperbolic classes, so that
-    ``witt_filtration`` reaches the filtration."""
+    """m rebuilt with an empty list of hyperbolic classes, so that its Witt
+    filtration is defined."""
     rank = m.group.rank
     mul = {
         (i, j): tuple(dict(row[j]).get(k, 0) for k in range(rank))
@@ -55,8 +55,9 @@ def test_non_multiplicative_augmentation_is_refused(m, kmax):
     assume(case is not None)
     with pytest.raises(ValueError, match=re.escape(case)):
         gamma_filtration(m, kmax=kmax)
+    h = with_hyperbolic(m)
     with pytest.raises(ValueError, match=re.escape(case)):
-        witt_filtration(with_hyperbolic(m), kmax=kmax)
+        witt_filtration(h, gamma_filtration(h, kmax=kmax))
 
 
 def zero_augmentation_ring():
@@ -100,7 +101,7 @@ def test_group_ring_with_zero_augmentation_is_refused():
         with pytest.raises(ValueError, match=re.escape("d(b1*b1) = 1 != 0")):
             gamma_filtration(m, kmax=kmax)
         with pytest.raises(ValueError, match=re.escape("d(b1*b1) = 1 != 0")):
-            witt_filtration(m, kmax=kmax)
+            witt_filtration(m, gamma_filtration(m, kmax=kmax))
 
 
 def test_gamma_value_of_nonzero_rank_is_refused():
@@ -113,7 +114,7 @@ def test_gamma_value_of_nonzero_rank_is_refused():
     with pytest.raises(ValueError, match="a gamma-value has nonzero rank"):
         gamma_filtration(m, kmax=1)
     with pytest.raises(ValueError, match="a gamma-value has nonzero rank"):
-        witt_filtration(m, kmax=1)
+        witt_filtration(m, gamma_filtration(m, kmax=1))
 
 
 def test_torsion_that_does_not_kill_its_products_is_refused():
@@ -127,4 +128,4 @@ def test_torsion_that_does_not_kill_its_products_is_refused():
         with pytest.raises(ValueError, match=message):
             gamma_filtration(m, kmax=kmax)
         with pytest.raises(ValueError, match=message):
-            witt_filtration(m, kmax=kmax)
+            witt_filtration(m, gamma_filtration(m, kmax=kmax))

@@ -81,11 +81,10 @@ def alternating_h_sum(model, r):
     )
 
 
-def assert_twisted_classes(model):
-    """a_1..a_(rho+2) of a projective model, from the recursion, are
+def assert_twisted_classes(model, r):
+    """a_1..a_(rho+2) of the projective model of P^r, from the recursion, are
     supported on the powers of a and have rank zero; for odd r the signed
     binomial sum of the a_j is (-a)^rho."""
-    r = model.params["r"]
     rho = (r + 1) // 2
     off_a = [i for i, n in enumerate(model.group.names) if not n.startswith("a")]
     for k, x in enumerate(twisted_hyperbolic_classes(model, rho + 2)[1:], 1):
@@ -371,7 +370,7 @@ def test_builtin_registry():
 
 def test_ak_recursion_reports():
     for base, r in [("C", 3), ("C", 5), ("R", 5), ("C", 7), ("C", 9)]:
-        assert_twisted_classes(gw_projective(base, r))
+        assert_twisted_classes(gw_projective(base, r), r)
     with pytest.raises(ValueError):
         gw_projective("C", 13)
 

@@ -15,7 +15,8 @@ import math
 import pytest
 
 from gwgamma.abelian import GroupElement, _entries
-from gwgamma.filtration import _ProductTable, gamma_filtration
+from gwgamma import filtration
+from gwgamma.filtration import gamma_filtration
 from gwgamma.models import BUILTINS
 
 from test_filtration_oracle import CLI_BUILTINS, group_ring
@@ -62,14 +63,14 @@ def test_exact_pieces_are_multiplicative():
 
 
 def first_products_only(monkeypatch):
-    """Make the product table keep only the first product of each list, so
+    """Make ``_times`` keep only the first product of each value's list, so
     that pieces lose generators while some result is still flagged exact."""
-    times = _ProductTable.times
+    times = filtration._times
 
-    def first_only(self, ks, sub):
-        return [p for k in ks for p in times(self, [k], sub)[:1]]
+    def first_only(m, spans, values, sub):
+        return [p for g in values for p in times(m, spans, [g], sub)[:1]]
 
-    monkeypatch.setattr(_ProductTable, "times", first_only)
+    monkeypatch.setattr(filtration, "_times", first_only)
 
 
 def test_pieces_built_short_fail(monkeypatch):

@@ -6,7 +6,7 @@ min(certified cap, truncation), each S_w one HNF of the gamma-values of
 weight w and the products g * S_(w-i) of the lighter values g of weight i.
 The pieces were the sums F^kmax = S_kmax + ... + S_cap and
 F^k = F^(k+1) + S_k, one more HNF each: cap + kmax HNFs where the recursion
-runs kmax.  It lives here only as an oracle, on the same product table and
+runs kmax.  It lives here only as an oracle, on the same products and
 with the same verdict rule, the truncation clause, so pieces, ``exact`` and
 ``warnings`` must match, on results that are not exact too: at trunc 2, 4
 and 8 the certified cap lies beyond the truncation on 252 of the 718
@@ -17,7 +17,7 @@ closed under the gamma-values on every result, by ring-element products.
 import pytest
 
 from gwgamma.abelian import _span, full_subgroup, kernel_basis
-from gwgamma.filtration import _gamma_values, _ProductTable, gamma_filtration
+from gwgamma.filtration import _gamma_values, _times, gamma_filtration
 from gwgamma.models import BUILTINS
 from test_filtration_oracle import CLI_BUILTINS, group_ring
 from test_product_table_oracle import oracle_closed
@@ -27,15 +27,17 @@ def _sum(pres, subs):
     return _span(pres, [c for s in subs for c in s.columns])
 
 
-def per_weight_pieces(table, kmax, cap):
-    """F^0..F^kmax spanned by the products of weight at most `cap`."""
-    pres = table.pres
+def per_weight_pieces(m, values, kmax, cap):
+    """F^0..F^kmax spanned by the products of weight at most `cap` of the
+    gamma-values by weight, `values`."""
+    pres = m.group
+    products = {}
     spans = []
     for w in range(1, cap + 1):
-        vecs = [table.values[k] for k in table.by_weight.get(w, [])]
-        for i, ks in table.by_weight.items():
+        vecs = list(values.get(w, []))
+        for i, gs in values.items():
             if i < w:
-                vecs += table.times(ks, spans[w - i - 1])
+                vecs += _times(m, products, gs, spans[w - i - 1])
         spans.append(_span(pres, vecs))
     pieces = [_sum(pres, spans[kmax - 1:])]
     for k in range(kmax - 1, 0, -1):
@@ -47,13 +49,12 @@ def per_weight_filtration(m, kmax):
     """(pieces, weight cap, exact, warnings) from the per-weight spans."""
     gens = tuple(m.element(v) for v in kernel_basis(m.aug))
     values = _gamma_values(gens, m.trunc)
-    imax = max((i for i, _ in values), default=0)
-    certified = kmax + max(imax - 1, 0)
+    certified = kmax + max(max(values, default=0) - 1, 0)
     cap = min(certified, m.trunc)
-    table = _ProductTable(m, values)
-    pieces = per_weight_pieces(table, kmax, cap)
+    pieces = per_weight_pieces(m, values, kmax, cap)
     # closure under the gamma-values is no clause of the verdict: it holds
-    assert oracle_closed(m, pieces[kmax], [(i, m.element(g)) for i, g in values])
+    assert oracle_closed(
+        m, pieces[kmax], [(i, m.element(g)) for i, gs in values.items() for g in gs])
     warnings = []
     if certified > m.trunc:
         warnings.append(

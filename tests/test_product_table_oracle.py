@@ -1,10 +1,10 @@
-"""Differential test of the filtration's product table.
+"""Differential test of the filtration's products.
 
 The reference is the earlier inner loop: it multiplied every gamma-value by
 every column of every earlier span as ``RingElement`` products, one
 ``g * m.element(c)`` per pair, and fed each span's products to
 ``subgroup_from_generators`` unchanged.  It lives here only as an oracle.
-The table and ``_gamma_values`` work on coefficient tuples; the tests wrap
+``_times`` and ``_gamma_values`` work on coefficient tuples; the tests wrap
 and unwrap them at the call, and every comparison is on the oracle's terms.
 
 Models are drawn as in ``test_arith_oracle``: Z plus up to three free or
@@ -18,11 +18,7 @@ columns carry the unreduced relation vector o * e_i.
 from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import full_subgroup, kernel_basis, subgroup_from_generators
-from gwgamma.filtration import (
-    _ProductTable,
-    _gamma_values,
-    gamma_filtration,
-)
+from gwgamma.filtration import _gamma_values, _times, gamma_filtration
 from test_arith_oracle import augmented_ring_models, ring_models
 
 TABLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -49,32 +45,36 @@ def table_cases(draw):
 @given(table_cases())
 def test_table_products_match_multiply(case):
     m, values, spans = case
-    # the table takes each value as its coefficient tuple
-    table = _ProductTable(m, [(i, g.value.coeffs) for i, g in values])
-    assert table.values == list(dict.fromkeys(g.value.coeffs for _, g in values))
-    weighted = dict.fromkeys((i, table.values.index(g.value.coeffs)) for i, g in values)
-    assert table.by_weight == {
-        w: [k for i, k in weighted if i == w] for w in dict.fromkeys(i for i, _ in weighted)
-    }
+    # _times takes each value as its coefficient tuple, grouped by weight as
+    # _gamma_values groups them; a value may repeat across weights
+    by_weight = {}
+    for i, g in values:
+        by_weight.setdefault(i, {})[g.value.coeffs] = None
+    distinct = list(dict.fromkeys(g.value.coeffs for _, g in values))
+    products = {}
     zero = m.group.zero().coeffs
     for sub in spans:
-        every = []
-        for k, g in enumerate(table.values):
+        lists = {}
+        for g in distinct:
             expected = {
                 m.multiply(m.group.element(g), m.group.element(c)).coeffs
                 for c in sub.columns
             } - {zero}
-            got = table.times([k], sub)
+            got = _times(m, products, [g], sub)
             assert len(got) == len(set(got))
             assert set(got) == expected
-            every += got
-        assert table.times(range(len(table.values)), sub) == every
+            lists[g] = got
         # an equal span built anew reads the product lists of the first
         twin = subgroup_from_generators(
             m.group, [m.group.element(list(c)) for c in sub.columns]
         )
-        assert table.times(range(len(table.values)), twin) == every
-    assert len(table.spans) == len({sub.columns for sub in spans})
+        for gs in by_weight.values():
+            want = [p for g in gs for p in lists[g]]
+            assert _times(m, products, list(gs), sub) == want
+            assert _times(m, products, list(gs), twin) == want
+        # one product list per distinct value and span
+        assert list(products[sub.columns][1]) == distinct
+    assert len(products) == len({sub.columns for sub in spans})
 
 
 def oracle_pieces(m, values, kmax, cap):
@@ -112,7 +112,7 @@ def oracle_closed(m, piece, values):
 def test_filtration_matches_per_product_oracle(m, kmax):
     # the oracle multiplies ring elements; the gamma-values are tuples
     gens = [m.element(v) for v in kernel_basis(m.aug)]
-    values = [(i, m.element(g)) for i, g in _gamma_values(gens, m.trunc)]
+    values = [(i, m.element(g)) for i, gs in _gamma_values(gens, m.trunc).items() for g in gs]
     f = gamma_filtration(m, kmax=kmax)
     assert f.pieces == oracle_pieces(m, values, kmax, f.weight_cap)
     # exact is the one truncation clause; closure holds by construction,

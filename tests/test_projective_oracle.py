@@ -56,16 +56,16 @@ def lambda_space_series(ring, nb, top, trunc):
     return out
 
 
-def oracle_projective(m):
-    """The model m with its basis lambda-series rebuilt by the oracle."""
+def oracle_projective(m, r):
+    """The model m of P^r with its basis lambda-series rebuilt by the oracle."""
     rank = m.group.rank
-    nb = rank - projective_top_power(m.params["r"])
+    nb = rank - projective_top_power(r)
     mul = {(i, j): tuple(dict(row).get(k, 0) for k in range(rank))
            for i, rows in enumerate(m.products) for j, row in enumerate(rows) if row}
     return _model(
         m.name, m.group, m.unit.coeffs, mul, m.aug,
         lambda ring: lambda_space_series(ring, nb, rank - nb, m.trunc),
-        [h.coeffs for h in m.hyperbolic], m.trunc, m.params,
+        [h.coeffs for h in m.hyperbolic], m.trunc,
     )
 
 
@@ -74,7 +74,7 @@ def test_projective_matches_lambda_space_oracle(base, r):
     for trunc in TRUNCS:
         m = gw_projective.__wrapped__(base, r, trunc)
         got = json.dumps(model_to_dict(m), sort_keys=True)
-        assert got == json.dumps(model_to_dict(oracle_projective(m)), sort_keys=True), trunc
+        assert got == json.dumps(model_to_dict(oracle_projective(m, r)), sort_keys=True), trunc
 
 
 @pytest.mark.parametrize("base,r", CASES, ids=["%s%d" % c for c in CASES])
