@@ -75,10 +75,7 @@ def model_to_dict(m: RingModel) -> dict:
             for j in range(i, rank)
             if m.products[i][j]
         ],
-        "lambda": {
-            names[i]: [list(c.coeffs) for c in m.lambda_on_basis[i]]
-            for i in range(len(names))
-        },
+        "lambda": {names[i]: m._lambda_rows(i) for i in range(rank)},
         "trunc": m.trunc,
     }
     if m.hyperbolic is not None:
@@ -91,6 +88,10 @@ def _require(cond: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
+# every integer of a model file is below this in absolute value
+_INT_BOUND = 2 ** 128
+
+
 def _int_vector(value: object, length: int, where: str) -> list[int]:
     _require(isinstance(value, list), "key %s: expected a list" % where)
     _require(
@@ -101,7 +102,7 @@ def _int_vector(value: object, length: int, where: str) -> list[int]:
     for x in value:
         if not isinstance(x, int) or isinstance(x, bool):
             raise ModelFormatError("key %s: non-integer entry %r" % (where, x))
-        if not abs(x) < 2 ** 128:
+        if not abs(x) < _INT_BOUND:
             raise ModelFormatError(
                 "key %s: entry of %d digits, not below 2^128 in absolute value"
                 % (where, len(str(abs(x))))

@@ -9,26 +9,38 @@ over a generating set E of F^1.  Each piece is built from the lower ones:
 F^1 is the span of all gamma-values and, for k >= 2,
 
     F^k = span{gamma-values of weight >= k} + sum over gamma-values g of
-          weight i of g * F^max(k-i, 1).
+          weight i < k of g * F^(k-i).
 
 A product of weight >= k is one gamma-value of weight >= k, or g * p with g
 of weight i and p a product of weight >= max(k-i, 1), which lies in
 F^max(k-i, 1) by induction; so no product of any weight is missed, and
 each piece is one Hermite normal form.  The recursion needs F^1 to be the
-augmentation kernel, an ideal, so a model is refused with a ValueError
-naming the case when its augmentation is not multiplicative on the basis,
-when the order o_i of a torsion basis element b_i does not kill some
-b_i * b_j (see below), or when it has a gamma-value of nonzero rank.
+augmentation kernel, an ideal, spanned by the values of weight one, so a
+model is refused with a ValueError naming the case when its augmentation
+is not multiplicative on the basis, when the order o_i of a torsion basis
+element b_i does not kill some b_i * b_j (see below), when lambda^1 is not
+the identity on some b_i, or when it has a gamma-value of nonzero rank.
+
+The products g * F^1 of the values g of weight i >= k are left out of the
+sum, since they lie in it already.  With lambda^1 the identity on the
+basis, the values of weight one are the generators e themselves, reduced;
+they span the rank kernel, which holds every gamma-value, since none has
+nonzero rank.  So F^1 is spanned by the values v of weight one and the
+relation vectors o_q e_q.  g times a relation vector vanishes, by the
+torsion refusal.  And g * v = v * g, as the stored products are symmetric,
+with g a generator of F^(k-1), its weight i >= k - 1; so g * v lies in
+v * F^(k-1), a term of the sum.  Associativity is not used.
 
 The filtration is multiplicative, F^i * F^j in F^(i+j) (Fulton and Lang,
 Riemann-Roch Algebra, Ch. III), and F^kmax is closed under the gamma-values
 by construction.  Once F^1 is the augmentation kernel the pieces nest,
-F^k in F^(k-1); F^kmax is spanned by, among others, g * F^max(kmax-i, 1)
-for each gamma-value g of weight i; and F^kmax lies in F^max(kmax-i, 1), so
-g * F^kmax lies in F^kmax.  Products are taken on reduced representatives,
-so "g times a combination of columns is that combination of g times the
-columns" needs o_k b_k b_j = 0 for each torsion basis element b_k of order
-o_k, hence the torsion refusal.
+F^k in F^(k-1); F^kmax holds g * F^max(kmax-i, 1) for each gamma-value g
+of weight i, as a term of its sum or, for i >= kmax, by the argument
+above; and F^kmax lies in F^max(kmax-i, 1), so g * F^kmax lies in F^kmax.
+Products are taken on reduced representatives, so "g times a combination
+of columns is that combination of g times the columns" needs
+o_k b_k b_j = 0 for each torsion basis element b_k of order o_k, hence the
+torsion refusal.
 
 The pieces are computed once per model and extended on demand.  What the
 filtration derives from the model alone is kept on it, in one memo
@@ -160,19 +172,18 @@ def _memo(m: RingModel) -> _Memo:
 
 def _extended(m: RingModel, memo: _Memo, kmax: int) -> list[Subgroup]:
     """The stored pieces extended to F^kmax, F^k spanned by the gamma-values
-    of weight >= k and, for k >= 2, the products of each value of weight i
-    with F^max(k-i, 1), each product list from ``_times`` once per value and
-    span.  A new list: a call that extends the memo at the same time still
-    reads a whole one."""
+    of weight >= k and the products of each value of weight i < k with
+    F^(k-i), each product list from ``_times`` once per value and span.  A
+    new list: a call that extends the memo at the same time still reads a
+    whole one."""
     pieces = list(memo.pieces)
     spans: dict = {}
     for k in range(len(pieces), kmax + 1):
         vecs = []
         for i, gs in memo.values.items():
-            if i >= k:
-                vecs += gs
-            if k > 1:
-                vecs += _times(m, spans, gs, pieces[max(k - i, 1)])
+            # g * F^1 for g of weight i >= k lies in the sum already
+            # (module docstring)
+            vecs += gs if i >= k else _times(m, spans, gs, pieces[k - i])
         pieces.append(_span(m.group, vecs))
     return pieces
 
@@ -202,6 +213,8 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         failure = next(m._augmentation_failures(), None)
         if failure:
             raise ValueError("augmentation not multiplicative: " + failure)
+        for i in m._lambda_one_failures():
+            raise ValueError("F^1 is not the rank kernel: lambda^1(b%d) != b%d" % (i, i))
         for i, o in enumerate(m.group.orders):
             for j in m._unkilled(i) if o else ():
                 raise ValueError("order %d of b%d does not kill b%d*b%d" % (o, i, i, j))

@@ -39,12 +39,15 @@ Whether the constants make a commutative ring is checked by two
 generators of offending cases, each of whose products is one ``dot`` of a
 basis element with a stored row; ``validate_model`` names their cases.
 
-Basis lambda-series are stored as plain group elements in degrees 1..D_b,
-D_b at most the truncation order N >= 1 (as in a model file).  Series that
-genuinely terminate (line elements and their shifts) are stored in full;
+Each basis lambda-series is stored once, as the integer columns of the
+series ``basis_lambda_series(i, N)``, N >= 1 the truncation order.  A model
+file gives its coefficients in degrees 1..D_b, D_b at most N, trailing zero
+degrees dropped; the columns hold zeros past D_b.  Series that genuinely
+terminate (line elements and their shifts) are stored in full;
 non-terminating ones are stored out to N and all derived operations stay
-below it.
-``basis_lambda_series(i, order)`` builds each series once per (i, order)
+below it.  ``lambda_on_basis`` derives the group elements of degrees
+1..D_b from the columns on every read, and keeps none.
+``basis_lambda_series(i, order)`` cuts each lower order once per (i, order)
 and keeps it on the model, so the inverse and power table memoized on it
 are shared by every element, and every job, that uses the model.
 """
@@ -56,10 +59,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .abelian import GroupElement, GroupPresentation, _entries
-from .series import TruncSeries, gamma_from_lambda
+from .series import TruncSeries, _last_degree, gamma_from_lambda
 from .symfunc import (
     MultiPoly,
-    binomial,
     compose_universal,
     newton_psi,
     product_universal,
@@ -140,18 +142,21 @@ class RingModel:
         self._zero = (0,) * rank  # the sum of a dot that meets no row
         if len(lambda_on_basis) != group.rank:
             raise ValueError("lambda-series list of wrong length")
-        lam = []
-        for i, coeff_list in enumerate(lambda_on_basis):
-            entries = [group.element(c) for c in coeff_list]
-            while entries and entries[-1].is_zero:
-                entries.pop()
-            if len(entries) > trunc:
-                raise ValueError("lambda-series of basis element %d: %d terms, more "
-                                 "than trunc %d" % (i, len(entries), trunc))
-            lam.append(tuple(entries))
-        self.lambda_on_basis = tuple(lam)
-        # basis_lambda_series, by (i, order)
+        # basis_lambda_series, by (i, order); (i, trunc) is the one stored
+        # form of lambda_t(b_i), the others are cut from it
         self._basis_series: dict[tuple[int, int], TruncSeries] = {}
+        for i, coeff_list in enumerate(lambda_on_basis):
+            rows = [group.reduce(c) for c in coeff_list]
+            while rows and not any(rows[-1]):
+                rows.pop()
+            if len(rows) > trunc:
+                raise ValueError("lambda-series of basis element %d: %d terms, more "
+                                 "than trunc %d" % (i, len(rows), trunc))
+            rows.insert(0, self.unit.coeffs)
+            pad = (0,) * (trunc + 1 - len(rows))
+            self._basis_series[(i, trunc)] = TruncSeries._of(self, trunc, {
+                k: [*col, *pad] for k, col in enumerate(zip(*rows)) if any(col)
+            })
         # what the filtration derives from the model alone (filtration._Memo)
         self._filtration = None
         self.hyperbolic = (
@@ -259,9 +264,9 @@ class RingModel:
                     yield "d(b%d*b%d) = %d != %d" % (i, j, got, aug[i] * aug[j])
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
-        """lambda_t(b_i) through the order, built once per (i, order) and kept
-        on the model, so that its memoized inverse and power table serve
-        every later caller."""
+        """lambda_t(b_i) through the order, cut once per (i, order) from the
+        stored series and kept on the model, so that its memoized inverse
+        and power table serve every later caller."""
         if order < 0:
             raise ValueError("order must be non-negative")
         if order > self.trunc:
@@ -271,12 +276,46 @@ class RingModel:
         key = (i, order)
         series = self._basis_series.get(key)
         if series is None:
-            rows = (self.unit.coeffs, *(g.coeffs for g in self.lambda_on_basis[i][:order]))
-            pad = (0,) * (order + 1 - len(rows))
-            series = self._basis_series[key] = TruncSeries._of(self, order, {
-                k: [*col, *pad] for k, col in enumerate(zip(*rows)) if any(col)
-            })
+            cut = ((k, col[:order + 1]) for k, col in self._stored(i).items())
+            series = self._basis_series[key] = TruncSeries._of(
+                self, order, {k: col for k, col in cut if any(col)})
         return series
+
+    def _stored(self, i: int) -> dict:
+        """The columns of the stored series lambda_t(b_i), to the truncation."""
+        return self._basis_series[(i, self.trunc)]._columns
+
+    def _lambda_rows(self, i: int) -> list[list[int]]:
+        """The coefficients of lambda_t(b_i) in degrees 1..D as coordinate
+        lists, D its last nonzero degree, read off the stored columns."""
+        cols = self._stored(i)
+        last = max(map(_last_degree, cols.values()), default=0)
+        rows = [[0] * self.group.rank for _ in range(last)]
+        for k, col in cols.items():
+            for row, v in zip(rows, col[1:]):
+                row[k] = v
+        return rows
+
+    @property
+    def lambda_on_basis(self) -> tuple[tuple[GroupElement, ...], ...]:
+        """The basis lambda-series as group elements in degrees 1..D_b, D_b
+        the last nonzero degree of lambda_t(b_i): derived from the stored
+        columns on every read, never kept."""
+        group = self.group
+        return tuple(
+            tuple(GroupElement(group, tuple(r)) for r in self._lambda_rows(i))
+            for i in range(group.rank)
+        )
+
+    def _lambda_one_failures(self) -> Iterator[int]:
+        """The i for which lambda^1(b_i), read off the stored columns, is not
+        b_i."""
+        rank = self.group.rank
+        for i in range(rank):
+            cols = self._stored(i)
+            row = tuple(cols[k][1] if k in cols else 0 for k in range(rank))
+            if row != self.group.basis_element(i).coeffs:
+                yield i
 
 
 @dataclass(frozen=True)
@@ -398,10 +437,7 @@ def validate_model(m: RingModel) -> Report:
     the first one.  The homomorphism and torsion-kill cases come from the
     generators that ``gamma_filtration`` refuses on.
     """
-    rank = m.group.rank
-    basis = m.group.basis()
     d, aug = m.augmentation, m.aug
-    lam = m.lambda_on_basis
     torsion = [(i, o) for i, o in enumerate(m.group.orders) if o]
 
     def torsion_products():
@@ -410,6 +446,18 @@ def validate_model(m: RingModel) -> Report:
                 yield "torsion basis element %d has nonzero rank" % i
             for j in m._unkilled(i):
                 yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
+
+    def lambda_augmentations():
+        # every degree 1..trunc, the zero ones past the last stored degree too
+        for i, a in enumerate(aug):
+            got = [0] * (m.trunc + 1)
+            for q, col in m._stored(i).items():
+                got = [g + aug[q] * v for g, v in zip(got, col)]
+            want = 1  # C(a, k) by C(a, k) k = C(a, k-1) (a-k+1), exact
+            for k in range(1, m.trunc + 1):
+                want = want * (a - k + 1) // k
+                if got[k] != want:
+                    yield "d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, got[k], a, k)
 
     def torsion_series():
         unit_series = TruncSeries.one(m.unit_element, m.trunc)
@@ -427,12 +475,8 @@ def validate_model(m: RingModel) -> Report:
         ("products respect torsion orders", torsion_products()),
         ("augmentation is a ring homomorphism", m._augmentation_failures()),
         ("lambda^1 is the identity on basis",
-         ("lambda^1(b%d) != b%d" % (i, i)
-          for i in range(rank) if (lam[i] or (m.group.zero(),))[0] != basis[i])),
-        ("augmentation compatible with lambda-series",
-         ("d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, d(c), aug[i], k)
-          for i in range(rank) for k, c in enumerate(lam[i], start=1)
-          if d(c) != binomial(aug[i], k))),
+         ("lambda^1(b%d) != b%d" % (i, i) for i in m._lambda_one_failures())),
+        ("augmentation compatible with lambda-series", lambda_augmentations()),
         ("lambda-series respect torsion orders", torsion_series()),
     )
     return Report(tuple(_first_case(name, cases) for name, cases in checks))

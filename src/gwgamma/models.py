@@ -64,7 +64,7 @@ import inspect
 import math
 import weakref
 
-from .abelian import GroupElement, GroupPresentation
+from .abelian import GroupPresentation
 from .lambdaring import (
     DEFAULT_TRUNCATION,
     RingElement,
@@ -79,21 +79,14 @@ def _model(name, group, unit, mul, aug, series, hyperbolic, trunc) -> RingModel:
 
     ``series`` gets the builtin's one ring, with empty lambda-series, for
     arithmetic only, and returns the lambda-series of every basis element to
-    ``trunc``.  Their columns become the ring's ``basis_lambda_series(i,
-    trunc)``, without the build's memos, and their rows its lambda-series.
+    ``trunc``.  Their columns, without the build's memos, become the ring's
+    ``basis_lambda_series(i, trunc)``, its one stored form of the series.
     """
     ring = RingModel(name, group, unit, mul, aug, [[]] * group.rank, hyperbolic, trunc)
     built = series(ring)
     if len(built) != group.rank or not all(
             s.model is ring and s.order == trunc and s._unit_constant() for s in built):
         raise AssertionError("builder series are not unit series of order %d" % trunc)
-    lam = []
-    for s in built:
-        rows = s.rows()[1:]
-        while rows and not any(rows[-1]):
-            rows.pop()
-        lam.append(tuple(GroupElement(group, r) for r in rows))
-    ring.lambda_on_basis = tuple(lam)
     ring._basis_series = {(i, trunc): TruncSeries._of(ring, trunc, s._columns)
                           for i, s in enumerate(built)}
     return ring

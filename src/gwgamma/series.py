@@ -105,7 +105,12 @@ class TruncSeries:
 
     @classmethod
     def one(cls, unit, order: int) -> "TruncSeries":
-        return cls.from_coeffs(unit, (), order)
+        """The series 1 to the order, its columns built from the unit."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        pad = [0] * order
+        return cls._of(unit.model, order,
+                       {k: [u, *pad] for k, u in enumerate(unit.value.coeffs) if u})
 
     @classmethod
     def from_coeffs(cls, unit, coeffs: Sequence, order: int) -> "TruncSeries":
@@ -241,10 +246,7 @@ class TruncSeries:
         rows = _signed_binomials(sign, self.order)
         out = {}
         for k, col in self._columns.items():
-            last = len(col)
-            while not col[last - 1]:
-                last -= 1
-            body = col[1:last]
+            body = col[1:_last_degree(col) + 1]
             out[k] = [col[0]] + [sum(map(mul, row, body)) for row in rows]
         return TruncSeries._of(self.model, self.order, _reduced(self.model, out))
 
@@ -268,6 +270,14 @@ def _reduced(m, columns: dict) -> dict:
         if any(col):
             out[k] = col
     return out
+
+
+def _last_degree(col: Sequence[int]) -> int:
+    """The last degree at which the column is nonzero, 0 when none above 0 is."""
+    d = len(col) - 1
+    while d and not col[d]:
+        d -= 1
+    return d
 
 
 def _pack(col: Sequence[int], w: int) -> int:

@@ -34,7 +34,7 @@ from gwgamma.lambdaring import (
 from gwgamma.models import BUILTINS
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import binomial, compose_universal, product_universal
-from test_arith_oracle import oracle_multiply, ring_models
+from test_arith_oracle import augmented_ring_models, oracle_multiply, ring_models
 from test_evaluate_oracle import ring_evaluate
 from test_filtration_oracle import CLI_BUILTINS
 
@@ -81,17 +81,20 @@ def oracle_validate(m):
                 cases.append("d(b%d*b%d) = %d != %d" % (i, j, lhs, rhs))
     out.append(("augmentation is a ring homomorphism", cases))
 
+    lam = m.lambda_on_basis
     cases = []
     for i in range(rank):
-        stored = m.lambda_on_basis[i]
-        first = stored[0] if stored else m.group.zero()
+        first = lam[i][0] if lam[i] else m.group.zero()
         if first != m.group.basis_element(i):
             cases.append("lambda^1(b%d) != b%d" % (i, i))
     out.append(("lambda^1 is the identity on basis", cases))
 
+    # every degree up to the truncation, the zero ones past the stored
+    # degrees too: d(lambda^k b) = C(d(b), k) need not vanish there
     cases = []
     for i in range(rank):
-        for kk, coeff in enumerate(m.lambda_on_basis[i], start=1):
+        for kk in range(1, m.trunc + 1):
+            coeff = lam[i][kk - 1] if kk <= len(lam[i]) else m.group.zero()
             want = binomial(m.aug[i], kk)
             got = m.augmentation(coeff)
             if got != want:
@@ -164,6 +167,39 @@ ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 )
 def test_builtin_validation_matches_oracle(name, kwargs):
     assert assert_names_first_case(BUILTINS[name](**kwargs)).ok
+
+
+def test_augmentation_past_stored_degrees_matches_oracle():
+    # V*V = 2V, d(V) = 2 and lambda_t(V) = 1 + V t: the first case is
+    # d(lambda^2 V) = 0 != C(2, 2), a degree past the stored one
+    from test_lambdaring import square_two_ring
+
+    report = assert_names_first_case(square_two_ring())
+    assert report.first_failure.detail == "d(lambda^2(b1)) = 0 != C(2,2)"
+
+
+@st.composite
+def cut_series_models(draw):
+    """``augmented_ring_models``, ranks -1..2, with each basis series cut
+    after a drawn degree: the augmentation check then meets zero degrees
+    past the stored ones, where C(d(b), k) need not vanish."""
+    m = draw(augmented_ring_models())
+    rank = m.group.rank
+    mul = {}
+    for i in range(rank):
+        for j in range(i, rank):
+            row = [0] * rank
+            for k, c in m.products[i][j]:
+                row[k] = c
+            mul[(i, j)] = row
+    lam = [[g.coeffs for g in s[:draw(st.integers(1, m.trunc))]] for s in m.lambda_on_basis]
+    return RingModel("cut", m.group, m.unit.coeffs, mul, m.aug, lam, trunc=m.trunc)
+
+
+@ORACLE_SETTINGS
+@given(cut_series_models())
+def test_cut_series_validation_matches_oracle(m):
+    assert_names_first_case(m)
 
 
 @ORACLE_SETTINGS

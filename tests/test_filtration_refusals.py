@@ -1,15 +1,16 @@
 """Models the gamma filtration refuses.
 
 Each piece F^k is built from the lower ones, as the span of the gamma-values
-of weight >= k and the products g * F^max(k-i, 1) of the values g of weight
-i.  That needs F^1 to be the augmentation kernel and closed under
-multiplication, and products that do not depend on representatives.  A
-model whose augmentation is not multiplicative on the basis, one whose
-torsion does not kill its products, or one with a gamma-value of nonzero
-rank was once filtered all the same, and could come out flagged exact with
-pieces that are not the gamma filtration.  All three now raise
-``ValueError`` from ``gamma_filtration``, so also on the way to
-``witt_filtration``, which takes a gamma filtration of the model.
+of weight >= k and the products g * F^(k-i) of the values g of weight
+i < k.  That needs F^1 to be the augmentation kernel, closed under
+multiplication and spanned by the values of weight one, and products that
+do not depend on representatives.  A model whose augmentation is not
+multiplicative on the basis, one whose torsion does not kill its products,
+or one with a gamma-value of nonzero rank was once filtered all the same,
+and could come out flagged exact with pieces that are not the gamma
+filtration.  These, and a model whose lambda^1 is not the identity on the
+basis, now raise ``ValueError`` from ``gamma_filtration``, so also on the
+way to ``witt_filtration``, which takes a gamma filtration of the model.
 """
 
 import re
@@ -112,6 +113,25 @@ def test_torsion_that_does_not_kill_its_products_is_refused():
     m = unkilled_torsion_ring()
     message = re.escape("order 2 of b2 does not kill b2*b2")
     for kmax in range(1, 5):
+        with pytest.raises(ValueError, match=message):
+            gamma_filtration(m, kmax=kmax)
+        with pytest.raises(ValueError, match=message):
+            witt_filtration(m, gamma_filtration(m, kmax=kmax))
+
+
+def test_lambda_one_that_is_not_the_identity_is_refused():
+    # lambda_t(x) = 1 + x t^2: lambda^1(x) = 0, so there is no value of
+    # weight one, and F^1, the span of the values x, 2x, 3x, ..., is not
+    # spanned by values of weight one, which leaving out the products of
+    # the heavier values with F^1 needs
+    group = GroupPresentation((0, 0), ("one", "x"))
+    m = RingModel("lambda^1(x) = 0", group, (1, 0),
+                  {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)},
+                  (1, 0), [[(1, 0)], [(0, 0), (0, 1)]], hyperbolic=(), trunc=6)
+    assert [c.name for c in validate_model(m).checks if not c.ok] == [
+        "lambda^1 is the identity on basis"]
+    message = re.escape("F^1 is not the rank kernel: lambda^1(b1) != b1")
+    for kmax in (1, 2):
         with pytest.raises(ValueError, match=message):
             gamma_filtration(m, kmax=kmax)
         with pytest.raises(ValueError, match=message):

@@ -192,3 +192,21 @@ def test_non_neutral_unit_refused_before_any_series():
     ):
         with pytest.raises(ValueError, match="unit is not multiplicatively neutral"):
             call()
+
+
+def square_two_ring():
+    """Basis (one, V), V*V = 2V, d(V) = 2 and lambda_t(V) = 1 + V t, trunc 4."""
+    group = GroupPresentation((0, 0), ("one", "V"))
+    return RingModel("V*V = 2V", group, (1, 0),
+                     {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 2)},
+                     (1, 2), [[(1, 0)], [(0, 1)]], trunc=4)
+
+
+def test_augmentation_checked_past_the_stored_degrees():
+    # d is multiplicative and lambda^1 the identity, but d(lambda^2 V) = 0
+    # != C(2, 2) = 1.  The check once read only the stored degree 1 and
+    # passed the model
+    m = square_two_ring()
+    failed = [c for c in validate_model(m).checks if not c.ok]
+    assert [(c.name, c.detail) for c in failed] == [
+        ("augmentation compatible with lambda-series", "d(lambda^2(b1)) = 0 != C(2,2)")]

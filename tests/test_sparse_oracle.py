@@ -101,12 +101,13 @@ def test_project_element_matches_oracle(data):
 
 def test_basis_series_built_once_per_order():
     m = gw_projective("R", 5)
+    lam = m.lambda_on_basis
     for i in range(m.group.rank):
         for order in (0, 3, m.trunc):
             s = m.basis_lambda_series(i, order)
             assert m.basis_lambda_series(i, order) is s
             fresh = TruncSeries.from_coeffs(
-                m.unit_element, [m.wrap(g) for g in m.lambda_on_basis[i]], order
+                m.unit_element, [m.wrap(g) for g in lam[i]], order
             )
             assert s == fresh and s is not fresh
 

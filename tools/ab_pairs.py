@@ -1,0 +1,95 @@
+"""Alternating A/B pairs of the benchmark: a parent checkout against a change.
+
+    python3 tools/ab_pairs.py PARENT CHANGE --workload filtration-sweep \\
+        --pairs 10 --seed-base 41 --seconds 30
+
+Pair p runs ``bench/run.py --trace 0`` at seed ``seed-base + p`` in both
+checkouts, each from its own root, the parent first in even pairs and the
+change first in odd ones.  For each end-to-end metric that the parent's
+``BENCHMARK.json`` lists, it prints each side's median and quartiles, the
+parent's spread between quartiles, the number of pairs the change wins and
+the verdict of the gain rule: the change wins at least nine tenths of the
+pairs, ties counting for neither, and the medians differ, in the better
+direction, by more than the parent's spread.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def summarize(parent: list[float], change: list[float], better: str = "lower") -> dict:
+    """The gain rule on paired runs, parent[p] against change[p]."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same nonzero number of runs on both sides")
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    out = {"n": len(parent), "wins": wins}
+    for side, values in (("parent", parent), ("change", change)):
+        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                          if len(values) > 1 else values * 3)
+        out[side] = {"median": median, "q1": q1, "q3": q3}
+    out["parent_spread"] = out["parent"]["q3"] - out["parent"]["q1"]
+    out["gap"] = sign * (out["parent"]["median"] - out["change"]["median"])
+    out["gain"] = 10 * wins >= 9 * len(parent) and out["gap"] > out["parent_spread"]
+    return out
+
+
+def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON line of one untraced run in the checkout at root."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit("%s seed %d: %d of %d jobs failed"
+                         % (root, seed, result["failed"], result["attempted"]))
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed-base", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=30)
+    args = ap.parse_args(argv)
+    with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    runs: dict = {"parent": [], "change": []}
+    for p in range(args.pairs):
+        seed = args.seed_base + p
+        sides = ("parent", "change") if p % 2 == 0 else ("change", "parent")
+        for side in sides:
+            root = getattr(args, side)
+            runs[side].append(run_bench(root, args.workload, seed, args.seconds)["metrics"])
+        print("pair %d seed %d (%s first): %s" % (p, seed, sides[0], "  ".join(
+            "%s %.4f -> %.4f" % (m["name"], runs["parent"][-1][m["name"]]["value"],
+                                 runs["change"][-1][m["name"]]["value"])
+            for m in metrics)), flush=True)
+    summaries = {}
+    for m in metrics:
+        name = m["name"]
+        s = summaries[name] = summarize(
+            [r[name]["value"] for r in runs["parent"]],
+            [r[name]["value"] for r in runs["change"]], m["better"])
+        print("%-13s parent %.4f [%.4f, %.4f]  change %.4f [%.4f, %.4f]  spread %.4f  "
+              "%s in %d/%d  gap %.4f  gain: %s"
+              % (name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
+                 s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
+                 s["parent_spread"], m["better"], s["wins"], s["n"], s["gap"],
+                 "yes" if s["gain"] else "no"))
+    print(json.dumps({"workload": args.workload, "summaries": summaries}, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
