@@ -30,11 +30,11 @@ sum's reduced coefficient tuple.  Its operands are sparse entry lists, the
 (index, coefficient) pairs of the nonzero coordinates, so a pair costs
 nnz(x) * nnz(y) row lengths, whatever the rank.  ``multiply`` is ``dot``
 with one pair of converted elements, the only caller that wraps the tuple
-in a group element; every coefficient of a series inverse is one call to
-it, and so is every product of the filtration's table (a gamma-value times
-a span column).  Series products read the same rows a column pair at a
-time, one integer product of two packed coordinate columns per nonzero row,
-and give the sums ``dot`` gives (see :mod:`gwgamma.series`).
+in a group element; every product of the filtration's table (a gamma-value
+times a span column) is one call to it.  Series products read the same rows
+a column pair at a time, one integer product of two packed coordinate
+columns per nonzero row, and give the sums ``dot`` gives (see
+:mod:`gwgamma.series`).
 Whether the constants make a commutative ring is checked by two
 generators of offending cases, each of whose products is one ``dot`` of a
 basis element with a stored row; ``validate_model`` names their cases.
@@ -48,8 +48,8 @@ non-terminating ones are stored out to N and all derived operations stay
 below it.  ``lambda_on_basis`` derives the group elements of degrees
 1..D_b from the columns on every read, and keeps none.
 ``basis_lambda_series(i, order)`` cuts each lower order once per (i, order)
-and keeps it on the model, so the inverse and power table memoized on it
-are shared by every element, and every job, that uses the model.
+and keeps it on the model, so the power table memoized on it is shared by
+every element, and every job, that uses the model.
 """
 
 from __future__ import annotations
@@ -265,8 +265,8 @@ class RingModel:
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
         """lambda_t(b_i) through the order, cut once per (i, order) from the
-        stored series and kept on the model, so that its memoized inverse
-        and power table serve every later caller."""
+        stored series and kept on the model, so that its memoized power
+        table serves every later caller."""
         if order < 0:
             raise ValueError("order must be non-negative")
         if order > self.trunc:
@@ -276,9 +276,8 @@ class RingModel:
         key = (i, order)
         series = self._basis_series.get(key)
         if series is None:
-            cut = ((k, col[:order + 1]) for k, col in self._stored(i).items())
-            series = self._basis_series[key] = TruncSeries._of(
-                self, order, {k: col for k, col in cut if any(col)})
+            stored = self._basis_series[(i, self.trunc)]
+            series = self._basis_series[key] = stored._truncated(order)
         return series
 
     def _stored(self, i: int) -> dict:

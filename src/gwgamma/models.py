@@ -87,8 +87,7 @@ def _model(name, group, unit, mul, aug, series, hyperbolic, trunc) -> RingModel:
     if len(built) != group.rank or not all(
             s.model is ring and s.order == trunc and s._unit_constant() for s in built):
         raise AssertionError("builder series are not unit series of order %d" % trunc)
-    ring._basis_series = {(i, trunc): TruncSeries._of(ring, trunc, s._columns)
-                          for i, s in enumerate(built)}
+    ring._basis_series = {(i, trunc): s._truncated(trunc) for i, s in enumerate(built)}
     return ring
 
 
@@ -133,10 +132,7 @@ def _from_gamma(gamma: TruncSeries | list[RingElement], trunc: int) -> TruncSeri
     those past trunc are dropped."""
     if not isinstance(gamma, TruncSeries):
         gamma = TruncSeries.from_coeffs(gamma[0].model.unit_element, gamma, len(gamma))
-    pad = [0] * (trunc - gamma.order)
-    columns = ((k, col[:trunc + 1] + pad) for k, col in gamma._columns.items())
-    return lambda_from_gamma(
-        TruncSeries._of(gamma.model, trunc, {k: col for k, col in columns if any(col)}))
+    return lambda_from_gamma(gamma._truncated(trunc))
 
 
 @_interned
@@ -390,20 +386,10 @@ def line_elements(model: RingModel) -> frozenset:
     return frozenset(lines.values())
 
 
-@_interned
-def _point_c(trunc: int = DEFAULT_TRUNCATION) -> RingModel:
-    return _projective("C", 0, trunc)
-
-
-@_interned
-def _point_r(trunc: int = DEFAULT_TRUNCATION) -> RingModel:
-    return _projective("R", 0, trunc)
-
-
 BUILTINS = {
     "gw_point": gw_point,
-    "gw_point_C": _point_c,
-    "gw_point_R": _point_r,
+    "gw_point_C": functools.partial(gw_point, "C"),
+    "gw_point_R": functools.partial(gw_point, "R"),
     "gw_projective": gw_projective,
     "gw_punctured_line": gw_punctured_line,
     "gw_punctured_a5": gw_punctured_a5,

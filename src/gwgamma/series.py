@@ -7,8 +7,8 @@ results are exact modulo t^(N+1).
 A series is stored by coordinate: for each basis coordinate k that is
 nonzero in some degree, the column c_k[0..N] of the k-th coordinates of its
 N + 1 coefficients, reduced modulo the order of b_k.  ``rows`` reads the
-coefficients off the columns as coordinate tuples; ``coeffs``, the ring
-elements, are built from them the first time they are read.
+coefficients off the columns as coordinate tuples; ``coeffs`` wraps them
+as ring elements on every read and keeps none.
 
 A product is one Kronecker substitution per pair of columns: each column is
 packed into one integer, sum_d c_k[d] 2^(d w), and column i of the first
@@ -25,18 +25,19 @@ Powers use one binomial table per series.  Writing S = 1 + T,
 
     S^e = sum_{k=0}^{top} C(e, k) T^k,   top = min(e, N) for e > 0, N for e < 0,
 
-exactly, since T^(N+1) vanishes mod t^(N+1); a negative e takes C(e, k)
-from ``symfunc.binomial``, and only S^-1 is read off the inverse.  Each
-power T^k is the column product T * T^(k-1).  The powers are built lazily
-and memoized on the series, so every exponent it is raised to, of either
-sign, reads the same table, and each output column is summed against the
-binomials once per degree.
+exactly, since T^(N+1) vanishes mod t^(N+1); a negative e, -1 included,
+takes C(e, k) from ``symfunc.binomial``, so ``inverse`` is ``pow(-1)``.
+Each power T^k is the column product T * T^(k-1).  The powers are built
+lazily and memoized on the series, its one memo, so every exponent it is
+raised to, of either sign, reads the same table, and each output column is
+summed against the binomials once per degree.
 In a commutative ring the sum is the product S * ... * S, or
-S^-1 * ... * S^-1, under every bracketing.  On a model whose constants are
-no ring (a unit that is not neutral, a basis triple with two products
-under the three bracketings, or o_i b_i b_j != 0 for a basis element b_i of
-finite order o_i) no bracketing is canonical, and the sum is the power
-this engine defines; ``validate_model`` reports such a model.
+S^-1 * ... * S^-1 with S^-1 the unique inverse, under every bracketing.  On
+a model whose constants are no ring (a unit that is not neutral, a basis
+triple with two products under the three bracketings, or o_i b_i b_j != 0
+for a basis element b_i of finite order o_i) no bracketing is canonical, S
+may have no inverse or several, and the sum, S^-1 too, is the power this
+engine defines; ``validate_model`` reports such a model.
 
 The two substitutions that translate between a total lambda-series and a
 total gamma-series are linear with binomial coefficients:
@@ -47,14 +48,6 @@ total gamma-series are linear with binomial coefficients:
 They run per column: each column of c_1..c_N, up to its last nonzero
 degree D, is summed against the cached row of signed binomials of each
 degree, and reduced once, so a column costs O(N D) products, not O(N^2).
-
-Inversion, memoized on the series, requires the constant term to be the
-ring unit and proceeds by forward substitution: the nonzero coefficients
-among c_1..c_N are negated once, as sparse entries, and each degree of the
-inverse is one ``RingModel.dot`` of them against the lower degrees, read
-back as sparse entries.  A zero degree of the series is no pair of that
-sum, so inverting 1 + a t + b t^2 costs at most two pairs a degree,
-whatever the order.
 """
 
 from __future__ import annotations
@@ -64,7 +57,7 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .abelian import GroupElement, _entries
+from .abelian import GroupElement
 from .symfunc import binomial
 
 
@@ -72,10 +65,9 @@ class TruncSeries:
     """Power series truncated after degree ``order``."""
 
     # _columns: {k: [c_k[0], ..., c_k[order]]} for each coordinate k that is
-    # nonzero in some degree; _coeffs: the ring elements, built when read.
-    # Memoized on first use: _inverse, and _powers, the columns of T^k for
-    # T = S - 1
-    __slots__ = ("model", "order", "_columns", "_coeffs", "_inverse", "_powers")
+    # nonzero in some degree; _powers, memoized on first use: the columns of
+    # T^k for T = S - 1
+    __slots__ = ("model", "order", "_columns", "_powers")
 
     def __init__(self, coeffs: Sequence):
         if not coeffs:
@@ -92,8 +84,6 @@ class TruncSeries:
         self.model = m
         self.order = order
         self._columns = columns
-        self._coeffs = None
-        self._inverse = None
         self._powers = None
 
     @classmethod
@@ -124,11 +114,10 @@ class TruncSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients c_0..c_N as ring elements."""
-        if self._coeffs is None:
-            m = self.model
-            self._coeffs = tuple(m.wrap(GroupElement(m.group, r)) for r in self.rows())
-        return self._coeffs
+        """The coefficients c_0..c_N as ring elements, derived from the
+        columns on every read."""
+        m = self.model
+        return tuple(m.wrap(GroupElement(m.group, r)) for r in self.rows())
 
     def rows(self) -> list[tuple[int, ...]]:
         """The coefficients c_0..c_N as reduced coordinate tuples, read off
@@ -173,23 +162,7 @@ class TruncSeries:
         )
 
     def inverse(self) -> "TruncSeries":
-        if self._inverse is None:
-            if not self._unit_constant():
-                raise ValueError("series with non-unit constant term")
-            m, n = self.model, self.order
-            cols = self._columns.items()
-            # the negated nonzero degrees, as (degree, sparse entries)
-            neg = [(d, e) for d in range(1, n + 1)
-                   if (e := [(q, -col[d]) for q, col in cols if col[d]])]
-            done = [_entries(m.unit.coeffs)]
-            for k in range(1, n + 1):
-                done.append(_entries(m.dot((e, done[k - d]) for d, e in neg if d <= k)))
-            out: dict = {}
-            for d, entries in enumerate(done):
-                for k, v in entries:
-                    out.setdefault(k, [0] * (n + 1))[d] = v
-            self._inverse = TruncSeries._of(m, n, out)
-        return self._inverse
+        return self.pow(-1)
 
     def pow(self, e: int) -> "TruncSeries":
         """S^e from the binomial table of S.
@@ -199,8 +172,8 @@ class TruncSeries:
         >>> s = TruncSeries.from_coeffs(one, [one], 3)
         >>> [c.value.coeffs for c in s.pow(-3).coeffs]
         [(1,), (-3,), (6,), (-10,)]
-        >>> [c.value.coeffs for c in s.pow(-2).coeffs], s._inverse
-        ([(1,), (-2,), (3,), (-4,)], None)
+        >>> [c.value.coeffs for c in s.inverse().coeffs], len(s._powers)
+        ([(1,), (-1,), (1,), (-1,)], 3)
         """
         if not self._unit_constant():
             raise ValueError("series with non-unit constant term")
@@ -209,8 +182,6 @@ class TruncSeries:
             return TruncSeries.one(m.unit_element, n)
         if e == 1:
             return self
-        if e == -1:
-            return self.inverse()
         top = min(e, n) if e > 0 else n
         powers = self._table(top)
         binoms = [binomial(e, k) for k in range(1, top + 1)]
@@ -239,6 +210,13 @@ class TruncSeries:
         while len(powers) < top:
             powers.append(_product(m, n, powers[0], powers[-1]))
         return powers
+
+    def _truncated(self, order: int) -> "TruncSeries":
+        """The series cut after the order, or padded with zero degrees up to
+        it: new columns, no memo."""
+        pad = [0] * (order - self.order)
+        cut = ((k, col[:order + 1] + pad) for k, col in self._columns.items())
+        return TruncSeries._of(self.model, order, {k: col for k, col in cut if any(col)})
 
     def _substitute(self, sign: int) -> "TruncSeries":
         """Apply t -> t/(1 - sign*t), one integer combination per column and

@@ -17,6 +17,12 @@ unit they need not, so those comparisons draw a neutral unit.  On a drawn
 model that is no ring no bracketing of S * ... * S is canonical, and
 ``pow`` must equal ``binomial_pow``, the sum of C(e, k) T^k, T = S - 1,
 with T^k the product T * T^(k-1) of the oracle's series.
+
+``inverse`` is ``pow(-1)``, the same binomial sum.  The earlier inverse,
+forward substitution, stays here as ``oracle_inverse``: on a ring the
+inverse is unique, so on every drawn model that ``is_ring`` and on every
+builtin basis series the two must agree and S * S^-1 must be 1; on a drawn
+model that is no ring the inverse must equal ``binomial_pow(s, -1)``.
 """
 
 import contextlib
@@ -31,7 +37,7 @@ from gwgamma.lambdaring import RingModel, lambda_total
 from gwgamma.models import BUILTINS
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import binomial
-from test_filtration_oracle import CLI_BUILTINS
+from test_filtration_oracle import CLI_BUILTINS, uncached
 from test_series import z_series
 
 
@@ -110,9 +116,7 @@ def oracle_pow(self, e):
 
 def binomial_pow(s, e):
     """S^e as the sum of C(e, k) T^k for k up to min(e, N), or N when e < 0,
-    with T = S - 1 and T^k = T * T^(k-1); S^-1 is the inverse."""
-    if e == -1:
-        return s.inverse()
+    with T = S - 1 and T^k = T * T^(k-1)."""
     zero = s.model.zero_element
     t = TruncSeries([zero, *s.coeffs[1:]])
     out = list(s.coeffs[:1]) + [zero] * s.order
@@ -374,11 +378,21 @@ def test_dot_zero_path():
 @ORACLE_SETTINGS
 @given(model_and_series())
 def test_series_product_and_inverse_match_oracle(drawn):
-    _, (s, t) = drawn
+    m, (s, t) = drawn
     prod, inv = s * t, s.inverse()
     with oracle_arithmetic():
         assert prod == s * t
-        assert inv == s.inverse()
+        check_inverse(m, s, inv)
+
+
+def check_inverse(m, s, inv):
+    """On a ring, inv is the forward substitution's inverse and S * inv = 1;
+    on a model that is no ring, the binomial sum.  Run under the oracle."""
+    if is_ring(m):
+        assert inv == oracle_inverse(s)
+        assert s * inv == TruncSeries.one(m.unit_element, s.order)
+    else:
+        assert inv == binomial_pow(s, -1)
 
 
 @ORACLE_SETTINGS
@@ -410,11 +424,16 @@ def test_substitutions_with_zero_tails_match_oracle(drawn):
 @ORACLE_SETTINGS
 @given(model_and_series(neutral_unit=True, count=1))
 def test_series_pow_matches_oracle(drawn):
+    # with a neutral unit about a third of the draws are rings; the draws of
+    # the product and inverse test above, whose unit need not be neutral,
+    # seldom are
     m, (s,) = drawn
     got = [s.pow(e) for e in range(-3, 6)]
+    inv = s.inverse()
     power = oracle_pow if is_ring(m) else binomial_pow
     with oracle_arithmetic():
         assert got == [power(s, e) for e in range(-3, 6)]
+        check_inverse(m, s, inv)
 
 
 @ORACLE_SETTINGS
@@ -446,9 +465,23 @@ def test_integer_series_match_oracle():
     "name,kwargs", CLI_BUILTINS,
     ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
 )
+def test_builtin_basis_series_inverses_match_oracle(name, kwargs):
+    m = BUILTINS[name](**kwargs)
+    one = TruncSeries.one(m.unit_element, m.trunc)
+    for i in range(m.group.rank):
+        s = m.basis_lambda_series(i, m.trunc)
+        inv = s.inverse()
+        assert inv == oracle_inverse(s), i
+        assert s * inv == one, i
+
+
+@pytest.mark.parametrize(
+    "name,kwargs", CLI_BUILTINS,
+    ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
+)
 def test_builtin_lambda_series_match_oracle_build(name, kwargs):
     # the uncached build: a shared model would not be the oracle's
     with oracle_arithmetic():
-        expected = BUILTINS[name].__wrapped__(**kwargs)
+        expected = uncached(BUILTINS[name])(**kwargs)
     assert hasattr(expected, "mul_table")  # built by the oracle
     assert BUILTINS[name](**kwargs).lambda_on_basis == expected.lambda_on_basis

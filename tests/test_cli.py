@@ -21,6 +21,7 @@ from gwgamma.cli import (
 from gwgamma.filtration import gamma_filtration
 from gwgamma.lambdaring import RingModel
 from gwgamma.models import (
+    BUILTINS,
     gw_point,
     gw_projective,
     gw_punctured_a5,
@@ -64,6 +65,20 @@ def test_emitted_json_is_stable(tmp_path):
 def test_builtin_prefix_accepted(tmp_path):
     out = tmp_path / "point.json"
     assert run(["builtin", "builtin:gw_point_C", "-o", str(out)]) == 0
+
+
+def test_point_aliases_share_gw_point_and_refuse_base(tmp_path, capsys):
+    # gw_point_C and gw_point_R bind the base of gw_point: they return its
+    # interned models, and their one flag is the truncation's
+    assert BUILTINS["gw_point_C"]() is gw_point("C")
+    assert BUILTINS["gw_point_R"]() is gw_point("R")
+    assert BUILTINS["gw_point_R"](trunc=8) is gw_point("R", trunc=8)
+    for name in ("gw_point_C", "gw_point_R"):
+        assert list(inspect.signature(BUILTINS[name]).parameters) == ["trunc"]
+        out = tmp_path / "point.json"
+        assert run(["builtin", name, "--base", "R", "-o", str(out)]) == 2
+        assert "does not accept --base" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_subcommand_and_builtin():

@@ -38,7 +38,7 @@ from gwgamma.lambdaring import RingModel, gamma_total, validate_model
 from gwgamma.models import BUILTINS, gw_punctured_a5, gw_surface_cxp1
 from gwgamma.series import TruncSeries
 from test_arith_oracle import ring_models
-from test_filtration_oracle import CLI_BUILTINS
+from test_filtration_oracle import CLI_BUILTINS, uncached
 from test_sparse_oracle import oracle_project, presentations, vectors
 
 IDS = ["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS]
@@ -112,7 +112,7 @@ def oracle_witt_pieces(m, f):
 def test_builtin_equals_rebuilt_and_oracle_build(monkeypatch, name, kwargs):
     m = BUILTINS[name](**kwargs)
     monkeypatch.setattr(models, "_model", oracle_model)
-    old = BUILTINS[name].__wrapped__(**kwargs)
+    old = uncached(BUILTINS[name])(**kwargs)
     assert old is not m
     orders = sorted({0, 1, m.trunc // 2, m.trunc})
     for ref in (rebuilt(m), old):
@@ -172,7 +172,7 @@ def test_builtin_builds_one_model(monkeypatch, name, kwargs):
         init(self, *args, **kw)
 
     monkeypatch.setattr(RingModel, "__init__", counted)
-    m = BUILTINS[name].__wrapped__(**kwargs)
+    m = uncached(BUILTINS[name])(**kwargs)
     assert calls == [m.name]
 
 

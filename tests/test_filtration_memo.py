@@ -27,7 +27,7 @@ from gwgamma import abelian
 from gwgamma.filtration import gamma_filtration, witt_filtration, witt_quotient
 from gwgamma.models import BUILTINS, gw_projective, gw_surface_cxp1
 
-from test_filtration_oracle import CLI_BUILTINS
+from test_filtration_oracle import CLI_BUILTINS, uncached
 from test_filtration_refusals import (
     nonzero_rank_ring,
     unkilled_torsion_ring,
@@ -70,7 +70,7 @@ for _name, _kwargs in _builtin_cases():
     _key = "%s%s" % (_name, "".join("-%s" % v for v in _kwargs.values()))
     MODELS[_key] = (
         lambda n=_name, kw=_kwargs: BUILTINS[n](**kw),
-        lambda n=_name, kw=_kwargs: BUILTINS[n].__wrapped__(**kw),
+        lambda n=_name, kw=_kwargs: uncached(BUILTINS[n])(**kw),
         range(1, 9),
     )
 for _label, (_, _cap) in JOBS_MODULE.GROUP_RINGS.items():

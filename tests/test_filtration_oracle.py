@@ -138,6 +138,15 @@ CLI_BUILTINS = (
 )
 
 
+def uncached(build):
+    """The uncached build behind an interned constructor, ``__wrapped__``,
+    with the arguments a ``functools.partial`` of one binds (``gw_point_C``
+    and ``gw_point_R`` bind the base of ``gw_point``)."""
+    if isinstance(build, functools.partial):
+        return functools.partial(build.func.__wrapped__, *build.args, **build.keywords)
+    return build.__wrapped__
+
+
 @pytest.mark.parametrize(
     "name,kwargs", CLI_BUILTINS,
     ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],

@@ -37,7 +37,7 @@ from gwgamma.models import (
 )
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import binomial
-from test_filtration_oracle import CLI_BUILTINS
+from test_filtration_oracle import CLI_BUILTINS, uncached
 
 
 def torsion_elements(group):
@@ -430,8 +430,8 @@ def test_projective_build_work_bound(monkeypatch):
         return series_mul(self, other)
 
     def counted_inverse(self):
-        # inverses computed, not memoized ones read again
-        inverses[0] += self._inverse is None
+        # direct inverse() calls; S^-1 inside pow reads the binomial table
+        inverses[0] += 1
         return series_inverse(self)
 
     def counted_product(m, n, a, b):
@@ -458,7 +458,7 @@ def test_projective_build_work_bound(monkeypatch):
     assert inverses[0] == 0
     assert 0 < pairs[0] <= 10
     for name, kwargs in CLI_BUILTINS:
-        BUILTINS[name].__wrapped__(**kwargs)
+        uncached(BUILTINS[name])(**kwargs)
     assert inverses[0] == 0
     for model, before in ((m, 312), (gw_projective.__wrapped__("R", 9, trunc=20), 245)):
         dots[0] = 0
@@ -468,23 +468,30 @@ def test_projective_build_work_bound(monkeypatch):
 
 def test_inverse_work_bound(monkeypatch):
     # the P^r-over-R quotient denominator 1 + (1 + L) t + L t^2, the oracle's
-    # for the twisted classes, has two nonzero degrees, so each degree of its
-    # inverse is a dot of at most two pairs (210 pairs when every lower
-    # degree was passed, zero ones included)
+    # for the twisted classes: its inverse is the binomial sum of its table
+    # T^1..T^20, at most 19 column products and no dot (forward substitution
+    # made 39 dot pairs, 210 when every lower degree was passed)
     dot = RingModel.dot
-    pairs = [0]
+    column_product = series._product
+    dots = [0]
+    columns = [0]
 
     def counted_dot(self, xy):
-        xy = list(xy)
-        pairs[0] += len(xy)
+        dots[0] += 1
         return dot(self, xy)
+
+    def counted_product(m, n, a, b):
+        columns[0] += 1
+        return column_product(m, n, a, b)
 
     m = gw_point("R", trunc=20)
     one, L = m.unit_element, m.basis_element(1)
     den = TruncSeries.from_coeffs(one, [one + L, L], 20)
     monkeypatch.setattr(RingModel, "dot", counted_dot)
+    monkeypatch.setattr(series, "_product", counted_product)
     inv = den.inverse()
-    assert pairs[0] == 39
+    assert dots[0] == 0
+    assert 0 < columns[0] <= 19
     monkeypatch.undo()
     assert den * inv == TruncSeries.one(one, 20)
 

@@ -1,7 +1,8 @@
 """Differential test of ``TruncSeries.pow``.
 
 The reference below is the earlier ``pow``: binary exponentiation of the
-series, or of its inverse for a negative exponent.  It lives here only as an
+series, or of its inverse for a negative exponent, the inverse solved by
+forward substitution (``oracle_inverse``).  It lives here only as an
 oracle.  On a ring model (neutral unit, associative basis products, products
 killed by the torsion orders; ``is_ring``) the binomial table must give the
 same series for every exponent.  On a model that is no ring, ``pow`` is the
@@ -16,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import RingModel, validate_model
 from gwgamma.series import TruncSeries
-from test_arith_oracle import binomial_pow, is_ring, ring_models
+from test_arith_oracle import binomial_pow, is_ring, oracle_inverse, ring_models
 from test_checker_oracle import oracle_products, oracle_validate
 
 
 def oracle_pow(s, e):
-    base = s if e >= 0 else s.inverse()
+    base = s if e >= 0 else oracle_inverse(s)
     e = abs(e)
     out = None
     while e:
@@ -97,19 +98,16 @@ def test_is_ring_matches_oracle_validation(m):
 @given(ring_series(), EXPONENTS)
 def test_pow_matches_binary_exponentiation(s, e):
     got = s.pow(e)
-    if abs(e) >= 2:
-        # the binomial table of s itself produced it, and a negative power
-        # did not solve the inverse
-        assert s._powers is not None
-        if e < 0:
-            assert s._inverse is None
+    if e not in (0, 1):
+        # the binomial table of s itself produced it, S^-1 included
+        assert len(s._powers) == max(min(e, s.order) if e > 0 else s.order, 1)
     assert got == oracle_pow(s, e)
 
 
 def test_one_table_serves_every_exponent():
     m = cyclic_group_ring(5)
     s = TruncSeries.from_coeffs(m.unit_element, [m.element((1, -2, 0, 3, 1))] * 8, 8)
-    for e in TOWER_EXPONENTS + [2, 3, 7]:
+    for e in TOWER_EXPONENTS + [-1, 2, 3, 7]:
         assert s.pow(e) == oracle_pow(s, e)
     assert len(s._powers) == 8
     assert s.inverse()._powers is None
@@ -130,21 +128,27 @@ def test_huge_negative_exponents(square, order, e):
     body = [m.element((d + 1, d % 2 + 1)) for d in range(order)]
     s = TruncSeries.from_coeffs(m.unit_element, body, order)
     got = s.pow(e)
-    assert s._inverse is None
+    # the table of T^1..T^N served, not an inverse
+    assert len(s._powers) == max(order, 1)
     assert got == oracle_pow(s, e)
 
 
 def test_non_ring_model_takes_the_binomial_sum():
     # Z + Z/2 x with x*x = one: 2 * x * x = 2 is not zero, so the product
     # depends on representatives; the binomial sum gives 1 + x t + 6 t^2
-    # where binary exponentiation of the inverse gave 1 + x t - 2 t^2
+    # where binary exponentiation of the inverse gave 1 + x t - 2 t^2, and
+    # S^-1 = 1 - T + T^2 is 1 + x t + t^2 where forward substitution gave
+    # 1 + x t - t^2 (a right inverse there, which the sum is not)
     m = z_plus_z2((1, 0))
     assert m._unit_neutral and not is_ring(m)
-    x = m.basis_element(1)
-    s = TruncSeries.from_coeffs(m.unit_element, [x], 2)
-    assert s.pow(-3).coeffs == (m.unit_element, x, 6 * m.unit_element)
-    assert oracle_pow(s, -3).coeffs[2] == -2 * m.unit_element
-    for e in (-3, -2, 2, 3, 5):
+    one, x = m.unit_element, m.basis_element(1)
+    s = TruncSeries.from_coeffs(one, [x], 2)
+    assert s.pow(-3).coeffs == (one, x, 6 * one)
+    assert oracle_pow(s, -3).coeffs[2] == -2 * one
+    assert s.inverse().coeffs == (one, x, one)
+    assert oracle_inverse(s).coeffs == (one, x, -one)
+    assert s * oracle_inverse(s) == TruncSeries.one(one, 2) != s * s.inverse()
+    for e in (-3, -2, -1, 2, 3, 5):
         assert s.pow(e) == binomial_pow(s, e)
 
 

@@ -115,16 +115,17 @@ def test_basis_series_built_once_per_order():
 def test_group_ring_inverts_its_unit_series_once(monkeypatch):
     # every generator b_i - b_0 of F^1 of Z[C2^4] raises lambda_t(b_0) to
     # the power -1; with one series per (basis element, order) on the model
-    # its inverse is solved once, where each generator solved it again
-    inverse = TruncSeries.inverse
-    solved = []
+    # the binomial table of lambda_t(b_0) is built once, and no other, where
+    # each generator built it again
+    table = TruncSeries._table
+    built = []
 
-    def counted(self):
-        if self._inverse is None:  # a forward substitution runs
-            solved.append(self.coeffs)
-        return inverse(self)
+    def counted(self, top):
+        if self._powers is None:  # a table is started
+            built.append(self.rows())
+        return table(self, top)
 
-    monkeypatch.setattr(TruncSeries, "inverse", counted)
+    monkeypatch.setattr(TruncSeries, "_table", counted)
     m = group_ring.__wrapped__((2, 2, 2, 2))  # a fresh model, memo empty
     gamma_filtration(m, kmax=4)
-    assert solved == [m.basis_lambda_series(0, m.trunc).coeffs]
+    assert built == [m.basis_lambda_series(0, m.trunc).rows()]

@@ -19,7 +19,7 @@ from gwgamma.models import BUILTINS, gw_projective
 from gwgamma.series import TruncSeries
 from test_arith_oracle import augmented_ring_models, ring_models
 from test_filtration_memo import JOBS_MODULE
-from test_filtration_oracle import CLI_BUILTINS
+from test_filtration_oracle import CLI_BUILTINS, uncached
 
 IDS = ["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS]
 
@@ -49,7 +49,7 @@ def built_with_rows(monkeypatch, name, kwargs):
 
     with monkeypatch.context() as patched:
         patched.setattr(models, "_model", capture)
-        m = BUILTINS[name].__wrapped__(**kwargs)
+        m = uncached(BUILTINS[name])(**kwargs)
     return m, stored_rows(m.group, built)
 
 
