@@ -137,7 +137,7 @@ def _times(
     for g in values:
         if g not in products:
             e = _entries(g)
-            found = (m.dot(((e, col),)) for col in cols)
+            found = (m.dot(e, col) for col in cols)
             products[g] = list(dict.fromkeys(p for p in found if any(p)))
         out += products[g]
     return out

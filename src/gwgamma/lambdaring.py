@@ -24,14 +24,14 @@ the sum reduced once.
 
 The structure constants are stored once, as sparse integer rows:
 ``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  Ring
-elements multiply through one primitive, ``RingModel.dot``, which sums the
-products x*y of a list of pairs on a single integer vector and returns the
-sum's reduced coefficient tuple.  Its operands are sparse entry lists, the
-(index, coefficient) pairs of the nonzero coordinates, so a pair costs
+elements multiply through one primitive, ``RingModel.dot``, which
+accumulates a product x*y on a single integer vector and returns its
+reduced coefficient tuple.  Its operands are sparse entry lists, the
+(index, coefficient) pairs of the nonzero coordinates, so a product costs
 nnz(x) * nnz(y) row lengths, whatever the rank.  ``multiply`` is ``dot``
-with one pair of converted elements, the only caller that wraps the tuple
-in a group element; every product of the filtration's table (a gamma-value
-times a span column) is one call to it.  Series products read the same rows
+on converted elements, the only caller that wraps the tuple in a group
+element; every product of the filtration's table (a gamma-value times a
+span column) is one call to it.  Series products read the same rows
 a column pair at a time, one integer product of two packed coordinate
 columns per nonzero row, and give the sums ``dot`` gives (see
 :mod:`gwgamma.series`).
@@ -152,11 +152,7 @@ class RingModel:
             if len(rows) > trunc:
                 raise ValueError("lambda-series of basis element %d: %d terms, more "
                                  "than trunc %d" % (i, len(rows), trunc))
-            rows.insert(0, self.unit.coeffs)
-            pad = (0,) * (trunc + 1 - len(rows))
-            self._basis_series[(i, trunc)] = TruncSeries._of(self, trunc, {
-                k: [*col, *pad] for k, col in enumerate(zip(*rows)) if any(col)
-            })
+            self._basis_series[(i, trunc)] = TruncSeries(self, [self.unit.coeffs, *rows], trunc)
         # what the filtration derives from the model alone (filtration._Memo)
         self._filtration = None
         self.hyperbolic = (
@@ -167,11 +163,6 @@ class RingModel:
 
     def element(self, coeffs: Sequence[int]) -> "RingElement":
         return RingElement(self, self.group.element(coeffs))
-
-    def wrap(self, g: GroupElement) -> "RingElement":
-        if g.pres != self.group:
-            raise ValueError("group element from a different presentation")
-        return RingElement(self, g)
 
     @property
     def unit_element(self) -> "RingElement":
@@ -187,32 +178,28 @@ class RingModel:
     def basis_elements(self) -> tuple["RingElement", ...]:
         return tuple(self.basis_element(i) for i in range(self.group.rank))
 
-    def dot(
-        self, pairs: Iterable[tuple[Sequence[tuple[int, int]], Sequence[tuple[int, int]]]]
-    ) -> tuple[int, ...]:
-        """The sum of x*y over pairs of sparse entry lists, each the (index,
+    def dot(self, xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+        """The product x*y of two sparse entry lists, each the (index,
         coefficient) pairs of the nonzero coordinates of x or y, accumulated
         on one integer vector and returned as its reduced coefficient tuple.
         The vector is allocated at the first nonempty structure-constant row;
-        a sum that meets none is the model's cached zero tuple."""
+        a product that meets none is the model's cached zero tuple."""
         acc = None
         products = self.products
-        for xs, ys in pairs:
-            for i, xi in xs:
-                row = products[i]
-                for j, yj in ys:
-                    entries = row[j]
-                    if entries:
-                        if acc is None:
-                            acc = [0] * self.group.rank
-                        c = xi * yj
-                        for k, s in entries:
-                            acc[k] += c * s
+        for i, xi in xs:
+            row = products[i]
+            for j, yj in ys:
+                entries = row[j]
+                if entries:
+                    if acc is None:
+                        acc = [0] * self.group.rank
+                    c = xi * yj
+                    for k, s in entries:
+                        acc[k] += c * s
         return self._zero if acc is None else self.group.reduce(acc)
 
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        xy = self.dot(((_entries(x.coeffs), _entries(y.coeffs)),))
-        return GroupElement(self.group, xy)
+        return GroupElement(self.group, self.dot(_entries(x.coeffs), _entries(y.coeffs)))
 
     @cached_property
     def _constant_bits(self) -> int:
@@ -234,7 +221,7 @@ class RingModel:
         kill b_i * b_j: (o_i b_i) * b_j is one ``dot``."""
         o = ((i, self.group.orders[i]),)
         for j in range(self.group.rank):
-            if any(self.dot(((o, ((j, 1),)),))):
+            if any(self.dot(o, ((j, 1),))):
                 yield j
 
     def _bracketing_failures(self) -> Iterator[tuple[int, int, int, int, int]]:
@@ -247,10 +234,10 @@ class RingModel:
         for i in range(rank):
             for j in range(i, rank):
                 for k in range(j, rank):
-                    left = self.dot(((rows[i][j], b[k]),))
-                    if self.dot(((b[i], rows[j][k]),)) != left:
+                    left = self.dot(rows[i][j], b[k])
+                    if self.dot(b[i], rows[j][k]) != left:
                         yield i, j, k, i, j
-                    if i < j < k and self.dot(((b[j], rows[i][k]),)) != left:
+                    if i < j < k and self.dot(b[j], rows[i][k]) != left:
                         yield i, j, k, j, i
 
     def _augmentation_failures(self) -> Iterator[str]:
@@ -385,7 +372,7 @@ def lambda_total(x: RingElement, order: int | None = None) -> TruncSeries:
         if c:
             factor = m.basis_lambda_series(i, n).pow(c)
             out = factor if out is None else out * factor
-    return TruncSeries.one(m.unit_element, n) if out is None else out
+    return TruncSeries(m, [m.unit.coeffs], n) if out is None else out
 
 
 def gamma_total(x: RingElement, order: int | None = None) -> TruncSeries:
@@ -395,20 +382,20 @@ def gamma_total(x: RingElement, order: int | None = None) -> TruncSeries:
 def lambda_k(x: RingElement, k: int) -> RingElement:
     if k == 0:
         return x.model.unit_element
-    return lambda_total(x, k).coeffs[k]
+    return x.model.element(lambda_total(x, k).rows()[k])
 
 
 def gamma_k(x: RingElement, k: int) -> RingElement:
     if k == 0:
         return x.model.unit_element
-    return gamma_total(x, k).coeffs[k]
+    return x.model.element(gamma_total(x, k).rows()[k])
 
 
 def _evaluate(m: RingModel, poly: MultiPoly, values: list, memo=None, shared=0) -> tuple:
     """``poly.evaluate`` at sparse entry lists with each product one ``dot``,
     its sum reduced once to a coefficient tuple."""
     total = poly.evaluate(values, _entries(m.unit.coeffs),
-                          lambda a, b: _entries(m.dot(((a, b),))), memo, shared)
+                          lambda a, b: _entries(m.dot(a, b)), memo, shared)
     return m.group.reduce([total.get(k, 0) for k in range(m.group.rank)])
 
 
@@ -459,7 +446,7 @@ def validate_model(m: RingModel) -> Report:
                     yield "d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, got[k], a, k)
 
     def torsion_series():
-        unit_series = TruncSeries.one(m.unit_element, m.trunc)
+        unit_series = TruncSeries(m, [m.unit.coeffs], m.trunc)
         for i, o in torsion:
             if m.basis_lambda_series(i, m.trunc).pow(o) != unit_series:
                 yield "lambda_t(b%d)^%d != 1" % (i, o)

@@ -125,13 +125,10 @@ def _basis_vec(rank: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(rank))
 
 
-def _from_gamma(gamma: TruncSeries | list[RingElement], trunc: int) -> TruncSeries:
+def _from_gamma(gamma: TruncSeries, trunc: int) -> TruncSeries:
     """lambda_t, to order trunc, of the rank-zero class with gamma-series
-    1 + c_1 t + c_2 t^2 + ..., given by c_1, c_2, ... as a list or as a
-    series of any order: coefficients past its end are taken as zero, and
+    gamma, of any order: coefficients past its end are taken as zero, and
     those past trunc are dropped."""
-    if not isinstance(gamma, TruncSeries):
-        gamma = TruncSeries.from_coeffs(gamma[0].model.unit_element, gamma, len(gamma))
     return lambda_from_gamma(gamma._truncated(trunc))
 
 
@@ -197,11 +194,11 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
     h1 = tuple(u + d for u, d in zip(unit, _basis_vec(rank, nb - 1)))
 
     def series(ring):
-        one = ring.unit_element
-        out = [TruncSeries.from_coeffs(one, [b], trunc) for b in ring.basis_elements()[:nb]]
+        out = [TruncSeries(ring, [unit, _basis_vec(rank, i)], trunc) for i in range(nb)]
         a_cls = twisted_hyperbolic_classes(ring, top) if top else []
         # gamma_t(a^k) has degree at most 2 top, so order 2 top holds it exactly
-        a_gamma = [TruncSeries.from_coeffs(one, [a, -a], 2 * top) for a in a_cls[1:]]
+        a_gamma = [TruncSeries(ring, [unit, a.value.coeffs, (-a).value.coeffs], 2 * top)
+                   for a in a_cls[1:]]
         # rewrite a^k as an integer combination of a_1..a_k by back-substitution
         # (a_k = a^k + lower powers of a with unit leading coefficient); a^k
         # inherits the product of the matching powers of the a_j gamma-series
@@ -244,9 +241,9 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
     }
 
     def series(ring):
-        one, det, eps = ring.basis_elements()
-        return [TruncSeries.from_coeffs(one, [b], trunc) for b in (one, det)] + [
-            _from_gamma([eps], trunc)]
+        det, eps = (0, 1, 0), (0, 0, 1)
+        return [TruncSeries(ring, [unit, b], trunc) for b in (unit, det)] + [
+            _from_gamma(TruncSeries(ring, [unit, eps]), trunc)]
 
     return _model(
         "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), series,
@@ -290,9 +287,8 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     unit = (1, 0)
 
     def series(ring):
-        one, eps = ring.basis_elements()
-        return [TruncSeries.from_coeffs(one, [one], trunc),
-                _from_gamma([(c % 2) * eps for c in coeffs], trunc)]
+        return [TruncSeries(ring, [unit, unit], trunc),
+                _from_gamma(TruncSeries(ring, [unit, *((0, c % 2) for c in coeffs)]), trunc)]
 
     return _model(
         "gw_punctured_a5(f=%d)" % f, GroupPresentation((0, 2), ("one", "eps")),
@@ -337,10 +333,10 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     hyperbolic = [i_b, i_c] + d_indices
 
     def series(ring):
-        one, *rest = ring.basis_elements()
-        return [TruncSeries.from_coeffs(one, [one], trunc)] + [
-            _from_gamma([x] if i <= s else [x, -x], trunc)
-            for i, x in enumerate(rest, 1)]
+        one, *rest = (_basis_vec(rank, i) for i in range(rank))
+        gammas = [[one, x] if i <= s else [one, x, [-v for v in x]] for i, x in enumerate(rest, 1)]
+        return [TruncSeries(ring, [one, one], trunc)] + [
+            _from_gamma(TruncSeries(ring, g), trunc) for g in gammas]
 
     return _model(
         "gw_surface_cxp1(s=%d)" % s, group, _basis_vec(rank, 0), mul,

@@ -4,11 +4,13 @@ A series over a :class:`~gwgamma.lambdaring.RingModel` is truncated after a
 fixed order N; operations never consult anything beyond the truncation, so
 results are exact modulo t^(N+1).
 
-A series is stored by coordinate: for each basis coordinate k that is
+A series is built from coordinate rows of the model's group, one per
+coefficient, and stored by coordinate: for each basis coordinate k that is
 nonzero in some degree, the column c_k[0..N] of the k-th coordinates of its
 N + 1 coefficients, reduced modulo the order of b_k.  ``rows`` reads the
-coefficients off the columns as coordinate tuples; ``coeffs`` wraps them
-as ring elements on every read and keeps none.
+coefficients back as coordinate tuples.  No ring or group element enters
+this module: the model supplies its group's ``reduce``, its unit's
+coordinates and its structure-constant rows.
 
 A product is one Kronecker substitution per pair of columns: each column is
 packed into one integer, sum_d c_k[d] 2^(d w), and column i of the first
@@ -25,8 +27,9 @@ Powers use one binomial table per series.  Writing S = 1 + T,
 
     S^e = sum_{k=0}^{top} C(e, k) T^k,   top = min(e, N) for e > 0, N for e < 0,
 
-exactly, since T^(N+1) vanishes mod t^(N+1); a negative e, -1 included,
-takes C(e, k) from ``symfunc.binomial``, so ``inverse`` is ``pow(-1)``.
+exactly, since T^(N+1) vanishes mod t^(N+1); C(e, k) comes from the
+exact recurrence C(e, k) k = C(e, k-1) (e - k + 1) for every integer e, -1
+included, so ``inverse`` is ``pow(-1)``.
 Each power T^k is the column product T * T^(k-1).  The powers are built
 lazily and memoized on the series, its one memo, so every exponent it is
 raised to, of either sign, reads the same table, and each output column is
@@ -57,9 +60,6 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .abelian import GroupElement
-from .symfunc import binomial
-
 
 class TruncSeries:
     """Power series truncated after degree ``order``."""
@@ -69,15 +69,20 @@ class TruncSeries:
     # T^k for T = S - 1
     __slots__ = ("model", "order", "_columns", "_powers")
 
-    def __init__(self, coeffs: Sequence):
-        if not coeffs:
-            raise ValueError("series needs at least a constant term")
-        m = coeffs[0].model
-        if any(c.model is not m for c in coeffs):
-            raise ValueError("elements from different models")
-        self._set(m, len(coeffs) - 1, {
-            k: list(col) for k, col in enumerate(zip(*(c.value.coeffs for c in coeffs)))
-            if any(col)
+    def __init__(self, m, rows: Sequence[Sequence[int]], order: int | None = None):
+        """The series with coefficients c_0, c_1, ... given as coordinate rows
+        of ``m.group``, each reduced, cut after the order or padded with zero
+        degrees up to it; the order defaults to len(rows) - 1."""
+        if order is None:
+            if not rows:
+                raise ValueError("series needs at least a constant term")
+            order = len(rows) - 1
+        elif order < 0:
+            raise ValueError("order must be non-negative")
+        rows = [m.group.reduce(r) for r in rows[:order + 1]]
+        pad = [0] * (order + 1 - len(rows))
+        self._set(m, order, {
+            k: [*col, *pad] for k, col in enumerate(zip(*rows)) if any(col)
         })
 
     def _set(self, m, order: int, columns: dict) -> None:
@@ -93,35 +98,9 @@ class TruncSeries:
         s._set(m, order, columns)
         return s
 
-    @classmethod
-    def one(cls, unit, order: int) -> "TruncSeries":
-        """The series 1 to the order, its columns built from the unit."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        pad = [0] * order
-        return cls._of(unit.model, order,
-                       {k: [u, *pad] for k, u in enumerate(unit.value.coeffs) if u})
-
-    @classmethod
-    def from_coeffs(cls, unit, coeffs: Sequence, order: int) -> "TruncSeries":
-        """Series 1 + c_1 t + c_2 t^2 + ... padded or cut to the order."""
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        zero = unit * 0
-        body = list(coeffs[:order])
-        body += [zero] * (order - len(body))
-        return cls((unit, *body))
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients c_0..c_N as ring elements, derived from the
-        columns on every read."""
-        m = self.model
-        return tuple(m.wrap(GroupElement(m.group, r)) for r in self.rows())
-
     def rows(self) -> list[tuple[int, ...]]:
         """The coefficients c_0..c_N as reduced coordinate tuples, read off
-        the columns without building a ring element."""
+        the columns."""
         rows = [[0] * self.model.group.rank for _ in range(self.order + 1)]
         for k, col in self._columns.items():
             for row, v in zip(rows, col):
@@ -168,23 +147,25 @@ class TruncSeries:
         """S^e from the binomial table of S.
 
         >>> from gwgamma.models import gw_point
-        >>> one = gw_point("C").unit_element
-        >>> s = TruncSeries.from_coeffs(one, [one], 3)
-        >>> [c.value.coeffs for c in s.pow(-3).coeffs]
+        >>> s = TruncSeries(gw_point("C"), [(1,), (1,)], 3)
+        >>> s.pow(-3).rows()
         [(1,), (-3,), (6,), (-10,)]
-        >>> [c.value.coeffs for c in s.inverse().coeffs], len(s._powers)
+        >>> s.inverse().rows(), len(s._powers)
         ([(1,), (-1,), (1,), (-1,)], 3)
         """
         if not self._unit_constant():
             raise ValueError("series with non-unit constant term")
         m, n = self.model, self.order
         if e == 0:
-            return TruncSeries.one(m.unit_element, n)
+            return TruncSeries(m, [m.unit.coeffs], n)
         if e == 1:
             return self
         top = min(e, n) if e > 0 else n
         powers = self._table(top)
-        binoms = [binomial(e, k) for k in range(1, top + 1)]
+        binoms, c = [], 1
+        for k in range(1, top + 1):
+            c = c * (e - k + 1) // k  # C(e, k) k = C(e, k-1) (e-k+1), exact
+            binoms.append(c)
         # per coordinate, its columns in T^1..T^top aligned with the binomials
         held: dict = {}
         zero = [0] * (n + 1)

@@ -29,7 +29,6 @@ bounds (n <= 4 for products, m*n <= 6 for composition) cap the sizes the
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -248,12 +247,3 @@ def compose_universal(m: int, n: int) -> MultiPoly:
         for k in range(1, m + 1)
     ])
 
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for arbitrary integer n (negative upper index allowed)."""
-    if k < 0:
-        return 0
-    if n >= 0:
-        return math.comb(n, k)
-    sign = -1 if k % 2 else 1
-    return sign * math.comb(-n + k - 1, k)

@@ -4,7 +4,10 @@ The reference below is the earlier arithmetic: ``RingModel.multiply`` built
 a ``GroupElement`` for every nonzero basis pair from a table of
 ``GroupElement`` products and reduced after every addition, and
 ``TruncSeries`` chained ring-element products and sums one term at a time.
-It lives here only as an oracle.  ``oracle_arithmetic()`` swaps it in for
+It lives here only as an oracle, on ring-element coefficients that
+``series_of`` folds into a series and ``elements_of`` reads back out: the
+one helper pair every oracle of the tests uses to cross between a series
+and ring elements.  ``oracle_arithmetic()`` swaps it in for
 the duration of a ``with`` block; models constructed inside the block also
 carry the old product table, so the oracle never reads the sparse rows.
 
@@ -36,9 +39,8 @@ from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import RingModel, lambda_total
 from gwgamma.models import BUILTINS
 from gwgamma.series import TruncSeries
-from gwgamma.symfunc import binomial
 from test_filtration_oracle import CLI_BUILTINS, uncached
-from test_series import z_series
+from test_series import binomial, z_series
 
 
 _current_init = RingModel.__init__
@@ -73,39 +75,51 @@ def oracle_multiply(self, x, y):
     return acc
 
 
+def series_of(elements, order=None):
+    """The series with these ring elements as its coefficients c_0, c_1, ...,
+    cut or padded to the order."""
+    return TruncSeries(elements[0].model, [c.value.coeffs for c in elements], order)
+
+
+def elements_of(s):
+    """The coefficients c_0..c_N of the series as ring elements."""
+    return tuple(s.model.element(r) for r in s.rows())
+
+
 def oracle_series_mul(self, other):
     self._check(other)
     n = self.order
-    a, b = self.coeffs, other.coeffs
+    a, b = elements_of(self), elements_of(other)
     out = []
     for k in range(n + 1):
         acc = a[0] * b[k]
         for i in range(1, k + 1):
             acc = acc + a[i] * b[k - i]
         out.append(acc)
-    return TruncSeries(out)
+    return series_of(out)
 
 
 def oracle_inverse(self):
-    if self.coeffs[0] != self.model.unit_element:
+    a = elements_of(self)
+    if a[0] != self.model.unit_element:
         raise ValueError("series with non-unit constant term")
     n = self.order
-    a = self.coeffs
     out = [a[0]]
     for k in range(1, n + 1):
         acc = a[1] * out[k - 1]
         for i in range(2, k + 1):
             acc = acc + a[i] * out[k - i]
         out.append(-acc)
-    return TruncSeries(out)
+    return series_of(out)
 
 
 def oracle_pow(self, e):
-    if self.coeffs[0] != self.model.unit_element:
+    one = self.model.unit_element
+    if elements_of(self)[0] != one:
         raise ValueError("series with non-unit constant term")
     base = self if e >= 0 else self.inverse()
     e = abs(e)
-    out = TruncSeries.one(self.coeffs[0], self.order)
+    out = series_of([one], self.order)
     while e:
         if e & 1:
             out = out * base
@@ -118,14 +132,15 @@ def binomial_pow(s, e):
     """S^e as the sum of C(e, k) T^k for k up to min(e, N), or N when e < 0,
     with T = S - 1 and T^k = T * T^(k-1)."""
     zero = s.model.zero_element
-    t = TruncSeries([zero, *s.coeffs[1:]])
-    out = list(s.coeffs[:1]) + [zero] * s.order
+    coeffs = elements_of(s)
+    t = series_of([zero, *coeffs[1:]])
+    out = list(coeffs[:1]) + [zero] * s.order
     power = t
     for k in range(1, (min(e, s.order) if e >= 0 else s.order) + 1):
         c = (-1) ** k * comb(k - e - 1, k) if e < 0 else comb(e, k)
-        out = [a + c * b for a, b in zip(out, power.coeffs)]
+        out = [a + c * b for a, b in zip(out, elements_of(power))]
         power = t * power
-    return TruncSeries(out)
+    return series_of(out)
 
 
 def is_ring(m):
@@ -139,30 +154,30 @@ def is_ring(m):
 
 
 def oracle_substitute_geometric(self):
-    c = self.coeffs
+    c = elements_of(self)
     out = [c[0]]
     for k in range(1, self.order + 1):
         acc = c[1] * comb(k - 1, k - 1)
         for i in range(2, k + 1):
             acc = acc + comb(k - 1, k - i) * c[i]
         out.append(acc)
-    return TruncSeries(out)
+    return series_of(out)
 
 
 def oracle_substitute_alternating(self):
-    c = self.coeffs
+    c = elements_of(self)
     out = [c[0]]
     for k in range(1, self.order + 1):
         acc = c[1] * ((-1) ** (k - 1) * comb(k - 1, k - 1))
         for i in range(2, k + 1):
             acc = acc + ((-1) ** (k - i) * comb(k - 1, k - i)) * c[i]
         out.append(acc)
-    return TruncSeries(out)
+    return series_of(out)
 
 
 def oracle_lambda_total(x, order, power):
     m = x.model
-    out = TruncSeries.one(m.unit_element, order)
+    out = series_of([m.unit_element], order)
     for i, c in enumerate(x.value.coeffs):
         if c:
             out = out * power(m.basis_lambda_series(i, order), c)
@@ -299,11 +314,7 @@ def model_and_series(draw, neutral_unit=False, count=2):
     order = draw(st.integers(0, 6))
     vec = st.lists(st.integers(-9, 9), min_size=m.group.rank, max_size=m.group.rank)
     out = [
-        TruncSeries.from_coeffs(
-            m.unit_element,
-            [m.element(draw(vec)) for _ in range(order)],
-            order,
-        )
+        series_of([m.unit_element] + [m.element(draw(vec)) for _ in range(order)])
         for _ in range(count)
     ]
     return m, out
@@ -321,58 +332,56 @@ def test_multiply_matches_oracle(drawn):
         assert got == m.multiply(x.value, y.value)
 
 
-def oracle_dot(m, pairs):
-    """The dense sum of the products x*y of the representatives as given,
-    from the per-pair table, reduced once."""
+def oracle_dot(m, xs, ys):
+    """The dense product x*y of the representatives as given, from the
+    per-pair table, reduced once."""
     rank = m.group.rank
     acc = [0] * rank
-    for xs, ys in pairs:
-        x, y = [0] * rank, [0] * rank
-        for v, entries in ((x, xs), (y, ys)):
-            for i, c in entries:
-                v[i] += c
-        for i in range(rank):
-            for j in range(rank):
-                for k, c in enumerate(_basis_product(m, i, j).coeffs):
-                    acc[k] += x[i] * y[j] * c
+    x, y = [0] * rank, [0] * rank
+    for v, entries in ((x, xs), (y, ys)):
+        for i, c in entries:
+            v[i] += c
+    for i in range(rank):
+        for j in range(rank):
+            for k, c in enumerate(_basis_product(m, i, j).coeffs):
+                acc[k] += x[i] * y[j] * c
     return m.group.element(acc).coeffs
 
 
 @st.composite
-def model_and_pairs(draw):
-    """A drawn model with one to four pairs of sparse entry lists; a list may
-    be empty, and its coefficients are not reduced mod the torsion orders."""
+def model_and_pair(draw):
+    """A drawn model with a pair of sparse entry lists; a list may be empty,
+    and its coefficients are not reduced mod the torsion orders."""
     m = draw(ring_models(draw(st.booleans())))
     rank = m.group.rank
     vec = st.lists(st.integers(-20, 20) | st.just(0), min_size=rank, max_size=rank)
     entries = vec.map(lambda v: [(i, c) for i, c in enumerate(v) if c])
-    return m, draw(st.lists(st.tuples(entries, entries), min_size=1, max_size=4))
+    return m, draw(entries), draw(entries)
 
 
 @ORACLE_SETTINGS
-@given(model_and_pairs())
+@given(model_and_pair())
 def test_dot_matches_dense_sum_of_products(drawn):
-    m, pairs = drawn
-    got = m.dot(pairs)
-    hits = any(m.products[i][j] for xs, ys in pairs for i, _ in xs for j, _ in ys)
-    if not hits:
-        # no pair meets a nonempty structure-constant row: the zero path
+    m, xs, ys = drawn
+    got = m.dot(xs, ys)
+    if not any(m.products[i][j] for i, _ in xs for j, _ in ys):
+        # the pair meets no nonempty structure-constant row: the zero path
         assert got == (0,) * m.group.rank
-    assert got == oracle_dot(m, pairs)
+    assert got == oracle_dot(m, xs, ys)
 
 
 def test_dot_zero_path():
-    # Z + Z/2 x with x*x = 0 (the row of x*x is empty): an empty sum, empty
-    # entry lists and pairs that meet only the empty row all give zero
+    # Z + Z/2 x with x*x = 0 (the row of x*x is empty): empty entry lists
+    # and pairs that meet only the empty row give zero
     with oracle_arithmetic():
         m = RingModel("Z+Z/2", GroupPresentation((0, 2), ("one", "x")), (1, 0),
                       {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 2)}, (1, 0),
                       [[(1, 0)], [(0, 1)]])
     x = [(1, 3)]
-    for pairs in ([], [([], x)], [(x, [])], [(x, x), (x, [(1, 1)])]):
-        assert m.dot(pairs) == (0, 0) == oracle_dot(m, pairs)
-    assert m.dot([(x, x), ([(0, 2)], x)]) == (0, 0)  # 6x mod 2, not the zero path
-    assert m.dot([(x, x), ([(0, 1)], x)]) == (0, 1)
+    for xs, ys in (([], []), ([], x), (x, []), (x, x), (x, [(1, 1)])):
+        assert m.dot(xs, ys) == (0, 0) == oracle_dot(m, xs, ys)
+    assert m.dot([(0, 2)], x) == (0, 0)  # 6x mod 2, not the zero path
+    assert m.dot([(0, 1)], x) == (0, 1)
 
 
 @ORACLE_SETTINGS
@@ -390,7 +399,7 @@ def check_inverse(m, s, inv):
     on a model that is no ring, the binomial sum.  Run under the oracle."""
     if is_ring(m):
         assert inv == oracle_inverse(s)
-        assert s * inv == TruncSeries.one(m.unit_element, s.order)
+        assert s * inv == series_of([m.unit_element], s.order)
     else:
         assert inv == binomial_pow(s, -1)
 
@@ -414,7 +423,7 @@ def test_substitutions_with_zero_tails_match_oracle(drawn):
     m, (x,) = drawn
     for order in (1, 2, 16, 64):
         for coeffs in ([x], [x, -x], []):
-            s = TruncSeries.from_coeffs(m.unit_element, coeffs, order)
+            s = series_of([m.unit_element, *coeffs], order)
             geo, alt = s.substitute_geometric(), s.substitute_alternating()
             with oracle_arithmetic():
                 assert geo == s.substitute_geometric()
@@ -467,7 +476,7 @@ def test_integer_series_match_oracle():
 )
 def test_builtin_basis_series_inverses_match_oracle(name, kwargs):
     m = BUILTINS[name](**kwargs)
-    one = TruncSeries.one(m.unit_element, m.trunc)
+    one = series_of([m.unit_element], m.trunc)
     for i in range(m.group.rank):
         s = m.basis_lambda_series(i, m.trunc)
         inv = s.inverse()

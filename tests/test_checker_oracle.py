@@ -7,9 +7,10 @@ every offending case in the order it met them (the earlier one reported the
 last).  It compares all three bracketings of a triple i < j < k, the third
 after the other two, as ``validate_model`` does.  On models
 drawn under ``oracle_arithmetic`` it multiplies with the earlier per-pair
-table, not the sparse rows.  ``oracle_special_pair`` is the earlier
-``verify_special_pair``, which built a fresh lambda-series for every
-lambda^n it read.
+table, not the sparse rows.  ``oracle_special_pair``, shared with
+``tests/test_special_oracle.py``, is the earlier ``verify_special_pair``,
+which built lambda_t(x), lambda_t(y) and lambda_t(x*y) afresh for every
+pair.
 
 The current ``validate_model`` must agree on every check's verdict and
 name the first offending case; ``verify_special_pair`` must give an equal
@@ -22,21 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma import lambdaring
-from gwgamma.lambdaring import (
-    CheckResult,
-    Report,
-    RingModel,
-    lambda_k,
-    lambda_total,
-    validate_model,
-    verify_special_pair,
-)
+from gwgamma.lambdaring import RingModel, validate_model, verify_special_pair
 from gwgamma.models import BUILTINS
-from gwgamma.series import TruncSeries
-from gwgamma.symfunc import binomial, compose_universal, product_universal
-from test_arith_oracle import augmented_ring_models, oracle_multiply, ring_models
-from test_evaluate_oracle import ring_evaluate
+from test_arith_oracle import augmented_ring_models, oracle_multiply, ring_models, series_of
 from test_filtration_oracle import CLI_BUILTINS
+from test_series import binomial
+from test_special_oracle import oracle_special_pair
 
 
 def oracle_validate(m):
@@ -103,7 +95,7 @@ def oracle_validate(m):
 
     cases = []
     for i, o in enumerate(m.group.orders):
-        if o and m.basis_lambda_series(i, m.trunc).pow(o) != TruncSeries.one(one, m.trunc):
+        if o and m.basis_lambda_series(i, m.trunc).pow(o) != series_of([one], m.trunc):
             cases.append("lambda_t(b%d)^%d != 1" % (i, o))
     out.append(("lambda-series respect torsion orders", cases))
     return out
@@ -131,31 +123,6 @@ def assert_names_first_case(m):
         if cases:
             assert check.detail == cases[0], check.name
     return report
-
-
-def oracle_special_pair(x, y, bound=3, compose_pairs=((2, 2), (2, 3), (3, 2))):
-    one = x.model.unit_element
-    need = max([bound] + [m * n for m, n in compose_pairs])
-    lam_x = lambda_total(x, need)
-    lam_y = lambda_total(y, bound)
-    checks = []
-    xy = x * y
-    for n in range(1, bound + 1):
-        lhs = lambda_k(xy, n)
-        values = [lam_x.coeffs[i] for i in range(1, n + 1)]
-        values += [lam_y.coeffs[j] for j in range(1, n + 1)]
-        rhs = ring_evaluate(product_universal(n), values, one)
-        checks.append(CheckResult(
-            "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
-            lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
-    for mm, nn in compose_pairs:
-        lhs = lambda_k(lambda_k(x, nn), mm)
-        values = [lam_x.coeffs[i] for i in range(1, mm * nn + 1)]
-        rhs = ring_evaluate(compose_universal(mm, nn), values, one)
-        checks.append(CheckResult(
-            "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
-            lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
-    return Report(tuple(checks))
 
 
 ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)

@@ -4,15 +4,15 @@ The references are the earlier paths, which went through ``RingElement`` and
 ``GroupElement`` at every coefficient.  They live here only as oracles:
 
 * ``oracle_model`` is the earlier ``models._model``: it built a ring for the
-  arithmetic, read the builder's series back through ``TruncSeries.coeffs``
+  arithmetic, read the builder's series back coefficient by coefficient
   and built a second ``RingModel`` from those coefficients;
 * ``oracle_gamma_values`` wrapped every gamma-coefficient in a ring element;
 * ``oracle_witt_pieces`` reduced every HNF column to a group element,
   projected it, and spanned the images with ``subgroup_from_generators``.
 
 The file also pins the work these paths do (one ``RingModel`` per builtin,
-no ring-element coefficients read by a filtration run) and the constructor's
-refusal of data that the model file format refuses.
+no series coefficient turned into a ring element by a filtration run) and
+the constructor's refusal of data that the model file format refuses.
 """
 
 import pytest
@@ -36,8 +36,7 @@ from gwgamma.filtration import (
 )
 from gwgamma.lambdaring import RingModel, gamma_total, validate_model
 from gwgamma.models import BUILTINS, gw_punctured_a5, gw_surface_cxp1
-from gwgamma.series import TruncSeries
-from test_arith_oracle import ring_models
+from test_arith_oracle import elements_of, ring_models
 from test_filtration_oracle import CLI_BUILTINS, uncached
 from test_sparse_oracle import oracle_project, presentations, vectors
 
@@ -49,7 +48,7 @@ def oracle_model(name, group, unit, mul, aug, series, hyperbolic, trunc):
         return RingModel(name, group, unit, mul, aug, lambda_on_basis, hyperbolic, trunc)
 
     ring = build([[]] * group.rank)
-    return build([[c.value.coeffs for c in s.coeffs[1:]] for s in series(ring)])
+    return build([s.rows()[1:] for s in series(ring)])
 
 
 def rebuilt(m):
@@ -73,10 +72,9 @@ def rebuilt(m):
 def oracle_gamma_values(gens, order):
     values = []
     for e in gens:
-        series = gamma_total(e, order)
+        coeffs = elements_of(gamma_total(e, order))
         values.extend(
-            (i, series.coeffs[i]) for i in range(1, order + 1)
-            if not series.coeffs[i].is_zero
+            (i, coeffs[i]) for i in range(1, order + 1) if not coeffs[i].is_zero
         )
     return values
 
@@ -176,47 +174,51 @@ def test_builtin_builds_one_model(monkeypatch, name, kwargs):
     assert calls == [m.name]
 
 
-def coeff_reads(monkeypatch):
-    """The orders of the series whose `coeffs` are read from now on."""
-    reads = []
-    coeffs = TruncSeries.coeffs
+def wrapped_rows(monkeypatch):
+    """The coordinate rows that ``RingModel.element`` turns into ring
+    elements from now on: the one way a series coefficient, read by rows,
+    becomes a ring element."""
+    rows = []
+    element = RingModel.element
 
-    def counted(self):
-        reads.append(self.order)
-        return coeffs.fget(self)
+    def counted(self, coeffs):
+        rows.append(tuple(coeffs))
+        return element(self, coeffs)
 
-    monkeypatch.setattr(TruncSeries, "coeffs", property(counted))
-    return reads
+    monkeypatch.setattr(RingModel, "element", counted)
+    return rows
 
 
 @pytest.mark.parametrize("build", [
     lambda: gw_surface_cxp1.__wrapped__(s=12), lambda: gw_punctured_a5.__wrapped__(f=6),
 ], ids=["gw_surface_cxp1-12", "gw_punctured_a5-6"])
 def test_filtration_reads_no_ring_coefficients(monkeypatch, build):
-    reads = coeff_reads(monkeypatch)
+    # the one ring element per generator of the augmentation kernel, and
+    # none per gamma-coefficient
+    rows = wrapped_rows(monkeypatch)
     m = build()
     f = gamma_filtration(m, kmax=8)
     witt_filtration(m, f)
-    assert reads == []
+    assert len(rows) == m.group.rank - 1
 
 
 def test_line_elements_read_no_ring_coefficients(monkeypatch):
-    # each candidate's lambda-series is read by rows; through coeffs this
-    # filled 23 series with ring elements
-    reads = coeff_reads(monkeypatch)
+    # each candidate's lambda-series is read by rows, never as ring elements
+    rows = wrapped_rows(monkeypatch)
     lines = models.line_elements(gw_surface_cxp1.__wrapped__(4))
     assert len(lines) == 16
-    assert reads == []
+    assert rows == []
 
 
 def test_special_reads_no_ring_coefficients(monkeypatch, capsys):
     # the checker reads each lambda-series by rows and folds the universal
-    # polynomials on their entries; through coeffs this run read 335 times
-    reads = coeff_reads(monkeypatch)
+    # polynomials on their entries; it wraps lambda^n(x) of its 3
+    # compositions for each of the 5 basis elements x, and nothing else
+    rows = wrapped_rows(monkeypatch)
     args = ["special", "builtin:gw_projective", "--base", "R", "--r", "7", "--bound", "3"]
     assert run(args) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
-    assert reads == []
+    assert len(rows) == 5 * 3
 
 
 # ---------------------------------------------------------------- constructor

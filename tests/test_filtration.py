@@ -305,7 +305,7 @@ def test_gap_in_gamma_series_is_not_termination():
     m = RingModel(
         "gap", GroupPresentation((0, 0), ("one", "x")), (1, 0),
         {(0, 0): (1, 0), (0, 1): (0, 1)}, (1, 0),
-        [[(1, 0)], [(0,) + c.value.coeffs for c in lambda_from_gamma(gamma).coeffs[1:]]],
+        [[(1, 0)], [(0,) + r for r in lambda_from_gamma(gamma).rows()[1:]]],
     )
     assert validate_model(m).ok
     x = m.basis_element(1)
@@ -332,7 +332,7 @@ def test_piece_needs_products_above_kmax(gamma, exact, cap):
     m = RingModel(
         "late", GroupPresentation((0, 0), ("one", "x")), (1, 0),
         {(0, 0): (1, 0), (0, 1): (0, 1)}, (1, 0),
-        [[(1, 0)], [(0,) + c.value.coeffs for c in lambda_from_gamma(series).coeffs[1:]]],
+        [[(1, 0)], [(0,) + r for r in lambda_from_gamma(series).rows()[1:]]],
         trunc=8,
     )
     assert validate_model(m).ok
@@ -385,9 +385,9 @@ def test_heavy_values_meet_no_f1_columns(monkeypatch):
         finally:
             inside[0] = False
 
-    def counted_dot(self, pairs):
+    def counted_dot(self, xs, ys):
         dots[0] += inside[0]
-        return dot(self, pairs)
+        return dot(self, xs, ys)
 
     monkeypatch.setattr(filtration, "_times", counted_times)
     monkeypatch.setattr(RingModel, "dot", counted_dot)

@@ -35,13 +35,12 @@ from gwgamma.models import BUILTINS, gw_projective
 
 
 def _gamma_value_table(gens, cap):
+    from test_arith_oracle import elements_of  # which imports this module
+
     table = []
     for e in gens:
-        series = gamma_total(e, cap)
-        table.append(
-            [(i, series.coeffs[i]) for i in range(1, cap + 1)
-             if not series.coeffs[i].is_zero]
-        )
+        coeffs = elements_of(gamma_total(e, cap))
+        table.append([(i, coeffs[i]) for i in range(1, cap + 1) if not coeffs[i].is_zero])
     return table
 
 
@@ -86,7 +85,7 @@ def _closure_certified(m, pieces, by_weight, table, kmax, cap):
     gamma_values = [(i, v) for row in table for i, v in row]
     for w in range(kmax, cap + 1):
         for stored in by_weight[w]:
-            x = m.wrap(stored)
+            x = m.element(stored.coeffs)
             for i, g in gamma_values:
                 if w + i <= cap:
                     continue

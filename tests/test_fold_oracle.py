@@ -18,7 +18,7 @@ from gwgamma.abelian import _entries
 from gwgamma.lambdaring import _evaluate, lambda_total, psi_k
 from gwgamma.models import BUILTINS
 from gwgamma.symfunc import compose_universal, newton_psi, product_universal
-from test_arith_oracle import is_ring, ring_models
+from test_arith_oracle import elements_of, is_ring, ring_models
 from test_evaluate_oracle import SMALL_BUILTINS, ring_evaluate
 
 PRODUCTS = [(n, product_universal(n)) for n in range(1, 5)]
@@ -75,9 +75,8 @@ def test_shared_prefixes_match_evaluate(data, m):
 
 
 def psi_reference(x, k):
-    lam = lambda_total(x, k)
-    return ring_evaluate(newton_psi(k), [lam.coeffs[i] for i in range(1, k + 1)],
-                         x.model.unit_element)
+    lam = elements_of(lambda_total(x, k))
+    return ring_evaluate(newton_psi(k), list(lam[1:k + 1]), x.model.unit_element)
 
 
 def small_builtin(name, flags):

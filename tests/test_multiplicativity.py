@@ -47,7 +47,7 @@ def _first_failure(f):
         for j in range(i, f.kmax + 1 - i):
             for a in pieces[i].columns:
                 for b in pieces[j].columns:
-                    ab = m.dot(((_entries(a), _entries(b)),))
+                    ab = m.dot(_entries(a), _entries(b))
                     if not pieces[i + j].contains(GroupElement(m.group, ab)):
                         return i, j, a, b
     return None

@@ -16,8 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import RingModel, validate_model
-from gwgamma.series import TruncSeries
-from test_arith_oracle import binomial_pow, is_ring, oracle_inverse, ring_models
+from test_arith_oracle import (
+    binomial_pow,
+    elements_of,
+    is_ring,
+    oracle_inverse,
+    ring_models,
+    series_of,
+)
 from test_checker_oracle import oracle_products, oracle_validate
 
 
@@ -31,7 +37,7 @@ def oracle_pow(s, e):
         e >>= 1
         if e:
             base = base * base
-    return TruncSeries.one(s.coeffs[0], s.order) if out is None else out
+    return series_of([s.model.unit_element], s.order) if out is None else out
 
 
 def ring(name, orders, mul):
@@ -72,7 +78,7 @@ def ring_series(draw):
     order = draw(st.integers(0, 8))
     vec = st.lists(st.integers(-3, 3), min_size=m.group.rank, max_size=m.group.rank)
     body = [m.element(draw(vec)) for _ in range(order)]
-    return TruncSeries.from_coeffs(m.unit_element, body, order)
+    return series_of([m.unit_element, *body])
 
 
 def test_drawn_rings_are_rings():
@@ -106,7 +112,7 @@ def test_pow_matches_binary_exponentiation(s, e):
 
 def test_one_table_serves_every_exponent():
     m = cyclic_group_ring(5)
-    s = TruncSeries.from_coeffs(m.unit_element, [m.element((1, -2, 0, 3, 1))] * 8, 8)
+    s = series_of([m.unit_element] + [m.element((1, -2, 0, 3, 1))] * 8)
     for e in TOWER_EXPONENTS + [-1, 2, 3, 7]:
         assert s.pow(e) == oracle_pow(s, e)
     assert len(s._powers) == 8
@@ -126,7 +132,7 @@ def test_huge_negative_exponents(square, order, e):
     # 2^1000 in the Z coordinate, and the x coordinate reduces them mod 2
     m = z_plus_z2(square)
     body = [m.element((d + 1, d % 2 + 1)) for d in range(order)]
-    s = TruncSeries.from_coeffs(m.unit_element, body, order)
+    s = series_of([m.unit_element, *body])
     got = s.pow(e)
     # the table of T^1..T^N served, not an inverse
     assert len(s._powers) == max(order, 1)
@@ -142,12 +148,12 @@ def test_non_ring_model_takes_the_binomial_sum():
     m = z_plus_z2((1, 0))
     assert m._unit_neutral and not is_ring(m)
     one, x = m.unit_element, m.basis_element(1)
-    s = TruncSeries.from_coeffs(one, [x], 2)
-    assert s.pow(-3).coeffs == (one, x, 6 * one)
-    assert oracle_pow(s, -3).coeffs[2] == -2 * one
-    assert s.inverse().coeffs == (one, x, one)
-    assert oracle_inverse(s).coeffs == (one, x, -one)
-    assert s * oracle_inverse(s) == TruncSeries.one(one, 2) != s * s.inverse()
+    s = series_of([one, x], 2)
+    assert elements_of(s.pow(-3)) == (one, x, 6 * one)
+    assert elements_of(oracle_pow(s, -3))[2] == -2 * one
+    assert elements_of(s.inverse()) == (one, x, one)
+    assert elements_of(oracle_inverse(s)) == (one, x, -one)
+    assert s * oracle_inverse(s) == series_of([one], 2) != s * s.inverse()
     for e in (-3, -2, -1, 2, 3, 5):
         assert s.pow(e) == binomial_pow(s, e)
 
@@ -167,7 +173,7 @@ def test_three_bracketings_model_takes_the_binomial_sum():
         "multiplication associative on basis"
     ]
     assert report.first_failure.detail == "(b1*b2)*b3 != b2*(b1*b3)"
-    s = TruncSeries.from_coeffs(m.unit_element, [m.element((0, 1, 0, 1))], 4)
-    assert s.pow(4).coeffs[4] == m.zero_element
-    assert oracle_pow(s, 4).coeffs[4] == 4 * m.basis_element(2)
+    s = series_of([m.unit_element, m.element((0, 1, 0, 1))], 4)
+    assert elements_of(s.pow(4))[4] == m.zero_element
+    assert elements_of(oracle_pow(s, 4))[4] == 4 * m.basis_element(2)
     assert s.pow(4) == binomial_pow(s, 4)

@@ -7,7 +7,7 @@ a_j lies in the ideal (a) and (a)^(top+1) = 0, so it is computed at order
 2 top and then padded or cut to the truncation.
 
 The reference below is the earlier builder, which worked in lambda-space:
-lambda_t(a_j) = ``_from_gamma([a_j, -a_j], trunc)`` for each twisted class,
+lambda_t(a_j) = ``_from_gamma`` of 1 + a_j t - a_j t^2 for each twisted class,
 and lambda_t(a^k) the product of their powers at the full truncation.  It
 lives here only as an oracle.  The truncations on either side of 2 top are
 compared: at trunc < 2 top the gamma-polynomial is cut, above it padded.
@@ -26,7 +26,7 @@ from gwgamma.models import (
     projective_top_power,
     twisted_hyperbolic_classes,
 )
-from gwgamma.series import TruncSeries
+from test_arith_oracle import series_of
 
 TRUNCS = (1, 2, 3, 4, 6, 7, 11, 12, 13, 16, 20, 64)
 CASES = [(base, r) for base in "CR" for r in range(1, 13)]
@@ -35,9 +35,9 @@ CASES = [(base, r) for base in "CR" for r in range(1, 13)]
 def lambda_space_series(ring, nb, top, trunc):
     """The basis lambda-series of P^r as the earlier builder made them."""
     one = ring.unit_element
-    out = [TruncSeries.from_coeffs(one, [b], trunc) for b in ring.basis_elements()[:nb]]
+    out = [series_of([one, b], trunc) for b in ring.basis_elements()[:nb]]
     a_cls = twisted_hyperbolic_classes(ring, top)
-    a_series = [_from_gamma([a, -a], trunc) for a in a_cls[1:]]
+    a_series = [_from_gamma(series_of([one, a, -a]), trunc) for a in a_cls[1:]]
     # a^k as an integer combination of a_1..a_k by back-substitution; a^k
     # inherits the product of the matching powers of the a_j lambda-series
     for k in range(1, top + 1):

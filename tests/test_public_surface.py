@@ -53,3 +53,17 @@ def test_every_public_definition_has_a_caller_or_a_readme_role():
             if not used and not re.search(r"\b%s\b" % d.name, README):
                 dead.append("%s.%s" % (module, d.name))
     assert dead == []
+
+
+def test_series_module_stands_on_coordinate_rows():
+    # the series layer reads the model's group, unit and structure-constant
+    # rows as integers: it imports no other gwgamma module and names no ring
+    # or group element class
+    tree = ast.parse((SRC / "series.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    modules = [n.module or "" for n in imports if isinstance(n, ast.ImportFrom)]
+    modules += [alias.name for n in imports if isinstance(n, ast.Import) for alias in n.names]
+    assert [n.module for n in imports if getattr(n, "level", 0)] == []
+    assert [m for m in modules if m.split(".")[0] == "gwgamma"] == []
+    names = _used_names(tree) | {alias.asname or alias.name for n in imports for alias in n.names}
+    assert names & {"GroupElement", "RingElement"} == set()

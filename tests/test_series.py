@@ -4,24 +4,33 @@ The series here have coefficients in Z, the ring of the complex point.
 """
 
 import random
+from math import comb
 
 import pytest
 
-from gwgamma.models import gw_point
+from gwgamma.models import gw_point, gw_punctured_a5
 from gwgamma.series import TruncSeries, gamma_from_lambda, lambda_from_gamma
-from gwgamma.symfunc import binomial
 
 ONE = gw_point("C").unit_element
 
 
+def binomial(n, k):
+    """C(n, k) for every integer n, 0 for k < 0: the reference for the
+    binomial coefficients the series compute themselves, with
+    C(n, k) = (-1)^k C(k - n - 1, k) for n < 0."""
+    if k < 0:
+        return 0
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
+
+
 def z_series(coeffs, one=ONE):
     """The series with these integer coefficients, over Z with unit ``one``."""
-    return TruncSeries([c * one for c in coeffs])
+    return TruncSeries(one.model, [tuple(c * u for u in one.value.coeffs) for c in coeffs])
 
 
 def z_coeffs(series):
     """The integer coefficients of a series over Z."""
-    return tuple(c.value.coeffs[0] for c in series.coeffs)
+    return tuple(r[0] for r in series.rows())
 
 
 def poly_mul(a, b, order):
@@ -104,3 +113,16 @@ def test_gamma_of_integer_lambda_series():
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         z_series((1, 2)) * z_series((1, 2, 3))
+
+
+def test_rows_are_reduced_then_cut_or_padded_to_the_order():
+    # Z + Z/2 eps: each row is reduced in its torsion coordinate, the rows
+    # past the order are dropped, and zero degrees fill up to it
+    m = gw_punctured_a5(3)
+    rows = [(1, 0), (3, 5), (-1, -3)]
+    assert TruncSeries(m, rows).rows() == [(1, 0), (3, 1), (-1, 1)]
+    assert TruncSeries(m, rows, 1).rows() == [(1, 0), (3, 1)]
+    assert TruncSeries(m, rows, 1) == TruncSeries(m, rows[:2])
+    assert TruncSeries(m, rows, 4).rows() == [(1, 0), (3, 1), (-1, 1), (0, 0), (0, 0)]
+    assert TruncSeries(m, rows, 4) == TruncSeries(m, rows + [(0, 2)] * 2)
+    assert TruncSeries(m, [], 2).rows() == [(0, 0)] * 3

@@ -106,9 +106,7 @@ def test_basis_series_built_once_per_order():
         for order in (0, 3, m.trunc):
             s = m.basis_lambda_series(i, order)
             assert m.basis_lambda_series(i, order) is s
-            fresh = TruncSeries.from_coeffs(
-                m.unit_element, [m.wrap(g) for g in lam[i]], order
-            )
+            fresh = TruncSeries(m, [m.unit.coeffs, *(g.coeffs for g in lam[i])], order)
             assert s == fresh and s is not fresh
 
 

@@ -24,7 +24,7 @@ from gwgamma.lambdaring import (
 )
 from gwgamma.models import BUILTINS
 from gwgamma.symfunc import MultiPoly, compose_universal, product_universal
-from test_arith_oracle import ring_models
+from test_arith_oracle import elements_of, ring_models
 from test_evaluate_oracle import ring_evaluate
 from test_filtration_oracle import CLI_BUILTINS
 
@@ -36,21 +36,20 @@ def oracle_special_pair(x, y, bound=3, compose_pairs=COMPOSE_PAIRS):
         raise ValueError("elements from different models")
     one = x.model.unit_element
     need = max([bound] + [m * n for m, n in compose_pairs])
-    lam_x = lambda_total(x, need)
-    lam_y = lambda_total(y, bound)
-    lam_xy = lambda_total(x * y, bound)
+    lam_x = elements_of(lambda_total(x, need))
+    lam_y = elements_of(lambda_total(y, bound))
+    lam_xy = elements_of(lambda_total(x * y, bound))
     checks = []
     for n in range(1, bound + 1):
-        lhs = lam_xy.coeffs[n]
-        values = [lam_x.coeffs[i] for i in range(1, n + 1)]
-        values += [lam_y.coeffs[j] for j in range(1, n + 1)]
+        lhs = lam_xy[n]
+        values = list(lam_x[1:n + 1] + lam_y[1:n + 1])
         rhs = ring_evaluate(product_universal(n), values, one)
         checks.append(CheckResult(
             "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
             lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
     for mm, nn in compose_pairs:
-        lhs = lambda_k(lam_x.coeffs[nn], mm)
-        values = [lam_x.coeffs[i] for i in range(1, mm * nn + 1)]
+        lhs = lambda_k(lam_x[nn], mm)
+        values = list(lam_x[1:mm * nn + 1])
         rhs = ring_evaluate(compose_universal(mm, nn), values, one)
         checks.append(CheckResult(
             "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
@@ -180,9 +179,9 @@ def test_special_work_bound(monkeypatch, capsys):
     products = []
     real_dot = RingModel.dot
 
-    def dot(self, pairs):
+    def dot(self, xs, ys):
         products.append(1)
-        return real_dot(self, pairs)
+        return real_dot(self, xs, ys)
 
     monkeypatch.setattr(RingModel, "dot", dot)
     assert cli.run(["special", "builtin:gw_surface_cxp1", "--s", "4"]) == 0

@@ -81,7 +81,7 @@ def assert_cuts_match_rows(m):
     for i in range(m.group.rank):
         for order in range(m.trunc + 1):
             got = m.basis_lambda_series(i, order)
-            want = TruncSeries.from_coeffs(m.unit_element, [m.wrap(g) for g in lam[i]], order)
+            want = TruncSeries(m, [m.unit.coeffs, *(g.coeffs for g in lam[i])], order)
             assert got.order == order
             assert got._columns == want._columns
 
@@ -113,10 +113,11 @@ def test_rows_are_derived_never_kept(tmp_path):
 
 def test_unit_series_is_built_from_the_unit():
     for m in (gw_projective("R", 3), JOBS_MODULE.group_ring(gwgamma, "C3")):
-        one = m.unit_element
+        unit, zero = m.unit.coeffs, (0,) * m.group.rank
         for order in range(6):
-            s = TruncSeries.one(one, order)
+            s = TruncSeries(m, [unit], order)
             assert s.order == order
-            assert s == TruncSeries.from_coeffs(one, (), order)
+            assert s == TruncSeries(m, [unit] + [zero] * order)
+            assert s.rows() == [unit] + [zero] * order
         with pytest.raises(ValueError, match="order must be non-negative"):
-            TruncSeries.one(one, -1)
+            TruncSeries(m, [unit], -1)

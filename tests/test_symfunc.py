@@ -25,12 +25,12 @@ from gwgamma.symfunc import (
     PRODUCT_DEGREE_BOUND,
     MultiPoly,
     _lambda_from_psi,
-    binomial,
     compose_universal,
     newton_psi,
     product_universal,
 )
 from test_evaluate_oracle import SMALL_BUILTINS, ring_evaluate
+from test_series import binomial, z_coeffs, z_series
 from test_special_oracle import assert_matches_oracle, basis_pairs
 
 
@@ -291,14 +291,17 @@ def test_compose_bound_enforced():
 
 
 def test_binomial_negative_upper_index():
-    assert binomial(-1, 3) == -1
-    assert binomial(-2, 1) == -2
-    assert binomial(-3, 2) == 6
-    assert binomial(5, 2) == 10
-    assert binomial(3, -1) == 0
+    # C(e, k) is the degree-k coefficient of (1 + t)^e, the series' own
+    # binomial sum, for every integer e; the reference binomial agrees
+    def coeff(e, k):
+        return z_coeffs(z_series((1, 1, 0, 0, 0)).pow(e))[k] if k >= 0 else 0
+
+    for e, k, value in ((-1, 3, -1), (-2, 1, -2), (-3, 2, 6), (5, 2, 10), (3, -1, 0)):
+        assert coeff(e, k) == binomial(e, k) == value
     # Vandermonde spot check with negative entries
     for n in range(-4, 5):
         for k in range(0, 5):
+            assert coeff(n, k) == coeff(n - 1, k) + coeff(n - 1, k - 1)
             assert binomial(n, k) == binomial(n - 1, k) + binomial(n - 1, k - 1)
 
 
