@@ -15,11 +15,14 @@ A product of weight >= k is one gamma-value of weight >= k, or g * p with g
 of weight i and p a product of weight >= max(k-i, 1), which lies in
 F^max(k-i, 1) by induction; so no product of any weight is missed, and
 each piece is one Hermite normal form.  The recursion needs F^1 to be the
-augmentation kernel, an ideal, spanned by the values of weight one, so a
-model is refused with a ValueError naming the case when its augmentation
-is not multiplicative on the basis, when the order o_i of a torsion basis
-element b_i does not kill some b_i * b_j (see below), when lambda^1 is not
-the identity on some b_i, or when it has a gamma-value of nonzero rank.
+augmentation kernel, an ideal, spanned by the values of weight one.  So a
+model is refused with a ValueError "<check>: <case>" on the first
+offending case of the checks of ``lambdaring._checks`` named in
+``_REFUSALS``: its augmentation is not multiplicative on the basis,
+lambda^1 is not the identity on some b_i, or a torsion basis element b_i
+of order o_i has nonzero rank (then the rank is no map on the group) or
+does not kill some b_i * b_j (see below).  A model with a gamma-value of
+nonzero rank is refused too.
 
 The products g * F^1 of the values g of weight i >= k are left out of the
 sum, since they lie in it already.  With lambda^1 the identity on the
@@ -92,7 +95,14 @@ from .abelian import (
     relative_quotient_invariants,
     subgroup_from_generators,
 )
-from .lambdaring import RingElement, RingModel, gamma_total
+from .lambdaring import RingElement, RingModel, _checks, gamma_total
+
+# the checks of ``lambdaring._checks`` the recursion needs, in refusal order
+_REFUSALS = (
+    "augmentation is a ring homomorphism",
+    "lambda^1 is the identity on basis",
+    "products respect torsion orders",
+)
 
 
 @dataclass(frozen=True)
@@ -210,14 +220,10 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         raise ValueError("kmax %d exceeds weight budget %d" % (kmax, budget))
     memo = _memo(m)
     if memo.values is None:
-        failure = next(m._augmentation_failures(), None)
-        if failure:
-            raise ValueError("augmentation not multiplicative: " + failure)
-        for i in m._lambda_one_failures():
-            raise ValueError("F^1 is not the rank kernel: lambda^1(b%d) != b%d" % (i, i))
-        for i, o in enumerate(m.group.orders):
-            for j in m._unkilled(i) if o else ():
-                raise ValueError("order %d of b%d does not kill b%d*b%d" % (o, i, i, j))
+        checks = dict(_checks(m))
+        for name in _REFUSALS:
+            for case in checks[name]:
+                raise ValueError("%s: %s" % (name, case))
         gens = tuple(m.element(v) for v in kernel_basis(m.aug))
         values = _gamma_values(gens, budget)
         if any(sum(a * c for a, c in zip(m.aug, g)) for gs in values.values() for g in gs):

@@ -35,9 +35,9 @@ span column) is one call to it.  Series products read the same rows
 a column pair at a time, one integer product of two packed coordinate
 columns per nonzero row, and give the sums ``dot`` gives (see
 :mod:`gwgamma.series`).
-Whether the constants make a commutative ring is checked by two
-generators of offending cases, each of whose products is one ``dot`` of a
-basis element with a stored row; ``validate_model`` names their cases.
+The structural checks of a model are one table, ``_checks``, of named
+generators of offending cases: ``validate_model`` reports the first case of
+each, and ``gamma_filtration`` refuses on the first of three by name.
 
 Each basis lambda-series is stored once, as the integer columns of the
 series ``basis_lambda_series(i, N)``, N >= 1 the truncation order.  A model
@@ -216,40 +216,6 @@ class RingModel:
     def _unit_neutral(self) -> bool:
         return all(self.multiply(self.unit, b) == b for b in self.group.basis())
 
-    def _unkilled(self, i: int) -> Iterator[int]:
-        """The j for which the order of the torsion element b_i does not
-        kill b_i * b_j: (o_i b_i) * b_j is one ``dot``."""
-        o = ((i, self.group.orders[i]),)
-        for j in range(self.group.rank):
-            if any(self.dot(o, ((j, 1),))):
-                yield j
-
-    def _bracketing_failures(self) -> Iterator[tuple[int, int, int, int, int]]:
-        """(i, j, k, p, q) for each basis triple i <= j <= k and bracketing
-        b_p*(b_q*b_k) that differs from (b_i*b_j)*b_k: first (p, q) = (i, j),
-        then (j, i) when i < j < k.  Each bracketing is one ``dot`` of a
-        basis element with a stored product row."""
-        rows, rank = self.products, self.group.rank
-        b = [((i, 1),) for i in range(rank)]
-        for i in range(rank):
-            for j in range(i, rank):
-                for k in range(j, rank):
-                    left = self.dot(rows[i][j], b[k])
-                    if self.dot(b[i], rows[j][k]) != left:
-                        yield i, j, k, i, j
-                    if i < j < k and self.dot(b[j], rows[i][k]) != left:
-                        yield i, j, k, j, i
-
-    def _augmentation_failures(self) -> Iterator[str]:
-        """The case d(b_i*b_j) != d(b_i)*d(b_j), both values written out, for
-        each basis pair i <= j on which the augmentation d is not multiplicative."""
-        aug = self.aug
-        for i, row in enumerate(self.products):
-            for j in range(i, self.group.rank):
-                got = sum(aug[k] * c for k, c in row[j])
-                if got != aug[i] * aug[j]:
-                    yield "d(b%d*b%d) = %d != %d" % (i, j, got, aug[i] * aug[j])
-
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
         """lambda_t(b_i) through the order, cut once per (i, order) from the
         stored series and kept on the model, so that its memoized power
@@ -267,14 +233,10 @@ class RingModel:
             series = self._basis_series[key] = stored._truncated(order)
         return series
 
-    def _stored(self, i: int) -> dict:
-        """The columns of the stored series lambda_t(b_i), to the truncation."""
-        return self._basis_series[(i, self.trunc)]._columns
-
     def _lambda_rows(self, i: int) -> list[list[int]]:
         """The coefficients of lambda_t(b_i) in degrees 1..D as coordinate
         lists, D its last nonzero degree, read off the stored columns."""
-        cols = self._stored(i)
+        cols = self._basis_series[(i, self.trunc)]._columns
         last = max(map(_last_degree, cols.values()), default=0)
         rows = [[0] * self.group.rank for _ in range(last)]
         for k, col in cols.items():
@@ -292,16 +254,6 @@ class RingModel:
             tuple(GroupElement(group, tuple(r)) for r in self._lambda_rows(i))
             for i in range(group.rank)
         )
-
-    def _lambda_one_failures(self) -> Iterator[int]:
-        """The i for which lambda^1(b_i), read off the stored columns, is not
-        b_i."""
-        rank = self.group.rank
-        for i in range(rank):
-            cols = self._stored(i)
-            row = tuple(cols[k][1] if k in cols else 0 for k in range(rank))
-            if row != self.group.basis_element(i).coeffs:
-                yield i
 
 
 @dataclass(frozen=True)
@@ -408,64 +360,93 @@ def psi_k(x: RingElement, k: int) -> RingElement:
     return x.model.element(_evaluate(x.model, newton_psi(k), [_entries(r) for r in rows[1:]]))
 
 
-def _first_case(name: str, cases: Iterable[str]) -> CheckResult:
-    """The check passes when it yields no offending case; else the first
-    case is the detail."""
-    case = next(iter(cases), None)
-    return CheckResult(name, case is None, case or "")
+def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
+    """Each structural check of a model, in report order: its name and a
+    generator of its offending cases, which computes nothing until it is
+    read, on the basis products and the stored lambda-series columns."""
+    group, aug, rows, trunc = m.group, m.aug, m.products, m.trunc
+    rank = group.rank
+    b = [((i, 1),) for i in range(rank)]
+    torsion = [(i, o) for i, o in enumerate(group.orders) if o]
+    stored = [m._basis_series[(i, trunc)]._columns for i in range(rank)]
 
+    def unit():
+        d = m.augmentation(m.unit)
+        if d != 1:
+            yield "d(1) = %d" % d
 
-def validate_model(m: RingModel) -> Report:
-    """Structural sanity of a model: everything finitely checkable.
+    def neutral():
+        if not m._unit_neutral:
+            yield ""
 
-    Each check generates its offending cases, on the basis elements and
-    their products in the sparse structure-constant rows; the report names
-    the first one.  The homomorphism and torsion-kill cases come from the
-    generators that ``gamma_filtration`` refuses on.
-    """
-    d, aug = m.augmentation, m.aug
-    torsion = [(i, o) for i, o in enumerate(m.group.orders) if o]
+    def bracketings():
+        # (b_i*b_j)*b_k against b_i*(b_j*b_k), and b_j*(b_i*b_k) when
+        # i < j < k: each one dot of a basis element with a stored row
+        for i in range(rank):
+            for j in range(i, rank):
+                for k in range(j, rank):
+                    left = m.dot(rows[i][j], b[k])
+                    for p, q in ((i, j), (j, i)) if i < j < k else ((i, j),):
+                        if m.dot(b[p], rows[q][k]) != left:
+                            yield "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, p, q, k)
 
     def torsion_products():
+        # (o_i b_i) * b_j is one dot
         for i, o in torsion:
             if aug[i]:
                 yield "torsion basis element %d has nonzero rank" % i
-            for j in m._unkilled(i):
-                yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
+            for j in range(rank):
+                if any(m.dot(((i, o),), b[j])):
+                    yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
+
+    def homomorphism():
+        for i, row in enumerate(rows):
+            for j in range(i, rank):
+                got = sum(aug[k] * c for k, c in row[j])
+                if got != aug[i] * aug[j]:
+                    yield "d(b%d*b%d) = %d != %d" % (i, j, got, aug[i] * aug[j])
+
+    def lambda_one():
+        for i, cols in enumerate(stored):
+            row = tuple(cols[k][1] if k in cols else 0 for k in range(rank))
+            if row != group.basis_element(i).coeffs:
+                yield "lambda^1(b%d) != b%d" % (i, i)
 
     def lambda_augmentations():
         # every degree 1..trunc, the zero ones past the last stored degree too
         for i, a in enumerate(aug):
-            got = [0] * (m.trunc + 1)
-            for q, col in m._stored(i).items():
+            got = [0] * (trunc + 1)
+            for q, col in stored[i].items():
                 got = [g + aug[q] * v for g, v in zip(got, col)]
             want = 1  # C(a, k) by C(a, k) k = C(a, k-1) (a-k+1), exact
-            for k in range(1, m.trunc + 1):
+            for k in range(1, trunc + 1):
                 want = want * (a - k + 1) // k
                 if got[k] != want:
                     yield "d(lambda^%d(b%d)) = %d != C(%d,%d)" % (k, i, got[k], a, k)
 
     def torsion_series():
-        unit_series = TruncSeries(m, [m.unit.coeffs], m.trunc)
+        unit_series = TruncSeries(m, [m.unit.coeffs], trunc)
         for i, o in torsion:
-            if m.basis_lambda_series(i, m.trunc).pow(o) != unit_series:
+            if m.basis_lambda_series(i, trunc).pow(o) != unit_series:
                 yield "lambda_t(b%d)^%d != 1" % (i, o)
 
-    checks = (
-        ("augmentation(unit) == 1",
-         ["d(1) = %d" % d(m.unit)] if d(m.unit) != 1 else []),
-        ("unit is multiplicatively neutral", [] if m._unit_neutral else [""]),
-        ("multiplication associative on basis",
-         ("(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, p, q, k)
-          for i, j, k, p, q in m._bracketing_failures())),
+    return (
+        ("augmentation(unit) == 1", unit()),
+        ("unit is multiplicatively neutral", neutral()),
+        ("multiplication associative on basis", bracketings()),
         ("products respect torsion orders", torsion_products()),
-        ("augmentation is a ring homomorphism", m._augmentation_failures()),
-        ("lambda^1 is the identity on basis",
-         ("lambda^1(b%d) != b%d" % (i, i) for i in m._lambda_one_failures())),
+        ("augmentation is a ring homomorphism", homomorphism()),
+        ("lambda^1 is the identity on basis", lambda_one()),
         ("augmentation compatible with lambda-series", lambda_augmentations()),
         ("lambda-series respect torsion orders", torsion_series()),
     )
-    return Report(tuple(_first_case(name, cases) for name, cases in checks))
+
+
+def validate_model(m: RingModel) -> Report:
+    """Structural sanity of a model: everything finitely checkable.  The
+    report names the first offending case of each check of ``_checks``."""
+    first = ((name, next(cases, None)) for name, cases in _checks(m))
+    return Report(tuple(CheckResult(name, case is None, case or "") for name, case in first))
 
 
 _COMPOSE_PAIRS = ((2, 2), (2, 3), (3, 2))

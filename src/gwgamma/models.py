@@ -79,15 +79,15 @@ def _model(name, group, unit, mul, aug, series, hyperbolic, trunc) -> RingModel:
 
     ``series`` gets the builtin's one ring, with empty lambda-series, for
     arithmetic only, and returns the lambda-series of every basis element to
-    ``trunc``.  Their columns, without the build's memos, become the ring's
-    ``basis_lambda_series(i, trunc)``, its one stored form of the series.
+    ``trunc``.  They become the ring's ``basis_lambda_series(i, trunc)`` as
+    built, its one stored form of the series.
     """
     ring = RingModel(name, group, unit, mul, aug, [[]] * group.rank, hyperbolic, trunc)
     built = series(ring)
     if len(built) != group.rank or not all(
             s.model is ring and s.order == trunc and s._unit_constant() for s in built):
         raise AssertionError("builder series are not unit series of order %d" % trunc)
-    ring._basis_series = {(i, trunc): s._truncated(trunc) for i, s in enumerate(built)}
+    ring._basis_series = {(i, trunc): s for i, s in enumerate(built)}
     return ring
 
 

@@ -126,11 +126,6 @@ class TruncSeries:
             and self._columns == other._columns
         )
 
-    def __hash__(self) -> int:
-        return hash((self.order, tuple(sorted(
-            (k, tuple(col)) for k, col in self._columns.items()
-        ))))
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
         m = self.model

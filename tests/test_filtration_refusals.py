@@ -8,9 +8,15 @@ do not depend on representatives.  A model whose augmentation is not
 multiplicative on the basis, one whose torsion does not kill its products,
 or one with a gamma-value of nonzero rank was once filtered all the same,
 and could come out flagged exact with pieces that are not the gamma
-filtration.  These, and a model whose lambda^1 is not the identity on the
-basis, now raise ``ValueError`` from ``gamma_filtration``, so also on the
-way to ``witt_filtration``, which takes a gamma filtration of the model.
+filtration.  These, a model whose lambda^1 is not the identity on the
+basis and one with a torsion basis element of nonzero rank now raise
+``ValueError`` from ``gamma_filtration``, so also on the way to
+``witt_filtration``, which takes a gamma filtration of the model.
+
+Except for the gamma-value scan, the refusals are checks of
+``validate_model``'s report: the filtration raises "<check>: <case>" on the
+first offending case of the checks named in ``filtration._REFUSALS``, in
+that order, so the two cannot name different cases.
 """
 
 import re
@@ -19,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gwgamma.abelian import GroupPresentation
-from gwgamma.filtration import gamma_filtration, witt_filtration
+from gwgamma.filtration import _REFUSALS, gamma_filtration, witt_filtration
 from gwgamma.lambdaring import RingModel, validate_model
 from test_arith_oracle import ring_models
 
@@ -119,20 +125,67 @@ def test_torsion_that_does_not_kill_its_products_is_refused():
             witt_filtration(m, gamma_filtration(m, kmax=kmax))
 
 
+def lambda_one_ring():
+    """Basis (1, x), x^2 = x, d(x) = 0 and lambda_t(x) = 1 + x t^2."""
+    group = GroupPresentation((0, 0), ("one", "x"))
+    return RingModel("lambda^1(x) = 0", group, (1, 0),
+                     {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)},
+                     (1, 0), [[(1, 0)], [(0, 0), (0, 1)]], hyperbolic=(), trunc=6)
+
+
+def torsion_rank_ring():
+    """Basis (1, t), t of order 2, t*t = t, ranks (1, 1), lambda_t(t) = 1 + t T."""
+    group = GroupPresentation((0, 2), ("one", "t"))
+    return RingModel("d(t) = 1, 2t = 0", group, (1, 0),
+                     {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)},
+                     (1, 1), [[(1, 0)], [(0, 1)]], hyperbolic=(), trunc=6)
+
+
 def test_lambda_one_that_is_not_the_identity_is_refused():
     # lambda_t(x) = 1 + x t^2: lambda^1(x) = 0, so there is no value of
     # weight one, and F^1, the span of the values x, 2x, 3x, ..., is not
     # spanned by values of weight one, which leaving out the products of
     # the heavier values with F^1 needs
-    group = GroupPresentation((0, 0), ("one", "x"))
-    m = RingModel("lambda^1(x) = 0", group, (1, 0),
-                  {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)},
-                  (1, 0), [[(1, 0)], [(0, 0), (0, 1)]], hyperbolic=(), trunc=6)
+    m = lambda_one_ring()
     assert [c.name for c in validate_model(m).checks if not c.ok] == [
         "lambda^1 is the identity on basis"]
-    message = re.escape("F^1 is not the rank kernel: lambda^1(b1) != b1")
+    message = re.escape("lambda^1 is the identity on basis: lambda^1(b1) != b1")
     for kmax in (1, 2):
         with pytest.raises(ValueError, match=message):
             gamma_filtration(m, kmax=kmax)
         with pytest.raises(ValueError, match=message):
             witt_filtration(m, gamma_filtration(m, kmax=kmax))
+
+
+def test_torsion_basis_element_of_nonzero_rank_is_refused():
+    # 2t = 0 but d(2t) = 2, so the rank is no map on the group and its
+    # "kernel" is no subgroup.  It was flagged exact at kmax 1..3 with
+    # F^1 spanned by (1, 1) and (0, 2), of rank 2 and 0
+    m = torsion_rank_ring()
+    case = "products respect torsion orders: torsion basis element 1 has nonzero rank"
+    first = validate_model(m).first_failure
+    assert "%s: %s" % (first.name, first.detail) == case
+    for _ in range(2):
+        for kmax in range(1, 7):
+            with pytest.raises(ValueError, match=re.escape(case)):
+                gamma_filtration(m, kmax=kmax)
+            with pytest.raises(ValueError, match=re.escape(case)):
+                witt_filtration(m, gamma_filtration(m, kmax=kmax))
+
+
+def test_refusals_are_checks_of_validate_model():
+    names = [c.name for c in validate_model(zero_augmentation_ring()).checks]
+    assert len(set(_REFUSALS)) == len(_REFUSALS)
+    assert set(_REFUSALS) <= set(names)
+
+
+@pytest.mark.parametrize("build", [
+    zero_augmentation_ring, unkilled_torsion_ring, lambda_one_ring, torsion_rank_ring,
+])
+def test_refusal_names_the_first_failing_refused_check(build):
+    m = build()
+    failed = {c.name: c.detail for c in validate_model(m).checks if not c.ok}
+    name = next(name for name in _REFUSALS if name in failed)
+    with pytest.raises(ValueError) as raised:
+        gamma_filtration(m, kmax=1)
+    assert str(raised.value) == "%s: %s" % (name, failed[name])

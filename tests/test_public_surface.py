@@ -67,3 +67,13 @@ def test_series_module_stands_on_coordinate_rows():
     assert [m for m in modules if m.split(".")[0] == "gwgamma"] == []
     names = _used_names(tree) | {alias.asname or alias.name for n in imports for alias in n.names}
     assert names & {"GroupElement", "RingElement"} == set()
+
+
+def test_filtration_reads_no_private_model_state():
+    # the refusals are names of lambdaring's check table; filtration.py
+    # reads no private attribute but the memo slot, so no check logic of
+    # its own can grow back beside the table
+    tree = ast.parse((SRC / "filtration.py").read_text())
+    private = {n.attr for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and n.attr.startswith("_")}
+    assert private <= {"_filtration"}
