@@ -36,7 +36,7 @@ from .models import (
     gw_surface_cxp1,
     line_elements,
 )
-from .series import TruncSeries, gamma_from_lambda, lambda_from_gamma
+from .series import TruncSeries
 
 __all__ = [
     "BUILTINS",
@@ -48,7 +48,6 @@ __all__ = [
     "Subgroup",
     "TruncSeries",
     "gamma_filtration",
-    "gamma_from_lambda",
     "gamma_k",
     "gamma_total",
     "gw_point",
@@ -56,7 +55,6 @@ __all__ = [
     "gw_punctured_a5",
     "gw_punctured_line",
     "gw_surface_cxp1",
-    "lambda_from_gamma",
     "lambda_k",
     "lambda_total",
     "line_elements",

@@ -401,8 +401,7 @@ def _cmd_special(args: argparse.Namespace) -> int:
             print("PASS %s" % label)
         else:
             failed = True
-            worst = pair_report.first_failure
-            print("FAIL %s: %s" % (label, worst.name if worst else "?"))
+            print("FAIL %s: %s" % (label, pair_report.first_failure.name))
     if failed:
         return 1
     print("all identities PASS")

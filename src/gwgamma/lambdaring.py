@@ -28,10 +28,10 @@ elements multiply through one primitive, ``RingModel.dot``, which
 accumulates a product x*y on a single integer vector and returns its
 reduced coefficient tuple.  Its operands are sparse entry lists, the
 (index, coefficient) pairs of the nonzero coordinates, so a product costs
-nnz(x) * nnz(y) row lengths, whatever the rank.  ``multiply`` is ``dot``
-on converted elements, the only caller that wraps the tuple in a group
-element; every product of the filtration's table (a gamma-value times a
-span column) is one call to it.  Series products read the same rows
+nnz(x) * nnz(y) row lengths, whatever the rank.  A product of ring
+elements is ``dot`` on their entries, the tuple wrapped in a group element;
+every product the filtration forms (a gamma-value times a span column) is
+one ``dot``.  Series products read the same rows
 a column pair at a time, one integer product of two packed coordinate
 columns per nonzero row, and give the sums ``dot`` gives (see
 :mod:`gwgamma.series`).
@@ -59,7 +59,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .abelian import GroupElement, GroupPresentation, _entries
-from .series import TruncSeries, _last_degree, gamma_from_lambda
+from .series import TruncSeries, _last_degree
 from .symfunc import (
     MultiPoly,
     compose_universal,
@@ -198,9 +198,6 @@ class RingModel:
                         acc[k] += c * s
         return self._zero if acc is None else self.group.reduce(acc)
 
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return GroupElement(self.group, self.dot(_entries(x.coeffs), _entries(y.coeffs)))
-
     @cached_property
     def _constant_bits(self) -> int:
         """The bit length of the sum of |c| over the entries (k, c) of every
@@ -214,7 +211,8 @@ class RingModel:
 
     @cached_property
     def _unit_neutral(self) -> bool:
-        return all(self.multiply(self.unit, b) == b for b in self.group.basis())
+        unit = _entries(self.unit.coeffs)
+        return all(self.dot(unit, _entries(b.coeffs)) == b.coeffs for b in self.group.basis())
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
         """lambda_t(b_i) through the order, cut once per (i, order) from the
@@ -283,9 +281,9 @@ class RingElement:
             return RingElement(self.model, other * self.value)
         if isinstance(other, RingElement):
             self._check(other)
-            return RingElement(
-                self.model, self.model.multiply(self.value, other.value)
-            )
+            m = self.model
+            product = m.dot(_entries(self.value.coeffs), _entries(other.value.coeffs))
+            return RingElement(m, GroupElement(m.group, product))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -328,7 +326,7 @@ def lambda_total(x: RingElement, order: int | None = None) -> TruncSeries:
 
 
 def gamma_total(x: RingElement, order: int | None = None) -> TruncSeries:
-    return gamma_from_lambda(lambda_total(x, order))
+    return lambda_total(x, order).substitute_geometric()
 
 
 def lambda_k(x: RingElement, k: int) -> RingElement:

@@ -53,10 +53,6 @@ class F2Poly:
         self.terms = frozenset(kept)
 
     @classmethod
-    def zero(cls, nvars: int, maxdeg: int) -> "F2Poly":
-        return cls(nvars, maxdeg)
-
-    @classmethod
     def one(cls, nvars: int, maxdeg: int) -> "F2Poly":
         return cls(nvars, maxdeg, [(0,) * nvars])
 
@@ -96,9 +92,6 @@ class F2Poly:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.maxdeg, self.terms))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -137,7 +130,7 @@ class F2Poly:
         """
         self._compatible(value)
         one = F2Poly.one(self.nvars, self.maxdeg)
-        total = F2Poly.zero(self.nvars, self.maxdeg)
+        total = F2Poly(self.nvars, self.maxdeg)
         powers: dict[int, F2Poly] = {0: one}
         for t in sorted(self.terms):
             e = t[index]

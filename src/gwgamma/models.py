@@ -7,7 +7,9 @@ private helper ``_model`` builds the one ring of the builtin, applies the
 function to it and installs the series it returns on it.  A basis series has
 one of two forms: 1 + b t for a line class b (the base classes 1 and L), or
 the lambda-series of a rank-zero class read off its terminating
-gamma-series (``_from_gamma``), so that no build inverts a series.
+gamma-series, so that no build inverts a series: the builder makes the
+gamma-series at the truncation, ``TruncSeries(ring, rows, trunc)`` padding
+or cutting it, and applies ``substitute_alternating`` (t -> t/(1+t)).
 
 * ``gw_point``      -- the base field, C (integers, binomial lambda) or R
                        (Z[L]/(L^2-1) with L the class of <-1>); built as
@@ -54,7 +56,8 @@ and inherit their gamma-series multiplicatively: gamma_t(a^k) is the product
 of the matching powers of 1 + a_j t - a_j t^2.  Every a_j lies in the ideal
 (a), and (a)^(top+1) = 0 for the top power a^top, so that product is a
 polynomial of degree at most 2 top.  It is computed at order 2 top, exactly,
-and ``_from_gamma`` pads or cuts it to the truncation.
+then padded or cut to the truncation (``TruncSeries._truncated``) before the
+substitution.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .lambdaring import (
     RingModel,
     lambda_total,
 )
-from .series import TruncSeries, lambda_from_gamma
+from .series import TruncSeries
 
 
 def _model(name, group, unit, mul, aug, series, hyperbolic, trunc) -> RingModel:
@@ -123,13 +126,6 @@ def _interned(build):
 
 def _basis_vec(rank: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(rank))
-
-
-def _from_gamma(gamma: TruncSeries, trunc: int) -> TruncSeries:
-    """lambda_t, to order trunc, of the rank-zero class with gamma-series
-    gamma, of any order: coefficients past its end are taken as zero, and
-    those past trunc are dropped."""
-    return lambda_from_gamma(gamma._truncated(trunc))
 
 
 @_interned
@@ -215,7 +211,7 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
                 residue = list(group.reduce(residue))
             if any(residue):
                 raise AssertionError("power of a not spanned by twisted classes")
-            out.append(_from_gamma(power, trunc))
+            out.append(power._truncated(trunc).substitute_alternating())
         return out
 
     name = "gw_projective(r=%d,base=%s)" % (r, base) if r else "gw_point(base=%s)" % base
@@ -243,7 +239,7 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
     def series(ring):
         det, eps = (0, 1, 0), (0, 0, 1)
         return [TruncSeries(ring, [unit, b], trunc) for b in (unit, det)] + [
-            _from_gamma(TruncSeries(ring, [unit, eps]), trunc)]
+            TruncSeries(ring, [unit, eps], trunc).substitute_alternating()]
 
     return _model(
         "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), series,
@@ -287,8 +283,9 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     unit = (1, 0)
 
     def series(ring):
+        gamma = [unit, *((0, c % 2) for c in coeffs)]
         return [TruncSeries(ring, [unit, unit], trunc),
-                _from_gamma(TruncSeries(ring, [unit, *((0, c % 2) for c in coeffs)]), trunc)]
+                TruncSeries(ring, gamma, trunc).substitute_alternating()]
 
     return _model(
         "gw_punctured_a5(f=%d)" % f, GroupPresentation((0, 2), ("one", "eps")),
@@ -336,7 +333,7 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
         one, *rest = (_basis_vec(rank, i) for i in range(rank))
         gammas = [[one, x] if i <= s else [one, x, [-v for v in x]] for i, x in enumerate(rest, 1)]
         return [TruncSeries(ring, [one, one], trunc)] + [
-            _from_gamma(TruncSeries(ring, g), trunc) for g in gammas]
+            TruncSeries(ring, g, trunc).substitute_alternating() for g in gammas]
 
     return _model(
         "gw_surface_cxp1(s=%d)" % s, group, _basis_vec(rank, 0), mul,

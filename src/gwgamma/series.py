@@ -295,10 +295,3 @@ def _signed_binomials(sign: int, order: int) -> tuple[tuple[int, ...], ...]:
         for k in range(1, order + 1)
     )
 
-
-def gamma_from_lambda(series: TruncSeries) -> TruncSeries:
-    return series.substitute_geometric()
-
-
-def lambda_from_gamma(series: TruncSeries) -> TruncSeries:
-    return series.substitute_alternating()

@@ -58,3 +58,31 @@ def test_higher_is_better_counts_the_other_way():
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         summarize(PARENT, PARENT[:9])
+
+
+def test_worse_when_the_median_moves_past_the_bound():
+    # bound 0.25 of the parent's median 27.15 allows 6.7875
+    s = summarize(PARENT, [v + 7.0 for v in PARENT], bound=0.25)
+    assert s["verdict"] == "worse"
+    higher = summarize(PARENT, [v - 7.0 for v in PARENT], better="higher", bound=0.25)
+    assert higher["verdict"] == "worse"
+
+
+def test_within_bound_when_the_median_moves_less_than_the_bound():
+    s = summarize(PARENT, [v + 0.05 for v in PARENT], bound=0.1)
+    assert s["gap"] < 0 and s["verdict"] == "within bound"
+    assert summarize(PARENT, PARENT, bound=0.1)["verdict"] == "within bound"
+
+
+def test_unresolved_when_the_spread_is_wider_than_the_bound():
+    # spread 0.1 of a median 27.15 is wider than a bound of 0.001 (0.02715)
+    s = summarize(PARENT, list(PARENT), bound=0.001)
+    assert s["parent_spread"] > 0.001 * s["parent"]["median"]
+    assert s["verdict"] == "unresolved"
+    # unless every change run beats every parent run
+    faster = summarize(PARENT, [v - 0.5 for v in PARENT], bound=0.001)
+    assert faster["verdict"] == "within bound"
+
+
+def test_no_verdict_without_a_bound():
+    assert "verdict" not in summarize(PARENT, PARENT)

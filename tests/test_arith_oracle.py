@@ -1,9 +1,10 @@
 """Differential test of the integer-vector arithmetic core.
 
-The reference below is the earlier arithmetic: ``RingModel.multiply`` built
-a ``GroupElement`` for every nonzero basis pair from a table of
-``GroupElement`` products and reduced after every addition, and
-``TruncSeries`` chained ring-element products and sums one term at a time.
+The reference below is the earlier arithmetic: the ring-element product
+(once ``RingModel.multiply``) built a ``GroupElement`` for every nonzero
+basis pair from a table of ``GroupElement`` products and reduced after every
+addition, and ``TruncSeries`` chained ring-element products and sums one
+term at a time.
 It lives here only as an oracle, on ring-element coefficients that
 ``series_of`` folds into a series and ``elements_of`` reads back out: the
 one helper pair every oracle of the tests uses to cross between a series
@@ -36,7 +37,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import GroupPresentation
-from gwgamma.lambdaring import RingModel, _checks, lambda_total
+from gwgamma.lambdaring import RingElement, RingModel, _checks, lambda_total
 from gwgamma.models import BUILTINS
 from gwgamma.series import TruncSeries
 from test_filtration_oracle import CLI_BUILTINS, uncached
@@ -44,6 +45,7 @@ from test_series import binomial, z_series
 
 
 _current_init = RingModel.__init__
+_current_mul = RingElement.__mul__
 
 
 def _oracle_init(self, *args, **kwargs):
@@ -73,6 +75,14 @@ def oracle_multiply(self, x, y):
                 continue
             acc = acc + (xi * yj) * _basis_product(self, i, j)
     return acc
+
+
+def oracle_ring_mul(self, other):
+    """``RingElement.__mul__`` with the ring product from ``oracle_multiply``."""
+    if isinstance(other, RingElement):
+        self._check(other)
+        return RingElement(self.model, oracle_multiply(self.model, self.value, other.value))
+    return _current_mul(self, other)
 
 
 def series_of(elements, order=None):
@@ -188,7 +198,7 @@ def oracle_lambda_total(x, order, power):
 
 ORACLE = {
     (RingModel, "__init__"): _oracle_init,
-    (RingModel, "multiply"): oracle_multiply,
+    (RingElement, "__mul__"): oracle_ring_mul,
     (TruncSeries, "__mul__"): oracle_series_mul,
     (TruncSeries, "inverse"): oracle_inverse,
     (TruncSeries, "pow"): oracle_pow,
@@ -329,9 +339,9 @@ ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 @given(model_and_elements())
 def test_multiply_matches_oracle(drawn):
     m, (x, y) = drawn
-    got = m.multiply(x.value, y.value)
+    got = (x * y).value
     with oracle_arithmetic():
-        assert got == m.multiply(x.value, y.value)
+        assert got == (x * y).value
 
 
 def oracle_dot(m, xs, ys):

@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma import lambdaring
-from gwgamma.lambdaring import RingModel, validate_model, verify_special_pair
+from gwgamma.lambdaring import RingElement, RingModel, validate_model, verify_special_pair
 from gwgamma.models import BUILTINS
-from test_arith_oracle import augmented_ring_models, oracle_multiply, ring_models, series_of
+from test_arith_oracle import augmented_ring_models, oracle_ring_mul, ring_models, series_of
 from test_filtration_oracle import CLI_BUILTINS
 from test_series import binomial
 from test_special_oracle import oracle_special_pair
@@ -103,14 +103,14 @@ def oracle_validate(m):
 
 @contextlib.contextmanager
 def oracle_products(m):
-    """The earlier RingModel.multiply, for a model that carries its table."""
-    saved = RingModel.multiply
+    """The earlier ring-element product, for a model that carries its table."""
+    saved = RingElement.__mul__
     if hasattr(m, "mul_table"):
-        RingModel.multiply = oracle_multiply
+        RingElement.__mul__ = oracle_ring_mul
     try:
         yield
     finally:
-        RingModel.multiply = saved
+        RingElement.__mul__ = saved
 
 
 def assert_names_first_case(m):

@@ -23,7 +23,6 @@ from gwgamma.models import (
     gw_surface_cxp1,
     line_elements,
 )
-from gwgamma.series import lambda_from_gamma
 from test_abelian import zero_subgroup
 from test_filtration_oracle import group_ring
 from test_series import z_series
@@ -259,10 +258,8 @@ def test_ideal_property_on_piece_generators():
             for j in range(1, kmax - k + 1):
                 for u in f.pieces[k].columns:
                     for v in f.pieces[j].columns:
-                        prod = m.multiply(
-                            m.group.element(u), m.group.element(v)
-                        )
-                        assert f.pieces[k + j].contains(prod), (m.name, k, j)
+                        prod = m.element(u) * m.element(v)
+                        assert f.pieces[k + j].contains(prod.value), (m.name, k, j)
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,7 +302,7 @@ def test_gap_in_gamma_series_is_not_termination():
     m = RingModel(
         "gap", GroupPresentation((0, 0), ("one", "x")), (1, 0),
         {(0, 0): (1, 0), (0, 1): (0, 1)}, (1, 0),
-        [[(1, 0)], [(0,) + r for r in lambda_from_gamma(gamma).rows()[1:]]],
+        [[(1, 0)], [(0,) + r for r in gamma.substitute_alternating().rows()[1:]]],
     )
     assert validate_model(m).ok
     x = m.basis_element(1)
@@ -332,7 +329,7 @@ def test_piece_needs_products_above_kmax(gamma, exact, cap):
     m = RingModel(
         "late", GroupPresentation((0, 0), ("one", "x")), (1, 0),
         {(0, 0): (1, 0), (0, 1): (0, 1)}, (1, 0),
-        [[(1, 0)], [(0,) + r for r in lambda_from_gamma(series).rows()[1:]]],
+        [[(1, 0)], [(0,) + r for r in series.substitute_alternating().rows()[1:]]],
         trunc=8,
     )
     assert validate_model(m).ok

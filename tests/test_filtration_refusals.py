@@ -32,11 +32,11 @@ from test_arith_oracle import ring_models
 
 def first_failure(m):
     """The first basis pair i <= j with d(b_i b_j) != d(b_i) d(b_j), as the
-    message names it, from ``RingModel.multiply``."""
-    basis, d = m.group.basis(), m.augmentation
+    message names it, from ring-element products."""
+    basis, d = m.basis_elements(), m.augmentation
     for i, a in enumerate(basis):
         for j in range(i, len(basis)):
-            got, want = d(m.multiply(a, basis[j])), d(a) * d(basis[j])
+            got, want = d((a * basis[j]).value), d(a.value) * d(basis[j].value)
             if got != want:
                 return "d(b%d*b%d) = %d != %d" % (i, j, got, want)
     return None

@@ -57,7 +57,7 @@ def test_table_products_match_multiply(case):
         lists = {}
         for g in distinct:
             expected = {
-                m.multiply(m.group.element(g), m.group.element(c)).coeffs
+                (m.element(g) * m.element(c)).value.coeffs
                 for c in sub.columns
             } - {zero}
             got = _times(m, products, [g], sub)

@@ -7,9 +7,9 @@ a_j lies in the ideal (a) and (a)^(top+1) = 0, so it is computed at order
 2 top and then padded or cut to the truncation.
 
 The reference below is the earlier builder, which worked in lambda-space:
-lambda_t(a_j) = ``_from_gamma`` of 1 + a_j t - a_j t^2 for each twisted class,
-and lambda_t(a^k) the product of their powers at the full truncation.  It
-lives here only as an oracle.  The truncations on either side of 2 top are
+lambda_t(a_j) is 1 + a_j t - a_j t^2 at the truncation, substituted
+t -> t/(1+t), for each twisted class, and lambda_t(a^k) the product of their
+powers at the full truncation.  It lives here only as an oracle.  The truncations on either side of 2 top are
 compared: at trunc < 2 top the gamma-polynomial is cut, above it padded.
 """
 
@@ -20,7 +20,6 @@ import pytest
 from gwgamma.cli import model_to_dict
 from gwgamma.lambdaring import gamma_total
 from gwgamma.models import (
-    _from_gamma,
     _model,
     gw_projective,
     projective_top_power,
@@ -37,7 +36,7 @@ def lambda_space_series(ring, nb, top, trunc):
     one = ring.unit_element
     out = [series_of([one, b], trunc) for b in ring.basis_elements()[:nb]]
     a_cls = twisted_hyperbolic_classes(ring, top)
-    a_series = [_from_gamma(series_of([one, a, -a]), trunc) for a in a_cls[1:]]
+    a_series = [series_of([one, a, -a], trunc).substitute_alternating() for a in a_cls[1:]]
     # a^k as an integer combination of a_1..a_k by back-substitution; a^k
     # inherits the product of the matching powers of the a_j lambda-series
     for k in range(1, top + 1):

@@ -10,7 +10,17 @@ change first in odd ones.  For each end-to-end metric that the parent's
 parent's spread between quartiles, the number of pairs the change wins and
 the verdict of the gain rule: the change wins at least nine tenths of the
 pairs, ties counting for neither, and the medians differ, in the better
-direction, by more than the parent's spread.  Stdlib only.
+direction, by more than the parent's spread.  It also prints the verdict of
+the no-regression rule, with the metric's ``bound`` from ``BENCHMARK.json``
+read as a fraction of the parent's median:
+
+* "worse": the change's median is worse than the parent's by more than the
+  bound;
+* "unresolved": the parent's spread is wider than the bound, and not every
+  change run beats every parent run;
+* "within bound": otherwise.
+
+Both verdicts go into the JSON summary line too.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -23,8 +33,10 @@ import subprocess
 import sys
 
 
-def summarize(parent: list[float], change: list[float], better: str = "lower") -> dict:
-    """The gain rule on paired runs, parent[p] against change[p]."""
+def summarize(parent: list[float], change: list[float], better: str = "lower",
+              bound: float | None = None) -> dict:
+    """The gain rule on paired runs, parent[p] against change[p], and, given
+    the metric's bound, the no-regression verdict."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same nonzero number of runs on both sides")
     sign = 1 if better == "lower" else -1
@@ -37,6 +49,15 @@ def summarize(parent: list[float], change: list[float], better: str = "lower") -
     out["parent_spread"] = out["parent"]["q3"] - out["parent"]["q1"]
     out["gap"] = sign * (out["parent"]["median"] - out["change"]["median"])
     out["gain"] = 10 * wins >= 9 * len(parent) and out["gap"] > out["parent_spread"]
+    if bound is not None:
+        allowed = bound * out["parent"]["median"]
+        beats_all = max(sign * v for v in change) < min(sign * v for v in parent)
+        if -out["gap"] > allowed:
+            out["verdict"] = "worse"
+        elif out["parent_spread"] > allowed and not beats_all:
+            out["verdict"] = "unresolved"
+        else:
+            out["verdict"] = "within bound"
     return out
 
 
@@ -80,13 +101,13 @@ def main(argv=None) -> int:
         name = m["name"]
         s = summaries[name] = summarize(
             [r[name]["value"] for r in runs["parent"]],
-            [r[name]["value"] for r in runs["change"]], m["better"])
+            [r[name]["value"] for r in runs["change"]], m["better"], m["bound"])
         print("%-13s parent %.4f [%.4f, %.4f]  change %.4f [%.4f, %.4f]  spread %.4f  "
-              "%s in %d/%d  gap %.4f  gain: %s"
+              "%s in %d/%d  gap %.4f  gain: %s  bound %g: %s"
               % (name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
                  s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
                  s["parent_spread"], m["better"], s["wins"], s["n"], s["gap"],
-                 "yes" if s["gain"] else "no"))
+                 "yes" if s["gain"] else "no", m["bound"], s["verdict"]))
     print(json.dumps({"workload": args.workload, "summaries": summaries}, sort_keys=True))
     return 0
 
