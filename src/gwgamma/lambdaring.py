@@ -39,17 +39,18 @@ The structural checks of a model are one table, ``_checks``, of named
 generators of offending cases: ``validate_model`` reports the first case of
 each, and ``gamma_filtration`` refuses on the first of three by name.
 
-Each basis lambda-series is stored once, as the integer columns of the
-series ``basis_lambda_series(i, N)``, N >= 1 the truncation order.  A model
-file gives its coefficients in degrees 1..D_b, D_b at most N, trailing zero
-degrees dropped; the columns hold zeros past D_b.  Series that genuinely
+Each basis lambda-series is stored once, as the integer columns of
+lambda_t(b_i) at N >= 1, the truncation order.  A model file gives its
+coefficients in degrees 1..D_b, D_b at most N, trailing zero degrees
+dropped; the columns hold zeros past D_b.  Series that genuinely
 terminate (line elements and their shifts) are stored in full;
 non-terminating ones are stored out to N and all derived operations stay
 below it.  ``lambda_on_basis`` derives the group elements of degrees
 1..D_b from the columns on every read, and keeps none.
-``basis_lambda_series(i, order)`` cuts each lower order once per (i, order)
-and keeps it on the model, so the power table memoized on it is shared by
-every element, and every job, that uses the model.
+``basis_lambda_series(i, order)`` hands out a new series over those columns
+on every call, cut below N, so the model holds no series and no power
+table: nothing on it points back at it, and threads that share a model
+share no memo of a series.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ class RingModel:
         hyperbolic: Iterable[Sequence[int]] | None = None,
         trunc: int = DEFAULT_TRUNCATION,
     ):
+        if isinstance(trunc, bool) or not isinstance(trunc, int):
+            raise ValueError("truncation order %r is not an integer" % (trunc,))
         if trunc < 1:
             raise ValueError("truncation order %r is below 1" % (trunc,))
         self.name = name
@@ -142,9 +145,9 @@ class RingModel:
         self._zero = (0,) * rank  # the sum of a dot that meets no row
         if len(lambda_on_basis) != group.rank:
             raise ValueError("lambda-series list of wrong length")
-        # basis_lambda_series, by (i, order); (i, trunc) is the one stored
-        # form of lambda_t(b_i), the others are cut from it
-        self._basis_series: dict[tuple[int, int], TruncSeries] = {}
+        # _basis_columns[i]: the integer columns of lambda_t(b_i) at the
+        # truncation, its one stored form
+        self._basis_columns: list[dict[int, list[int]]] = []
         for i, coeff_list in enumerate(lambda_on_basis):
             rows = [group.reduce(c) for c in coeff_list]
             while rows and not any(rows[-1]):
@@ -152,7 +155,8 @@ class RingModel:
             if len(rows) > trunc:
                 raise ValueError("lambda-series of basis element %d: %d terms, more "
                                  "than trunc %d" % (i, len(rows), trunc))
-            self._basis_series[(i, trunc)] = TruncSeries(self, [self.unit.coeffs, *rows], trunc)
+            self._basis_columns.append(
+                TruncSeries(self, [self.unit.coeffs, *rows], trunc)._columns)
         # what the filtration derives from the model alone (filtration._Memo)
         self._filtration = None
         self.hyperbolic = (
@@ -215,26 +219,21 @@ class RingModel:
         return all(self.dot(unit, _entries(b.coeffs)) == b.coeffs for b in self.group.basis())
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
-        """lambda_t(b_i) through the order, cut once per (i, order) from the
-        stored series and kept on the model, so that its memoized power
-        table serves every later caller."""
+        """lambda_t(b_i) through the order: a new series over the stored
+        columns, cut below the truncation; the model keeps no series."""
         if order < 0:
             raise ValueError("order must be non-negative")
         if order > self.trunc:
             raise ValueError(
                 "order %d beyond model truncation %d" % (order, self.trunc)
             )
-        key = (i, order)
-        series = self._basis_series.get(key)
-        if series is None:
-            stored = self._basis_series[(i, self.trunc)]
-            series = self._basis_series[key] = stored._truncated(order)
-        return series
+        series = TruncSeries._of(self, self.trunc, self._basis_columns[i])
+        return series if order == self.trunc else series._truncated(order)
 
     def _lambda_rows(self, i: int) -> list[list[int]]:
         """The coefficients of lambda_t(b_i) in degrees 1..D as coordinate
         lists, D its last nonzero degree, read off the stored columns."""
-        cols = self._basis_series[(i, self.trunc)]._columns
+        cols = self._basis_columns[i]
         last = max(map(_last_degree, cols.values()), default=0)
         rows = [[0] * self.group.rank for _ in range(last)]
         for k, col in cols.items():
@@ -341,11 +340,11 @@ def gamma_k(x: RingElement, k: int) -> RingElement:
     return x.model.element(gamma_total(x, k).rows()[k])
 
 
-def _evaluate(m: RingModel, poly: MultiPoly, values: list, memo=None, shared=0) -> tuple:
+def _evaluate(m: RingModel, poly: MultiPoly, values: list) -> tuple:
     """``poly.evaluate`` at sparse entry lists with each product one ``dot``,
     its sum reduced once to a coefficient tuple."""
     total = poly.evaluate(values, _entries(m.unit.coeffs),
-                          lambda a, b: _entries(m.dot(a, b)), memo, shared)
+                          lambda a, b: _entries(m.dot(a, b)))
     return m.group.reduce([total.get(k, 0) for k in range(m.group.rank)])
 
 
@@ -366,7 +365,7 @@ def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
     rank = group.rank
     b = [((i, 1),) for i in range(rank)]
     torsion = [(i, o) for i, o in enumerate(group.orders) if o]
-    stored = [m._basis_series[(i, trunc)]._columns for i in range(rank)]
+    stored = m._basis_columns
 
     def unit():
         d = m.augmentation(m.unit)
@@ -482,15 +481,12 @@ def _special_reports(
     of its ``TruncSeries.rows``; the composition checks of each element run
     once, the first time it is an x, and a pair adds only lambda_t(x*y) and
     its ``bound`` product checks.  ``MultiPoly.evaluate`` folds the
-    polynomials with no ring element per coefficient or product, keeping the
-    prefixes made of lambda^k(x) alone for every pair of the same x until x
-    changes.
+    polynomials with no ring element per coefficient or product.
     """
     need = max([bound] + [m * n for m, n in compose_pairs])
     firsts = {i for i, _ in pairs}
     series: dict[int, tuple[list, list]] = {}  # i: rows and their entries
     compositions: dict[int, tuple[CheckResult, ...]] = {}
-    memo_of, memo = None, {}
 
     def lam(i: int, order: int) -> tuple[list, list]:
         # a pair's x is built to the order its compositions need, even when
@@ -513,11 +509,9 @@ def _special_reports(
         m = x.model
         (rows_x, lam_x), (_, lam_y) = lam(i, need), lam(j, bound)
         lam_xy = lambda_total(x * elements[j], bound).rows()
-        if memo_of != i:
-            memo_of, memo = i, {}
         checks = tuple(
             check("lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n), lam_xy[n],
-                  _evaluate(m, product_universal(n), lam_x[1:n + 1] + lam_y[1:n + 1], memo, n))
+                  _evaluate(m, product_universal(n), lam_x[1:n + 1] + lam_y[1:n + 1]))
             for n in range(1, bound + 1)
         )
         if i not in compositions:
@@ -525,7 +519,7 @@ def _special_reports(
                 check(
                     "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
                     lambda_total(m.element(rows_x[nn]), mm).rows()[mm],
-                    _evaluate(m, compose_universal(mm, nn), lam_x[1:mm * nn + 1], memo, mm * nn),
+                    _evaluate(m, compose_universal(mm, nn), lam_x[1:mm * nn + 1]),
                 )
                 for mm, nn in compose_pairs
             )

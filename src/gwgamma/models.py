@@ -45,7 +45,7 @@ classes M and -M and e x = x for e the class of <-1>; the tests keep those
 quotients as the oracle.
 
 Each public constructor is interned (``_interned``): calls with equal
-arguments share one model, and its memos, while anyone holds it.
+arguments share one model, and its filtration memo, while anyone holds it.
 
 Powers a^k are rewritten as integer combinations of the classes
 a_k = H(O(k)) - H(1) through the recursion
@@ -82,15 +82,15 @@ def _model(name, group, unit, mul, aug, series, hyperbolic, trunc) -> RingModel:
 
     ``series`` gets the builtin's one ring, with empty lambda-series, for
     arithmetic only, and returns the lambda-series of every basis element to
-    ``trunc``.  They become the ring's ``basis_lambda_series(i, trunc)`` as
-    built, its one stored form of the series.
+    ``trunc``.  Their columns, as built, become the ring's one stored form
+    of the series; the series themselves are dropped.
     """
     ring = RingModel(name, group, unit, mul, aug, [[]] * group.rank, hyperbolic, trunc)
     built = series(ring)
     if len(built) != group.rank or not all(
             s.model is ring and s.order == trunc and s._unit_constant() for s in built):
         raise AssertionError("builder series are not unit series of order %d" % trunc)
-    ring._basis_series = {(i, trunc): s for i, s in enumerate(built)}
+    ring._basis_columns = [s._columns for s in built]
     return ring
 
 
@@ -99,9 +99,10 @@ def _interned(build):
     equal those of a call whose model is still held returns that model.
 
     The models are kept in a ``weakref.WeakValueDictionary``, so one lives
-    while anyone holds it and no size bound is needed.  A model is immutable
-    once built, so every caller may share it and the memos it keeps (basis
-    series, filtration pieces).  A call that raises caches nothing;
+    while anyone holds it and no size bound is needed; a model holds no
+    reference to itself, so it is freed when the last holder drops it.  A
+    model is immutable once built, so every caller may share it and the
+    filtration memo it keeps.  A call that raises caches nothing;
     ``__wrapped__`` is the uncached build.
     """
     signature = inspect.signature(build)
@@ -271,18 +272,19 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     """
     if not 2 <= f <= 8:
         raise ValueError("f must lie in 2..8")
-    # the mod-2 pattern (1, odd, even, even, ...) is independent of f; the
-    # constructor re-derives it rather than hard-coding the series, from at
-    # least the two coefficients the check below reads
-    count = 2 ** (f - 1) if f <= 6 else min(2 ** (f - 1), max(trunc, 2))
-    coeffs = punctured_gamma_coefficients(f, count)
-    if coeffs[0] != 1 or coeffs[1] % 2 != 1:
-        raise AssertionError("unexpected low gamma coefficients")
-    if any(c % 2 for c in coeffs[2:]):
-        raise AssertionError("higher gamma coefficients must be even")
     unit = (1, 0)
 
     def series(ring):
+        # the mod-2 pattern (1, odd, even, even, ...) is independent of f;
+        # the constructor re-derives it rather than hard-coding the series,
+        # from at least the two coefficients the check below reads, once
+        # the ring has accepted the truncation
+        count = 2 ** (f - 1) if f <= 6 else min(2 ** (f - 1), max(trunc, 2))
+        coeffs = punctured_gamma_coefficients(f, count)
+        if coeffs[0] != 1 or coeffs[1] % 2 != 1:
+            raise AssertionError("unexpected low gamma coefficients")
+        if any(c % 2 for c in coeffs[2:]):
+            raise AssertionError("higher gamma coefficients must be even")
         gamma = [unit, *((0, c % 2) for c in coeffs)]
         return [TruncSeries(ring, [unit, unit], trunc),
                 TruncSeries(ring, gamma, trunc).substitute_alternating()]

@@ -111,20 +111,18 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, values: Sequence, unit: list, times, memo=None, shared=0) -> dict:
+    def evaluate(self, values: Sequence, unit: list, times) -> dict:
         """The value at `values`, sparse entry lists of (index, coefficient)
         pairs, as the unreduced sum {index: coefficient}; `unit` is the unit's
         entry list and `times(a, b)` the entry list of a*b.
 
         Each monomial is the left fold v * v * w * ... of its values.  The
         terms share their prefixes, keyed by their variable indices (built
-        once per polynomial) and multiplied once per call, or once per `memo`,
-        when one is given, for those made of the first `shared` variables
-        alone.  A fold starts from its first value and passes over a factor
-        equal to `unit`; an empty (zero) prefix or value drops every term it
-        begins.  That gives the full fold's value when `times` is bilinear
-        and `unit` is neutral on both sides, as in every model that passes
-        ``lambda_total``.
+        once per polynomial) and multiplied once per call.  A fold starts
+        from its first value and passes over a factor equal to `unit`; an
+        empty (zero) prefix or value drops every term it begins.  That gives
+        the full fold's value when `times` is bilinear and `unit` is neutral
+        on both sides, as in every model that passes ``lambda_total``.
         """
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
@@ -133,24 +131,21 @@ class MultiPoly:
                        for exps, c in self.terms.items())
             self._chains = [(c, [idx[:s] for s in range(1, len(idx) + 1)]) for c, idx in indices]
         prefixes: dict = {}  # None marks a zero prefix
-        memo = prefixes if memo is None else memo
         total: dict = {}
         for c, keys in self._chains:
             term = unit
             for key in keys:
-                i = key[-1]
-                known = memo if i < shared else prefixes
-                if key not in known:
-                    v = values[i]
+                if key not in prefixes:
+                    v = values[key[-1]]
                     if not v:
-                        known[key] = None
+                        prefixes[key] = None
                     elif len(key) == 1:
-                        known[key] = v
+                        prefixes[key] = v
                     elif v == unit:
-                        known[key] = term
+                        prefixes[key] = term
                     else:
-                        known[key] = times(term, v) or None
-                term = known[key]
+                        prefixes[key] = times(term, v) or None
+                term = prefixes[key]
                 if term is None:
                     break
             else:

@@ -1,7 +1,10 @@
-"""The gain rule of ``tools/ab_pairs.py`` on fixed numbers."""
+"""The gain rule of ``tools/ab_pairs.py`` on fixed numbers, and its report
+of a failed run."""
 
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -86,3 +89,38 @@ def test_unresolved_when_the_spread_is_wider_than_the_bound():
 
 def test_no_verdict_without_a_bound():
     assert "verdict" not in summarize(PARENT, PARENT)
+
+
+GOOD_RUN = '''import json
+print(json.dumps({"correct": True, "failed": 0, "attempted": 1, "metrics": {
+    "wall_s": {"value": 1.0, "unit": "s"}}}))
+'''
+FAILING_RUN = '''import sys
+print("first line of the failure", file=sys.stderr)
+print("RuntimeError: the last line of the failure", file=sys.stderr)
+sys.exit(1)
+'''
+
+
+def checkout(root, run_py):
+    os.makedirs(root / "bench")
+    (root / "bench" / "run.py").write_text(run_py)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    return str(root)
+
+
+def test_a_failed_run_names_its_side_seed_exit_code_and_stderr(tmp_path):
+    # pair 0 runs the parent first, which succeeds; the change then exits 1
+    parent = checkout(tmp_path / "parent", GOOD_RUN)
+    change = checkout(tmp_path / "change", FAILING_RUN)
+    proc = subprocess.run(
+        [sys.executable, AB_PAIRS, parent, change, "--workload", "w", "--pairs", "1",
+         "--seed-base", "7"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "change (%s) seed 7: bench/run.py exited 1" % change in proc.stderr
+    assert "RuntimeError: the last line of the failure" in proc.stderr
+    assert "first line of the failure" in proc.stderr

@@ -15,6 +15,8 @@ no series coefficient turned into a ring element by a filtration run) and
 the constructor's refusal of data that the model file format refuses.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -244,6 +246,20 @@ def test_constructor_refuses_series_longer_than_truncation():
 def test_constructor_refuses_truncation_below_one(trunc):
     with pytest.raises(ValueError, match="truncation order %d is below 1" % trunc):
         square_zero(trunc, [(0, 1)])
+
+
+@pytest.mark.parametrize("trunc", [True, False, 2.0, 2.5, "4", None])
+def test_constructor_refuses_a_truncation_that_is_no_integer(trunc):
+    # a bool builds a model whose file the parser refuses, a float failed
+    # deep in the series code; both are refused where the model is built
+    message = re.escape("truncation order %r is not an integer" % (trunc,))
+    with pytest.raises(ValueError, match=message):
+        square_zero(trunc, [(0, 1)])
+    for name, kwargs in CLI_BUILTINS:
+        with pytest.raises(ValueError, match=message):
+            BUILTINS[name](trunc=trunc, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        models.gw_point("R", trunc=trunc)
 
 
 def test_constructed_model_round_trips_through_file(tmp_path):

@@ -177,23 +177,6 @@ def test_multipoly_values_match_oracle(data, poly, nvars):
     assert got == oracle_evaluate(poly, values, one)
 
 
-@SETTINGS
-@given(st.data(), POLY)
-def test_shared_prefixes_without_memo(data, poly):
-    # with no memo the shared prefixes are kept for the call (a shared
-    # prefix without a memo raised TypeError before)
-    values = data.draw(st.lists(st.integers(-9, 9), min_size=poly.nvars, max_size=poly.nvars))
-    shared = data.draw(st.integers(1, poly.nvars))
-    entries = [[(0, v)] if v else [] for v in values]
-
-    def times(a, b):
-        return [(0, a[0][1] * b[0][1])]
-
-    want = poly.evaluate(entries, [(0, 1)], times)
-    assert poly.evaluate(entries, [(0, 1)], times, shared=shared) == want
-    assert want.get(0, 0) == oracle_evaluate(poly, values, 1)
-
-
 def test_empty_and_constant_polynomials():
     for one, zero in ((1, 0), (MultiPoly.constant(2, 1), MultiPoly(2))):
         assert ring_evaluate(MultiPoly(1), [one], one) == zero

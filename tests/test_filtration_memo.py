@@ -11,6 +11,7 @@ extensions with slices, on one shared model; every result must equal the
 result of a fresh, uncached build filtered at that kmax alone.
 """
 
+import functools
 import gc
 import importlib.util
 import os
@@ -24,10 +25,12 @@ from hypothesis import given, settings, strategies as st
 
 import gwgamma
 from gwgamma import abelian
+from gwgamma.cli import dump_model, model_to_dict, parse_model
 from gwgamma.filtration import gamma_filtration, witt_filtration, witt_quotient
-from gwgamma.models import BUILTINS, gw_projective, gw_surface_cxp1
+from gwgamma.lambdaring import validate_model, verify_special_pair
+from gwgamma.models import BUILTINS, gw_projective, gw_surface_cxp1, line_elements
 
-from test_filtration_oracle import CLI_BUILTINS, uncached
+from test_filtration_oracle import CLI_BUILTINS, group_ring, uncached
 from test_filtration_refusals import (
     nonzero_rank_ring,
     unkilled_torsion_ring,
@@ -192,14 +195,77 @@ def test_errors_are_not_cached():
             gw_projective("C", 13)
 
 
-def test_dropped_builtin_is_released():
-    # a call no other test makes, so that nothing else holds its model
-    m = gw_surface_cxp1(5, trunc=11)
-    gamma_filtration(m, kmax=3)
-    ref = weakref.ref(m)
-    del m
-    gc.collect()
-    assert ref() is None
+def exercise(m):
+    """Validate, filter, Witt-filter, check one special pair and list the
+    line elements of m, keeping no result.  A surface with s line classes
+    has 2^s line elements, closed pairwise, so they are listed up to rank
+    12 (s = 4)."""
+    validate_model(m)
+    f = gamma_filtration(m, kmax=3)
+    if m.hyperbolic is not None:
+        witt_filtration(m, f)
+    basis = m.basis_elements()
+    verify_special_pair(basis[0], basis[-1])
+    if m.group.rank <= 12:
+        line_elements(m)
+
+
+def test_dropped_builtin_is_released(tmp_path):
+    # with the cycle collector off, reference counting alone frees a dropped
+    # model: it holds no series, so nothing it holds points back at it.  Its
+    # stored columns come out of use unchanged; a series at the truncation
+    # shares them, so no series operation may write a column in place
+    path = tmp_path / "model.json"
+    dump_model(gw_projective.__wrapped__("R", 5), str(path))
+    builds = [
+        # an interned call no other test makes, so nothing else holds it
+        lambda: gw_surface_cxp1(5, trunc=11),
+        lambda: parse_model(str(path)),
+    ] + [functools.partial(uncached(BUILTINS[name]), **kwargs)
+         for name, kwargs in CLI_BUILTINS]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build in builds:
+            m = build()
+            stored = model_to_dict(m)
+            exercise(m)
+            assert model_to_dict(m) == stored, m.name
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None, stored["name"]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_threads_filtering_one_model_share_no_series_table():
+    # every generator b_i - b_0 of F^1 of Z[C2^4] raises lambda_t(b_0) to
+    # the power -1; threads filtering one model must not fill one power
+    # table of that series at once
+    want = gamma_filtration(group_ring.__wrapped__((2, 2, 2, 2)), 3).pieces
+    errors = []
+
+    def run(m):
+        try:
+            assert gamma_filtration(m, 3).pieces == want
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            m = group_ring.__wrapped__((2, 2, 2, 2))
+            threads = [threading.Thread(target=run, args=(m,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 def test_threads_extending_one_memo_read_whole_pieces():

@@ -6,8 +6,7 @@ with a supplied product; ``lambdaring._evaluate`` makes that product one
 ``psi_k`` do.  The reference is ``ring_evaluate``, the same fold on ring
 elements.  Both must give equal values on every model with a neutral unit,
 also on the drawn models that fail ``is_ring``, where the bracketing
-of each monomial decides its value, and also when the prefixes of an
-earlier polynomial with the same leading values are reused.  ``psi_k`` must
+of each monomial decides its value.  ``psi_k`` must
 equal the reference fold of the Newton polynomial at lambda^1..lambda^k.
 """
 
@@ -45,9 +44,9 @@ def reference(poly, values):
     return ring_evaluate(poly, values, one).value.coeffs
 
 
-def fold(poly, values, memo=None, shared=0):
+def fold(poly, values):
     m = values[0].model
-    return _evaluate(m, poly, [_entries(v.value.coeffs) for v in values], memo, shared)
+    return _evaluate(m, poly, [_entries(v.value.coeffs) for v in values])
 
 
 @SETTINGS
@@ -56,22 +55,6 @@ def test_fold_matches_evaluate_off_the_ring_verdict(data, m):
     for _, poly in PRODUCTS + COMPOSITIONS:
         values = data.draw(ring_values(m, poly.nvars))
         assert fold(poly, values) == reference(poly, values)
-
-
-@SETTINGS
-@given(st.data(), ring_models(neutral_unit=True))
-def test_shared_prefixes_match_evaluate(data, m):
-    # as in the checker: one x, its prefixes kept over every product check
-    # of two y and every composition check
-    xs = data.draw(ring_values(m, 6))
-    ys = [data.draw(ring_values(m, 4)) for _ in range(2)]
-    memo = {}
-    for y in ys:
-        for n, poly in PRODUCTS:
-            values = xs[:n] + y[:n]
-            assert fold(poly, values, memo, n) == reference(poly, values)
-    for weight, poly in COMPOSITIONS:
-        assert fold(poly, xs[:weight], memo, weight) == reference(poly, xs[:weight])
 
 
 def psi_reference(x, k):

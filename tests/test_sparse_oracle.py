@@ -1,4 +1,4 @@
-"""Differential tests of the sparse group arithmetic, and the basis series memo.
+"""Differential tests of the sparse group arithmetic, and the stored basis series.
 
 The references below are the earlier dense routines: ``reduce`` walked every
 coordinate of the vector, and ``project_element`` multiplied the whole
@@ -17,10 +17,8 @@ from gwgamma.abelian import (
     quotient_presentation,
     subgroup_from_generators,
 )
-from gwgamma.filtration import gamma_filtration
 from gwgamma.models import gw_projective
 from gwgamma.series import TruncSeries
-from test_filtration_oracle import group_ring
 
 
 def oracle_reduce(pres, coeffs):
@@ -97,33 +95,16 @@ def test_project_element_matches_oracle(data):
         ).coeffs
 
 
-# ---------------------------------------------------------------- the memo
+# ------------------------------------------------------ the stored series
 
-def test_basis_series_built_once_per_order():
+def test_basis_series_is_a_new_series_per_call():
+    # the model keeps no series: each call hands out a new one, equal to the
+    # series built from the coordinate rows
     m = gw_projective("R", 5)
     lam = m.lambda_on_basis
     for i in range(m.group.rank):
         for order in (0, 3, m.trunc):
             s = m.basis_lambda_series(i, order)
-            assert m.basis_lambda_series(i, order) is s
+            again = m.basis_lambda_series(i, order)
             fresh = TruncSeries(m, [m.unit.coeffs, *(g.coeffs for g in lam[i])], order)
-            assert s == fresh and s is not fresh
-
-
-def test_group_ring_inverts_its_unit_series_once(monkeypatch):
-    # every generator b_i - b_0 of F^1 of Z[C2^4] raises lambda_t(b_0) to
-    # the power -1; with one series per (basis element, order) on the model
-    # the binomial table of lambda_t(b_0) is built once, and no other, where
-    # each generator built it again
-    table = TruncSeries._table
-    built = []
-
-    def counted(self, top):
-        if self._powers is None:  # a table is started
-            built.append(self.rows())
-        return table(self, top)
-
-    monkeypatch.setattr(TruncSeries, "_table", counted)
-    m = group_ring.__wrapped__((2, 2, 2, 2))  # a fresh model, memo empty
-    gamma_filtration(m, kmax=4)
-    assert built == [m.basis_lambda_series(0, m.trunc).rows()]
+            assert again is not s and s == again == fresh

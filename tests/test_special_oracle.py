@@ -174,8 +174,9 @@ def test_special_work_bound(monkeypatch, capsys):
 
     monkeypatch.setattr(MultiPoly, "evaluate", fold)
     # every ring product of the run, validation's included: 1,749 with
-    # a ring element per coefficient and product and no prefix kept across
-    # pairs, 1,563 on tuples with the prefixes of lambda^k(x) kept per x
+    # a ring element per coefficient and product, 1,547 on tuples with the
+    # prefixes of lambda^k(x) kept across the pairs of one x, 1,733 on
+    # tuples with each polynomial's prefixes kept for its one evaluation
     products = []
     real_dot = RingModel.dot
 
@@ -186,7 +187,7 @@ def test_special_work_bound(monkeypatch, capsys):
     monkeypatch.setattr(RingModel, "dot", dot)
     assert cli.run(["special", "builtin:gw_surface_cxp1", "--s", "4"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
-    assert 0 < len(products) <= 1563
+    assert 0 < len(products) <= 1733
     rank = BUILTINS["gw_surface_cxp1"](4).group.rank
     assert rank == 12
     assert 0 < len(calls) <= 150

@@ -20,7 +20,9 @@ read as a fraction of the parent's median:
   change run beats every parent run;
 * "within bound": otherwise.
 
-Both verdicts go into the JSON summary line too.  Stdlib only.
+Both verdicts go into the JSON summary line too.  A run that exits non-zero
+stops the pairs: the side, the seed, the exit code and the last lines of
+the run's stderr are printed, and the tool exits non-zero.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+STDERR_LINES = 10  # the tail of a failed run's stderr that is printed
 
 
 def summarize(parent: list[float], change: list[float], better: str = "lower",
@@ -61,16 +65,22 @@ def summarize(parent: list[float], change: list[float], better: str = "lower",
     return out
 
 
-def run_bench(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON line of one untraced run in the checkout at root."""
+def run_bench(side: str, root: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON line of one untraced run in the checkout at root, the parent
+    or the change side.  A run that exits non-zero or fails a job stops the
+    pairs with a message naming the side and the seed."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=True)
+        cwd=root, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit("%s (%s) seed %d: bench/run.py exited %d; its stderr ends:\n%s"
+                         % (side, root, seed, proc.returncode,
+                            "\n".join(proc.stderr.splitlines()[-STDERR_LINES:])))
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
-        raise SystemExit("%s seed %d: %d of %d jobs failed"
-                         % (root, seed, result["failed"], result["attempted"]))
+        raise SystemExit("%s (%s) seed %d: %d of %d jobs failed"
+                         % (side, root, seed, result["failed"], result["attempted"]))
     return result
 
 
@@ -91,7 +101,7 @@ def main(argv=None) -> int:
         sides = ("parent", "change") if p % 2 == 0 else ("change", "parent")
         for side in sides:
             root = getattr(args, side)
-            runs[side].append(run_bench(root, args.workload, seed, args.seconds)["metrics"])
+            runs[side].append(run_bench(side, root, args.workload, seed, args.seconds)["metrics"])
         print("pair %d seed %d (%s first): %s" % (p, seed, sides[0], "  ".join(
             "%s %.4f -> %.4f" % (m["name"], runs["parent"][-1][m["name"]]["value"],
                                  runs["change"][-1][m["name"]]["value"])
