@@ -4,7 +4,7 @@ Every constructor follows one recipe and one assembly path: it gives the
 additive presentation, unit, products and augmentation once, plus a function
 that computes the total lambda-series of each basis class in that ring.  The
 private helper ``_model`` builds the one ring of the builtin, applies the
-function to it and installs the series it returns on it.  A basis series has
+function to it and installs its series' columns on it.  A basis series has
 one of two forms: 1 + b t for a line class b (the base classes 1 and L), or
 the lambda-series of a rank-zero class read off its terminating
 gamma-series, so that no build inverts a series: the builder makes the

@@ -239,39 +239,10 @@ def test_dropped_builtin_is_released(tmp_path):
             gc.enable()
 
 
-def test_threads_filtering_one_model_share_no_series_table():
-    # every generator b_i - b_0 of F^1 of Z[C2^4] raises lambda_t(b_0) to
-    # the power -1; threads filtering one model must not fill one power
-    # table of that series at once
-    want = gamma_filtration(group_ring.__wrapped__((2, 2, 2, 2)), 3).pieces
-    errors = []
-
-    def run(m):
-        try:
-            assert gamma_filtration(m, 3).pieces == want
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            m = group_ring.__wrapped__((2, 2, 2, 2))
-            threads = [threading.Thread(target=run, args=(m,)) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == []
-
-
-def test_threads_extending_one_memo_read_whole_pieces():
-    # interned models are shared across the process, so threads may extend
-    # one memo at the same time; each must read F^0..F^kmax whole
-    want = {k: gamma_filtration(gw_surface_cxp1.__wrapped__(6), k).pieces for k in (3, 8)}
+def filter_in_threads(build, kmaxes, want):
+    """Filter one fresh model from one thread per kmax, in five rounds under
+    a switch interval of 1e-6; the errors the threads raised, each pieces
+    F^0..F^kmax compared with want[kmax]."""
     errors = []
 
     def run(m, kmax):
@@ -284,8 +255,8 @@ def test_threads_extending_one_memo_read_whole_pieces():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            m = gw_surface_cxp1.__wrapped__(6)
-            threads = [threading.Thread(target=run, args=(m, k)) for k in (8, 3, 8, 3)]
+            m = build()
+            threads = [threading.Thread(target=run, args=(m, k)) for k in kmaxes]
             for t in threads:
                 t.start()
             for t in threads:
@@ -293,4 +264,21 @@ def test_threads_extending_one_memo_read_whole_pieces():
             assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert errors == []
+    return errors
+
+
+def test_threads_filtering_one_model_share_no_series_table():
+    # every generator b_i - b_0 of F^1 of Z[C2^4] raises lambda_t(b_0) to
+    # the power -1; threads filtering one model must not fill one power
+    # table of that series at once
+    build = functools.partial(group_ring.__wrapped__, (2, 2, 2, 2))
+    want = {3: gamma_filtration(build(), 3).pieces}
+    assert filter_in_threads(build, (3, 3, 3, 3), want) == []
+
+
+def test_threads_extending_one_memo_read_whole_pieces():
+    # interned models are shared across the process, so threads may extend
+    # one memo at the same time; each must read F^0..F^kmax whole
+    build = functools.partial(gw_surface_cxp1.__wrapped__, 6)
+    want = {k: gamma_filtration(build(), k).pieces for k in (3, 8)}
+    assert filter_in_threads(build, (8, 3, 8, 3), want) == []
