@@ -244,10 +244,13 @@ def _span(pres: GroupPresentation, vectors: list[tuple[int, ...]]) -> Subgroup:
     """The subgroup generated by integer vectors and the relation vectors.
 
     Each distinct vector, reduced or not, reaches ``hnf_columns`` once; the
-    HNF is canonical, so dropping repeats leaves the result unchanged.
+    HNF is canonical, so dropping repeats leaves the result unchanged.  A
+    column equal to a given vector is stored as that vector's tuple, a
+    relation vector's if it is one, so equal tuples are held once.
     """
-    cols, pivots = hnf_columns(dict.fromkeys([*vectors, *pres._relations]), pres.rank)
-    return Subgroup(pres, cols, pivots)
+    given = {v: v for v in [*vectors, *pres._relations]}
+    cols, pivots = hnf_columns(given, pres.rank)
+    return Subgroup(pres, tuple(given.get(c, c) for c in cols), pivots)
 
 
 def subgroup_from_generators(

@@ -19,10 +19,12 @@ augmentation kernel, an ideal, spanned by the values of weight one.  So a
 model is refused with a ValueError "<check>: <case>" on the first
 offending case of the checks of ``lambdaring._checks`` named in
 ``_REFUSALS``: its augmentation is not multiplicative on the basis,
-lambda^1 is not the identity on some b_i, or a torsion basis element b_i
+lambda^1 is not the identity on some b_i, a torsion basis element b_i
 of order o_i has nonzero rank (then the rank is no map on the group) or
-does not kill some b_i * b_j (see below).  A model with a gamma-value of
-nonzero rank is refused too.
+does not kill some b_i * b_j (see below), or lambda_t(b_i)^o_i is not 1
+(then lambda_t, so each gamma-value, depends on the representative of a
+torsion coordinate).  A model with a gamma-value of nonzero rank is
+refused too.
 
 The products g * F^1 of the values g of weight i >= k are left out of the
 sum, since they lie in it already.  With lambda^1 the identity on the
@@ -54,7 +56,10 @@ pieces, the Witt quotient and the Witt image of each piece.  A call at kmax
 extends the stored pieces up to F^kmax, the first call from F^0, or slices
 them; only ``exact``, ``warnings`` and ``weight_cap`` are computed per
 call.  A model is immutable once built, and the memo assumes it.  A refused
-model keeps no verdict and raises on every call.
+model keeps no verdict and raises on every call.  A piece equal to the one
+below it is stored as that object, and each HNF column equal to a spanned
+vector as that vector's tuple (``abelian._span``): tuples are immutable and
+the HNF is canonical, so sharing them changes no value.
 
 The gamma-values are coefficient tuples read off the columns of the
 gamma-series, stored once per model as the distinct values of each weight.
@@ -76,7 +81,8 @@ exact.
 The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes, one HNF column at a time; the
 quotient takes one Smith form per model, and each image is spanned once per
-model and piece.
+model and piece, F^0 too: the projected identity spans the quotient, so its
+image is the identity HNF.
 """
 
 from __future__ import annotations
@@ -102,6 +108,7 @@ _REFUSALS = (
     "augmentation is a ring homomorphism",
     "lambda^1 is the identity on basis",
     "products respect torsion orders",
+    "lambda-series respect torsion orders",
 )
 
 
@@ -194,7 +201,9 @@ def _extended(m: RingModel, memo: _Memo, kmax: int) -> list[Subgroup]:
             # g * F^1 for g of weight i >= k lies in the sum already
             # (module docstring)
             vecs += gs if i >= k else _times(m, spans, gs, pieces[k - i])
-        pieces.append(_span(m.group, vecs))
+        piece = _span(m.group, vecs)
+        # a piece equal to the one below is stored as that object
+        pieces.append(pieces[-1] if piece.columns == pieces[-1].columns else piece)
     return pieces
 
 
@@ -276,8 +285,10 @@ def witt_filtration(m: RingModel, f: FiltrationResult) -> FiltrationResult:
         raise ValueError("f is not a gamma filtration of model %s" % m.name)
     qpres, projection = witt_quotient(m)
     memo = _memo(m)
-    pieces = [full_subgroup(qpres)]
-    for piece in f.pieces[1:]:
+    pieces = []
+    # F^0 too: the projected identity spans the quotient, whose HNF is the
+    # identity, so its image is built once per model like every other
+    for piece in f.pieces:
         image = memo.images.get(piece.columns)
         if image is None:
             image = memo.images[piece.columns] = _span(

@@ -23,10 +23,10 @@ of lambda^n(x*y).  The checker and ``psi_k`` fold their polynomials with
 the sum reduced once.
 
 The structure constants are stored once, as sparse integer rows:
-``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j.  Ring
-elements multiply through one primitive, ``RingModel.dot``, which
-accumulates a product x*y on a single integer vector and returns its
-reduced coefficient tuple.  Its operands are sparse entry lists, the
+``products[i][j]`` lists the nonzero entries (k, c) of b_i * b_j, and
+equal products share one tuple.  Ring elements multiply through one
+primitive, ``RingModel.dot``, which accumulates a product x*y on a single
+integer vector and returns its reduced coefficient tuple.  Its operands are sparse entry lists, the
 (index, coefficient) pairs of the nonzero coordinates, so a product costs
 nnz(x) * nnz(y) row lengths, whatever the rank.  A product of ring
 elements is ``dot`` on their entries, the tuple wrapped in a group element;
@@ -37,7 +37,7 @@ columns per nonzero row, and give the sums ``dot`` gives (see
 :mod:`gwgamma.series`).
 The structural checks of a model are one table, ``_checks``, of named
 generators of offending cases: ``validate_model`` reports the first case of
-each, and ``gamma_filtration`` refuses on the first of three by name.
+each, and ``gamma_filtration`` refuses on the first of four by name.
 
 Each basis lambda-series is stored once, as the integer columns of
 lambda_t(b_i) at N >= 1, the truncation order.  A model file gives its
@@ -132,6 +132,7 @@ class RingModel:
         rank = group.rank
         rows = [[()] * rank for _ in range(rank)]
         seen = {}
+        entries = {}  # equal products share one entry tuple
         for (i, j), coeffs in mul.items():
             if not (0 <= i < rank and 0 <= j < rank):
                 raise ValueError("product index out of range")
@@ -139,7 +140,9 @@ class RingModel:
             val = group.reduce(coeffs)
             if seen.setdefault(key, val) != val:
                 raise ValueError("conflicting products for basis pair %r" % (key,))
-            rows[i][j] = rows[j][i] = tuple((k, c) for k, c in enumerate(val) if c)
+            if val not in entries:
+                entries[val] = tuple((k, c) for k, c in enumerate(val) if c)
+            rows[i][j] = rows[j][i] = entries[val]
         # products[i][j]: the nonzero entries (k, c) of b_i * b_j
         self.products = tuple(tuple(r) for r in rows)
         self._zero = (0,) * rank  # the sum of a dot that meets no row
@@ -388,12 +391,12 @@ def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
                             yield "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, p, q, k)
 
     def torsion_products():
-        # (o_i b_i) * b_j is one dot
+        # (o_i b_i) * b_j is one dot, and zero when b_i * b_j is
         for i, o in torsion:
             if aug[i]:
                 yield "torsion basis element %d has nonzero rank" % i
             for j in range(rank):
-                if any(m.dot(((i, o),), b[j])):
+                if rows[i][j] and any(m.dot(((i, o),), b[j])):
                     yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
 
     def homomorphism():

@@ -344,12 +344,18 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     )
 
 
+# the runaway guard of ``line_elements``: twice the 2^12 line elements of
+# gw_surface_cxp1(12), the most of any builtin
+_LINE_ELEMENT_CAP = 2 ** 13
+
+
 def line_elements(model: RingModel) -> frozenset:
     """The multiplicative group of line elements visible in the model.
 
     A line element has rank one and total lambda-series 1 + x t.  Candidates
     are the rank-one basis elements and unit + b for rank-zero basis b; the
-    set is closed under multiplication and every member is re-verified.
+    set is closed under multiplication by the candidates that are lines,
+    which generate it, and every member is re-verified.
     """
     def is_line(x):
         if model.augmentation(x.value) != 1:
@@ -366,17 +372,18 @@ def line_elements(model: RingModel) -> frozenset:
         elif model.aug[i] == 0:
             candidates.append(one + b)
     lines = {x.value: x for x in candidates if is_line(x)}
-    frontier = list(lines.values())
+    generators = list(lines.values())
+    frontier = list(generators)
     while frontier:
         x = frontier.pop()
-        for y in list(lines.values()):
+        for y in generators:
             z = x * y
             if z.value not in lines:
                 if not is_line(z):
                     raise AssertionError("product of line elements is not a line")
                 lines[z.value] = z
                 frontier.append(z)
-        if len(lines) > 1024:
+        if len(lines) > _LINE_ELEMENT_CAP:
             raise AssertionError("line element closure did not terminate")
     return frozenset(lines.values())
 

@@ -158,6 +158,44 @@ def test_pieces_are_built_once(monkeypatch):
     assert len(calls) == before
 
 
+def test_stable_pieces_are_one_object():
+    # F^5..F^8 of a surface equal F^4, and are stored as that piece
+    f = gamma_filtration(gw_surface_cxp1.__wrapped__(4), kmax=8)
+    assert f.pieces[4].columns != f.pieces[3].columns
+    assert all(f.pieces[k] is f.pieces[4] for k in range(5, 9))
+
+
+def test_relation_columns_are_the_presentation_tuples():
+    # a piece column equal to a relation vector o_i e_i is that tuple of the
+    # presentation, held once however many pieces it spans
+    m = gw_surface_cxp1.__wrapped__(4)
+    relations = {r: r for r in m.group._relations}
+    shared = 0
+    for piece in gamma_filtration(m, kmax=8).pieces[1:]:
+        for col in piece.columns:
+            if col in relations:
+                assert col is relations[col]
+                shared += 1
+    assert shared
+
+
+def test_witt_image_of_the_whole_group_is_built_once():
+    m = gw_surface_cxp1.__wrapped__(3)
+    qpres, _ = witt_quotient(m)
+    first = witt_filtration(m, gamma_filtration(m, kmax=2)).pieces[0]
+    assert first == abelian.full_subgroup(qpres)
+    assert witt_filtration(m, gamma_filtration(m, kmax=5)).pieces[0] is first
+
+
+def test_equal_products_share_one_entry_tuple():
+    m = group_ring.__wrapped__((2, 2, 2, 2))
+    by_value = {}
+    for row in m.products:
+        for entries in row:
+            assert by_value.setdefault(entries, entries) is entries
+    assert len(by_value) == m.group.rank
+
+
 def test_witt_quotient_projection_is_immutable():
     m = gw_surface_cxp1.__wrapped__(2)
     qpres, projection = witt_quotient(m)

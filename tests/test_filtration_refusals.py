@@ -6,10 +6,11 @@ i < k.  That needs F^1 to be the augmentation kernel, closed under
 multiplication and spanned by the values of weight one, and products that
 do not depend on representatives.  A model whose augmentation is not
 multiplicative on the basis, one whose torsion does not kill its products,
-or one with a gamma-value of nonzero rank was once filtered all the same,
-and could come out flagged exact with pieces that are not the gamma
-filtration.  These, a model whose lambda^1 is not the identity on the
-basis and one with a torsion basis element of nonzero rank now raise
+one with a gamma-value of nonzero rank, or one whose lambda-series do not
+respect a torsion order was once filtered all the same, and could come out
+flagged exact with pieces that are not the gamma filtration.  These, a
+model whose lambda^1 is not the identity on the basis and one with a
+torsion basis element of nonzero rank now raise
 ``ValueError`` from ``gamma_filtration``, so also on the way to
 ``witt_filtration``, which takes a gamma filtration of the model.
 
@@ -173,6 +174,36 @@ def test_torsion_basis_element_of_nonzero_rank_is_refused():
                 witt_filtration(m, gamma_filtration(m, kmax=kmax))
 
 
+def torsion_series_ring():
+    """Basis (1, y, x), x of order 2, only the products 1 * b = b, ranks
+    (1, 0, 0), gamma_t(y) = 1 + y t and gamma_t(x) = 1 + x t + y t^2, so
+    lambda_t(y) = 1 + y t/(1+t) and lambda_t(x) = 1 + x t/(1+t) +
+    y t^2/(1+t)^2."""
+    group = GroupPresentation((0, 0, 2), ("one", "y", "x"))
+    lam = [[(1, 0, 0)],
+           [(0, (-1) ** (k - 1), 0) for k in range(1, 9)],
+           [(0, (-1) ** k * (k - 1), (-1) ** (k - 1)) for k in range(1, 9)]]
+    return RingModel("lambda_t(x)^2 != 1, 2x = 0", group, (1, 0, 0),
+                     {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1)},
+                     (1, 0, 0), lam, hyperbolic=(), trunc=8)
+
+
+def test_lambda_series_that_do_not_respect_torsion_are_refused():
+    # x and 3x are one element, yet lambda_t(x)^2 != 1, so lambda_t(3x) !=
+    # lambda_t(x) and the gamma-values depend on the representative.  It was
+    # flagged exact at kmax 1..4 with gr^1 = Z/2, gr^2 = Z and gr^3 = 0
+    m = torsion_series_ring()
+    assert [c.name for c in validate_model(m).checks if not c.ok] == [
+        "lambda-series respect torsion orders"]
+    message = "lambda-series respect torsion orders: lambda_t(b2)^2 != 1"
+    for kmax in range(1, 5):
+        with pytest.raises(ValueError) as raised:
+            gamma_filtration(m, kmax=kmax)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            witt_filtration(m, gamma_filtration(m, kmax=kmax))
+
+
 def test_refusals_are_checks_of_validate_model():
     names = [c.name for c in validate_model(zero_augmentation_ring()).checks]
     assert len(set(_REFUSALS)) == len(_REFUSALS)
@@ -181,6 +212,7 @@ def test_refusals_are_checks_of_validate_model():
 
 @pytest.mark.parametrize("build", [
     zero_augmentation_ring, unkilled_torsion_ring, lambda_one_ring, torsion_rank_ring,
+    torsion_series_ring,
 ])
 def test_refusal_names_the_first_failing_refused_check(build):
     m = build()

@@ -314,6 +314,12 @@ def test_line_element_groups():
         assert len(line_elements(by_name[name])) == count, name
 
 
+def test_line_elements_of_a_wide_surface():
+    # each new element is multiplied by the generating lines only; the
+    # closure of gw_surface_cxp1(11) once stopped at a cap of 1,024
+    assert len(line_elements(gw_surface_cxp1.__wrapped__(11))) == 2 ** 11
+
+
 def test_special_identities_on_random_pairs():
     rng = random.Random(46)
     for m in SAMPLE_MODELS:
