@@ -18,13 +18,19 @@ each piece is one Hermite normal form.  The recursion needs F^1 to be the
 augmentation kernel, an ideal, spanned by the values of weight one.  So a
 model is refused with a ValueError "<check>: <case>" on the first
 offending case of the checks of ``lambdaring._checks`` named in
-``_REFUSALS``: its augmentation is not multiplicative on the basis,
-lambda^1 is not the identity on some b_i, a torsion basis element b_i
-of order o_i has nonzero rank (then the rank is no map on the group) or
-does not kill some b_i * b_j (see below), or lambda_t(b_i)^o_i is not 1
-(then lambda_t, so each gamma-value, depends on the representative of a
-torsion coordinate).  A model with a gamma-value of nonzero rank is
-refused too.
+``_REFUSALS``, and on nothing else: d, the augmentation, is not
+multiplicative on the basis, lambda^1 is not the identity on some b_i, a
+torsion basis element b_i of order o_i has nonzero rank (then d is no map
+on the group) or does not kill some b_i * b_j (see below),
+lambda_t(b_i)^o_i is not 1 (then each gamma-value depends on the
+representative of a torsion coordinate), d(lambda^k(b_i)) != C(d(b_i), k)
+for some k <= trunc, or d(1) != 1.  With D = d on each coefficient, D is
+then multiplicative on series and D(lambda_t(b_i)) = (1+t)^d(b_i), so
+D(gamma_t(e)) = 1 for e of rank zero: no gamma-value has nonzero rank.
+Associativity is not used (below) and not refused: its O(rank^3) check
+would cost a filtration-sweep pass more than its 25 % bound.  A unit that
+is not neutral makes ``lambda_total`` raise (with no generator the group
+is Z, where the refused checks make the unit neutral).
 
 The products g * F^1 of the values g of weight i >= k are left out of the
 sum, since they lie in it already.  With lambda^1 the identity on the
@@ -109,6 +115,8 @@ _REFUSALS = (
     "lambda^1 is the identity on basis",
     "products respect torsion orders",
     "lambda-series respect torsion orders",
+    "augmentation compatible with lambda-series",
+    "augmentation(unit) == 1",
 )
 
 
@@ -234,10 +242,7 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
             for case in checks[name]:
                 raise ValueError("%s: %s" % (name, case))
         gens = tuple(m.element(v) for v in kernel_basis(m.aug))
-        values = _gamma_values(gens, budget)
-        if any(sum(a * c for a, c in zip(m.aug, g)) for gs in values.values() for g in gs):
-            raise ValueError("F^1 is not the rank kernel: a gamma-value has nonzero rank")
-        memo.values = values
+        memo.values = _gamma_values(gens, budget)
     pieces = memo.pieces
     if len(pieces) <= kmax:
         pieces = memo.pieces = _extended(m, memo, kmax)

@@ -37,7 +37,7 @@ columns per nonzero row, and give the sums ``dot`` gives (see
 :mod:`gwgamma.series`).
 The structural checks of a model are one table, ``_checks``, of named
 generators of offending cases: ``validate_model`` reports the first case of
-each, and ``gamma_filtration`` refuses on the first of four by name.
+each, and ``gamma_filtration`` refuses on the first of six by name.
 
 Each basis lambda-series is stored once, as the integer columns of
 lambda_t(b_i) at N >= 1, the truncation order.  A model file gives its
@@ -126,6 +126,8 @@ class RingModel:
         self.group = group
         self.trunc = trunc
         self.unit = group.element(unit)
+        # the unit's nonzero (index, coefficient) pairs, read by every power
+        self._unit_entries = _entries(self.unit.coeffs)
         if len(aug) != group.rank:
             raise ValueError("augmentation vector of wrong length")
         self.aug = tuple(aug)
@@ -218,7 +220,7 @@ class RingModel:
 
     @cached_property
     def _unit_neutral(self) -> bool:
-        unit = _entries(self.unit.coeffs)
+        unit = self._unit_entries
         return all(self.dot(unit, _entries(b.coeffs)) == b.coeffs for b in self.group.basis())
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
@@ -346,7 +348,7 @@ def gamma_k(x: RingElement, k: int) -> RingElement:
 def _evaluate(m: RingModel, poly: MultiPoly, values: list) -> tuple:
     """``poly.evaluate`` at sparse entry lists with each product one ``dot``,
     its sum reduced once to a coefficient tuple."""
-    total = poly.evaluate(values, _entries(m.unit.coeffs),
+    total = poly.evaluate(values, m._unit_entries,
                           lambda a, b: _entries(m.dot(a, b)))
     return m.group.reduce([total.get(k, 0) for k in range(m.group.rank)])
 

@@ -2,14 +2,17 @@
 
 Every constructor follows one recipe and one assembly path: it gives the
 additive presentation, unit, products and augmentation once, plus a function
-that computes the total lambda-series of each basis class in that ring.  The
-private helper ``_model`` builds the one ring of the builtin, applies the
-function to it and installs its series' columns on it.  A basis series has
-one of two forms: 1 + b t for a line class b (the base classes 1 and L), or
-the lambda-series of a rank-zero class read off its terminating
-gamma-series, so that no build inverts a series: the builder makes the
-gamma-series at the truncation, ``TruncSeries(ring, rows, trunc)`` padding
-or cutting it, and applies ``substitute_alternating`` (t -> t/(1+t)).
+that hands over, in that ring, the gamma-polynomial of each basis class as it
+is: None for a line class b (the base classes 1 and L), whose lambda-series
+is 1 + b t, or the coordinate rows of degrees 1..D of the terminating
+gamma-series of a rank-zero class, all of rank zero.  The private helper
+``_model`` alone builds the one ring of the builtin, pads or cuts each
+polynomial to the truncation, substitutes t -> t/(1+t) and installs the
+columns of the lambda-series on the ring, so that no build inverts a
+series.  With D the augmentation d of each coefficient, D(lambda_t(b)) is
+then (1+t)^d(b) for each basis class b, as the filtration requires;
+associativity, which it does not check for its cost, holds as each
+builtin's products are those of a commutative ring.
 
 * ``gw_point``      -- the base field, C (integers, binomial lambda) or R
                        (Z[L]/(L^2-1) with L the class of <-1>); built as
@@ -56,8 +59,7 @@ and inherit their gamma-series multiplicatively: gamma_t(a^k) is the product
 of the matching powers of 1 + a_j t - a_j t^2.  Every a_j lies in the ideal
 (a), and (a)^(top+1) = 0 for the top power a^top, so that product is a
 polynomial of degree at most 2 top.  It is computed at order 2 top, exactly,
-then padded or cut to the truncation (``TruncSeries._truncated``) before the
-substitution.
+and handed over as it is; ``_model`` pads or cuts it to the truncation.
 """
 
 from __future__ import annotations
@@ -77,20 +79,20 @@ from .lambdaring import (
 from .series import TruncSeries
 
 
-def _model(name, group, unit, mul, aug, series, hyperbolic, trunc) -> RingModel:
-    """Assemble a builtin from its ring data and its basis lambda-series.
+def _model(name, group, unit, mul, aug, gammas, hyperbolic, trunc) -> RingModel:
+    """Assemble a builtin from its ring data and its basis gamma-polynomials.
 
-    ``series`` gets the builtin's one ring, with empty lambda-series, for
-    arithmetic only, and returns the lambda-series of every basis element to
-    ``trunc``.  Their columns, as built, become the ring's one stored form
-    of the series; the series themselves are dropped.
+    ``gammas`` gets the builtin's one ring, with empty lambda-series, for
+    arithmetic only, and returns per basis element b None for a line class
+    (lambda_t(b) = 1 + b t) or the rows of gamma_t(b) in degrees 1..D, here
+    padded or cut to ``trunc`` and substituted t -> t/(1+t).  The columns of
+    the lambda-series become the ring's one stored form of them.
     """
     ring = RingModel(name, group, unit, mul, aug, [[]] * group.rank, hyperbolic, trunc)
-    built = series(ring)
-    if len(built) != group.rank or not all(
-            s.model is ring and s.order == trunc and s._unit_constant() for s in built):
-        raise AssertionError("builder series are not unit series of order %d" % trunc)
-    ring._basis_columns = [s._columns for s in built]
+    ring._basis_columns = [
+        TruncSeries(ring, [unit, _basis_vec(group.rank, i)], trunc)._columns if rows is None
+        else TruncSeries(ring, [unit, *rows], trunc).substitute_alternating()._columns
+        for i, rows in enumerate(gammas(ring))]
     return ring
 
 
@@ -190,8 +192,8 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
     # the class of <-1> is the last base basis element: 1 over C, L over R
     h1 = tuple(u + d for u, d in zip(unit, _basis_vec(rank, nb - 1)))
 
-    def series(ring):
-        out = [TruncSeries(ring, [unit, _basis_vec(rank, i)], trunc) for i in range(nb)]
+    def gammas(ring):
+        out = [None] * nb
         a_cls = twisted_hyperbolic_classes(ring, top) if top else []
         # gamma_t(a^k) has degree at most 2 top, so order 2 top holds it exactly
         a_gamma = [TruncSeries(ring, [unit, a.value.coeffs, (-a).value.coeffs], 2 * top)
@@ -212,12 +214,12 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
                 residue = list(group.reduce(residue))
             if any(residue):
                 raise AssertionError("power of a not spanned by twisted classes")
-            out.append(power._truncated(trunc).substitute_alternating())
+            out.append(power.rows()[1:])
         return out
 
     name = "gw_projective(r=%d,base=%s)" % (r, base) if r else "gw_point(base=%s)" % base
     return _model(
-        name, group, unit, mul, tuple(base_aug + [0] * top), series,
+        name, group, unit, mul, tuple(base_aug + [0] * top), gammas,
         [h1] + [_basis_vec(rank, k) for k in range(nb, rank)], trunc,
     )
 
@@ -237,13 +239,11 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
         (2, 2): (0, 0, -2),
     }
 
-    def series(ring):
-        det, eps = (0, 1, 0), (0, 0, 1)
-        return [TruncSeries(ring, [unit, b], trunc) for b in (unit, det)] + [
-            TruncSeries(ring, [unit, eps], trunc).substitute_alternating()]
+    def gammas(ring):
+        return [None, None, [(0, 0, 1)]]
 
     return _model(
-        "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), series,
+        "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), gammas,
         [(1, 1, 0)], trunc,
     )
 
@@ -274,7 +274,7 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
         raise ValueError("f must lie in 2..8")
     unit = (1, 0)
 
-    def series(ring):
+    def gammas(ring):
         # the mod-2 pattern (1, odd, even, even, ...) is independent of f;
         # the constructor re-derives it rather than hard-coding the series,
         # from at least the two coefficients the check below reads, once
@@ -285,13 +285,11 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
             raise AssertionError("unexpected low gamma coefficients")
         if any(c % 2 for c in coeffs[2:]):
             raise AssertionError("higher gamma coefficients must be even")
-        gamma = [unit, *((0, c % 2) for c in coeffs)]
-        return [TruncSeries(ring, [unit, unit], trunc),
-                TruncSeries(ring, gamma, trunc).substitute_alternating()]
+        return [None, [(0, c % 2) for c in coeffs]]
 
     return _model(
         "gw_punctured_a5(f=%d)" % f, GroupPresentation((0, 2), ("one", "eps")),
-        unit, {(0, 0): unit, (0, 1): (0, 1), (1, 1): (0, 0)}, (1, 0), series,
+        unit, {(0, 0): unit, (0, 1): (0, 1), (1, 1): (0, 0)}, (1, 0), gammas,
         [], trunc,
     )
 
@@ -331,15 +329,13 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     # all remaining non-unit products vanish; the sparse table handles that
     hyperbolic = [i_b, i_c] + d_indices
 
-    def series(ring):
-        one, *rest = (_basis_vec(rank, i) for i in range(rank))
-        gammas = [[one, x] if i <= s else [one, x, [-v for v in x]] for i, x in enumerate(rest, 1)]
-        return [TruncSeries(ring, [one, one], trunc)] + [
-            TruncSeries(ring, g, trunc).substitute_alternating() for g in gammas]
+    def gammas(ring):
+        rest = (_basis_vec(rank, i) for i in range(1, rank))
+        return [None] + [[x] if i <= s else [x, [-v for v in x]] for i, x in enumerate(rest, 1)]
 
     return _model(
         "gw_surface_cxp1(s=%d)" % s, group, _basis_vec(rank, 0), mul,
-        tuple([1] + [0] * (rank - 1)), series,
+        tuple([1] + [0] * (rank - 1)), gammas,
         [_basis_vec(rank, i) for i in hyperbolic], trunc,
     )
 

@@ -10,7 +10,8 @@ nonzero in some degree, the column c_k[0..N] of the k-th coordinates of its
 N + 1 coefficients, reduced modulo the order of b_k.  ``rows`` reads the
 coefficients back as coordinate tuples.  No ring or group element enters
 this module: the model supplies its group's ``reduce``, its unit's
-coordinates and its structure-constant rows.
+coordinates, as the sparse entries ``_unit_entries``, and its
+structure-constant rows.
 
 A product is one Kronecker substitution per pair of columns: each column is
 packed into one integer, sum_d c_k[d] 2^(d w), and column i of the first
@@ -25,7 +26,7 @@ the absolute structure constants), plus a sign bit.
 
 Powers use one binomial table per series.  Writing S = 1 + T,
 
-    S^e = sum_{k=0}^{top} C(e, k) T^k,   top = min(e, N) for e > 0, N for e < 0,
+    S^e = sum_{k=0}^{top} C(e, k) T^k,   top = min(e, N) for e >= 0, N for e < 0,
 
 exactly, since T^(N+1) vanishes mod t^(N+1); C(e, k) comes from the
 exact recurrence C(e, k) k = C(e, k-1) (e - k + 1) for every integer e, -1
@@ -111,13 +112,6 @@ class TruncSeries:
         if self.order != other.order:
             raise ValueError("series truncated at different orders")
 
-    def _unit_constant(self) -> bool:
-        cols = self._columns
-        return all(
-            (cols[k][0] if k in cols else 0) == u
-            for k, u in enumerate(self.model.unit.coeffs)
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TruncSeries)
@@ -148,14 +142,13 @@ class TruncSeries:
         >>> s.inverse().rows(), len(s._powers)
         ([(1,), (-1,), (1,), (-1,)], 3)
         """
-        if not self._unit_constant():
-            raise ValueError("series with non-unit constant term")
         m, n = self.model, self.order
-        if e == 0:
-            return TruncSeries(m, [m.unit.coeffs], n)
+        unit = m._unit_entries
+        if {k: col[0] for k, col in self._columns.items() if col[0]} != dict(unit):
+            raise ValueError("series with non-unit constant term")
         if e == 1:
             return self
-        top = min(e, n) if e > 0 else n
+        top = min(e, n) if e >= 0 else n
         powers = self._table(top)
         binoms, c = [], 1
         for k in range(1, top + 1):
@@ -169,9 +162,8 @@ class TruncSeries:
                 held.setdefault(q, [zero] * top)[k] = col
         out = {q: [sum(map(mul, binoms, degree)) for degree in zip(*cols)]
                for q, cols in held.items()}
-        for q, u in enumerate(m.unit.coeffs):
-            if u:
-                out.setdefault(q, [0] * (n + 1))[0] = u
+        for q, u in unit:
+            out.setdefault(q, [0] * (n + 1))[0] = u
         return TruncSeries._of(m, n, _reduced(m, out))
 
     def _table(self, top: int) -> list:

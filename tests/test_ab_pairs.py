@@ -124,3 +124,17 @@ def test_a_failed_run_names_its_side_seed_exit_code_and_stderr(tmp_path):
     assert "change (%s) seed 7: bench/run.py exited 1" % change in proc.stderr
     assert "RuntimeError: the last line of the failure" in proc.stderr
     assert "first line of the failure" in proc.stderr
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_no_pairs_is_a_usage_error_before_any_run(tmp_path, pairs):
+    # neither checkout exists, so reading one would end in a traceback
+    missing = str(tmp_path / "missing")
+    proc = subprocess.run(
+        [sys.executable, AB_PAIRS, missing, missing, "--workload", "w", "--pairs", pairs],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--pairs must be at least 1" in proc.stderr
+    assert proc.stdout == ""

@@ -5,7 +5,9 @@ The references are the earlier paths, which went through ``RingElement`` and
 
 * ``oracle_model`` is the earlier ``models._model``: it built a ring for the
   arithmetic, read the builder's series back coefficient by coefficient
-  and built a second ``RingModel`` from those coefficients;
+  and built a second ``RingModel`` from those coefficients; here each
+  series is read off the builder's gamma-polynomial one group element at a
+  time;
 * ``oracle_gamma_values`` wrapped every gamma-coefficient in a ring element;
 * ``oracle_witt_pieces`` reduced every HNF column to a group element,
   projected it, and spanned the images with ``subgroup_from_generators``.
@@ -16,6 +18,7 @@ the constructor's refusal of data that the model file format refuses.
 """
 
 import re
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,12 +48,22 @@ from test_sparse_oracle import oracle_project, presentations, vectors
 IDS = ["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS]
 
 
-def oracle_model(name, group, unit, mul, aug, series, hyperbolic, trunc):
+def oracle_model(name, group, unit, mul, aug, gammas, hyperbolic, trunc):
     def build(lambda_on_basis):
         return RingModel(name, group, unit, mul, aug, lambda_on_basis, hyperbolic, trunc)
 
+    def lambda_rows(i, rows):
+        # lambda_t(b) = 1 + b t for a line class b; otherwise gamma_t(b) at
+        # t/(1+t): lambda^k(b) = sum_i (-1)^(k-i) C(k-1, k-i) gamma^i(b)
+        if rows is None:
+            return [group.basis_element(i).coeffs]
+        g = [group.element(r) for r in rows[:trunc]]
+        return [sum(((-1) ** (k - i) * comb(k - 1, k - i) * g[i - 1]
+                     for i in range(1, min(k, len(g)) + 1)), group.zero()).coeffs
+                for k in range(1, trunc + 1)]
+
     ring = build([[]] * group.rank)
-    return build([s.rows()[1:] for s in series(ring)])
+    return build([lambda_rows(i, rows) for i, rows in enumerate(gammas(ring))])
 
 
 def rebuilt(m):

@@ -187,6 +187,16 @@ def test_witt_image_of_the_whole_group_is_built_once():
     assert witt_filtration(m, gamma_filtration(m, kmax=5)).pieces[0] is first
 
 
+def test_whole_groups_of_equal_rank_share_their_identity_columns():
+    # F^0 of every model is the identity HNF of its rank, held once
+    a, b = gw_projective.__wrapped__("C", 4), gw_projective.__wrapped__("R", 1)
+    assert a.group != b.group and a.group.rank == b.group.rank == 3
+    fa, fb = gamma_filtration(a, kmax=1), gamma_filtration(b, kmax=1)
+    assert fa.pieces[0].columns is fb.pieces[0].columns
+    assert fa.pieces[0].pivot_rows is fb.pieces[0].pivot_rows
+    assert fa.pieces[0] == abelian.subgroup_from_generators(a.group, a.group.basis())
+
+
 def test_equal_products_share_one_entry_tuple():
     m = group_ring.__wrapped__((2, 2, 2, 2))
     by_value = {}
@@ -206,7 +216,7 @@ def test_witt_quotient_projection_is_immutable():
 
 @pytest.mark.parametrize("build,message", [
     (zero_augmentation_ring, re.escape("d(b1*b1) = 1 != 0")),
-    (nonzero_rank_ring, "a gamma-value has nonzero rank"),
+    (nonzero_rank_ring, re.escape("d(lambda^2(b1)) = 1 != C(0,2)")),
     (unkilled_torsion_ring, re.escape("order 2 of b2 does not kill b2*b2")),
 ], ids=["augmentation", "rank", "torsion"])
 def test_refused_model_raises_on_every_call(build, message):

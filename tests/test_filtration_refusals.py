@@ -9,15 +9,19 @@ multiplicative on the basis, one whose torsion does not kill its products,
 one with a gamma-value of nonzero rank, or one whose lambda-series do not
 respect a torsion order was once filtered all the same, and could come out
 flagged exact with pieces that are not the gamma filtration.  These, a
-model whose lambda^1 is not the identity on the basis and one with a
-torsion basis element of nonzero rank now raise
-``ValueError`` from ``gamma_filtration``, so also on the way to
-``witt_filtration``, which takes a gamma filtration of the model.
+model whose lambda^1 is not the identity on the basis, one with a
+torsion basis element of nonzero rank and one whose unit has rank other
+than 1 now raise ``ValueError`` from ``gamma_filtration``, so also on the
+way to ``witt_filtration``, which takes a gamma filtration of the model.
 
-Except for the gamma-value scan, the refusals are checks of
-``validate_model``'s report: the filtration raises "<check>: <case>" on the
-first offending case of the checks named in ``filtration._REFUSALS``, in
-that order, so the two cannot name different cases.
+The refusals are the checks of ``validate_model``'s report and nothing
+else: the filtration raises "<check>: <case>" on the first offending case
+of the checks named in ``filtration._REFUSALS``, in that order, so the two
+cannot name different cases.  A gamma-value of nonzero rank is refused as
+"augmentation compatible with lambda-series": once d(lambda^k(b)) =
+C(d(b), k) and d(1) = 1, every gamma-value has rank zero (the argument is
+in the ``filtration`` docstring).  Of the checks it does not name, a model
+the filtration returns fails at most associativity.
 """
 
 import re
@@ -28,7 +32,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gwgamma.abelian import GroupPresentation
 from gwgamma.filtration import _REFUSALS, gamma_filtration, witt_filtration
 from gwgamma.lambdaring import RingModel, validate_model
-from test_arith_oracle import ring_models
+from test_arith_oracle import augmented_ring_models, ring_models
 
 
 def first_failure(m):
@@ -106,9 +110,11 @@ def test_gamma_value_of_nonzero_rank_is_refused():
     m = nonzero_rank_ring()
     assert [c.name for c in validate_model(m).checks if not c.ok] == [
         "augmentation compatible with lambda-series"]
-    with pytest.raises(ValueError, match="a gamma-value has nonzero rank"):
+    message = re.escape(
+        "augmentation compatible with lambda-series: d(lambda^2(b1)) = 1 != C(0,2)")
+    with pytest.raises(ValueError, match=message):
         gamma_filtration(m, kmax=1)
-    with pytest.raises(ValueError, match="a gamma-value has nonzero rank"):
+    with pytest.raises(ValueError, match=message):
         witt_filtration(m, gamma_filtration(m, kmax=1))
 
 
@@ -221,3 +227,38 @@ def test_refusal_names_the_first_failing_refused_check(build):
     with pytest.raises(ValueError) as raised:
         gamma_filtration(m, kmax=1)
     assert str(raised.value) == "%s: %s" % (name, failed[name])
+
+
+def zero_unit_rank_ring():
+    """Z on the basis (1,) with d = 0 and lambda_t(1) = 1 + t: every check
+    but d(1) = 1 passes, so F^1 = Z would be the whole ring."""
+    group = GroupPresentation((0,), ("one",))
+    return RingModel("d(1) = 0", group, (1,), {(0, 0): (1,)}, (0,), [[(1,)]],
+                     hyperbolic=())
+
+
+def test_unit_of_rank_other_than_one_is_refused():
+    # it was returned at kmax 1..3 with F^1 = F^0 = Z
+    m = zero_unit_rank_ring()
+    assert [c.name for c in validate_model(m).checks if not c.ok] == [
+        "augmentation(unit) == 1"]
+    message = "augmentation(unit) == 1: d(1) = 0"
+    for kmax in range(1, 4):
+        with pytest.raises(ValueError) as raised:
+            gamma_filtration(m, kmax=kmax)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            witt_filtration(m, gamma_filtration(m, kmax=kmax))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(ring_models(neutral_unit=False), ring_models(neutral_unit=True),
+                 augmented_ring_models()), st.integers(1, 3))
+def test_a_returned_filtration_fails_at_most_associativity(m, kmax):
+    # each other check fails on a drawn model only with a ValueError
+    try:
+        gamma_filtration(m, kmax=kmax)
+    except ValueError:
+        return
+    failed = {c.name for c in validate_model(m).checks if not c.ok}
+    assert failed <= {"multiplication associative on basis"}

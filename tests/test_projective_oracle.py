@@ -18,9 +18,8 @@ import json
 import pytest
 
 from gwgamma.cli import model_to_dict
-from gwgamma.lambdaring import gamma_total
+from gwgamma.lambdaring import RingModel, gamma_total
 from gwgamma.models import (
-    _model,
     gw_projective,
     projective_top_power,
     twisted_hyperbolic_classes,
@@ -56,16 +55,19 @@ def lambda_space_series(ring, nb, top, trunc):
 
 
 def oracle_projective(m, r):
-    """The model m of P^r with its basis lambda-series rebuilt by the oracle."""
+    """The model m of P^r with its basis lambda-series rebuilt by the oracle,
+    on a ring built for the arithmetic, in a second ``RingModel``."""
     rank = m.group.rank
     nb = rank - projective_top_power(r)
     mul = {(i, j): tuple(dict(row).get(k, 0) for k in range(rank))
            for i, rows in enumerate(m.products) for j, row in enumerate(rows) if row}
-    return _model(
-        m.name, m.group, m.unit.coeffs, mul, m.aug,
-        lambda ring: lambda_space_series(ring, nb, rank - nb, m.trunc),
-        [h.coeffs for h in m.hyperbolic], m.trunc,
-    )
+
+    def build(lambda_on_basis):
+        return RingModel(m.name, m.group, m.unit.coeffs, mul, m.aug, lambda_on_basis,
+                         [h.coeffs for h in m.hyperbolic], m.trunc)
+
+    ring = build([[]] * rank)
+    return build([s.rows()[1:] for s in lambda_space_series(ring, nb, rank - nb, m.trunc)])
 
 
 @pytest.mark.parametrize("base,r", CASES, ids=["%s%d" % c for c in CASES])

@@ -8,6 +8,8 @@ from math import comb
 
 import pytest
 
+from gwgamma.abelian import GroupPresentation
+from gwgamma.lambdaring import RingModel
 from gwgamma.models import gw_point, gw_punctured_a5
 from gwgamma.series import TruncSeries
 
@@ -71,6 +73,24 @@ def test_pow_binomial_series():
     for e in range(-6, 7):
         got = one_plus_t.pow(e)
         assert z_coeffs(got) == tuple(binomial(e, k) for k in range(n + 1))
+
+
+def test_pow_places_a_unit_of_two_coordinates():
+    # Z x Z on the idempotents e = (1, 0) and f = (0, 1), unit e + f
+    m = RingModel("Z x Z", GroupPresentation((0, 0), ("e", "f")), (1, 1),
+                  {(0, 0): (1, 0), (1, 1): (0, 1)}, (1, 0), [[(1, 0)], [(0, 1)]])
+    s = TruncSeries(m, [(1, 1), (2, 0)], 3)  # 1 + 2e t, and e^k = e
+    assert s.pow(0).rows() == [(1, 1), (0, 0), (0, 0), (0, 0)]
+    assert s.pow(2).rows() == [(1, 1), (4, 0), (4, 0), (0, 0)]
+    assert s.pow(3).rows() == [(1, 1), (6, 0), (12, 0), (8, 0)]
+    assert s.inverse().rows() == [(1, 1), (-2, 0), (4, 0), (-8, 0)]
+    # a coordinate of the unit missing or wrong
+    for constant in [(1, 0), (0, 1), (0, 0), (1, 2), (-1, 1)]:
+        with pytest.raises(ValueError, match="non-unit constant term"):
+            TruncSeries(m, [constant, (2, 0)], 3).pow(2)
+    # a nonzero coordinate beside the unit's: L over the real point
+    with pytest.raises(ValueError, match="non-unit constant term"):
+        TruncSeries(gw_point("R"), [(1, 1), (0, 1)], 3).pow(2)
 
 
 @pytest.mark.parametrize("order", [4, 8, 12])

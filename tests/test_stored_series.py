@@ -37,14 +37,19 @@ def stored_rows(group, series):
 
 
 def built_with_rows(monkeypatch, name, kwargs):
-    """An uncached build of the builtin and the rows of its builder's series."""
+    """An uncached build of the builtin and the rows of its builder's series:
+    1 + b t for a line class b, else its gamma-polynomial at t/(1+t)."""
     built = []
     real = models._model
 
-    def capture(name, group, unit, mul, aug, series, hyperbolic, trunc):
+    def capture(name, group, unit, mul, aug, gammas, hyperbolic, trunc):
         def keep(ring):
-            built.extend(series(ring))
-            return built
+            handed = gammas(ring)
+            built.extend(
+                TruncSeries(ring, [unit, group.basis_element(i).coeffs], trunc) if rows is None
+                else TruncSeries(ring, [unit, *rows], trunc).substitute_alternating()
+                for i, rows in enumerate(handed))
+            return handed
         return real(name, group, unit, mul, aug, keep, hyperbolic, trunc)
 
     with monkeypatch.context() as patched:

@@ -93,6 +93,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed-base", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=30)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     runs: dict = {"parent": [], "change": []}
