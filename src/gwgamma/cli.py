@@ -75,7 +75,8 @@ def model_to_dict(m: RingModel) -> dict:
             for j in range(i, rank)
             if m.products[i][j]
         ],
-        "lambda": {names[i]: m._lambda_rows(i) for i in range(rank)},
+        "lambda": {name: [list(g.coeffs) for g in series]
+                   for name, series in zip(names, m.lambda_on_basis)},
         "trunc": m.trunc,
     }
     if m.hyperbolic is not None:

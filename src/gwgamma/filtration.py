@@ -57,15 +57,16 @@ The pieces are computed once per model and extended on demand.  What the
 filtration derives from the model alone is kept on it, in one memo
 (``RingModel._filtration``, see ``_Memo``): the verdict that the model
 passed the refusals, its gamma-values by weight (i_max is the largest), the
-pieces F^0..F^k built so far, the invariants of each pair of adjacent
-pieces, the Witt quotient and the Witt image of each piece.  A call at kmax
-extends the stored pieces up to F^kmax, the first call from F^0, or slices
-them; only ``exact``, ``warnings`` and ``weight_cap`` are computed per
-call.  A model is immutable once built, and the memo assumes it.  A refused
-model keeps no verdict and raises on every call.  A piece equal to the one
-below it is stored as that object, and each HNF column equal to a spanned
-vector as that vector's tuple (``abelian._span``): tuples are immutable and
-the HNF is canonical, so sharing them changes no value.
+levels of the filtration built so far, the pieces F^0..F^k with the
+invariants of each quotient F^(j-1)/F^j, and the Witt quotient with the
+levels of the Witt images.  A call at kmax extends the stored levels up to
+F^kmax, the first call from F^0, or slices them; only ``exact``,
+``warnings`` and ``weight_cap`` are computed per call.  A model is
+immutable once built, and the memo assumes it.  A refused model keeps no
+verdict and raises on every call.  A piece equal to the one below it is
+stored as that object, and each HNF column equal to a spanned vector as
+that vector's tuple (``abelian._span``): tuples are immutable and the HNF
+is canonical, so sharing them changes no value.
 
 The gamma-values are coefficient tuples read off the columns of the
 gamma-series, stored once per model as the distinct values of each weight.
@@ -87,13 +88,15 @@ exact.
 The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes, one HNF column at a time; the
 quotient takes one Smith form per model, and each image is spanned once per
-model and piece, F^0 too: the projected identity spans the quotient, so its
-image is the identity HNF.
+model and level, F^0 too: the projected identity spans the quotient, so its
+image is the identity HNF.  The images are stored by level, so
+``witt_filtration`` takes only a result equal to ``gamma_filtration(m,
+f.kmax)``; one with pieces, graded groups or flags of its own is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abelian import (
     GroupPresentation,
@@ -172,21 +175,20 @@ class _Memo:
     """What the filtration derives from one model alone, filled on demand.
 
     `values` are the gamma-values by weight, as ``_gamma_values`` returns
-    them, None until the model passed the refusals; `pieces` are F^0..F^k
-    as built so far.  `graded` and `witt_graded` map the HNF columns
-    of two adjacent pieces, of the group and of the Witt quotient, to the
-    invariants of their quotient.  `witt` is the Witt quotient and its
-    projection rows, as tuples; `images` maps the HNF columns of a piece to
-    its Witt image.
+    them, None until the model passed the refusals.  `levels` is the pair
+    of F^0..F^k as built so far and the invariants of each F^(j-1)/F^j.
+    `witt` is the Witt quotient and its projection rows, as tuples, and
+    `witt_levels` the pair of the Witt images of F^0..F^j and the
+    invariants of each quotient of adjacent images.  Each pair is replaced
+    whole, never changed in place, so a thread that reads it once reads
+    pieces with their graded groups.
     """
 
     def __init__(self, m: RingModel):
         self.values: dict[int, list[tuple[int, ...]]] | None = None
-        self.pieces = [full_subgroup(m.group)]
-        self.graded: dict[tuple, tuple[int, ...]] = {}
+        self.levels: tuple = (full_subgroup(m.group),), ()
         self.witt: tuple[GroupPresentation, tuple[tuple[int, ...], ...]] | None = None
-        self.images: dict[tuple, Subgroup] = {}
-        self.witt_graded: dict[tuple, tuple[int, ...]] = {}
+        self.witt_levels: tuple = (), ()
 
 
 def _memo(m: RingModel) -> _Memo:
@@ -195,38 +197,26 @@ def _memo(m: RingModel) -> _Memo:
     return m._filtration
 
 
-def _extended(m: RingModel, memo: _Memo, kmax: int) -> list[Subgroup]:
-    """The stored pieces extended to F^kmax, F^k spanned by the gamma-values
-    of weight >= k and the products of each value of weight i < k with
-    F^(k-i), each product list from ``_times`` once per value and span.  A
-    new list: a call that extends the memo at the same time still reads a
-    whole one."""
-    pieces = list(memo.pieces)
+def _extended(m: RingModel, values: dict, levels: tuple, kmax: int) -> tuple:
+    """The levels extended to F^kmax, F^k spanned by the gamma-values of
+    weight >= k and the products of each value of weight i < k with
+    F^(k-i), each product list from ``_times`` once per value and span, and
+    its quotient below.  A new pair: a call that extends the memo at the
+    same time still reads a whole one."""
+    pieces, graded = map(list, levels)
     spans: dict = {}
     for k in range(len(pieces), kmax + 1):
         vecs = []
-        for i, gs in memo.values.items():
+        for i, gs in values.items():
             # g * F^1 for g of weight i >= k lies in the sum already
             # (module docstring)
             vecs += gs if i >= k else _times(m, spans, gs, pieces[k - i])
-        piece = _span(m.group, vecs)
+        below, piece = pieces[-1], _span(m.group, vecs)
         # a piece equal to the one below is stored as that object
-        pieces.append(pieces[-1] if piece.columns == pieces[-1].columns else piece)
-    return pieces
-
-
-def _graded_invariants(
-    memo: dict[tuple, tuple[int, ...]], pieces: tuple[Subgroup, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """The invariants of each quotient of adjacent pieces, each pair computed
-    once per memo."""
-    out = []
-    for a, b in zip(pieces, pieces[1:]):
-        key = a.columns, b.columns
-        if key not in memo:
-            memo[key] = relative_quotient_invariants(a, b)
-        out.append(memo[key])
-    return tuple(out)
+        piece = below if piece.columns == below.columns else piece
+        pieces.append(piece)
+        graded.append(relative_quotient_invariants(below, piece))
+    return tuple(pieces), tuple(graded)
 
 
 def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
@@ -243,10 +233,10 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
                 raise ValueError("%s: %s" % (name, case))
         gens = tuple(m.element(v) for v in kernel_basis(m.aug))
         memo.values = _gamma_values(gens, budget)
-    pieces = memo.pieces
-    if len(pieces) <= kmax:
-        pieces = memo.pieces = _extended(m, memo, kmax)
-    pieces = tuple(pieces[:kmax + 1])
+    levels = memo.levels
+    if len(levels[0]) <= kmax:
+        levels = memo.levels = _extended(m, memo.values, levels, kmax)
+    pieces, graded = levels
     certified = kmax + max(max(memo.values, default=0) - 1, 0)
     cap = min(certified, budget)
     warnings = []
@@ -259,8 +249,8 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         model=m,
         group=m.group,
         kmax=kmax,
-        pieces=pieces,
-        graded=_graded_invariants(memo.graded, pieces),
+        pieces=pieces[:kmax + 1],
+        graded=graded[:kmax],
         weight_cap=cap,
         exact=not warnings,
         warnings=tuple(warnings),
@@ -285,29 +275,25 @@ def witt_quotient(
 
 def witt_filtration(m: RingModel, f: FiltrationResult) -> FiltrationResult:
     """Image of the gamma filtration ``f`` of m in the quotient by hyperbolic
-    classes."""
-    if f.model is not m or f.group != m.group:
+    classes; f must equal ``gamma_filtration(m, f.kmax)`` (module
+    docstring)."""
+    if f.model is not m or f != gamma_filtration(m, f.kmax):
         raise ValueError("f is not a gamma filtration of model %s" % m.name)
     qpres, projection = witt_quotient(m)
     memo = _memo(m)
-    pieces = []
-    # F^0 too: the projected identity spans the quotient, whose HNF is the
-    # identity, so its image is built once per model like every other
-    for piece in f.pieces:
-        image = memo.images.get(piece.columns)
-        if image is None:
-            image = memo.images[piece.columns] = _span(
-                qpres, [project_element(qpres, projection, col) for col in piece.columns]
-            )
-        pieces.append(image)
-    pieces = tuple(pieces)
-    return FiltrationResult(
-        model=m,
-        group=qpres,
-        kmax=f.kmax,
-        pieces=pieces,
-        graded=_graded_invariants(memo.witt_graded, pieces),
-        weight_cap=f.weight_cap,
-        exact=f.exact,
-        warnings=f.warnings,
-    )
+    images, graded = memo.witt_levels
+    n = len(f.pieces)
+    if len(images) < n:
+        images, graded = list(images), list(graded)
+        for k in range(len(images), n):
+            piece = f.pieces[k]
+            if k and piece is f.pieces[k - 1]:  # a piece stored as the one below
+                image = images[-1]
+            else:
+                image = _span(qpres, [project_element(qpres, projection, col)
+                                      for col in piece.columns])
+            if k:
+                graded.append(relative_quotient_invariants(images[-1], image))
+            images.append(image)
+        images, graded = memo.witt_levels = tuple(images), tuple(graded)
+    return replace(f, group=qpres, pieces=images[:n], graded=graded[:n - 1])

@@ -225,37 +225,31 @@ class RingModel:
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
         """lambda_t(b_i) through the order: a new series over the stored
-        columns, cut below the truncation; the model keeps no series."""
+        columns cut after the order; the model keeps no series."""
         if order < 0:
             raise ValueError("order must be non-negative")
         if order > self.trunc:
             raise ValueError(
                 "order %d beyond model truncation %d" % (order, self.trunc)
             )
-        series = TruncSeries._of(self, self.trunc, self._basis_columns[i])
-        return series if order == self.trunc else series._truncated(order)
-
-    def _lambda_rows(self, i: int) -> list[list[int]]:
-        """The coefficients of lambda_t(b_i) in degrees 1..D as coordinate
-        lists, D its last nonzero degree, read off the stored columns."""
-        cols = self._basis_columns[i]
-        last = max(map(_last_degree, cols.values()), default=0)
-        rows = [[0] * self.group.rank for _ in range(last)]
-        for k, col in cols.items():
-            for row, v in zip(rows, col[1:]):
-                row[k] = v
-        return rows
+        cut = ((k, col[:order + 1]) for k, col in self._basis_columns[i].items())
+        return TruncSeries._of(self, order, {k: col for k, col in cut if any(col)})
 
     @property
     def lambda_on_basis(self) -> tuple[tuple[GroupElement, ...], ...]:
         """The basis lambda-series as group elements in degrees 1..D_b, D_b
-        the last nonzero degree of lambda_t(b_i): derived from the stored
+        the last nonzero degree of lambda_t(b_i): read off the stored
         columns on every read, never kept."""
         group = self.group
-        return tuple(
-            tuple(GroupElement(group, tuple(r)) for r in self._lambda_rows(i))
-            for i in range(group.rank)
-        )
+        out = []
+        for cols in self._basis_columns:
+            last = max(map(_last_degree, cols.values()), default=0)
+            rows = [[0] * group.rank for _ in range(last)]
+            for k, col in cols.items():
+                for row, v in zip(rows, col[1:]):
+                    row[k] = v
+            out.append(tuple(GroupElement(group, tuple(r)) for r in rows))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

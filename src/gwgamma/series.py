@@ -179,13 +179,6 @@ class TruncSeries:
             powers.append(_product(m, n, powers[0], powers[-1]))
         return powers
 
-    def _truncated(self, order: int) -> "TruncSeries":
-        """The series cut after the order, or padded with zero degrees up to
-        it: new columns, no memo."""
-        pad = [0] * (order - self.order)
-        cut = ((k, col[:order + 1] + pad) for k, col in self._columns.items())
-        return TruncSeries._of(self.model, order, {k: col for k, col in cut if any(col)})
-
     def _substitute(self, sign: int) -> "TruncSeries":
         """Apply t -> t/(1 - sign*t), one integer combination per column and
         degree, over the column's degrees up to its last nonzero one."""

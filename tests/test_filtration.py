@@ -1,6 +1,7 @@
 """Filtration engine checks against hand-computed subgroup chains."""
 
 import functools
+from dataclasses import replace
 
 import pytest
 
@@ -236,6 +237,22 @@ def test_witt_filtration_refuses_another_models_filtration():
     assert w.graded == ((2,), (2, 2), (2, 2))
     with pytest.raises(ValueError, match="not a gamma filtration"):
         witt_filtration(m, w)
+
+
+def test_witt_filtration_refuses_a_forged_result_of_its_model():
+    # results of the right model that gamma_filtration did not return: all
+    # pieces F^0 (read exact with graded ((), (), ())), the exact flag
+    # flipped, and the pieces of kmax 2 under kmax 3 (two graded groups)
+    m = gw_punctured_line()
+    f = gamma_filtration(m, 3)
+    for forged in (
+        replace(f, pieces=f.pieces[:1] * 4),
+        replace(f, exact=not f.exact),
+        replace(gamma_filtration(m, 2), kmax=3),
+    ):
+        with pytest.raises(ValueError, match="not a gamma filtration"):
+            witt_filtration(m, forged)
+    assert witt_filtration(m, f).graded == ((2,), (2, 2), (2, 2))
 
 
 def test_witt_quotient_of_surface():

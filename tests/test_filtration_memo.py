@@ -11,6 +11,7 @@ extensions with slices, on one shared model; every result must equal the
 result of a fresh, uncached build filtered at that kmax alone.
 """
 
+import dataclasses
 import functools
 import gc
 import importlib.util
@@ -287,15 +288,23 @@ def test_dropped_builtin_is_released(tmp_path):
             gc.enable()
 
 
+def filtered(m, kmax):
+    """The fields but the model of gamma_filtration(m, kmax) and, for a
+    model with hyperbolic classes, of its Witt filtration."""
+    f = gamma_filtration(m, kmax)
+    results = [f] if m.hyperbolic is None else [f, witt_filtration(m, f)]
+    return [dataclasses.replace(r, model=None) for r in results]
+
+
 def filter_in_threads(build, kmaxes, want):
     """Filter one fresh model from one thread per kmax, in five rounds under
-    a switch interval of 1e-6; the errors the threads raised, each pieces
-    F^0..F^kmax compared with want[kmax]."""
+    a switch interval of 1e-6; the errors the threads raised, each result
+    ``filtered(m, kmax)`` compared with want[kmax]."""
     errors = []
 
     def run(m, kmax):
         try:
-            assert gamma_filtration(m, kmax).pieces == want[kmax]
+            assert filtered(m, kmax) == want[kmax]
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -320,7 +329,7 @@ def test_threads_filtering_one_model_share_no_series_table():
     # the power -1; threads filtering one model must not fill one power
     # table of that series at once
     build = functools.partial(group_ring.__wrapped__, (2, 2, 2, 2))
-    want = {3: gamma_filtration(build(), 3).pieces}
+    want = {3: filtered(build(), 3)}
     assert filter_in_threads(build, (3, 3, 3, 3), want) == []
 
 
@@ -328,5 +337,5 @@ def test_threads_extending_one_memo_read_whole_pieces():
     # interned models are shared across the process, so threads may extend
     # one memo at the same time; each must read F^0..F^kmax whole
     build = functools.partial(gw_surface_cxp1.__wrapped__, 6)
-    want = {k: gamma_filtration(build(), k).pieces for k in (3, 8)}
+    want = {k: filtered(build(), k) for k in (3, 8)}
     assert filter_in_threads(build, (8, 3, 8, 3), want) == []

@@ -77,3 +77,13 @@ def test_filtration_reads_no_private_model_state():
     private = {n.attr for n in ast.walk(tree)
                if isinstance(n, ast.Attribute) and n.attr.startswith("_")}
     assert private <= {"_filtration"}
+
+
+def test_cli_reads_no_private_model_state():
+    # the command line writes and reads model files through the public
+    # model surface alone (``lambda_on_basis`` for the lambda-series)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = {n.attr for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+               and not (n.attr.startswith("__") and n.attr.endswith("__"))}
+    assert private == set()
