@@ -60,7 +60,8 @@ passed the refusals, its gamma-values by weight (i_max is the largest), the
 levels of the filtration built so far, the pieces F^0..F^k with the
 invariants of each quotient F^(j-1)/F^j, and the Witt quotient with the
 levels of the Witt images.  A call at kmax extends the stored levels up to
-F^kmax, the first call from F^0, or slices them; only ``exact``,
+F^kmax, the first call from F^0, and stores them unless a call extended
+the memo further meanwhile, or slices them; only ``exact``,
 ``warnings`` and ``weight_cap`` are computed per call.  A model is
 immutable once built, and the memo assumes it.  A refused model keeps no
 verdict and raises on every call.  A piece equal to the one below it is
@@ -68,8 +69,9 @@ stored as that object, and each HNF column equal to a spanned vector as
 that vector's tuple (``abelian._span``): tuples are immutable and the HNF
 is canonical, so sharing them changes no value.
 
-The gamma-values are coefficient tuples read off the columns of the
-gamma-series, stored once per model as the distinct values of each weight.
+The gamma-values are coefficient tuples read off the gamma-series, whose
+lambda-series all come from one ``lambdaring._lambda_totals``, so each basis
+power is built once; they are stored as the distinct values of each weight.
 All products come from one function, ``_times``: g * F is computed once
 per distinct value g and piece F within one extension, one
 ``RingModel.dot`` per column of F, and keyed by the HNF columns of F: the
@@ -110,7 +112,7 @@ from .abelian import (
     relative_quotient_invariants,
     subgroup_from_generators,
 )
-from .lambdaring import RingElement, RingModel, _checks, gamma_total
+from .lambdaring import RingElement, RingModel, _checks, _lambda_totals
 
 # the checks of ``lambdaring._checks`` the recursion needs, in refusal order
 _REFUSALS = (
@@ -140,10 +142,11 @@ def _gamma_values(
 ) -> dict[int, list[tuple[int, ...]]]:
     """The distinct nonzero coefficient tuples of gamma^i(e) by weight i,
     1 <= i <= order, over the generators e: weights and values in first-seen
-    order, read off the columns of each gamma-series."""
+    order, read off the gamma-series, all from one ``_lambda_totals``."""
     values: dict[int, dict[tuple[int, ...], None]] = {}
+    total = gens and _lambda_totals(gens[0].model, order)
     for e in gens:
-        for i, g in enumerate(gamma_total(e, order).rows()):
+        for i, g in enumerate(total(e.value.coeffs).substitute_geometric().rows()):
             if i and any(g):
                 values.setdefault(i, {})[g] = None
     return {i: list(gs) for i, gs in values.items()}
@@ -235,7 +238,9 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         memo.values = _gamma_values(gens, budget)
     levels = memo.levels
     if len(levels[0]) <= kmax:
-        levels = memo.levels = _extended(m, memo.values, levels, kmax)
+        levels = _extended(m, memo.values, levels, kmax)
+        if len(levels[0]) > len(memo.levels[0]):  # else a call built further
+            memo.levels = levels
     pieces, graded = levels
     certified = kmax + max(max(memo.values, default=0) - 1, 0)
     cap = min(certified, budget)

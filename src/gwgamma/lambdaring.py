@@ -5,9 +5,9 @@ multiplication given by structure constants on basis pairs, an augmentation
 (rank) homomorphism to Z, and, for every basis element, the coefficients of
 its total lambda-series.  That is enough to evaluate on arbitrary elements:
 
-* ``lambda_total(x, N)`` is the product of the powers lambda_t(b_i)^(c_i)
-  over the coordinates c_i of x, so the addition law
-  lambda_t(x+y) = lambda_t(x) lambda_t(y) holds by construction;
+* ``lambda_total(x, N)``, one call of ``_lambda_totals(m, N)``, is the
+  product of the powers lambda_t(b_i)^(c_i) over the coordinates c_i of x,
+  so lambda_t(x+y) = lambda_t(x) lambda_t(y) holds by construction;
 * ``gamma_total`` / ``gamma_k`` apply the substitution t -> t/(1-t);
 * ``psi_k`` evaluates the Newton polynomial p_k at lambda^1(x)..lambda^k(x).
 
@@ -56,7 +56,7 @@ share no memo of a series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .abelian import GroupElement, GroupPresentation, _entries
@@ -151,17 +151,21 @@ class RingModel:
         if len(lambda_on_basis) != group.rank:
             raise ValueError("lambda-series list of wrong length")
         # _basis_columns[i]: the integer columns of lambda_t(b_i) at the
-        # truncation, its one stored form
+        # truncation, its one stored form, built once from the reduced rows;
+        # equal rows (a builtin's empty lists) share one dict
         self._basis_columns: list[dict[int, list[int]]] = []
+        built = {}
         for i, coeff_list in enumerate(lambda_on_basis):
-            rows = [group.reduce(c) for c in coeff_list]
+            rows = tuple(group.reduce(c) for c in coeff_list)
             while rows and not any(rows[-1]):
-                rows.pop()
+                rows = rows[:-1]
             if len(rows) > trunc:
                 raise ValueError("lambda-series of basis element %d: %d terms, more "
                                  "than trunc %d" % (i, len(rows), trunc))
-            self._basis_columns.append(
-                TruncSeries(self, [self.unit.coeffs, *rows], trunc)._columns)
+            if rows not in built:
+                built[rows] = {k: [*col] + [0] * (trunc - len(rows)) for k, col
+                               in enumerate(zip(self.unit.coeffs, *rows)) if any(col)}
+            self._basis_columns.append(built[rows])
         # what the filtration derives from the model alone (filtration._Memo)
         self._filtration = None
         self.hyperbolic = (
@@ -302,25 +306,35 @@ class RingElement:
         return self.value.is_zero
 
 
-def lambda_total(x: RingElement, order: int | None = None) -> TruncSeries:
-    """Total lambda-series of x, exact through the requested order.
-
-    Raises ValueError on a negative order, and when the model's unit is not
-    multiplicatively neutral: the product of the series powers would then
-    not start at the unit.
-    """
-    m = x.model
-    n = m.trunc if order is None else order
-    if n < 0:
+def _lambda_totals(m: RingModel, order: int):
+    """lambda_t through the order of each coefficient tuple it is given: the
+    product of the powers lambda_t(b_i)^(c_i), in increasing i, each basis
+    series (with its power table) and each power (i, c_i) built once across
+    the calls and held by the function alone.  Raises ValueError on a
+    negative order, and when the unit is not multiplicatively neutral: the
+    product of the powers would then not start at the unit."""
+    if order < 0:
         raise ValueError("order must be non-negative")
     if not m._unit_neutral:
         raise ValueError("model %s: unit is not multiplicatively neutral" % m.name)
-    out = None
-    for i, c in enumerate(x.value.coeffs):
-        if c:
-            factor = m.basis_lambda_series(i, n).pow(c)
-            out = factor if out is None else out * factor
-    return TruncSeries(m, [m.unit.coeffs], n) if out is None else out
+    series = cache(lambda i: m.basis_lambda_series(i, order))
+    power = cache(lambda i, c: series(i).pow(c))
+
+    def total(coeffs: Sequence[int]) -> TruncSeries:
+        out = None
+        for i, c in enumerate(coeffs):
+            if c:
+                out = power(i, c) if out is None else out * power(i, c)
+        return TruncSeries(m, [m.unit.coeffs], order) if out is None else out
+
+    return total
+
+
+def lambda_total(x: RingElement, order: int | None = None) -> TruncSeries:
+    """Total lambda-series of x, exact through the requested order: the
+    one-element case of ``_lambda_totals``, whose ValueErrors it raises."""
+    m = x.model
+    return _lambda_totals(m, m.trunc if order is None else order)(x.value.coeffs)
 
 
 def gamma_total(x: RingElement, order: int | None = None) -> TruncSeries:
@@ -361,9 +375,9 @@ def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
     generator of its offending cases, which computes nothing until it is
     read, on the basis products and the stored lambda-series columns."""
     group, aug, rows, trunc = m.group, m.aug, m.products, m.trunc
-    rank = group.rank
+    rank, orders = group.rank, group.orders
     b = [((i, 1),) for i in range(rank)]
-    torsion = [(i, o) for i, o in enumerate(group.orders) if o]
+    torsion = [(i, o) for i, o in enumerate(orders) if o]
     stored = m._basis_columns
 
     def unit():
@@ -387,12 +401,13 @@ def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
                             yield "(b%d*b%d)*b%d != b%d*(b%d*b%d)" % (i, j, k, p, q, k)
 
     def torsion_products():
-        # (o_i b_i) * b_j is one dot, and zero when b_i * b_j is
+        # o_i b_i b_j = 0 exactly when o_i c = 0 mod o_k at each entry (k, c)
+        # of b_i * b_j, c = 0 where o_k = 0
         for i, o in torsion:
             if aug[i]:
                 yield "torsion basis element %d has nonzero rank" % i
             for j in range(rank):
-                if rows[i][j] and any(m.dot(((i, o),), b[j])):
+                if any(o * c % orders[k] if orders[k] else c for k, c in rows[i][j]):
                     yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
 
     def homomorphism():
@@ -479,12 +494,14 @@ def _special_reports(
     lambda_t of each element is built once and read once, as sparse entries
     of its ``TruncSeries.rows``; the composition checks of each element run
     once, the first time it is an x, and a pair adds only lambda_t(x*y) and
-    its ``bound`` product checks.  ``MultiPoly.evaluate`` folds the
+    its ``bound`` product checks, all from one ``_lambda_totals`` per order,
+    so each basis power is built once.  ``MultiPoly.evaluate`` folds the
     polynomials with no ring element per coefficient or product.
     """
     need = max([bound] + [m * n for m, n in compose_pairs])
     firsts = {i for i, _ in pairs}
     series: dict[int, tuple[list, list]] = {}  # i: rows and their entries
+    totals = cache(_lambda_totals)  # one per model and order
     compositions: dict[int, tuple[CheckResult, ...]] = {}
 
     def lam(i: int, order: int) -> tuple[list, list]:
@@ -496,7 +513,7 @@ def _special_reports(
             e = elements[i]
             if i in firsts and need <= e.model.trunc:
                 order = need
-            rows = lambda_total(e, order).rows()
+            rows = totals(e.model, order)(e.value.coeffs).rows()
             s = series[i] = rows, [_entries(r) for r in rows]
         return s
 
@@ -507,7 +524,7 @@ def _special_reports(
         x = elements[i]
         m = x.model
         (rows_x, lam_x), (_, lam_y) = lam(i, need), lam(j, bound)
-        lam_xy = lambda_total(x * elements[j], bound).rows()
+        lam_xy = totals(m, bound)((x * elements[j]).value.coeffs).rows()
         checks = tuple(
             check("lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n), lam_xy[n],
                   _evaluate(m, product_universal(n), lam_x[1:n + 1] + lam_y[1:n + 1]))
@@ -517,7 +534,7 @@ def _special_reports(
             compositions[i] = tuple(
                 check(
                     "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
-                    lambda_total(m.element(rows_x[nn]), mm).rows()[mm],
+                    totals(m, mm)(rows_x[nn]).rows()[mm],
                     _evaluate(m, compose_universal(mm, nn), lam_x[1:mm * nn + 1]),
                 )
                 for mm, nn in compose_pairs

@@ -41,7 +41,7 @@ from gwgamma.filtration import (
 )
 from gwgamma.lambdaring import RingModel, gamma_total, validate_model
 from gwgamma.models import BUILTINS, gw_punctured_a5, gw_surface_cxp1
-from test_arith_oracle import elements_of, ring_models
+from test_arith_oracle import elements_of, model_and_elements, ring_models
 from test_filtration_oracle import CLI_BUILTINS, uncached
 from test_sparse_oracle import oracle_project, presentations, vectors
 
@@ -156,6 +156,16 @@ def test_drawn_gamma_values_match_oracle(m):
     assert list(_gamma_values(gens, m.trunc).items()) == by_weight(want)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model_and_elements(neutral_unit=True, count=4))
+def test_gamma_values_of_drawn_elements_match_oracle(drawn):
+    # the basis powers built for one element serve the next, whatever
+    # coefficient each gives a basis element
+    m, gens = drawn
+    want = oracle_gamma_values(gens, m.trunc)
+    assert list(_gamma_values(gens, m.trunc).items()) == by_weight(want)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.data())
 def test_unreduced_vector_projects_as_its_reduction(data):
@@ -227,13 +237,13 @@ def test_line_elements_read_no_ring_coefficients(monkeypatch):
 
 def test_special_reads_no_ring_coefficients(monkeypatch, capsys):
     # the checker reads each lambda-series by rows and folds the universal
-    # polynomials on their entries; it wraps lambda^n(x) of its 3
-    # compositions for each of the 5 basis elements x, and nothing else
+    # polynomials on their entries; lambda^n(x) of a composition goes to
+    # the lambda-series by its coefficient tuple, so nothing is wrapped
     rows = wrapped_rows(monkeypatch)
     args = ["special", "builtin:gw_projective", "--base", "R", "--r", "7", "--bound", "3"]
     assert run(args) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
-    assert len(rows) == 5 * 3
+    assert rows == []
 
 
 # ---------------------------------------------------------------- constructor

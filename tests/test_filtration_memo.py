@@ -25,9 +25,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gwgamma
-from gwgamma import abelian
+from gwgamma import abelian, filtration, series
+from gwgamma.abelian import kernel_basis
 from gwgamma.cli import dump_model, model_to_dict, parse_model
-from gwgamma.filtration import gamma_filtration, witt_filtration, witt_quotient
+from gwgamma.filtration import _gamma_values, gamma_filtration, witt_filtration, witt_quotient
 from gwgamma.lambdaring import validate_model, verify_special_pair
 from gwgamma.models import BUILTINS, gw_projective, gw_surface_cxp1, line_elements
 
@@ -157,6 +158,46 @@ def test_pieces_are_built_once(monkeypatch):
     witt_filtration(m, f)
     witt_quotient(m)
     assert len(calls) == before
+
+
+def test_a_shorter_extension_keeps_the_longer_levels(monkeypatch):
+    # while one call builds F^0..F^3, another extends the memo to F^8; the
+    # memo keeps F^0..F^8, and the first call still returns its own kmax
+    real = filtration._extended
+
+    def extended(m, values, levels, kmax):
+        if kmax == 3:
+            gamma_filtration(m, 8)
+        return real(m, values, levels, kmax)
+
+    monkeypatch.setattr(filtration, "_extended", extended)
+    m = gw_surface_cxp1.__wrapped__(6)
+    f = gamma_filtration(m, 3)
+    pieces, graded = m._filtration.levels
+    assert (len(pieces), len(graded)) == (9, 8)
+    monkeypatch.undo()
+    fresh = gw_surface_cxp1.__wrapped__(6)
+    assert dataclasses.replace(f, model=None) == filtered(fresh, 3)[0]
+    assert filtered(m, 8) == filtered(fresh, 8)
+
+
+def test_gamma_values_build_each_basis_power_once(monkeypatch):
+    # every generator of F^1 of Z[C2^4] is b_i - b_0: T^2..T^16 of
+    # lambda_t(b_0) for its power -1 once, and one product per generator;
+    # 240 products when each generator built its own power table
+    m = JOBS_MODULE.group_ring(gwgamma, "C2^4")
+    gens = tuple(m.element(v) for v in kernel_basis(m.aug))
+    assert (m.trunc, len(gens)) == (16, 15)
+    calls = []
+    real = series._product
+
+    def product(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(series, "_product", product)
+    assert _gamma_values(gens, m.trunc)
+    assert 0 < len(calls) <= 30
 
 
 def test_stable_pieces_are_one_object():

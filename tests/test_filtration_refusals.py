@@ -31,8 +31,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gwgamma.abelian import GroupPresentation
 from gwgamma.filtration import _REFUSALS, gamma_filtration, witt_filtration
-from gwgamma.lambdaring import RingModel, validate_model
+from gwgamma.lambdaring import RingModel, _checks, validate_model
+from gwgamma.models import BUILTINS
 from test_arith_oracle import augmented_ring_models, ring_models
+from test_filtration_oracle import CLI_BUILTINS
 
 
 def first_failure(m):
@@ -130,6 +132,46 @@ def test_torsion_that_does_not_kill_its_products_is_refused():
             gamma_filtration(m, kmax=kmax)
         with pytest.raises(ValueError, match=message):
             witt_filtration(m, gamma_filtration(m, kmax=kmax))
+
+
+def dot_torsion_products(m):
+    """The earlier check: (o_i b_i) * b_j as one ``dot``, zero when b_i * b_j
+    is."""
+    rank = m.group.rank
+    for i, o in enumerate(m.group.orders):
+        if not o:
+            continue
+        if m.aug[i]:
+            yield "torsion basis element %d has nonzero rank" % i
+        for j in range(rank):
+            if m.products[i][j] and any(m.dot(((i, o),), ((j, 1),))):
+                yield "order %d of b%d does not kill b%d*b%d" % (o, i, i, j)
+
+
+def assert_torsion_products_match_dot(m):
+    got = dict(_checks(m))["products respect torsion orders"]
+    assert list(got) == list(dot_torsion_products(m))
+
+
+@pytest.mark.parametrize(
+    "name,kwargs", CLI_BUILTINS,
+    ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
+)
+def test_builtin_torsion_products_match_dot(name, kwargs):
+    assert_torsion_products_match_dot(BUILTINS[name](**kwargs))
+
+
+def test_torsion_products_of_an_unkilled_ring_match_dot():
+    m = unkilled_torsion_ring()
+    assert next(dot_torsion_products(m)) == "order 2 of b2 does not kill b2*b2"
+    assert_torsion_products_match_dot(m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(ring_models(neutral_unit=False), ring_models(neutral_unit=True),
+                 augmented_ring_models()))
+def test_drawn_torsion_products_match_dot(m):
+    assert_torsion_products_match_dot(m)
 
 
 def lambda_one_ring():

@@ -23,6 +23,7 @@ from gwgamma.lambdaring import (
     verify_special_pair,
 )
 from gwgamma.models import BUILTINS
+from gwgamma.series import TruncSeries
 from gwgamma.symfunc import MultiPoly, compose_universal, product_universal
 from test_arith_oracle import elements_of, ring_models
 from test_evaluate_oracle import ring_evaluate
@@ -151,18 +152,30 @@ def test_zero_x_passes_on_short_truncation():
     assert got[2] == "order 6 beyond model truncation 4"
 
 
+def counted_totals(monkeypatch):
+    """The orders of the lambda-series that the per-element totals of
+    ``lambdaring._lambda_totals`` build, one entry per element."""
+    calls = []
+    real_totals = lambdaring._lambda_totals
+
+    def totals(m, order):
+        total = real_totals(m, order)
+
+        def counted(coeffs):
+            calls.append(order)
+            return total(coeffs)
+
+        return counted
+
+    monkeypatch.setattr(lambdaring, "_lambda_totals", totals)
+    return calls
+
+
 def test_special_work_bound(monkeypatch, capsys):
     # per element: lambda_t(b_i) once and its three compositions once; per
-    # pair: lambda_t(b_i*b_j).  Rank 12: 12 + 36 + 78 = 126 lambda_total
-    # calls, 468 with the per-pair checker
-    calls = []
-    real_total = lambdaring.lambda_total
-
-    def total(x, order=None):
-        calls.append(order)
-        return real_total(x, order)
-
-    monkeypatch.setattr(lambdaring, "lambda_total", total)
+    # pair: lambda_t(b_i*b_j).  Rank 12: 12 + 36 + 78 = 126 lambda-series,
+    # 468 with the per-pair checker
+    calls = counted_totals(monkeypatch)
     compositions = {compose_universal(m, n) for m, n in COMPOSE_PAIRS}
     evaluated = []
     real_fold = MultiPoly.evaluate
@@ -192,3 +205,41 @@ def test_special_work_bound(monkeypatch, capsys):
     assert rank == 12
     assert 0 < len(calls) <= 150
     assert 0 < len(evaluated) <= len(compositions) * rank
+
+
+def test_special_pair_totals_build_each_lambda_series_once(monkeypatch):
+    # lambda_t(x), lambda_t(y) and lambda_t(xy), plus lambda_t(lambda^n(x))
+    # for each of the three default compositions; the earlier checker built 11
+    calls = counted_totals(monkeypatch)
+    m = BUILTINS["gw_projective"].__wrapped__("R", 3)
+    basis = m.basis_elements()
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            calls.clear()
+            assert verify_special_pair(x, y).ok
+            assert 0 < len(calls) <= 6
+
+
+def test_special_builds_each_basis_power_once_per_order(monkeypatch):
+    # one basis series per element and order, and each of its powers once,
+    # across all pairs of the run
+    series, powers, held = [], [], []
+    real_series, real_pow = RingModel.basis_lambda_series, TruncSeries.pow
+
+    def basis_series(self, i, order):
+        series.append((i, order))
+        return real_series(self, i, order)
+
+    def pow(self, e):
+        held.append(self)  # no id is reused while the run lasts
+        powers.append((id(self), e))
+        return real_pow(self, e)
+
+    monkeypatch.setattr(RingModel, "basis_lambda_series", basis_series)
+    monkeypatch.setattr(TruncSeries, "pow", pow)
+    m = BUILTINS["gw_surface_cxp1"].__wrapped__(4)
+    rank = m.group.rank
+    pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
+    assert all(r.ok for r in _special_reports(m.basis_elements(), pairs, 3))
+    assert series and len(series) == len(set(series))
+    assert powers and len(powers) == len(set(powers))

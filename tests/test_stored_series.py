@@ -13,8 +13,9 @@ from hypothesis import given, settings
 
 import gwgamma
 from gwgamma import models
-from gwgamma.abelian import GroupElement
+from gwgamma.abelian import GroupElement, GroupPresentation
 from gwgamma.cli import dump_model, model_to_dict, parse_model
+from gwgamma.lambdaring import RingModel
 from gwgamma.models import BUILTINS, gw_projective
 from gwgamma.series import TruncSeries
 from test_arith_oracle import augmented_ring_models, ring_models
@@ -126,3 +127,16 @@ def test_unit_series_is_built_from_the_unit():
             assert s.rows() == [unit] + [zero] * order
         with pytest.raises(ValueError, match="order must be non-negative"):
             TruncSeries(m, [unit], -1)
+
+
+def test_given_rows_are_stored_once_reduced():
+    # rows given unreduced and with trailing zero degrees, and empty lists:
+    # each stored form is the columns of the series of the reduced rows
+    group = GroupPresentation((0, 3, 0), ("one", "x", "y"))
+    lam = [[], [(0, 4, 0), (0, -2, 1), (0, 3, 0), (0, 0, 0)], []]
+    mul = {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1)}
+    m = RingModel("x of order 3", group, (1, 0, 0), mul, (1, 0, 0), lam, trunc=5)
+    for i, rows in enumerate(lam):
+        assert m._basis_columns[i] == TruncSeries(m, [m.unit.coeffs, *rows], 5)._columns
+    assert m.lambda_on_basis[1] == (group.element((0, 1, 0)), group.element((0, 1, 1)))
+    assert m._basis_columns[0] == {0: [1, 0, 0, 0, 0, 0]}
