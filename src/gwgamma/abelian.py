@@ -48,7 +48,7 @@ class GroupPresentation:
         if any(o < 0 for o in self.orders):
             raise ValueError("orders must be non-negative")
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return len(self.orders)
 

@@ -27,9 +27,9 @@ builtin's products are those of a commutative ring.
                        generator eps^ = eps - 1 with eps a line element,
                        eps^2 = 1, so eps^*eps^ = -2eps^ and L*eps^ = -eps^;
 * ``gw_punctured_a5``    -- odd-dimensional affine space minus a point over
-                       C, reduced part Z + Z/2*eps^ with eps^2 = 0 and
+                       C, reduced part Z + Z/2*eps^ with eps^2 = 0; the
                        gamma-series coefficients C(2^(f-1), i) * 2^(i-f)
-                       taken mod 2;
+                       taken mod 2 give 1 + eps^ t + eps^ t^2 for every f;
 * ``gw_surface_cxp1``    -- the product of a smooth curve with s two-torsion
                        line bundle classes and the projective line.
 
@@ -50,23 +50,25 @@ quotients as the oracle.
 Each public constructor is interned (``_interned``): calls with equal
 arguments share one model, and its filtration memo, while anyone holds it.
 
-Powers a^k are rewritten as integer combinations of the classes
-a_k = H(O(k)) - H(1) through the recursion
+The twisted classes a_k = H(O(k)) - H(1) follow the recursion
 
     a_0 = 0,  a_1 = a,  a_k = (a + 2) a_{k-1} - a_{k-2} + 2a,
 
-and inherit their gamma-series multiplicatively: gamma_t(a^k) is the product
-of the matching powers of 1 + a_j t - a_j t^2.  Every a_j lies in the ideal
-(a), and (a)^(top+1) = 0 for the top power a^top, so that product is a
-polynomial of degree at most 2 top.  It is computed at order 2 top, exactly,
-and handed over as it is; ``_model`` pads or cuts it to the truncation.
+so a_k = a^k + sum_(j<k) c_kj a^j with integers c_kj, and as gamma_t is
+exponential each power follows from its twisted class and the lower powers:
+
+    gamma_t(a^k) = gamma_t(a_k) prod_(j<k) gamma_t(a^j)^(-c_kj).
+
+Every a_j lies in the ideal (a), and (a)^(top+1) = 0 for the top power
+a^top, so gamma_t(a^k) is a polynomial of degree at most 2 top.  It is
+computed at order 2 top, exactly, and handed over as it is; ``_model`` pads
+or cuts it to the truncation.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import math
 import weakref
 
 from .abelian import GroupPresentation
@@ -193,29 +195,19 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
     h1 = tuple(u + d for u, d in zip(unit, _basis_vec(rank, nb - 1)))
 
     def gammas(ring):
-        out = [None] * nb
-        a_cls = twisted_hyperbolic_classes(ring, top) if top else []
-        # gamma_t(a^k) has degree at most 2 top, so order 2 top holds it exactly
-        a_gamma = [TruncSeries(ring, [unit, a.value.coeffs, (-a).value.coeffs], 2 * top)
-                   for a in a_cls[1:]]
-        # rewrite a^k as an integer combination of a_1..a_k by back-substitution
-        # (a_k = a^k + lower powers of a with unit leading coefficient); a^k
-        # inherits the product of the matching powers of the a_j gamma-series
-        for k in range(1, top + 1):
-            residue = list(ring.basis_element(nb + k - 1).value.coeffs)
-            power = None
-            for j in range(k, 0, -1):
-                c = residue[nb + j - 1]
-                if c:
-                    factor = a_gamma[j - 1].pow(c)
-                    power = factor if power is None else power * factor
-                    for t, v in enumerate(a_cls[j].value.coeffs):
-                        residue[t] -= c * v
-                residue = list(group.reduce(residue))
-            if any(residue):
-                raise AssertionError("power of a not spanned by twisted classes")
-            out.append(power.rows()[1:])
-        return out
+        # gamma_t(a^k) = gamma_t(a_k) prod_(j<k) gamma_t(a^j)^(-c_kj), with c_kj
+        # the coordinates of a_k at the lower powers a^j (its coordinate at
+        # a^k is 1); all have degree at most 2 top, so order 2 top holds them
+        # exactly.  A point (top = 0) has no class a.
+        powers = []
+        for a_k in twisted_hyperbolic_classes(ring, top)[1:] if top else []:
+            c = a_k.value.coeffs
+            g = TruncSeries(ring, [unit, c, (-a_k).value.coeffs], 2 * top)
+            for j, g_j in enumerate(powers):
+                if c[nb + j]:
+                    g = g * g_j.pow(-c[nb + j])
+            powers.append(g)
+        return [None] * nb + [g.rows()[1:] for g in powers]
 
     name = "gw_projective(r=%d,base=%s)" % (r, base) if r else "gw_point(base=%s)" % base
     return _model(
@@ -248,44 +240,21 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
     )
 
 
-def punctured_gamma_coefficients(f: int, count: int) -> list[int]:
-    """Exact integers C(2^(f-1), i) * 2^(i-f) for i = 1..count."""
-    if f < 2:
-        raise ValueError("f must be at least 2")
-    out = []
-    for i in range(1, count + 1):
-        num = math.comb(2 ** (f - 1), i) * 2 ** i
-        den = 2 ** f
-        if num % den:
-            raise ArithmeticError("gamma coefficient is not an integer")
-        out.append(num // den)
-    return out
-
-
 @_interned
 def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     """Reduced part of GW of odd punctured affine space over C.
 
     The additive group is Z + Z/2 * eps^ with eps^2 = 0; the gamma-series of
     eps^ has coefficients c_i * eps^ with c_i = C(2^(f-1), i) 2^(i-f), which
-    are 1, odd, and then all even, so mod 2 the series is 1 + e t + e t^2.
+    are 1, odd, and then all even, so mod 2 the series is 1 + e t + e t^2
+    for every f.
     """
     if not 2 <= f <= 8:
         raise ValueError("f must lie in 2..8")
     unit = (1, 0)
 
     def gammas(ring):
-        # the mod-2 pattern (1, odd, even, even, ...) is independent of f;
-        # the constructor re-derives it rather than hard-coding the series,
-        # from at least the two coefficients the check below reads, once
-        # the ring has accepted the truncation
-        count = 2 ** (f - 1) if f <= 6 else min(2 ** (f - 1), max(trunc, 2))
-        coeffs = punctured_gamma_coefficients(f, count)
-        if coeffs[0] != 1 or coeffs[1] % 2 != 1:
-            raise AssertionError("unexpected low gamma coefficients")
-        if any(c % 2 for c in coeffs[2:]):
-            raise AssertionError("higher gamma coefficients must be even")
-        return [None, [(0, c % 2) for c in coeffs]]
+        return [None, [(0, 1), (0, 1)]]
 
     return _model(
         "gw_punctured_a5(f=%d)" % f, GroupPresentation((0, 2), ("one", "eps")),

@@ -102,7 +102,8 @@ class TruncSeries:
     def rows(self) -> list[tuple[int, ...]]:
         """The coefficients c_0..c_N as reduced coordinate tuples, read off
         the columns."""
-        rows = [[0] * self.model.group.rank for _ in range(self.order + 1)]
+        rank = self.model.group.rank
+        rows = [[0] * rank for _ in range(self.order + 1)]
         for k, col in self._columns.items():
             for row, v in zip(rows, col):
                 row[k] = v

@@ -40,12 +40,11 @@ from gwgamma.models import (
     gw_surface_cxp1,
     line_elements,
     projective_top_power,
-    punctured_gamma_coefficients,
 )
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import MultiPoly
 from test_abelian import zero_subgroup
-from test_models import assert_twisted_classes, torsion_elements
+from test_models import assert_twisted_classes, punctured_gamma_coefficients, torsion_elements
 from test_symfunc import expand_elementary, is_symmetric, to_elementary
 
 

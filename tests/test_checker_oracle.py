@@ -22,7 +22,6 @@ import contextlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwgamma import lambdaring
 from gwgamma.lambdaring import RingElement, RingModel, validate_model, verify_special_pair
 from gwgamma.models import BUILTINS
 from test_arith_oracle import augmented_ring_models, oracle_ring_mul, ring_models, series_of
@@ -204,23 +203,3 @@ def test_special_pair_on_builtin_basis_pairs_matches_oracle():
         for i, x in enumerate(basis):
             for y in basis[i:]:
                 assert verify_special_pair(x, y) == oracle_special_pair(x, y), m.name
-
-
-def test_special_pair_builds_each_lambda_series_once(monkeypatch):
-    # lambda_t(x), lambda_t(y) and lambda_t(xy), plus lambda_t(lambda^n(x))
-    # for each of the three default compositions; the earlier checker built 11
-    calls = []
-    real = lambdaring.lambda_total
-
-    def counted(x, order=None):
-        calls.append(order)
-        return real(x, order)
-
-    monkeypatch.setattr(lambdaring, "lambda_total", counted)
-    m = BUILTINS["gw_projective"].__wrapped__("R", 3)
-    basis = m.basis_elements()
-    for i, x in enumerate(basis):
-        for y in basis[i:]:
-            calls.clear()
-            assert verify_special_pair(x, y).ok
-            assert len(calls) <= 6

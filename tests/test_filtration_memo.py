@@ -30,7 +30,7 @@ from gwgamma.abelian import kernel_basis
 from gwgamma.cli import dump_model, model_to_dict, parse_model
 from gwgamma.filtration import _gamma_values, gamma_filtration, witt_filtration, witt_quotient
 from gwgamma.lambdaring import validate_model, verify_special_pair
-from gwgamma.models import BUILTINS, gw_projective, gw_surface_cxp1, line_elements
+from gwgamma.models import BUILTINS, gw_point, gw_projective, gw_surface_cxp1, line_elements
 
 from test_filtration_oracle import CLI_BUILTINS, group_ring, uncached
 from test_filtration_refusals import (
@@ -283,6 +283,16 @@ def test_errors_are_not_cached():
     for _ in range(2):
         with pytest.raises(ValueError, match="r must lie in 1..12"):
             gw_projective("C", 13)
+
+
+def test_unhashable_argument_goes_to_the_build():
+    # a list argument has no interning key, so the build alone judges it and
+    # raises its own error; the interned models are untouched
+    m = gw_point("C")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="base must be 'C' or 'R'"):
+            gw_point(base=["C"])
+    assert gw_point("C") is m
 
 
 def exercise(m):

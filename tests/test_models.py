@@ -32,7 +32,6 @@ from gwgamma.models import (
     gw_punctured_line,
     gw_surface_cxp1,
     line_elements,
-    punctured_gamma_coefficients,
     twisted_hyperbolic_classes,
 )
 from gwgamma.series import TruncSeries
@@ -84,13 +83,19 @@ def alternating_h_sum(model, r):
 
 def assert_twisted_classes(model, r):
     """a_1..a_(rho+2) of the projective model of P^r, from the recursion, are
-    supported on the powers of a and have rank zero; for odd r the signed
-    binomial sum of the a_j is (-a)^rho."""
+    supported on the powers of a and have rank zero; a_k = a^k + lower powers
+    of a for k up to the top power, as the builder's recursion for
+    gamma_t(a^k) requires; for odd r the signed binomial sum of the a_j is
+    (-a)^rho."""
     rho = (r + 1) // 2
     off_a = [i for i, n in enumerate(model.group.names) if not n.startswith("a")]
+    powers = [i for i, n in enumerate(model.group.names) if n.startswith("a")]
     for k, x in enumerate(twisted_hyperbolic_classes(model, rho + 2)[1:], 1):
         assert not any(x.value.coeffs[i] for i in off_a), (model.name, k)
         assert model.augmentation(x.value) == 0, (model.name, k)
+        if k <= len(powers):
+            assert x.value.coeffs[powers[k - 1]] == 1, (model.name, k)
+            assert not any(x.value.coeffs[i] for i in powers[k:]), (model.name, k)
     if r % 2:
         assert alternating_h_sum(model, r) == (-named(model, "a")) ** rho, model.name
 
@@ -242,14 +247,34 @@ def test_punctured_line_structure():
     assert g[1] == eps and all(c.is_zero for c in g[2:])
 
 
+def punctured_gamma_coefficients(f: int, count: int) -> list[int]:
+    """Exact integers C(2^(f-1), i) * 2^(i-f) for i = 1..count."""
+    if f < 2:
+        raise ValueError("f must be at least 2")
+    out = []
+    for i in range(1, count + 1):
+        num = math.comb(2 ** (f - 1), i) * 2 ** i
+        den = 2 ** f
+        if num % den:
+            raise ArithmeticError("gamma coefficient is not an integer")
+        out.append(num // den)
+    return out
+
+
 def test_punctured_space_gamma_coefficients_exact():
+    # gw_punctured_a5 hands over these coefficients mod 2, 1 + eps t + eps t^2,
+    # as data: they are 1, odd and then even at all 2^(f-1) of them, f = 2..8
     assert punctured_gamma_coefficients(3, 4) == [1, 3, 4, 2]
     assert punctured_gamma_coefficients(4, 4) == [1, 7, 28, 70]
     assert punctured_gamma_coefficients(5, 4) == [1, 15, 140, 910]
-    for f in (3, 4, 5, 6):
+    for f in range(2, 9):
         c = punctured_gamma_coefficients(f, 2 ** (f - 1))
         assert c[0] == 1 and c[1] % 2 == 1
         assert all(v % 2 == 0 for v in c[2:])
+        m = gw_punctured_a5(f)
+        eps = named(m, "eps")
+        g = elements_of(gamma_total(eps))[1:]
+        assert list(g) == [(v % 2) * eps for v in (c + [0] * len(g))[:len(g)]], f
 
 
 def test_punctured_space_series():
@@ -375,7 +400,7 @@ def test_builtin_registry():
 
 
 def test_ak_recursion_reports():
-    for base, r in [("C", 3), ("C", 5), ("R", 5), ("C", 7), ("C", 9)]:
+    for base, r in product("CR", range(1, 13)):
         assert_twisted_classes(gw_projective(base, r), r)
     with pytest.raises(ValueError):
         gw_projective("C", 13)

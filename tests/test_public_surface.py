@@ -1,12 +1,15 @@
 """The public surface of the package is exactly ``gwgamma.__all__``, and
-every public function or class of ``gwgamma`` has a caller in the package or
-a role in README.md."""
+every public function, class or method of ``gwgamma`` has a caller in the
+package or a role in README.md (a method may instead be one the benchmark's
+layer tracer wraps by name)."""
 
 import ast
 import pathlib
 import re
 
 import gwgamma
+
+from test_layertrace import load_layertrace
 
 SRC = pathlib.Path(gwgamma.__file__).parent
 README = (SRC.parents[1] / "README.md").read_text()
@@ -52,6 +55,27 @@ def test_every_public_definition_has_a_caller_or_a_readme_role():
             used = any(d.name in names for stmt, names in statements if stmt is not d)
             if not used and not re.search(r"\b%s\b" % d.name, README):
                 dead.append("%s.%s" % (module, d.name))
+    assert dead == []
+
+
+def test_every_public_method_has_a_use_a_readme_role_or_a_tracer_entry():
+    # a public method of a class in src/ is read as an attribute somewhere in
+    # src/, or README names it, or the benchmark's layer tracer wraps it by
+    # name (bench/layertrace.METHODS; Subgroup.contains and F2Poly.substitute
+    # are kept for it alone)
+    traced = {(cls, name) for layer in load_layertrace().METHODS.values()
+              for cls, names in layer.items() for name in names}
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    attributes = {n.attr for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    dead = [
+        "%s.%s" % (cls.name, d.name)
+        for tree in trees
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for d in cls.body
+        if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
+        and d.name not in attributes and not re.search(r"\b%s\b" % d.name, README)
+        and (cls.name, d.name) not in traced
+    ]
     assert dead == []
 
 
