@@ -20,6 +20,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -261,7 +262,15 @@ def parse_model(path: str) -> RingModel:
 
 def dump_model(m: RingModel, path: str) -> None:
     text = json.dumps(model_to_dict(m), sort_keys=True, indent=2) + "\n"
+    data = text.encode("utf-8")
     try:
+        # a writable regular file that already holds these bytes is left as
+        # it is: rewriting it costs a flush on some file systems (ext4)
+        if (os.path.isfile(path) and os.path.getsize(path) == len(data)
+                and os.access(path, os.R_OK | os.W_OK)):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:

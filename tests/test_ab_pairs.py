@@ -105,8 +105,9 @@ sys.exit(1)
 def checkout(root, run_py):
     os.makedirs(root / "bench")
     (root / "bench" / "run.py").write_text(run_py)
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}, {"name": "v"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
     return str(root)
 
 
@@ -138,3 +139,16 @@ def test_no_pairs_is_a_usage_error_before_any_run(tmp_path, pairs):
     assert "Traceback" not in proc.stderr
     assert "--pairs must be at least 1" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(subprocess, "run", no_run)
+    parent = checkout(tmp_path / "parent", GOOD_RUN)
+    with pytest.raises(SystemExit) as exc:
+        load_ab_pairs().main([parent, parent, "--workload", "x", "--pairs", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload 'x'" in err and "lists w, v" in err

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import os
 import time
 
 import pytest
@@ -65,6 +66,62 @@ def test_emitted_json_is_stable(tmp_path):
 def test_builtin_prefix_accepted(tmp_path):
     out = tmp_path / "point.json"
     assert run(["builtin", "builtin:gw_point_C", "-o", str(out)]) == 0
+
+
+def model_bytes(m):
+    return (json.dumps(model_to_dict(m), sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_dump_leaves_a_file_with_identical_bytes_untouched(tmp_path):
+    m = gw_projective("R", 3)
+    path = tmp_path / "p3.json"
+    dump_model(m, str(path))
+    os.utime(path, ns=(10 ** 9, 10 ** 9))
+    inode = path.stat().st_ino
+    dump_model(m, str(path))
+    assert (path.stat().st_ino, path.stat().st_mtime_ns) == (inode, 10 ** 9)
+    assert path.read_bytes() == model_bytes(m)
+
+
+@pytest.mark.parametrize("old", ["same length", "shorter", "longer"])
+def test_dump_rewrites_a_file_with_other_bytes(tmp_path, old):
+    m = gw_projective("R", 3)
+    data = model_bytes(m)
+    path = tmp_path / "p3.json"
+    # a longer old file must lose its tail
+    path.write_bytes({"same length": data.replace(b"[", b"(", 1),
+                      "shorter": data[: len(data) // 2],
+                      "longer": data + b"tail\n"}[old])
+    dump_model(m, str(path))
+    assert path.read_bytes() == data
+
+
+def test_dump_to_devnull_and_to_a_directory(tmp_path, capsys):
+    assert run(["builtin", "gw_point", "--base", "R", "-o", os.devnull]) == 0
+    assert run(["builtin", "gw_point", "--base", "R", "-o", str(tmp_path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_dump_rewrites_identical_bytes_the_process_may_not_write(tmp_path, monkeypatch):
+    # os.access stands in for a read-only mode, which euid 0 would ignore
+    m = gw_point("R")
+    path = tmp_path / "point.json"
+    dump_model(m, str(path))
+    os.utime(path, ns=(10 ** 9, 10 ** 9))
+    monkeypatch.setattr(os, "access", lambda *args: False)
+    dump_model(m, str(path))
+    assert path.stat().st_mtime_ns != 10 ** 9
+    assert path.read_bytes() == model_bytes(m)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="under euid 0 every file is writable")
+def test_read_only_file_with_identical_bytes_is_refused(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    argv = ["builtin", "gw_point", "--base", "R", "-o", str(path)]
+    assert run(argv) == 0
+    path.chmod(0o444)
+    assert run(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_point_aliases_share_gw_point_and_refuse_base(tmp_path, capsys):

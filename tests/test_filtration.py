@@ -67,6 +67,20 @@ def test_point_r_two_adic_chain():
     assert f.graded == ((0,),) + ((2,),) * 5
 
 
+def test_point_r_classical_filtration_by_hand():
+    # x = n(L - 1) has total Stiefel-Whitney class (1 + e)^n, so w1 = n e and
+    # w2 = C(n, 2) e^2; the "classical" pieces ker w1 and ker w1 & ker w2 of
+    # F^1 are F^2 and F^3
+    m = gw_point("R")
+    f = gamma_filtration(m, kmax=3)
+    for n in range(-16, 17):
+        x = m.group.element((-n, n))
+        w1, w2 = n % 2, n * (n - 1) // 2 % 2
+        assert f.pieces[1].contains(x)
+        assert f.pieces[2].contains(x) == (w1 == 0), n
+        assert f.pieces[3].contains(x) == (w1 == w2 == 0) == (n % 4 == 0), n
+
+
 def test_projective_complex_chain():
     # F^(2k-1) = F^(2k) = <a^k, ..., a^top>, zero beyond twice the top power
     m = gw_projective("C", 5)

@@ -20,9 +20,11 @@ read as a fraction of the parent's median:
   change run beats every parent run;
 * "within bound": otherwise.
 
-Both verdicts go into the JSON summary line too.  A run that exits non-zero
-stops the pairs: the side, the seed, the exit code and the last lines of
-the run's stderr are printed, and the tool exits non-zero.  Stdlib only.
+Both verdicts go into the JSON summary line too.  A workload that the
+parent's ``BENCHMARK.json`` does not list is a usage error, before any run.
+A run that exits non-zero stops the pairs: the side, the seed, the exit
+code and the last lines of the run's stderr are printed, and the tool
+exits non-zero.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -96,7 +98,12 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        declared = json.load(fh)
+    workloads = [w["name"] for w in declared["workloads"]]
+    if args.workload not in workloads:
+        ap.error("unknown workload %r; the parent's BENCHMARK.json lists %s"
+                 % (args.workload, ", ".join(workloads)))
+    metrics = declared["end_to_end"]
     runs: dict = {"parent": [], "change": []}
     for p in range(args.pairs):
         seed = args.seed_base + p
