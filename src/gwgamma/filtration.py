@@ -61,13 +61,14 @@ levels of the filtration built so far, the pieces F^0..F^k with the
 invariants of each quotient F^(j-1)/F^j, and the Witt quotient with the
 levels of the Witt images.  A call at kmax extends the stored levels up to
 F^kmax, the first call from F^0, and stores them unless a call extended
-the memo further meanwhile, or slices them; only ``exact``,
-``warnings`` and ``weight_cap`` are computed per call.  A model is
-immutable once built, and the memo assumes it.  A refused model keeps no
-verdict and raises on every call.  A piece equal to the one below it is
-stored as that object, and each HNF column equal to a spanned vector as
-that vector's tuple (``abelian._span``): tuples are immutable and the HNF
-is canonical, so sharing them changes no value.
+the memo further meanwhile, or slices them; only ``exact``, ``warnings``
+and ``weight_cap`` are computed per call.  A model is immutable once
+built, and the memo assumes it.  A refused model keeps no verdict and
+raises on every call, though no check runs twice on it (``_first_cases``).
+A piece equal to the one below it is stored as that object, and each HNF
+column equal to a spanned vector as that vector's tuple (``abelian._span``):
+tuples are immutable and the HNF is canonical, so sharing them changes no
+value.
 
 The gamma-values are coefficient tuples read off the gamma-series, whose
 lambda-series all come from one ``lambdaring._lambda_totals``, so each basis
@@ -112,7 +113,7 @@ from .abelian import (
     relative_quotient_invariants,
     subgroup_from_generators,
 )
-from .lambdaring import RingElement, RingModel, _checks, _lambda_totals
+from .lambdaring import RingElement, RingModel, _first_cases, _lambda_totals
 
 # the checks of ``lambdaring._checks`` the recursion needs, in refusal order
 _REFUSALS = (
@@ -230,9 +231,8 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         raise ValueError("kmax %d exceeds weight budget %d" % (kmax, budget))
     memo = _memo(m)
     if memo.values is None:
-        checks = dict(_checks(m))
-        for name in _REFUSALS:
-            for case in checks[name]:
+        for name, case in _first_cases(m, _REFUSALS):
+            if case is not None:
                 raise ValueError("%s: %s" % (name, case))
         gens = tuple(m.element(v) for v in kernel_basis(m.aug))
         memo.values = _gamma_values(gens, budget)

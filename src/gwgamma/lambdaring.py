@@ -37,7 +37,8 @@ columns per nonzero row, and give the sums ``dot`` gives (see
 :mod:`gwgamma.series`).
 The structural checks of a model are one table, ``_checks``, of named
 generators of offending cases: ``validate_model`` reports the first case of
-each, and ``gamma_filtration`` refuses on the first of six by name.
+each, and ``gamma_filtration`` refuses on the first of six by name, both
+through ``_first_cases``, which keeps each check's first case on the model.
 
 Each basis lambda-series is stored once, as the integer columns of
 lambda_t(b_i) at N >= 1, the truncation order.  A model file gives its
@@ -168,6 +169,7 @@ class RingModel:
             self._basis_columns.append(built[rows])
         # what the filtration derives from the model alone (filtration._Memo)
         self._filtration = None
+        self._first_case: dict[str, str | None] = {}  # see _first_cases
         self.hyperbolic = (
             None
             if hyperbolic is None
@@ -373,7 +375,8 @@ def psi_k(x: RingElement, k: int) -> RingElement:
 def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
     """Each structural check of a model, in report order: its name and a
     generator of its offending cases, which computes nothing until it is
-    read, on the basis products and the stored lambda-series columns."""
+    read, on the basis products and the stored lambda-series columns; each
+    is read once per model, by ``_first_cases``."""
     group, aug, rows, trunc = m.group, m.aug, m.products, m.trunc
     rank, orders = group.rank, group.orders
     b = [((i, 1),) for i in range(rank)]
@@ -453,10 +456,21 @@ def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
     )
 
 
+def _first_cases(m: RingModel, names: Iterable[str]) -> Iterator[tuple[str, str | None]]:
+    """Each named check of ``_checks`` and its first offending case or None,
+    in the order named, each computed when first reached and kept in
+    ``m._first_case``: a check runs at most once per (immutable) model."""
+    memo, checks = m._first_case, cache(lambda: dict(_checks(m)))
+    for name in names:
+        if name not in memo:
+            memo[name] = next(checks()[name], None)
+        yield name, memo[name]
+
+
 def validate_model(m: RingModel) -> Report:
-    """Structural sanity of a model: everything finitely checkable.  The
-    report names the first offending case of each check of ``_checks``."""
-    first = ((name, next(cases, None)) for name, cases in _checks(m))
+    """Structural sanity of a model: the first offending case of each check
+    of ``_checks``, each check run at most once per model."""
+    first = _first_cases(m, [name for name, _ in _checks(m)])
     return Report(tuple(CheckResult(name, case is None, case or "") for name, case in first))
 
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from gwgamma import cli, series
+from gwgamma import cli, lambdaring, series
 from gwgamma.abelian import GroupPresentation
 from gwgamma.cli import (
     ModelFormatError,
@@ -546,3 +546,93 @@ def test_non_neutral_unit_with_large_torsion_order_exits_1(tmp_path, capsys, mon
     assert "FAIL unit is multiplicatively neutral" in out
     assert "PASS lambda-series respect torsion orders" in out
     assert run(["filtration", str(path), "--max-degree", "2"]) == 1
+
+
+@pytest.fixture
+def fresh_intern():
+    """The intern of model file texts, empty before and after the test."""
+    cli._model_of_text.cache_clear()
+    yield cli._model_of_text
+    cli._model_of_text.cache_clear()
+
+
+def test_one_model_and_one_run_of_each_check_per_file_text(
+        tmp_path, monkeypatch, capsys, fresh_intern):
+    path = tmp_path / "p3.json"
+    dump_model(gw_projective("R", 3), str(path))
+    built, runs = [], {}
+    real_build, real_checks = cli.model_from_dict, lambdaring._checks
+
+    def counted(name, cases):
+        runs[name] = runs.get(name, 0) + 1  # the check has started
+        yield from cases
+
+    monkeypatch.setattr(cli, "model_from_dict", lambda doc: built.append(doc) or real_build(doc))
+    monkeypatch.setattr(lambdaring, "_checks", lambda m: tuple(
+        (name, counted(name, cases)) for name, cases in real_checks(m)))
+    for argv in (["validate", str(path)], ["special", str(path), "--bound", "3"],
+                 ["filtration", str(path), "--json", "--witt"]):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    assert len(built) == 1
+    assert runs == {name: 1 for name, _ in real_checks(parse_model(str(path)))}
+
+
+def test_same_bytes_at_two_paths_give_one_model(tmp_path, fresh_intern):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        dump_model(gw_point("R"), str(path))
+    assert parse_model(str(a)) is parse_model(str(b))
+    assert fresh_intern.cache_info().currsize == 1
+
+
+def test_rewritten_file_gives_the_new_model(tmp_path, capsys, fresh_intern):
+    path, other = tmp_path / "model.json", tmp_path / "other.json"
+    dump_model(gw_projective("C", 2), str(path))
+    dump_model(gw_surface_cxp1(1), str(other))
+    first = parse_model(str(path))
+    assert run(["filtration", str(path), "--json"]) == 0
+    old = capsys.readouterr().out
+    path.write_bytes(other.read_bytes())
+    assert parse_model(str(path)) is not first
+    assert run(["filtration", str(path), "--json"]) == 0
+    new = capsys.readouterr().out
+    assert run(["filtration", str(other), "--json"]) == 0
+    assert new == capsys.readouterr().out
+    assert new != old
+    # bytes that fail a check give their own report, not the passing one
+    assert run(["validate", str(path)]) == 0
+    capsys.readouterr()
+    broken = os.path.join(os.path.dirname(__file__), "data", "broken_ring.json")
+    with open(broken, "rb") as fh:
+        path.write_bytes(fh.read())
+    assert run(["validate", str(path)]) == 1
+    got = capsys.readouterr().out
+    assert run(["validate", broken]) == 1
+    assert got == capsys.readouterr().out
+    assert "FAIL" in got
+
+
+def test_malformed_file_names_its_path_on_every_call(tmp_path, capsys, fresh_intern):
+    path = tmp_path / "malformed.json"
+    path.write_text('{"name": "x", "basis": [')
+    for _ in range(2):
+        assert run(["validate", str(path)]) == 2
+        assert "error: %s: line 1 column" % path in capsys.readouterr().err
+    assert fresh_intern.cache_info().currsize == 0
+
+
+def test_the_65th_text_evicts_the_least_recently_used(tmp_path, fresh_intern):
+    paths = []
+    for n in range(65):
+        doc = model_to_dict(trivial_model(1))
+        doc["name"] = "text %d" % n
+        paths.append(tmp_path / ("m%d.json" % n))
+        paths[-1].write_text(json.dumps(doc))
+    models = [parse_model(str(p)) for p in paths[:64]]
+    assert parse_model(str(paths[0])) is models[0]  # now t1 is the oldest
+    models.append(parse_model(str(paths[64])))
+    assert fresh_intern.cache_info().currsize == 64
+    assert parse_model(str(paths[0])) is models[0]
+    assert parse_model(str(paths[1])) is not models[1]
+    assert parse_model(str(paths[1])).name == models[1].name

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gwgamma
-from gwgamma import abelian, filtration, series
+from gwgamma import abelian, cli, filtration, series
 from gwgamma.abelian import kernel_basis
 from gwgamma.cli import dump_model, model_to_dict, parse_model
 from gwgamma.filtration import _gamma_values, gamma_filtration, witt_filtration, witt_quotient
@@ -314,7 +314,9 @@ def test_dropped_builtin_is_released(tmp_path):
     # with the cycle collector off, reference counting alone frees a dropped
     # model: it holds no series, so nothing it holds points back at it.  Its
     # stored columns come out of use unchanged; a series at the truncation
-    # shares them, so no series operation may write a column in place
+    # shares them, so no series operation may write a column in place.  A
+    # parsed file's model is held by the intern of file texts until it is
+    # cleared, and a second parse of the same bytes returns it
     path = tmp_path / "model.json"
     dump_model(gw_projective.__wrapped__("R", 5), str(path))
     builds = [
@@ -331,6 +333,9 @@ def test_dropped_builtin_is_released(tmp_path):
             stored = model_to_dict(m)
             exercise(m)
             assert model_to_dict(m) == stored, m.name
+            if build is builds[1]:
+                assert parse_model(str(path)) is m
+                cli._model_of_text.cache_clear()
             ref = weakref.ref(m)
             del m
             assert ref() is None, stored["name"]
