@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import inspect
 import json
 import os
 import sys
+import threading
 from typing import Sequence
 
 from .abelian import GroupPresentation
@@ -244,12 +246,27 @@ def _loads(text: str) -> object:
         return json.loads(text, parse_int=_parse_int)
 
 
-@functools.lru_cache(maxsize=64)
+# the SHA-256 digest of a file text's UTF-8 bytes: its model, the least
+# recently used first (see _model_of_text)
+_MODELS: dict[bytes, RingModel] = {}
+_MODELS_LOCK = threading.Lock()
+
+
 def _model_of_text(text: str) -> RingModel:
     """The model of a file text, one per text among the 64 last used, its
-    checks and filtration memo shared by every command on those bytes; the
-    49 CLI builtin files hold 1.19 MB of text, the largest 211 KB."""
-    return model_from_dict(_loads(text))
+    checks and filtration memo shared by every command on those bytes.  It
+    is kept under the text's digest, not the text: the 49 CLI builtin files
+    hold 1.19 MB of text, the largest 211 KB.  A parse error is raised and
+    nothing kept."""
+    key = hashlib.sha256(text.encode("utf-8")).digest()
+    with _MODELS_LOCK:
+        m = _MODELS.pop(key, None)
+        if m is None:
+            m = model_from_dict(_loads(text))
+        _MODELS[key] = m
+        if len(_MODELS) > 64:
+            del _MODELS[next(iter(_MODELS))]
+    return m
 
 
 def parse_model(path: str) -> RingModel:

@@ -92,9 +92,10 @@ The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes, one HNF column at a time; the
 quotient takes one Smith form per model, and each image is spanned once per
 model and level, F^0 too: the projected identity spans the quotient, so its
-image is the identity HNF.  The images are stored by level, so
-``witt_filtration`` takes only a result equal to ``gamma_filtration(m,
-f.kmax)``; one with pieces, graded groups or flags of its own is refused.
+image is the identity HNF.  The images are stored by level, unless a call
+stored more levels meanwhile, so ``witt_filtration`` takes only a result
+equal to ``gamma_filtration(m, f.kmax)``; one with pieces, graded groups
+or flags of its own is refused.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ from .abelian import (
     relative_quotient_invariants,
     subgroup_from_generators,
 )
-from .lambdaring import RingElement, RingModel, _first_cases, _lambda_totals
+from .lambdaring import RingModel, _first_cases, _lambda_totals
 
 # the checks of ``lambdaring._checks`` the recursion needs, in refusal order
 _REFUSALS = (
@@ -139,15 +140,16 @@ class FiltrationResult:
 
 
 def _gamma_values(
-    gens: tuple[RingElement, ...], order: int
+    m: RingModel, gens: list[tuple[int, ...]], order: int
 ) -> dict[int, list[tuple[int, ...]]]:
     """The distinct nonzero coefficient tuples of gamma^i(e) by weight i,
-    1 <= i <= order, over the generators e: weights and values in first-seen
-    order, read off the gamma-series, all from one ``_lambda_totals``."""
+    1 <= i <= order, over the generators e, coefficient tuples reduced
+    first: weights and values in first-seen order, read off the
+    gamma-series, all from one ``_lambda_totals``."""
     values: dict[int, dict[tuple[int, ...], None]] = {}
-    total = gens and _lambda_totals(gens[0].model, order)
+    total = _lambda_totals(m, order)
     for e in gens:
-        for i, g in enumerate(total(e.value.coeffs).substitute_geometric().rows()):
+        for i, g in enumerate(total(m.group.reduce(e)).substitute_geometric().rows()):
             if i and any(g):
                 values.setdefault(i, {})[g] = None
     return {i: list(gs) for i, gs in values.items()}
@@ -234,8 +236,7 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         for name, case in _first_cases(m, _REFUSALS):
             if case is not None:
                 raise ValueError("%s: %s" % (name, case))
-        gens = tuple(m.element(v) for v in kernel_basis(m.aug))
-        memo.values = _gamma_values(gens, budget)
+        memo.values = _gamma_values(m, kernel_basis(m.aug), budget)
     levels = memo.levels
     if len(levels[0]) <= kmax:
         levels = _extended(m, memo.values, levels, kmax)
@@ -300,5 +301,7 @@ def witt_filtration(m: RingModel, f: FiltrationResult) -> FiltrationResult:
             if k:
                 graded.append(relative_quotient_invariants(images[-1], image))
             images.append(image)
-        images, graded = memo.witt_levels = tuple(images), tuple(graded)
+        images, graded = tuple(images), tuple(graded)
+        if len(images) > len(memo.witt_levels[0]):  # else a call built further
+            memo.witt_levels = images, graded
     return replace(f, group=qpres, pieces=images[:n], graded=graded[:n - 1])

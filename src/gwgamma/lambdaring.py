@@ -152,20 +152,20 @@ class RingModel:
         if len(lambda_on_basis) != group.rank:
             raise ValueError("lambda-series list of wrong length")
         # _basis_columns[i]: the integer columns of lambda_t(b_i) at the
-        # truncation, its one stored form, built once from the reduced rows;
-        # equal rows (a builtin's empty lists) share one dict
+        # truncation, its one stored form, built by ``TruncSeries`` from the
+        # given rows less the trailing ones that reduce to zero; equal rows
+        # (a builtin's empty lists) share one dict
         self._basis_columns: list[dict[int, list[int]]] = []
         built = {}
         for i, coeff_list in enumerate(lambda_on_basis):
-            rows = tuple(group.reduce(c) for c in coeff_list)
-            while rows and not any(rows[-1]):
+            rows = tuple(map(tuple, coeff_list))
+            while rows and not any(group.reduce(rows[-1])):
                 rows = rows[:-1]
             if len(rows) > trunc:
                 raise ValueError("lambda-series of basis element %d: %d terms, more "
                                  "than trunc %d" % (i, len(rows), trunc))
             if rows not in built:
-                built[rows] = {k: [*col] + [0] * (trunc - len(rows)) for k, col
-                               in enumerate(zip(self.unit.coeffs, *rows)) if any(col)}
+                built[rows] = TruncSeries(self, [self.unit.coeffs, *rows], trunc)._columns
             self._basis_columns.append(built[rows])
         # what the filtration derives from the model alone (filtration._Memo)
         self._filtration = None
@@ -245,16 +245,12 @@ class RingModel:
     def lambda_on_basis(self) -> tuple[tuple[GroupElement, ...], ...]:
         """The basis lambda-series as group elements in degrees 1..D_b, D_b
         the last nonzero degree of lambda_t(b_i): read off the stored
-        columns on every read, never kept."""
-        group = self.group
+        columns by ``TruncSeries.rows`` on every read, never kept."""
         out = []
-        for cols in self._basis_columns:
+        for i, cols in enumerate(self._basis_columns):
             last = max(map(_last_degree, cols.values()), default=0)
-            rows = [[0] * group.rank for _ in range(last)]
-            for k, col in cols.items():
-                for row, v in zip(rows, col[1:]):
-                    row[k] = v
-            out.append(tuple(GroupElement(group, tuple(r)) for r in rows))
+            rows = self.basis_lambda_series(i, last).rows()[1:]
+            out.append(tuple(GroupElement(self.group, r) for r in rows))
         return tuple(out)
 
 
@@ -477,29 +473,21 @@ def validate_model(m: RingModel) -> Report:
 _COMPOSE_PAIRS = ((2, 2), (2, 3), (3, 2))
 
 
-def verify_special_pair(
-    x: RingElement,
-    y: RingElement,
-    bound: int = 3,
-    compose_pairs: Sequence[tuple[int, int]] = _COMPOSE_PAIRS,
-) -> Report:
+def verify_special_pair(x: RingElement, y: RingElement, bound: int = 3) -> Report:
     """Check the special lambda-ring identities on a concrete pair.
 
     lambda^n(x*y) against the universal product polynomial for n <= bound,
     and lambda^m(lambda^n(x)) against the universal composition polynomial
-    for the requested (m, n) pairs: the one-pair case of the checker that
-    ``gwgamma special`` runs on every basis pair.
+    for each (m, n) of ``_COMPOSE_PAIRS``: the one-pair case of the checker
+    that ``gwgamma special`` runs on every basis pair.
     """
     if x.model is not y.model:
         raise ValueError("elements from different models")
-    return next(_special_reports((x, y), ((0, 1),), bound, compose_pairs))
+    return next(_special_reports((x, y), ((0, 1),), bound))
 
 
 def _special_reports(
-    elements: Sequence[RingElement],
-    pairs: Sequence[tuple[int, int]],
-    bound: int,
-    compose_pairs: Sequence[tuple[int, int]] = _COMPOSE_PAIRS,
+    elements: Sequence[RingElement], pairs: Sequence[tuple[int, int]], bound: int
 ) -> Iterable[Report]:
     """The ``verify_special_pair`` report of x = elements[i], y = elements[j]
     for each index pair (i, j), yielded in order: the product checks, then
@@ -512,7 +500,7 @@ def _special_reports(
     so each basis power is built once.  ``MultiPoly.evaluate`` folds the
     polynomials with no ring element per coefficient or product.
     """
-    need = max([bound] + [m * n for m, n in compose_pairs])
+    need = max([bound] + [m * n for m, n in _COMPOSE_PAIRS])
     firsts = {i for i, _ in pairs}
     series: dict[int, tuple[list, list]] = {}  # i: rows and their entries
     totals = cache(_lambda_totals)  # one per model and order
@@ -551,6 +539,6 @@ def _special_reports(
                     totals(m, mm)(rows_x[nn]).rows()[mm],
                     _evaluate(m, compose_universal(mm, nn), lam_x[1:mm * nn + 1]),
                 )
-                for mm, nn in compose_pairs
+                for mm, nn in _COMPOSE_PAIRS
             )
         yield Report(checks + compositions[i])

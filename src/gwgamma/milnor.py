@@ -93,10 +93,6 @@ class F2Poly:
         )
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def constant_term(self) -> int:
         return 1 if (0,) * self.nvars in self.terms else 0
 

@@ -70,33 +70,22 @@ class TruncSeries:
     # T^k for T = S - 1
     __slots__ = ("model", "order", "_columns", "_powers")
 
-    def __init__(self, m, rows: Sequence[Sequence[int]], order: int | None = None):
+    def __init__(self, m, rows: Sequence[Sequence[int]], order: int):
         """The series with coefficients c_0, c_1, ... given as coordinate rows
         of ``m.group``, each reduced, cut after the order or padded with zero
-        degrees up to it; the order defaults to len(rows) - 1."""
-        if order is None:
-            if not rows:
-                raise ValueError("series needs at least a constant term")
-            order = len(rows) - 1
-        elif order < 0:
+        degrees up to it."""
+        if order < 0:
             raise ValueError("order must be non-negative")
         rows = [m.group.reduce(r) for r in rows[:order + 1]]
         pad = [0] * (order + 1 - len(rows))
-        self._set(m, order, {
-            k: [*col, *pad] for k, col in enumerate(zip(*rows)) if any(col)
-        })
-
-    def _set(self, m, order: int, columns: dict) -> None:
-        self.model = m
-        self.order = order
-        self._columns = columns
-        self._powers = None
+        self.model, self.order, self._powers = m, order, None
+        self._columns = {k: list(col) + pad for k, col in enumerate(zip(*rows)) if any(col)}
 
     @classmethod
     def _of(cls, m, order: int, columns: dict) -> "TruncSeries":
         """The series with these reduced, nonzero columns."""
         s = cls.__new__(cls)
-        s._set(m, order, columns)
+        s.model, s.order, s._columns, s._powers = m, order, columns, None
         return s
 
     def rows(self) -> list[tuple[int, ...]]:

@@ -198,9 +198,7 @@ def test_08_special_identities_and_fault_detection():
         elems = m.basis_elements()
         for i in range(len(elems)):
             for j in range(i, len(elems)):
-                rep = verify_special_pair(
-                    elems[i], elems[j], bound=3, compose_pairs=((2, 2),)
-                )
+                rep = verify_special_pair(elems[i], elems[j], bound=3)
                 assert rep.ok, (m.name, i, j, rep.first_failure)
     # a single flipped sign in a degree-two coefficient must surface
     doc = model_to_dict(gw_projective("C", 4))
@@ -209,7 +207,7 @@ def test_08_special_identities_and_fault_detection():
     assert validate_model(bad).ok  # plain ring axioms cannot see the flip
     elems = bad.basis_elements()
     reports = [
-        verify_special_pair(elems[i], elems[j], bound=3, compose_pairs=((2, 2),))
+        verify_special_pair(elems[i], elems[j], bound=3)
         for i in range(len(elems))
         for j in range(i, len(elems))
     ]
@@ -303,6 +301,6 @@ def test_12_kernel_oracle_suites():
     m = gw_point("C")
     for _ in range(6):
         coeffs = [(rng.randrange(-9, 10),) for _ in range(12)]
-        s = TruncSeries(m, [(1,), *coeffs])
+        s = TruncSeries(m, [(1,), *coeffs], 12)
         assert s.substitute_geometric().substitute_alternating() == s
         assert s.substitute_alternating().substitute_geometric() == s

@@ -87,7 +87,8 @@ def oracle_ring_mul(self, other):
 
 def series_of(elements, order=None):
     """The series with these ring elements as its coefficients c_0, c_1, ...,
-    cut or padded to the order."""
+    cut or padded to the order, by default len(elements) - 1."""
+    order = len(elements) - 1 if order is None else order
     return TruncSeries(elements[0].model, [c.value.coeffs for c in elements], order)
 
 

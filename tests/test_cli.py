@@ -1,8 +1,12 @@
 """End-to-end checks of the command-line interface and model file format."""
 
+import hashlib
 import inspect
 import json
 import os
+import random
+import sys
+import threading
 import time
 
 import pytest
@@ -551,9 +555,9 @@ def test_non_neutral_unit_with_large_torsion_order_exits_1(tmp_path, capsys, mon
 @pytest.fixture
 def fresh_intern():
     """The intern of model file texts, empty before and after the test."""
-    cli._model_of_text.cache_clear()
-    yield cli._model_of_text
-    cli._model_of_text.cache_clear()
+    cli._MODELS.clear()
+    yield cli._MODELS
+    cli._MODELS.clear()
 
 
 def test_one_model_and_one_run_of_each_check_per_file_text(
@@ -583,7 +587,8 @@ def test_same_bytes_at_two_paths_give_one_model(tmp_path, fresh_intern):
     for path in (a, b):
         dump_model(gw_point("R"), str(path))
     assert parse_model(str(a)) is parse_model(str(b))
-    assert fresh_intern.cache_info().currsize == 1
+    # the intern keeps the digest of the bytes, not the text
+    assert list(fresh_intern) == [hashlib.sha256(a.read_bytes()).digest()]
 
 
 def test_rewritten_file_gives_the_new_model(tmp_path, capsys, fresh_intern):
@@ -619,7 +624,42 @@ def test_malformed_file_names_its_path_on_every_call(tmp_path, capsys, fresh_int
     for _ in range(2):
         assert run(["validate", str(path)]) == 2
         assert "error: %s: line 1 column" % path in capsys.readouterr().err
-    assert fresh_intern.cache_info().currsize == 0
+    assert len(fresh_intern) == 0
+
+
+def test_threads_parsing_shared_files_get_one_model_per_text(tmp_path, fresh_intern):
+    # eight threads parse ten files in their own orders, twice over, with a
+    # short switch interval; every parse of one text returns one model, and
+    # the intern holds one entry per text
+    paths = []
+    for n in range(10):
+        doc = model_to_dict(trivial_model(1))
+        doc["name"] = "text %d" % n
+        paths.append(str(tmp_path / ("m%d.json" % n)))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+    got, errors = [], []
+
+    def parse(seed):
+        try:
+            order = random.Random(seed).sample(paths * 2, 2 * len(paths))
+            got.extend((p, id(parse_model(p))) for p in order)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and len(got) == 8 * 2 * len(paths)
+    assert len(set(got)) == len(paths) == len(fresh_intern)
 
 
 def test_the_65th_text_evicts_the_least_recently_used(tmp_path, fresh_intern):
@@ -632,7 +672,7 @@ def test_the_65th_text_evicts_the_least_recently_used(tmp_path, fresh_intern):
     models = [parse_model(str(p)) for p in paths[:64]]
     assert parse_model(str(paths[0])) is models[0]  # now t1 is the oldest
     models.append(parse_model(str(paths[64])))
-    assert fresh_intern.cache_info().currsize == 64
+    assert len(fresh_intern) == 64
     assert parse_model(str(paths[0])) is models[0]
     assert parse_model(str(paths[1])) is not models[1]
     assert parse_model(str(paths[1])).name == models[1].name

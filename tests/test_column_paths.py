@@ -143,7 +143,7 @@ def test_builtin_gamma_values_and_witt_pieces_match_oracle(name, kwargs):
     m = BUILTINS[name](**kwargs)
     gens = [m.element(v) for v in kernel_basis(m.aug)]
     want = oracle_gamma_values(gens, m.trunc)
-    assert list(_gamma_values(gens, m.trunc).items()) == by_weight(want)
+    assert list(_gamma_values(m, [e.value.coeffs for e in gens], m.trunc).items()) == by_weight(want)
     f = gamma_filtration(m)
     assert witt_filtration(m, f).pieces == oracle_witt_pieces(m, f)
 
@@ -153,7 +153,7 @@ def test_builtin_gamma_values_and_witt_pieces_match_oracle(name, kwargs):
 def test_drawn_gamma_values_match_oracle(m):
     gens = [m.element(v) for v in kernel_basis(m.aug)]
     want = oracle_gamma_values(gens, m.trunc)
-    assert list(_gamma_values(gens, m.trunc).items()) == by_weight(want)
+    assert list(_gamma_values(m, [e.value.coeffs for e in gens], m.trunc).items()) == by_weight(want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -163,7 +163,7 @@ def test_gamma_values_of_drawn_elements_match_oracle(drawn):
     # coefficient each gives a basis element
     m, gens = drawn
     want = oracle_gamma_values(gens, m.trunc)
-    assert list(_gamma_values(gens, m.trunc).items()) == by_weight(want)
+    assert list(_gamma_values(m, [e.value.coeffs for e in gens], m.trunc).items()) == by_weight(want)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -218,13 +218,14 @@ def wrapped_rows(monkeypatch):
     lambda: gw_surface_cxp1.__wrapped__(s=12), lambda: gw_punctured_a5.__wrapped__(f=6),
 ], ids=["gw_surface_cxp1-12", "gw_punctured_a5-6"])
 def test_filtration_reads_no_ring_coefficients(monkeypatch, build):
-    # the one ring element per generator of the augmentation kernel, and
-    # none per gamma-coefficient
+    # no ring element, neither per generator of the augmentation kernel,
+    # which the gamma-values take as coefficient tuples, nor per
+    # gamma-coefficient
     rows = wrapped_rows(monkeypatch)
     m = build()
     f = gamma_filtration(m, kmax=8)
     witt_filtration(m, f)
-    assert len(rows) == m.group.rank - 1
+    assert rows == []
 
 
 def test_line_elements_read_no_ring_coefficients(monkeypatch):

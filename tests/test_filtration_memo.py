@@ -181,12 +181,36 @@ def test_a_shorter_extension_keeps_the_longer_levels(monkeypatch):
     assert filtered(m, 8) == filtered(fresh, 8)
 
 
+def test_a_shorter_witt_extension_keeps_the_longer_levels(monkeypatch):
+    # while one call projects F^0..F^3, another projects F^0..F^8; the memo
+    # keeps the nine Witt levels, and the first call still returns its four
+    m = gw_surface_cxp1.__wrapped__(6)
+    f3, f8 = gamma_filtration(m, 3), gamma_filtration(m, 8)
+    real = filtration.project_element
+    nested = []
+
+    def project(*args):
+        if not nested:
+            nested.append(None)
+            witt_filtration(m, f8)
+        return real(*args)
+
+    monkeypatch.setattr(filtration, "project_element", project)
+    w3 = witt_filtration(m, f3)
+    images, graded = m._filtration.witt_levels
+    assert (len(images), len(graded)) == (9, 8)
+    monkeypatch.undo()
+    fresh = gw_surface_cxp1.__wrapped__(6)
+    assert dataclasses.replace(w3, model=None) == filtered(fresh, 3)[1]
+    assert filtered(m, 8) == filtered(fresh, 8)
+
+
 def test_gamma_values_build_each_basis_power_once(monkeypatch):
     # every generator of F^1 of Z[C2^4] is b_i - b_0: T^2..T^16 of
     # lambda_t(b_0) for its power -1 once, and one product per generator;
     # 240 products when each generator built its own power table
     m = JOBS_MODULE.group_ring(gwgamma, "C2^4")
-    gens = tuple(m.element(v) for v in kernel_basis(m.aug))
+    gens = [m.group.reduce(v) for v in kernel_basis(m.aug)]
     assert (m.trunc, len(gens)) == (16, 15)
     calls = []
     real = series._product
@@ -196,7 +220,7 @@ def test_gamma_values_build_each_basis_power_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(series, "_product", product)
-    assert _gamma_values(gens, m.trunc)
+    assert _gamma_values(m, gens, m.trunc)
     assert 0 < len(calls) <= 30
 
 
@@ -335,7 +359,7 @@ def test_dropped_builtin_is_released(tmp_path):
             assert model_to_dict(m) == stored, m.name
             if build is builds[1]:
                 assert parse_model(str(path)) is m
-                cli._model_of_text.cache_clear()
+                cli._MODELS.clear()
             ref = weakref.ref(m)
             del m
             assert ref() is None, stored["name"]

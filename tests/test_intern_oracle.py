@@ -4,7 +4,7 @@
 (``cli._model_of_text``), and each check of ``lambdaring._checks`` runs at
 most once per model (``lambdaring._first_cases``), for ``validate_model``
 and for the refusals of ``gamma_filtration`` alike.  The earlier paths stay
-here as oracles: a fresh parse through ``_model_of_text.__wrapped__`` for
+here as oracles: a fresh parse, ``model_from_dict`` of the loaded text, for
 every command, and a report or refusal read directly off the generators of
 ``_checks`` on a fresh copy of the model.
 """
@@ -69,20 +69,20 @@ def files(tmp_path_factory):
 def test_interned_files_give_the_output_of_fresh_parses(files, monkeypatch, seed):
     fresh = {}
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "_model_of_text", cli._model_of_text.__wrapped__)
+        patched.setattr(cli, "_model_of_text", lambda text: model_from_dict(cli._loads(text)))
         for argv in files:
             fresh[tuple(argv)] = outcome(argv)
     jobs = list(files)
     random.Random(seed).shuffle(jobs)
-    cli._model_of_text.cache_clear()
+    cli._MODELS.clear()
     try:
         for argv in jobs:
             assert outcome(argv) == fresh[tuple(argv)], argv
         # gw_point_C and gw_point_R write the bytes of gw_point at C and R
         texts = {open(argv[1], encoding="utf-8").read() for argv in files}
-        assert cli._model_of_text.cache_info().currsize == len(texts) == len(BUILDS) - 2
+        assert len(cli._MODELS) == len(texts) == len(BUILDS) - 2
     finally:
-        cli._model_of_text.cache_clear()
+        cli._MODELS.clear()
 
 
 def copy(m):

@@ -54,7 +54,7 @@ def model_and_series_pair(draw):
         live = draw(st.lists(st.booleans(), min_size=rank, max_size=rank))
         pair.append(TruncSeries(m, [
             [draw(COEFFICIENT) if on else 0 for on in live] for _ in range(order + 1)
-        ]))
+        ], order))
     return pair
 
 
@@ -78,7 +78,7 @@ def model(orders, mul, name="extremal"):
 
 
 def constant_series(m, vec, order):
-    return TruncSeries(m, [vec] * (order + 1))
+    return TruncSeries(m, [vec] * (order + 1), order)
 
 
 # 2^64 - 1 has 64 bits, 15 terms 4 bits, and (2^50 - 1) // 9 * 9 = 2^50 - 7
@@ -126,7 +126,7 @@ def test_large_structure_constants():
                           (2, 2): (1, big, big)})
     assert not is_ring(m)
     s = TruncSeries(m, [(BIG, -BIG, 3), (-1, 0, 1), (0, 2**70, 2)], 5)
-    t = TruncSeries(m, [(-(2**100), 1, 1)] * 6)
+    t = TruncSeries(m, [(-(2**100), 1, 1)] * 6, 5)
     assert_matches_oracle(s, t)
     assert_matches_oracle(t, s)
 
@@ -134,13 +134,13 @@ def test_large_structure_constants():
 def test_zero_series_and_order_zero():
     m = model((0, 2), {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)})
     zero = TruncSeries(m, [], 3)
-    s = TruncSeries(m, [(3, 1), (-2, 0), (0, 0), (0, 1)])
+    s = TruncSeries(m, [(3, 1), (-2, 0), (0, 0), (0, 1)], 3)
     assert s * zero == zero * s == zero
     assert (s * zero).rows() == [(0, 0)] * 4
-    x = TruncSeries(m, [(-(2**65), 1)])
+    x = TruncSeries(m, [(-(2**65), 1)], 0)
     assert x.order == 0
     assert_matches_oracle(x, x)
-    assert_matches_oracle(x, TruncSeries(m, [(0, 0)]))
+    assert_matches_oracle(x, TruncSeries(m, [(0, 0)], 0))
 
 
 def test_mismatched_orders_and_models_raise():
@@ -153,4 +153,4 @@ def test_mismatched_orders_and_models_raise():
         s * constant_series(other, (2,), 3)
     # a row is a coordinate tuple of the model's own group
     with pytest.raises(ValueError, match="length 2 for presentation of rank 1"):
-        TruncSeries(m, [(1,), (1, 0)])
+        TruncSeries(m, [(1,), (1, 0)], 1)

@@ -353,8 +353,7 @@ def test_special_identities_on_random_pairs():
             m.element([rng.randrange(-2, 3) for _ in range(rank)])
             for _ in range(2)
         ]
-        report = verify_special_pair(xs[0], xs[1], bound=2,
-                                     compose_pairs=((2, 2),))
+        report = verify_special_pair(xs[0], xs[1], bound=2)
         assert report.ok, (m.name, report.first_failure)
 
 
@@ -563,5 +562,3 @@ def test_series_constructors_refuse_negative_order():
             call()
     assert TruncSeries(m, [one], 0).order == 0
     assert TruncSeries(m, [one, a, a, a], 0).rows() == [one]
-    with pytest.raises(ValueError, match="needs at least a constant term"):
-        TruncSeries(m, [])

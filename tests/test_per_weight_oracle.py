@@ -47,8 +47,7 @@ def per_weight_pieces(m, values, kmax, cap):
 
 def per_weight_filtration(m, kmax):
     """(pieces, weight cap, exact, warnings) from the per-weight spans."""
-    gens = tuple(m.element(v) for v in kernel_basis(m.aug))
-    values = _gamma_values(gens, m.trunc)
+    values = _gamma_values(m, [m.group.reduce(v) for v in kernel_basis(m.aug)], m.trunc)
     certified = kmax + max(max(values, default=0) - 1, 0)
     cap = min(certified, m.trunc)
     pieces = per_weight_pieces(m, values, kmax, cap)

@@ -115,8 +115,8 @@ def test_filtration_matches_per_product_oracle(m, kmax):
     # torsion order, which augmented_ring_models may draw
     assume(next(dict(_checks(m))["lambda-series respect torsion orders"], None) is None)
     # the oracle multiplies ring elements; the gamma-values are tuples
-    gens = [m.element(v) for v in kernel_basis(m.aug)]
-    values = [(i, m.element(g)) for i, gs in _gamma_values(gens, m.trunc).items() for g in gs]
+    gens = [m.group.reduce(v) for v in kernel_basis(m.aug)]
+    values = [(i, m.element(g)) for i, gs in _gamma_values(m, gens, m.trunc).items() for g in gs]
     f = gamma_filtration(m, kmax=kmax)
     assert f.pieces == oracle_pieces(m, values, kmax, f.weight_cap)
     # exact is the one truncation clause; closure holds by construction,

@@ -79,18 +79,34 @@ def test_every_public_method_has_a_use_a_readme_role_or_a_tracer_entry():
     assert dead == []
 
 
+def _imports(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def _element_classes_named(tree):
+    """The ring and group element classes a module reads or imports."""
+    imported = {alias.asname or alias.name for n in _imports(tree) for alias in n.names}
+    return (_used_names(tree) | imported) & {"GroupElement", "RingElement"}
+
+
 def test_series_module_stands_on_coordinate_rows():
     # the series layer reads the model's group, unit and structure-constant
     # rows as integers: it imports no other gwgamma module and names no ring
     # or group element class
     tree = ast.parse((SRC / "series.py").read_text())
-    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    imports = _imports(tree)
     modules = [n.module or "" for n in imports if isinstance(n, ast.ImportFrom)]
     modules += [alias.name for n in imports if isinstance(n, ast.Import) for alias in n.names]
     assert [n.module for n in imports if getattr(n, "level", 0)] == []
     assert [m for m in modules if m.split(".")[0] == "gwgamma"] == []
-    names = _used_names(tree) | {alias.asname or alias.name for n in imports for alias in n.names}
-    assert names & {"GroupElement", "RingElement"} == set()
+    assert _element_classes_named(tree) == set()
+
+
+def test_filtration_module_stands_on_coefficient_tuples():
+    # the gamma-values, the spans and their products are coefficient tuples
+    # from the kernel basis on: like the series layer, the filtration names
+    # no ring or group element class
+    assert _element_classes_named(ast.parse((SRC / "filtration.py").read_text())) == set()
 
 
 def test_filtration_reads_no_private_model_state():

@@ -27,7 +27,8 @@ def binomial(n, k):
 
 def z_series(coeffs, one=ONE):
     """The series with these integer coefficients, over Z with unit ``one``."""
-    return TruncSeries(one.model, [tuple(c * u for u in one.value.coeffs) for c in coeffs])
+    return TruncSeries(one.model, [tuple(c * u for u in one.value.coeffs) for c in coeffs],
+                      len(coeffs) - 1)
 
 
 def z_coeffs(series):
@@ -140,9 +141,9 @@ def test_rows_are_reduced_then_cut_or_padded_to_the_order():
     # past the order are dropped, and zero degrees fill up to it
     m = gw_punctured_a5(3)
     rows = [(1, 0), (3, 5), (-1, -3)]
-    assert TruncSeries(m, rows).rows() == [(1, 0), (3, 1), (-1, 1)]
+    assert TruncSeries(m, rows, 2).rows() == [(1, 0), (3, 1), (-1, 1)]
     assert TruncSeries(m, rows, 1).rows() == [(1, 0), (3, 1)]
-    assert TruncSeries(m, rows, 1) == TruncSeries(m, rows[:2])
+    assert TruncSeries(m, rows, 1) == TruncSeries(m, rows[:2], 1)
     assert TruncSeries(m, rows, 4).rows() == [(1, 0), (3, 1), (-1, 1), (0, 0), (0, 0)]
-    assert TruncSeries(m, rows, 4) == TruncSeries(m, rows + [(0, 2)] * 2)
+    assert TruncSeries(m, rows, 4) == TruncSeries(m, rows + [(0, 2)] * 2, 4)
     assert TruncSeries(m, [], 2).rows() == [(0, 0)] * 3

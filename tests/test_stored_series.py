@@ -123,7 +123,7 @@ def test_unit_series_is_built_from_the_unit():
         for order in range(6):
             s = TruncSeries(m, [unit], order)
             assert s.order == order
-            assert s == TruncSeries(m, [unit] + [zero] * order)
+            assert s == TruncSeries(m, [unit] + [zero] * order, order)
             assert s.rows() == [unit] + [zero] * order
         with pytest.raises(ValueError, match="order must be non-negative"):
             TruncSeries(m, [unit], -1)
