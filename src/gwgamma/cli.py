@@ -429,18 +429,19 @@ def _cmd_special(args: argparse.Namespace) -> int:
     rank = len(names)
     pairs = [(i, j) for i in range(rank) for j in range(i, rank)]
     reports = _special_reports(m.basis_elements(), pairs, args.bound)
+    lines = []
     failed = False
     for (i, j), pair_report in zip(pairs, reports):
         label = "(%s, %s)" % (names[i], names[j])
         if pair_report.ok:
-            print("PASS %s" % label)
+            lines.append("PASS %s" % label)
         else:
             failed = True
-            print("FAIL %s: %s" % (label, pair_report.first_failure.name))
-    if failed:
-        return 1
-    print("all identities PASS")
-    return 0
+            lines.append("FAIL %s: %s" % (label, pair_report.first_failure.name))
+    if not failed:
+        lines.append("all identities PASS")
+    print("\n".join(lines))
+    return 1 if failed else 0
 
 
 def _cmd_milnor(args: argparse.Namespace) -> int:

@@ -520,25 +520,33 @@ def _special_reports(
         return s
 
     def check(name: str, lhs: tuple, rhs: tuple) -> CheckResult:
-        return CheckResult(name, lhs == rhs, "lhs %r rhs %r" % (lhs, rhs))
+        if lhs == rhs:  # equal sides print alike
+            side = repr(lhs)
+            return CheckResult(name, True, "lhs %s rhs %s" % (side, side))
+        return CheckResult(name, False, "lhs %r rhs %r" % (lhs, rhs))
 
+    product_checks = [
+        ("lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n), n, product_universal(n))
+        for n in range(1, bound + 1)
+    ]
+    compose_checks = [
+        ("lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn), mm, nn,
+         compose_universal(mm, nn))
+        for mm, nn in _COMPOSE_PAIRS
+    ]
     for i, j in pairs:
         x = elements[i]
         m = x.model
         (rows_x, lam_x), (_, lam_y) = lam(i, need), lam(j, bound)
         lam_xy = totals(m, bound)((x * elements[j]).value.coeffs).rows()
         checks = tuple(
-            check("lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n), lam_xy[n],
-                  _evaluate(m, product_universal(n), lam_x[1:n + 1] + lam_y[1:n + 1]))
-            for n in range(1, bound + 1)
+            check(name, lam_xy[n], _evaluate(m, poly, lam_x[1:n + 1] + lam_y[1:n + 1]))
+            for name, n, poly in product_checks
         )
         if i not in compositions:
             compositions[i] = tuple(
-                check(
-                    "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
-                    totals(m, mm)(rows_x[nn]).rows()[mm],
-                    _evaluate(m, compose_universal(mm, nn), lam_x[1:mm * nn + 1]),
-                )
-                for mm, nn in _COMPOSE_PAIRS
+                check(name, totals(m, mm)(rows_x[nn]).rows()[mm],
+                      _evaluate(m, poly, lam_x[1:mm * nn + 1]))
+                for name, mm, nn, poly in compose_checks
             )
         yield Report(checks + compositions[i])

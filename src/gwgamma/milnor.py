@@ -12,12 +12,15 @@ both a product of linear forms and a sum over power-of-two compositions.
 ``check_identities`` builds omega once, truncated at 2^(n-1), and reads
 both its first positive degree and its top slice off that one series.
 Everything here works with exact GF(2) arithmetic truncated by total
-degree; the one division, in ``omega``, is solved degree by degree.
+degree; the one division, in ``omega``, is solved degree by degree as the
+exact quotient q * den = num, and ``F2Poly.inverse`` is the same solve
+with num = 1.
 """
 
 from __future__ import annotations
 
 from itertools import product as cartesian
+from operator import add
 from typing import Iterable
 
 from .lambdaring import CheckResult, Report
@@ -97,24 +100,12 @@ class F2Poly:
         return 1 if (0,) * self.nvars in self.terms else 0
 
     def inverse(self) -> "F2Poly":
-        """Multiplicative inverse of a series with constant term 1.
-
-        Solved degree by degree: with f_k the degree-k part of the series,
-        f q = 1 gives q_0 = 1 and q_d = f_1 q_(d-1) + ... + f_d q_0 (signs
-        vanish mod 2), each term a product of two homogeneous parts.
+        """Multiplicative inverse of a series with constant term 1: the
+        quotient of 1 by the series, solved degree by degree as in ``omega``.
         """
         if self.constant_term != 1:
             raise ValueError("inverse requires constant term 1")
-        parts: list[set[tuple[int, ...]]] = [set() for _ in range(self.maxdeg + 1)]
-        for t in self.terms:
-            parts[sum(t)].add(t)
-        q = [parts[0]]
-        for d in range(1, self.maxdeg + 1):
-            q_d: set[tuple[int, ...]] = set()
-            for k in range(1, d + 1):
-                q_d ^= _times(parts[k], q[d - k], d)
-            q.append(q_d)
-        return F2Poly(self.nvars, self.maxdeg, [t for q_d in q for t in q_d])
+        return _quotient(F2Poly.one(self.nvars, self.maxdeg), self)
 
     def substitute(self, index: int, value: "F2Poly") -> "F2Poly":
         """Replace one variable by a polynomial, expanding exactly.
@@ -169,7 +160,7 @@ def _times(left, right, maxdeg: int) -> set[tuple[int, ...]]:
     acc: set[tuple[int, ...]] = set()
     for s in left:
         for t in right:
-            u = tuple(a + b for a, b in zip(s, t))
+            u = tuple(map(add, s, t))
             if sum(u) > maxdeg:
                 continue
             if u in acc:
@@ -177,6 +168,34 @@ def _times(left, right, maxdeg: int) -> set[tuple[int, ...]]:
             else:
                 acc.add(u)
     return acc
+
+
+def _parts(p: F2Poly) -> list[set[tuple[int, ...]]]:
+    """The homogeneous parts of p, indexed by degree 0..maxdeg."""
+    parts: list[set[tuple[int, ...]]] = [set() for _ in range(p.maxdeg + 1)]
+    for t in p.terms:
+        parts[sum(t)].add(t)
+    return parts
+
+
+def _quotient(num: F2Poly, den: F2Poly) -> F2Poly:
+    """The series q with q * den == num, for den with constant term 1.
+
+    Solved degree by degree: with f_k the degree-k part of a series f,
+    q * den = num gives q_0 = num_0 and
+    q_d = num_d + den_1 q_(d-1) + ... + den_d q_0 (signs vanish mod 2),
+    each term a product of two homogeneous parts.  A product with an empty
+    part is skipped, so a quotient that vanishes in most degrees, as omega
+    does below 2^(n-1), costs few products.
+    """
+    num_parts, den_parts = _parts(num), _parts(den)
+    q: list[set[tuple[int, ...]]] = []
+    for d, q_d in enumerate(num_parts):
+        for k in range(1, d + 1):
+            if den_parts[k] and q[d - k]:
+                q_d ^= _times(den_parts[k], q[d - k], d)
+        q.append(q_d)
+    return F2Poly(num.nvars, num.maxdeg, [t for q_d in q for t in q_d])
 
 
 def _support_sum(eps: tuple[int, ...], nvars: int, maxdeg: int) -> F2Poly:
@@ -191,9 +210,9 @@ def _support_sum(eps: tuple[int, ...], nvars: int, maxdeg: int) -> F2Poly:
 def omega(n: int, maxdeg: int) -> F2Poly:
     """Characteristic series of (u_1 - 1)...(u_n - 1), truncated.
 
-    Computed directly from the defining quotient of products over even and
-    odd support vectors; the sign of the exponent decides which side gets
-    inverted, which over GF(2) only swaps numerator and denominator.
+    The factors over even and odd support vectors are multiplied out and
+    the defining quotient is solved exactly, with no separate inverse; the
+    sign of the exponent only decides which product is the numerator.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -214,8 +233,8 @@ def omega(n: int, maxdeg: int) -> F2Poly:
         else:
             odd = odd * factor
     if n % 2 == 0:
-        return even * odd.inverse()
-    return odd * even.inverse()
+        return _quotient(even, odd)
+    return _quotient(odd, even)
 
 
 def _check_range(n: int) -> None:

@@ -136,11 +136,37 @@ def test_omega_matches_earlier_output(n, maxdeg):
     assert omega(n, maxdeg) == oracle_omega(n, maxdeg)
 
 
+@st.composite
+def quotient_pair(draw):
+    """A numerator of any shape and a denominator with constant term 1,
+    in the same number of variables and at the same truncation."""
+    nvars, maxdeg = draw(st.integers(1, 4)), draw(st.integers(0, 9))
+    exps = st.lists(st.integers(0, maxdeg), min_size=nvars, max_size=nvars).map(tuple)
+    num = F2Poly(nvars, maxdeg, draw(st.lists(exps, max_size=6)))
+    den = F2Poly(nvars, maxdeg, [(0,) * nvars] + draw(st.lists(exps.filter(any), max_size=6)))
+    return num, den
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(quotient_pair())
+def test_quotient_solves_against_oracle_inverse(pair):
+    num, den = pair
+    q = milnor._quotient(num, den)
+    assert q * den == num
+    assert q == num * oracle_inverse(den)
+
+
+def test_omega_five_variables_vanishes_below_sixteen():
+    assert omega(5, 16).min_positive_degree() == 16
+
+
 def test_check_identities_work_bound(monkeypatch):
-    # omega(4, 8) once: 16 products, and 8 more for the closed product form;
-    # 56 when omega was built twice with the fixed-point inverse.  Every GF(2)
-    # product, those inside ``inverse`` included, runs through ``_times``:
-    # 60 calls visiting 10,604 pairs of exponent vectors, against 150,314
+    # omega(4, 8) once: 15 products multiply out its factors, and 8 more
+    # build the closed product form.  omega is then one exact quotient,
+    # solved degree by degree, which skips every product with an empty
+    # homogeneous part: every GF(2) product runs through ``_times``, 27 calls
+    # visiting 1,870 pairs of exponent vectors, against 60 calls and 10,604
+    # pairs with a series inverse followed by a full product, and 150,314
     # pairs in the 56 products of the fixed-point version
     products = []
     real_mul = F2Poly.__mul__
@@ -159,9 +185,9 @@ def test_check_identities_work_bound(monkeypatch):
     monkeypatch.setattr(F2Poly, "__mul__", mul)
     monkeypatch.setattr(milnor, "_times", times)
     assert milnor.check_identities(4).ok
-    assert 0 < len(products) <= 30
-    assert len(products) < len(pairs) <= 64
-    assert sum(pairs) <= 12_000
+    assert 0 < len(products) <= 23
+    assert len(products) < len(pairs) <= 32
+    assert sum(pairs) <= 2_500
 
 
 def test_substitution_is_multiplicative():
