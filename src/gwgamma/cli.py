@@ -5,11 +5,15 @@ augmentation, mul, lambda and optionally hyperbolic and trunc (the
 truncation order of the lambda-series, 16 when absent; no series may be
 longer).  A file names at most 64 basis labels, and every integer in
 orders, unit, augmentation, mul, lambda and hyperbolic is below 2^128 in
-absolute value.  All emitted JSON is sorted and indented the same way every
-run, so identical inputs give byte-identical outputs.  Each distinct file
-text is parsed into one model and each check runs once on it per process,
-while the text is among the 64 last parsed (``_model_of_text``); ``validate``
-prints the report, the other commands stop with it when a check fails.
+absolute value; a larger one, even one too long for int(), is refused with
+its key and digit count.  A file is refused for its first unknown key, else
+its first missing one in the order of ``_KEYS``, whatever the hash seed,
+else its first bad value.  All emitted JSON is sorted and indented the same
+way every run, so identical inputs give byte-identical outputs.  Each
+distinct file text is parsed into one model and each check runs once on it
+per process, while the text is among the 64 last parsed
+(``_model_of_text``); ``validate`` prints the report, the other commands
+stop with it when a check fails.
 
 Exit codes: 0 all checks pass, 1 a mathematical identity failed,
 2 usage, I/O, or syntax problem.
@@ -93,8 +97,28 @@ def _require(cond: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
+# the keys of a model file, the required ones first, in the order a missing
+# one is refused and, but for trunc (read before lambda), values are checked
+_KEYS = ("name", "basis", "orders", "unit", "augmentation", "mul", "lambda",
+         "trunc", "hyperbolic")
+
 # every integer of a model file is below this in absolute value
 _INT_BOUND = 2 ** 128
+
+
+class _LongInteger:
+    """Stands for a JSON integer too long to convert; every key that wants
+    an integer rejects it by name, a vector of integers by its digit count."""
+
+    def __init__(self, digits: str):
+        self.length = len(digits.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return "<integer of %d digits>" % self.length
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _int_vector(value: object, length: int, where: str) -> list[int]:
@@ -105,32 +129,36 @@ def _int_vector(value: object, length: int, where: str) -> list[int]:
     )
     # the per-entry messages are built only for the entry that fails
     for x in value:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if _is_int(x) and abs(x) < _INT_BOUND:
+            continue
+        if not (_is_int(x) or isinstance(x, _LongInteger)):
             raise ModelFormatError("key %s: non-integer entry %r" % (where, x))
-        if not abs(x) < _INT_BOUND:
-            raise ModelFormatError(
-                "key %s: entry of %d digits, not below 2^128 in absolute value"
-                % (where, len(str(abs(x))))
-            )
+        digits = x.length if isinstance(x, _LongInteger) else len(str(abs(x)))
+        raise ModelFormatError(
+            "key %s: entry of %d digits, not below 2^128 in absolute value"
+            % (where, digits)
+        )
     return list(value)
+
+
+def _vector_list(value: object, rank: int, where: str, entry: str,
+                 first: int = 0, trunc: int | None = None) -> list[list[int]]:
+    """The vectors of `rank` integers in the list `value`: `where` names the
+    list in its refusals, "`entry` n" its n-th vector counting from `first`;
+    given `trunc`, the list has at most that many terms."""
+    _require(isinstance(value, list), "%s: expected a list" % where)
+    _require(
+        trunc is None or len(value) <= trunc,
+        "%s: %d terms, more than trunc %s" % (where, len(value), trunc),
+    )
+    return [_int_vector(v, rank, "%s %d" % (entry, n)) for n, v in enumerate(value, first)]
 
 
 def model_from_dict(doc: object) -> RingModel:
     _require(isinstance(doc, dict), "top level: expected an object")
-    known = {
-        "name",
-        "basis",
-        "orders",
-        "unit",
-        "augmentation",
-        "mul",
-        "lambda",
-        "hyperbolic",
-        "trunc",
-    }
     for key in doc:
-        _require(key in known, "unknown key %r" % key)
-    for key in known - {"hyperbolic", "trunc"}:
+        _require(key in _KEYS, "unknown key %r" % key)
+    for key in _KEYS[:-2]:
         _require(key in doc, "missing key %r" % key)
 
     name = doc["name"]
@@ -146,10 +174,11 @@ def model_from_dict(doc: object) -> RingModel:
     rank = len(basis)
     _require(rank <= 64, "key basis: %d labels, more than 64" % rank)
 
-    orders = _int_vector(doc["orders"], rank, "orders")
-    _require(all(d >= 0 for d in orders), "key orders: negative entry")
-    unit = _int_vector(doc["unit"], rank, "unit")
-    aug = _int_vector(doc["augmentation"], rank, "augmentation")
+    vectors = []
+    for key in _KEYS[2:5]:
+        vectors.append(_int_vector(doc[key], rank, key))
+        _require(key != "orders" or min(vectors[0]) >= 0, "key orders: negative entry")
+    orders, unit, aug = vectors
 
     mul_doc = doc["mul"]
     _require(isinstance(mul_doc, list), "key mul: expected a list")
@@ -161,17 +190,14 @@ def model_from_dict(doc: object) -> RingModel:
             "%s: expected [i, j, coefficients]" % where,
         )
         i, j, coeffs = entry
-        _require(
-            all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)),
-            "%s: indices must be integers" % where,
-        )
+        _require(_is_int(i) and _is_int(j), "%s: indices must be integers" % where)
         _require(0 <= i <= j < rank, "%s: need 0 <= i <= j < %d" % (where, rank))
         _require((i, j) not in mul, "%s: duplicate pair (%d, %d)" % (where, i, j))
         mul[(i, j)] = _int_vector(coeffs, rank, where)
 
     trunc = doc.get("trunc", DEFAULT_TRUNCATION)
     _require(
-        isinstance(trunc, int) and not isinstance(trunc, bool) and 1 <= trunc <= 64,
+        _is_int(trunc) and 1 <= trunc <= 64,
         "key trunc: expected an integer in 1..64, got %r" % (trunc,),
     )
 
@@ -182,25 +208,14 @@ def model_from_dict(doc: object) -> RingModel:
     lambda_on_basis = []
     for label in basis:
         _require(label in lam_doc, "key lambda: missing series for %r" % label)
-        series = lam_doc[label]
         where = "lambda[%s]" % label
-        _require(isinstance(series, list), "%s: expected a list" % where)
-        _require(
-            len(series) <= trunc,
-            "%s: %d terms, more than trunc %d" % (where, len(series), trunc),
-        )
-        lambda_on_basis.append(
-            [_int_vector(v, rank, "%s degree %d" % (where, d + 1)) for d, v in enumerate(series)]
-        )
+        lambda_on_basis.append(_vector_list(
+            lam_doc[label], rank, where, where + " degree", first=1, trunc=trunc))
 
     hyperbolic = None
     if "hyperbolic" in doc:
-        hyp_doc = doc["hyperbolic"]
-        _require(isinstance(hyp_doc, list), "key hyperbolic: expected a list")
-        hyperbolic = [
-            _int_vector(v, rank, "hyperbolic entry %d" % pos)
-            for pos, v in enumerate(hyp_doc)
-        ]
+        hyperbolic = _vector_list(
+            doc["hyperbolic"], rank, "key hyperbolic", "hyperbolic entry")
 
     group = GroupPresentation(tuple(orders), tuple(basis))
     try:
@@ -216,17 +231,6 @@ def model_from_dict(doc: object) -> RingModel:
         )
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
-
-
-class _LongInteger:
-    """Stands for a JSON integer too long to convert; every key that wants
-    an integer rejects it by name."""
-
-    def __init__(self, digits: str):
-        self.length = len(digits.lstrip("-"))
-
-    def __repr__(self) -> str:
-        return "<integer of %d digits>" % self.length
 
 
 def _parse_int(digits: str) -> object:

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -236,6 +237,92 @@ def test_model_from_dict_reports_key_context():
         model_from_dict(broken)
 
 
+def _without(doc, *keys):
+    return {k: v for k, v in doc.items() if k not in keys}
+
+
+# one edit of the gw_point(R) file (basis one, L; trunc 16; one hyperbolic
+# vector) per refusal of model_from_dict and _int_vector, with its message
+REFUSALS = [
+    (lambda d: [d], "top level: expected an object"),
+    (lambda d: {**d, "extra": 1}, "unknown key 'extra'"),
+    *[(lambda d, k=key: _without(d, k), "missing key %r" % key)
+      for key in ["name", "basis", "orders", "unit", "augmentation", "mul", "lambda"]],
+    (lambda d: {**d, "name": 3}, "key name: expected a string"),
+    (lambda d: {**d, "basis": []}, "key basis: expected a non-empty list of labels"),
+    (lambda d: {**d, "basis": ["one", 2]}, "key basis: expected a non-empty list of labels"),
+    (lambda d: {**d, "basis": ["one", "one"]}, "key basis: duplicate labels"),
+    (lambda d: {**d, "basis": ["b%d" % n for n in range(65)]},
+     "key basis: 65 labels, more than 64"),
+    (lambda d: {**d, "orders": "00"}, "key orders: expected a list"),
+    (lambda d: {**d, "orders": [0]}, "key orders: expected 2 integers, got 1"),
+    (lambda d: {**d, "orders": [0, True]}, "key orders: non-integer entry True"),
+    (lambda d: {**d, "orders": [0, 2 ** 128]},
+     "key orders: entry of 39 digits, not below 2^128 in absolute value"),
+    (lambda d: {**d, "orders": [0, -1]}, "key orders: negative entry"),
+    (lambda d: {**d, "unit": [1, None]}, "key unit: non-integer entry None"),
+    (lambda d: {**d, "augmentation": [1, 1.5]}, "key augmentation: non-integer entry 1.5"),
+    (lambda d: {**d, "mul": {}}, "key mul: expected a list"),
+    (lambda d: {**d, "mul": [[0, 0]]}, "mul entry 0: expected [i, j, coefficients]"),
+    (lambda d: {**d, "mul": [[0, "1", [0, 1]]]}, "mul entry 0: indices must be integers"),
+    (lambda d: {**d, "mul": [[0, False, [1, 0]]]}, "mul entry 0: indices must be integers"),
+    (lambda d: {**d, "mul": [[cli._LongInteger("9" * 5000), 0, [1, 0]]]},
+     "mul entry 0: indices must be integers"),
+    (lambda d: {**d, "mul": [[1, 0, [0, 1]]]}, "mul entry 0: need 0 <= i <= j < 2"),
+    (lambda d: {**d, "mul": [[0, 0, [1, 0]], [0, 0, [1, 0]]]},
+     "mul entry 1: duplicate pair (0, 0)"),
+    (lambda d: {**d, "mul": [[0, 0, [1]]]}, "key mul entry 0: expected 2 integers, got 1"),
+    (lambda d: {**d, "trunc": 0}, "key trunc: expected an integer in 1..64, got 0"),
+    (lambda d: {**d, "trunc": True}, "key trunc: expected an integer in 1..64, got True"),
+    (lambda d: {**d, "lambda": []}, "key lambda: expected an object"),
+    (lambda d: {**d, "lambda": {**d["lambda"], "nope": []}},
+     "key lambda: unknown basis label 'nope'"),
+    (lambda d: {**d, "lambda": {"one": [[1, 0]]}}, "key lambda: missing series for 'L'"),
+    (lambda d: {**d, "lambda": {"one": [[1, 0]], "L": 5}}, "lambda[L]: expected a list"),
+    (lambda d: {**d, "lambda": {"one": [[1, 0]], "L": [[0, 1]] * 17}},
+     "lambda[L]: 17 terms, more than trunc 16"),
+    (lambda d: {**d, "lambda": {"one": [[1, 0]], "L": [[0, 1], [0, "x"]]}},
+     "key lambda[L] degree 2: non-integer entry 'x'"),
+    (lambda d: {**d, "basis": ["one", "a%d"], "lambda": {"one": [[1, 0]], "a%d": [[0, None]]}},
+     "key lambda[a%d] degree 1: non-integer entry None"),
+    (lambda d: {**d, "hyperbolic": {"a": 1}}, "key hyperbolic: expected a list"),
+    (lambda d: {**d, "hyperbolic": [[1, 1], [1]]},
+     "key hyperbolic entry 1: expected 2 integers, got 1"),
+    # two faults: the one checked first is named
+    (lambda d: {**d, "orders": [0, -1], "unit": [1]}, "key orders: negative entry"),
+    (lambda d: {**d, "trunc": 0, "lambda": []}, "key trunc: expected an integer in 1..64, got 0"),
+    (lambda d: {**d, "lambda": {"one": [[1, 0]], "L": [[0, None]] * 17}},
+     "lambda[L]: 17 terms, more than trunc 16"),
+    (lambda d: {**_without(d, "name"), "extra": 1}, "unknown key 'extra'"),
+]
+
+
+@pytest.mark.parametrize("edit,message", REFUSALS, ids=[m for _, m in REFUSALS])
+def test_refusal_messages(edit, message):
+    with pytest.raises(ModelFormatError) as info:
+        model_from_dict(edit(model_to_dict(gw_point("R"))))
+    assert str(info.value) == message
+
+
+def test_missing_keys_refused_in_one_order_under_every_hash_seed():
+    doc = model_to_dict(gw_projective("C", 2))
+    del doc["basis"], doc["augmentation"]
+    script = (
+        "import json, sys\n"
+        "from gwgamma.cli import ModelFormatError, model_from_dict\n"
+        "try:\n"
+        "    model_from_dict(json.load(sys.stdin))\n"
+        "except ModelFormatError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], input=json.dumps(doc),
+                             capture_output=True, text=True, env=env, check=True).stdout
+        assert out == "missing key 'basis'\n", seed
+
+
 def test_boolean_mul_index_rejected(tmp_path, capsys):
     path = tmp_path / "bool_index.json"
     assert run(["builtin", "gw_point", "--base", "R", "-o", str(path)]) == 0
@@ -273,15 +360,16 @@ def test_overlong_integer_named_by_key(tmp_path, capsys):
 
 def _rank2_file(tmp_path, big):
     """Basis one, x at trunc 64, with `big` as the torsion order of x
-    (orders) or as the coefficient of x in x*x (mul)."""
+    (orders) or as the coefficient of x in x*x (mul): an integer, or the
+    digits of one too long for json.dumps, written in by text replacement."""
     doc = model_to_dict(trivial_model(2))
     doc["trunc"] = 64
     if "orders" in big:
-        doc["orders"] = [0, big["orders"]]
+        doc["orders"] = [0, 123456789]
     else:
-        doc["mul"].append([1, 1, [0, big["mul"]]])
+        doc["mul"].append([1, 1, [0, 123456789]])
     path = tmp_path / "rank2.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace("123456789", str(*big.values())))
     return path
 
 
@@ -291,15 +379,19 @@ def _rank2_file(tmp_path, big):
         ({"orders": 10 ** 4000}, "validate", "key orders"),
         ({"orders": 10 ** 4000}, "filtration", "key orders"),
         ({"mul": 10 ** 4000}, "special", "key mul entry 2"),
+        # too long for int(): the parse keeps its digit count
+        ({"orders": "1" + "0" * 4999}, "validate", "key orders"),
+        ({"mul": "-" + "9" * 5000}, "special", "key mul entry 2"),
     ],
 )
 def test_integer_cap_exits_2_promptly(tmp_path, capsys, big, command, key):
     path = _rank2_file(tmp_path, big)
+    digits = len(str(*big.values()).lstrip("-"))
     start = time.perf_counter()
     assert run([command, str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "%s: entry of 4001 digits, not below 2^128 in absolute value" % key in err
+    assert "%s: entry of %d digits, not below 2^128 in absolute value" % (key, digits) in err
     assert "0" * 100 not in err
 
 
