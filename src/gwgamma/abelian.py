@@ -397,9 +397,10 @@ def kernel_basis(row: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def quotient_presentation(
-    pres: GroupPresentation, sub: Subgroup, prefix: str = "q"
+    pres: GroupPresentation, sub: Subgroup
 ) -> tuple[GroupPresentation, list[list[int]]]:
-    """Presentation of the quotient group and the projection matrix.
+    """Presentation of the quotient group, its coordinates named w0, w1,
+    ..., and the projection matrix.
 
     The projection maps old coefficient vectors to new ones by ordinary
     matrix multiplication; coordinates with invariant factor 1 are dropped.
@@ -408,7 +409,7 @@ def quotient_presentation(
         raise ValueError("subgroup of a different presentation")
     factors = _quotient(pres.rank, sub.columns)
     orders = tuple(d for d, _ in factors)
-    names = tuple("%s%d" % (prefix, i) for i in range(len(factors)))
+    names = tuple("w%d" % i for i in range(len(factors)))
     return GroupPresentation(orders, names), [row for _, row in factors]
 
 

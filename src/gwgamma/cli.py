@@ -117,10 +117,6 @@ class _LongInteger:
         return "<integer of %d digits>" % self.length
 
 
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _int_vector(value: object, length: int, where: str) -> list[int]:
     _require(isinstance(value, list), "key %s: expected a list" % where)
     _require(
@@ -129,9 +125,9 @@ def _int_vector(value: object, length: int, where: str) -> list[int]:
     )
     # the per-entry messages are built only for the entry that fails
     for x in value:
-        if _is_int(x) and abs(x) < _INT_BOUND:
+        if type(x) is int and abs(x) < _INT_BOUND:
             continue
-        if not (_is_int(x) or isinstance(x, _LongInteger)):
+        if not (type(x) is int or isinstance(x, _LongInteger)):
             raise ModelFormatError("key %s: non-integer entry %r" % (where, x))
         digits = x.length if isinstance(x, _LongInteger) else len(str(abs(x)))
         raise ModelFormatError(
@@ -190,14 +186,14 @@ def model_from_dict(doc: object) -> RingModel:
             "%s: expected [i, j, coefficients]" % where,
         )
         i, j, coeffs = entry
-        _require(_is_int(i) and _is_int(j), "%s: indices must be integers" % where)
+        _require(type(i) is int and type(j) is int, "%s: indices must be integers" % where)
         _require(0 <= i <= j < rank, "%s: need 0 <= i <= j < %d" % (where, rank))
         _require((i, j) not in mul, "%s: duplicate pair (%d, %d)" % (where, i, j))
         mul[(i, j)] = _int_vector(coeffs, rank, where)
 
     trunc = doc.get("trunc", DEFAULT_TRUNCATION)
     _require(
-        _is_int(trunc) and 1 <= trunc <= 64,
+        type(trunc) is int and 1 <= trunc <= 64,
         "key trunc: expected an integer in 1..64, got %r" % (trunc,),
     )
 

@@ -57,16 +57,17 @@ The pieces are computed once per model and extended on demand.  What the
 filtration derives from the model alone is kept on it, in one memo
 (``RingModel._filtration``, see ``_Memo``): the verdict that the model
 passed the refusals, its gamma-values by weight (i_max is the largest), the
-levels of the filtration built so far, the pieces F^0..F^k with the
-invariants of each quotient F^(j-1)/F^j, and the Witt quotient with the
-levels of the Witt images.  A call at kmax extends the stored levels up to
-F^kmax, the first call from F^0, and stores them unless a call extended
-the memo further meanwhile, or slices them; only ``exact``, ``warnings``
-and ``weight_cap`` are computed per call.  A model is immutable once
-built, and the memo assumes it.  A refused model keeps no verdict and
-raises on every call, though no check runs twice on it (``_first_cases``).
-A piece equal to the one below it is stored as that object, and each HNF
-column equal to a spanned vector as that vector's tuple (``abelian._span``):
+Witt quotient, and the levels of each filtration built so far, the pieces
+F^0..F^k or their Witt images with the invariants of each quotient of
+adjacent levels.  One routine, ``_grown``, extends either filtration's
+levels from a function giving level k, and stores them unless a call
+extended them further meanwhile; a call at kmax extends the stored levels
+up to F^kmax or slices them, and only ``exact``, ``warnings`` and
+``weight_cap`` are computed per call.  A model is immutable once built,
+and the memo assumes it.  A refused model keeps no verdict and raises on
+every call, though no check runs twice on it (``_first_cases``).  A level
+equal to the one below it is stored as that object, and each HNF column
+equal to a spanned vector as that vector's tuple (``abelian._span``):
 tuples are immutable and the HNF is canonical, so sharing them changes no
 value.
 
@@ -91,11 +92,12 @@ exact.
 The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes, one HNF column at a time; the
 quotient takes one Smith form per model, and each image is spanned once per
-model and level, F^0 too: the projected identity spans the quotient, so its
-image is the identity HNF.  The images are stored by level, unless a call
-stored more levels meanwhile, so ``witt_filtration`` takes only a result
-equal to ``gamma_filtration(m, f.kmax)``; one with pieces, graded groups
-or flags of its own is refused.
+model and level, grown by ``_grown`` like the gamma pieces.  Its F^0 level
+is the whole quotient, since the projected identity spans it, and a piece
+stored as the one below has that one's image.  The images are stored by
+level, so ``witt_filtration`` takes only a result equal to
+``gamma_filtration(m, f.kmax)``; one with pieces, graded groups or flags
+of its own is refused.
 """
 
 from __future__ import annotations
@@ -181,20 +183,17 @@ class _Memo:
     """What the filtration derives from one model alone, filled on demand.
 
     `values` are the gamma-values by weight, as ``_gamma_values`` returns
-    them, None until the model passed the refusals.  `levels` is the pair
-    of F^0..F^k as built so far and the invariants of each F^(j-1)/F^j.
-    `witt` is the Witt quotient and its projection rows, as tuples, and
-    `witt_levels` the pair of the Witt images of F^0..F^j and the
-    invariants of each quotient of adjacent images.  Each pair is replaced
-    whole, never changed in place, so a thread that reads it once reads
-    pieces with their graded groups.
+    them, None until the model passed the refusals.  `levels` maps each
+    filtration, "gamma" and, once the Witt quotient is built, "witt", to
+    its pair of levels 0..j as grown so far and the invariants of each
+    quotient of adjacent levels (``_grown``).  `witt` is the Witt quotient
+    and its projection rows, as tuples.
     """
 
     def __init__(self, m: RingModel):
         self.values: dict[int, list[tuple[int, ...]]] | None = None
-        self.levels: tuple = (full_subgroup(m.group),), ()
+        self.levels: dict[str, tuple] = {"gamma": ((full_subgroup(m.group),), ())}
         self.witt: tuple[GroupPresentation, tuple[tuple[int, ...], ...]] | None = None
-        self.witt_levels: tuple = (), ()
 
 
 def _memo(m: RingModel) -> _Memo:
@@ -203,29 +202,30 @@ def _memo(m: RingModel) -> _Memo:
     return m._filtration
 
 
-def _extended(m: RingModel, values: dict, levels: tuple, kmax: int) -> tuple:
-    """The levels extended to F^kmax, F^k spanned by the gamma-values of
-    weight >= k and the products of each value of weight i < k with
-    F^(k-i), each product list from ``_times`` once per value and span, and
-    its quotient below.  A new pair: a call that extends the memo at the
-    same time still reads a whole one."""
-    pieces, graded = map(list, levels)
-    spans: dict = {}
-    for k in range(len(pieces), kmax + 1):
-        vecs = []
-        for i, gs in values.items():
-            # g * F^1 for g of weight i >= k lies in the sum already
-            # (module docstring)
-            vecs += gs if i >= k else _times(m, spans, gs, pieces[k - i])
-        below, piece = pieces[-1], _span(m.group, vecs)
-        # a piece equal to the one below is stored as that object
-        piece = below if piece.columns == below.columns else piece
-        pieces.append(piece)
-        graded.append(relative_quotient_invariants(below, piece))
-    return tuple(pieces), tuple(graded)
+def _grown(levels: dict, key: str, n: int, piece) -> tuple:
+    """The pair ``levels[key]`` grown to n levels, level k ``piece(k,
+    levels 0..k-1)`` and its quotient below.  A new pair, stored whole
+    unless a call stored a longer one meanwhile, so a thread that reads it
+    once reads levels with their graded groups."""
+    pieces, graded = levels[key]
+    if len(pieces) >= n:
+        return pieces, graded
+    pieces, graded = list(pieces), list(graded)
+    for k in range(len(pieces), n):
+        below, new = pieces[-1], piece(k, pieces)
+        # a level equal to the one below is stored as that object
+        new = below if new.columns == below.columns else new
+        pieces.append(new)
+        graded.append(relative_quotient_invariants(below, new))
+    grown = tuple(pieces), tuple(graded)
+    if n > len(levels[key][0]):  # else a call grew it further
+        levels[key] = grown
+    return grown
 
 
 def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
+    if type(kmax) is not int:
+        raise ValueError("kmax %r is not an integer" % (kmax,))
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     budget = m.trunc
@@ -237,12 +237,17 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
             if case is not None:
                 raise ValueError("%s: %s" % (name, case))
         memo.values = _gamma_values(m, kernel_basis(m.aug), budget)
-    levels = memo.levels
-    if len(levels[0]) <= kmax:
-        levels = _extended(m, memo.values, levels, kmax)
-        if len(levels[0]) > len(memo.levels[0]):  # else a call built further
-            memo.levels = levels
-    pieces, graded = levels
+    spans: dict = {}
+
+    def piece(k: int, pieces: list[Subgroup]) -> Subgroup:
+        # g * F^1 for g of weight i >= k lies in the sum already (module
+        # docstring)
+        vecs = []
+        for i, gs in memo.values.items():
+            vecs += gs if i >= k else _times(m, spans, gs, pieces[k - i])
+        return _span(m.group, vecs)
+
+    pieces, graded = _grown(memo.levels, "gamma", kmax + 1, piece)
     certified = kmax + max(max(memo.values, default=0) - 1, 0)
     cap = min(certified, budget)
     warnings = []
@@ -274,7 +279,10 @@ def witt_quotient(
     memo = _memo(m)
     if memo.witt is None:
         hyper = subgroup_from_generators(m.group, list(m.hyperbolic))
-        qpres, projection = quotient_presentation(m.group, hyper, prefix="w")
+        qpres, projection = quotient_presentation(m.group, hyper)
+        # the projected identity spans the quotient: its image of F^0, set
+        # first, so that a thread that reads the quotient finds its levels
+        memo.levels.setdefault("witt", ((full_subgroup(qpres),), ()))
         memo.witt = qpres, tuple(map(tuple, projection))
     return memo.witt
 
@@ -286,22 +294,13 @@ def witt_filtration(m: RingModel, f: FiltrationResult) -> FiltrationResult:
     if f.model is not m or f != gamma_filtration(m, f.kmax):
         raise ValueError("f is not a gamma filtration of model %s" % m.name)
     qpres, projection = witt_quotient(m)
-    memo = _memo(m)
-    images, graded = memo.witt_levels
+
+    def image(k: int, images: list[Subgroup]) -> Subgroup:
+        if f.pieces[k] is f.pieces[k - 1]:  # a piece stored as the one below
+            return images[-1]
+        return _span(qpres, [project_element(qpres, projection, col)
+                             for col in f.pieces[k].columns])
+
     n = len(f.pieces)
-    if len(images) < n:
-        images, graded = list(images), list(graded)
-        for k in range(len(images), n):
-            piece = f.pieces[k]
-            if k and piece is f.pieces[k - 1]:  # a piece stored as the one below
-                image = images[-1]
-            else:
-                image = _span(qpres, [project_element(qpres, projection, col)
-                                      for col in piece.columns])
-            if k:
-                graded.append(relative_quotient_invariants(images[-1], image))
-            images.append(image)
-        images, graded = tuple(images), tuple(graded)
-        if len(images) > len(memo.witt_levels[0]):  # else a call built further
-            memo.witt_levels = images, graded
+    images, graded = _grown(_memo(m).levels, "witt", n, image)
     return replace(f, group=qpres, pieces=images[:n], graded=graded[:n - 1])

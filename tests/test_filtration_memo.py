@@ -160,20 +160,31 @@ def test_pieces_are_built_once(monkeypatch):
     assert len(calls) == before
 
 
+def grow_meanwhile(monkeypatch, key, n, call):
+    """Make ``_grown``, growing the `key` levels to n, run call() at its
+    first new level, after it read the stored pair: a concurrent call."""
+    real = filtration._grown
+
+    def grown(levels, name, size, piece):
+        pending = [call] if (name, size) == (key, n) else []
+
+        def nested(k, below):
+            while pending:
+                pending.pop()()
+            return piece(k, below)
+
+        return real(levels, name, size, nested)
+
+    monkeypatch.setattr(filtration, "_grown", grown)
+
+
 def test_a_shorter_extension_keeps_the_longer_levels(monkeypatch):
     # while one call builds F^0..F^3, another extends the memo to F^8; the
     # memo keeps F^0..F^8, and the first call still returns its own kmax
-    real = filtration._extended
-
-    def extended(m, values, levels, kmax):
-        if kmax == 3:
-            gamma_filtration(m, 8)
-        return real(m, values, levels, kmax)
-
-    monkeypatch.setattr(filtration, "_extended", extended)
     m = gw_surface_cxp1.__wrapped__(6)
+    grow_meanwhile(monkeypatch, "gamma", 4, lambda: gamma_filtration(m, 8))
     f = gamma_filtration(m, 3)
-    pieces, graded = m._filtration.levels
+    pieces, graded = m._filtration.levels["gamma"]
     assert (len(pieces), len(graded)) == (9, 8)
     monkeypatch.undo()
     fresh = gw_surface_cxp1.__wrapped__(6)
@@ -186,18 +197,9 @@ def test_a_shorter_witt_extension_keeps_the_longer_levels(monkeypatch):
     # keeps the nine Witt levels, and the first call still returns its four
     m = gw_surface_cxp1.__wrapped__(6)
     f3, f8 = gamma_filtration(m, 3), gamma_filtration(m, 8)
-    real = filtration.project_element
-    nested = []
-
-    def project(*args):
-        if not nested:
-            nested.append(None)
-            witt_filtration(m, f8)
-        return real(*args)
-
-    monkeypatch.setattr(filtration, "project_element", project)
+    grow_meanwhile(monkeypatch, "witt", 4, lambda: witt_filtration(m, f8))
     w3 = witt_filtration(m, f3)
-    images, graded = m._filtration.witt_levels
+    images, graded = m._filtration.levels["witt"]
     assert (len(images), len(graded)) == (9, 8)
     monkeypatch.undo()
     fresh = gw_surface_cxp1.__wrapped__(6)
@@ -229,6 +231,27 @@ def test_stable_pieces_are_one_object():
     f = gamma_filtration(gw_surface_cxp1.__wrapped__(4), kmax=8)
     assert f.pieces[4].columns != f.pieces[3].columns
     assert all(f.pieces[k] is f.pieces[4] for k in range(5, 9))
+
+
+def test_equal_witt_images_are_one_object():
+    # F^3 of P^1 over C differs from F^2, but its Witt image equals that of
+    # F^2 and is stored as that image; likewise every equal Witt level
+    f = gamma_filtration(gw_projective.__wrapped__("C", 1), kmax=8)
+    w = witt_filtration(f.model, f)
+    assert f.pieces[3] is not f.pieces[2]
+    assert w.pieces[3] is w.pieces[2]
+    shared = 0
+    for name, kwargs in CLI_BUILTINS:
+        m = uncached(BUILTINS[name])(**kwargs)
+        if m.hyperbolic is None:
+            continue
+        f = gamma_filtration(m, kmax=8)
+        images = witt_filtration(m, f).pieces
+        for k in range(1, 9):
+            if images[k].columns == images[k - 1].columns:
+                assert images[k] is images[k - 1]
+                shared += f.pieces[k] is not f.pieces[k - 1]
+    assert shared == 54  # Witt levels shared though their gamma pieces differ
 
 
 def test_relation_columns_are_the_presentation_tuples():

@@ -15,6 +15,7 @@ from gwgamma.abelian import (
     relative_quotient_invariants,
     subgroup_from_generators,
 )
+from gwgamma.filtration import gamma_filtration
 from gwgamma.lambdaring import RingModel, psi_k, verify_special_pair
 from gwgamma.milnor import F2Poly
 from gwgamma.models import gw_point, gw_punctured_line
@@ -85,6 +86,10 @@ CASES = {
     "newton-degree-zero": (lambda: newton_psi(0), "k must be positive"),
     "product-degree-zero": (lambda: product_universal(0), "n must be positive"),
     "compose-degree-zero": (lambda: compose_universal(0, 1), "m and n must be positive"),
+    "gamma-kmax-bool": (
+        lambda: gamma_filtration(gw_point("C"), True), "kmax True is not an integer"),
+    "gamma-kmax-float": (
+        lambda: gamma_filtration(gw_point("C"), 2.0), "kmax 2.0 is not an integer"),
     "complex-punctured-line": (
         lambda: gw_punctured_line(base="C"), "only the real punctured line is shipped"),
 }

@@ -119,6 +119,15 @@ def test_filtration_reads_no_private_model_state():
     assert private <= {"_filtration"}
 
 
+def test_filtration_levels_grow_in_one_routine():
+    # the gamma pieces and the Witt images grow in one routine: the graded
+    # groups of adjacent levels are computed at exactly one call site
+    tree = ast.parse((SRC / "filtration.py").read_text())
+    sites = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "relative_quotient_invariants"]
+    assert len(sites) == 1
+
+
 def test_cli_reads_no_private_model_state():
     # the command line writes and reads model files through the public
     # model surface alone (``lambda_on_basis`` for the lambda-series)
