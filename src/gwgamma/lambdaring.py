@@ -308,9 +308,12 @@ def _lambda_totals(m: RingModel, order: int):
     """lambda_t through the order of each coefficient tuple it is given: the
     product of the powers lambda_t(b_i)^(c_i), in increasing i, each basis
     series (with its power table) and each power (i, c_i) built once across
-    the calls and held by the function alone.  Raises ValueError on a
-    negative order, and when the unit is not multiplicatively neutral: the
-    product of the powers would then not start at the unit."""
+    the calls and held by the function alone.  Raises ValueError on an
+    order that is no int or is negative, and when the unit is not
+    multiplicatively neutral: the product of the powers would then not start
+    at the unit."""
+    if type(order) is not int:
+        raise ValueError("order %r is not an integer" % (order,))
     if order < 0:
         raise ValueError("order must be non-negative")
     if not m._unit_neutral:
@@ -340,12 +343,16 @@ def gamma_total(x: RingElement, order: int | None = None) -> TruncSeries:
 
 
 def lambda_k(x: RingElement, k: int) -> RingElement:
+    if type(k) is not int:
+        raise ValueError("k %r is not an integer" % (k,))
     if k == 0:
         return x.model.unit_element
     return x.model.element(lambda_total(x, k).rows()[k])
 
 
 def gamma_k(x: RingElement, k: int) -> RingElement:
+    if type(k) is not int:
+        raise ValueError("k %r is not an integer" % (k,))
     if k == 0:
         return x.model.unit_element
     return x.model.element(gamma_total(x, k).rows()[k])
@@ -362,6 +369,8 @@ def _evaluate(m: RingModel, poly: MultiPoly, values: list) -> tuple:
 def psi_k(x: RingElement, k: int) -> RingElement:
     """Adams operation: the Newton polynomial p_k at the coefficient tuples
     of lambda^1(x)..lambda^k(x)."""
+    if type(k) is not int:
+        raise ValueError("k %r is not an integer" % (k,))
     if k < 1:
         raise ValueError("k must be positive")
     rows = lambda_total(x, k).rows()
@@ -481,6 +490,8 @@ def verify_special_pair(x: RingElement, y: RingElement, bound: int = 3) -> Repor
     for each (m, n) of ``_COMPOSE_PAIRS``: the one-pair case of the checker
     that ``gwgamma special`` runs on every basis pair.
     """
+    if type(bound) is not int:
+        raise ValueError("bound %r is not an integer" % (bound,))
     if x.model is not y.model:
         raise ValueError("elements from different models")
     return next(_special_reports((x, y), ((0, 1),), bound))

@@ -214,6 +214,8 @@ def omega(n: int, maxdeg: int) -> F2Poly:
     the defining quotient is solved exactly, with no separate inverse; the
     sign of the exponent only decides which product is the numerator.
     """
+    if type(n) is not int:
+        raise ValueError("n %r is not an integer" % (n,))
     if n < 1:
         raise ValueError("need n >= 1")
     if maxdeg < 2 ** (n - 1):
@@ -238,6 +240,8 @@ def omega(n: int, maxdeg: int) -> F2Poly:
 
 
 def _check_range(n: int) -> None:
+    if type(n) is not int:
+        raise ValueError("n %r is not an integer" % (n,))
     if not 1 <= n <= 4:
         raise ValueError("supported range is 1 <= n <= 4")
 

@@ -159,6 +159,8 @@ def twisted_hyperbolic_classes(model: RingModel, count: int) -> list[RingElement
 def gw_projective(
     base: str = "C", r: int = 1, trunc: int = DEFAULT_TRUNCATION
 ) -> RingModel:
+    if type(r) is not int:
+        raise ValueError("r %r is not an integer" % (r,))
     if not 1 <= r <= 12:
         raise ValueError("r must lie in 1..12")
     return _projective(base, r, trunc)
@@ -249,6 +251,8 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     are 1, odd, and then all even, so mod 2 the series is 1 + e t + e t^2
     for every f.
     """
+    if type(f) is not int:
+        raise ValueError("f %r is not an integer" % (f,))
     if not 2 <= f <= 8:
         raise ValueError("f must lie in 2..8")
     unit = (1, 0)
@@ -272,6 +276,8 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     hyperbolic shifts).  The only non-trivial products are
     a_j * c = a_j * d_N = d_j + c.
     """
+    if type(s) is not int:
+        raise ValueError("s %r is not an integer" % (s,))
     if not 0 <= s <= 12:
         raise ValueError("s must lie in 0..12")
     names = (

@@ -22,7 +22,9 @@ lambda^n(psi^k x), whose own Adams operations are p_k, p_2k, ..., p_nk, and
 Newton's identity j lambda^j = sum_{i=1..j} (-1)^(i-1) psi^i lambda^(j-i)
 turns Adams operations back into lambda-operations (Macdonald, *Symmetric
 Functions and Hall Polynomials*, section I.2).  Its divisions by j are
-exact over Z, and each is checked.  The results are memoized; the default
+exact over Z, and each is checked.  The results are memoized by argument
+value and type, so a degree whose type is not ``int`` (True, 2.0) reaches its
+refusal and never gets the polynomial cached for an equal int; the default
 bounds (n <= 4 for products, m*n <= 6 for composition) cap the sizes the
 ``special`` check asks for.
 """
@@ -154,9 +156,11 @@ class MultiPoly:
         return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def newton_psi(k: int) -> MultiPoly:
     """Power sum p_k written in e_1..e_k via Newton's recursion."""
+    if type(k) is not int:
+        raise ValueError("k %r is not an integer" % (k,))
     if k < 1:
         raise ValueError("k must be positive")
     polys = []
@@ -203,7 +207,7 @@ def _lambda_from_psi(psis: Sequence[MultiPoly]) -> MultiPoly:
     return lams[-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def product_universal(n: int) -> MultiPoly:
     """P_n in 2n variables e_1..e_n, f_1..f_n.
 
@@ -213,6 +217,8 @@ def product_universal(n: int) -> MultiPoly:
     >>> sorted(product_universal(2).terms.items())  # e1^2 f2 + e2 f1^2 - 2 e2 f2
     [((0, 1, 0, 1), -2), ((0, 1, 2, 0), 1), ((2, 0, 0, 1), 1)]
     """
+    if type(n) is not int:
+        raise ValueError("n %r is not an integer" % (n,))
     if n < 1:
         raise ValueError("n must be positive")
     if n > PRODUCT_DEGREE_BOUND:
@@ -224,13 +230,16 @@ def product_universal(n: int) -> MultiPoly:
     ])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def compose_universal(m: int, n: int) -> MultiPoly:
     """P_{m,n} in mn variables e_1..e_{mn}.
 
     Specializing e_i = lambda^i(x) yields lambda^m(lambda^n(x)) in any
     special lambda-ring.
     """
+    for name, v in (("m", m), ("n", n)):
+        if type(v) is not int:
+            raise ValueError("%s %r is not an integer" % (name, v))
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if m * n > COMPOSE_WEIGHT_BOUND:

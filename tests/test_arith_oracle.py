@@ -13,11 +13,11 @@ the duration of a ``with`` block; models constructed inside the block also
 carry the old product table, so the oracle never reads the sparse rows.
 
 With structure constants that treat the unit as neutral, the earlier
-``pow`` (binary exponentiation, which multiplied the unit series by the
-first power and squared once past the last bit) and the earlier
-``lambda_total`` (which started from the unit series) give the same series
-as the current ones on every drawn model that ``is_ring``; without such a
-unit they need not, so those comparisons draw a neutral unit.  On a drawn
+``pow`` (binary exponentiation, ``oracle_pow``, also the reference of
+``test_pow_oracle``) and the earlier ``lambda_total`` (which started from
+the unit series) give the same series as the current ones on every drawn
+model that ``is_ring``; without such a unit they need not, so those
+comparisons draw a neutral unit.  On a drawn
 model that is no ring no bracketing of S * ... * S is canonical, and
 ``pow`` must equal ``binomial_pow``, the sum of C(e, k) T^k, T = S - 1,
 with T^k the product T * T^(k-1) of the oracle's series.
@@ -124,19 +124,23 @@ def oracle_inverse(self):
     return series_of(out)
 
 
-def oracle_pow(self, e):
-    one = self.model.unit_element
-    if elements_of(self)[0] != one:
+def oracle_pow(s, e):
+    """The earlier pow: binary exponentiation of the series, or of its
+    ``oracle_inverse`` for a negative exponent, with the series products
+    that are in force (the oracle's own under ``oracle_arithmetic``)."""
+    one = s.model.unit_element
+    if elements_of(s)[0] != one:
         raise ValueError("series with non-unit constant term")
-    base = self if e >= 0 else self.inverse()
+    base = s if e >= 0 else oracle_inverse(s)
     e = abs(e)
-    out = series_of([one], self.order)
+    out = None
     while e:
         if e & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         e >>= 1
-    return out
+        if e:
+            base = base * base
+    return series_of([one], s.order) if out is None else out
 
 
 def binomial_pow(s, e):
@@ -166,24 +170,14 @@ def is_ring(m):
             and not any(True for _ in checks["multiplication associative on basis"]))
 
 
-def oracle_substitute_geometric(self):
+def oracle_substitute(self, sign):
+    """t -> t/(1 - sign t), summed one ring-element term at a time."""
     c = elements_of(self)
     out = [c[0]]
     for k in range(1, self.order + 1):
-        acc = c[1] * comb(k - 1, k - 1)
+        acc = c[1] * (sign ** (k - 1) * comb(k - 1, k - 1))
         for i in range(2, k + 1):
-            acc = acc + comb(k - 1, k - i) * c[i]
-        out.append(acc)
-    return series_of(out)
-
-
-def oracle_substitute_alternating(self):
-    c = elements_of(self)
-    out = [c[0]]
-    for k in range(1, self.order + 1):
-        acc = c[1] * ((-1) ** (k - 1) * comb(k - 1, k - 1))
-        for i in range(2, k + 1):
-            acc = acc + ((-1) ** (k - i) * comb(k - 1, k - i)) * c[i]
+            acc = acc + (sign ** (k - i) * comb(k - 1, k - i)) * c[i]
         out.append(acc)
     return series_of(out)
 
@@ -203,8 +197,8 @@ ORACLE = {
     (TruncSeries, "__mul__"): oracle_series_mul,
     (TruncSeries, "inverse"): oracle_inverse,
     (TruncSeries, "pow"): oracle_pow,
-    (TruncSeries, "substitute_geometric"): oracle_substitute_geometric,
-    (TruncSeries, "substitute_alternating"): oracle_substitute_alternating,
+    (TruncSeries, "substitute_geometric"): lambda self: oracle_substitute(self, 1),
+    (TruncSeries, "substitute_alternating"): lambda self: oracle_substitute(self, -1),
 }
 
 
@@ -226,11 +220,14 @@ ENTRY = st.integers(-7, 7)
 
 
 @st.composite
-def ring_models(draw, neutral_unit):
+def ring_models(draw, neutral_unit, non_ring=False):
     """Z (the unit's factor) plus up to three free or torsion factors, with
     symmetric structure constants drawn at random (absent pairs are zero)
-    and random basis lambda-series."""
-    orders = (0,) + tuple(draw(st.lists(st.sampled_from([0, 2, 3, 4]), max_size=3)))
+    and random basis lambda-series.  With ``non_ring`` there are at least
+    two factors and b1*b1 = 0, b1*b2 = b2: then (b1*b1)*b2 = 0 differs from
+    b1*(b1*b2) = b2, so every draw fails ``is_ring`` and none is rejected."""
+    factors = st.lists(st.sampled_from([0, 2, 3, 4]), min_size=2 * non_ring, max_size=3)
+    orders = (0,) + tuple(draw(factors))
     rank = len(orders)
     vec = st.lists(ENTRY, min_size=rank, max_size=rank).map(tuple)
     mul = {}
@@ -238,6 +235,8 @@ def ring_models(draw, neutral_unit):
         for j in range(i, rank):
             if i == 0 and neutral_unit:
                 mul[(0, j)] = tuple(int(t == j) for t in range(rank))
+            elif non_ring and (i, j) in ((1, 1), (1, 2)):
+                mul[(i, j)] = tuple(int(t == j == 2) for t in range(rank))
             elif draw(st.booleans()):
                 # either orientation of the pair names the same product
                 mul[(i, j) if draw(st.booleans()) else (j, i)] = draw(vec)

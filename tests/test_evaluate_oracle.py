@@ -1,16 +1,20 @@
 """Differential test of the polynomial fold.
 
-``oracle_evaluate`` below is the earliest fold: every monomial was the full
-left fold one * v * v * w * ..., with its prefixes memoized.
-``ring_evaluate`` is the fold with skips, on values with their own
-arithmetic: it starts a fold from its first value, passes over factors
-equal to the unit and drops a term once its prefix is zero.  It is the
-ring-element form of ``MultiPoly.evaluate``, which folds the same way on
-sparse entry lists with a supplied product.  For a bilinear product whose
-unit is neutral on both sides, associative or not, all must give equal
-values; the drawn models below have such a unit, a nilpotent basis element
-and torsion factors, and drawn structure constants that are in general not
-associative.  Int and ``MultiPoly`` values are checked too.
+``MultiPoly.evaluate`` folds a polynomial at sparse entry lists with a
+supplied product; ``lambdaring._evaluate`` makes that product one
+``RingModel.dot`` and reduces the sum once, as the ``special`` checker and
+``psi_k`` do.  It starts a fold from its first value, passes over factors
+equal to the unit and drops a term once its prefix is zero.  The one
+reference, ``oracle_evaluate`` below, is the earliest fold: every monomial
+was the full left fold one * v * v * w * ..., with its prefixes memoized,
+on values with their own arithmetic.  For a bilinear product whose unit is
+neutral on both sides, associative or not, both must give equal values.
+The drawn models below have such a unit: with a nilpotent basis element,
+torsion factors and drawn structure constants that are in general not
+associative, or drawn as no ring at all, where the bracketing of each
+monomial decides its value.  Int and ``MultiPoly`` values are folded by
+``MultiPoly.evaluate`` too, and ``psi_k`` must equal the reference fold of
+the Newton polynomial at lambda^1..lambda^k.
 """
 
 import pytest
@@ -18,8 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from gwgamma import cli
 from gwgamma.abelian import GroupPresentation, _entries
-from gwgamma.lambdaring import RingElement, RingModel, _evaluate
+from gwgamma.lambdaring import RingElement, RingModel, _evaluate, lambda_total, psi_k
+from gwgamma.models import BUILTINS
 from gwgamma.symfunc import MultiPoly, compose_universal, newton_psi, product_universal
+from test_arith_oracle import elements_of, is_ring, ring_models
 
 
 def oracle_evaluate(poly, values, one):
@@ -40,47 +46,21 @@ def oracle_evaluate(poly, values, one):
     return acc if acc is not None else one * 0
 
 
-def ring_evaluate(poly, values, one):
-    """The fold of ``MultiPoly.evaluate`` on values with their own
-    arithmetic (ring elements, ints, ``MultiPoly``); `one` is the unit."""
-    if len(values) != poly.nvars:
-        raise ValueError("wrong number of values")
-    zero = one * 0
-    is_one = [v == one for v in values]
-    is_zero = [v == zero for v in values]
-    # prefixes[key]: the fold of the values indexed by key, None if zero
-    prefixes = {}
-    acc = None
-    for exps, c in poly.terms.items():
-        term, key = one, ()
-        for i in [i for i, e in enumerate(exps) for _ in range(e)]:
-            key += (i,)
-            if key not in prefixes:
-                if is_zero[i]:
-                    value = None
-                elif len(key) == 1:
-                    value = values[i]
-                elif is_one[i]:
-                    value = term
-                else:
-                    value = term * values[i]
-                    if value == zero:
-                        value = None
-                prefixes[key] = value
-            term = prefixes[key]
-            if term is None:
-                break
-        else:
-            term = term * c
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else zero
-
-
 def int_evaluate(poly, values):
     """``MultiPoly.evaluate`` over Z, an int c as the entry list [(0, c)]."""
     total = poly.evaluate([[(0, v)] if v else [] for v in values], [(0, 1)],
                           lambda a, b: [(0, a[0][1] * b[0][1])])
     return total.get(0, 0)
+
+
+def multipoly_evaluate(poly, values, nvars):
+    """``MultiPoly.evaluate`` over polynomials in nvars variables, each value
+    as the entry list of its (exponents, coefficient) terms."""
+    def times(a, b):
+        return list((MultiPoly(nvars, dict(a)) * MultiPoly(nvars, dict(b))).terms.items())
+
+    unit = list(MultiPoly.constant(nvars, 1).terms.items())
+    return MultiPoly(nvars, poly.evaluate([list(v.terms.items()) for v in values], unit, times))
 
 
 POLYS = (
@@ -114,36 +94,66 @@ def neutral_unit_models(draw):
     return RingModel("drawn", group, e(0), mul, (1,) + (0,) * (rank - 1), lam, trunc=6)
 
 
-@st.composite
-def ring_values(draw, m, count):
-    """Zero, the unit, nilpotent multiples of b1, torsion elements, unit plus
-    a nilpotent, and small elements, in drawn order."""
+def value_kinds(m):
+    """One value: zero, the unit, a multiple of b1 (nilpotent in
+    ``neutral_unit_models``), a torsion element, the unit plus a multiple of
+    b1 or plus a small element, or a small element; b0 stands in for b1 at
+    rank one.  Built once per model: building a strategy costs more than
+    drawing from it."""
     rank = m.group.rank
-    torsion = [i for i, o in enumerate(m.group.orders) if o] or [1]
+    nil = min(1, rank - 1)
+    torsion = [i for i, o in enumerate(m.group.orders) if o] or [nil]
 
     def basis_multiple(i, c):
         return m.element([c * int(t == i) for t in range(rank)])
 
-    kinds = st.one_of(
+    small = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).map(m.element)
+    return st.one_of(
         st.just(m.zero_element),
         st.just(m.unit_element),
-        st.integers(-3, 3).map(lambda c: basis_multiple(1, c)),
+        st.integers(-3, 3).map(lambda c: basis_multiple(nil, c)),
         st.builds(basis_multiple, st.sampled_from(torsion), st.integers(1, 3)),
-        st.integers(-2, 2).map(lambda c: m.unit_element + basis_multiple(1, c)),
-        st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).map(m.element),
+        st.integers(-2, 2).map(lambda c: m.unit_element + basis_multiple(nil, c)),
+        small.map(lambda v: m.unit_element + v),
+        small,
     )
-    return draw(st.lists(kinds, min_size=count, max_size=count))
+
+
+def draw_values(data, kinds, count):
+    return data.draw(st.lists(kinds, min_size=count, max_size=count))
+
+
+def fold(poly, values):
+    """``_evaluate`` at the entries of ring elements, a coefficient tuple."""
+    return _evaluate(values[0].model, poly, [_entries(v.value.coeffs) for v in values])
+
+
+def reference(poly, values):
+    return oracle_evaluate(poly, values, values[0].model.unit_element).value.coeffs
 
 
 @SETTINGS
 @given(st.data(), POLY, neutral_unit_models())
 def test_ring_values_match_oracle(data, poly, m):
-    values = data.draw(ring_values(m, poly.nvars))
-    got = ring_evaluate(poly, values, m.unit_element)
-    assert isinstance(got, RingElement)
-    assert got == oracle_evaluate(poly, values, m.unit_element)
-    entries = [_entries(v.value.coeffs) for v in values]
-    assert _evaluate(m, poly, entries) == got.value.coeffs
+    values = draw_values(data, value_kinds(m), poly.nvars)
+    assert fold(poly, values) == reference(poly, values)
+
+
+PRODUCTS = [product_universal(n) for n in range(1, 5)]
+COMPOSITIONS = [compose_universal(m, n)
+                for m in range(1, 7) for n in range(1, 7) if m * n <= 6]
+
+
+@SETTINGS
+@given(st.data(), ring_models(neutral_unit=True, non_ring=True))
+def test_fold_matches_evaluate_off_the_ring_verdict(data, m):
+    assert not is_ring(m)
+    # the values of every polynomial in one draw, each its own slice
+    polys = PRODUCTS + COMPOSITIONS
+    values = draw_values(data, value_kinds(m), sum(p.nvars for p in polys))
+    for poly in polys:
+        mine, values = values[:poly.nvars], values[poly.nvars:]
+        assert fold(poly, mine) == reference(poly, mine)
 
 
 @SETTINGS
@@ -152,7 +162,6 @@ def test_int_values_match_oracle(data, poly):
     values = data.draw(st.lists(
         st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9)),
         min_size=poly.nvars, max_size=poly.nvars))
-    assert ring_evaluate(poly, values, 1) == oracle_evaluate(poly, values, 1)
     assert int_evaluate(poly, values) == oracle_evaluate(poly, values, 1)
 
 
@@ -172,21 +181,19 @@ def small_polys(nvars):
 def test_multipoly_values_match_oracle(data, poly, nvars):
     values = data.draw(st.lists(small_polys(nvars), min_size=poly.nvars, max_size=poly.nvars))
     one = MultiPoly.constant(nvars, 1)
-    got = ring_evaluate(poly, values, one)
-    assert isinstance(got, MultiPoly)
-    assert got == oracle_evaluate(poly, values, one)
+    assert multipoly_evaluate(poly, values, nvars) == oracle_evaluate(poly, values, one)
 
 
 def test_empty_and_constant_polynomials():
-    for one, zero in ((1, 0), (MultiPoly.constant(2, 1), MultiPoly(2))):
-        assert ring_evaluate(MultiPoly(1), [one], one) == zero
-        assert ring_evaluate(MultiPoly.constant(1, 5), [zero], one) == one * 5
-    with pytest.raises(ValueError):
-        ring_evaluate(MultiPoly(2), [1], 1)
     assert int_evaluate(MultiPoly(1), [1]) == 0
     assert int_evaluate(MultiPoly.constant(1, 5), [0]) == 5
+    assert multipoly_evaluate(MultiPoly(1), [MultiPoly.constant(2, 1)], 2) == MultiPoly(2)
+    assert multipoly_evaluate(MultiPoly.constant(1, 5), [MultiPoly(2)], 2) == \
+        MultiPoly.constant(2, 5)
     with pytest.raises(ValueError):
         int_evaluate(MultiPoly(2), [1])
+    with pytest.raises(ValueError):
+        multipoly_evaluate(MultiPoly(2), [MultiPoly(2)], 2)
 
 
 def test_prefix_keys_built_once():
@@ -256,3 +263,32 @@ def test_special_work_bound(monkeypatch, capsys):
         assert cli.run(["special", "builtin:" + name, *flags, "--bound", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
     assert 0 < len(products) <= 3500
+
+
+def small_builtin(name, flags):
+    kwargs = {flag[2:]: value if flag == "--base" else int(value)
+              for flag, value in zip(flags[::2], flags[1::2])}
+    return BUILTINS[name](**kwargs)
+
+
+def psi_reference(x, k):
+    lam = elements_of(lambda_total(x, k))
+    return oracle_evaluate(newton_psi(k), list(lam[1:k + 1]), x.model.unit_element)
+
+
+@pytest.mark.parametrize("name,flags", SMALL_BUILTINS,
+                         ids=["-".join((n,) + f[1::2]) for n, f in SMALL_BUILTINS])
+def test_psi_matches_reference_on_builtins(name, flags):
+    m = small_builtin(name, flags)
+    for x in m.basis_elements():
+        for k in range(1, min(6, m.trunc) + 1):
+            assert psi_k(x, k) == psi_reference(x, k)
+
+
+@SETTINGS
+@given(st.data(), ring_models(neutral_unit=True))
+def test_psi_matches_reference_on_drawn_models(data, m):
+    # also on models that fail is_ring, where psi_k is not additive
+    for x in draw_values(data, value_kinds(m), 3) + list(m.basis_elements()):
+        for k in range(1, min(6, m.trunc) + 1):
+            assert psi_k(x, k) == psi_reference(x, k)

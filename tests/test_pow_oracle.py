@@ -1,9 +1,10 @@
 """Differential test of ``TruncSeries.pow``.
 
-The reference below is the earlier ``pow``: binary exponentiation of the
-series, or of its inverse for a negative exponent, the inverse solved by
-forward substitution (``oracle_inverse``).  It lives here only as an
-oracle.  On a ring model (neutral unit, associative basis products, products
+The reference is the earlier ``pow``, ``test_arith_oracle.oracle_pow``:
+binary exponentiation of the series, or of its inverse for a negative
+exponent, the inverse solved by forward substitution (``oracle_inverse``).
+It lives there only as an oracle, and is also compared there on drawn
+rings.  On a ring model (neutral unit, associative basis products, products
 killed by the torsion orders; ``is_ring``) the binomial table must give the
 same series for every exponent.  On a model that is no ring, ``pow`` is the
 same binomial sum, and must equal ``binomial_pow``, the sum built from
@@ -21,23 +22,11 @@ from test_arith_oracle import (
     elements_of,
     is_ring,
     oracle_inverse,
+    oracle_pow,
     ring_models,
     series_of,
 )
 from test_checker_oracle import oracle_products, oracle_validate
-
-
-def oracle_pow(s, e):
-    base = s if e >= 0 else oracle_inverse(s)
-    e = abs(e)
-    out = None
-    while e:
-        if e & 1:
-            out = base if out is None else out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return series_of([s.model.unit_element], s.order) if out is None else out
 
 
 def ring(name, orders, mul):

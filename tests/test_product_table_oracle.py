@@ -1,26 +1,37 @@
-"""Differential test of the filtration's products.
+"""Differential test of the filtration's products and pieces.
 
-The reference is the earlier inner loop: it multiplied every gamma-value by
-every column of every earlier span as ``RingElement`` products, one
-``g * m.element(c)`` per pair, and fed each span's products to
-``subgroup_from_generators`` unchanged.  It lives here only as an oracle.
-``_times`` and ``_gamma_values`` work on coefficient tuples; the tests wrap
-and unwrap them at the call, and every comparison is on the oracle's terms.
+The reference is the earlier construction.  It built the span S_w of the
+products of weight exactly w for every w up to the weight cap,
+min(certified cap, truncation): each S_w one HNF of the gamma-values of
+weight w and the products g * S_(w-i) of the lighter values g of weight i,
+every product one ``RingElement`` product ``g * m.element(c)``, fed to
+``subgroup_from_generators`` unchanged.  The pieces were the sums
+F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.  It lives here only
+as an oracle and shares no product with the code it checks, whose pieces
+come from one recursion over ``_times``; it reads the gamma-values off
+``_gamma_values``.  Pieces, weight cap, ``exact`` and ``warnings`` must
+match, on results that are not exact too, and each F^kmax must be closed
+under the gamma-values.  ``_times`` itself is checked against ring-element
+products on drawn spans, with its product lists shared by equal spans.
 
-Models are drawn as in ``test_arith_oracle``: Z plus up to three free or
-torsion factors with random structure constants; the filtration is compared
-on the draws of ``augmented_ring_models`` that it accepts, and checked there
-to be closed under the gamma-values.  Spans are HNFs built with
-``subgroup_from_generators``, so over a torsion factor of order o their
-columns carry the unreduced relation vector o * e_i.
+The inputs: every CLI builtin at trunc 2, 4 and 8 with kmax 1..trunc, the
+group rings Z[C4], Z[C2^2], Z[C2^3] and Z[C2 x C4] at kmax 1..8, and models
+drawn as in ``test_arith_oracle``, Z plus up to three free or torsion
+factors with random structure constants, on the draws of
+``augmented_ring_models`` that the filtration accepts.  Spans are HNFs
+built with ``subgroup_from_generators``, so over a torsion factor of order
+o their columns carry the unreduced relation vector o * e_i.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gwgamma.abelian import full_subgroup, kernel_basis, subgroup_from_generators
 from gwgamma.filtration import _gamma_values, _times, gamma_filtration
 from gwgamma.lambdaring import _checks
+from gwgamma.models import BUILTINS
 from test_arith_oracle import augmented_ring_models, ring_models
+from test_filtration_oracle import CLI_BUILTINS, group_ring
 
 TABLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -78,23 +89,37 @@ def test_table_products_match_multiply(case):
     assert len(products) == len({sub.columns for sub in spans})
 
 
-def oracle_pieces(m, values, kmax, cap):
+def oracle_spans(m, values):
+    """S_1, S_2, ...: S_w spanned by the values of weight w and the products
+    g * c of the lighter values g of weight i with the columns c of
+    S_(w-i), one ring-element product each, fed to
+    ``subgroup_from_generators`` unchanged.  A list that ``spans_to(w)``
+    extends through S_w on demand: S_w depends on no kmax or cap."""
     spans = []
-    for w in range(1, cap + 1):
-        vecs = [g.value for i, g in values if i == w]
-        vecs += [
-            (g * m.element(c)).value
-            for i, g in values if i < w
-            for c in spans[w - i - 1].columns
-        ]
-        spans.append(subgroup_from_generators(m.group, vecs))
 
+    def spans_to(cap):
+        for w in range(len(spans) + 1, cap + 1):
+            vecs = [g.value for i, g in values if i == w]
+            vecs += [
+                (g * m.element(c)).value
+                for i, g in values if i < w
+                for c in spans[w - i - 1].columns
+            ]
+            spans.append(subgroup_from_generators(m.group, vecs))
+        return spans
+
+    return spans_to
+
+
+def oracle_pieces(m, spans, kmax, cap):
+    """F^0..F^kmax from the spans of weight at most cap: F^kmax the sum of
+    S_kmax..S_cap and F^k = F^(k+1) + S_k, each one HNF."""
     def total(subs):
         return subgroup_from_generators(
             m.group, [m.group.element(c) for s in subs for c in s.columns]
         )
 
-    pieces = [total(spans[kmax - 1:])]
+    pieces = [total(spans[kmax - 1:cap])]
     for k in range(kmax - 1, 0, -1):
         pieces.append(total([pieces[-1], spans[k - 1]]))
     return (full_subgroup(m.group), *reversed(pieces))
@@ -108,19 +133,70 @@ def oracle_closed(m, piece, values):
     )
 
 
+def oracle_values(m):
+    """The gamma-values by weight, as (weight, ring element) pairs."""
+    gens = [m.group.reduce(v) for v in kernel_basis(m.aug)]
+    return [(i, m.element(g)) for i, gs in _gamma_values(m, gens, m.trunc).items() for g in gs]
+
+
+def assert_matches_oracle(m, kmaxes):
+    """Each ``gamma_filtration(m, kmax)`` has the oracle's pieces, weight cap,
+    exact flag and warning: exact is the one truncation clause, the certified
+    cap kmax + i_max - 1 within the truncation.  Closure under the
+    gamma-values is no clause of the verdict: it holds, on truncated
+    results too."""
+    values = oracle_values(m)
+    spans_to = oracle_spans(m, values)
+    imax = max((i for i, _ in values), default=0)
+    for kmax in kmaxes:
+        certified = kmax + max(imax - 1, 0)
+        cap = min(certified, m.trunc)
+        warnings = ()
+        if certified > m.trunc:
+            warnings = ("certified cap %d exceeds truncation %d, pieces use products "
+                        "up to weight %d" % (certified, m.trunc, m.trunc),)
+        pieces = oracle_pieces(m, spans_to(cap), kmax, cap)
+        f = gamma_filtration(m, kmax)
+        assert (f.pieces, f.weight_cap, f.exact, f.warnings) == (
+            pieces, cap, not warnings, warnings), (m.name, kmax)
+        assert oracle_closed(m, f.pieces[kmax], values), (m.name, kmax)
+
+
 @TABLE_SETTINGS
 @given(augmented_ring_models(), st.integers(1, 5))
 def test_filtration_matches_per_product_oracle(m, kmax):
     # the filtration refuses a model whose lambda-series do not respect a
     # torsion order, which augmented_ring_models may draw
     assume(next(dict(_checks(m))["lambda-series respect torsion orders"], None) is None)
-    # the oracle multiplies ring elements; the gamma-values are tuples
-    gens = [m.group.reduce(v) for v in kernel_basis(m.aug)]
-    values = [(i, m.element(g)) for i, gs in _gamma_values(m, gens, m.trunc).items() for g in gs]
-    f = gamma_filtration(m, kmax=kmax)
-    assert f.pieces == oracle_pieces(m, values, kmax, f.weight_cap)
-    # exact is the one truncation clause; closure holds by construction,
-    # on truncated results too
-    imax = max((i for i, _ in values), default=0)
-    assert f.exact == (kmax + max(imax - 1, 0) <= m.trunc)
-    assert oracle_closed(m, f.pieces[kmax], values)
+    assert_matches_oracle(m, [kmax])
+
+
+# every CLI builtin at each truncation with kmax 1..trunc, and the group
+# rings at kmax 1..8: the certified cap lies beyond the truncation on 252 of
+# these 718 results, most of them projective spaces
+TRUNCS = (2, 4, 8)
+GROUP_RINGS = ((4,), (2, 2), (2, 2, 2), (2, 4))
+GROUP_RING_KMAX = 8
+
+
+def test_builtin_and_group_ring_ranges():
+    results = [gamma_filtration(BUILTINS[name](**kwargs, trunc=trunc), kmax)
+               for name, kwargs in CLI_BUILTINS for trunc in TRUNCS
+               for kmax in range(1, trunc + 1)]
+    results += [gamma_filtration(group_ring(orders), kmax)
+                for orders in GROUP_RINGS for kmax in range(1, GROUP_RING_KMAX + 1)]
+    assert (len(results), sum(not f.exact for f in results)) == (718, 252)
+
+
+@pytest.mark.parametrize("trunc", TRUNCS)
+@pytest.mark.parametrize(
+    "name,kwargs", CLI_BUILTINS,
+    ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
+)
+def test_builtin_matches_per_weight_spans(name, kwargs, trunc):
+    assert_matches_oracle(BUILTINS[name](**kwargs, trunc=trunc), range(1, trunc + 1))
+
+
+@pytest.mark.parametrize("orders", GROUP_RINGS)
+def test_group_ring_matches_per_weight_spans(orders):
+    assert_matches_oracle(group_ring(orders), range(1, GROUP_RING_KMAX + 1))

@@ -1,7 +1,9 @@
 """Each public refusal raises ValueError with its own message.
 
 The calls below are refused before any work: mixed presentations or
-models, malformed constructor data and out-of-range degrees.  The other
+models, malformed constructor data, out-of-range degrees, and degrees and
+counts whose type is not ``int``, ``True`` and ``2.0`` included, which
+would otherwise act as 1 and 2 or fail inside a slice.  The other
 tests reach few of them, so each is called here once, and a refusal that
 went missing, or raised something else, fails by name.
 """
@@ -16,9 +18,22 @@ from gwgamma.abelian import (
     subgroup_from_generators,
 )
 from gwgamma.filtration import gamma_filtration
-from gwgamma.lambdaring import RingModel, psi_k, verify_special_pair
-from gwgamma.milnor import F2Poly
-from gwgamma.models import gw_point, gw_punctured_line
+from gwgamma.lambdaring import (
+    RingModel,
+    gamma_k,
+    lambda_k,
+    lambda_total,
+    psi_k,
+    verify_special_pair,
+)
+from gwgamma.milnor import F2Poly, check_identities, omega
+from gwgamma.models import (
+    gw_point,
+    gw_projective,
+    gw_punctured_a5,
+    gw_punctured_line,
+    gw_surface_cxp1,
+)
 from gwgamma.symfunc import MultiPoly, compose_universal, newton_psi, product_universal
 
 Z = GroupPresentation((0,), ("a",))
@@ -33,6 +48,10 @@ def ring(group=Z, unit=(1,), mul=None, aug=(1,), lam=((1,),)):
 
 def point_elements():
     return gw_point("C").unit_element, gw_point("R").unit_element
+
+
+def unit_c():
+    return gw_point("C").unit_element
 
 
 CASES = {
@@ -90,6 +109,28 @@ CASES = {
         lambda: gamma_filtration(gw_point("C"), True), "kmax True is not an integer"),
     "gamma-kmax-float": (
         lambda: gamma_filtration(gw_point("C"), 2.0), "kmax 2.0 is not an integer"),
+    "adams-degree-bool": (lambda: psi_k(unit_c(), True), "k True is not an integer"),
+    "adams-degree-float": (lambda: psi_k(unit_c(), 2.0), "k 2.0 is not an integer"),
+    "lambda-degree-bool": (lambda: lambda_k(unit_c(), True), "k True is not an integer"),
+    "lambda-degree-float-zero": (lambda: lambda_k(unit_c(), 0.0), "k 0.0 is not an integer"),
+    "gamma-degree-bool": (lambda: gamma_k(unit_c(), True), "k True is not an integer"),
+    "lambda-order-float": (lambda: lambda_total(unit_c(), 2.0), "order 2.0 is not an integer"),
+    "special-bound-float": (
+        lambda: verify_special_pair(unit_c(), unit_c(), 2.0), "bound 2.0 is not an integer"),
+    "newton-degree-bool": (lambda: newton_psi(True), "k True is not an integer"),
+    "newton-degree-float": (lambda: newton_psi(2.0), "k 2.0 is not an integer"),
+    "product-degree-bool": (lambda: product_universal(True), "n True is not an integer"),
+    "product-degree-float": (lambda: product_universal(2.0), "n 2.0 is not an integer"),
+    # equal to a cached key: the refusal comes before the cache's answer
+    "compose-degree-float-after-int": (
+        lambda: (compose_universal(2, 1), compose_universal(2.0, 1)), "m 2.0 is not an integer"),
+    "compose-count-bool": (lambda: compose_universal(1, True), "n True is not an integer"),
+    "milnor-count-bool": (lambda: check_identities(True), "n True is not an integer"),
+    "omega-count-float": (lambda: omega(2.0, 4), "n 2.0 is not an integer"),
+    "projective-dimension-bool": (lambda: gw_projective("C", True), "r True is not an integer"),
+    "projective-dimension-float": (lambda: gw_projective("C", 2.0), "r 2.0 is not an integer"),
+    "surface-classes-bool": (lambda: gw_surface_cxp1(True), "s True is not an integer"),
+    "punctured-a5-float": (lambda: gw_punctured_a5(3.0), "f 3.0 is not an integer"),
     "complex-punctured-line": (
         lambda: gw_punctured_line(base="C"), "only the real punctured line is shipped"),
 }

@@ -26,7 +26,7 @@ from gwgamma.models import BUILTINS
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import MultiPoly, compose_universal, product_universal
 from test_arith_oracle import elements_of, ring_models
-from test_evaluate_oracle import ring_evaluate
+from test_evaluate_oracle import oracle_evaluate
 from test_filtration_oracle import CLI_BUILTINS
 
 COMPOSE_PAIRS = ((2, 2), (2, 3), (3, 2))
@@ -44,14 +44,14 @@ def oracle_special_pair(x, y, bound=3, compose_pairs=COMPOSE_PAIRS):
     for n in range(1, bound + 1):
         lhs = lam_xy[n]
         values = list(lam_x[1:n + 1] + lam_y[1:n + 1])
-        rhs = ring_evaluate(product_universal(n), values, one)
+        rhs = oracle_evaluate(product_universal(n), values, one)
         checks.append(CheckResult(
             "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
             lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
     for mm, nn in compose_pairs:
         lhs = lambda_k(lam_x[nn], mm)
         values = list(lam_x[1:mm * nn + 1])
-        rhs = ring_evaluate(compose_universal(mm, nn), values, one)
+        rhs = oracle_evaluate(compose_universal(mm, nn), values, one)
         checks.append(CheckResult(
             "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
             lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))

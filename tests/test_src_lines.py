@@ -1,5 +1,5 @@
-"""``tools/src_lines.py``: its code-line rule on one source, and its table on
-a stand-in checkout."""
+"""``tools/src_lines.py``: its code-line rule on one source, and its table
+and tests row on a stand-in checkout."""
 
 import importlib.util
 import os
@@ -34,8 +34,9 @@ if os:
 '''
 
 
-def load():
-    spec = importlib.util.spec_from_file_location("src_lines", SRC_LINES)
+def load(name="src_lines"):
+    """The module tools/<name>.py, loaded without writing a cache file."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", name + ".py"))
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache file under tools/
@@ -56,8 +57,13 @@ def test_table_rows_and_totals(tmp_path):
     (package / "b.py").write_text(SOURCE)
     (package / "a.py").write_text("x = 1\n\n# done\n")
     (package / "notes.txt").write_text("not a module\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text(SOURCE + "assert True\n")
+    (tests / "data").mkdir()
+    (tests / "data" / "nested.py").write_text("x = 1\n")
     out = subprocess.run([sys.executable, "-B", SRC_LINES, str(tmp_path)],
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert [line.split() for line in out] == [
         ["module", "lines", "code"], ["a.py", "3", "1"], ["b.py", "19", "8"],
-        ["total", "22", "9"]]
+        ["total", "22", "9"], ["tests", "20", "9"]]

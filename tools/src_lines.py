@@ -6,7 +6,8 @@ ROOT is a gwgamma checkout, by default the one holding this file.  A code
 line is a line that is not blank, not a comment alone and not inside the
 docstring of a module, class or function; a line that holds part of any
 other string is code.  The tool prints one row per module, in name order,
-and the totals.  Stdlib only.
+the totals, and a row ``tests`` with the totals of the modules directly
+under ``tests/``, by the same rule.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -45,21 +46,31 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
+def modules(directory: str) -> list[tuple[str, int, int]]:
+    """(name, total lines, code lines) of each module directly in the
+    directory, in name order; none when there is no such directory."""
+    names = os.listdir(directory) if os.path.isdir(directory) else []
+    out = []
+    for name in sorted(n for n in names if n.endswith(".py")):
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            out.append((name, *count(fh.read())))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("root", nargs="?", default=ROOT)
-    package = os.path.join(os.path.abspath(ap.parse_args(argv).root), "src", "gwgamma")
+    root = os.path.abspath(ap.parse_args(argv).root)
+    package = os.path.join(root, "src", "gwgamma")
     if not os.path.isdir(package):
         raise SystemExit("error: %s not found" % package)
-    totals = [0, 0]
     print("%-16s %7s %7s" % ("module", "lines", "code"))
-    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
-        with open(os.path.join(package, name), encoding="utf-8") as fh:
-            lines, code = count(fh.read())
-        totals[0] += lines
-        totals[1] += code
-        print("%-16s %7d %7d" % (name, lines, code))
-    print("%-16s %7s %7s" % ("total", "{:,}".format(totals[0]), "{:,}".format(totals[1])))
+    rows = modules(package)
+    for row in rows:
+        print("%-16s %7d %7d" % row)
+    for label, table in (("total", rows), ("tests", modules(os.path.join(root, "tests")))):
+        lines, code = sum(r[1] for r in table), sum(r[2] for r in table)
+        print("%-16s %7s %7s" % (label, "{:,}".format(lines), "{:,}".format(code)))
     return 0
 
 
