@@ -11,10 +11,10 @@ on values with their own arithmetic.  For a bilinear product whose unit is
 neutral on both sides, associative or not, both must give equal values.
 The drawn models below have such a unit: with a nilpotent basis element,
 torsion factors and drawn structure constants that are in general not
-associative, or drawn as no ring at all, where the bracketing of each
-monomial decides its value.  Int and ``MultiPoly`` values are folded by
-``MultiPoly.evaluate`` too, and ``psi_k`` must equal the reference fold of
-the Newton polynomial at lambda^1..lambda^k.
+associative.  Int and ``MultiPoly`` values are folded by
+``MultiPoly.evaluate`` too.  ``test_fold_oracle`` compares the same fold
+with this reference on models drawn as no ring at all, and ``psi_k`` with
+it at the Newton polynomial.
 """
 
 import pytest
@@ -22,10 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from gwgamma import cli
 from gwgamma.abelian import GroupPresentation, _entries
-from gwgamma.lambdaring import RingElement, RingModel, _evaluate, lambda_total, psi_k
-from gwgamma.models import BUILTINS
+from gwgamma.lambdaring import RingElement, RingModel, _evaluate
 from gwgamma.symfunc import MultiPoly, compose_universal, newton_psi, product_universal
-from test_arith_oracle import elements_of, is_ring, ring_models
 
 
 def oracle_evaluate(poly, values, one):
@@ -139,23 +137,6 @@ def test_ring_values_match_oracle(data, poly, m):
     assert fold(poly, values) == reference(poly, values)
 
 
-PRODUCTS = [product_universal(n) for n in range(1, 5)]
-COMPOSITIONS = [compose_universal(m, n)
-                for m in range(1, 7) for n in range(1, 7) if m * n <= 6]
-
-
-@SETTINGS
-@given(st.data(), ring_models(neutral_unit=True, non_ring=True))
-def test_fold_matches_evaluate_off_the_ring_verdict(data, m):
-    assert not is_ring(m)
-    # the values of every polynomial in one draw, each its own slice
-    polys = PRODUCTS + COMPOSITIONS
-    values = draw_values(data, value_kinds(m), sum(p.nvars for p in polys))
-    for poly in polys:
-        mine, values = values[:poly.nvars], values[poly.nvars:]
-        assert fold(poly, mine) == reference(poly, mine)
-
-
 @SETTINGS
 @given(st.data(), POLY)
 def test_int_values_match_oracle(data, poly):
@@ -263,32 +244,3 @@ def test_special_work_bound(monkeypatch, capsys):
         assert cli.run(["special", "builtin:" + name, *flags, "--bound", "3"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
     assert 0 < len(products) <= 3500
-
-
-def small_builtin(name, flags):
-    kwargs = {flag[2:]: value if flag == "--base" else int(value)
-              for flag, value in zip(flags[::2], flags[1::2])}
-    return BUILTINS[name](**kwargs)
-
-
-def psi_reference(x, k):
-    lam = elements_of(lambda_total(x, k))
-    return oracle_evaluate(newton_psi(k), list(lam[1:k + 1]), x.model.unit_element)
-
-
-@pytest.mark.parametrize("name,flags", SMALL_BUILTINS,
-                         ids=["-".join((n,) + f[1::2]) for n, f in SMALL_BUILTINS])
-def test_psi_matches_reference_on_builtins(name, flags):
-    m = small_builtin(name, flags)
-    for x in m.basis_elements():
-        for k in range(1, min(6, m.trunc) + 1):
-            assert psi_k(x, k) == psi_reference(x, k)
-
-
-@SETTINGS
-@given(st.data(), ring_models(neutral_unit=True))
-def test_psi_matches_reference_on_drawn_models(data, m):
-    # also on models that fail is_ring, where psi_k is not additive
-    for x in draw_values(data, value_kinds(m), 3) + list(m.basis_elements()):
-        for k in range(1, min(6, m.trunc) + 1):
-            assert psi_k(x, k) == psi_reference(x, k)

@@ -14,24 +14,21 @@ match, on results that are not exact too, and each F^kmax must be closed
 under the gamma-values.  ``_times`` itself is checked against ring-element
 products on drawn spans, with its product lists shared by equal spans.
 
-The inputs: every CLI builtin at trunc 2, 4 and 8 with kmax 1..trunc, the
-group rings Z[C4], Z[C2^2], Z[C2^3] and Z[C2 x C4] at kmax 1..8, and models
-drawn as in ``test_arith_oracle``, Z plus up to three free or torsion
-factors with random structure constants, on the draws of
-``augmented_ring_models`` that the filtration accepts.  Spans are HNFs
+The inputs here are models drawn as in ``test_arith_oracle``, Z plus up
+to three free or torsion factors with random structure constants, on the
+draws of ``augmented_ring_models`` that the filtration accepts;
+``test_per_weight_oracle`` runs the same oracle on every CLI builtin and
+on four group rings.  Spans are HNFs
 built with ``subgroup_from_generators``, so over a torsion factor of order
 o their columns carry the unreduced relation vector o * e_i.
 """
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gwgamma.abelian import full_subgroup, kernel_basis, subgroup_from_generators
 from gwgamma.filtration import _gamma_values, _times, gamma_filtration
 from gwgamma.lambdaring import _checks
-from gwgamma.models import BUILTINS
 from test_arith_oracle import augmented_ring_models, ring_models
-from test_filtration_oracle import CLI_BUILTINS, group_ring
 
 TABLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -169,34 +166,3 @@ def test_filtration_matches_per_product_oracle(m, kmax):
     # torsion order, which augmented_ring_models may draw
     assume(next(dict(_checks(m))["lambda-series respect torsion orders"], None) is None)
     assert_matches_oracle(m, [kmax])
-
-
-# every CLI builtin at each truncation with kmax 1..trunc, and the group
-# rings at kmax 1..8: the certified cap lies beyond the truncation on 252 of
-# these 718 results, most of them projective spaces
-TRUNCS = (2, 4, 8)
-GROUP_RINGS = ((4,), (2, 2), (2, 2, 2), (2, 4))
-GROUP_RING_KMAX = 8
-
-
-def test_builtin_and_group_ring_ranges():
-    results = [gamma_filtration(BUILTINS[name](**kwargs, trunc=trunc), kmax)
-               for name, kwargs in CLI_BUILTINS for trunc in TRUNCS
-               for kmax in range(1, trunc + 1)]
-    results += [gamma_filtration(group_ring(orders), kmax)
-                for orders in GROUP_RINGS for kmax in range(1, GROUP_RING_KMAX + 1)]
-    assert (len(results), sum(not f.exact for f in results)) == (718, 252)
-
-
-@pytest.mark.parametrize("trunc", TRUNCS)
-@pytest.mark.parametrize(
-    "name,kwargs", CLI_BUILTINS,
-    ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
-)
-def test_builtin_matches_per_weight_spans(name, kwargs, trunc):
-    assert_matches_oracle(BUILTINS[name](**kwargs, trunc=trunc), range(1, trunc + 1))
-
-
-@pytest.mark.parametrize("orders", GROUP_RINGS)
-def test_group_ring_matches_per_weight_spans(orders):
-    assert_matches_oracle(group_ring(orders), range(1, GROUP_RING_KMAX + 1))

@@ -69,22 +69,25 @@ CATALOGUE = (
     # the gamma filtration: piece recursion, products, levels, refusals
     Mutant("piece-lower-index", FILTRATION,
            "_times(m, spans, gs, pieces[k - i])", "_times(m, spans, gs, pieces[k - 1])",
-           _tests("product_table_oracle", "filtration_oracle", "filtration")),
+           _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle",
+                  "filtration")),
     Mutant("piece-values-from-k-minus-1", FILTRATION,
            "vecs += gs if i >= k else", "vecs += gs if i >= k - 1 else",
-           _tests("product_table_oracle", "filtration_oracle", "filtration")),
+           _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle",
+                  "filtration")),
     Mutant("times-unreduced-spans", FILTRATION,
            "reduced = (m.group.reduce(c) for c in sub.columns)",
            "reduced = (c for c in sub.columns)",
-           _tests("product_table_oracle")),
+           _tests("product_table_oracle", "per_weight_oracle")),
     Mutant("times-first-product-only", FILTRATION,
            "products[g] = list(dict.fromkeys(p for p in found if any(p)))",
            "products[g] = list(dict.fromkeys(p for p in found if any(p)))[:1]",
-           _tests("product_table_oracle", "filtration_oracle")),
+           _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle")),
     Mutant("certified-cap-short", FILTRATION,
            "certified = kmax + max(max(memo.values, default=0) - 1, 0)",
            "certified = kmax + max(max(memo.values, default=0) - 2, 0)",
-           _tests("product_table_oracle", "filtration_oracle", "filtration")),
+           _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle",
+                  "filtration")),
     Mutant("zero-gamma-values-kept", FILTRATION, "if i and any(g):", "if i:",
            _tests("filtration_oracle", "filtration", "column_paths")),
     Mutant("result-every-stored-piece", FILTRATION,
@@ -208,24 +211,24 @@ CATALOGUE = (
            _tests("special_oracle", "lambdaring")),
     Mutant("special-compositions-per-pair", LAMBDARING,
            "if i not in compositions:", "if True:",
-           _tests("special_oracle", "evaluate_oracle")),
+           _tests("special_oracle", "evaluate_oracle", "fold_oracle")),
     Mutant("special-series-per-pair", LAMBDARING,
            "if s is None or len(s[0]) <= order:", "if True:",
            _tests("special_oracle")),
     Mutant("evaluate-sum-unreduced", LAMBDARING,
            "return m.group.reduce([total.get(k, 0) for k in range(m.group.rank)])",
            "return tuple([total.get(k, 0) for k in range(m.group.rank)])",
-           _tests("evaluate_oracle", "special_oracle")),
+           _tests("evaluate_oracle", "fold_oracle", "special_oracle")),
     # the polynomial fold and the universal polynomials
     Mutant("fold-prefix-without-history", SYMFUNC,
            "self._chains = [(c, [idx[:s] for s in range(1, len(idx) + 1)]) for c, idx in indices]",
            "self._chains = [(c, [idx[:s] if s < 3 else (s, idx[s - 1])"
            " for s in range(1, len(idx) + 1)]) for c, idx in indices]",
-           _tests("evaluate_oracle", "special_oracle")),
+           _tests("evaluate_oracle", "fold_oracle", "special_oracle")),
     Mutant("fold-unit-skip-keeps-value", SYMFUNC,
            "elif v == unit:\n                        prefixes[key] = term",
            "elif v == unit:\n                        prefixes[key] = v",
-           _tests("evaluate_oracle", "lambdaring")),
+           _tests("evaluate_oracle", "fold_oracle", "lambdaring")),
     Mutant("newton-floor-division", SYMFUNC,
            "if r:\n                raise ArithmeticError",
            "if False:\n                raise ArithmeticError",
@@ -244,11 +247,11 @@ CATALOGUE = (
            _tests("snf_oracle", "abelian")),
     Mutant("hnf-truncating-division", ABELIAN,
            "q = cols[c][r] // p  # floor => remainder in [0, p)", "q = int(cols[c][r] / p)",
-           _tests("product_table_oracle", "filtration_oracle")),
+           _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle")),
     Mutant("span-without-relations", ABELIAN,
            "given = {v: v for v in [*vectors, *pres._relations]}",
            "given = {v: v for v in vectors}",
-           _tests("abelian", "filtration", "product_table_oracle")),
+           _tests("abelian", "filtration", "product_table_oracle", "per_weight_oracle")),
     Mutant("project-unreduced", ABELIAN,
            "return target.reduce([sum(row[j] * c for j, c in entries) for row in projection])",
            "return tuple([sum(row[j] * c for j, c in entries) for row in projection])",
