@@ -239,6 +239,11 @@ class Subgroup:
     def ncols(self) -> int:
         return len(self.columns)
 
+    @property
+    def is_zero(self) -> bool:
+        """The trivial subgroup: its HNF columns are the relation vectors."""
+        return self.columns == self.pres._relations
+
 
 def _span(pres: GroupPresentation, vectors: list[tuple[int, ...]]) -> Subgroup:
     """The subgroup generated by integer vectors and the relation vectors.

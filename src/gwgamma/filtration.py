@@ -66,10 +66,12 @@ up to F^kmax or slices them, and only ``exact``, ``warnings`` and
 ``weight_cap`` are computed per call.  A model is immutable once built,
 and the memo assumes it.  A refused model keeps no verdict and raises on
 every call, though no check runs twice on it (``_first_cases``).  A level
-equal to the one below it is stored as that object, and each HNF column
-equal to a spanned vector as that vector's tuple (``abelian._span``):
-tuples are immutable and the HNF is canonical, so sharing them changes no
-value.
+equal to the one below it is stored as that object, and so is every level
+above a zero one (``Subgroup.is_zero``), which no piece is computed for:
+the pieces nest once F^1 is the augmentation kernel, and the Witt images
+of nested pieces nest.  Each HNF column equal to a spanned vector is
+stored as that vector's tuple (``abelian._span``): tuples are immutable
+and the HNF is canonical, so sharing them changes no value.
 
 The gamma-values are coefficient tuples read off the gamma-series, whose
 lambda-series all come from one ``lambdaring._lambda_totals``, so each basis
@@ -212,8 +214,10 @@ def _grown(levels: dict, key: str, n: int, piece) -> tuple:
         return pieces, graded
     pieces, graded = list(pieces), list(graded)
     for k in range(len(pieces), n):
-        below, new = pieces[-1], piece(k, pieces)
-        # a level equal to the one below is stored as that object
+        # the levels nest, so all above a zero one are zero; a level equal
+        # to the one below is stored as that object
+        below = pieces[-1]
+        new = below if below.is_zero else piece(k, pieces)
         new = below if new.columns == below.columns else new
         pieces.append(new)
         graded.append(relative_quotient_invariants(below, new))

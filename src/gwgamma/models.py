@@ -62,7 +62,10 @@ exponential each power follows from its twisted class and the lower powers:
 Every a_j lies in the ideal (a), and (a)^(top+1) = 0 for the top power
 a^top, so gamma_t(a^k) is a polynomial of degree at most 2 top.  It is
 computed at order 2 top, exactly, and handed over as it is; ``_model`` pads
-or cuts it to the truncation.
+or cuts it to the truncation.  The polynomials depend only on the block
+Z[a]/(a^(top+1)) and the order of a^top, not on the base (L acts as 1 on
+(a)) nor on r beyond them, so ``_block_gammas`` computes them once per
+block and process.
 """
 
 from __future__ import annotations
@@ -168,54 +171,86 @@ def gw_projective(
 
 def _projective(base: str, r: int, trunc: int) -> RingModel:
     """GW of projective r-space over the base; r = 0 gives the base itself."""
+    top = projective_top_power(r)
+    order = 2 if r % 4 == 1 else 0
+    group, unit, mul = _projective_ring(base, top, order)
+    rank = group.rank
+    nb = rank - top
+    # the class of <-1> is the last base basis element: 1 over C, L over R
+    h1 = tuple(u + d for u, d in zip(unit, _basis_vec(rank, nb - 1)))
+    # the block rows with a zero L coordinate after one over R
+    # (``_block_gammas``); a point (top = 0) has no class a
+    pad = (0,) * (nb - 1)
+    powers = [[row[:1] + pad + row[1:] for row in rows]
+              for rows in (_block_gammas(top, order) if top else ())]
+    name = "gw_projective(r=%d,base=%s)" % (r, base) if r else "gw_point(base=%s)" % base
+    return _model(
+        name, group, unit, mul, (1,) * nb + (0,) * top, lambda ring: [None] * nb + powers,
+        [h1] + [_basis_vec(rank, k) for k in range(nb, rank)], trunc,
+    )
+
+
+def _projective_ring(base: str, top: int, order: int) -> tuple:
+    """The group, unit and products of GW(base) plus one class per power
+    a..a^top, the top one of the given order: a^i a^j = a^(i+j), zero past
+    the top power, and phi a^k = rank(phi) a^k."""
     if base == "C":
-        base_names, base_aug = ["one"], [1]
+        base_names = ("one",)
     elif base == "R":
-        base_names, base_aug = ["one", "L"], [1, 1]
+        base_names = ("one", "L")
     else:
         raise ValueError("base must be 'C' or 'R'")
-    top = projective_top_power(r)
     nb = len(base_names)
-    names = base_names + ["a" if k == 1 else "a%d" % k for k in range(1, top + 1)]
+    names = base_names + tuple("a" if k == 1 else "a%d" % k for k in range(1, top + 1))
     rank = len(names)
-    orders = [0] * rank
-    if r % 4 == 1:
-        orders[-1] = 2
-    group = GroupPresentation(tuple(orders), tuple(names))
-
+    group = GroupPresentation((0,) * (rank - 1) + (order,), names)
     unit = _basis_vec(rank, 0)
     mul = {(0, i): _basis_vec(rank, i) for i in range(rank)}
     if base == "R":
         mul[(1, 1)] = unit
         for k in range(nb, rank):
             mul[(1, k)] = _basis_vec(rank, k)
-    # a^i * a^j = a^(i+j); products past the top power vanish
     for i in range(1, top + 1):
         for j in range(i, top + 1 - i):
             mul[(nb + i - 1, nb + j - 1)] = _basis_vec(rank, nb + i + j - 1)
-    # the class of <-1> is the last base basis element: 1 over C, L over R
-    h1 = tuple(u + d for u, d in zip(unit, _basis_vec(rank, nb - 1)))
+    return group, unit, mul
 
-    def gammas(ring):
+
+# the gamma-rows of each block built in this process, by the top power and
+# its order (``_block_gammas``)
+_BLOCKS: dict[tuple[int, int], tuple] = {}
+
+
+def _block_gammas(top: int, order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The rows of degrees 1..2 top of gamma_t(a^k) for k = 1..top, in the
+    coordinates (one, a, ..., a^top) of the block Z[a]/(a^(top+1)), a^top
+    of the given order, computed once per process.
+
+    The block is the ring of P^r over C, which depends on r only through
+    the top power and its order.  Over R the twisted classes, the powers and
+    their gamma-polynomials less the constant term lie in the ideal (a), on
+    which L acts as 1, so their coordinates are the block's with a zero at
+    L.  So one computation serves both bases and every such r.
+    """
+    key = top, order
+    if key not in _BLOCKS:
+        group, unit, mul = _projective_ring("C", top, order)
+        ring = RingModel("block(top=%d,order=%d)" % (top, order), group, unit, mul,
+                         _basis_vec(top + 1, 0), [[]] * (top + 1), None, 2 * top)
         # gamma_t(a^k) = gamma_t(a_k) prod_(j<k) gamma_t(a^j)^(-c_kj), with c_kj
         # the coordinates of a_k at the lower powers a^j (its coordinate at
         # a^k is 1); all have degree at most 2 top, so order 2 top holds them
-        # exactly.  A point (top = 0) has no class a.
+        # exactly
         powers = []
-        for a_k in twisted_hyperbolic_classes(ring, top)[1:] if top else []:
+        for a_k in twisted_hyperbolic_classes(ring, top)[1:]:
             c = a_k.value.coeffs
             g = TruncSeries(ring, [unit, c, (-a_k).value.coeffs], 2 * top)
             for j, g_j in enumerate(powers):
-                if c[nb + j]:
-                    g = g * g_j.pow(-c[nb + j])
+                if c[1 + j]:
+                    g = g * g_j.pow(-c[1 + j])
             powers.append(g)
-        return [None] * nb + [g.rows()[1:] for g in powers]
-
-    name = "gw_projective(r=%d,base=%s)" % (r, base) if r else "gw_point(base=%s)" % base
-    return _model(
-        name, group, unit, mul, tuple(base_aug + [0] * top), gammas,
-        [h1] + [_basis_vec(rank, k) for k in range(nb, rank)], trunc,
-    )
+        _BLOCKS[key] = tuple(tuple(g.rows()[1:]) for g in powers)
+    return _BLOCKS[key]
 
 
 @_interned

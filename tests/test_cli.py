@@ -455,6 +455,22 @@ def test_series_longer_than_truncation_rejected(tmp_path, capsys):
     assert "lambda[L]: 42 terms, more than trunc 16" in capsys.readouterr().err
 
 
+def test_series_row_that_reduces_to_zero_writes_the_file_without_it(tmp_path):
+    # eps has order two, so a last row (0, 2) is zero: a model given
+    # trunc + 1 rows ending in it is the model without that row, and so is
+    # its file; the reader itself refuses trunc + 1 rows (test above)
+    m = gw_punctured_a5(3)
+    rows = [g.coeffs for g in m.lambda_on_basis[1]]
+    rows += [(0, 0)] * (m.trunc - len(rows)) + [(0, 2)]
+    longer = RingModel(m.name, m.group, m.unit.coeffs, {(0, 0): (1, 0), (0, 1): (0, 1)},
+                       m.aug, [[(1, 0)], rows], [], m.trunc)
+    assert len(rows) == m.trunc + 1
+    path = tmp_path / "longer.json"
+    dump_model(longer, str(path))
+    assert path.read_bytes() == model_bytes(m)
+    assert model_to_dict(parse_model(str(path))) == model_to_dict(m)
+
+
 def test_every_command_validates_once(tmp_path, monkeypatch, capsys):
     assert "validate" not in inspect.signature(parse_model).parameters
     path = tmp_path / "point.json"

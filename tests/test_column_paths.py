@@ -266,6 +266,22 @@ def test_constructor_refuses_series_longer_than_truncation():
     assert len(m.lambda_on_basis[1]) == 4
 
 
+def test_constructor_strips_rows_that_reduce_to_zero_before_the_count():
+    # (0, 2) is zero in Z one + Z/2 x: trunc + 1 rows ending in it are the
+    # series of the first trunc rows
+    group = GroupPresentation((0, 2), ("one", "x"))
+    mul = {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 0)}
+
+    def build(series):
+        return RingModel("two_torsion", group, (1, 0), mul, (1, 0), [[(1, 0)], series],
+                         trunc=4)
+
+    short = build([(0, 1)] * 4)
+    long = build([(0, 1)] * 4 + [(0, 2)])
+    assert long.lambda_on_basis == short.lambda_on_basis
+    assert model_to_dict(long) == model_to_dict(short)
+
+
 @pytest.mark.parametrize("trunc", [0, -3])
 def test_constructor_refuses_truncation_below_one(trunc):
     with pytest.raises(ValueError, match="truncation order %d is below 1" % trunc):

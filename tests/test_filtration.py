@@ -455,15 +455,17 @@ def test_filtration_makes_no_membership_test(monkeypatch, orders):
     assert calls == []
 
 
-@pytest.mark.parametrize("build,kmax", [
-    (lambda: gw_surface_cxp1.__wrapped__(2), 5),
-    (lambda: gw_projective.__wrapped__("R", 4), 8),
-    (lambda: gw_projective.__wrapped__("C", 12), 8),
-], ids=["surface2", "P4R", "P12C"])
-def test_filtration_makes_one_hnf_per_piece(monkeypatch, build, kmax):
+@pytest.mark.parametrize("build,kmax,hnfs", [
+    (lambda: gw_surface_cxp1.__wrapped__(2), 5, 4),
+    (lambda: gw_projective.__wrapped__("R", 4), 8, 8),
+    (lambda: gw_projective.__wrapped__("C", 12), 8, 8),
+    (lambda: gw_projective.__wrapped__("C", 3), 8, 3),
+], ids=["surface2", "P4R", "P12C", "P3C"])
+def test_filtration_makes_one_hnf_per_piece(monkeypatch, build, kmax, hnfs):
     # F^k is one span of the gamma-values of weight >= k and the products
-    # with the lower pieces: kmax HNFs, with no per-weight span and no sum,
-    # on a result that is not exact (P^12, truncated) too
+    # with the lower pieces, with no per-weight span and no sum, on a result
+    # that is not exact (P^12, truncated) too: one HNF per piece up to the
+    # first zero piece, none above it, since the pieces nest
     from gwgamma import abelian
 
     m = build()
@@ -472,8 +474,9 @@ def test_filtration_makes_one_hnf_per_piece(monkeypatch, build, kmax):
     monkeypatch.setattr(
         abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
     )
-    gamma_filtration(m, kmax=kmax)
-    assert len(calls) == kmax
+    f = gamma_filtration(m, kmax=kmax)
+    first_zero = next((k for k, p in enumerate(f.pieces) if p.is_zero), kmax)
+    assert len(calls) == hnfs == first_zero
 
 
 def test_witt_quotient_makes_one_smith_form(monkeypatch):

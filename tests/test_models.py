@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from gwgamma import series
+from gwgamma import models, series
 from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import (
     DEFAULT_TRUNCATION,
@@ -437,7 +437,10 @@ def test_projective_build_work_bound(monkeypatch):
     # ring checks for pow), and no builtin of the CLI range does (37
     # inverses in all when the series were quotients); the powers a^k are
     # multiplied as gamma-polynomials at order 2 top = 12, not as
-    # lambda-series at order 20 (column products 110 then, 70 now)
+    # lambda-series at order 20 (column products 110 then, 70 now); the
+    # block of its powers is computed once per process, so the bounds hold
+    # for a build that starts with none computed
+    models._BLOCKS.clear()
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
     dot = RingModel.dot
@@ -491,6 +494,33 @@ def test_projective_build_work_bound(monkeypatch):
         dots[0] = 0
         assert validate_model(model).ok
         assert dots[0] <= before, model.name
+
+
+@pytest.mark.parametrize("first,second", [
+    (("C", 10), ("C", 11)),
+    (("R", 10), ("R", 11)),
+    (("R", 4), ("C", 4)),
+    (("C", 5), ("R", 5)),
+], ids=["P11C-after-P10C", "P11R-after-P10R", "C-after-R", "R-after-C"])
+def test_projective_block_built_once(monkeypatch, first, second):
+    # P^10 and P^11 share the block of a..a^5, and each base the block of
+    # its r: a second build reads the block's gamma-rows and does no series
+    # arithmetic of its own but the substitution t -> t/(1+t)
+    models._BLOCKS.clear()
+    gw_projective.__wrapped__(*first)
+    counts = {"products": 0, "columns": 0, "pows": 0}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted("products", TruncSeries.__mul__))
+    monkeypatch.setattr(TruncSeries, "pow", counted("pows", TruncSeries.pow))
+    monkeypatch.setattr(series, "_product", counted("columns", series._product))
+    gw_projective.__wrapped__(*second)
+    assert counts == {"products": 0, "columns": 0, "pows": 0}
 
 
 def test_inverse_work_bound(monkeypatch):

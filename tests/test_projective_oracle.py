@@ -11,15 +11,22 @@ lambda_t(a_j) is 1 + a_j t - a_j t^2 at the truncation, substituted
 t -> t/(1+t), for each twisted class, and lambda_t(a^k) the product of their
 powers at the full truncation.  It lives here only as an oracle.  The truncations on either side of 2 top are
 compared: at trunc < 2 top the gamma-polynomial is cut, above it padded.
+
+The gamma-polynomials of the powers are computed once per block of powers
+and process (``models._block_gammas``); a build that finds its block
+computed must give the model of a build that computes it.
 """
 
 import json
+import random
 
 import pytest
 
+from gwgamma import models
 from gwgamma.cli import model_to_dict
 from gwgamma.lambdaring import RingModel, gamma_total
 from gwgamma.models import (
+    gw_point,
     gw_projective,
     projective_top_power,
     twisted_hyperbolic_classes,
@@ -92,3 +99,26 @@ def test_power_gamma_series_degree_bound(base, r):
         degrees.append(max(d for d, row in enumerate(rows) if any(row)))
     assert max(degrees) <= 2 * top, degrees
     assert max(degrees) == 2 * top or r % 4 == 1, degrees
+
+
+BLOCK_CASES = [(base, r, trunc) for base in "CR" for r in range(13) for trunc in (1, 4, 16, 20, 64)]
+
+
+def built_text(base, r, trunc):
+    m = gw_projective.__wrapped__(base, r, trunc) if r else gw_point.__wrapped__(base, trunc)
+    return json.dumps(model_to_dict(m), sort_keys=True)
+
+
+def test_projective_blocks_shared_in_any_order():
+    # each block first computed by another base or r, or by this model: P^5
+    # (a^3 of order two) before P^6 and P^7 (a^3 free) in ascending order
+    cold = {}
+    for case in BLOCK_CASES:
+        models._BLOCKS.clear()
+        cold[case] = built_text(*case)
+    shuffled = list(BLOCK_CASES)
+    random.Random(50).shuffle(shuffled)
+    for order in (BLOCK_CASES, shuffled):
+        models._BLOCKS.clear()
+        for case in order:
+            assert built_text(*case) == cold[case], case

@@ -93,6 +93,10 @@ CATALOGUE = (
     Mutant("result-every-stored-piece", FILTRATION,
            "pieces=pieces[:kmax + 1],", "pieces=pieces,",
            _tests("filtration_memo", "filtration", "filtration_oracle")),
+    Mutant("zero-stop-at-equal-level", FILTRATION,
+           "new = below if below.is_zero else piece(k, pieces)",
+           "new = below if below in pieces[:-1] else piece(k, pieces)",
+           _tests("filtration_oracle", "filtration")),
     Mutant("equal-level-not-shared", FILTRATION,
            "new = below if new.columns == below.columns else new", "new = new",
            _tests("filtration_memo")),
@@ -190,6 +194,10 @@ CATALOGUE = (
            "memo[name] = next(checks()[name], None)",
            "memo[name] = ([None] + list(checks()[name]))[-1]",
            _tests("checker_oracle", "intern_oracle", "filtration_refusals")),
+    Mutant("lambda-rows-literal-zero-only", LAMBDARING,
+           "while rows and not any(group.reduce(rows[-1])):",
+           "while rows and not any(rows[-1]):",
+           _tests("column_paths", "cli")),
     Mutant("check-memo-bypassed", LAMBDARING, "if name not in memo:", "if True:",
            _tests("cli")),
     Mutant("check-memo-shared-across-models", LAMBDARING,
@@ -277,7 +285,11 @@ CATALOGUE = (
            "g = TruncSeries(ring, [unit, c, (-a_k).value.coeffs], 2 * top - 1)",
            _tests("projective_oracle", "models")),
     Mutant("projective-power-sign", MODELS,
-           "g = g * g_j.pow(-c[nb + j])", "g = g * g_j.pow(c[nb + j])",
+           "g = g * g_j.pow(-c[1 + j])", "g = g * g_j.pow(c[1 + j])",
+           _tests("projective_oracle", "models")),
+    Mutant("block-key-without-order", MODELS, "key = top, order", "key = top",
+           _tests("projective_oracle")),
+    Mutant("block-l-zero-last", MODELS, "row[:1] + pad + row[1:]", "row + pad",
            _tests("projective_oracle", "models")),
     Mutant("surface-shift-a-a", MODELS,
            "[x] if i <= s else [x, [-v for v in x]]", "[x] if i <= s else [x, x]",
