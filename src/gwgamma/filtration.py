@@ -32,15 +32,18 @@ would cost a filtration-sweep pass more than its 25 % bound.  A unit that
 is not neutral makes ``lambda_total`` raise (with no generator the group
 is Z, where the refused checks make the unit neutral).
 
-The products g * F^1 of the values g of weight i >= k are left out of the
-sum, since they lie in it already.  With lambda^1 the identity on the
-basis, the values of weight one are the generators e themselves, reduced;
-they span the rank kernel, which holds every gamma-value, since none has
-nonzero rank.  So F^1 is spanned by the values v of weight one and the
-relation vectors o_q e_q.  g times a relation vector vanishes, by the
-torsion refusal.  And g * v = v * g, as the stored products are symmetric,
-with g a generator of F^(k-1), its weight i >= k - 1; so g * v lies in
-v * F^(k-1), a term of the sum.  Associativity is not used.
+The products g * F^1 of the values g of weight i >= k, and for k >= 3 of
+weight i = k - 1 too, are left out of the sum, since they lie in it
+already.  With lambda^1 the identity on the basis, the values of weight one
+are the generators e themselves, reduced; they span the rank kernel, which
+holds every gamma-value, since none has nonzero rank.  So F^1 is spanned by
+the values v of weight one and the relation vectors o_q e_q.  g times a
+relation vector vanishes, by the torsion refusal.  And g * v = v * g, as
+the stored products are symmetric, with g a generator of F^(k-1), its
+weight i >= k - 1; so g * v lies in v * F^(k-1), the term of the values of
+weight one.  For k >= 3 that term is not g * F^1 itself, so g * F^1 is left
+out for i = k - 1 as for i >= k; at k = 2 it is the term of i = 1, which is
+kept.  Associativity is not used.
 
 The filtration is multiplicative, F^i * F^j in F^(i+j) (Fulton and Lang,
 Riemann-Roch Algebra, Ch. III), and F^kmax is closed under the gamma-values
@@ -53,25 +56,29 @@ of columns is that combination of g times the columns" needs
 o_k b_k b_j = 0 for each torsion basis element b_k of order o_k, hence the
 torsion refusal.
 
-The pieces are computed once per model and extended on demand.  What the
-filtration derives from the model alone is kept on it, in one memo
-(``RingModel._filtration``, see ``_Memo``): the verdict that the model
-passed the refusals, its gamma-values by weight (i_max is the largest), the
-Witt quotient, and the levels of each filtration built so far, the pieces
-F^0..F^k or their Witt images with the invariants of each quotient of
-adjacent levels.  One routine, ``_grown``, extends either filtration's
-levels from a function giving level k, and stores them unless a call
-extended them further meanwhile; a call at kmax extends the stored levels
-up to F^kmax or slices them, and only ``exact``, ``warnings`` and
-``weight_cap`` are computed per call.  A model is immutable once built,
-and the memo assumes it.  A refused model keeps no verdict and raises on
-every call, though no check runs twice on it (``_first_cases``).  A level
-equal to the one below it is stored as that object, and so is every level
-above a zero one (``Subgroup.is_zero``), which no piece is computed for:
-the pieces nest once F^1 is the augmentation kernel, and the Witt images
-of nested pieces nest.  Each HNF column equal to a spanned vector is
-stored as that vector's tuple (``abelian._span``): tuples are immutable
-and the HNF is canonical, so sharing them changes no value.
+The pieces are computed once per ring content and extended on demand.  What
+the filtration derives from a model's content alone is kept in one memo
+(``_Memo``), in the record of that content which every live model with it
+shares, whatever its name (``lambdaring._derived``): the verdict that the
+content passed the refusals, its gamma-values by weight (i_max is the
+largest), the Witt quotient, and the levels of each filtration built so
+far, the pieces F^0..F^k or their Witt images with the invariants of each
+quotient of adjacent levels.  The memo holds no name and no model, so a
+piece's presentation may be an equal one of another model with that
+content; a result's ``model`` and ``group`` are the caller's.  One routine,
+``_grown``, extends either filtration's levels from a function giving level
+k, and stores them unless a call extended them further meanwhile; a call at
+kmax extends the stored levels up to F^kmax or slices them, and only
+``exact``, ``warnings`` and ``weight_cap`` are computed per call.  A model
+is immutable once built, and the memo assumes it.  A refused content keeps
+no verdict and raises on every call on each of its models, though no check
+runs twice on it (``_first_cases``).  A level equal to the one below it is
+stored as that object, and so is every level above a zero one
+(``Subgroup.is_zero``), which no piece is computed for: the pieces nest
+once F^1 is the augmentation kernel, and the Witt images of nested pieces
+nest.  Each HNF column equal to a spanned vector is stored as that vector's
+tuple (``abelian._span``): tuples are immutable and the HNF is canonical,
+so sharing them changes no value.
 
 The gamma-values are coefficient tuples read off the gamma-series, whose
 lambda-series all come from one ``lambdaring._lambda_totals``, so each basis
@@ -93,13 +100,13 @@ exact.
 
 The Witt-level filtration is the image of the gamma filtration in the
 quotient by the declared hyperbolic classes, one HNF column at a time; the
-quotient takes one Smith form per model, and each image is spanned once per
-model and level, grown by ``_grown`` like the gamma pieces.  Its F^0 level
-is the whole quotient, since the projected identity spans it, and a piece
-stored as the one below has that one's image.  The images are stored by
-level, so ``witt_filtration`` takes only a result equal to
-``gamma_filtration(m, f.kmax)``; one with pieces, graded groups or flags
-of its own is refused.
+quotient takes one Smith form per content, and each image is spanned once
+per content and level, grown by ``_grown`` like the gamma pieces.  Its F^0
+level is the whole quotient, since the projected identity spans it, and a
+piece stored as the one below has that one's image.  The images are stored
+by level, so ``witt_filtration`` takes only a result equal to
+``gamma_filtration(m, f.kmax)``; one with pieces, graded groups or flags of
+its own is refused.
 """
 
 from __future__ import annotations
@@ -118,7 +125,7 @@ from .abelian import (
     relative_quotient_invariants,
     subgroup_from_generators,
 )
-from .lambdaring import RingModel, _first_cases, _lambda_totals
+from .lambdaring import RingModel, _filtration_memo, _first_cases, _lambda_totals
 
 # the checks of ``lambdaring._checks`` the recursion needs, in refusal order
 _REFUSALS = (
@@ -182,7 +189,7 @@ def _times(
 
 
 class _Memo:
-    """What the filtration derives from one model alone, filled on demand.
+    """What the filtration derives from one ring content, filled on demand.
 
     `values` are the gamma-values by weight, as ``_gamma_values`` returns
     them, None until the model passed the refusals.  `levels` maps each
@@ -199,9 +206,7 @@ class _Memo:
 
 
 def _memo(m: RingModel) -> _Memo:
-    if m._filtration is None:
-        m._filtration = _Memo(m)
-    return m._filtration
+    return _filtration_memo(m, lambda: _Memo(m))
 
 
 def _grown(levels: dict, key: str, n: int, piece) -> tuple:
@@ -244,11 +249,14 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
     spans: dict = {}
 
     def piece(k: int, pieces: list[Subgroup]) -> Subgroup:
-        # g * F^1 for g of weight i >= k lies in the sum already (module
-        # docstring)
+        # g * F^1 for g of weight i >= k, and of weight i = k - 1 >= 2, lies
+        # in the sum already (module docstring)
         vecs = []
         for i, gs in memo.values.items():
-            vecs += gs if i >= k else _times(m, spans, gs, pieces[k - i])
+            if i >= k:
+                vecs += gs
+            elif i < k - 1 or i == 1:
+                vecs += _times(m, spans, gs, pieces[k - i])
         return _span(m.group, vecs)
 
     pieces, graded = _grown(memo.levels, "gamma", kmax + 1, piece)
@@ -277,7 +285,7 @@ def witt_quotient(
 ) -> tuple[GroupPresentation, tuple[tuple[int, ...], ...]]:
     """Quotient presentation of the group by the hyperbolic classes, and the
     projection rows onto its coordinates, as tuples: one Smith form per
-    model, kept in its memo."""
+    content, kept in its memo."""
     if m.hyperbolic is None:
         raise ValueError("model %s declares no hyperbolic classes" % m.name)
     memo = _memo(m)

@@ -38,7 +38,21 @@ columns per nonzero row, and give the sums ``dot`` gives (see
 The structural checks of a model are one table, ``_checks``, of named
 generators of offending cases: ``validate_model`` reports the first case of
 each, and ``gamma_filtration`` refuses on the first of six by name, both
-through ``_first_cases``, which keeps each check's first case on the model.
+through ``_first_cases``, which keeps each check's first case in the record
+of the model's content.
+
+What the checks and the filtration derive from a model depends on its
+content alone: the group with its basis labels, the unit, the products, the
+augmentation, the hyperbolic classes, the truncation and the basis
+lambda-columns (``_content``), never the name.  So it is kept in one record
+per content (``_Derived``), looked up on first use in a
+``weakref.WeakValueDictionary`` by that key and held by each model in its
+``_derived`` slot: every live model with equal content shares it, and it
+goes, with its registry entry, when the last of them does.  Builtins that
+are one ring under two names (P^2 and P^3, ``gw_punctured_a5`` at every f)
+and a model file renamed from a builtin are checked and filtered once.  A
+model is immutable once built, so its key is fixed by then; building a
+model computes no key.
 
 Each basis lambda-series is stored once, as the integer columns of
 lambda_t(b_i) at N >= 1, the truncation order.  A model file gives its
@@ -56,6 +70,7 @@ share no memo of a series.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -167,14 +182,21 @@ class RingModel:
             if rows not in built:
                 built[rows] = TruncSeries(self, [self.unit.coeffs, *rows], trunc)._columns
             self._basis_columns.append(built[rows])
-        # what the filtration derives from the model alone (filtration._Memo)
-        self._filtration = None
-        self._first_case: dict[str, str | None] = {}  # see _first_cases
+        # the record of what is derived from the content alone, set on first
+        # use (``_derived``)
+        self._derived: _Derived | None = None
         self.hyperbolic = (
             None
             if hyperbolic is None
             else tuple(group.element(h) for h in hyperbolic)
         )
+
+    @property
+    def _filtration(self):
+        """The filtration memo of the model's content, None before the first
+        filtration of any model with that content: a read-only view of its
+        record (``_filtration_memo``)."""
+        return None if self._derived is None else self._derived.filtration
 
     def element(self, coeffs: Sequence[int]) -> "RingElement":
         return RingElement(self, self.group.element(coeffs))
@@ -381,7 +403,7 @@ def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
     """Each structural check of a model, in report order: its name and a
     generator of its offending cases, which computes nothing until it is
     read, on the basis products and the stored lambda-series columns; each
-    is read once per model, by ``_first_cases``."""
+    is read once per content, by ``_first_cases``."""
     group, aug, rows, trunc = m.group, m.aug, m.products, m.trunc
     rank, orders = group.rank, group.orders
     b = [((i, 1),) for i in range(rank)]
@@ -461,11 +483,61 @@ def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
     )
 
 
+class _Derived:
+    """What is derived from a model's content alone, shared by every live
+    model with that content (``_derived``): the first case of each check
+    (``_first_cases``) and the filtration memo (``_filtration_memo``)."""
+
+    __slots__ = ("first_case", "filtration", "__weakref__")
+
+    def __init__(self) -> None:
+        self.first_case: dict[str, str | None] = {}
+        self.filtration = None
+
+
+# the record of each content some live model holds, by ``_content``
+_RECORDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _content(m: RingModel) -> tuple:
+    """Everything a check or the filtration reads of m, the name aside: the
+    group (orders and basis labels), the unit, the products, the
+    augmentation, the hyperbolic classes, the truncation and the basis
+    lambda-columns, each column dict in index order and each column cut
+    after its last nonzero degree, so that the truncation is a key of its
+    own."""
+    hyperbolic = None if m.hyperbolic is None else tuple(h.coeffs for h in m.hyperbolic)
+    columns = tuple(tuple(sorted((k, tuple(col[:_last_degree(col) + 1]))
+                                 for k, col in cols.items()))
+                    for cols in m._basis_columns)
+    return m.group, m.unit.coeffs, m.products, m.aug, hyperbolic, m.trunc, columns
+
+
+def _derived(m: RingModel) -> _Derived:
+    """The record of m's content, looked up once per model and kept in its
+    ``_derived`` slot.  A model is immutable once built, so its content
+    key is fixed by then.  ``setdefault`` makes two racing lookups agree
+    on one record, or leaves each model a correct record of its own."""
+    record = m._derived
+    if record is None:
+        record = m._derived = _RECORDS.setdefault(_content(m), _Derived())
+    return record
+
+
+def _filtration_memo(m: RingModel, make):
+    """The filtration memo of m's content, ``make()`` on first use."""
+    record = _derived(m)
+    if record.filtration is None:
+        record.filtration = make()
+    return record.filtration
+
+
 def _first_cases(m: RingModel, names: Iterable[str]) -> Iterator[tuple[str, str | None]]:
     """Each named check of ``_checks`` and its first offending case or None,
-    in the order named, each computed when first reached and kept in
-    ``m._first_case``: a check runs at most once per (immutable) model."""
-    memo, checks = m._first_case, cache(lambda: dict(_checks(m)))
+    in the order named, each computed when first reached and kept in the
+    record of m's content: a check runs at most once per content, and a
+    case names basis indices, never the model."""
+    memo, checks = _derived(m).first_case, cache(lambda: dict(_checks(m)))
     for name in names:
         if name not in memo:
             memo[name] = next(checks()[name], None)
@@ -474,7 +546,7 @@ def _first_cases(m: RingModel, names: Iterable[str]) -> Iterator[tuple[str, str 
 
 def validate_model(m: RingModel) -> Report:
     """Structural sanity of a model: the first offending case of each check
-    of ``_checks``, each check run at most once per model."""
+    of ``_checks``, each check run at most once per content."""
     first = _first_cases(m, [name for name, _ in _checks(m)])
     return Report(tuple(CheckResult(name, case is None, case or "") for name, case in first))
 

@@ -35,6 +35,7 @@ from gwgamma.models import (
     gw_surface_cxp1,
 )
 from test_filtration import trivial_model
+from test_filtration_oracle import fresh
 
 
 ROUND_TRIP_CASES = [
@@ -671,7 +672,7 @@ def fresh_intern():
 def test_one_model_and_one_run_of_each_check_per_file_text(
         tmp_path, monkeypatch, capsys, fresh_intern):
     path = tmp_path / "p3.json"
-    dump_model(gw_projective("R", 3), str(path))
+    dump_model(fresh(gw_projective)("R", 3), str(path))
     built, runs = [], {}
     real_build, real_checks = cli.model_from_dict, lambdaring._checks
 

@@ -42,7 +42,7 @@ from gwgamma.filtration import (
 from gwgamma.lambdaring import RingModel, gamma_total, validate_model
 from gwgamma.models import BUILTINS, gw_punctured_a5, gw_surface_cxp1
 from test_arith_oracle import elements_of, model_and_elements, ring_models
-from test_filtration_oracle import CLI_BUILTINS, uncached
+from test_filtration_oracle import CLI_BUILTINS, fresh, uncached
 from test_sparse_oracle import oracle_project, presentations, vectors
 
 IDS = ["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS]
@@ -215,7 +215,7 @@ def wrapped_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: gw_surface_cxp1.__wrapped__(s=12), lambda: gw_punctured_a5.__wrapped__(f=6),
+    lambda: fresh(gw_surface_cxp1)(s=12), lambda: fresh(gw_punctured_a5)(f=6),
 ], ids=["gw_surface_cxp1-12", "gw_punctured_a5-6"])
 def test_filtration_reads_no_ring_coefficients(monkeypatch, build):
     # no ring element, neither per generator of the augmentation kernel,

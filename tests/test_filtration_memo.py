@@ -1,14 +1,15 @@
 """The filtration memo and the interned builtins against the uncached path.
 
 A builtin constructor returns one model per set of arguments while anyone
-holds it, and ``gamma_filtration`` keeps on the model what it derives from
-the model alone: the pieces built so far, the graded groups, the Witt
-quotient and the Witt images.  A call at kmax extends the stored pieces or
-slices them.  Here each model of the filtration-sweep and of the CLI range,
-the benchmark's group rings and the K(P^n1 x ... x P^nr) members of rank at
-most 16 are filtered in a drawn order of kmax values, which mixes
-extensions with slices, on one shared model; every result must equal the
-result of a fresh, uncached build filtered at that kmax alone.
+holds it, and ``gamma_filtration`` keeps in the record of the model's
+content what it derives from that content alone: the pieces built so far,
+the graded groups, the Witt quotient and the Witt images.  A call at kmax
+extends the stored pieces or slices them.  Here each model of the
+filtration-sweep and of the CLI range, the benchmark's group rings and the
+K(P^n1 x ... x P^nr) members of rank at most 16 are filtered in a drawn
+order of kmax values, which mixes extensions with slices, on one shared
+model; every result must equal the result of a fresh, uncached build on
+an emptied registry of content records, filtered at that kmax alone.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from gwgamma.filtration import _gamma_values, gamma_filtration, witt_filtration,
 from gwgamma.lambdaring import validate_model, verify_special_pair
 from gwgamma.models import BUILTINS, gw_point, gw_projective, gw_surface_cxp1, line_elements
 
-from test_filtration_oracle import CLI_BUILTINS, group_ring, uncached
+from test_filtration_oracle import CLI_BUILTINS, fresh as fresh_build, group_ring, uncached
 from test_filtration_refusals import (
     nonzero_rank_ring,
     unkilled_torsion_ring,
@@ -118,7 +119,7 @@ def test_memo_matches_uncached_build(held, key, data):
     order = data.draw(st.lists(st.sampled_from(kmaxes), min_size=2, max_size=4))
     for kmax in order:
         if (key, kmax) not in references:
-            references[key, kmax] = results(uncached(), kmax)
+            references[key, kmax] = results(fresh_build(uncached)(), kmax)
         assert results(m, kmax) == references[key, kmax], (key, order, kmax)
 
 
@@ -126,7 +127,7 @@ def test_orders_extend_and_slice():
     # extensions 2 -> 5 -> 8, then slices 8 -> 2 and 2 -> 5, on one memo
     m = gw_surface_cxp1.__wrapped__(3)
     got = {k: gamma_filtration(m, k) for k in (2, 5, 8, 2, 5)}
-    fresh = gamma_filtration(gw_surface_cxp1.__wrapped__(3), 8)
+    fresh = gamma_filtration(fresh_build(gw_surface_cxp1)(3), 8)
     assert got[8].pieces == fresh.pieces
     assert got[2].pieces == fresh.pieces[:3]
     assert got[5].graded == fresh.graded[:5]
@@ -145,7 +146,7 @@ def test_pieces_are_built_once(monkeypatch):
     # an extension builds only the new pieces, one HNF each; a slice builds
     # none, and neither does a second Witt filtration or Witt quotient
     calls = counted_hnfs(monkeypatch)
-    m = gw_projective.__wrapped__("R", 6)
+    m = fresh_build(gw_projective)("R", 6)
     f = gamma_filtration(m, kmax=2)
     assert len(calls) == 2
     gamma_filtration(m, kmax=5)
@@ -187,7 +188,7 @@ def test_a_shorter_extension_keeps_the_longer_levels(monkeypatch):
     pieces, graded = m._filtration.levels["gamma"]
     assert (len(pieces), len(graded)) == (9, 8)
     monkeypatch.undo()
-    fresh = gw_surface_cxp1.__wrapped__(6)
+    fresh = fresh_build(gw_surface_cxp1)(6)
     assert dataclasses.replace(f, model=None) == filtered(fresh, 3)[0]
     assert filtered(m, 8) == filtered(fresh, 8)
 
@@ -202,7 +203,7 @@ def test_a_shorter_witt_extension_keeps_the_longer_levels(monkeypatch):
     images, graded = m._filtration.levels["witt"]
     assert (len(images), len(graded)) == (9, 8)
     monkeypatch.undo()
-    fresh = gw_surface_cxp1.__wrapped__(6)
+    fresh = fresh_build(gw_surface_cxp1)(6)
     assert dataclasses.replace(w3, model=None) == filtered(fresh, 3)[1]
     assert filtered(m, 8) == filtered(fresh, 8)
 
@@ -257,7 +258,7 @@ def test_equal_witt_images_are_one_object():
 def test_relation_columns_are_the_presentation_tuples():
     # a piece column equal to a relation vector o_i e_i is that tuple of the
     # presentation, held once however many pieces it spans
-    m = gw_surface_cxp1.__wrapped__(4)
+    m = fresh_build(gw_surface_cxp1)(4)
     relations = {r: r for r in m.group._relations}
     shared = 0
     for piece in gamma_filtration(m, kmax=8).pieces[1:]:
@@ -431,7 +432,7 @@ def test_threads_filtering_one_model_share_no_series_table():
     # every generator b_i - b_0 of F^1 of Z[C2^4] raises lambda_t(b_0) to
     # the power -1; threads filtering one model must not fill one power
     # table of that series at once
-    build = functools.partial(group_ring.__wrapped__, (2, 2, 2, 2))
+    build = functools.partial(fresh_build(group_ring), (2, 2, 2, 2))
     want = {3: filtered(build(), 3)}
     assert filter_in_threads(build, (3, 3, 3, 3), want) == []
 
@@ -439,6 +440,6 @@ def test_threads_filtering_one_model_share_no_series_table():
 def test_threads_extending_one_memo_read_whole_pieces():
     # interned models are shared across the process, so threads may extend
     # one memo at the same time; each must read F^0..F^kmax whole
-    build = functools.partial(gw_surface_cxp1.__wrapped__, 6)
+    build = functools.partial(fresh_build(gw_surface_cxp1), 6)
     want = {k: filtered(build(), k) for k in (3, 8)}
     assert filter_in_threads(build, (8, 3, 8, 3), want) == []

@@ -30,6 +30,7 @@ from gwgamma.abelian import (
     subgroup_from_generators,
 )
 from gwgamma.filtration import FiltrationResult, gamma_filtration
+from gwgamma import lambdaring
 from gwgamma.lambdaring import RingModel, gamma_total
 from gwgamma.models import BUILTINS, gw_projective
 
@@ -140,10 +141,23 @@ CLI_BUILTINS = (
 def uncached(build):
     """The uncached build behind an interned constructor, ``__wrapped__``,
     with the arguments a ``functools.partial`` of one binds (``gw_point_C``
-    and ``gw_point_R`` bind the base of ``gw_point``)."""
+    and ``gw_point_R`` bind the base of ``gw_point``); a build that is not
+    interned is its own."""
     if isinstance(build, functools.partial):
         return functools.partial(build.func.__wrapped__, *build.args, **build.keywords)
-    return build.__wrapped__
+    return getattr(build, "__wrapped__", build)
+
+
+def fresh(build):
+    """``uncached(build)`` on an emptied registry of content records: the
+    model it returns derives its checks and its filtration itself, not from
+    the record of a live model with equal content (``lambdaring._derived``),
+    as long as no other model is looked up before it."""
+    def call(*args, **kwargs):
+        lambdaring._RECORDS.clear()
+        return uncached(build)(*args, **kwargs)
+
+    return call
 
 
 @pytest.mark.parametrize(

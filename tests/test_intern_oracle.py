@@ -26,7 +26,7 @@ from gwgamma.models import BUILTINS
 
 from test_arith_oracle import augmented_ring_models, ring_models
 from test_filtration_memo import JOBS_MODULE
-from test_filtration_oracle import CLI_BUILTINS, uncached
+from test_filtration_oracle import CLI_BUILTINS, fresh, uncached
 from test_filtration_refusals import (
     lambda_one_ring,
     nonzero_rank_ring,
@@ -86,8 +86,9 @@ def test_interned_files_give_the_output_of_fresh_parses(files, monkeypatch, seed
 
 
 def copy(m):
-    """A fresh model with the data of m: no check has run on it."""
-    return model_from_dict(model_to_dict(m))
+    """A fresh model with the data of m, built on an emptied registry of
+    content records: no check has run on it."""
+    return fresh(lambda: model_from_dict(model_to_dict(m)))()
 
 
 def oracle_report(m):

@@ -19,17 +19,17 @@ from gwgamma import filtration
 from gwgamma.filtration import gamma_filtration
 from gwgamma.models import BUILTINS
 
-from test_filtration_oracle import CLI_BUILTINS, group_ring, uncached
+from test_filtration_oracle import CLI_BUILTINS, fresh as fresh_build, group_ring
 from test_projective_products import MEMBERS, projective_product
 
 GROUPS = ((4,), (2, 2), (2, 2, 2), (2, 4))
 
 
 def _models(fresh):
-    """The builtins and group rings; built anew when `fresh`, so that no
-    piece comes from a model's memo."""
+    """The builtins and group rings; built anew on an emptied registry of
+    content records when `fresh`, so that no piece comes from a memo."""
     def build(make):
-        return uncached(make) if fresh else make
+        return fresh_build(make) if fresh else make
 
     return [build(BUILTINS[name])(**kwargs) for name, kwargs in CLI_BUILTINS] + [
         build(group_ring)(orders) for orders in GROUPS]

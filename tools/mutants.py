@@ -72,7 +72,11 @@ CATALOGUE = (
            _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle",
                   "filtration")),
     Mutant("piece-values-from-k-minus-1", FILTRATION,
-           "vecs += gs if i >= k else", "vecs += gs if i >= k - 1 else",
+           "if i >= k:\n                vecs += gs", "if i >= k - 1:\n                vecs += gs",
+           _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle",
+                  "filtration")),
+    Mutant("piece-k-minus-1-skipped-at-k-2", FILTRATION,
+           "elif i < k - 1 or i == 1:", "elif i < k - 1:",
            _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle",
                   "filtration")),
     Mutant("times-unreduced-spans", FILTRATION,
@@ -201,10 +205,20 @@ CATALOGUE = (
     Mutant("check-memo-bypassed", LAMBDARING, "if name not in memo:", "if True:",
            _tests("cli")),
     Mutant("check-memo-shared-across-models", LAMBDARING,
-           "memo, checks = m._first_case, cache(lambda: dict(_checks(m)))",
+           "memo, checks = _derived(m).first_case, cache(lambda: dict(_checks(m)))",
            "memo, checks = _first_cases.__dict__.setdefault('shared', {}),"
            " cache(lambda: dict(_checks(m)))",
            _tests("intern_oracle", "checker_oracle", "filtration_refusals")),
+    # the record of each content: its key
+    Mutant("record-key-without-trunc", LAMBDARING,
+           "m.aug, hyperbolic, m.trunc, columns", "m.aug, hyperbolic, columns",
+           _tests("content_records")),
+    Mutant("record-key-without-hyperbolic", LAMBDARING,
+           "m.aug, hyperbolic, m.trunc, columns", "m.aug, m.trunc, columns",
+           _tests("content_records")),
+    Mutant("record-key-orders-for-group", LAMBDARING,
+           "return m.group, m.unit.coeffs,", "return m.group.orders, m.unit.coeffs,",
+           _tests("content_records")),
     Mutant("power-cache-by-basis-element", LAMBDARING,
            "power = cache(lambda i, c: series(i).pow(c))",
            "power = lambda i, c, memo={}: memo.setdefault(i, series(i).pow(c))",
