@@ -253,11 +253,12 @@ _MODELS_LOCK = threading.Lock()
 
 
 def _model_of_text(text: str) -> RingModel:
-    """The model of a file text, one per text among the 64 last used, its
-    checks and filtration memo shared by every command on those bytes.  It
-    is kept under the text's digest, not the text: the 49 CLI builtin files
-    hold 1.19 MB of text, the largest 211 KB.  A parse error is raised and
-    nothing kept."""
+    """The model of a file text, one per text among the 64 last used, so
+    that every command on those bytes is spared a parse; its checks and
+    filtration are shared through the record of its content
+    (``lambdaring._derived``).  It is kept under the text's digest, not the
+    text: the 49 CLI builtin files hold 1.19 MB of text, the largest
+    211 KB.  A parse error is raised and nothing kept."""
     key = hashlib.sha256(text.encode("utf-8")).digest()
     with _MODELS_LOCK:
         m = _MODELS.pop(key, None)

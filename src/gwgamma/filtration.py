@@ -57,28 +57,31 @@ o_k b_k b_j = 0 for each torsion basis element b_k of order o_k, hence the
 torsion refusal.
 
 The pieces are computed once per ring content and extended on demand.  What
-the filtration derives from a model's content alone is kept in one memo
-(``_Memo``), in the record of that content which every live model with it
-shares, whatever its name (``lambdaring._derived``): the verdict that the
-content passed the refusals, its gamma-values by weight (i_max is the
-largest), the Witt quotient, and the levels of each filtration built so
-far, the pieces F^0..F^k or their Witt images with the invariants of each
-quotient of adjacent levels.  The memo holds no name and no model, so a
-piece's presentation may be an equal one of another model with that
-content; a result's ``model`` and ``group`` are the caller's.  One routine,
-``_grown``, extends either filtration's levels from a function giving level
-k, and stores them unless a call extended them further meanwhile; a call at
-kmax extends the stored levels up to F^kmax or slices them, and only
-``exact``, ``warnings`` and ``weight_cap`` are computed per call.  A model
-is immutable once built, and the memo assumes it.  A refused content keeps
-no verdict and raises on every call on each of its models, though no check
-runs twice on it (``_first_cases``).  A level equal to the one below it is
-stored as that object, and so is every level above a zero one
-(``Subgroup.is_zero``), which no piece is computed for: the pieces nest
-once F^1 is the augmentation kernel, and the Witt images of nested pieces
-nest.  Each HNF column equal to a spanned vector is stored as that vector's
-tuple (``abelian._span``): tuples are immutable and the HNF is canonical,
-so sharing them changes no value.
+the filtration derives from a model's content alone is kept under keys of
+its own in the record of that content, which every live model with it
+shares, whatever its name (``lambdaring._derived``): "values", the
+gamma-values by weight (i_max is the largest), present once the content
+passed the refusals; "gamma" and "witt", the levels of each filtration built
+so far, the pieces F^0..F^k or their Witt images with the invariants of each
+quotient of adjacent levels; and "witt_quotient", the Witt quotient with its
+projection rows.  "gamma" is stored before "values" and "witt" before
+"witt_quotient", so a thread that finds the values or the quotient finds
+their levels too.  The record holds no name and no model, so a piece's
+presentation may be an equal one of another model with that content; a
+result's ``model`` and ``group`` are the caller's.  One routine, ``_grown``,
+extends either filtration's levels from a function giving level k, and
+stores them unless a call extended them further meanwhile; a call at kmax
+extends the stored levels up to F^kmax or slices them, and only ``exact``,
+``warnings`` and ``weight_cap`` are computed per call.  A model is immutable
+once built, and the record assumes it.  A refused content gets no "values"
+and no "gamma" levels, and either filtration raises on every call on each
+of its models, though no check runs twice on it (``_first_cases``).  A
+level equal to the one below it is stored as that object, and so is every
+level above a zero one (``Subgroup.is_zero``), which no piece is computed
+for: the pieces nest once F^1 is the augmentation kernel, and the Witt
+images of nested pieces nest.  Each HNF column equal to a spanned vector is
+stored as that vector's tuple (``abelian._span``): tuples are immutable and
+the HNF is canonical, so sharing them changes no value.
 
 The gamma-values are coefficient tuples read off the gamma-series, whose
 lambda-series all come from one ``lambdaring._lambda_totals``, so each basis
@@ -125,7 +128,7 @@ from .abelian import (
     relative_quotient_invariants,
     subgroup_from_generators,
 )
-from .lambdaring import RingModel, _filtration_memo, _first_cases, _lambda_totals
+from .lambdaring import RingModel, _derived, _first_cases, _lambda_totals
 
 # the checks of ``lambdaring._checks`` the recursion needs, in refusal order
 _REFUSALS = (
@@ -188,33 +191,13 @@ def _times(
     return out
 
 
-class _Memo:
-    """What the filtration derives from one ring content, filled on demand.
-
-    `values` are the gamma-values by weight, as ``_gamma_values`` returns
-    them, None until the model passed the refusals.  `levels` maps each
-    filtration, "gamma" and, once the Witt quotient is built, "witt", to
-    its pair of levels 0..j as grown so far and the invariants of each
-    quotient of adjacent levels (``_grown``).  `witt` is the Witt quotient
-    and its projection rows, as tuples.
-    """
-
-    def __init__(self, m: RingModel):
-        self.values: dict[int, list[tuple[int, ...]]] | None = None
-        self.levels: dict[str, tuple] = {"gamma": ((full_subgroup(m.group),), ())}
-        self.witt: tuple[GroupPresentation, tuple[tuple[int, ...], ...]] | None = None
-
-
-def _memo(m: RingModel) -> _Memo:
-    return _filtration_memo(m, lambda: _Memo(m))
-
-
-def _grown(levels: dict, key: str, n: int, piece) -> tuple:
-    """The pair ``levels[key]`` grown to n levels, level k ``piece(k,
-    levels 0..k-1)`` and its quotient below.  A new pair, stored whole
-    unless a call stored a longer one meanwhile, so a thread that reads it
-    once reads levels with their graded groups."""
-    pieces, graded = levels[key]
+def _grown(record: dict, key: str, n: int, piece) -> tuple:
+    """The pair ``record[key]`` of levels 0..j and the invariants of each
+    quotient of adjacent levels, grown to n levels, level k ``piece(k,
+    levels 0..k-1)``.  A new pair, stored whole unless a call stored a
+    longer one meanwhile, so a thread that reads it once reads levels with
+    their graded groups."""
+    pieces, graded = record[key]
     if len(pieces) >= n:
         return pieces, graded
     pieces, graded = list(pieces), list(graded)
@@ -227,8 +210,8 @@ def _grown(levels: dict, key: str, n: int, piece) -> tuple:
         pieces.append(new)
         graded.append(relative_quotient_invariants(below, new))
     grown = tuple(pieces), tuple(graded)
-    if n > len(levels[key][0]):  # else a call grew it further
-        levels[key] = grown
+    if n > len(record[key][0]):  # else a call grew it further
+        record[key] = grown
     return grown
 
 
@@ -240,27 +223,30 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
     budget = m.trunc
     if kmax > budget:
         raise ValueError("kmax %d exceeds weight budget %d" % (kmax, budget))
-    memo = _memo(m)
-    if memo.values is None:
+    record = _derived(m)
+    values = record.get("values")
+    if values is None:
         for name, case in _first_cases(m, _REFUSALS):
             if case is not None:
                 raise ValueError("%s: %s" % (name, case))
-        memo.values = _gamma_values(m, kernel_basis(m.aug), budget)
+        # F^0 first, so that a thread that reads the values finds the levels
+        record.setdefault("gamma", ((full_subgroup(m.group),), ()))
+        values = record["values"] = _gamma_values(m, kernel_basis(m.aug), budget)
     spans: dict = {}
 
     def piece(k: int, pieces: list[Subgroup]) -> Subgroup:
         # g * F^1 for g of weight i >= k, and of weight i = k - 1 >= 2, lies
         # in the sum already (module docstring)
         vecs = []
-        for i, gs in memo.values.items():
+        for i, gs in values.items():
             if i >= k:
                 vecs += gs
             elif i < k - 1 or i == 1:
                 vecs += _times(m, spans, gs, pieces[k - i])
         return _span(m.group, vecs)
 
-    pieces, graded = _grown(memo.levels, "gamma", kmax + 1, piece)
-    certified = kmax + max(max(memo.values, default=0) - 1, 0)
+    pieces, graded = _grown(record, "gamma", kmax + 1, piece)
+    certified = kmax + max(max(values, default=0) - 1, 0)
     cap = min(certified, budget)
     warnings = []
     if certified > budget:
@@ -285,18 +271,19 @@ def witt_quotient(
 ) -> tuple[GroupPresentation, tuple[tuple[int, ...], ...]]:
     """Quotient presentation of the group by the hyperbolic classes, and the
     projection rows onto its coordinates, as tuples: one Smith form per
-    content, kept in its memo."""
+    content, kept in its record."""
     if m.hyperbolic is None:
         raise ValueError("model %s declares no hyperbolic classes" % m.name)
-    memo = _memo(m)
-    if memo.witt is None:
+    record = _derived(m)
+    witt = record.get("witt_quotient")
+    if witt is None:
         hyper = subgroup_from_generators(m.group, list(m.hyperbolic))
         qpres, projection = quotient_presentation(m.group, hyper)
         # the projected identity spans the quotient: its image of F^0, set
         # first, so that a thread that reads the quotient finds its levels
-        memo.levels.setdefault("witt", ((full_subgroup(qpres),), ()))
-        memo.witt = qpres, tuple(map(tuple, projection))
-    return memo.witt
+        record.setdefault("witt", ((full_subgroup(qpres),), ()))
+        witt = record["witt_quotient"] = qpres, tuple(map(tuple, projection))
+    return witt
 
 
 def witt_filtration(m: RingModel, f: FiltrationResult) -> FiltrationResult:
@@ -314,5 +301,5 @@ def witt_filtration(m: RingModel, f: FiltrationResult) -> FiltrationResult:
                              for col in f.pieces[k].columns])
 
     n = len(f.pieces)
-    images, graded = _grown(_memo(m).levels, "witt", n, image)
+    images, graded = _grown(_derived(m), "witt", n, image)
     return replace(f, group=qpres, pieces=images[:n], graded=graded[:n - 1])

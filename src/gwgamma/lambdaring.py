@@ -45,25 +45,26 @@ What the checks and the filtration derive from a model depends on its
 content alone: the group with its basis labels, the unit, the products, the
 augmentation, the hyperbolic classes, the truncation and the basis
 lambda-columns (``_content``), never the name.  So it is kept in one record
-per content (``_Derived``), looked up on first use in a
-``weakref.WeakValueDictionary`` by that key and held by each model in its
-``_derived`` slot: every live model with equal content shares it, and it
-goes, with its registry entry, when the last of them does.  Builtins that
-are one ring under two names (P^2 and P^3, ``gw_punctured_a5`` at every f)
-and a model file renamed from a builtin are checked and filtered once.  A
-model is immutable once built, so its key is fixed by then; building a
-model computes no key.
+per content, a dict (``_Record``) in which each module keeps its own keys,
+looked up on first use in a ``weakref.WeakValueDictionary`` by that key and
+held by each model in its ``_derived`` slot: every live model with equal
+content shares it, and it goes, with its registry entry, when the last of
+them does.  Builtins that are one ring under two names (P^2 and P^3,
+``gw_punctured_a5`` at every f) and a model file renamed from a builtin
+are checked and filtered once.  A model is immutable once built, so its
+key is fixed by then; building a model computes no key.
 
 Each basis lambda-series is stored once, as the integer columns of
-lambda_t(b_i) at N >= 1, the truncation order.  A model file gives its
+lambda_t(b_i) at N >= 1, the truncation order, each a tuple (``_stored``),
+which the content key holds as they are.  A model file gives its
 coefficients in degrees 1..D_b, D_b at most N, trailing zero degrees
 dropped; the columns hold zeros past D_b.  Series that genuinely
 terminate (line elements and their shifts) are stored in full;
 non-terminating ones are stored out to N and all derived operations stay
 below it.  ``lambda_on_basis`` derives the group elements of degrees
 1..D_b from the columns on every read, and keeps none.
-``basis_lambda_series(i, order)`` hands out a new series over those columns
-on every call, cut below N, so the model holds no series and no power
+``basis_lambda_series(i, order)`` hands out a new series over lists cut
+from those columns on every call, so the model holds no series and no power
 table: nothing on it points back at it, and threads that share a model
 share no memo of a series.
 """
@@ -167,10 +168,10 @@ class RingModel:
         if len(lambda_on_basis) != group.rank:
             raise ValueError("lambda-series list of wrong length")
         # _basis_columns[i]: the integer columns of lambda_t(b_i) at the
-        # truncation, its one stored form, built by ``TruncSeries`` from the
-        # given rows less the trailing ones that reduce to zero; equal rows
-        # (a builtin's empty lists) share one dict
-        self._basis_columns: list[dict[int, list[int]]] = []
+        # truncation, its one stored form (``_stored``), built by
+        # ``TruncSeries`` from the given rows less the trailing ones that
+        # reduce to zero; equal rows (a builtin's empty lists) share one dict
+        self._basis_columns: list[dict[int, tuple[int, ...]]] = []
         built = {}
         for i, coeff_list in enumerate(lambda_on_basis):
             rows = tuple(map(tuple, coeff_list))
@@ -180,23 +181,16 @@ class RingModel:
                 raise ValueError("lambda-series of basis element %d: %d terms, more "
                                  "than trunc %d" % (i, len(rows), trunc))
             if rows not in built:
-                built[rows] = TruncSeries(self, [self.unit.coeffs, *rows], trunc)._columns
+                built[rows] = _stored(TruncSeries(self, [self.unit.coeffs, *rows], trunc))
             self._basis_columns.append(built[rows])
         # the record of what is derived from the content alone, set on first
         # use (``_derived``)
-        self._derived: _Derived | None = None
+        self._derived: _Record | None = None
         self.hyperbolic = (
             None
             if hyperbolic is None
             else tuple(group.element(h) for h in hyperbolic)
         )
-
-    @property
-    def _filtration(self):
-        """The filtration memo of the model's content, None before the first
-        filtration of any model with that content: a read-only view of its
-        record (``_filtration_memo``)."""
-        return None if self._derived is None else self._derived.filtration
 
     def element(self, coeffs: Sequence[int]) -> "RingElement":
         return RingElement(self, self.group.element(coeffs))
@@ -252,15 +246,15 @@ class RingModel:
         return all(self.dot(unit, _entries(b.coeffs)) == b.coeffs for b in self.group.basis())
 
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
-        """lambda_t(b_i) through the order: a new series over the stored
-        columns cut after the order; the model keeps no series."""
+        """lambda_t(b_i) through the order: a new series over lists cut from
+        the stored columns after the order; the model keeps no series."""
         if order < 0:
             raise ValueError("order must be non-negative")
         if order > self.trunc:
             raise ValueError(
                 "order %d beyond model truncation %d" % (order, self.trunc)
             )
-        cut = ((k, col[:order + 1]) for k, col in self._basis_columns[i].items())
+        cut = ((k, list(col[:order + 1])) for k, col in self._basis_columns[i].items())
         return TruncSeries._of(self, order, {k: col for k, col in cut if any(col)})
 
     @property
@@ -274,6 +268,13 @@ class RingModel:
             rows = self.basis_lambda_series(i, last).rows()[1:]
             out.append(tuple(GroupElement(self.group, r) for r in rows))
         return tuple(out)
+
+
+def _stored(s: TruncSeries) -> dict[int, tuple[int, ...]]:
+    """The columns of a basis lambda-series in their one stored form, each a
+    tuple, in coordinate order as ``TruncSeries`` builds and substitutes
+    them."""
+    return {k: tuple(col) for k, col in s._columns.items()}
 
 
 @dataclass(frozen=True)
@@ -483,16 +484,13 @@ def _checks(m: RingModel) -> tuple[tuple[str, Iterator[str]], ...]:
     )
 
 
-class _Derived:
+class _Record(dict):
     """What is derived from a model's content alone, shared by every live
-    model with that content (``_derived``): the first case of each check
-    (``_first_cases``) and the filtration memo (``_filtration_memo``)."""
+    model with that content (``_derived``), each module under keys of its
+    own: "checks", the first case of each check (``_first_cases``), and
+    the keys of :mod:`gwgamma.filtration`."""
 
-    __slots__ = ("first_case", "filtration", "__weakref__")
-
-    def __init__(self) -> None:
-        self.first_case: dict[str, str | None] = {}
-        self.filtration = None
+    __slots__ = ("__weakref__",)
 
 
 # the record of each content some live model holds, by ``_content``
@@ -503,33 +501,22 @@ def _content(m: RingModel) -> tuple:
     """Everything a check or the filtration reads of m, the name aside: the
     group (orders and basis labels), the unit, the products, the
     augmentation, the hyperbolic classes, the truncation and the basis
-    lambda-columns, each column dict in index order and each column cut
-    after its last nonzero degree, so that the truncation is a key of its
-    own."""
+    lambda-columns, the stored tuples themselves, each of length trunc + 1
+    (``_stored``)."""
     hyperbolic = None if m.hyperbolic is None else tuple(h.coeffs for h in m.hyperbolic)
-    columns = tuple(tuple(sorted((k, tuple(col[:_last_degree(col) + 1]))
-                                 for k, col in cols.items()))
-                    for cols in m._basis_columns)
+    columns = tuple(tuple(cols.items()) for cols in m._basis_columns)
     return m.group, m.unit.coeffs, m.products, m.aug, hyperbolic, m.trunc, columns
 
 
-def _derived(m: RingModel) -> _Derived:
+def _derived(m: RingModel) -> _Record:
     """The record of m's content, looked up once per model and kept in its
     ``_derived`` slot.  A model is immutable once built, so its content
     key is fixed by then.  ``setdefault`` makes two racing lookups agree
     on one record, or leaves each model a correct record of its own."""
     record = m._derived
     if record is None:
-        record = m._derived = _RECORDS.setdefault(_content(m), _Derived())
+        record = m._derived = _RECORDS.setdefault(_content(m), _Record())
     return record
-
-
-def _filtration_memo(m: RingModel, make):
-    """The filtration memo of m's content, ``make()`` on first use."""
-    record = _derived(m)
-    if record.filtration is None:
-        record.filtration = make()
-    return record.filtration
 
 
 def _first_cases(m: RingModel, names: Iterable[str]) -> Iterator[tuple[str, str | None]]:
@@ -537,7 +524,7 @@ def _first_cases(m: RingModel, names: Iterable[str]) -> Iterator[tuple[str, str 
     in the order named, each computed when first reached and kept in the
     record of m's content: a check runs at most once per content, and a
     case names basis indices, never the model."""
-    memo, checks = _derived(m).first_case, cache(lambda: dict(_checks(m)))
+    memo, checks = _derived(m).setdefault("checks", {}), cache(lambda: dict(_checks(m)))
     for name in names:
         if name not in memo:
             memo[name] = next(checks()[name], None)

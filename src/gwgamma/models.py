@@ -1,18 +1,18 @@
 """Builtin Grothendieck-Witt ring models.
 
 Every constructor follows one recipe and one assembly path: it gives the
-additive presentation, unit, products and augmentation once, plus a function
-that hands over, in that ring, the gamma-polynomial of each basis class as it
-is: None for a line class b (the base classes 1 and L), whose lambda-series
-is 1 + b t, or the coordinate rows of degrees 1..D of the terminating
-gamma-series of a rank-zero class, all of rank zero.  The private helper
-``_model`` alone builds the one ring of the builtin, pads or cuts each
-polynomial to the truncation, substitutes t -> t/(1+t) and installs the
-columns of the lambda-series on the ring, so that no build inverts a
-series.  With D the augmentation d of each coefficient, D(lambda_t(b)) is
-then (1+t)^d(b) for each basis class b, as the filtration requires;
-associativity, which it does not check for its cost, holds as each
-builtin's products are those of a commutative ring.
+additive presentation, unit, products and augmentation once, plus the list
+of the gamma-polynomials of the basis classes as they are: None for a line
+class b (the base classes 1 and L), whose lambda-series is 1 + b t, or the
+coordinate rows of degrees 1..D of the terminating gamma-series of a
+rank-zero class, all of rank zero.  The private helper ``_model`` alone
+builds the one ring of the builtin, pads or cuts each polynomial to the
+truncation, substitutes t -> t/(1+t) and installs the columns of the
+lambda-series on the ring, so that no build inverts a series.  With D the
+augmentation d of each coefficient, D(lambda_t(b)) is then (1+t)^d(b) for
+each basis class b, as the filtration requires; associativity, which it
+does not check for its cost, holds as each builtin's products are those of
+a commutative ring.
 
 * ``gw_point``      -- the base field, C (integers, binomial lambda) or R
                        (Z[L]/(L^2-1) with L the class of <-1>); built as
@@ -48,7 +48,9 @@ classes M and -M and e x = x for e the class of <-1>; the tests keep those
 quotients as the oracle.
 
 Each public constructor is interned (``_interned``): calls with equal
-arguments share one model, and its filtration memo, while anyone holds it.
+arguments share one model while anyone holds it, which spares a build; what
+is derived from its content is shared through the content's record
+(``lambdaring._derived``) whether or not the models are one.
 
 The twisted classes a_k = H(O(k)) - H(1) follow the recursion
 
@@ -64,8 +66,8 @@ a^top, so gamma_t(a^k) is a polynomial of degree at most 2 top.  It is
 computed at order 2 top, exactly, and handed over as it is; ``_model`` pads
 or cuts it to the truncation.  The polynomials depend only on the block
 Z[a]/(a^(top+1)) and the order of a^top, not on the base (L acts as 1 on
-(a)) nor on r beyond them, so ``_block_gammas`` computes them once per
-block and process.
+(a)) nor on r beyond them, so ``_block_gammas``, a ``functools.cache``,
+computes them once per block and process.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from .lambdaring import (
     DEFAULT_TRUNCATION,
     RingElement,
     RingModel,
+    _stored,
     lambda_total,
 )
 from .series import TruncSeries
@@ -87,17 +90,17 @@ from .series import TruncSeries
 def _model(name, group, unit, mul, aug, gammas, hyperbolic, trunc) -> RingModel:
     """Assemble a builtin from its ring data and its basis gamma-polynomials.
 
-    ``gammas`` gets the builtin's one ring, with empty lambda-series, for
-    arithmetic only, and returns per basis element b None for a line class
-    (lambda_t(b) = 1 + b t) or the rows of gamma_t(b) in degrees 1..D, here
-    padded or cut to ``trunc`` and substituted t -> t/(1+t).  The columns of
-    the lambda-series become the ring's one stored form of them.
+    ``gammas`` lists per basis element b None for a line class (lambda_t(b)
+    = 1 + b t) or the rows of gamma_t(b) in degrees 1..D, here padded or cut
+    to ``trunc`` and substituted t -> t/(1+t) on the builtin's one ring,
+    built with empty lambda-series.  The columns of the lambda-series
+    become the ring's one stored form of them (``_stored``).
     """
     ring = RingModel(name, group, unit, mul, aug, [[]] * group.rank, hyperbolic, trunc)
-    ring._basis_columns = [
-        TruncSeries(ring, [unit, _basis_vec(group.rank, i)], trunc)._columns if rows is None
-        else TruncSeries(ring, [unit, *rows], trunc).substitute_alternating()._columns
-        for i, rows in enumerate(gammas(ring))]
+    ring._basis_columns = [_stored(
+        TruncSeries(ring, [unit, _basis_vec(group.rank, i)], trunc) if rows is None
+        else TruncSeries(ring, [unit, *rows], trunc).substitute_alternating())
+        for i, rows in enumerate(gammas)]
     return ring
 
 
@@ -108,9 +111,10 @@ def _interned(build):
     The models are kept in a ``weakref.WeakValueDictionary``, so one lives
     while anyone holds it and no size bound is needed; a model holds no
     reference to itself, so it is freed when the last holder drops it.  A
-    model is immutable once built, so every caller may share it and the
-    filtration memo it keeps.  A call that raises caches nothing;
-    ``__wrapped__`` is the uncached build.
+    model is immutable once built, so every caller may share it; the intern
+    spares a build, the content's record shares the checks and the
+    filtration.  A call that raises caches nothing; ``__wrapped__`` is the
+    uncached build.
     """
     signature = inspect.signature(build)
     models = weakref.WeakValueDictionary()
@@ -185,7 +189,7 @@ def _projective(base: str, r: int, trunc: int) -> RingModel:
               for rows in (_block_gammas(top, order) if top else ())]
     name = "gw_projective(r=%d,base=%s)" % (r, base) if r else "gw_point(base=%s)" % base
     return _model(
-        name, group, unit, mul, (1,) * nb + (0,) * top, lambda ring: [None] * nb + powers,
+        name, group, unit, mul, (1,) * nb + (0,) * top, [None] * nb + powers,
         [h1] + [_basis_vec(rank, k) for k in range(nb, rank)], trunc,
     )
 
@@ -216,11 +220,7 @@ def _projective_ring(base: str, top: int, order: int) -> tuple:
     return group, unit, mul
 
 
-# the gamma-rows of each block built in this process, by the top power and
-# its order (``_block_gammas``)
-_BLOCKS: dict[tuple[int, int], tuple] = {}
-
-
+@functools.cache
 def _block_gammas(top: int, order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The rows of degrees 1..2 top of gamma_t(a^k) for k = 1..top, in the
     coordinates (one, a, ..., a^top) of the block Z[a]/(a^(top+1)), a^top
@@ -232,25 +232,21 @@ def _block_gammas(top: int, order: int) -> tuple[tuple[tuple[int, ...], ...], ..
     which L acts as 1, so their coordinates are the block's with a zero at
     L.  So one computation serves both bases and every such r.
     """
-    key = top, order
-    if key not in _BLOCKS:
-        group, unit, mul = _projective_ring("C", top, order)
-        ring = RingModel("block(top=%d,order=%d)" % (top, order), group, unit, mul,
-                         _basis_vec(top + 1, 0), [[]] * (top + 1), None, 2 * top)
-        # gamma_t(a^k) = gamma_t(a_k) prod_(j<k) gamma_t(a^j)^(-c_kj), with c_kj
-        # the coordinates of a_k at the lower powers a^j (its coordinate at
-        # a^k is 1); all have degree at most 2 top, so order 2 top holds them
-        # exactly
-        powers = []
-        for a_k in twisted_hyperbolic_classes(ring, top)[1:]:
-            c = a_k.value.coeffs
-            g = TruncSeries(ring, [unit, c, (-a_k).value.coeffs], 2 * top)
-            for j, g_j in enumerate(powers):
-                if c[1 + j]:
-                    g = g * g_j.pow(-c[1 + j])
-            powers.append(g)
-        _BLOCKS[key] = tuple(tuple(g.rows()[1:]) for g in powers)
-    return _BLOCKS[key]
+    group, unit, mul = _projective_ring("C", top, order)
+    ring = RingModel("block(top=%d,order=%d)" % (top, order), group, unit, mul,
+                     _basis_vec(top + 1, 0), [[]] * (top + 1), None, 2 * top)
+    # gamma_t(a^k) = gamma_t(a_k) prod_(j<k) gamma_t(a^j)^(-c_kj), with c_kj
+    # the coordinates of a_k at the lower powers a^j (its coordinate at a^k
+    # is 1); all have degree at most 2 top, so order 2 top holds them exactly
+    powers = []
+    for a_k in twisted_hyperbolic_classes(ring, top)[1:]:
+        c = a_k.value.coeffs
+        g = TruncSeries(ring, [unit, c, (-a_k).value.coeffs], 2 * top)
+        for j, g_j in enumerate(powers):
+            if c[1 + j]:
+                g = g * g_j.pow(-c[1 + j])
+        powers.append(g)
+    return tuple(tuple(g.rows()[1:]) for g in powers)
 
 
 @_interned
@@ -267,12 +263,8 @@ def gw_punctured_line(base: str = "R", trunc: int = DEFAULT_TRUNCATION) -> RingM
         (1, 2): (0, 0, -1),
         (2, 2): (0, 0, -2),
     }
-
-    def gammas(ring):
-        return [None, None, [(0, 0, 1)]]
-
     return _model(
-        "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), gammas,
+        "gw_punctured_line(base=R)", group, unit, mul, (1, 1, 0), [None, None, [(0, 0, 1)]],
         [(1, 1, 0)], trunc,
     )
 
@@ -291,13 +283,9 @@ def gw_punctured_a5(f: int = 3, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
     if not 2 <= f <= 8:
         raise ValueError("f must lie in 2..8")
     unit = (1, 0)
-
-    def gammas(ring):
-        return [None, [(0, 1), (0, 1)]]
-
     return _model(
         "gw_punctured_a5(f=%d)" % f, GroupPresentation((0, 2), ("one", "eps")),
-        unit, {(0, 0): unit, (0, 1): (0, 1), (1, 1): (0, 0)}, (1, 0), gammas,
+        unit, {(0, 0): unit, (0, 1): (0, 1), (1, 1): (0, 0)}, (1, 0), [None, [(0, 1), (0, 1)]],
         [], trunc,
     )
 
@@ -338,11 +326,8 @@ def gw_surface_cxp1(s: int = 1, trunc: int = DEFAULT_TRUNCATION) -> RingModel:
             mul[(j, i)] = tuple(target)
     # all remaining non-unit products vanish; the sparse table handles that
     hyperbolic = [i_b, i_c] + d_indices
-
-    def gammas(ring):
-        rest = (_basis_vec(rank, i) for i in range(1, rank))
-        return [None] + [[x] if i <= s else [x, [-v for v in x]] for i, x in enumerate(rest, 1)]
-
+    rest = (_basis_vec(rank, i) for i in range(1, rank))
+    gammas = [None] + [[x] if i <= s else [x, [-v for v in x]] for i, x in enumerate(rest, 1)]
     return _model(
         "gw_surface_cxp1(s=%d)" % s, group, _basis_vec(rank, 0), mul,
         tuple([1] + [0] * (rank - 1)), gammas,

@@ -62,8 +62,7 @@ def oracle_model(name, group, unit, mul, aug, gammas, hyperbolic, trunc):
                      for i in range(1, min(k, len(g)) + 1)), group.zero()).coeffs
                 for k in range(1, trunc + 1)]
 
-    ring = build([[]] * group.rank)
-    return build([lambda_rows(i, rows) for i, rows in enumerate(gammas(ring))])
+    return build([lambda_rows(i, rows) for i, rows in enumerate(gammas)])
 
 
 def rebuilt(m):

@@ -141,6 +141,20 @@ def test_one_difference_shares_no_record(changes):
     assert got == filtered(ring(**changes), 2)
 
 
+def test_truncation_alone_shares_no_record():
+    # a stored column is trunc + 1 long, so columns of equal content have
+    # equal truncations; with a zero unit and no lambda-rows no column is
+    # stored, and the truncation in the key alone tells the contents apart
+    def bare(trunc):
+        return RingModel("bare", GroupPresentation((0,), ("b",)), (0,), {}, (0,), [[]],
+                         trunc=trunc)
+
+    low, high = bare(1), bare(2)
+    assert low._basis_columns == high._basis_columns == [{}]
+    assert _derived(low) is not _derived(high)
+    assert _derived(bare(1)) is _derived(low)
+
+
 def test_equal_content_under_another_name_shares():
     # a trailing zero lambda-row is dropped, so the contents are equal
     a = ring()
@@ -175,3 +189,5 @@ def test_refused_content_raises_on_each_model(monkeypatch, build):
         assert str(again.value) == str(refused.value)
     assert calls == [] and _derived(first) is _derived(second)
     assert validate_model(second) == validate_model(first)
+    # the record keeps the check cases alone: no gamma-values, no levels
+    assert list(_derived(first)) == ["checks"]

@@ -30,7 +30,7 @@ from gwgamma import abelian, cli, filtration, series
 from gwgamma.abelian import kernel_basis
 from gwgamma.cli import dump_model, model_to_dict, parse_model
 from gwgamma.filtration import _gamma_values, gamma_filtration, witt_filtration, witt_quotient
-from gwgamma.lambdaring import validate_model, verify_special_pair
+from gwgamma.lambdaring import _derived, validate_model, verify_special_pair
 from gwgamma.models import BUILTINS, gw_point, gw_projective, gw_surface_cxp1, line_elements
 
 from test_filtration_oracle import CLI_BUILTINS, fresh as fresh_build, group_ring, uncached
@@ -185,7 +185,7 @@ def test_a_shorter_extension_keeps_the_longer_levels(monkeypatch):
     m = gw_surface_cxp1.__wrapped__(6)
     grow_meanwhile(monkeypatch, "gamma", 4, lambda: gamma_filtration(m, 8))
     f = gamma_filtration(m, 3)
-    pieces, graded = m._filtration.levels["gamma"]
+    pieces, graded = _derived(m)["gamma"]
     assert (len(pieces), len(graded)) == (9, 8)
     monkeypatch.undo()
     fresh = fresh_build(gw_surface_cxp1)(6)
@@ -200,12 +200,36 @@ def test_a_shorter_witt_extension_keeps_the_longer_levels(monkeypatch):
     f3, f8 = gamma_filtration(m, 3), gamma_filtration(m, 8)
     grow_meanwhile(monkeypatch, "witt", 4, lambda: witt_filtration(m, f8))
     w3 = witt_filtration(m, f3)
-    images, graded = m._filtration.levels["witt"]
+    images, graded = _derived(m)["witt"]
     assert (len(images), len(graded)) == (9, 8)
     monkeypatch.undo()
     fresh = fresh_build(gw_surface_cxp1)(6)
     assert dataclasses.replace(w3, model=None) == filtered(fresh, 3)[1]
     assert filtered(m, 8) == filtered(fresh, 8)
+
+
+@pytest.mark.parametrize("levels", ["gamma", "witt"])
+def test_a_call_between_the_record_writes_finds_the_levels(monkeypatch, levels):
+    # a filtration of P^3 over R, one content with P^2, made while P^2's
+    # call builds F^0 of the `levels`, as a concurrent thread could: "gamma"
+    # is stored before "values" and "witt" before "witt_quotient", so the
+    # nested call finds the levels of whatever it finds
+    a, b = (fresh_build(gw_projective)("R", r) for r in (2, 3))
+    if levels == "witt":
+        gamma_filtration(a, 3)
+    pending, nested = [lambda: filtered(b, 3)], []
+    real = filtration.full_subgroup
+
+    def whole(group):
+        while pending:
+            nested.append(pending.pop()())
+        return real(group)
+
+    monkeypatch.setattr(filtration, "full_subgroup", whole)
+    got = filtered(a, 3)
+    monkeypatch.undo()
+    want = filtered(fresh_build(gw_projective)("R", 2), 3)
+    assert got == nested[0] == want
 
 
 def test_gamma_values_build_each_basis_power_once(monkeypatch):
@@ -400,9 +424,10 @@ def filtered(m, kmax):
     return [dataclasses.replace(r, model=None) for r in results]
 
 
-def filter_in_threads(build, kmaxes, want):
-    """Filter one fresh model from one thread per kmax, in five rounds under
-    a switch interval of 1e-6; the errors the threads raised, each result
+def filter_in_threads(builds, kmaxes, want):
+    """Filter fresh models from one thread per kmax, in five rounds under a
+    switch interval of 1e-6, each round one model per build, taken by the
+    threads in turn; the errors the threads raised, each result
     ``filtered(m, kmax)`` compared with want[kmax]."""
     errors = []
 
@@ -416,8 +441,9 @@ def filter_in_threads(build, kmaxes, want):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            m = build()
-            threads = [threading.Thread(target=run, args=(m, k)) for k in kmaxes]
+            models = [build() for build in builds]
+            threads = [threading.Thread(target=run, args=(models[n % len(models)], k))
+                       for n, k in enumerate(kmaxes)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -434,7 +460,7 @@ def test_threads_filtering_one_model_share_no_series_table():
     # table of that series at once
     build = functools.partial(fresh_build(group_ring), (2, 2, 2, 2))
     want = {3: filtered(build(), 3)}
-    assert filter_in_threads(build, (3, 3, 3, 3), want) == []
+    assert filter_in_threads([build], (3, 3, 3, 3), want) == []
 
 
 def test_threads_extending_one_memo_read_whole_pieces():
@@ -442,4 +468,15 @@ def test_threads_extending_one_memo_read_whole_pieces():
     # one memo at the same time; each must read F^0..F^kmax whole
     build = functools.partial(fresh_build(gw_surface_cxp1), 6)
     want = {k: filtered(build(), k) for k in (3, 8)}
-    assert filter_in_threads(build, (8, 3, 8, 3), want) == []
+    assert filter_in_threads([build], (8, 3, 8, 3), want) == []
+
+
+def test_threads_filtering_two_models_of_one_content_read_whole_records():
+    # P^2 and P^3 over R are one ring under two names: threads filtering
+    # both share one record, and a thread that finds the gamma-values or the
+    # Witt quotient there must find their levels too; fresh_build empties
+    # the registry, and neither model looks its record up before the threads
+    builds = [functools.partial(fresh_build(gw_projective), "R", r) for r in (2, 3)]
+    want = {k: filtered(builds[0](), k) for k in (3, 8)}
+    assert {k: filtered(builds[1](), k) for k in (3, 8)} == want
+    assert filter_in_threads(builds, (3, 3, 8, 8, 8, 8, 3, 3), want) == []

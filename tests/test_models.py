@@ -440,7 +440,7 @@ def test_projective_build_work_bound(monkeypatch):
     # lambda-series at order 20 (column products 110 then, 70 now); the
     # block of its powers is computed once per process, so the bounds hold
     # for a build that starts with none computed
-    models._BLOCKS.clear()
+    models._block_gammas.cache_clear()
     reduce = GroupPresentation.reduce
     series_mul = TruncSeries.__mul__
     dot = RingModel.dot
@@ -506,7 +506,7 @@ def test_projective_block_built_once(monkeypatch, first, second):
     # P^10 and P^11 share the block of a..a^5, and each base the block of
     # its r: a second build reads the block's gamma-rows and does no series
     # arithmetic of its own but the substitution t -> t/(1+t)
-    models._BLOCKS.clear()
+    models._block_gammas.cache_clear()
     gw_projective.__wrapped__(*first)
     counts = {"products": 0, "columns": 0, "pows": 0}
 

@@ -114,11 +114,11 @@ def test_projective_blocks_shared_in_any_order():
     # (a^3 of order two) before P^6 and P^7 (a^3 free) in ascending order
     cold = {}
     for case in BLOCK_CASES:
-        models._BLOCKS.clear()
+        models._block_gammas.cache_clear()
         cold[case] = built_text(*case)
     shuffled = list(BLOCK_CASES)
     random.Random(50).shuffle(shuffled)
     for order in (BLOCK_CASES, shuffled):
-        models._BLOCKS.clear()
+        models._block_gammas.cache_clear()
         for case in order:
             assert built_text(*case) == cold[case], case

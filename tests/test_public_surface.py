@@ -111,12 +111,12 @@ def test_filtration_module_stands_on_coefficient_tuples():
 
 def test_filtration_reads_no_private_model_state():
     # the refusals are names of lambdaring's check table; filtration.py
-    # reads no private attribute but the memo slot, so no check logic of
-    # its own can grow back beside the table
+    # reads no private attribute, so no check logic of its own can grow back
+    # beside the table
     tree = ast.parse((SRC / "filtration.py").read_text())
     private = {n.attr for n in ast.walk(tree)
                if isinstance(n, ast.Attribute) and n.attr.startswith("_")}
-    assert private <= {"_filtration"}
+    assert private == set()
 
 
 def test_filtration_levels_grow_in_one_routine():

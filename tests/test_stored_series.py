@@ -44,14 +44,12 @@ def built_with_rows(monkeypatch, name, kwargs):
     real = models._model
 
     def capture(name, group, unit, mul, aug, gammas, hyperbolic, trunc):
-        def keep(ring):
-            handed = gammas(ring)
-            built.extend(
-                TruncSeries(ring, [unit, group.basis_element(i).coeffs], trunc) if rows is None
-                else TruncSeries(ring, [unit, *rows], trunc).substitute_alternating()
-                for i, rows in enumerate(handed))
-            return handed
-        return real(name, group, unit, mul, aug, keep, hyperbolic, trunc)
+        ring = real(name, group, unit, mul, aug, gammas, hyperbolic, trunc)
+        built.extend(
+            TruncSeries(ring, [unit, group.basis_element(i).coeffs], trunc) if rows is None
+            else TruncSeries(ring, [unit, *rows], trunc).substitute_alternating()
+            for i, rows in enumerate(gammas))
+        return ring
 
     with monkeypatch.context() as patched:
         patched.setattr(models, "_model", capture)
@@ -137,6 +135,7 @@ def test_given_rows_are_stored_once_reduced():
     mul = {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1)}
     m = RingModel("x of order 3", group, (1, 0, 0), mul, (1, 0, 0), lam, trunc=5)
     for i, rows in enumerate(lam):
-        assert m._basis_columns[i] == TruncSeries(m, [m.unit.coeffs, *rows], 5)._columns
+        columns = TruncSeries(m, [m.unit.coeffs, *rows], 5)._columns
+        assert m._basis_columns[i] == {k: tuple(col) for k, col in columns.items()}
     assert m.lambda_on_basis[1] == (group.element((0, 1, 0)), group.element((0, 1, 1)))
-    assert m._basis_columns[0] == {0: [1, 0, 0, 0, 0, 0]}
+    assert m._basis_columns[0] == {0: (1, 0, 0, 0, 0, 0)}

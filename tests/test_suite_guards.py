@@ -1,6 +1,6 @@
 """Guards on the test suite itself: the mutation catalogue of
-``tools/mutants.py`` still applies to the source, and no test module
-defines one top-level name twice.
+``tools/mutants.py`` still applies to the source, each mutated file
+parsing, and no test module defines one top-level name twice.
 
 The catalogue's full run copies the checkout once per entry and takes
 minutes, so it stays out of this suite; here each entry is only checked to
@@ -23,6 +23,18 @@ def test_catalogue_entries_apply():
     names = [m.name for m in mutants.CATALOGUE]
     assert len(names) >= 20 and len(set(names)) == len(names)
     assert {m.name: mutants.problems(m) for m in mutants.CATALOGUE} == {n: [] for n in names}
+
+
+def test_catalogue_reports_a_mutant_that_does_not_parse():
+    # the import error alone would fail every kill file of such an entry,
+    # which proves nothing of the tests: it is reported before any run
+    mutants = load("mutants")
+    old = "if i and any(g):"
+    parsed = mutants.Mutant("parses", mutants.FILTRATION, old, "if i:", mutants._tests("filtration"))
+    broken = parsed._replace(name="unbalanced", new="if i and any(g:")
+    assert mutants.problems(parsed) == []
+    [problem] = mutants.problems(broken)
+    assert problem.startswith("mutated src/gwgamma/filtration.py does not parse: ")
 
 
 def test_no_module_defines_a_name_twice():

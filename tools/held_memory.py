@@ -7,9 +7,11 @@ imports ``Workload`` from ROOT's ``bench/run.py``, sets the workload up at
 the seed (gwgamma imported afresh from ROOT's ``src``), then starts
 ``tracemalloc`` and runs one pass, keeping its records as ``bench/run.py``
 does while it checks them.  After a full garbage collection, every block
-still traced was allocated by the pass and is still held: the models'
-filtration memos, the interned builtins the records keep alive and the
-records themselves.  It prints their total in KiB and the source lines
+still traced was allocated by the pass and is still held: the record of
+each live model's content (``lambdaring._derived``: its check cases and
+filtration levels) with its key, the interned builtins and parsed file
+models the pass's records keep alive, the blocks of
+``models._block_gammas`` the pass built and the records themselves.  It prints their total in KiB and the source lines
 that allocated the most; the last line is one JSON object with the total,
 the block count and the lines.  Nothing is written under ``bench/``.
 Stdlib only.

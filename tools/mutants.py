@@ -15,8 +15,9 @@ written.  It prints each entry's name, "killed" (the tests failed) or
 kill file once on an unmutated copy, since a kill means something only
 where that passes.  It exits 1 when the unmutated copy fails, when a
 mutant survives or pytest ends any other way, and, before it runs
-anything, when an entry's old text does not occur exactly once in its file
-or a kill file is missing.  Stdlib only.
+anything, when an entry's old text does not occur exactly once in its file,
+its mutated file does not parse (the import error alone would "kill" it,
+which proves nothing) or a kill file is missing.  Stdlib only.
 
 Mutation analysis measures a test suite by the seeded faults it kills
 (DeMillo, Lipton and Sayward, "Hints on test data selection", Computer
@@ -26,6 +27,7 @@ may be removed when the full run still kills every entry without it.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -88,8 +90,8 @@ CATALOGUE = (
            "products[g] = list(dict.fromkeys(p for p in found if any(p)))[:1]",
            _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle")),
     Mutant("certified-cap-short", FILTRATION,
-           "certified = kmax + max(max(memo.values, default=0) - 1, 0)",
-           "certified = kmax + max(max(memo.values, default=0) - 2, 0)",
+           "certified = kmax + max(max(values, default=0) - 1, 0)",
+           "certified = kmax + max(max(values, default=0) - 2, 0)",
            _tests("product_table_oracle", "per_weight_oracle", "filtration_oracle",
                   "filtration")),
     Mutant("zero-gamma-values-kept", FILTRATION, "if i and any(g):", "if i:",
@@ -105,7 +107,19 @@ CATALOGUE = (
            "new = below if new.columns == below.columns else new", "new = new",
            _tests("filtration_memo")),
     Mutant("grown-shorter-replaces-longer", FILTRATION,
-           "if n > len(levels[key][0]):", "if True:",
+           "if n > len(record[key][0]):", "if True:",
+           _tests("filtration_memo")),
+    Mutant("record-values-before-levels", FILTRATION,
+           'record.setdefault("gamma", ((full_subgroup(m.group),), ()))\n'
+           '        values = record["values"] = _gamma_values(m, kernel_basis(m.aug), budget)',
+           'values = record["values"] = _gamma_values(m, kernel_basis(m.aug), budget)\n'
+           '        record.setdefault("gamma", ((full_subgroup(m.group),), ()))',
+           _tests("filtration_memo")),
+    Mutant("record-quotient-before-levels", FILTRATION,
+           'record.setdefault("witt", ((full_subgroup(qpres),), ()))\n'
+           '        witt = record["witt_quotient"] = qpres, tuple(map(tuple, projection))',
+           'witt = record["witt_quotient"] = qpres, tuple(map(tuple, projection))\n'
+           '        record.setdefault("witt", ((full_subgroup(qpres),), ()))',
            _tests("filtration_memo")),
     Mutant("refusal-torsion-products-dropped", FILTRATION,
            '    "products respect torsion orders",\n', "",
@@ -205,7 +219,8 @@ CATALOGUE = (
     Mutant("check-memo-bypassed", LAMBDARING, "if name not in memo:", "if True:",
            _tests("cli")),
     Mutant("check-memo-shared-across-models", LAMBDARING,
-           "memo, checks = _derived(m).first_case, cache(lambda: dict(_checks(m)))",
+           'memo, checks = _derived(m).setdefault("checks", {}),'
+           " cache(lambda: dict(_checks(m)))",
            "memo, checks = _first_cases.__dict__.setdefault('shared', {}),"
            " cache(lambda: dict(_checks(m)))",
            _tests("intern_oracle", "checker_oracle", "filtration_refusals")),
@@ -301,7 +316,8 @@ CATALOGUE = (
     Mutant("projective-power-sign", MODELS,
            "g = g * g_j.pow(-c[1 + j])", "g = g * g_j.pow(c[1 + j])",
            _tests("projective_oracle", "models")),
-    Mutant("block-key-without-order", MODELS, "key = top, order", "key = top",
+    Mutant("block-key-without-order", MODELS,
+           "_block_gammas(top, order) if top", "_block_gammas(top, 2) if top",
            _tests("projective_oracle")),
     Mutant("block-l-zero-last", MODELS, "row[:1] + pad + row[1:]", "row + pad",
            _tests("projective_oracle", "models")),
@@ -312,7 +328,7 @@ CATALOGUE = (
            "[x] if i <= s else [x, [-v for v in x]]", "[x] if i <= s else [x]",
            _tests("models", "special_oracle")),
     Mutant("punctured-line-minus-eps", MODELS,
-           "return [None, None, [(0, 0, 1)]]", "return [None, None, [(0, 0, -1)]]",
+           "[None, None, [(0, 0, 1)]]", "[None, None, [(0, 0, -1)]]",
            _tests("models", "filtration")),
     Mutant("intern-ignores-trunc", MODELS,
            "key = tuple((v, type(v)) for v in bound.arguments.values())",
@@ -322,7 +338,7 @@ CATALOGUE = (
            "[unit, _basis_vec(group.rank, i)]", "[unit, _basis_vec(group.rank, i - 1)]",
            _tests("column_paths", "models", "checker_oracle")),
     Mutant("punctured-a5-short-gamma", MODELS,
-           "return [None, [(0, 1), (0, 1)]]", "return [None, [(0, 1)]]",
+           "[None, [(0, 1), (0, 1)]]", "[None, [(0, 1)]]",
            _tests("models", "acceptance")),
     # model files: the intern of texts and the writer
     Mutant("intern-unbounded", CLI, "if len(_MODELS) > 64:", "if False:",
@@ -347,15 +363,22 @@ CATALOGUE = (
 
 def problems(mutant: Mutant, root: str = ROOT) -> list[str]:
     """Why an entry cannot be applied as written: its file or a kill file
-    missing, its old text not occurring exactly once, or no change."""
+    missing, its old text not occurring exactly once, no change, or a
+    mutated file that does not parse."""
     path = os.path.join(root, mutant.path)
     if not mutant.path.startswith("src/") or not os.path.isfile(path):
         return ["%s is not a file under src/" % mutant.path]
     out = []
     with open(path, encoding="utf-8") as fh:
-        found = fh.read().count(mutant.old)
+        text = fh.read()
+    found = text.count(mutant.old)
     if found != 1:
         out.append("old text occurs %d times in %s" % (found, mutant.path))
+    else:
+        try:
+            ast.parse(text.replace(mutant.old, mutant.new, 1))
+        except SyntaxError as exc:
+            out.append("mutated %s does not parse: %s" % (mutant.path, exc.msg))
     if mutant.new == mutant.old:
         out.append("new text equals the old")
     if not mutant.kills:
