@@ -248,6 +248,8 @@ class RingModel:
     def basis_lambda_series(self, i: int, order: int) -> TruncSeries:
         """lambda_t(b_i) through the order: a new series over lists cut from
         the stored columns after the order; the model keeps no series."""
+        if type(order) is not int:
+            raise ValueError("order %r is not an integer" % (order,))
         if order < 0:
             raise ValueError("order must be non-negative")
         if order > self.trunc:

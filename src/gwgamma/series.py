@@ -74,6 +74,8 @@ class TruncSeries:
         """The series with coefficients c_0, c_1, ... given as coordinate rows
         of ``m.group``, each reduced, cut after the order or padded with zero
         degrees up to it."""
+        if type(order) is not int:
+            raise ValueError("order %r is not an integer" % (order,))
         if order < 0:
             raise ValueError("order must be non-negative")
         rows = [m.group.reduce(r) for r in rows[:order + 1]]
@@ -132,6 +134,8 @@ class TruncSeries:
         >>> s.inverse().rows(), len(s._powers)
         ([(1,), (-1,), (1,), (-1,)], 3)
         """
+        if type(e) is not int:
+            raise ValueError("exponent %r is not an integer" % (e,))
         m, n = self.model, self.order
         unit = m._unit_entries
         if {k: col[0] for k, col in self._columns.items() if col[0]} != dict(unit):

@@ -1,7 +1,6 @@
 """The gain rule of ``tools/ab_pairs.py`` on fixed numbers, and its report
 of a failed run."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -9,24 +8,10 @@ import sys
 
 import pytest
 
-AB_PAIRS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "ab_pairs.py"
-)
+from reference import ROOT, load
 
-
-def load_ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", AB_PAIRS)
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no cache file under tools/
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
-summarize = load_ab_pairs().summarize
+AB_PAIRS = os.path.join(ROOT, "tools", "ab_pairs.py")
+summarize = load("tools/ab_pairs.py").summarize
 
 PARENT = [27.0, 27.2, 27.1, 27.3, 27.2, 27.1, 27.0, 27.4, 27.2, 27.1]
 
@@ -148,7 +133,7 @@ def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path, monkeypat
     monkeypatch.setattr(subprocess, "run", no_run)
     parent = checkout(tmp_path / "parent", GOOD_RUN)
     with pytest.raises(SystemExit) as exc:
-        load_ab_pairs().main([parent, parent, "--workload", "x", "--pairs", "1"])
+        load("tools/ab_pairs.py").main([parent, parent, "--workload", "x", "--pairs", "1"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unknown workload 'x'" in err and "lists w, v" in err

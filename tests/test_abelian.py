@@ -24,11 +24,7 @@ from gwgamma.abelian import (
     smith_normal_form,
     subgroup_from_generators,
 )
-
-
-def zero_subgroup(pres):
-    """The subgroup of relations only: the zero subgroup of the group."""
-    return subgroup_from_generators(pres, [])
+from reference import zero_subgroup
 
 
 def closure(pres, gens):

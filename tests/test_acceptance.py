@@ -43,9 +43,9 @@ from gwgamma.models import (
 )
 from gwgamma.series import TruncSeries
 from gwgamma.symfunc import MultiPoly
-from test_abelian import zero_subgroup
-from test_models import assert_twisted_classes, punctured_gamma_coefficients, torsion_elements
-from test_symfunc import expand_elementary, is_symmetric, to_elementary
+from reference import (
+    assert_twisted_classes, expand_elementary, is_symmetric, punctured_gamma_coefficients,
+    to_elementary, torsion_elements, zero_subgroup)
 
 
 def span(model, elems):

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface and model file format."""
 
+import functools
 import hashlib
 import inspect
 import json
@@ -7,13 +8,11 @@ import os
 import random
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
 
 from gwgamma import cli, lambdaring, series
-from gwgamma.abelian import GroupPresentation
 from gwgamma.cli import (
     ModelFormatError,
     dump_model,
@@ -34,8 +33,7 @@ from gwgamma.models import (
     gw_punctured_line,
     gw_surface_cxp1,
 )
-from test_filtration import trivial_model
-from test_filtration_oracle import fresh
+from reference import fresh, line_ring, run_in_threads, trivial_model
 
 
 ROUND_TRIP_CASES = [
@@ -634,14 +632,9 @@ def test_format_helpers():
 def test_non_neutral_unit_with_large_torsion_order_exits_1(tmp_path, capsys, monkeypatch):
     # one*one = 3*one + x: the power of lambda_t(t) to the order 2^40 is the
     # binomial sum over T^1..T^trunc, T = t t, whatever the unit does
-    def e(i):
-        return tuple(int(k == i) for k in range(3))
-
-    m = RingModel(
-        "non-neutral", GroupPresentation((0, 0, 2 ** 40), ("one", "x", "t")), e(0),
-        {(0, 0): (3, 1, 0), (0, 1): e(1), (1, 1): e(0), (0, 2): e(2)},
-        (1, 1, 0), [[e(i)] for i in range(3)],
-    )
+    m = line_ring("non-neutral", (0, 0, 2 ** 40),
+                  {(0, 0): (3, 1, 0), (0, 1): (0, 1, 0), (1, 1): (1, 0, 0), (0, 2): (0, 0, 1)},
+                  (1, 1, 0), names=("one", "x", "t"))
     path = tmp_path / "non_neutral.json"
     path.write_text(json.dumps(model_to_dict(m)))
     column_product = series._product
@@ -747,26 +740,13 @@ def test_threads_parsing_shared_files_get_one_model_per_text(tmp_path, fresh_int
         paths.append(str(tmp_path / ("m%d.json" % n)))
         with open(paths[-1], "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc))
-    got, errors = [], []
+    got = []
 
     def parse(seed):
-        try:
-            order = random.Random(seed).sample(paths * 2, 2 * len(paths))
-            got.extend((p, id(parse_model(p))) for p in order)
-        except Exception as exc:  # reported below
-            errors.append(exc)
+        order = random.Random(seed).sample(paths * 2, 2 * len(paths))
+        got.extend((p, id(parse_model(p))) for p in order)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=parse, args=(seed,)) for seed in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
+    errors = run_in_threads([functools.partial(parse, seed) for seed in range(8)])
     assert errors == [] and len(got) == 8 * 2 * len(paths)
     assert len(set(got)) == len(paths) == len(fresh_intern)
 

@@ -27,7 +27,7 @@ import tempfile
 import pytest
 
 from gwgamma.cli import run
-from test_filtration_oracle import CLI_BUILTINS
+from reference import CLI_BUILTINS
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN = os.path.join(DATA, "cli_golden.json")

@@ -1,14 +1,15 @@
 """Differential tests of the integer-column paths from builtin to filtration.
 
 The references are the earlier paths, which went through ``RingElement`` and
-``GroupElement`` at every coefficient.  They live here only as oracles:
+``GroupElement`` at every coefficient.  They live only as oracles:
 
 * ``oracle_model`` is the earlier ``models._model``: it built a ring for the
   arithmetic, read the builder's series back coefficient by coefficient
   and built a second ``RingModel`` from those coefficients; here each
   series is read off the builder's gamma-polynomial one group element at a
-  time;
-* ``oracle_gamma_values`` wrapped every gamma-coefficient in a ring element;
+  time (``oracle_lambda_rows`` of ``tests/reference.py``);
+* ``oracle_gamma_values``, of ``tests/reference.py`` too, wrapped every
+  gamma-coefficient in a ring element;
 * ``oracle_witt_pieces`` reduced every HNF column to a group element,
   projected it, and spanned the images with ``subgroup_from_generators``.
 
@@ -18,7 +19,6 @@ the constructor's refusal of data that the model file format refuses.
 """
 
 import re
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,58 +39,26 @@ from gwgamma.filtration import (
     witt_filtration,
     witt_quotient,
 )
-from gwgamma.lambdaring import RingModel, gamma_total, validate_model
+from gwgamma.lambdaring import RingModel, validate_model
 from gwgamma.models import BUILTINS, gw_punctured_a5, gw_surface_cxp1
-from test_arith_oracle import elements_of, model_and_elements, ring_models
-from test_filtration_oracle import CLI_BUILTINS, fresh, uncached
-from test_sparse_oracle import oracle_project, presentations, vectors
-
-IDS = ["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS]
+from reference import (
+    CLI_BUILTINS, CLI_IDS, dense_mul, fresh, model_and_elements, oracle_gamma_values,
+    oracle_lambda_rows, oracle_project, presentations, ring_models, uncached, vectors)
 
 
 def oracle_model(name, group, unit, mul, aug, gammas, hyperbolic, trunc):
-    def build(lambda_on_basis):
-        return RingModel(name, group, unit, mul, aug, lambda_on_basis, hyperbolic, trunc)
-
-    def lambda_rows(i, rows):
-        # lambda_t(b) = 1 + b t for a line class b; otherwise gamma_t(b) at
-        # t/(1+t): lambda^k(b) = sum_i (-1)^(k-i) C(k-1, k-i) gamma^i(b)
-        if rows is None:
-            return [group.basis_element(i).coeffs]
-        g = [group.element(r) for r in rows[:trunc]]
-        return [sum(((-1) ** (k - i) * comb(k - 1, k - i) * g[i - 1]
-                     for i in range(1, min(k, len(g)) + 1)), group.zero()).coeffs
-                for k in range(1, trunc + 1)]
-
-    return build([lambda_rows(i, rows) for i, rows in enumerate(gammas)])
+    lam = [oracle_lambda_rows(group, i, rows, trunc) for i, rows in enumerate(gammas)]
+    return RingModel(name, group, unit, mul, aug, lam, hyperbolic, trunc)
 
 
 def rebuilt(m):
     """m rebuilt through the public constructor from its own data."""
-    rank = m.group.rank
-    mul = {}
-    for i in range(rank):
-        for j in range(i, rank):
-            row = [0] * rank
-            for k, c in m.products[i][j]:
-                row[k] = c
-            mul[(i, j)] = row
     return RingModel(
-        m.name, m.group, m.unit.coeffs, mul, m.aug,
+        m.name, m.group, m.unit.coeffs, dense_mul(m), m.aug,
         [[g.coeffs for g in s] for s in m.lambda_on_basis],
         None if m.hyperbolic is None else [h.coeffs for h in m.hyperbolic],
         m.trunc,
     )
-
-
-def oracle_gamma_values(gens, order):
-    values = []
-    for e in gens:
-        coeffs = elements_of(gamma_total(e, order))
-        values.extend(
-            (i, coeffs[i]) for i in range(1, order + 1) if not coeffs[i].is_zero
-        )
-    return values
 
 
 def by_weight(values):
@@ -120,7 +88,7 @@ def oracle_witt_pieces(m, f):
 
 # ---------------------------------------------------------------- builtins
 
-@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=IDS)
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=CLI_IDS)
 def test_builtin_equals_rebuilt_and_oracle_build(monkeypatch, name, kwargs):
     m = BUILTINS[name](**kwargs)
     monkeypatch.setattr(models, "_model", oracle_model)
@@ -137,7 +105,7 @@ def test_builtin_equals_rebuilt_and_oracle_build(monkeypatch, name, kwargs):
                 assert got._columns == want._columns
 
 
-@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=IDS)
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=CLI_IDS)
 def test_builtin_gamma_values_and_witt_pieces_match_oracle(name, kwargs):
     m = BUILTINS[name](**kwargs)
     gens = [m.element(v) for v in kernel_basis(m.aug)]
@@ -184,7 +152,7 @@ def test_unreduced_vector_projects_as_its_reduction(data):
 
 # ---------------------------------------------------------------- work bounds
 
-@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=IDS)
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=CLI_IDS)
 def test_builtin_builds_one_model(monkeypatch, name, kwargs):
     calls = []
     init = RingModel.__init__

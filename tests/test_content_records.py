@@ -23,14 +23,9 @@ from gwgamma.filtration import gamma_filtration, witt_filtration
 from gwgamma.lambdaring import RingModel, _derived, validate_model
 from gwgamma.models import BUILTINS, gw_projective, gw_punctured_a5
 
-from test_filtration_memo import counted_hnfs, filtered
-from test_filtration_oracle import CLI_BUILTINS, fresh, group_ring, uncached
-from test_filtration_refusals import (
-    nonzero_rank_ring,
-    unkilled_torsion_ring,
-    zero_augmentation_ring,
-)
-from test_multiplicativity import GROUPS
+from reference import (
+    CLI_BUILTINS, GROUPS, counted_hnfs, filtered, fresh, group_ring, nonzero_rank_ring, uncached,
+    unkilled_torsion_ring, zero_augmentation_ring)
 
 BUILDS = [(name, BUILTINS[name], kwargs) for name, kwargs in CLI_BUILTINS] + [
     ("group_ring", group_ring, {"orders": orders}) for orders in GROUPS]

@@ -5,9 +5,9 @@ supplied product; ``lambdaring._evaluate`` makes that product one
 ``RingModel.dot`` and reduces the sum once, as the ``special`` checker and
 ``psi_k`` do.  It starts a fold from its first value, passes over factors
 equal to the unit and drops a term once its prefix is zero.  The one
-reference, ``oracle_evaluate`` below, is the earliest fold: every monomial
-was the full left fold one * v * v * w * ..., with its prefixes memoized,
-on values with their own arithmetic.  For a bilinear product whose unit is
+reference, ``oracle_evaluate`` of ``tests/reference.py``, is the earliest
+fold: every monomial was the full left fold one * v * v * w * ..., with its
+prefixes memoized, on values with their own arithmetic.  For a bilinear product whose unit is
 neutral on both sides, associative or not, both must give equal values.
 The drawn models below have such a unit: with a nilpotent basis element,
 torsion factors and drawn structure constants that are in general not
@@ -18,30 +18,14 @@ it at the Newton polynomial.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from gwgamma import cli
-from gwgamma.abelian import GroupPresentation, _entries
-from gwgamma.lambdaring import RingElement, RingModel, _evaluate
+from gwgamma.lambdaring import RingElement, RingModel
 from gwgamma.symfunc import MultiPoly, compose_universal, newton_psi, product_universal
-
-
-def oracle_evaluate(poly, values, one):
-    if len(values) != poly.nvars:
-        raise ValueError("wrong number of values")
-    prefixes = {}
-    acc = None
-    for exps, c in poly.terms.items():
-        term, key = one, ()
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                key += (i,)
-                if key not in prefixes:
-                    prefixes[key] = term * values[i]
-                term = prefixes[key]
-        term = term * c
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else one * 0
+from reference import (
+    ORACLE_SETTINGS, SMALL_BUILTINS, basis_vector, draw_values, fold, line_ring, oracle_evaluate,
+    reference, value_kinds)
 
 
 def int_evaluate(poly, values):
@@ -67,7 +51,6 @@ POLYS = (
     + [newton_psi(k) for k in (1, 2, 3, 4, 5, 6)]
 )
 POLY = st.sampled_from(POLYS)
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @st.composite
@@ -78,66 +61,22 @@ def neutral_unit_models(draw):
     orders = (0, 0) + tuple(draw(st.lists(st.sampled_from([0, 2, 3, 4]), max_size=3)))
     rank = len(orders)
     vec = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(tuple)
-
-    def e(j):
-        return tuple(int(t == j) for t in range(rank))
-
-    mul = {(0, j): e(j) for j in range(rank)}
+    mul = {(0, j): basis_vector(j, rank) for j in range(rank)}
     for i in range(1, rank):
         for j in range(i, rank):
             if (i, j) != (1, 1) and draw(st.booleans()):
                 mul[(i, j)] = draw(vec)
-    group = GroupPresentation(orders, tuple("b%d" % i for i in range(rank)))
-    lam = [[e(i)] for i in range(rank)]
-    return RingModel("drawn", group, e(0), mul, (1,) + (0,) * (rank - 1), lam, trunc=6)
+    return line_ring("drawn", orders, mul, basis_vector(0, rank), trunc=6)
 
 
-def value_kinds(m):
-    """One value: zero, the unit, a multiple of b1 (nilpotent in
-    ``neutral_unit_models``), a torsion element, the unit plus a multiple of
-    b1 or plus a small element, or a small element; b0 stands in for b1 at
-    rank one.  Built once per model: building a strategy costs more than
-    drawing from it."""
-    rank = m.group.rank
-    nil = min(1, rank - 1)
-    torsion = [i for i, o in enumerate(m.group.orders) if o] or [nil]
-
-    def basis_multiple(i, c):
-        return m.element([c * int(t == i) for t in range(rank)])
-
-    small = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).map(m.element)
-    return st.one_of(
-        st.just(m.zero_element),
-        st.just(m.unit_element),
-        st.integers(-3, 3).map(lambda c: basis_multiple(nil, c)),
-        st.builds(basis_multiple, st.sampled_from(torsion), st.integers(1, 3)),
-        st.integers(-2, 2).map(lambda c: m.unit_element + basis_multiple(nil, c)),
-        small.map(lambda v: m.unit_element + v),
-        small,
-    )
-
-
-def draw_values(data, kinds, count):
-    return data.draw(st.lists(kinds, min_size=count, max_size=count))
-
-
-def fold(poly, values):
-    """``_evaluate`` at the entries of ring elements, a coefficient tuple."""
-    return _evaluate(values[0].model, poly, [_entries(v.value.coeffs) for v in values])
-
-
-def reference(poly, values):
-    return oracle_evaluate(poly, values, values[0].model.unit_element).value.coeffs
-
-
-@SETTINGS
+@ORACLE_SETTINGS
 @given(st.data(), POLY, neutral_unit_models())
 def test_ring_values_match_oracle(data, poly, m):
     values = draw_values(data, value_kinds(m), poly.nvars)
     assert fold(poly, values) == reference(poly, values)
 
 
-@SETTINGS
+@ORACLE_SETTINGS
 @given(st.data(), POLY)
 def test_int_values_match_oracle(data, poly):
     values = data.draw(st.lists(
@@ -157,7 +96,7 @@ def small_polys(nvars):
     )
 
 
-@SETTINGS
+@ORACLE_SETTINGS
 @given(st.data(), POLY, st.integers(1, 3))
 def test_multipoly_values_match_oracle(data, poly, nvars):
     values = data.draw(st.lists(small_polys(nvars), min_size=poly.nvars, max_size=poly.nvars))
@@ -195,15 +134,6 @@ def test_prefix_keys_built_once():
     assert chains is not None
     assert cli.run(["special", "builtin:gw_point", "--base", "C"]) == 0
     assert p2._chains is chains
-
-
-# the model-files builtins without the two points: (constructor, CLI flags)
-SMALL_BUILTINS = (
-    [("gw_projective", ("--base", b, "--r", str(r))) for b in "CR" for r in range(1, 8)]
-    + [("gw_surface_cxp1", ("--s", str(s))) for s in range(5)]
-    + [("gw_punctured_line", ())]
-    + [("gw_punctured_a5", ("--f", str(f))) for f in range(2, 7)]
-)
 
 
 def test_special_work_bound(monkeypatch, capsys):

@@ -24,22 +24,8 @@ from gwgamma.models import (
     gw_surface_cxp1,
     line_elements,
 )
-from test_abelian import zero_subgroup
-from test_filtration_oracle import fresh, group_ring
-from test_series import z_series
-
-
-def trivial_model(n):
-    """Basis one, x1..x(n-1) with only the unit products, x_i of rank zero
-    and lambda_t(x_i) = 1 + x_i t, so gamma^i(x_i) = x_i at every weight."""
-    def e(i):
-        return tuple(int(t == i) for t in range(n))
-
-    names = ("one",) + tuple("x%d" % i for i in range(1, n))
-    return RingModel(
-        "trivial%d" % n, GroupPresentation((0,) * n, names), e(0),
-        {(0, j): e(j) for j in range(n)}, e(0), [[e(i)] for i in range(n)],
-    )
+from reference import (
+    GROUPS, counted_hnfs, fresh, group_ring, trivial_model, z_series, zero_subgroup)
 
 
 def span(model, *vecs):
@@ -430,18 +416,12 @@ def test_filtration_builds_no_f1_subgroup(monkeypatch):
     # spanning them as a subgroup, which the run never reads, cost one more
     # HNF (4 calls at kmax 1 on the point).  F^0, the whole group, is the
     # identity HNF, built without a call, and each of F^1..F^kmax is one HNF
-    from gwgamma import abelian
-
-    calls = []
-    hnf = abelian.hnf_columns
-    monkeypatch.setattr(
-        abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
-    )
+    calls = counted_hnfs(monkeypatch)
     gamma_filtration(fresh(gw_point)("C"), kmax=1)
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("orders", [(4,), (2, 2), (2, 2, 2), (2, 4)])
+@pytest.mark.parametrize("orders", GROUPS)
 def test_filtration_makes_no_membership_test(monkeypatch, orders):
     # F^kmax is closed under the gamma-values by construction, so no run
     # multiplies them into it and tests each product with Subgroup.contains
@@ -468,14 +448,8 @@ def test_filtration_makes_one_hnf_per_piece(monkeypatch, build, kmax, hnfs):
     # with the lower pieces, with no per-weight span and no sum, on a result
     # that is not exact (P^12, truncated) too: one HNF per piece up to the
     # first zero piece, none above it, since the pieces nest
-    from gwgamma import abelian
-
     m = build()
-    calls = []
-    hnf = abelian.hnf_columns
-    monkeypatch.setattr(
-        abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
-    )
+    calls = counted_hnfs(monkeypatch)
     f = gamma_filtration(m, kmax=kmax)
     first_zero = next((k for k, p in enumerate(f.pieces) if p.is_zero), kmax)
     assert len(calls) == hnfs == first_zero

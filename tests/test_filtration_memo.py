@@ -15,11 +15,6 @@ an emptied registry of content records, filtered at that kmax alone.
 import dataclasses
 import functools
 import gc
-import importlib.util
-import os
-import re
-import sys
-import threading
 import weakref
 
 import pytest
@@ -33,32 +28,13 @@ from gwgamma.filtration import _gamma_values, gamma_filtration, witt_filtration,
 from gwgamma.lambdaring import _derived, validate_model, verify_special_pair
 from gwgamma.models import BUILTINS, gw_point, gw_projective, gw_surface_cxp1, line_elements
 
-from test_filtration_oracle import CLI_BUILTINS, fresh as fresh_build, group_ring, uncached
-from test_filtration_refusals import (
-    nonzero_rank_ring,
-    unkilled_torsion_ring,
-    zero_augmentation_ring,
-)
-from test_projective_products import MEMBERS, projective_product
-
-JOBS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "jobs.py"
-)
-
-
-def load_jobs():
-    spec = importlib.util.spec_from_file_location("bench_jobs", JOBS)
-    jobs = importlib.util.module_from_spec(spec)
-    write_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no cache file under bench/
-    try:
-        spec.loader.exec_module(jobs)
-    finally:
-        sys.dont_write_bytecode = write_bytecode
-    return jobs
-
-
-JOBS_MODULE = load_jobs()
+from reference import (
+    CLI_BUILTINS, JOBS_MODULE, MEMBERS, assert_refused, counted_hnfs, filtered, group_ring,
+    nonzero_rank_ring, projective_product, run_in_threads, uncached, unkilled_torsion_ring,
+    zero_augmentation_ring)
+# under the name the drawn test below is seeded with: a derandomized
+# hypothesis test draws from a seed of its own source
+from reference import fresh as fresh_build
 
 
 def _builtin_cases():
@@ -131,15 +107,6 @@ def test_orders_extend_and_slice():
     assert got[8].pieces == fresh.pieces
     assert got[2].pieces == fresh.pieces[:3]
     assert got[5].graded == fresh.graded[:5]
-
-
-def counted_hnfs(monkeypatch):
-    calls = []
-    hnf = abelian.hnf_columns
-    monkeypatch.setattr(
-        abelian, "hnf_columns", lambda *args: calls.append(args) or hnf(*args)
-    )
-    return calls
 
 
 def test_pieces_are_built_once(monkeypatch):
@@ -329,17 +296,13 @@ def test_witt_quotient_projection_is_immutable():
 
 
 @pytest.mark.parametrize("build,message", [
-    (zero_augmentation_ring, re.escape("d(b1*b1) = 1 != 0")),
-    (nonzero_rank_ring, re.escape("d(lambda^2(b1)) = 1 != C(0,2)")),
-    (unkilled_torsion_ring, re.escape("order 2 of b2 does not kill b2*b2")),
+    (zero_augmentation_ring, "augmentation is a ring homomorphism: d(b1*b1) = 1 != 0"),
+    (nonzero_rank_ring,
+     "augmentation compatible with lambda-series: d(lambda^2(b1)) = 1 != C(0,2)"),
+    (unkilled_torsion_ring, "products respect torsion orders: order 2 of b2 does not kill b2*b2"),
 ], ids=["augmentation", "rank", "torsion"])
 def test_refused_model_raises_on_every_call(build, message):
-    m = build()
-    for _ in range(2):
-        with pytest.raises(ValueError, match=message):
-            gamma_filtration(m, kmax=1)
-        with pytest.raises(ValueError, match=message):
-            witt_filtration(m, gamma_filtration(m, kmax=1))
+    assert_refused(build(), (1, 1), message)
 
 
 def test_equal_calls_share_one_model():
@@ -416,41 +379,19 @@ def test_dropped_builtin_is_released(tmp_path):
             gc.enable()
 
 
-def filtered(m, kmax):
-    """The fields but the model of gamma_filtration(m, kmax) and, for a
-    model with hyperbolic classes, of its Witt filtration."""
-    f = gamma_filtration(m, kmax)
-    results = [f] if m.hyperbolic is None else [f, witt_filtration(m, f)]
-    return [dataclasses.replace(r, model=None) for r in results]
-
-
 def filter_in_threads(builds, kmaxes, want):
     """Filter fresh models from one thread per kmax, in five rounds under a
     switch interval of 1e-6, each round one model per build, taken by the
     threads in turn; the errors the threads raised, each result
     ``filtered(m, kmax)`` compared with want[kmax]."""
+    def check(m, kmax):
+        assert filtered(m, kmax) == want[kmax]
+
     errors = []
-
-    def run(m, kmax):
-        try:
-            assert filtered(m, kmax) == want[kmax]
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            models = [build() for build in builds]
-            threads = [threading.Thread(target=run, args=(models[n % len(models)], k))
-                       for n, k in enumerate(kmaxes)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
+    for _ in range(5):
+        models = [build() for build in builds]
+        errors += run_in_threads([functools.partial(check, models[n % len(models)], k)
+                                  for n, k in enumerate(kmaxes)])
     return errors
 
 

@@ -16,33 +16,18 @@ the truncation clause is exercised: projective spaces of dimension 10..12
 at the default truncation, and dimension 7 at truncation 8.
 """
 
-import functools
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import (
-    GroupPresentation,
     full_subgroup,
     kernel_basis,
     relative_quotient_invariants,
     subgroup_from_generators,
 )
 from gwgamma.filtration import FiltrationResult, gamma_filtration
-from gwgamma import lambdaring
-from gwgamma.lambdaring import RingModel, gamma_total
 from gwgamma.models import BUILTINS, gw_projective
-
-
-def _gamma_value_table(gens, cap):
-    from test_arith_oracle import elements_of  # which imports this module
-
-    table = []
-    for e in gens:
-        coeffs = elements_of(gamma_total(e, cap))
-        table.append([(i, coeffs[i]) for i in range(1, cap + 1) if not coeffs[i].is_zero])
-    return table
+from reference import CLI_BUILTINS, CLI_IDS, group_ring, oracle_gamma_values
 
 
 def _monomial_values(table, cap):
@@ -99,7 +84,7 @@ def _closure_certified(m, pieces, by_weight, table, kmax, cap):
 def oracle_filtration(m, kmax=8):
     budget = m.trunc
     gens = [m.element(v) for v in kernel_basis(m.aug)]
-    table = _gamma_value_table(gens, budget)
+    table = [oracle_gamma_values([e], budget) for e in gens]
     imax = max((i for row in table for i, _ in row), default=0)
     certified = kmax + max(imax - 1, 0)
     cap = min(certified, budget)
@@ -128,42 +113,7 @@ def oracle_filtration(m, kmax=8):
     )
 
 
-# every builtin over the parameter range the command line accepts
-CLI_BUILTINS = (
-    [("gw_point", {"base": b}) for b in "CR"]
-    + [("gw_point_C", {}), ("gw_point_R", {}), ("gw_punctured_line", {})]
-    + [("gw_projective", {"base": b, "r": r}) for b in "CR" for r in range(1, 13)]
-    + [("gw_punctured_a5", {"f": f}) for f in range(2, 9)]
-    + [("gw_surface_cxp1", {"s": s}) for s in range(13)]
-)
-
-
-def uncached(build):
-    """The uncached build behind an interned constructor, ``__wrapped__``,
-    with the arguments a ``functools.partial`` of one binds (``gw_point_C``
-    and ``gw_point_R`` bind the base of ``gw_point``); a build that is not
-    interned is its own."""
-    if isinstance(build, functools.partial):
-        return functools.partial(build.func.__wrapped__, *build.args, **build.keywords)
-    return getattr(build, "__wrapped__", build)
-
-
-def fresh(build):
-    """``uncached(build)`` on an emptied registry of content records: the
-    model it returns derives its checks and its filtration itself, not from
-    the record of a live model with equal content (``lambdaring._derived``),
-    as long as no other model is looked up before it."""
-    def call(*args, **kwargs):
-        lambdaring._RECORDS.clear()
-        return uncached(build)(*args, **kwargs)
-
-    return call
-
-
-@pytest.mark.parametrize(
-    "name,kwargs", CLI_BUILTINS,
-    ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
-)
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=CLI_IDS)
 def test_builtin_matches_oracle(name, kwargs):
     m = BUILTINS[name](**kwargs)
     assert gamma_filtration(m) == oracle_filtration(m)
@@ -174,32 +124,6 @@ def test_heuristic_under_short_truncation_matches_oracle():
     f = gamma_filtration(m, kmax=7)
     assert not f.exact
     assert f == oracle_filtration(m, kmax=7)
-
-
-@functools.lru_cache(maxsize=None)
-def group_ring(orders):
-    """Z[G] for G = Z/o_1 x ... x Z/o_n, with lambda_t(g) = 1 + g t."""
-    elems = list(itertools.product(*[range(n) for n in orders]))
-    index = {e: i for i, e in enumerate(elems)}
-    rank = len(elems)
-
-    def basis_vec(i):
-        return tuple(int(j == i) for j in range(rank))
-
-    mul = {}
-    for i, a in enumerate(elems):
-        for j in range(i, rank):
-            ab = tuple((x + y) % n for x, y, n in zip(a, elems[j], orders))
-            mul[(i, j)] = basis_vec(index[ab])
-    names = tuple("g" + "".join(map(str, e)) for e in elems)
-    return RingModel(
-        "Z[%s]" % "x".join("C%d" % n for n in orders),
-        GroupPresentation((0,) * rank, names),
-        basis_vec(0),
-        mul,
-        (1,) * rank,
-        [[basis_vec(i)] for i in range(rank)],
-    )
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -1,6 +1,6 @@
 """Differential test of the one polynomial fold off the ring verdict.
 
-The reference is ``test_evaluate_oracle.oracle_evaluate``, the full left
+The reference is ``oracle_evaluate`` of ``tests/reference.py``, the full left
 fold.  ``lambdaring._evaluate`` must give its values on every model with
 a neutral unit, also on the drawn models that fail ``is_ring``, where the
 bracketing of each monomial decides its value: at P_1..P_4 and every
@@ -15,16 +15,16 @@ from hypothesis import given, strategies as st
 from gwgamma.lambdaring import lambda_total, psi_k
 from gwgamma.models import BUILTINS
 from gwgamma.symfunc import compose_universal, newton_psi, product_universal
-from test_arith_oracle import elements_of, is_ring, ring_models
-from test_evaluate_oracle import (
-    SETTINGS, SMALL_BUILTINS, draw_values, fold, oracle_evaluate, reference, value_kinds)
+from reference import (
+    ORACLE_SETTINGS, SMALL_BUILTINS, draw_values, elements_of, fold, is_ring, oracle_evaluate,
+    reference, ring_models, value_kinds)
 
 PRODUCTS = [product_universal(n) for n in range(1, 5)]
 COMPOSITIONS = [compose_universal(m, n)
                 for m in range(1, 7) for n in range(1, 7) if m * n <= 6]
 
 
-@SETTINGS
+@ORACLE_SETTINGS
 @given(st.data(), ring_models(neutral_unit=True, non_ring=True))
 def test_fold_matches_evaluate_off_the_ring_verdict(data, m):
     assert not is_ring(m)
@@ -56,7 +56,7 @@ def test_psi_matches_reference_on_builtins(name, flags):
             assert psi_k(x, k) == psi_reference(x, k)
 
 
-@SETTINGS
+@ORACLE_SETTINGS
 @given(st.data(), ring_models(neutral_unit=True))
 def test_psi_matches_reference_on_drawn_models(data, m):
     # also on models that fail is_ring, where psi_k is not additive

@@ -6,7 +6,8 @@ import os
 import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from reference import ROOT
+
 HELD_MEMORY = os.path.join(ROOT, "tools", "held_memory.py")
 
 # each job keeps 64 KiB and drops 1 MiB

@@ -24,18 +24,10 @@ from gwgamma.filtration import _REFUSALS, gamma_filtration
 from gwgamma.lambdaring import CheckResult, Report, _checks, validate_model
 from gwgamma.models import BUILTINS
 
-from test_arith_oracle import augmented_ring_models, ring_models
-from test_filtration_memo import JOBS_MODULE
-from test_filtration_oracle import CLI_BUILTINS, fresh, uncached
-from test_filtration_refusals import (
-    lambda_one_ring,
-    nonzero_rank_ring,
-    torsion_rank_ring,
-    torsion_series_ring,
-    unkilled_torsion_ring,
-    zero_augmentation_ring,
-    zero_unit_rank_ring,
-)
+from reference import (
+    CLI_BUILTINS, CLI_IDS, JOBS_MODULE, augmented_ring_models, fresh, lambda_one_ring,
+    nonzero_rank_ring, ring_models, torsion_rank_ring, torsion_series_ring, uncached,
+    unkilled_torsion_ring, zero_augmentation_ring, zero_unit_rank_ring)
 
 BUILDS = (
     [functools.partial(uncached(BUILTINS[name]), **kwargs) for name, kwargs in CLI_BUILTINS]
@@ -131,8 +123,7 @@ def assert_memo_matches_oracle(m, kmax=2):
     functools.partial(JOBS_MODULE.group_ring, gwgamma, "C2^4"),
     zero_augmentation_ring, nonzero_rank_ring, unkilled_torsion_ring, lambda_one_ring,
     torsion_rank_ring, torsion_series_ring, zero_unit_rank_ring,
-], ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS]
-   + ["Z[%s]" % label for label in JOBS_MODULE.FILE_GROUP_RINGS + ("C2^4",)]
+], ids=CLI_IDS + ["Z[%s]" % label for label in JOBS_MODULE.FILE_GROUP_RINGS + ("C2^4",)]
    + ["zero_augmentation", "nonzero_rank", "unkilled_torsion", "lambda_one",
       "torsion_rank", "torsion_series", "zero_unit_rank"])
 def test_check_memo_matches_the_checks_read_directly(build):

@@ -2,7 +2,7 @@
 
 A product packs each coordinate column of both factors into one integer and
 multiplies the packed columns pairwise (Kronecker substitution).  The
-reference is ``oracle_series_mul`` of ``test_arith_oracle``: one ring
+reference is ``oracle_series_mul`` of ``tests/reference.py``: one ring
 product per pair of coefficients, through the per-pair product table of the
 earlier arithmetic, summed one term at a time.  The drawn models include
 ones that are not rings, free and torsion coordinates side by side,
@@ -14,10 +14,8 @@ the slot width the product packs them in.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwgamma.abelian import GroupPresentation
-from gwgamma.lambdaring import RingModel
 from gwgamma.series import TruncSeries
-from test_arith_oracle import is_ring, oracle_arithmetic, ring_models
+from reference import is_ring, line_ring, oracle_arithmetic, ring_models
 
 
 def oracle_product(s, t):
@@ -67,14 +65,11 @@ def test_column_product_matches_oracle(pair):
 
 
 def model(orders, mul, name="extremal"):
-    """A model with these orders and structure constants, built with the
-    oracle's per-pair table too."""
-    rank = len(orders)
-    group = GroupPresentation(orders, tuple("b%d" % i for i in range(rank)))
-    unit = tuple(int(t == 0) for t in range(rank))
-    lam = [[tuple(int(t == i) for t in range(rank))] for i in range(rank)]
+    """The line ring at trunc 1 with these orders and structure constants,
+    every basis element of rank 1, built with the oracle's per-pair table
+    too."""
     with oracle_arithmetic():
-        return RingModel(name, group, unit, mul, (1,) * rank, lam, trunc=1)
+        return line_ring(name, orders, mul, (1,) * len(orders), trunc=1)
 
 
 def constant_series(m, vec, order):

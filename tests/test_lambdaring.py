@@ -22,7 +22,7 @@ from gwgamma.lambdaring import (
     verify_special_pair,
 )
 from gwgamma.series import TruncSeries
-from test_series import binomial
+from reference import binomial, line_ring, square_two_ring
 
 
 def integer_model():
@@ -175,11 +175,8 @@ def test_non_neutral_unit_refused_before_any_series():
     # being the unit, and the digits of the series powers double at every
     # squaring; verify_special_pair on this pair ran for minutes before
     # lambda_total refused such a model
-    m = RingModel(
-        "non-neutral", GroupPresentation((0, 0), ("one", "x")), (1, 0),
-        {(0, 0): (3, 1), (0, 1): (0, 1), (1, 1): (1, 0)}, (1, 0),
-        [[(1, 0)], [(0, 1)]],
-    )
+    m = line_ring("non-neutral", (0, 0), {(0, 0): (3, 1), (0, 1): (0, 1), (1, 1): (1, 0)},
+                  (1, 0), names=("one", "x"))
     report = validate_model(m)
     assert not {c.name: c.ok for c in report.checks}["unit is multiplicatively neutral"]
     x, y = m.element((5, -7)), m.element((-3, 4))
@@ -192,14 +189,6 @@ def test_non_neutral_unit_refused_before_any_series():
     ):
         with pytest.raises(ValueError, match="unit is not multiplicatively neutral"):
             call()
-
-
-def square_two_ring():
-    """Basis (one, V), V*V = 2V, d(V) = 2 and lambda_t(V) = 1 + V t, trunc 4."""
-    group = GroupPresentation((0, 0), ("one", "V"))
-    return RingModel("V*V = 2V", group, (1, 0),
-                     {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 2)},
-                     (1, 2), [[(1, 0)], [(0, 1)]], trunc=4)
 
 
 def test_augmentation_checked_past_the_stored_degrees():

@@ -14,11 +14,12 @@ from gwgamma.milnor import (
     top_class_product,
     top_class_sum,
 )
+from reference import basis_vector
 
 
 def variable(index, nvars, maxdeg):
     """The polynomial x_(index+1) in nvars variables, cut at maxdeg."""
-    return F2Poly(nvars, maxdeg, [tuple(int(j == index) for j in range(nvars))])
+    return F2Poly(nvars, maxdeg, [basis_vector(index, nvars)])
 
 
 def even_substitution_is_trivial(n, maxdeg):
@@ -120,7 +121,7 @@ def oracle_omega(n, maxdeg):
     for eps in cartesian((0, 1), repeat=n):
         if sum(eps):
             factor = F2Poly(n, maxdeg, [(0,) * n] + [
-                tuple(int(j == i) for j in range(n)) for i, bit in enumerate(eps) if bit])
+                basis_vector(i, n) for i, bit in enumerate(eps) if bit])
             if sum(eps) % 2 == 0:
                 even = even * factor
             else:

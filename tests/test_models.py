@@ -35,15 +35,9 @@ from gwgamma.models import (
     twisted_hyperbolic_classes,
 )
 from gwgamma.series import TruncSeries
-from test_arith_oracle import elements_of, series_of
-from test_filtration_oracle import CLI_BUILTINS, uncached
-from test_series import binomial
-
-
-def torsion_elements(group):
-    """All elements of the finite torsion subgroup (free coordinates zero)."""
-    for coeffs in product(*(range(o) if o else range(1) for o in group.orders)):
-        yield group.element(coeffs)
+from reference import (
+    CLI_BUILTINS, alternating_h_sum, assert_twisted_classes, binomial, elements_of, named,
+    punctured_gamma_coefficients, series_of, torsion_elements, uncached)
 
 
 def torsion_order(group):
@@ -65,39 +59,6 @@ SAMPLE_MODELS = [
     gw_surface_cxp1(1),
     gw_surface_cxp1(2),
 ]
-
-
-def named(model, label):
-    return model.basis_element(list(model.group.names).index(label))
-
-
-def alternating_h_sum(model, r):
-    """sum_j (-1)^j C(r+1, rho-j) a_j, the Euler-type combination for odd r."""
-    rho = (r + 1) // 2
-    a_cls = twisted_hyperbolic_classes(model, rho)
-    return sum(
-        ((-1) ** j * math.comb(r + 1, rho - j) * a_cls[j] for j in range(1, rho + 1)),
-        model.zero_element,
-    )
-
-
-def assert_twisted_classes(model, r):
-    """a_1..a_(rho+2) of the projective model of P^r, from the recursion, are
-    supported on the powers of a and have rank zero; a_k = a^k + lower powers
-    of a for k up to the top power, as the builder's recursion for
-    gamma_t(a^k) requires; for odd r the signed binomial sum of the a_j is
-    (-a)^rho."""
-    rho = (r + 1) // 2
-    off_a = [i for i, n in enumerate(model.group.names) if not n.startswith("a")]
-    powers = [i for i, n in enumerate(model.group.names) if n.startswith("a")]
-    for k, x in enumerate(twisted_hyperbolic_classes(model, rho + 2)[1:], 1):
-        assert not any(x.value.coeffs[i] for i in off_a), (model.name, k)
-        assert model.augmentation(x.value) == 0, (model.name, k)
-        if k <= len(powers):
-            assert x.value.coeffs[powers[k - 1]] == 1, (model.name, k)
-            assert not any(x.value.coeffs[i] for i in powers[k:]), (model.name, k)
-    if r % 2:
-        assert alternating_h_sum(model, r) == (-named(model, "a")) ** rho, model.name
 
 
 def test_all_builtins_validate():
@@ -245,20 +206,6 @@ def test_punctured_line_structure():
         assert lambda_k(eps, k) == (eps if k % 2 else -eps)
     g = elements_of(gamma_total(eps))
     assert g[1] == eps and all(c.is_zero for c in g[2:])
-
-
-def punctured_gamma_coefficients(f: int, count: int) -> list[int]:
-    """Exact integers C(2^(f-1), i) * 2^(i-f) for i = 1..count."""
-    if f < 2:
-        raise ValueError("f must be at least 2")
-    out = []
-    for i in range(1, count + 1):
-        num = math.comb(2 ** (f - 1), i) * 2 ** i
-        den = 2 ** f
-        if num % den:
-            raise ArithmeticError("gamma coefficient is not an integer")
-        out.append(num // den)
-    return out
 
 
 def test_punctured_space_gamma_coefficients_exact():

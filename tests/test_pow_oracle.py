@@ -1,12 +1,13 @@
 """Differential test of ``TruncSeries.pow``.
 
-The reference is the earlier ``pow``, ``test_arith_oracle.oracle_pow``:
-binary exponentiation of the series, or of its inverse for a negative
-exponent, the inverse solved by forward substitution (``oracle_inverse``).
-It lives there only as an oracle, and is also compared there on drawn
-rings.  On a ring model (neutral unit, associative basis products, products
-killed by the torsion orders; ``is_ring``) the binomial table must give the
-same series for every exponent.  On a model that is no ring, ``pow`` is the
+The reference is the earlier ``pow``, ``oracle_pow`` of
+``tests/reference.py``: binary exponentiation of the series, or of its
+inverse for a negative exponent, the inverse solved by forward substitution
+(``oracle_inverse``).  It lives only as an oracle, and
+``test_arith_oracle`` also compares it on drawn rings.  On a ring model
+(neutral unit, associative basis products, products killed by the torsion
+orders; ``is_ring``) the binomial table must give the same series for every
+exponent.  On a model that is no ring, ``pow`` is the
 same binomial sum, and must equal ``binomial_pow``, the sum built from
 products of the series.  ``is_ring`` itself must agree with the checker
 oracle's cases on drawn models.
@@ -15,34 +16,20 @@ oracle's cases on drawn models.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwgamma.abelian import GroupPresentation
-from gwgamma.lambdaring import RingModel, validate_model
-from test_arith_oracle import (
-    binomial_pow,
-    elements_of,
-    is_ring,
-    oracle_inverse,
-    oracle_pow,
-    ring_models,
-    series_of,
-)
-from test_checker_oracle import oracle_products, oracle_validate
+from gwgamma.lambdaring import validate_model
+from reference import (
+    basis_vector, binomial_pow, elements_of, group_mul, is_ring, line_ring, oracle_inverse,
+    oracle_pow, oracle_products, oracle_validate, ring_models, series_of)
 
 
 def ring(name, orders, mul):
-    rank = len(orders)
-    group = GroupPresentation(orders, tuple("b%d" % i for i in range(rank)))
-    unit = tuple(int(t == 0) for t in range(rank))
-    lam = [[tuple(int(t == i) for t in range(rank))] for i in range(rank)]
-    return RingModel(name, group, unit, mul, (1,) + (0,) * (rank - 1), lam, trunc=8)
+    """The line ring at trunc 8 on which b0 alone has rank 1."""
+    return line_ring(name, orders, mul, basis_vector(0, len(orders)), trunc=8)
 
 
 def cyclic_group_ring(n):
     """Z[C_n], basis g^0..g^(n-1)."""
-    def vec(i):
-        return tuple(int(t == i % n) for t in range(n))
-    return ring("Z[C_%d]" % n, (0,) * n,
-                {(i, j): vec(i + j) for i in range(n) for j in range(i, n)})
+    return ring("Z[C_%d]" % n, (0,) * n, group_mul((n,)))
 
 
 def z_plus_z2(square):
@@ -153,7 +140,7 @@ def test_three_bracketings_model_takes_the_binomial_sum():
     # which compares the third bracketing too, rejects it.
     # (1 + (b1 + b3) t)^4 has 0 in degree 4 by the binomial sum, since
     # T^4 = T * (T * T^2) vanishes, and 4 b2 by binary exponentiation
-    vec = [tuple(int(t == i) for t in range(4)) for i in range(4)]
+    vec = [basis_vector(i, 4) for i in range(4)]
     mul = {(0, i): vec[i] for i in range(4)}
     m = ring("three bracketings", (0,) * 4, {**mul, (1, 3): vec[2], (2, 2): vec[2]})
     report = validate_model(m)

@@ -1,20 +1,21 @@
 """Differential test of the filtration's products and pieces.
 
-The reference is the earlier construction.  It built the span S_w of the
-products of weight exactly w for every w up to the weight cap,
-min(certified cap, truncation): each S_w one HNF of the gamma-values of
-weight w and the products g * S_(w-i) of the lighter values g of weight i,
-every product one ``RingElement`` product ``g * m.element(c)``, fed to
+The reference, ``assert_pieces_match_oracle`` of ``tests/reference.py``, is
+the earlier construction.  It built the span S_w of the products of weight
+exactly w for every w up to the weight cap, min(certified cap,
+truncation): each S_w one HNF of the gamma-values of weight w and the
+products g * S_(w-i) of the lighter values g of weight i, every product one
+``RingElement`` product ``g * m.element(c)``, fed to
 ``subgroup_from_generators`` unchanged.  The pieces were the sums
-F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.  It lives here only
-as an oracle and shares no product with the code it checks, whose pieces
+F^kmax = S_kmax + ... + S_cap and F^k = F^(k+1) + S_k.  It lives only as
+an oracle and shares no product with the code it checks, whose pieces
 come from one recursion over ``_times``; it reads the gamma-values off
 ``_gamma_values``.  Pieces, weight cap, ``exact`` and ``warnings`` must
 match, on results that are not exact too, and each F^kmax must be closed
 under the gamma-values.  ``_times`` itself is checked against ring-element
 products on drawn spans, with its product lists shared by equal spans.
 
-The inputs here are models drawn as in ``test_arith_oracle``, Z plus up
+The inputs here are the drawn models of ``tests/reference.py``, Z plus up
 to three free or torsion factors with random structure constants, on the
 draws of ``augmented_ring_models`` that the filtration accepts;
 ``test_per_weight_oracle`` runs the same oracle on every CLI builtin and
@@ -23,14 +24,15 @@ built with ``subgroup_from_generators``, so over a torsion factor of order
 o their columns carry the unreduced relation vector o * e_i.
 """
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from gwgamma.abelian import full_subgroup, kernel_basis, subgroup_from_generators
-from gwgamma.filtration import _gamma_values, _times, gamma_filtration
+from gwgamma.abelian import subgroup_from_generators
+from gwgamma.filtration import _times
 from gwgamma.lambdaring import _checks
-from test_arith_oracle import augmented_ring_models, ring_models
-
-TABLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+from reference import ORACLE_SETTINGS, augmented_ring_models, ring_models
+# under the name the drawn test below is seeded with: a derandomized
+# hypothesis test draws from a seed of its own source
+from reference import assert_pieces_match_oracle as assert_matches_oracle
 
 
 @st.composite
@@ -50,7 +52,7 @@ def table_cases(draw):
     return m, values, spans
 
 
-@TABLE_SETTINGS
+@ORACLE_SETTINGS
 @given(table_cases())
 def test_table_products_match_multiply(case):
     m, values, spans = case
@@ -86,80 +88,7 @@ def test_table_products_match_multiply(case):
     assert len(products) == len({sub.columns for sub in spans})
 
 
-def oracle_spans(m, values):
-    """S_1, S_2, ...: S_w spanned by the values of weight w and the products
-    g * c of the lighter values g of weight i with the columns c of
-    S_(w-i), one ring-element product each, fed to
-    ``subgroup_from_generators`` unchanged.  A list that ``spans_to(w)``
-    extends through S_w on demand: S_w depends on no kmax or cap."""
-    spans = []
-
-    def spans_to(cap):
-        for w in range(len(spans) + 1, cap + 1):
-            vecs = [g.value for i, g in values if i == w]
-            vecs += [
-                (g * m.element(c)).value
-                for i, g in values if i < w
-                for c in spans[w - i - 1].columns
-            ]
-            spans.append(subgroup_from_generators(m.group, vecs))
-        return spans
-
-    return spans_to
-
-
-def oracle_pieces(m, spans, kmax, cap):
-    """F^0..F^kmax from the spans of weight at most cap: F^kmax the sum of
-    S_kmax..S_cap and F^k = F^(k+1) + S_k, each one HNF."""
-    def total(subs):
-        return subgroup_from_generators(
-            m.group, [m.group.element(c) for s in subs for c in s.columns]
-        )
-
-    pieces = [total(spans[kmax - 1:cap])]
-    for k in range(kmax - 1, 0, -1):
-        pieces.append(total([pieces[-1], spans[k - 1]]))
-    return (full_subgroup(m.group), *reversed(pieces))
-
-
-def oracle_closed(m, piece, values):
-    return all(
-        piece.contains((g * m.element(c)).value)
-        for _, g in values
-        for c in piece.columns
-    )
-
-
-def oracle_values(m):
-    """The gamma-values by weight, as (weight, ring element) pairs."""
-    gens = [m.group.reduce(v) for v in kernel_basis(m.aug)]
-    return [(i, m.element(g)) for i, gs in _gamma_values(m, gens, m.trunc).items() for g in gs]
-
-
-def assert_matches_oracle(m, kmaxes):
-    """Each ``gamma_filtration(m, kmax)`` has the oracle's pieces, weight cap,
-    exact flag and warning: exact is the one truncation clause, the certified
-    cap kmax + i_max - 1 within the truncation.  Closure under the
-    gamma-values is no clause of the verdict: it holds, on truncated
-    results too."""
-    values = oracle_values(m)
-    spans_to = oracle_spans(m, values)
-    imax = max((i for i, _ in values), default=0)
-    for kmax in kmaxes:
-        certified = kmax + max(imax - 1, 0)
-        cap = min(certified, m.trunc)
-        warnings = ()
-        if certified > m.trunc:
-            warnings = ("certified cap %d exceeds truncation %d, pieces use products "
-                        "up to weight %d" % (certified, m.trunc, m.trunc),)
-        pieces = oracle_pieces(m, spans_to(cap), kmax, cap)
-        f = gamma_filtration(m, kmax)
-        assert (f.pieces, f.weight_cap, f.exact, f.warnings) == (
-            pieces, cap, not warnings, warnings), (m.name, kmax)
-        assert oracle_closed(m, f.pieces[kmax], values), (m.name, kmax)
-
-
-@TABLE_SETTINGS
+@ORACLE_SETTINGS
 @given(augmented_ring_models(), st.integers(1, 5))
 def test_filtration_matches_per_product_oracle(m, kmax):
     # the filtration refuses a model whose lambda-series do not respect a

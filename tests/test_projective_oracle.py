@@ -9,8 +9,9 @@ a_j lies in the ideal (a) and (a)^(top+1) = 0, so it is computed at order
 The reference below is the earlier builder, which worked in lambda-space:
 lambda_t(a_j) is 1 + a_j t - a_j t^2 at the truncation, substituted
 t -> t/(1+t), for each twisted class, and lambda_t(a^k) the product of their
-powers at the full truncation.  It lives here only as an oracle.  The truncations on either side of 2 top are
-compared: at trunc < 2 top the gamma-polynomial is cut, above it padded.
+powers at the full truncation.  It lives here only as an oracle.  The
+truncations on either side of 2 top are compared: at trunc < 2 top the
+gamma-polynomial is cut, above it padded.
 
 The gamma-polynomials of the powers are computed once per block of powers
 and process (``models._block_gammas``); a build that finds its block
@@ -31,7 +32,7 @@ from gwgamma.models import (
     projective_top_power,
     twisted_hyperbolic_classes,
 )
-from test_arith_oracle import series_of
+from reference import dense_mul, series_of
 
 TRUNCS = (1, 2, 3, 4, 6, 7, 11, 12, 13, 16, 20, 64)
 CASES = [(base, r) for base in "CR" for r in range(1, 13)]
@@ -66,11 +67,9 @@ def oracle_projective(m, r):
     on a ring built for the arithmetic, in a second ``RingModel``."""
     rank = m.group.rank
     nb = rank - projective_top_power(r)
-    mul = {(i, j): tuple(dict(row).get(k, 0) for k in range(rank))
-           for i, rows in enumerate(m.products) for j, row in enumerate(rows) if row}
 
     def build(lambda_on_basis):
-        return RingModel(m.name, m.group, m.unit.coeffs, mul, m.aug, lambda_on_basis,
+        return RingModel(m.name, m.group, m.unit.coeffs, dense_mul(m), m.aug, lambda_on_basis,
                          [h.coeffs for h in m.hyperbolic], m.trunc)
 
     ring = build([[]] * rank)

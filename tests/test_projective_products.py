@@ -6,9 +6,8 @@ gamma-filtration is the filtration by the powers of the augmentation ideal
 *K-Theory*, 2.7).  gr^k is free, of rank the number of exponent vectors a
 with |a| = k and a_i <= n_i.
 
-``projective_product`` builds the model on the basis of the monomials L^b,
-0 <= b_i <= n_i, with lambda_t(L^b) = 1 + L^b t; other test modules import
-it.
+``projective_product`` of ``tests/reference.py`` builds the model on the
+basis of the monomials L^b, 0 <= b_i <= n_i, with lambda_t(L^b) = 1 + L^b t.
 """
 
 import itertools
@@ -17,51 +16,10 @@ import math
 
 import pytest
 
-from gwgamma.abelian import GroupPresentation
 from gwgamma.cli import model_to_dict, run
 from gwgamma.filtration import gamma_filtration
-from gwgamma.lambdaring import DEFAULT_TRUNCATION, RingModel, validate_model
-
-
-def _line_powers(n):
-    """L^e for 0 <= e <= 2n in K(P^n), as coefficient vectors on 1, L, ...,
-    L^n: (L - 1)^(n+1) = 0 rewrites L^(n+1) in the lower powers."""
-    top = [(-1) ** (n - j) * math.comb(n + 1, j) for j in range(n + 1)]
-    powers = [[int(j == e) for j in range(n + 1)] for e in range(n + 1)]
-    for _ in range(n):
-        prev = powers[-1]
-        powers.append([a + prev[-1] * t for a, t in zip([0] + prev[:-1], top)])
-    return powers
-
-
-def projective_product(ns, trunc=DEFAULT_TRUNCATION):
-    """K(P^n1 x ... x P^nr) for ns = (n1, ..., nr): basis L^b in the
-    lexicographic order of b, unit L^0, every basis element of rank 1."""
-    tables = [_line_powers(n) for n in ns]
-    exps = list(itertools.product(*(range(n + 1) for n in ns)))
-    rank = len(exps)
-
-    def basis_vec(i):
-        return tuple(int(j == i) for j in range(rank))
-
-    mul = {}
-    for i, a in enumerate(exps):
-        for j in range(i, rank):
-            # L^a L^b is the tensor product of the factors' L_f^(a_f + b_f)
-            sums = [x + y for x, y in zip(a, exps[j])]
-            mul[(i, j)] = tuple(
-                math.prod(t[s][z] for t, s, z in zip(tables, sums, c)) for c in exps
-            )
-    names = tuple("L" + "_".join(map(str, b)) for b in exps)
-    return RingModel(
-        "K(%s)" % " x ".join("P^%d" % n for n in ns),
-        GroupPresentation((0,) * rank, names),
-        basis_vec(0),
-        mul,
-        (1,) * rank,
-        [[basis_vec(i)] for i in range(rank)],
-        trunc=trunc,
-    )
+from gwgamma.lambdaring import validate_model
+from reference import MEMBERS, line_powers, projective_product
 
 
 def graded_ranks(ns, kmax):
@@ -72,24 +30,6 @@ def graded_ranks(ns, kmax):
         if sum(a) < kmax:
             counts[sum(a)] += 1
     return counts
-
-
-def _members(limit):
-    """Every ns = (n1 >= ... >= nr >= 1) with rank prod(n_i + 1) <= limit."""
-    out = []
-
-    def extend(prefix, largest, rank):
-        if prefix:
-            out.append(tuple(prefix))
-        for n in range(1, largest + 1):
-            if rank * (n + 1) <= limit:
-                extend(prefix + [n], n, rank * (n + 1))
-
-    extend([], limit - 1, 1)
-    return out
-
-
-MEMBERS = _members(16)
 
 
 def test_members_enumerated():
@@ -103,7 +43,7 @@ def test_members_enumerated():
 def test_line_powers_satisfy_the_relation():
     # (L - 1)^(n+1) = sum_e C(n+1, e) (-1)^(n+1-e) L^e vanishes
     for n in range(1, 8):
-        powers = _line_powers(n)
+        powers = line_powers(n)
         rel = [sum((-1) ** (n + 1 - e) * math.comb(n + 1, e) * powers[e][j]
                    for e in range(n + 2)) for j in range(n + 1)]
         assert rel == [0] * (n + 1), n

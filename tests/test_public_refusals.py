@@ -1,9 +1,11 @@
 """Each public refusal raises ValueError with its own message.
 
 The calls below are refused before any work: mixed presentations or
-models, malformed constructor data, out-of-range degrees, and degrees and
-counts whose type is not ``int``, ``True`` and ``2.0`` included, which
-would otherwise act as 1 and 2 or fail inside a slice.  The other
+models, malformed constructor data, out-of-range degrees, and degrees,
+orders, exponents and counts whose type is not ``int``, ``True`` and
+``2.0`` included, which would otherwise act as 1 and 2, fail inside a
+slice or, as an exponent -1.5, give the float coefficients of another
+power.  The other
 tests reach few of them, so each is called here once, and a refusal that
 went missing, or raised something else, fails by name.
 """
@@ -34,6 +36,7 @@ from gwgamma.models import (
     gw_punctured_line,
     gw_surface_cxp1,
 )
+from gwgamma.series import TruncSeries
 from gwgamma.symfunc import MultiPoly, compose_universal, newton_psi, product_universal
 
 Z = GroupPresentation((0,), ("a",))
@@ -52,6 +55,11 @@ def point_elements():
 
 def unit_c():
     return gw_point("C").unit_element
+
+
+def series_c():
+    """1 + t over the complex point, through degree 3."""
+    return TruncSeries(gw_point("C"), [(1,), (1,)], 3)
 
 
 CASES = {
@@ -115,6 +123,19 @@ CASES = {
     "lambda-degree-float-zero": (lambda: lambda_k(unit_c(), 0.0), "k 0.0 is not an integer"),
     "gamma-degree-bool": (lambda: gamma_k(unit_c(), True), "k True is not an integer"),
     "lambda-order-float": (lambda: lambda_total(unit_c(), 2.0), "order 2.0 is not an integer"),
+    "series-exponent-float": (lambda: series_c().pow(-1.5), "exponent -1.5 is not an integer"),
+    "series-exponent-integral-float": (
+        lambda: series_c().pow(2.0), "exponent 2.0 is not an integer"),
+    "series-exponent-bool": (lambda: series_c().pow(True), "exponent True is not an integer"),
+    "series-order-float": (
+        lambda: TruncSeries(gw_point("C"), [(1,)], 2.0), "order 2.0 is not an integer"),
+    "series-order-bool": (
+        lambda: TruncSeries(gw_point("C"), [(1,)], True), "order True is not an integer"),
+    "basis-series-order-float": (
+        lambda: gw_projective("C", 2).basis_lambda_series(1, 2.0), "order 2.0 is not an integer"),
+    "basis-series-order-bool": (
+        lambda: gw_projective("C", 2).basis_lambda_series(1, True),
+        "order True is not an integer"),
     "special-bound-float": (
         lambda: verify_special_pair(unit_c(), unit_c(), 2.0), "bound 2.0 is not an integer"),
     "newton-degree-bool": (lambda: newton_psi(True), "k True is not an integer"),

@@ -9,7 +9,7 @@ import re
 
 import gwgamma
 
-from test_layertrace import load_layertrace
+from reference import load
 
 SRC = pathlib.Path(gwgamma.__file__).parent
 README = (SRC.parents[1] / "README.md").read_text()
@@ -63,7 +63,7 @@ def test_every_public_method_has_a_use_a_readme_role_or_a_tracer_entry():
     # src/, or README names it, or the benchmark's layer tracer wraps it by
     # name (bench/layertrace.METHODS; Subgroup.contains and F2Poly.substitute
     # are kept for it alone)
-    traced = {(cls, name) for layer in load_layertrace().METHODS.values()
+    traced = {(cls, name) for layer in load("bench/layertrace.py").METHODS.values()
               for cls, names in layer.items() for name in names}
     trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
     attributes = {n.attr for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}

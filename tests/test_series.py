@@ -4,7 +4,6 @@ The series here have coefficients in Z, the ring of the complex point.
 """
 
 import random
-from math import comb
 
 import pytest
 
@@ -12,28 +11,7 @@ from gwgamma.abelian import GroupPresentation
 from gwgamma.lambdaring import RingModel
 from gwgamma.models import gw_point, gw_punctured_a5
 from gwgamma.series import TruncSeries
-
-ONE = gw_point("C").unit_element
-
-
-def binomial(n, k):
-    """C(n, k) for every integer n, 0 for k < 0: the reference for the
-    binomial coefficients the series compute themselves, with
-    C(n, k) = (-1)^k C(k - n - 1, k) for n < 0."""
-    if k < 0:
-        return 0
-    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
-
-
-def z_series(coeffs, one=ONE):
-    """The series with these integer coefficients, over Z with unit ``one``."""
-    return TruncSeries(one.model, [tuple(c * u for u in one.value.coeffs) for c in coeffs],
-                      len(coeffs) - 1)
-
-
-def z_coeffs(series):
-    """The integer coefficients of a series over Z."""
-    return tuple(r[0] for r in series.rows())
+from reference import binomial, z_coeffs, z_series
 
 
 def poly_mul(a, b, order):

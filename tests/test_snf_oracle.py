@@ -12,6 +12,7 @@ divisibility scan for a unit pivot; none of that may change ``diag`` or
 from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import smith_normal_form
+from reference import basis_vector
 
 SNF_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True)
 
@@ -20,8 +21,8 @@ def reference_smith_normal_form(rows):
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = [list(basis_vector(i, m)) for i in range(m)]
+    v = [list(basis_vector(i, n)) for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]

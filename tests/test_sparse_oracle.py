@@ -1,24 +1,25 @@
 """Differential tests of the sparse group arithmetic, and the stored basis series.
 
-The references below are the earlier dense routines: ``reduce`` walked every
+The references are the earlier dense routines: ``reduce`` walked every
 coordinate of the vector, and ``project_element`` multiplied the whole
-projection matrix by the whole coefficient vector.  They live here only as
-oracles.  The presentations mix free and torsion coordinates, and the
-entries reach below zero and beyond 2^64, where a fixed-width shortcut
-would wrap.
+projection matrix by the whole coefficient vector.  They live only as
+oracles, ``oracle_reduce`` below and ``oracle_project`` in
+``tests/reference.py``.  The presentations mix free and torsion
+coordinates, and the entries reach below zero and beyond 2^64, where a
+fixed-width shortcut would wrap.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma.abelian import (
-    GroupPresentation,
     project_element,
     quotient_presentation,
     subgroup_from_generators,
 )
 from gwgamma.models import gw_projective
 from gwgamma.series import TruncSeries
+from reference import BIG, oracle_project, presentations, vectors
 
 
 def oracle_reduce(pres, coeffs):
@@ -28,32 +29,6 @@ def oracle_reduce(pres, coeffs):
             % (len(coeffs), pres.rank)
         )
     return tuple(c % o if o else c for c, o in zip(coeffs, pres.orders))
-
-
-def oracle_project(target, projection, elem):
-    coeffs = [
-        sum(row[j] * elem.coeffs[j] for j in range(len(elem.coeffs)))
-        for row in projection
-    ]
-    return target.element(coeffs)
-
-
-ORDERS = st.sampled_from([0, 0, 1, 2, 3, 4, 12, 2**64 + 13])
-BIG = st.one_of(
-    st.integers(-9, 9),
-    st.integers(2**64, 2**70),
-    st.integers(-(2**70), -(2**64)),
-)
-
-
-@st.composite
-def presentations(draw, max_rank=5):
-    orders = tuple(draw(st.lists(ORDERS, min_size=1, max_size=max_rank)))
-    return GroupPresentation(orders, tuple("e%d" % i for i in range(len(orders))))
-
-
-def vectors(pres):
-    return st.lists(BIG, min_size=pres.rank, max_size=pres.rank).map(tuple)
 
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,10 +1,11 @@
 """Differential test of the one-pass ``special`` checker.
 
-The reference below is the earlier ``verify_special_pair``: for every pair
-it built lambda_t(x), lambda_t(y) and lambda_t(x*y) and ran the composition
-checks of x afresh.  ``gwgamma special`` and ``verify_special_pair`` now run
-one checker that builds lambda_t of each element once and the composition
-checks of each element once.  On every pair it must give an equal
+The reference, ``oracle_special_pair`` of ``tests/reference.py``, is the
+earlier ``verify_special_pair``: for every pair it built lambda_t(x),
+lambda_t(y) and lambda_t(x*y) and ran the composition checks of x afresh.
+``gwgamma special`` and ``verify_special_pair`` now run one checker that
+builds lambda_t of each element once and the composition checks of each
+element once.  On every pair it must give an equal
 ``Report``, and it must raise where the per-pair checker raised, with the
 same message.
 """
@@ -13,77 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwgamma import cli, lambdaring
-from gwgamma.lambdaring import (
-    CheckResult,
-    Report,
-    RingModel,
-    _special_reports,
-    lambda_k,
-    lambda_total,
-    verify_special_pair,
-)
+from gwgamma.lambdaring import Report, RingModel, _special_reports, verify_special_pair
 from gwgamma.models import BUILTINS
 from gwgamma.series import TruncSeries
-from gwgamma.symfunc import MultiPoly, compose_universal, product_universal
-from test_arith_oracle import elements_of, ring_models
-from test_evaluate_oracle import oracle_evaluate
-from test_filtration_oracle import CLI_BUILTINS
-
-COMPOSE_PAIRS = ((2, 2), (2, 3), (3, 2))
-
-
-def oracle_special_pair(x, y, bound=3, compose_pairs=COMPOSE_PAIRS):
-    if x.model is not y.model:
-        raise ValueError("elements from different models")
-    one = x.model.unit_element
-    need = max([bound] + [m * n for m, n in compose_pairs])
-    lam_x = elements_of(lambda_total(x, need))
-    lam_y = elements_of(lambda_total(y, bound))
-    lam_xy = elements_of(lambda_total(x * y, bound))
-    checks = []
-    for n in range(1, bound + 1):
-        lhs = lam_xy[n]
-        values = list(lam_x[1:n + 1] + lam_y[1:n + 1])
-        rhs = oracle_evaluate(product_universal(n), values, one)
-        checks.append(CheckResult(
-            "lambda^%d(x*y) == P_%d(lambda x, lambda y)" % (n, n),
-            lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
-    for mm, nn in compose_pairs:
-        lhs = lambda_k(lam_x[nn], mm)
-        values = list(lam_x[1:mm * nn + 1])
-        rhs = oracle_evaluate(compose_universal(mm, nn), values, one)
-        checks.append(CheckResult(
-            "lambda^%d(lambda^%d(x)) == P_%d,%d(lambda x)" % (mm, nn, mm, nn),
-            lhs == rhs, "lhs %r rhs %r" % (lhs.value.coeffs, rhs.value.coeffs)))
-    return Report(tuple(checks))
+from gwgamma.symfunc import MultiPoly, compose_universal
+from reference import (
+    CLI_BUILTINS, CLI_IDS, COMPOSE_PAIRS, basis_pairs, dense_mul, oracle_special_pair, ring_models)
+# under the name the drawn test below is seeded with: a derandomized
+# hypothesis test draws from a seed of its own source
+from reference import assert_special_matches_oracle as assert_matches_oracle
 
 
-def basis_pairs(rank):
-    return [(i, j) for i in range(rank) for j in range(i, rank)]
-
-
-def outcomes(reports):
-    """The reports an iterable yields, then the message it raised, if any."""
-    out = []
-    try:
-        for report in reports:
-            out.append(report)
-    except ValueError as exc:
-        out.append(str(exc))
-    return out
-
-
-def assert_matches_oracle(elements, pairs, bound):
-    got = outcomes(_special_reports(elements, pairs, bound))
-    want = outcomes(oracle_special_pair(elements[i], elements[j], bound) for i, j in pairs)
-    assert got == want
-    return got
-
-
-@pytest.mark.parametrize(
-    "name,kwargs", CLI_BUILTINS,
-    ids=["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS],
-)
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=CLI_IDS)
 def test_builtin_basis_pairs_match_oracle(name, kwargs):
     m = BUILTINS[name](**kwargs)
     basis = m.basis_elements()
@@ -94,16 +36,8 @@ def test_builtin_basis_pairs_match_oracle(name, kwargs):
 
 def at_truncation(m, trunc):
     """The model m with its lambda-series truncated at ``trunc``."""
-    rank = m.group.rank
-    mul = {}
-    for i in range(rank):
-        for j in range(i, rank):
-            row = [0] * rank
-            for k, c in m.products[i][j]:
-                row[k] = c
-            mul[(i, j)] = row
     lam = [[g.coeffs for g in s[:trunc]] for s in m.lambda_on_basis]
-    return RingModel(m.name, m.group, m.unit.coeffs, mul, m.aug, lam, trunc=trunc)
+    return RingModel(m.name, m.group, m.unit.coeffs, dense_mul(m), m.aug, lam, trunc=trunc)
 
 
 @st.composite

@@ -1,12 +1,12 @@
 """``tools/src_lines.py``: its code-line rule on one source, and its table
 and tests row on a stand-in checkout."""
 
-import importlib.util
 import os
 import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from reference import ROOT, load
+
 SRC_LINES = os.path.join(ROOT, "tools", "src_lines.py")
 
 # code: the import, the class line, both lines of the assigned string, the
@@ -34,21 +34,8 @@ if os:
 '''
 
 
-def load(name="src_lines"):
-    """The module tools/<name>.py, loaded without writing a cache file."""
-    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", name + ".py"))
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no cache file under tools/
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
 def test_code_lines_skip_blanks_comments_and_docstrings():
-    assert load().count(SOURCE) == (19, 8)
+    assert load("tools/src_lines.py").count(SOURCE) == (19, 8)
 
 
 def test_table_rows_and_totals(tmp_path):

@@ -5,7 +5,10 @@ A model stores lambda_t(b_i) once, as the integer columns of its series
 ``lambda_on_basis`` derives the group elements of degrees 1..D_b from it on
 every read.  The references below are the rows an earlier model stored
 beside the columns: the builder's series read off as coordinate tuples,
-trailing zero degrees dropped, or the rows a constructor was given.
+trailing zero degrees dropped, or the rows a constructor was given.  A
+builder's rows come from ``oracle_lambda_rows`` in ``tests/reference.py``,
+the binomial sums of its gamma-polynomial, so a fault in the series
+substitution the build uses shows here.
 """
 
 import pytest
@@ -18,19 +21,16 @@ from gwgamma.cli import dump_model, model_to_dict, parse_model
 from gwgamma.lambdaring import RingModel
 from gwgamma.models import BUILTINS, gw_projective
 from gwgamma.series import TruncSeries
-from test_arith_oracle import augmented_ring_models, ring_models
-from test_filtration_memo import JOBS_MODULE
-from test_filtration_oracle import CLI_BUILTINS, uncached
-
-IDS = ["%s%s" % (n, "".join("-%s" % v for v in kw.values())) for n, kw in CLI_BUILTINS]
+from reference import (
+    CLI_BUILTINS, CLI_IDS, JOBS_MODULE, augmented_ring_models, oracle_lambda_rows, ring_models,
+    uncached)
 
 
-def stored_rows(group, series):
+def stored_rows(group, series_rows):
     """The rows of each series in degrees 1..D, D the last nonzero degree,
     as group elements: the form that was once stored beside the columns."""
     out = []
-    for s in series:
-        rows = s.rows()[1:]
+    for rows in series_rows:
         while rows and not any(rows[-1]):
             rows.pop()
         out.append(tuple(GroupElement(group, r) for r in rows))
@@ -38,18 +38,16 @@ def stored_rows(group, series):
 
 
 def built_with_rows(monkeypatch, name, kwargs):
-    """An uncached build of the builtin and the rows of its builder's series:
-    1 + b t for a line class b, else its gamma-polynomial at t/(1+t)."""
+    """An uncached build of the builtin and the rows of its builder's series,
+    from the binomial sums of ``oracle_lambda_rows``, not from the series
+    substitution the build itself uses: 1 + b t for a line class b, else its
+    gamma-polynomial at t/(1+t)."""
     built = []
     real = models._model
 
     def capture(name, group, unit, mul, aug, gammas, hyperbolic, trunc):
-        ring = real(name, group, unit, mul, aug, gammas, hyperbolic, trunc)
-        built.extend(
-            TruncSeries(ring, [unit, group.basis_element(i).coeffs], trunc) if rows is None
-            else TruncSeries(ring, [unit, *rows], trunc).substitute_alternating()
-            for i, rows in enumerate(gammas))
-        return ring
+        built.extend(oracle_lambda_rows(group, i, rows, trunc) for i, rows in enumerate(gammas))
+        return real(name, group, unit, mul, aug, gammas, hyperbolic, trunc)
 
     with monkeypatch.context() as patched:
         patched.setattr(models, "_model", capture)
@@ -58,7 +56,7 @@ def built_with_rows(monkeypatch, name, kwargs):
 
 
 @pytest.mark.parametrize("trunc", [1, 16, 64])
-@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=IDS)
+@pytest.mark.parametrize("name,kwargs", CLI_BUILTINS, ids=CLI_IDS)
 def test_builtin_derived_rows_equal_stored_rows(monkeypatch, tmp_path, name, kwargs, trunc):
     m, rows = built_with_rows(monkeypatch, name, dict(kwargs, trunc=trunc))
     assert m.lambda_on_basis == rows

@@ -29,55 +29,9 @@ from gwgamma.symfunc import (
     newton_psi,
     product_universal,
 )
-from test_evaluate_oracle import SMALL_BUILTINS, oracle_evaluate
-from test_series import binomial, z_coeffs, z_series
-from test_special_oracle import assert_matches_oracle, basis_pairs
-
-
-def elementary(n, k):
-    """Elementary symmetric polynomial e_k in n variables."""
-    if k < 0:
-        raise ValueError("negative degree")
-    if k > n:
-        return MultiPoly(n)
-    if k == 0:
-        return MultiPoly.constant(n, 1)
-    terms = {}
-    for subset in combinations(range(n), k):
-        exps = [0] * n
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return MultiPoly(n, terms)
-
-
-def elementary_monomial(n, c, e_exps):
-    """c * e_1^a_1 * ... * e_n^a_n expanded in n variables."""
-    prod = MultiPoly.constant(n, c)
-    for i, e in enumerate(e_exps):
-        for _ in range(e):
-            prod = prod * elementary(n, i + 1)
-    return prod
-
-
-def to_elementary(p):
-    """Rewrite a symmetric polynomial in the elementary basis.
-
-    The result lives in n fresh variables, variable i standing for e_{i+1}.
-    Raises ValueError when the input is not symmetric.
-    """
-    n = p.nvars
-    out = {}
-    work = p
-    while work:
-        exps = max(work.terms)
-        c = work.terms[exps]
-        if any(exps[i] < exps[i + 1] for i in range(n - 1)):
-            raise ValueError("polynomial is not symmetric")
-        e_exps = tuple(exps[i] - exps[i + 1] for i in range(n - 1)) + (exps[n - 1],)
-        out[e_exps] = out.get(e_exps, 0) + c
-        work = work - elementary_monomial(n, c, e_exps)
-    return MultiPoly(n, out)
+from reference import (
+    SMALL_BUILTINS, assert_special_matches_oracle, basis_pairs, binomial, elementary,
+    expand_elementary, oracle_evaluate, to_elementary, z_coeffs, z_series)
 
 
 def convert_block(p, lo, hi):
@@ -117,24 +71,6 @@ def oracle_compose_universal(m, n):
                 exps[i] += 1
         coeff[tuple(exps)] = coeff.get(tuple(exps), 0) + 1
     return to_elementary(MultiPoly(nv, coeff))
-
-
-def expand_elementary(q, n):
-    """Inverse of to_elementary: substitute e_i -> elementary(n, i)."""
-    if q.nvars != n:
-        raise ValueError("expected a polynomial in e_1..e_n")
-    acc = MultiPoly(n)
-    for exps, c in q.terms.items():
-        acc = acc + elementary_monomial(n, c, exps)
-    return acc
-
-
-def is_symmetric(p):
-    for perm in permutations(range(p.nvars)):
-        for exps, c in p.terms.items():
-            if p.terms.get(tuple(exps[i] for i in perm), 0) != c:
-                return False
-    return True
 
 
 def symmetrize(p):
@@ -198,17 +134,6 @@ def test_newton_psi_frozen():
     )
 
 
-def embedded_elementary(total, indices, k):
-    """e_k of the chosen variable subset, inside `total` variables."""
-    terms = {}
-    for subset in combinations(indices, k):
-        exps = [0] * total
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return MultiPoly(total, terms) if k else MultiPoly.constant(total, 1)
-
-
 @pytest.mark.parametrize("n,N,M", [(1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 3, 3), (3, 4, 3)])
 def test_product_universal_against_expansion(n, N, M):
     total = N + M
@@ -223,8 +148,8 @@ def test_product_universal_against_expansion(n, N, M):
             exps[j] += 1
         direct = direct + MultiPoly(total, {tuple(exps): 1})
     pn = product_universal(n)
-    values = [embedded_elementary(total, xs, i) for i in range(1, n + 1)]
-    values += [embedded_elementary(total, ys, j) for j in range(1, n + 1)]
+    values = [elementary(total, i, xs) for i in range(1, n + 1)]
+    values += [elementary(total, j, ys) for j in range(1, n + 1)]
     assert oracle_evaluate(pn, values, MultiPoly.constant(total, 1)) == direct
 
 
@@ -271,7 +196,7 @@ def test_compose_universal_stability(m, n):
                 exps[i] += 1
         direct = direct + MultiPoly(N, {tuple(exps): 1})
     pmn = compose_universal(m, n)
-    values = [embedded_elementary(N, list(range(N)), i) for i in range(1, m * n + 1)]
+    values = [elementary(N, i) for i in range(1, m * n + 1)]
     assert oracle_evaluate(pmn, values, MultiPoly.constant(N, 1)) == direct
 
 
@@ -369,5 +294,5 @@ def test_special_bound_4_on_small_builtins(capsys):
         assert cli.run(["special", "builtin:" + name, *flags, "--bound", "4"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "all identities PASS"
     basis = BUILTINS["gw_projective"](base="R", r=3).basis_elements()
-    got = assert_matches_oracle(basis, basis_pairs(len(basis)), 4)
+    got = assert_special_matches_oracle(basis, basis_pairs(len(basis)), 4)
     assert all(r.ok for r in got)

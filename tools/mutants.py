@@ -65,8 +65,9 @@ def _tests(*names: str) -> tuple[str, ...]:
     return tuple("tests/test_%s.py" % n for n in names)
 
 
-# kills: the files run for an entry, the reference that guards its path
-# first; with -x the first failing test ends the run
+# kills: the files run for an entry, the one whose comparison with a
+# reference of tests/reference.py guards its path first; with -x the first
+# failing test ends the run
 CATALOGUE = (
     # the gamma filtration: piece recursion, products, levels, refusals
     Mutant("piece-lower-index", FILTRATION,
@@ -156,7 +157,7 @@ CATALOGUE = (
            _tests("arith_oracle", "projective_oracle", "models")),
     Mutant("substitute-wrong-sign", SERIES,
            "sign ** (k - i) * comb(k - 1, k - i)", "sign ** (k - i + 1) * comb(k - 1, k - i)",
-           _tests("arith_oracle", "series", "models")),
+           _tests("arith_oracle", "series", "models", "stored_series")),
     Mutant("series-rows-unreduced", SERIES,
            "rows = [m.group.reduce(r) for r in rows[:order + 1]]",
            "rows = [tuple(r) for r in rows[:order + 1]]",
