@@ -30,7 +30,7 @@ Everything runs on plain Python integers, so there is no overflow anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product as _iproduct
 from typing import Iterable, Sequence
 
@@ -270,13 +270,10 @@ def subgroup_from_generators(
 
 
 def full_subgroup(pres: GroupPresentation) -> Subgroup:
-    """The whole group: its HNF is the identity, e_i pivoting in row i, held once per rank."""
-    return Subgroup(pres, *_identity(pres.rank))
-
-
-@lru_cache(maxsize=None)
-def _identity(rank: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    return tuple(tuple(int(t == i) for t in range(rank)) for i in range(rank)), tuple(range(rank))
+    """The whole group: its HNF is the identity, e_i pivoting in row i."""
+    n, zero = pres.rank, (0,) * pres.rank
+    return Subgroup(pres, tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)),
+                    tuple(range(n)))
 
 
 def smith_normal_form(

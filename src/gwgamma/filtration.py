@@ -64,24 +64,24 @@ gamma-values by weight (i_max is the largest), present once the content
 passed the refusals; "gamma" and "witt", the levels of each filtration built
 so far, the pieces F^0..F^k or their Witt images with the invariants of each
 quotient of adjacent levels; and "witt_quotient", the Witt quotient with its
-projection rows.  "gamma" is stored before "values" and "witt" before
-"witt_quotient", so a thread that finds the values or the quotient finds
-their levels too.  The record holds no name and no model, so a piece's
-presentation may be an equal one of another model with that content; a
-result's ``model`` and ``group`` are the caller's.  One routine, ``_grown``,
-extends either filtration's levels from a function giving level k, and
-stores them unless a call extended them further meanwhile; a call at kmax
-extends the stored levels up to F^kmax or slices them, and only ``exact``,
-``warnings`` and ``weight_cap`` are computed per call.  A model is immutable
-once built, and the record assumes it.  A refused content gets no "values"
-and no "gamma" levels, and either filtration raises on every call on each
-of its models, though no check runs twice on it (``_first_cases``).  A
-level equal to the one below it is stored as that object, and so is every
-level above a zero one (``Subgroup.is_zero``), which no piece is computed
-for: the pieces nest once F^1 is the augmentation kernel, and the Witt
-images of nested pieces nest.  Each HNF column equal to a spanned vector is
-stored as that vector's tuple (``abelian._span``): tuples are immutable and
-the HNF is canonical, so sharing them changes no value.
+projection rows.  Each key is stored whole, and none needs another stored
+first.  The record holds no name and no model, so a piece's presentation
+may be an equal one of another model with that content; a result's
+``model`` and ``group`` are the caller's.  One routine, ``_grown``, extends
+either filtration's levels from a function giving level k, builds level 0,
+the whole group, where the record holds no levels, and stores them where it
+holds none or shorter ones; a call at kmax extends the stored levels up to
+F^kmax or slices them, and only ``exact``, ``warnings`` and ``weight_cap``
+are computed per call.  A model is immutable once built, and the record
+assumes it.  A refused content gets no "values" and no "gamma" levels, and
+either filtration raises on every call on each of its models, though no
+check runs twice on it (``_first_cases``).  A level equal to the one below
+it is stored as that object, and so is every level above a zero one
+(``Subgroup.is_zero``), which no piece is computed for: the pieces nest
+once F^1 is the augmentation kernel, and the Witt images of nested pieces
+nest.  Each HNF column equal to a spanned vector is stored as that vector's
+tuple (``abelian._span``): tuples are immutable and the HNF is canonical,
+so sharing them changes no value.
 
 The gamma-values are coefficient tuples read off the gamma-series, whose
 lambda-series all come from one ``lambdaring._lambda_totals``, so each basis
@@ -191,16 +191,17 @@ def _times(
     return out
 
 
-def _grown(record: dict, key: str, n: int, piece) -> tuple:
+def _grown(record: dict, key: str, n: int, piece, group: GroupPresentation) -> tuple:
     """The pair ``record[key]`` of levels 0..j and the invariants of each
-    quotient of adjacent levels, grown to n levels, level k ``piece(k,
-    levels 0..k-1)``.  A new pair, stored whole unless a call stored a
-    longer one meanwhile, so a thread that reads it once reads levels with
-    their graded groups."""
-    pieces, graded = record[key]
+    quotient of adjacent levels, grown to n levels, level 0 the whole
+    `group` where the record holds none, level k ``piece(k, levels
+    0..k-1)``.  A new pair, stored whole where the record holds none or a
+    shorter one, so a thread that reads it once reads levels with their
+    graded groups."""
+    pieces, graded = record.get(key, ((), ()))
     if len(pieces) >= n:
         return pieces, graded
-    pieces, graded = list(pieces), list(graded)
+    pieces, graded = list(pieces) or [full_subgroup(group)], list(graded)
     for k in range(len(pieces), n):
         # the levels nest, so all above a zero one are zero; a level equal
         # to the one below is stored as that object
@@ -210,7 +211,7 @@ def _grown(record: dict, key: str, n: int, piece) -> tuple:
         pieces.append(new)
         graded.append(relative_quotient_invariants(below, new))
     grown = tuple(pieces), tuple(graded)
-    if n > len(record[key][0]):  # else a call grew it further
+    if n > len(record.get(key, ((), ()))[0]):  # else a call grew it further
         record[key] = grown
     return grown
 
@@ -229,8 +230,6 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
         for name, case in _first_cases(m, _REFUSALS):
             if case is not None:
                 raise ValueError("%s: %s" % (name, case))
-        # F^0 first, so that a thread that reads the values finds the levels
-        record.setdefault("gamma", ((full_subgroup(m.group),), ()))
         values = record["values"] = _gamma_values(m, kernel_basis(m.aug), budget)
     spans: dict = {}
 
@@ -245,7 +244,7 @@ def gamma_filtration(m: RingModel, kmax: int = 8) -> FiltrationResult:
                 vecs += _times(m, spans, gs, pieces[k - i])
         return _span(m.group, vecs)
 
-    pieces, graded = _grown(record, "gamma", kmax + 1, piece)
+    pieces, graded = _grown(record, "gamma", kmax + 1, piece, m.group)
     certified = kmax + max(max(values, default=0) - 1, 0)
     cap = min(certified, budget)
     warnings = []
@@ -279,9 +278,6 @@ def witt_quotient(
     if witt is None:
         hyper = subgroup_from_generators(m.group, list(m.hyperbolic))
         qpres, projection = quotient_presentation(m.group, hyper)
-        # the projected identity spans the quotient: its image of F^0, set
-        # first, so that a thread that reads the quotient finds its levels
-        record.setdefault("witt", ((full_subgroup(qpres),), ()))
         witt = record["witt_quotient"] = qpres, tuple(map(tuple, projection))
     return witt
 
@@ -301,5 +297,5 @@ def witt_filtration(m: RingModel, f: FiltrationResult) -> FiltrationResult:
                              for col in f.pieces[k].columns])
 
     n = len(f.pieces)
-    images, graded = _grown(_derived(m), "witt", n, image)
+    images, graded = _grown(_derived(m), "witt", n, image, qpres)
     return replace(f, group=qpres, pieces=images[:n], graded=graded[:n - 1])

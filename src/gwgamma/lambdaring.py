@@ -135,7 +135,7 @@ class RingModel:
         hyperbolic: Iterable[Sequence[int]] | None = None,
         trunc: int = DEFAULT_TRUNCATION,
     ):
-        if isinstance(trunc, bool) or not isinstance(trunc, int):
+        if type(trunc) is not int:
             raise ValueError("truncation order %r is not an integer" % (trunc,))
         if trunc < 1:
             raise ValueError("truncation order %r is below 1" % (trunc,))
@@ -169,14 +169,13 @@ class RingModel:
             raise ValueError("lambda-series list of wrong length")
         # _basis_columns[i]: the integer columns of lambda_t(b_i) at the
         # truncation, its one stored form (``_stored``), built by
-        # ``TruncSeries`` from the given rows less the trailing ones that
-        # reduce to zero; equal rows (a builtin's empty lists) share one dict
+        # ``TruncSeries``, which reduces them, from the given rows, counted as
+        # the file reader counts them; equal rows (a builtin's empty lists)
+        # share one dict
         self._basis_columns: list[dict[int, tuple[int, ...]]] = []
         built = {}
         for i, coeff_list in enumerate(lambda_on_basis):
             rows = tuple(map(tuple, coeff_list))
-            while rows and not any(group.reduce(rows[-1])):
-                rows = rows[:-1]
             if len(rows) > trunc:
                 raise ValueError("lambda-series of basis element %d: %d terms, more "
                                  "than trunc %d" % (i, len(rows), trunc))

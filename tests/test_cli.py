@@ -454,20 +454,43 @@ def test_series_longer_than_truncation_rejected(tmp_path, capsys):
     assert "lambda[L]: 42 terms, more than trunc 16" in capsys.readouterr().err
 
 
-def test_series_row_that_reduces_to_zero_writes_the_file_without_it(tmp_path):
-    # eps has order two, so a last row (0, 2) is zero: a model given
-    # trunc + 1 rows ending in it is the model without that row, and so is
-    # its file; the reader itself refuses trunc + 1 rows (test above)
-    m = gw_punctured_a5(3)
+def punctured_rows(m, terms):
+    """The eps-series of m padded with zero rows to `terms` rows, the last
+    one (0, 2), which is zero since eps has order two."""
     rows = [g.coeffs for g in m.lambda_on_basis[1]]
-    rows += [(0, 0)] * (m.trunc - len(rows)) + [(0, 2)]
-    longer = RingModel(m.name, m.group, m.unit.coeffs, {(0, 0): (1, 0), (0, 1): (0, 1)},
-                       m.aug, [[(1, 0)], rows], [], m.trunc)
-    assert len(rows) == m.trunc + 1
+    return rows + [(0, 0)] * (terms - 1 - len(rows)) + [(0, 2)]
+
+
+def punctured_with_rows(m, rows):
+    return RingModel(m.name, m.group, m.unit.coeffs, {(0, 0): (1, 0), (0, 1): (0, 1)},
+                     m.aug, [[(1, 0)], rows], [], m.trunc)
+
+
+def test_series_row_that_reduces_to_zero_writes_the_file_without_it(tmp_path):
+    # a model given trunc rows ending in a zero row is the model without
+    # that row, and so is its file
+    m = gw_punctured_a5(3)
+    longer = punctured_with_rows(m, punctured_rows(m, m.trunc))
     path = tmp_path / "longer.json"
     dump_model(longer, str(path))
     assert path.read_bytes() == model_bytes(m)
     assert model_to_dict(parse_model(str(path))) == model_to_dict(m)
+
+
+def test_constructor_and_reader_refuse_the_same_longer_series(tmp_path):
+    # trunc + 1 rows ending in a zero row: the constructor counts them as
+    # given, as the reader does, so it refuses the series its file is
+    # refused for
+    m = gw_punctured_a5(3)
+    rows = punctured_rows(m, m.trunc + 1)
+    with pytest.raises(ValueError, match="1: 17 terms, more than trunc 16"):
+        punctured_with_rows(m, rows)
+    doc = model_to_dict(m)
+    doc["lambda"]["eps"] = [list(r) for r in rows]
+    path = tmp_path / "longer.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=r"lambda\[eps\]: 17 terms, more than trunc 16"):
+        parse_model(str(path))
 
 
 def test_every_command_validates_once(tmp_path, monkeypatch, capsys):

@@ -225,17 +225,20 @@ def square_zero(trunc, series):
 
 
 def test_constructor_refuses_series_longer_than_truncation():
-    for terms in (5, 6):
-        with pytest.raises(ValueError, match="element 1: %d terms, more than trunc 4" % terms):
-            square_zero(4, [(0, 1)] * terms)
-    # trailing zero degrees are stripped before the count
-    m = square_zero(4, [(0, 1)] * 4 + [(0, 0)] * 3)
-    assert len(m.lambda_on_basis[1]) == 4
+    # the given rows are counted, trailing zero degrees too, as the file
+    # reader counts them; within the count the zero degrees are stripped
+    for series in ([(0, 1)] * 5, [(0, 1)] * 6, [(0, 1)] * 4 + [(0, 0)] * 3):
+        message = "element 1: %d terms, more than trunc 4" % len(series)
+        with pytest.raises(ValueError, match=message):
+            square_zero(4, series)
+    m = square_zero(4, [(0, 1)] * 2 + [(0, 0)] * 2)
+    assert len(m.lambda_on_basis[1]) == 2
 
 
 def test_constructor_strips_rows_that_reduce_to_zero_before_the_count():
-    # (0, 2) is zero in Z one + Z/2 x: trunc + 1 rows ending in it are the
-    # series of the first trunc rows
+    # (0, 2) is zero in Z one + Z/2 x: trunc rows ending in it are the
+    # series of the rows before it, and trunc + 1 rows ending in it are
+    # refused, since the rows are counted before they are stripped
     group = GroupPresentation((0, 2), ("one", "x"))
     mul = {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 0)}
 
@@ -243,10 +246,12 @@ def test_constructor_strips_rows_that_reduce_to_zero_before_the_count():
         return RingModel("two_torsion", group, (1, 0), mul, (1, 0), [[(1, 0)], series],
                          trunc=4)
 
-    short = build([(0, 1)] * 4)
-    long = build([(0, 1)] * 4 + [(0, 2)])
+    short = build([(0, 1)] * 3)
+    long = build([(0, 1)] * 3 + [(0, 2)])
     assert long.lambda_on_basis == short.lambda_on_basis
     assert model_to_dict(long) == model_to_dict(short)
+    with pytest.raises(ValueError, match="element 1: 5 terms, more than trunc 4"):
+        build([(0, 1)] * 4 + [(0, 2)])
 
 
 @pytest.mark.parametrize("trunc", [0, -3])
@@ -270,7 +275,7 @@ def test_constructor_refuses_a_truncation_that_is_no_integer(trunc):
 
 
 def test_constructed_model_round_trips_through_file(tmp_path):
-    m = square_zero(4, [(0, 1)] * 4 + [(0, 0)] * 2)
+    m = square_zero(4, [(0, 1)] * 3 + [(0, 0)])
     assert validate_model(m).ok
     path = tmp_path / "square_zero.json"
     dump_model(m, str(path))

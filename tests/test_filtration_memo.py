@@ -133,7 +133,7 @@ def grow_meanwhile(monkeypatch, key, n, call):
     first new level, after it read the stored pair: a concurrent call."""
     real = filtration._grown
 
-    def grown(levels, name, size, piece):
+    def grown(levels, name, size, piece, group):
         pending = [call] if (name, size) == (key, n) else []
 
         def nested(k, below):
@@ -141,7 +141,7 @@ def grow_meanwhile(monkeypatch, key, n, call):
                 pending.pop()()
             return piece(k, below)
 
-        return real(levels, name, size, nested)
+        return real(levels, name, size, nested, group)
 
     monkeypatch.setattr(filtration, "_grown", grown)
 
@@ -178,9 +178,9 @@ def test_a_shorter_witt_extension_keeps_the_longer_levels(monkeypatch):
 @pytest.mark.parametrize("levels", ["gamma", "witt"])
 def test_a_call_between_the_record_writes_finds_the_levels(monkeypatch, levels):
     # a filtration of P^3 over R, one content with P^2, made while P^2's
-    # call builds F^0 of the `levels`, as a concurrent thread could: "gamma"
-    # is stored before "values" and "witt" before "witt_quotient", so the
-    # nested call finds the levels of whatever it finds
+    # call builds F^0 of the `levels`, as a concurrent thread could: the
+    # nested call finds the values (and, for "witt", the quotient) and no
+    # levels, and seeds its own
     a, b = (fresh_build(gw_projective)("R", r) for r in (2, 3))
     if levels == "witt":
         gamma_filtration(a, 3)
@@ -266,16 +266,6 @@ def test_witt_image_of_the_whole_group_is_built_once():
     first = witt_filtration(m, gamma_filtration(m, kmax=2)).pieces[0]
     assert first == abelian.full_subgroup(qpres)
     assert witt_filtration(m, gamma_filtration(m, kmax=5)).pieces[0] is first
-
-
-def test_whole_groups_of_equal_rank_share_their_identity_columns():
-    # F^0 of every model is the identity HNF of its rank, held once
-    a, b = gw_projective.__wrapped__("C", 4), gw_projective.__wrapped__("R", 1)
-    assert a.group != b.group and a.group.rank == b.group.rank == 3
-    fa, fb = gamma_filtration(a, kmax=1), gamma_filtration(b, kmax=1)
-    assert fa.pieces[0].columns is fb.pieces[0].columns
-    assert fa.pieces[0].pivot_rows is fb.pieces[0].pivot_rows
-    assert fa.pieces[0] == abelian.subgroup_from_generators(a.group, a.group.basis())
 
 
 def test_equal_products_share_one_entry_tuple():

@@ -108,20 +108,11 @@ CATALOGUE = (
            "new = below if new.columns == below.columns else new", "new = new",
            _tests("filtration_memo")),
     Mutant("grown-shorter-replaces-longer", FILTRATION,
-           "if n > len(record[key][0]):", "if True:",
+           "if n > len(record.get(key, ((), ()))[0]):", "if True:",
            _tests("filtration_memo")),
-    Mutant("record-values-before-levels", FILTRATION,
-           'record.setdefault("gamma", ((full_subgroup(m.group),), ()))\n'
-           '        values = record["values"] = _gamma_values(m, kernel_basis(m.aug), budget)',
-           'values = record["values"] = _gamma_values(m, kernel_basis(m.aug), budget)\n'
-           '        record.setdefault("gamma", ((full_subgroup(m.group),), ()))',
-           _tests("filtration_memo")),
-    Mutant("record-quotient-before-levels", FILTRATION,
-           'record.setdefault("witt", ((full_subgroup(qpres),), ()))\n'
-           '        witt = record["witt_quotient"] = qpres, tuple(map(tuple, projection))',
-           'witt = record["witt_quotient"] = qpres, tuple(map(tuple, projection))\n'
-           '        record.setdefault("witt", ((full_subgroup(qpres),), ()))',
-           _tests("filtration_memo")),
+    Mutant("level-zero-the-zero-subgroup", FILTRATION,
+           "list(pieces) or [full_subgroup(group)]", "list(pieces) or [_span(group, [])]",
+           _tests("filtration_oracle", "filtration", "column_paths")),
     Mutant("refusal-torsion-products-dropped", FILTRATION,
            '    "products respect torsion orders",\n', "",
            _tests("filtration_refusals")),
@@ -213,9 +204,11 @@ CATALOGUE = (
            "memo[name] = next(checks()[name], None)",
            "memo[name] = ([None] + list(checks()[name]))[-1]",
            _tests("checker_oracle", "intern_oracle", "filtration_refusals")),
-    Mutant("lambda-rows-literal-zero-only", LAMBDARING,
-           "while rows and not any(group.reduce(rows[-1])):",
-           "while rows and not any(rows[-1]):",
+    Mutant("lambda-count-after-stripping", LAMBDARING,
+           "            if len(rows) > trunc:\n",
+           "            while rows and not any(group.reduce(rows[-1])):\n"
+           "                rows = rows[:-1]\n"
+           "            if len(rows) > trunc:\n",
            _tests("column_paths", "cli")),
     Mutant("check-memo-bypassed", LAMBDARING, "if name not in memo:", "if True:",
            _tests("cli")),
